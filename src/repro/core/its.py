@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import CSRMatrix
+from ..sparse.csr import _indptr_from_rows
 
 __all__ = [
     "its_sample_rows",
@@ -106,13 +107,9 @@ def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:
     """Materialize a selection mask as the binary sampled ``Q^{l-1}``."""
     if selected.size == 0:
         return CSRMatrix.zeros(p.shape)
-    out_rows = p.row_ids()[selected]
-    indptr = np.zeros(p.shape[0] + 1, dtype=np.int64)
-    np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
     # Column order within a row follows the original CSR order (sorted).
     return CSRMatrix(
-        indptr,
+        _indptr_from_rows(p.row_ids()[selected], p.shape[0]),
         p.indices[selected],
         np.ones(int(selected.sum())),
         p.shape,

@@ -54,14 +54,26 @@ class CSRMatrix:
         *,
         sum_duplicates: bool = True,
     ) -> "CSRMatrix":
-        """Build from COO triplets, sorting and (optionally) summing duplicates."""
+        """Build from COO triplets, canonicalizing to sorted, duplicate-free CSR.
+
+        Entries are ordered by the single flat key ``row * n_cols + col``.
+        Input already in row-major order (a row-selector product, a
+        ``to_coo`` round trip) is detected with one linear pass and not
+        sorted at all; anything else takes one stable argsort, which merges
+        concatenated sorted runs (``a.add(b)``, the sparse all-reduce) in
+        near-linear time.  Duplicates of one ``(row, col)`` are summed left
+        to right in input order.  Shapes whose flat key space does not fit
+        int64 fall back to a two-key lexsort — the same permutation, so the
+        result does not depend on which path ran.  The returned arrays never
+        alias the caller's.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if vals is None:
-            vals = np.ones(rows.shape[0], dtype=np.float64)
+            data = np.ones(rows.shape[0], dtype=np.float64)
         else:
-            vals = np.asarray(vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
+            data = np.asarray(vals, dtype=np.float64)
+        if not (rows.shape == cols.shape == data.shape):
             raise ValueError("rows, cols and vals must have identical shapes")
         n_rows, n_cols = int(shape[0]), int(shape[1])
         if rows.size:
@@ -69,6 +81,40 @@ class CSRMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
+        if n_rows * n_cols >= 2**63:  # flat keys would overflow int64
+            return cls._from_coo_lexsort(
+                rows, cols, data, (n_rows, n_cols), sum_duplicates
+            )
+        keys = rows * np.int64(n_cols) + cols
+        del rows, cols  # re-derived from the keys once those are final
+        if keys.size > 1 and not np.all(keys[1:] >= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            data = data[order]
+            keys = keys[order]
+            del order
+        if sum_duplicates and keys.size > 1:
+            distinct = keys[1:] != keys[:-1]
+            if not distinct.all():
+                starts = np.concatenate(([0], np.flatnonzero(distinct) + 1))
+                data = np.add.reduceat(data, starts)
+                keys = keys[starts]
+        if vals is not None and np.may_share_memory(data, vals):
+            data = data.copy()  # neither sorted nor summed: still the caller's
+        rows = keys // n_cols
+        keys -= rows * n_cols
+        return cls(_indptr_from_rows(rows, n_rows), keys, data, (n_rows, n_cols))
+
+    @classmethod
+    def _from_coo_lexsort(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
+        sum_duplicates: bool,
+    ) -> "CSRMatrix":
+        """:meth:`from_coo` for validated triplets whose flat key would
+        overflow int64: the two-key sort, same order and same sums."""
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and rows.size:
@@ -78,10 +124,7 @@ class CSRMatrix:
             starts = np.flatnonzero(boundary)
             vals = np.add.reduceat(vals, starts)
             rows, cols = rows[starts], cols[starts]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols, vals, (n_rows, n_cols))
+        return cls(_indptr_from_rows(rows, shape[0]), cols, vals, shape)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
@@ -161,10 +204,9 @@ class CSRMatrix:
 
     def row_sums(self) -> np.ndarray:
         """Sum of values in each row."""
-        out = np.zeros(self.shape[0], dtype=np.float64)
-        if self.nnz:
-            np.add.at(out, self.row_ids(), self.data)
-        return out
+        return np.bincount(
+            self.row_ids(), weights=self.data, minlength=self.shape[0]
+        )
 
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry (COO expansion of ``indptr``)."""
@@ -190,9 +232,12 @@ class CSRMatrix:
         if self.nnz:
             if self.indices.min() < 0 or self.indices.max() >= self.shape[1]:
                 raise ValueError("column index out of range")
-            rows = self.row_ids()
-            keys = rows * self.shape[1] + self.indices
-            if np.any(np.diff(keys) <= 0):
+            # Neighbouring entries must increase except across a row start
+            # (no flat row * n_cols + col key: that wraps int64 on huge shapes).
+            increasing = np.diff(self.indices) > 0
+            starts = self.indptr[1:-1]
+            increasing[starts[(starts > 0) & (starts < self.nnz)] - 1] = True
+            if not increasing.all():
                 raise ValueError("columns must be strictly increasing within rows")
 
     # ------------------------------------------------------------------ #
@@ -264,12 +309,8 @@ class CSRMatrix:
             raise ValueError("mask length must equal column count")
         new_id = np.cumsum(mask, dtype=np.int64) - 1
         keep = mask[self.indices]
-        rows = self.row_ids()[keep]
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
         return CSRMatrix(
-            indptr,
+            _indptr_from_rows(self.row_ids()[keep], self.shape[0]),
             new_id[self.indices[keep]],
             self.data[keep],
             (self.shape[0], int(mask.sum())),
@@ -294,10 +335,7 @@ class CSRMatrix:
     def prune_zeros(self, tol: float = 0.0) -> "CSRMatrix":
         """Drop stored entries with ``|value| <= tol``."""
         keep = np.abs(self.data) > tol
-        rows = self.row_ids()[keep]
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        indptr = _indptr_from_rows(self.row_ids()[keep], self.shape[0])
         return CSRMatrix(indptr, self.indices[keep], self.data[keep], self.shape)
 
     # ------------------------------------------------------------------ #
@@ -340,6 +378,13 @@ class CSRMatrix:
 
     def __repr__(self) -> str:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _indptr_from_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row pointer of entries whose row ids (in ``[0, n_rows)``) are ``rows``."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -11,9 +11,11 @@ names to backend instances.
 Built-ins:
 
 * ``esc`` — the expand-sort-compress numpy kernel the reproduction started
-  with (global lexsort of the expanded intermediate).  The default.
-* ``hash`` — a row-wise hash-accumulator SpGEMM that skips the global sort;
-  wins on the duplicate-heavy frontier products samplers produce.
+  with: one stable single-key sort of the expanded intermediate, skipped
+  when the expansion is already row-major (row-selector products).  The
+  default.
+* ``hash`` — a row-wise hash-accumulator SpGEMM that sorts only the
+  distinct outputs; meant for duplicate-heavy frontier products.
 * ``scipy`` — auto-registered only when ``scipy`` is importable; delegates
   to ``scipy.sparse``'s compiled CSR kernels.
 
@@ -108,7 +110,8 @@ class KernelBackend:
 
 
 class ESCKernel(KernelBackend):
-    """Expand-sort-compress: the original numpy kernel (global lexsort)."""
+    """Expand-sort-compress: the original numpy kernel (single-key sort,
+    skipped for an expansion that is already row-major)."""
 
     name = "esc"
 
@@ -175,7 +178,8 @@ KERNELS = Registry("kernel")
 KERNELS.register(
     "esc",
     ESCKernel(),
-    description="expand-sort-compress (global lexsort); the default",
+    description="expand-sort-compress (single-key stable sort, skipped "
+    "when already row-major); the default",
     requires=None,
 )
 KERNELS.register(

@@ -5,15 +5,20 @@ Two serial kernels share the row-gather expansion (every nonzero
 but differ in how the expanded triplets are compressed:
 
 * :func:`spgemm` — expand-sort-compress, the same family as the GPU
-  nsparse kernels the paper uses: a global lexsort of the expanded
-  triplets followed by a segmented sum over duplicate (row, col) pairs.
+  nsparse kernels the paper uses: the expanded triplets go through
+  :meth:`CSRMatrix.from_coo`, which orders them by one flat
+  ``row * n_cols + col`` key and sums duplicate keys.  The expansion is
+  row-major already when every row of ``a`` holds one nonzero (a row
+  selector: GraphSAGE's ``Q``, a walk frontier), and then nothing is
+  sorted at all; otherwise it is a sequence of sorted rows of ``b`` that
+  one stable sort merges.
 * :func:`spgemm_hash` — a row-wise hash accumulator (the nsparse /
   cuSPARSE "hash SpGEMM" family): expanded triplets are inserted into an
   open-addressing table keyed by their flat output position, so only the
-  *distinct* output entries are ever sorted.  On the duplicate-heavy
-  frontier products samplers produce (many batch vertices sharing
-  neighbors) this avoids the ``O(F log F)`` sort over the full expanded
-  intermediate.
+  *distinct* output entries are ever sorted.  It pays off where many
+  expanded entries collapse into few outputs (LADIES-style ``Q A`` with
+  many batch vertices sharing neighbors); on a row selector the table is
+  pure overhead next to :func:`spgemm`'s sort-free path.
 
 Kernel selection is a registry concern — see :mod:`repro.sparse.kernels`;
 this module holds the raw implementations.  Besides the kernels it exposes:
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix, _ranges
+from .csr import CSRMatrix, _indptr_from_rows, _ranges
 
 __all__ = ["spgemm", "spgemm_hash", "spgemm_flops", "required_rows"]
 
@@ -127,11 +132,11 @@ def spgemm_hash(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     order = np.argsort(out_keys)  # only the distinct outputs are sorted
     out_keys = out_keys[order]
     out_rows = out_keys // n_cols
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, out_rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
     return CSRMatrix(
-        indptr, out_keys - out_rows * n_cols, acc[used][order], out_shape
+        _indptr_from_rows(out_rows, n_rows),
+        out_keys - out_rows * n_cols,
+        acc[used][order],
+        out_shape,
     )
 
 

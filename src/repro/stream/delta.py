@@ -16,10 +16,11 @@ Two invariants make the overlay safe to put under the sampling stack:
   indistinguishable from a from-scratch build of the same edge set and
   sampling from it is bit-identical.
 * **Compaction parity.**  Every :meth:`compact` re-derives the matrix
-  through the independent :meth:`CSRMatrix.from_coo` path (a global
-  lexsort, no splicing) and asserts the incremental merge produced the
-  exact same ``indptr``/``indices``/``data`` arrays before promoting it to
-  the new base.
+  through the independent :meth:`CSRMatrix.from_coo` path (all surviving
+  entries canonicalized at once by their flat key, no splicing) and
+  asserts the incremental merge produced the exact same
+  ``indptr``/``indices``/``data`` arrays before promoting it to the new
+  base.
 
 The delta log stores *final* per-edge outcomes (an insert overwrites a
 pending insert; a delete cancels one), so the log is bounded by the number
