@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.graphs import rmat
 from repro.sparse import (
+    CSRMatrix,
     KERNELS,
     get_kernel,
     indicator_rows,
@@ -78,14 +79,47 @@ def test_ladies_frontier_spgemm(benchmark, kernel, medium_adj, medium_batches):
     assert out.equal(spgemm(q, medium_adj), 1e-9)
 
 
+def _csr_with_degrees(degrees, n_cols, rng) -> CSRMatrix:
+    """Random CSR whose row ``i`` has (up to duplicate draws) ``degrees[i]``
+    entries."""
+    rows = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    cols = rng.integers(0, n_cols, rows.size)
+    vals = rng.uniform(1e-6, 1.0, rows.size)
+    return CSRMatrix.from_coo(rows, cols, vals, (len(degrees), n_cols))
+
+
+#: name -> (adjacency factory, feature width).  ``uniform`` is the original
+#: case; the other three are the propagation shapes of the e2e workloads:
+#: a SAGE layer-0 sample, a wide-hidden LADIES layer, and a row block of
+#: exact serving on a power-law graph (rows from 1 to 4000 entries).
+SPMM_SHAPES = {
+    "uniform-5000x5000-f64": (
+        lambda rng: sprand(5000, 5000, 0.002, rng), 64),
+    "sage-layer0-5651x8034-f100": (
+        lambda rng: _csr_with_degrees(np.full(5651, 5), 8034, rng), 100),
+    "ladies-383x621-f512": (
+        lambda rng: _csr_with_degrees(rng.integers(1, 34, 383), 621, rng), 512),
+    "pareto-4096x8192-f64": (
+        lambda rng: _csr_with_degrees(
+            np.minimum(4000, 1 + (20 * rng.pareto(1.2, 4096)).astype(np.int64)),
+            8192, rng), 64),
+}
+
+
+@pytest.mark.parametrize("shape", list(SPMM_SHAPES))
 @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-def test_spmm_kernel(benchmark, kernel):
+def test_spmm_kernel(benchmark, kernel, shape):
     rng = np.random.default_rng(3)
-    a = sprand(5000, 5000, 0.002, rng)
-    x = rng.standard_normal((5000, 64))
+    make_adj, n_features = SPMM_SHAPES[shape]
+    a = make_adj(rng)
+    x = rng.standard_normal((a.shape[1], n_features))
     out = benchmark(KERNELS.get(kernel).spmm, a, x)
-    assert out.shape == (5000, 64)
-    assert np.allclose(out, spmm(a, x))
+    assert out.shape == (a.shape[0], n_features)
+    if kernel == "scipy":
+        assert np.allclose(out, spmm(a, x))
+    else:
+        # esc / hash / compiled share the one numpy body: same bits.
+        assert out.tobytes() == spmm(a, x).tobytes()
 
 
 def test_its_kernel(benchmark, medium_adj):

@@ -120,7 +120,14 @@ class GATConv(_ConvBase):
         np.add.at(out, rows, alpha[:, None] * z[cols])
         return out + self.params["b"]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate parameter gradients; return ``d(h_src)``.
+
+        ``input_grad=False`` returns ``None`` and skips the final
+        ``dz @ W.T`` (``dz`` itself feeds the parameter gradients).
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         layer, h_src, z, rows, cols, raw, alpha, dst_pos = self._cache
@@ -149,4 +156,6 @@ class GATConv(_ConvBase):
         self.grads["a_src"] += z.T @ ds_src
         self.grads["a_dst"] += z.T @ ds_dst
         self.grads["W"] += h_src.T @ dz
+        if not input_grad:
+            return None
         return dz @ self.params["W"].T

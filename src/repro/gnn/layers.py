@@ -132,15 +132,26 @@ class SAGEConv(_ConvBase):
             out = out + h_dst @ self.params["W_self"]
         return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate parameter gradients; return ``d(h_src)``.
+
+        ``input_grad=False`` returns ``None`` and skips everything only
+        ``d(h_src)`` needs: the adjacency transpose, both ``dy @ W.T``
+        products, the transposed SpMM and the self-term scatter.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         adj, h_src, neigh, h_dst, dst_pos = self._cache
         self.grads["W_neigh"] += neigh.T @ dy
         self.grads["b"] += dy.sum(axis=0)
-        dh_src = spmm(adj.transpose(), dy @ self.params["W_neigh"].T)
         if h_dst is not None:
             self.grads["W_self"] += h_dst.T @ dy
+        if not input_grad:
+            return None
+        dh_src = spmm(adj.transpose(), dy @ self.params["W_neigh"].T)
+        if h_dst is not None:
             np.add.at(dh_src, dst_pos, dy @ self.params["W_self"].T)
         return dh_src
 
@@ -185,12 +196,21 @@ class GCNConv(_ConvBase):
         self._cache = (adj, agg)
         return agg @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dy: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate parameter gradients; return ``d(h_src)``.
+
+        ``input_grad=False`` returns ``None`` and skips the adjacency
+        transpose, ``dy @ W.T`` and the transposed SpMM.
+        """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         adj, agg = self._cache
         self.grads["W"] += agg.T @ dy
         self.grads["b"] += dy.sum(axis=0)
+        if not input_grad:
+            return None
         return spmm(adj.transpose(), dy @ self.params["W"].T)
 
     def infer(self, layer: LayerSample, h_src: np.ndarray) -> np.ndarray:

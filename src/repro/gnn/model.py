@@ -105,14 +105,18 @@ class GNNModel:
                 h = self.acts[i].forward(h)
         return h
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns d(input features)."""
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Accumulate parameter gradients.
+
+        Returns ``None``: input features are never trainable here, so
+        layer 0 runs with ``input_grad=False`` and the gradient with
+        respect to them — the largest SpMM of a step — is not computed.
+        """
         g = dlogits
         for i in reversed(range(self.n_layers)):
             if i < self.n_layers - 1:
                 g = self.acts[i].backward(g)
-            g = self.convs[i].backward(g)
-        return g
+            g = self.convs[i].backward(g, input_grad=i > 0)
 
 
 def full_graph_sample(adj: CSRMatrix, n_layers: int) -> MinibatchSample:

@@ -55,7 +55,7 @@ import numpy as np
 from ..api.registry import Registry
 from .csr import CSRMatrix
 from .spgemm import spgemm, spgemm_hash
-from .spmm import sddmm, spmm
+from .spmm import _dense_operand, sddmm, spmm
 
 __all__ = [
     "KERNELS",
@@ -156,18 +156,7 @@ class ScipyKernel(KernelBackend):
         return CSRMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
 
     def spmm(self, a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
-        squeeze = dense.ndim == 1
-        if squeeze:
-            dense = dense[:, None]
-        if dense.ndim != 2:
-            raise ValueError(
-                f"dense operand must be 1-D or 2-D, got {dense.ndim}-D"
-            )
-        if a.shape[1] != dense.shape[0]:
-            raise ValueError(
-                f"inner dimensions differ: {a.shape} @ {dense.shape}"
-            )
+        dense, squeeze = _dense_operand(a, dense)
         out = np.asarray(a.to_scipy() @ dense, dtype=np.float64)
         return out[:, 0] if squeeze else out
 

@@ -10,7 +10,7 @@ from repro.core.frontier import LayerSample
 from repro.gnn import GATConv, GNNModel, load_model_into, save_model
 from repro.sparse import CSRMatrix
 
-from tests.test_gnn import make_layer, numeric_grad
+from tests.test_gnn import check_input_grad_false, make_layer, numeric_grad
 
 
 class TestGATGradients:
@@ -34,6 +34,12 @@ class TestGATGradients:
     def test_backward_before_forward(self, rng):
         with pytest.raises(RuntimeError):
             GATConv(2, 2, rng).backward(np.ones((1, 2)))
+
+    def test_input_grad_false_leaves_parameter_grads_unmoved(self, rng):
+        layer = make_layer(rng, include_dst=True)
+        conv = GATConv(4, 3, rng)
+        h = rng.random((layer.n_src, 4))
+        check_input_grad_false(conv, layer, h, rng.random((layer.n_dst, 3)))
 
 
 class TestGATSemantics:
