@@ -118,7 +118,7 @@ def test_spmm_kernel(benchmark, kernel, shape):
     if kernel == "scipy":
         assert np.allclose(out, spmm(a, x))
     else:
-        # esc / hash / compiled share the one numpy body: same bits.
+        # esc / hash share the one numpy body: same bits.
         assert out.tobytes() == spmm(a, x).tobytes()
 
 
@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
                         "fanout 64, 2 repeats")
     parser.add_argument("--gate", action="store_true",
                         help="pinned regression-gate profile: smoke sizes, "
-                        "compiled vs esc, artifact BENCH_kernels_gate.json "
+                        "hash vs esc, artifact BENCH_kernels_gate.json "
                         "carrying an env fingerprint (wall-clock numbers "
                         "are machine-specific; the gate compares the "
                         "speedup ratios)")
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                         "BENCH_kernels.json); 'none' disables")
     args = parser.parse_args(argv)
     if args.gate:
-        args.kernel, args.baseline, args.smoke = "compiled", "esc", True
+        args.kernel, args.baseline, args.smoke = "hash", "esc", True
     if args.smoke:
         args.log_n, args.batches = 11, 4
         args.batch_size, args.fanout, args.repeats = 128, 64, 2
@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
 
         path = write_bench_artifact(
             "kernels_gate" if args.gate else "kernels",
-            env=env_fingerprint() if args.gate else None,
+            env=env_fingerprint(),
             params={
                 "kernel": args.kernel, "baseline": args.baseline,
                 "log_n": args.log_n, "degree": args.degree,

@@ -13,9 +13,6 @@ from .bulk import (
     stack_batches,
 )
 from .compile import (
-    CompiledLocalExecutor,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
     ProbCache,
     eliminate_dead_steps,
     fuse_prob_norm,
@@ -28,6 +25,8 @@ from .its import gumbel_topk_rows, its_flops, its_sample_rows
 from .ladies_sampler import LadiesSampler
 from .plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -55,7 +54,6 @@ __all__ = [
     "ExtractStep",
     "step_phase",
     "LocalExecutor",
-    "CompiledLocalExecutor",
     "FusedProbNormStep",
     "FusedSampleExtractStep",
     "ProbCache",

@@ -1,69 +1,51 @@
-"""The sampling-plan compiler: optimizer passes + fused-step execution.
+"""The sampling-plan optimizer: the passes every plan goes through.
 
-PR 4 turned every sampler into a declarative :class:`SamplingPlan` that the
-executors interpret step by step, materializing every intermediate: NORM
-copies the whole probability matrix to rescale it, SAMPLE builds the
-``Q^{l-1}`` CSR only for EXTRACT to immediately tear it apart again, and
-every micro-batch recomputes probability products that an identical
-frontier computed moments earlier.  This module removes that interpretive
-overhead without changing a single output bit:
+A sampler emits the four-step program of Algorithm 1 per layer;
+:func:`optimize` rewrites it before either executor
+(:class:`~repro.core.plan.LocalExecutor`,
+:class:`~repro.distributed.partitioned.PartitionedExecutor`) runs it —
+always, there is no unoptimized mode to select — without changing a single
+output bit:
 
 * :func:`eliminate_dead_steps` — drop PROB/NORM steps whose results are
   overwritten before any step reads them.  SAMPLE steps are **never**
   eliminated even when their output is dead: they consume randomness, and
-  the compiled executor must replay the interpreter's RNG stream exactly.
+  an optimized plan must replay the emitted plan's RNG stream exactly.
 * :func:`fuse_prob_norm` — replace adjacent ``PROB, NORM`` with a single
-  :class:`FusedProbNormStep`: the probability product is normalized
-  *in place* (the executor owns the freshly computed product), skipping
-  the full indptr/indices/data copy of the interpreted NORM.
+  :class:`~repro.core.plan.FusedProbNormStep`: the probability product is
+  normalized *in place* (the executor owns the freshly computed product),
+  skipping the full indptr/indices/data copy of a standalone NORM.
 * :func:`fuse_sample_extract` — replace adjacent ``SAMPLE, EXTRACT`` with
-  a :class:`FusedSampleExtractStep`: ITS/Gumbel selection is kept as a
-  boolean mask over ``P``'s nonzeros (:func:`~repro.core.its.its_select_mask`)
-  and extraction reads the selected entries straight out of ``P`` —
-  the intermediate ``Q^{l-1}`` CSR is never materialized.  Fusion is
-  skipped when a later step still reads ``Q^{l-1}``.
-* :class:`ProbCache` — memoize normalized probability matrices across bulk
-  calls that share a frontier (serving micro-batches hitting the same
-  targets, FastGCN's batch-independent global importance row).
-* :func:`selector_aware_spgemm` — the row-wise gather kernel: when the
-  left operand of an SpGEMM selects exactly one source row per output row
-  with unit weight (GraphSAGE's ``Q``, LADIES' ``Q_R``, every SAINT walk
-  frontier), the product is a pure row gather of the right operand — no
-  hashing, no expand/sort, no accumulation — and the compiled executor
-  runs it as ``a.extract_rows(...)`` instead of the general kernel.
+  a :class:`~repro.core.plan.FusedSampleExtractStep`.  The executors keep
+  SAMPLE's selection as a mask over ``P`` whether or not the pair is fused
+  (:mod:`repro.core.plan`, "Mask dataflow"), so this saves no work — it
+  makes the pair one step, which the cost model counts as one launch.
+* :class:`ProbCache` — memoize probability matrices across bulk calls that
+  share a frontier (serving micro-batches hitting the same targets,
+  FastGCN's batch-independent global importance row); consulted by the
+  local executor's PROB.
 
-Executors: :class:`CompiledLocalExecutor` here and
-:class:`~repro.distributed.partitioned.CompiledPartitionedExecutor` extend
-the interpreters with handlers for the fused steps; every unfused step
-falls through to the interpreter's own handler, so the compiled path can
-run any mix of fused and plain steps.  The plain interpreters refuse fused
-steps outright (loud failure beats silent divergence).
-
-Bit-identity is the contract and the test surface: the golden-digest
-suites pin all four samplers under ``kernel="compiled"``, and
-``tests/test_compile_differential.py`` fuzzes hundreds of random plans
-through interpreter and compiler asserting byte-equal samples.
+Executors accept optimized and unoptimized plans alike, so each pass is
+tested differentially: ``tests/test_compile_differential.py`` runs
+hundreds of random plans both ways through both executors and against the
+``Q^{l-1}``-materializing oracle in ``tests/reference_interpreter.py``,
+asserting byte-equal samples.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ..sparse import CSRMatrix
-from .frontier import LayerSample
 from .plan import (
     ExtractStep,
-    LocalExecutor,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
 )
-from .sage_sampler import SageSampler
 
 __all__ = [
     "FusedProbNormStep",
@@ -74,61 +56,7 @@ __all__ = [
     "optimize",
     "DEFAULT_PASSES",
     "ProbCache",
-    "CompiledLocalExecutor",
-    "selector_aware_spgemm",
-    "compact_layer_from_mask",
-    "sampled_rows_from_mask",
-    "selected_row_cols",
-    "mask_row_counts",
 ]
-
-
-# ---------------------------------------------------------------------- #
-# Fused step types
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FusedProbNormStep(ProbStep):
-    """``PROB`` immediately followed by ``NORM``, as one step.
-
-    The executor normalizes the probability product in place (it owns the
-    freshly computed matrix), producing bit-identical values to the
-    interpreted ``norm`` without the copy.  Subclassing :class:`ProbStep`
-    keeps plan validation and :func:`~repro.core.plan.step_phase` working
-    unchanged; the whole fused step is attributed to the ``probability``
-    phase (the interpreter attributed the NORM half to ``sampling``).
-    """
-
-    fused = True
-    display_name = "PROB+NORM"
-
-
-@dataclass(frozen=True)
-class FusedSampleExtractStep(SampleStep):
-    """``SAMPLE`` immediately followed by a non-subgraph ``EXTRACT``.
-
-    Selection stays a boolean mask over ``P``'s nonzeros; extraction reads
-    the selected columns directly, skipping the ``Q^{l-1}`` CSR build.
-    Attributed wholly to the ``sampling`` phase (via the
-    :class:`SampleStep` base).
-    """
-
-    extract: ExtractStep
-
-    fused = True
-    display_name = "SAMPLE+EXTRACT"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.extract, ExtractStep):
-            raise TypeError(f"extract must be an ExtractStep, got {self.extract!r}")
-        if self.extract.kind == "subgraph":
-            raise ValueError(
-                "subgraph extraction reads the walk history, not the "
-                "sampled Q — it cannot fuse with SAMPLE"
-            )
-
-    def describe_args(self) -> list[str]:
-        return [f"s={self.count}"] + self.extract.describe_args()
 
 
 # ---------------------------------------------------------------------- #
@@ -173,7 +101,7 @@ def eliminate_dead_steps(plan: SamplingPlan) -> SamplingPlan:
 
     SAMPLE steps are never dead — they consume RNG draws, and eliminating
     one would shift every later draw, breaking bit-identity with the
-    interpreter.  EXTRACT steps always produce observable output.  Runs to
+    emitted plan.  EXTRACT steps always produce observable output.  Runs to
     a fixpoint; a plan that optimizes to nothing is returned unchanged
     (its output is layer-free either way, and plans must be non-empty).
     """
@@ -215,30 +143,11 @@ def fuse_prob_norm(plan: SamplingPlan) -> SamplingPlan:
     return SamplingPlan(tuple(out))
 
 
-def _q_next_read_after(steps: list, j: int) -> bool:
-    """Would a step at position >= ``j`` read the sampled ``Q^{l-1}``
-    produced before ``j``?  True when the first relevant step is a
-    q-reading EXTRACT; a SAMPLE (fused or not) rewrites ``Q`` first."""
-    for step in steps[j:]:
-        if isinstance(step, SampleStep):
-            return False
-        if type(step) is ExtractStep and step.kind in (
-            "compact",
-            "bipartite",
-            "walk",
-        ):
-            return True
-    return False
-
-
 def fuse_sample_extract(plan: SamplingPlan) -> SamplingPlan:
-    """Fuse adjacent ``SAMPLE, EXTRACT`` pairs where legal.
-
-    Illegal when the extraction is ``subgraph`` (reads the walk history,
-    not ``Q``) or when a *later* step still reads the materialized
-    ``Q^{l-1}`` (e.g. two EXTRACTs sharing one SAMPLE) — those stay
-    interpreted.
-    """
+    """Fuse every adjacent ``SAMPLE, EXTRACT`` pair except a ``subgraph``
+    extraction (which reads the walk history, not the sample).  Always
+    legal: a fused SAMPLE leaves the same ``(P, mask)`` behind as a plain
+    one, so a later EXTRACT sharing it reads what it would have."""
     steps = list(plan.steps)
     out: list = []
     i = 0
@@ -248,7 +157,6 @@ def fuse_sample_extract(plan: SamplingPlan) -> SamplingPlan:
             and i + 1 < len(steps)
             and type(steps[i + 1]) is ExtractStep
             and steps[i + 1].kind != "subgraph"
-            and not _q_next_read_after(steps, i + 2)
         ):
             out.append(
                 FusedSampleExtractStep(steps[i].count, steps[i + 1])
@@ -294,7 +202,7 @@ class ProbCache:
     bulk calls sharing a frontier (serving micro-batches re-requesting the
     same targets, FastGCN's batch-count-only global importance stack) can
     reuse the exact matrix object.  Cached matrices are never mutated by
-    the executors (in-place normalization happens only on freshly computed
+    the executor (in-place normalization happens only on freshly computed
     products, before insertion), so a hit restores bit-identical state.
 
     The cache must be invalidated when the adjacency changes; keys embed
@@ -347,260 +255,3 @@ class ProbCache:
             "prob_cache_entries",
             "probability matrices currently cached", **labels,
         ).set(len(self._store))
-
-
-# ---------------------------------------------------------------------- #
-# The row-gather SpGEMM specialization
-# ---------------------------------------------------------------------- #
-def _is_unit_row_selector(q: CSRMatrix) -> bool:
-    """True iff every row of ``q`` holds exactly one entry of value 1.0."""
-    return (
-        q.nnz == q.shape[0]
-        and bool(np.all(np.diff(q.indptr) == 1))
-        and bool(np.all(q.data == 1.0))
-    )
-
-
-def selector_aware_spgemm(spgemm_fn):
-    """Wrap ``spgemm_fn`` with the row-gather fast path.
-
-    When the left operand is a unit row selector, each output row is
-    ``1.0 * b[q.indices[i]]`` — a single source row, so there is nothing
-    to accumulate, ``1.0 * x == x`` exactly, and the gathered rows keep
-    ``b``'s canonical column order.  The result is therefore bit-identical
-    to any general SpGEMM backend, at the cost of one fancy-indexed copy
-    instead of a full hash/expand-sort pass.  Everything else falls
-    through to the wrapped kernel unchanged.
-    """
-
-    def run(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-        if _is_unit_row_selector(a):
-            return b.extract_rows(a.indices)
-        return spgemm_fn(a, b)
-
-    return run
-
-
-# ---------------------------------------------------------------------- #
-# Fused row-wise extraction kernels (shared by local + partitioned)
-# ---------------------------------------------------------------------- #
-def mask_row_counts(p: CSRMatrix, sel: np.ndarray) -> np.ndarray:
-    """Selected entries per row of ``p`` (== ``q_next.nnz_per_row()``)."""
-    if sel.size == 0:
-        return np.zeros(p.shape[0], dtype=np.int64)
-    return np.bincount(p.row_ids()[sel], minlength=p.shape[0])
-
-
-def selected_row_cols(p: CSRMatrix, sel: np.ndarray, i: int) -> np.ndarray:
-    """Selected columns of row ``i`` (== ``q_next.row(i)[0]``)."""
-    lo, hi = int(p.indptr[i]), int(p.indptr[i + 1])
-    return p.indices[lo:hi][sel[lo:hi]]
-
-
-def _block_selection(
-    p: CSRMatrix, sel: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(local row ids, columns) of the selected entries in rows [lo, hi)."""
-    a, b = int(p.indptr[lo]), int(p.indptr[hi])
-    block_sel = sel[a:b]
-    cols = p.indices[a:b][block_sel]
-    local_rows = np.repeat(
-        np.arange(hi - lo, dtype=np.int64), np.diff(p.indptr[lo : hi + 1])
-    )[block_sel]
-    return local_rows, cols
-
-
-def _block_indptr(local_rows: np.ndarray, n_rows: int) -> np.ndarray:
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    counts = np.bincount(local_rows, minlength=n_rows)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
-def sampled_rows_from_mask(
-    p: CSRMatrix, sel: np.ndarray, lo: int, hi: int
-) -> CSRMatrix:
-    """Materialize ``q_next.row_block(lo, hi)`` from the selection mask.
-
-    Fallback for samplers that override ``extract_batch_layer``: the fused
-    executor still skips the *global* ``Q^{l-1}`` build and hands the
-    override a bit-identical per-batch block.
-    """
-    local_rows, cols = _block_selection(p, sel, lo, hi)
-    return CSRMatrix(
-        _block_indptr(local_rows, hi - lo),
-        cols,
-        np.ones(cols.size, dtype=np.float64),
-        (hi - lo, p.shape[1]),
-    )
-
-
-def compact_layer_from_mask(
-    p: CSRMatrix,
-    sel: np.ndarray,
-    lo: int,
-    hi: int,
-    dst_ids: np.ndarray,
-    *,
-    include_dst: bool,
-) -> LayerSample:
-    """Fused GraphSAGE extraction: sample mask -> compacted layer directly.
-
-    Produces exactly what ``extract_batch_layer(q_next.row_block(lo, hi))``
-    produces — ``np.searchsorted(kept, cols)`` assigns the same dense ranks
-    as ``compact_columns``'s cumsum remap — without materializing the
-    ``Q^{l-1}`` rows or scanning an O(n) column mask per batch.
-    """
-    local_rows, cols = _block_selection(p, sel, lo, hi)
-    indptr = _block_indptr(local_rows, hi - lo)
-    kept = np.unique(cols)
-    new_cols = np.searchsorted(kept, cols).astype(np.int64)
-    data = np.ones(cols.size, dtype=np.float64)
-    if not include_dst:
-        adj = CSRMatrix(indptr, new_cols, data, (hi - lo, int(kept.size)))
-        return LayerSample(adj, kept, dst_ids)
-    src = np.union1d(kept, dst_ids)
-    pos = np.searchsorted(src, kept)
-    adj = CSRMatrix(indptr, pos[new_cols], data, (hi - lo, int(src.size)))
-    return LayerSample(adj, src, dst_ids)
-
-
-def _lowers_compact(sampler) -> bool:
-    """Fully lower compact extraction only for the stock GraphSAGE
-    ``extract_batch_layer`` (subclasses inheriting it included); samplers
-    overriding it get the mask materialized as a per-batch block instead."""
-    return (
-        getattr(type(sampler), "extract_batch_layer", None)
-        is SageSampler.extract_batch_layer
-    )
-
-
-# ---------------------------------------------------------------------- #
-# The compiled local executor
-# ---------------------------------------------------------------------- #
-class CompiledLocalExecutor(LocalExecutor):
-    """A :class:`LocalExecutor` that additionally runs fused steps.
-
-    Unfused steps fall through to the interpreter's handlers, so any mix
-    of fused and plain steps executes; plain PROB steps also consult the
-    optional :class:`ProbCache`.  After a fused SAMPLE+EXTRACT, ``q_next``
-    is reset to ``None`` so an (optimizer-excluded) later read fails
-    loudly instead of using stale state.
-    """
-
-    def __init__(
-        self,
-        sampler,
-        adj: CSRMatrix,
-        batches,
-        rng,
-        spgemm_fn,
-        *,
-        prob_cache: ProbCache | None = None,
-    ) -> None:
-        super().__init__(sampler, adj, batches, rng, spgemm_fn)
-        self.spgemm = selector_aware_spgemm(self.spgemm)
-        self.prob_cache = prob_cache
-        self.sel: np.ndarray | None = None
-
-    def _dispatch(self, step) -> None:
-        if isinstance(step, FusedProbNormStep):
-            self._prob_maybe_cached(step, normalized=True)
-        elif isinstance(step, FusedSampleExtractStep):
-            self._fused_sample_extract(step)
-        elif isinstance(step, ProbStep):
-            self._prob_maybe_cached(step, normalized=False)
-        else:
-            super()._dispatch(step)
-
-    # -------------------------- PROB(+NORM) -------------------------- #
-    def _cache_key(self, source: str, normalized: bool):
-        if source == "global":
-            # The global importance stack depends only on the batch count.
-            ident = self.k
-        else:
-            ident = tuple(d.tobytes() for d in self.dst_lists)
-        return (
-            id(self.sampler),
-            type(self.sampler).__qualname__,
-            source,
-            normalized,
-            id(self.adj),
-            self.adj.nnz,
-            ident,
-        )
-
-    def _prob_maybe_cached(self, step: ProbStep, *, normalized: bool) -> None:
-        cache = self.prob_cache
-        key = None
-        if cache is not None:
-            key = self._cache_key(step.source, normalized)
-            hit = cache.get(key)
-            if hit is not None:
-                p, bounds, frontier = hit
-                self.p = p
-                self.bounds = bounds
-                if step.source == "frontier":
-                    # frontier is a pure function of the key for this
-                    # source; other sources leave it untouched, exactly
-                    # like the interpreter.
-                    self.frontier = frontier
-                return
-        self._prob(step)
-        if normalized:
-            self.p = self.sampler.norm_inplace(self.p)
-        if cache is not None:
-            cache.put(key, (self.p, self.bounds, self.frontier))
-
-    # ------------------------- SAMPLE+EXTRACT ------------------------- #
-    def _fused_sample_extract(self, step: FusedSampleExtractStep) -> None:
-        self.s = step.count
-        self.sel = self.sampler.sample_stacked_mask(
-            self.p, step.count, self.rng, self.bounds
-        )
-        extract = step.extract
-        if extract.kind == "compact":
-            self._fused_extract_compact()
-        elif extract.kind == "bipartite":
-            sampled = [
-                selected_row_cols(self.p, self.sel, i) for i in range(self.k)
-            ]
-            self._extract_bipartite_from(sampled, extract)
-        else:  # walk
-            self._fused_extract_walk()
-        self.q_next = None
-
-    def _fused_extract_compact(self) -> None:
-        lower = _lowers_compact(self.sampler)
-        new_dsts: list[np.ndarray] = []
-        for i in range(self.k):
-            lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
-            if lower:
-                layer = compact_layer_from_mask(
-                    self.p,
-                    self.sel,
-                    lo,
-                    hi,
-                    self.dst_lists[i],
-                    include_dst=self.sampler.include_dst,
-                )
-            else:
-                layer = self.sampler.extract_batch_layer(
-                    sampled_rows_from_mask(self.p, self.sel, lo, hi),
-                    self.dst_lists[i],
-                )
-            self.layers_rev[i].append(layer)
-            new_dsts.append(layer.src_ids)
-        self.dst_lists = new_dsts
-
-    def _fused_extract_walk(self) -> None:
-        if self.visited is None:
-            self.visited = [self.frontier]
-        nxt = self.frontier.copy()
-        picked = np.flatnonzero(mask_row_counts(self.p, self.sel) > 0)
-        nxt[picked] = self.p.indices[self.sel]
-        self.visited.append(nxt)
-        self.dst_lists = [
-            nxt[int(self.bounds[i]) : int(self.bounds[i + 1])]
-            for i in range(self.k)
-        ]

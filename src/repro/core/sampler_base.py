@@ -18,12 +18,12 @@ step is shared (ITS, with a Gumbel backend option) and lives in
 :mod:`repro.core.its`.
 
 Execution is an executor concern, not a sampler concern:
-:meth:`MatrixSampler.sample_bulk` hands the plan to the single-device
-:class:`~repro.core.plan.LocalExecutor`, while the distributed drivers
-(:mod:`repro.distributed`) interpret the *same* plan with distributed
-SpGEMMs substituted for the ``Q^l A`` products — so sampler semantics are
-defined exactly once and distributed support is a derived capability
-("the sampler has a plan").
+:meth:`MatrixSampler.sample_bulk` hands the optimized plan to the
+single-device :class:`~repro.core.plan.LocalExecutor`, while the
+partitioned driver (:mod:`repro.distributed`) runs the *same* plan with
+distributed SpGEMMs substituted for the ``Q^l A`` products — so sampler
+semantics are defined exactly once and distributed support is a derived
+capability ("the sampler has a plan").
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix, vstack
 from ..sparse.kernels import KernelSpec, get_kernel
+from .compile import optimize
 from .frontier import MinibatchSample
 from .its import (
     gumbel_select_mask,
@@ -98,7 +99,7 @@ class MatrixSampler(ABC):
         """NORM(P): turn the raw ``Q A`` product into per-row distributions."""
 
     def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """NORM(P) overwriting ``p`` — the fused PROB+NORM kernel.
+        """NORM(P) overwriting ``p`` — what a fused PROB+NORM step runs.
 
         Called only on probability matrices the executor freshly computed
         (and therefore owns).  Must produce bit-identical values to
@@ -121,7 +122,7 @@ class MatrixSampler(ABC):
         """:meth:`sample` as a boolean mask over ``p``'s nonzeros.
 
         Identical draws in identical order (the CSR build is the only
-        thing skipped) — the form the fused SAMPLE+EXTRACT kernels read.
+        thing skipped) — the form the executors' EXTRACT handlers read.
         """
         if self.sample_backend == "gumbel":
             return gumbel_select_mask(p, s, rng)
@@ -244,17 +245,12 @@ class MatrixSampler(ABC):
         uses the sampler's kernel backend; distributed drivers and cost
         recorders pass their own wrapper.
 
-        The default implementation emits :meth:`plan` and interprets it
-        with the single-device :class:`~repro.core.plan.LocalExecutor`;
-        samplers without a plan must override this method instead.  When
-        the sampler's kernel backend sets ``compiles_plans`` (the
-        ``compiled`` registry entry), the plan is optimized
-        (:func:`repro.core.compile.optimize`) and run by the
-        :class:`~repro.core.compile.CompiledLocalExecutor` — bit-identical
-        output, fused execution.  ``prob_cache`` (a
-        :class:`~repro.core.compile.ProbCache`) then reuses probability
-        matrices across bulk calls sharing a frontier; it is ignored on
-        the interpreted path.
+        The default implementation emits :meth:`plan`, optimizes it
+        (:func:`repro.core.compile.optimize`) and runs it on the
+        single-device :class:`~repro.core.plan.LocalExecutor`; samplers
+        without a plan must override this method instead.  ``prob_cache``
+        (a :class:`~repro.core.compile.ProbCache`) reuses probability
+        matrices across bulk calls sharing a frontier.
         """
         spgemm = self._resolve_spgemm(spgemm_fn)
         self._validate(adj, batches, fanout)
@@ -266,14 +262,10 @@ class MatrixSampler(ABC):
                 f"override sample_bulk()"
             )
         rng = self._normalize_rng(rng, len(batches))
-        if getattr(get_kernel(self.kernel), "compiles_plans", False):
-            from .compile import CompiledLocalExecutor, optimize
-
-            executor = CompiledLocalExecutor(
-                self, adj, batches, rng, spgemm, prob_cache=prob_cache
-            )
-            return executor.run(optimize(program))
-        return LocalExecutor(self, adj, batches, rng, spgemm).run(program)
+        executor = LocalExecutor(
+            self, adj, batches, rng, spgemm, prob_cache=prob_cache
+        )
+        return executor.run(optimize(program))
 
     # ------------------------------------------------------------------ #
     # Shared validation

@@ -4,8 +4,9 @@ Both the adjacency matrix ``A`` and the stacked bulk ``Q`` are partitioned
 into ``p/c`` block rows on a ``p/c x c`` process grid, with each block row
 replicated ``c`` times.  Execution is *plan-driven*: the sampler emits the
 same declarative :class:`~repro.core.plan.SamplingPlan` the single-device
-executor runs, and :class:`PartitionedExecutor` interprets each step over
-the grid —
+executor runs, :func:`~repro.core.compile.optimize` rewrites it the same
+way, and :class:`PartitionedExecutor` — the one executor of this backend —
+runs each step over the grid:
 
 * ``PROB`` steps run as the sparsity-aware 1.5D SpGEMM of Algorithm 2
   (:func:`~repro.distributed.spgemm_15d.spgemm_15d`), or as the
@@ -17,11 +18,15 @@ the grid —
   process row's ``c`` replicas (layer-wise, section 5.2.3), a row-local
   walk advance, or a distributed subgraph induction (graph-wise).
 
-There is no per-algorithm code here: any sampler with a plan — including
+Everything row-local is the single-device executor's own step body
+(:mod:`repro.core.plan`), called once per process row and then charged to
+that row's ranks; what lives here is the 1.5D products and the charging.
+There is no per-algorithm code: any sampler with a plan — including
 registry plugins and GraphSAINT — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
 ``sampling`` / ``extraction``), derived from the step types via
-:func:`~repro.core.plan.step_phase`.
+:func:`~repro.core.plan.step_phase`; a fused ``SAMPLE+EXTRACT`` step
+charges its second half to ``extraction``.
 
 Randomness is one independent stream per minibatch, keyed by the *global*
 batch index (:func:`~repro.core.bulk.batch_rng`) — the same discipline the
@@ -44,24 +49,24 @@ from ..core import (
     reassemble_round_robin,
     step_phase,
 )
-from ..core.compile import (
-    FusedProbNormStep,
-    FusedSampleExtractStep,
-    compact_layer_from_mask,
-    mask_row_counts,
-    optimize,
-    sampled_rows_from_mask,
-    selected_row_cols,
-)
-from ..core.compile import _lowers_compact
+from ..core.compile import optimize
 from ..core.frontier import LayerSample
 from ..core.plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
     Step,
+    bipartite_layers,
+    compact_batches,
+    run_steps,
+    sampled_lists,
+    subgraph_minibatch,
+    subgraph_vertex_sets,
+    walk_advance,
 )
 from ..partition.block1d import BlockRows
 from ..sparse import CSRMatrix, row_selector, vstack
@@ -69,11 +74,7 @@ from ..sparse.kernels import get_kernel
 from .instrument import sample_norm_flops
 from .spgemm_15d import spgemm_15d
 
-__all__ = [
-    "partitioned_bulk_sampling",
-    "PartitionedExecutor",
-    "CompiledPartitionedExecutor",
-]
+__all__ = ["partitioned_bulk_sampling", "PartitionedExecutor"]
 
 
 def _charge_row(
@@ -100,14 +101,16 @@ def _make_q_blocks(
 
 
 class PartitionedExecutor:
-    """Interpret a :class:`~repro.core.plan.SamplingPlan` on the 1.5D grid.
+    """Run a :class:`~repro.core.plan.SamplingPlan` on the 1.5D grid.
 
     Holds the per-process-row state Algorithm 2 threads between steps:
     each row's owned batches with their destination lists and per-batch RNG
     streams, the current probability block rows with their row-to-batch
-    bounds, the sampled ``Q``, collected layers, and (for graph-wise plans)
-    the walk history.  All matrix arithmetic is exact, so output equals the
-    local executor's for the same per-batch streams.
+    bounds, the last SAMPLE's ``(P, mask)`` pair, collected layers, and
+    (for graph-wise plans) the walk history.  All matrix arithmetic is
+    exact, so output equals the local executor's for the same per-batch
+    streams.  Row-local work is the local executor's step bodies, run per
+    process row and charged to that row's ranks.
     """
 
     def __init__(
@@ -140,6 +143,9 @@ class PartitionedExecutor:
         self.batches = [np.asarray(b, dtype=np.int64) for b in batches]
         self.owners = assign_round_robin(len(batches), grid.n_rows)
         rows = range(self.n_rows)
+        #: Process rows that own at least one batch: the only ones with
+        #: row-local SAMPLE / EXTRACT work.
+        self.rows = [row for row in rows if self.owners[row]]
         # Per-row frontier state and per-batch RNG streams (global index).
         self.dst: list[list[np.ndarray]] = [
             [self.batches[i] for i in self.owners[row]] for row in rows
@@ -153,20 +159,22 @@ class PartitionedExecutor:
         self.results: dict[int, MinibatchSample] = {}
         # Step-to-step dataflow, one entry per process row.
         self.p_blocks: list[CSRMatrix] | None = None
-        self.q_next: list[CSRMatrix | None] | None = None
-        self.bounds: list[np.ndarray] | None = None
-        self.frontier: list[np.ndarray] | None = None
+        self.bounds: list[np.ndarray | None] = [None] * self.n_rows
+        self.frontier: list[np.ndarray | None] = [None] * self.n_rows
+        # What the last SAMPLE drew from and its selection masks (a later
+        # PROB replaces ``p_blocks``, not these).
+        self.p_sampled: list[CSRMatrix] | None = None
+        self.sels: list[np.ndarray | None] = [None] * self.n_rows
         self.visited: list[list[np.ndarray] | None] = [None] * self.n_rows
         self.importance: CSRMatrix | None = None
         self.s: int | None = None
+        self._col_rank = np.empty(self.n, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Driver
     # ------------------------------------------------------------------ #
     def run(self, plan: SamplingPlan) -> list[MinibatchSample]:
-        for step in plan.steps:
-            with self.comm.phase(step_phase(step)):
-                self._dispatch(step)
+        run_steps(plan, self._dispatch, len(self.batches), self.comm)
         samples_by_row = [
             [
                 self.results[i]
@@ -182,21 +190,30 @@ class PartitionedExecutor:
         return reassemble_round_robin(samples_by_row, len(self.batches))
 
     def _dispatch(self, step: Step) -> None:
-        """Interpret one step; the compiled subclass overrides this to add
-        fused handlers, the plain interpreter refuses fused steps."""
-        if getattr(step, "fused", False):
-            raise TypeError(
-                f"{type(step).__name__} needs CompiledPartitionedExecutor; "
-                f"the plain interpreter cannot run fused steps"
-            )
-        if isinstance(step, ProbStep):
+        if isinstance(step, FusedSampleExtractStep):
+            self._sample(step)
+            # The driver opened this step's phase ("sampling"); Figure 7's
+            # extraction bar still gets the EXTRACT half (phases nest).
+            with self.comm.phase(step_phase(step.extract)):
+                self._extract(step.extract)
+        elif isinstance(step, ProbStep):
             self._prob(step)
+            if isinstance(step, FusedProbNormStep):
+                # Fresh 1.5D products (or fresh stacks of the importance
+                # row): this executor owns them.
+                self.p_blocks = [
+                    self.sampler.norm_inplace(p) for p in self.p_blocks
+                ]
         elif isinstance(step, NormStep):
-            self._norm()
+            self.p_blocks = [self.sampler.norm(p) for p in self.p_blocks]
         elif isinstance(step, SampleStep):
             self._sample(step)
         else:
             self._extract(step)
+
+    def _collect(self, row: int, layers: list[LayerSample]) -> None:
+        for collected, layer in zip(self.layers_rev[row], layers):
+            collected.append(layer)
 
     # ------------------------------------------------------------------ #
     # PROB: distributed probability generation (section 5.2.1)
@@ -286,25 +303,15 @@ class PartitionedExecutor:
             self.frontier.append(np.empty(0, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
-    # NORM + SAMPLE: row-local (section 5.2.2)
+    # SAMPLE: row-local (section 5.2.2)
     # ------------------------------------------------------------------ #
-    def _norm(self) -> None:
-        self.p_blocks = [
-            self.sampler.norm(p) for p in self.p_blocks
-        ]
-
     def _sample(self, step: SampleStep) -> None:
         self.s = step.count
-        self.q_next = []
-        for row in range(self.n_rows):
-            if not self.owners[row]:
-                self.q_next.append(None)
-                continue
+        self.p_sampled = self.p_blocks
+        for row in self.rows:
             p = self.p_blocks[row]
-            self.q_next.append(
-                self.sampler.sample_stacked(
-                    p, step.count, self.rngs[row], self.bounds[row]
-                )
+            self.sels[row] = self.sampler.sample_stacked_mask(
+                p, step.count, self.rngs[row], self.bounds[row]
             )
             _charge_row(
                 self.comm, self.grid, row,
@@ -327,84 +334,47 @@ class PartitionedExecutor:
             self._extract_subgraph(step)
 
     def _extract_compact(self) -> None:
-        """Row-local column compaction: each batch's sampled rows drop
-        their empty columns and the kept columns become its new frontier."""
-        for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
-                continue
-            bounds = self.bounds[row]
-            new_dsts = []
-            for b, dst in enumerate(self.dst[row]):
-                rows = q_next.row_block(int(bounds[b]), int(bounds[b + 1]))
-                layer = self.sampler.extract_batch_layer(rows, dst)
-                self.layers_rev[row][b].append(layer)
-                new_dsts.append(layer.src_ids)
-            self.dst[row] = new_dsts
+        """Row-local column compaction of each batch's sampled rows."""
+        for row in self.rows:
+            sel = self.sels[row]
+            layers = compact_batches(
+                self.sampler, self.p_sampled[row], sel, self.bounds[row],
+                self.dst[row], self._col_rank,
+            )
+            self._collect(row, layers)
+            self.dst[row] = [layer.src_ids for layer in layers]
             _charge_row(
                 self.comm, self.grid, row,
-                nbytes=24.0 * q_next.nnz, kernels=2,
+                nbytes=24.0 * int(sel.sum()), kernels=2,
             )
 
-    def _sampled_lists(self, step: ExtractStep) -> list[list[np.ndarray]]:
-        """Per-row per-batch sampled vertex sets read off ``q_next`` rows
-        (layer-wise plans: one P row per batch)."""
-        out: list[list[np.ndarray]] = []
-        for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
-                out.append([])
-                continue
-            sampled = [
-                q_next.row(b)[0] for b in range(len(self.dst[row]))
-            ]
-            if step.union_dst:
-                sampled = [
-                    np.union1d(sv, dv)
-                    for sv, dv in zip(sampled, self.dst[row])
-                ]
-            out.append(sampled)
-        return out
-
     def _extract_bipartite(self, step: ExtractStep) -> None:
-        self._extract_bipartite_from(self._sampled_lists(step), step)
-
-    def _extract_bipartite_from(
-        self,
-        sampled_by_row: list[list[np.ndarray]],
-        step: ExtractStep,
-    ) -> None:
         """Distributed row extraction (1.5D SpGEMM) followed by per-batch
         column extraction split across each process row's replicas
-        (section 5.2.3).  ``sampled_by_row`` holds the per-row per-batch
-        sampled vertex lists, already unioned with destinations if the
-        step asks for it."""
+        (section 5.2.3)."""
         ar_blocks = self._row_extract_15d(self.dst)
-        for row in range(self.n_rows):
-            a_r = ar_blocks[row]
-            dsts = self.dst[row]
-            if not dsts:
-                continue
+        for row in self.rows:
+            a_r, dsts = ar_blocks[row], self.dst[row]
+            sampled = sampled_lists(
+                self.p_sampled[row], self.sels[row], dsts, step.union_dst
+            )
             # Thread the selected kernel explicitly: col_extract would
             # otherwise fall back to the sampler's own backend, losing a
             # kernel= override on the product that dominates LADIES.
             adjs = self.sampler.col_extract(
-                a_r, dsts, sampled_by_row[row],
+                a_r, dsts, sampled,
                 spgemm_fn=get_kernel(self.kernel).spgemm,
             )
             bounds = np.cumsum([0] + [len(d) for d in dsts])
             self._charge_split_extraction(row, a_r, bounds, adjs)
-            for b, (adj, sampled, dst) in enumerate(
-                zip(adjs, sampled_by_row[row], dsts)
-            ):
-                layer = LayerSample(adj, sampled, dst)
-                if step.debias:
-                    probs = np.zeros(self.n)
-                    cols, vals = self.p_blocks[row].row(b)
-                    probs[cols] = vals
-                    layer = self.sampler.debias_layer(layer, probs, self.s)
-                self.layers_rev[row][b].append(layer)
-            self.dst[row] = sampled_by_row[row]
+            self._collect(
+                row,
+                bipartite_layers(
+                    self.sampler, adjs, sampled, dsts, step,
+                    self.p_blocks[row], self.s,
+                ),
+            )
+            self.dst[row] = sampled
 
     def _row_extract_15d(
         self, vert_lists_by_row: list[list[np.ndarray]]
@@ -460,24 +430,16 @@ class PartitionedExecutor:
         )
 
     def _extract_walk(self) -> None:
-        """Row-local walk advance: walkers with a sampled neighbor move,
-        walkers on isolated vertices stay in place."""
-        for row in range(self.n_rows):
-            q_next = self.q_next[row]
-            if q_next is None:
-                continue
+        """Row-local walk advance."""
+        for row in self.rows:
             frontier = self.frontier[row]
             if self.visited[row] is None:
                 self.visited[row] = [frontier]
-            nxt = frontier.copy()
-            picked = np.flatnonzero(q_next.nnz_per_row() > 0)
-            nxt[picked] = q_next.indices
+            nxt, self.dst[row] = walk_advance(
+                self.p_sampled[row], self.sels[row], frontier,
+                self.bounds[row],
+            )
             self.visited[row].append(nxt)
-            bounds = self.bounds[row]
-            self.dst[row] = [
-                nxt[int(bounds[b]) : int(bounds[b + 1])]
-                for b in range(len(self.dst[row]))
-            ]
             _charge_row(
                 self.comm, self.grid, row,
                 nbytes=16.0 * nxt.size, kernels=2,
@@ -488,31 +450,15 @@ class PartitionedExecutor:
         sets row-extract ``A`` through the 1.5D SpGEMM, then each batch's
         column compaction runs once per process row, split across its
         ``c`` replicas like the layer-wise extraction."""
-        verts_by_row: list[list[np.ndarray]] = []
-        for row in range(self.n_rows):
-            verts = []
-            for b, i in enumerate(self.owners[row]):
-                batch = self.batches[i]
-                hist = self.visited[row]
-                if hist is None:
-                    hist = [
-                        np.concatenate(self.dst[row])
-                        if self.dst[row]
-                        else np.empty(0, dtype=np.int64)
-                    ]
-                bounds = self.bounds[row]
-                lo, hi = int(bounds[b]), int(bounds[b + 1])
-                mine = np.unique(
-                    np.concatenate([stepv[lo:hi] for stepv in hist])
-                )
-                verts.append(np.union1d(mine, batch))
-            verts_by_row.append(verts)
+        verts_by_row: list[list[np.ndarray]] = [[] for _ in range(self.n_rows)]
+        for row in self.rows:
+            verts_by_row[row] = subgraph_vertex_sets(
+                self.visited[row], self.bounds[row], self.dst[row],
+                [self.batches[i] for i in self.owners[row]],
+            )
         ar_blocks = self._row_extract_15d(verts_by_row)
-        for row in range(self.n_rows):
-            verts = verts_by_row[row]
-            if not verts:
-                continue
-            a_r = ar_blocks[row]
+        for row in self.rows:
+            verts, a_r = verts_by_row[row], ar_blocks[row]
             bounds = np.cumsum([0] + [len(v) for v in verts])
             subs = []
             for b, v in enumerate(verts):
@@ -521,151 +467,10 @@ class PartitionedExecutor:
                 mask[v] = True
                 subs.append(rows.select_columns(mask))
             self._charge_split_extraction(row, a_r, bounds, subs)
-            for b, i in enumerate(self.owners[row]):
-                batch = self.batches[i]
-                sub, v = subs[b], verts[b]
-                layers = [
-                    LayerSample(sub, v, v) for _ in range(step.n_layers - 1)
-                ]
-                pos = np.searchsorted(v, batch)
-                layers.append(LayerSample(sub.extract_rows(pos), v, batch))
-                self.results[i] = MinibatchSample(batch, layers)
-
-
-class CompiledPartitionedExecutor(PartitionedExecutor):
-    """A :class:`PartitionedExecutor` that additionally runs fused steps.
-
-    Same fused row-wise kernels as the local compiled executor
-    (:mod:`repro.core.compile`), applied per process row: fused PROB+NORM
-    normalizes each row's 1.5D product block in place, fused
-    SAMPLE+EXTRACT keeps the selection as a mask over each block and
-    extracts straight from it.  Simulated cost charges stay identical to
-    the interpreter's (the model charges data volumes, which fusion does
-    not change); per-phase attribution folds each fused step into its
-    :func:`~repro.core.plan.step_phase` phase.
-    """
-
-    def _dispatch(self, step: Step) -> None:
-        if isinstance(step, FusedProbNormStep):
-            self._fused_prob_norm(step)
-        elif isinstance(step, FusedSampleExtractStep):
-            self._fused_sample_extract(step)
-        else:
-            super()._dispatch(step)
-
-    def _fused_prob_norm(self, step: FusedProbNormStep) -> None:
-        self._prob(step)
-        # The blocks are freshly computed 1.5D products (or fresh stacks
-        # of the cached importance row) — this executor owns them.
-        self.p_blocks = [
-            self.sampler.norm_inplace(p) for p in self.p_blocks
-        ]
-
-    def _fused_sample_extract(self, step: FusedSampleExtractStep) -> None:
-        self.s = step.count
-        sels: list[np.ndarray | None] = []
-        for row in range(self.n_rows):
-            if not self.owners[row]:
-                sels.append(None)
-                continue
-            p = self.p_blocks[row]
-            sels.append(
-                self.sampler.sample_stacked_mask(
-                    p, step.count, self.rngs[row], self.bounds[row]
+            for sub, v, i in zip(subs, verts, self.owners[row]):
+                self.results[i] = subgraph_minibatch(
+                    sub, v, self.batches[i], step.n_layers
                 )
-            )
-            _charge_row(
-                self.comm, self.grid, row,
-                flops=sample_norm_flops(p, step.count),
-                nbytes=24.0 * p.nnz,
-                kernels=4,
-            )
-        extract = step.extract
-        if extract.kind == "compact":
-            self._fused_extract_compact(sels)
-        elif extract.kind == "bipartite":
-            self._extract_bipartite_from(
-                self._sampled_lists_from_masks(sels, extract), extract
-            )
-        else:  # walk
-            self._fused_extract_walk(sels)
-        self.q_next = None
-
-    def _sampled_lists_from_masks(
-        self, sels: list[np.ndarray | None], step: ExtractStep
-    ) -> list[list[np.ndarray]]:
-        out: list[list[np.ndarray]] = []
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                out.append([])
-                continue
-            p = self.p_blocks[row]
-            sampled = [
-                selected_row_cols(p, sel, b)
-                for b in range(len(self.dst[row]))
-            ]
-            if step.union_dst:
-                sampled = [
-                    np.union1d(sv, dv)
-                    for sv, dv in zip(sampled, self.dst[row])
-                ]
-            out.append(sampled)
-        return out
-
-    def _fused_extract_compact(
-        self, sels: list[np.ndarray | None]
-    ) -> None:
-        lower = _lowers_compact(self.sampler)
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                continue
-            p = self.p_blocks[row]
-            bounds = self.bounds[row]
-            new_dsts = []
-            for b, dst in enumerate(self.dst[row]):
-                lo, hi = int(bounds[b]), int(bounds[b + 1])
-                if lower:
-                    layer = compact_layer_from_mask(
-                        p, sel, lo, hi, dst,
-                        include_dst=self.sampler.include_dst,
-                    )
-                else:
-                    layer = self.sampler.extract_batch_layer(
-                        sampled_rows_from_mask(p, sel, lo, hi), dst
-                    )
-                self.layers_rev[row][b].append(layer)
-                new_dsts.append(layer.src_ids)
-            self.dst[row] = new_dsts
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=24.0 * int(sel.sum()), kernels=2,
-            )
-
-    def _fused_extract_walk(self, sels: list[np.ndarray | None]) -> None:
-        for row in range(self.n_rows):
-            sel = sels[row]
-            if sel is None:
-                continue
-            p = self.p_blocks[row]
-            frontier = self.frontier[row]
-            if self.visited[row] is None:
-                self.visited[row] = [frontier]
-            nxt = frontier.copy()
-            picked = np.flatnonzero(mask_row_counts(p, sel) > 0)
-            nxt[picked] = p.indices[sel]
-            self.visited[row].append(nxt)
-            bounds = self.bounds[row]
-            self.dst[row] = [
-                nxt[int(bounds[b]) : int(bounds[b + 1])]
-                for b in range(len(self.dst[row]))
-            ]
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=16.0 * nxt.size, kernels=2,
-            )
-
 
 def partitioned_bulk_sampling(
     comm: Communicator,
@@ -701,18 +506,8 @@ def partitioned_bulk_sampling(
             f"plan; {type(sampler).__name__} does not (implement "
             f"MatrixSampler.plan())"
         )
-    backend = get_kernel(
-        kernel if kernel is not None else getattr(sampler, "kernel", None)
+    executor = PartitionedExecutor(
+        comm, grid, sampler, a_blocks, batches, seed,
+        sparsity_aware=sparsity_aware, kernel=kernel,
     )
-    if getattr(backend, "compiles_plans", False):
-        plan = optimize(plan)
-        executor: PartitionedExecutor = CompiledPartitionedExecutor(
-            comm, grid, sampler, a_blocks, batches, seed,
-            sparsity_aware=sparsity_aware, kernel=kernel,
-        )
-    else:
-        executor = PartitionedExecutor(
-            comm, grid, sampler, a_blocks, batches, seed,
-            sparsity_aware=sparsity_aware, kernel=kernel,
-        )
-    return executor.run(plan), executor.owners
+    return executor.run(optimize(plan)), executor.owners

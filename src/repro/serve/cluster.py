@@ -397,6 +397,5 @@ class ServingCluster:
                     "serve_replica_requests_total",
                     "requests served per replica", replica=rep.rid,
                 ).set(rep.served)
-                if rep.prob_cache is not None:
-                    rep.prob_cache.publish(registry, replica=rep.rid)
+                rep.prob_cache.publish(registry, replica=rep.rid)
         return report

@@ -3,9 +3,9 @@
 :class:`ServingEngine` turns the repo's *offline* bulk-sampling machinery
 into an online service.  Concurrent :class:`~repro.serve.request.InferenceRequest`\\ s
 are coalesced by the :class:`~repro.serve.request.MicroBatcher` into one
-micro-batch, the micro-batch's (deduplicated) target vertices are compiled
-through the existing sampling-plan IR (:mod:`repro.core.plan`, interpreted
-by the same :class:`~repro.core.plan.LocalExecutor` training uses), and the
+micro-batch, the micro-batch's (deduplicated) target vertices are sampled
+through the existing sampling-plan IR (:mod:`repro.core.plan`, run by the
+same :class:`~repro.core.plan.LocalExecutor` training uses), and the
 :class:`~repro.gnn.GNNModel` produces one logits row per target.  That is
 the paper's bulk-amortization argument replayed at serving time: one
 micro-batch costs one plan's worth of kernel launches no matter how many
@@ -389,6 +389,5 @@ class ServingEngine:
         registry = get_registry()
         if registry is not None:
             report.publish(registry)
-            if rep.prob_cache is not None:
-                rep.prob_cache.publish(registry)
+            rep.prob_cache.publish(registry)
         return report

@@ -1,8 +1,7 @@
 """Replica: one serving unit's compute core, caches, and clock.
 
 A :class:`Replica` is everything *one* server owns in a serving fleet: the
-sampler (plan-compiled when the kernel supports it), the
-:class:`~repro.core.compile.ProbCache`, the
+sampler, the :class:`~repro.core.compile.ProbCache`, the
 :class:`~repro.serve.cache.EmbeddingCache`, a private
 :class:`~repro.comm.clock.SimClock` / :class:`~repro.comm.cost_model.CostModel`
 pair for phase accounting, and the :class:`~repro.serve.request.MicroBatcher`
@@ -36,7 +35,6 @@ from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
 from ..core.compile import ProbCache, optimize
 from ..core.sage_sampler import SageSampler
-from ..sparse.kernels import get_kernel
 from ..gnn.model import GNNModel
 from ..graphs import Graph
 from ..obs.trace import get_tracer, maybe_span
@@ -112,15 +110,9 @@ class Replica:
                 config.sampler, graph=graph, for_training=True,
                 kernel=config.kernel,
             )
-        # A compiled kernel backend (compiles_plans) runs fused plans and
-        # can reuse probability matrices across micro-batches that share a
-        # frontier — the serving-side payoff of the plan compiler.
-        self._compiled = getattr(
-            get_kernel(config.kernel), "compiles_plans", False
-        )
-        self.prob_cache: ProbCache | None = (
-            ProbCache() if self._compiled else None
-        )
+        # Probability matrices are reusable across micro-batches that
+        # share a frontier.
+        self.prob_cache = ProbCache()
         self.cache: EmbeddingCache | None = None
         if self.exact and n_layers > 1 and config.embed_budget > 0:
             self.cache = EmbeddingCache(
@@ -217,10 +209,9 @@ class Replica:
                 )
             if self.exact:
                 self.fanout = self._full_fanout()
-            if self.prob_cache is not None:
-                # Cached probability matrices were computed on the old
-                # adjacency; every one of them is stale now.
-                self.prob_cache.clear()
+            # Cached probability matrices were computed on the old
+            # adjacency; every one of them is stale now.
+            self.prob_cache.clear()
             if self.cache is not None and result.dirty_rows.size:
                 stale = dirty_closure(
                     self.graph.adj, result.dirty_rows, self.model.n_layers - 2
@@ -240,31 +231,26 @@ class Replica:
     # Cost accounting helpers
     # ------------------------------------------------------------------ #
     def _sample_bulk(self, batches, fanout, rng):
-        """The replica's one bulk-sampling call site.
-
-        Threads the probability cache through when the configured kernel
-        compiles plans; interpreted backends get the plain call (their
-        ``sample_bulk`` may be an override without the keyword).
-        """
-        if self.prob_cache is not None:
-            return self.sampler.sample_bulk(
-                self.graph.adj, batches, fanout, rng,
-                prob_cache=self.prob_cache,
-            )
-        return self.sampler.sample_bulk(self.graph.adj, batches, fanout, rng)
+        """The replica's one bulk-sampling call site."""
+        return self.sampler.sample_bulk(
+            self.graph.adj, batches, fanout, rng, prob_cache=self.prob_cache
+        )
 
     def _charge_sampling(self, layers) -> None:
         """One plan execution: fixed kernel launches + size-scaled work.
 
-        The kernel count comes from the emitted plan (4 steps per layer for
-        the node-wise program, 2 after the plan compiler fuses PROB+NORM
-        and SAMPLE+EXTRACT), *not* from the number of coalesced requests —
-        that independence is the micro-batching amortization.
+        The kernel count is the step count of the program that runs — the
+        optimized plan (2 steps per layer for the node-wise program, once
+        PROB+NORM and SAMPLE+EXTRACT are fused) — *not* the number of
+        coalesced requests: that independence is the micro-batching
+        amortization.
         """
         program = self.sampler.plan(tuple(self.fanout[: len(layers)]))
-        if program is not None and self._compiled:
-            program = optimize(program)
-        kernels = len(program.steps) if program is not None else 4 * len(layers)
+        kernels = (
+            len(optimize(program).steps)
+            if program is not None
+            else 4 * len(layers)
+        )
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])
         self.clock.advance(

@@ -12,10 +12,13 @@ Built-ins:
 
 * ``esc`` — the expand-sort-compress numpy kernel the reproduction started
   with: one stable single-key sort of the expanded intermediate, skipped
-  when the expansion is already row-major (row-selector products).  The
-  default.
+  when the expansion is already row-major.  The default.
 * ``hash`` — a row-wise hash-accumulator SpGEMM that sorts only the
   distinct outputs; meant for duplicate-heavy frontier products.
+
+  Both run a product whose left operand is a unit row selector
+  (GraphSAGE's ``Q``, LADIES' ``Q_R``, a walk frontier) as a row gather of
+  the right operand — see :mod:`repro.sparse.spgemm`.
 * ``scipy`` — auto-registered only when ``scipy`` is importable; delegates
   to ``scipy.sparse``'s compiled CSR kernels.
 
@@ -62,7 +65,6 @@ __all__ = [
     "KernelBackend",
     "ESCKernel",
     "HashKernel",
-    "CompiledKernel",
     "ScipyKernel",
     "KernelSpec",
     "get_kernel",
@@ -82,14 +84,6 @@ class KernelBackend:
     """
 
     name: str = "abstract"
-
-    #: When True, plan-driven executors run sampling plans through the
-    #: optimizer in :mod:`repro.core.compile` (PROB+NORM / SAMPLE+EXTRACT
-    #: fusion, dead-step elimination) and interpret them with the compiled
-    #: executors' fused row-wise kernels.  Output stays bit-identical to
-    #: the step-by-step interpreter (enforced by the golden-digest and
-    #: differential plan-fuzzing suites).
-    compiles_plans: bool = False
 
     def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         """Sparse @ sparse -> sparse (duplicates summed)."""
@@ -128,21 +122,6 @@ class HashKernel(KernelBackend):
         return spgemm_hash(a, b)
 
 
-class CompiledKernel(HashKernel):
-    """Hash SpGEMM plus sampling-plan compilation.
-
-    The SpGEMM primitive is exactly the ``hash`` backend's (so individual
-    products are bit-identical to it); the difference is the
-    ``compiles_plans`` flag: executors seeing this backend optimize the
-    sampling plan (:func:`repro.core.compile.optimize`) and run the fused
-    steps through row-wise kernels that skip the NORM copy and the
-    intermediate ``Q^{l-1}`` CSR materialization.
-    """
-
-    name = "compiled"
-    compiles_plans = True
-
-
 class ScipyKernel(KernelBackend):
     """Delegates to scipy.sparse's compiled CSR kernels (when available)."""
 
@@ -175,13 +154,6 @@ KERNELS.register(
     "hash",
     HashKernel(),
     description="row-wise hash accumulator; fast on duplicate-heavy products",
-    requires=None,
-)
-KERNELS.register(
-    "compiled",
-    CompiledKernel(),
-    description="hash SpGEMM + plan optimizer: fused PROB+NORM / "
-    "SAMPLE+EXTRACT row-wise kernels",
     requires=None,
 )
 

@@ -2,23 +2,24 @@
 
 Two serial kernels share the row-gather expansion (every nonzero
 ``A[i, j]`` contributes ``A[i, j] * B[j, :]`` to row ``i`` of the output)
-but differ in how the expanded triplets are compressed:
+and the unit-selector shortcut (:func:`_is_unit_row_selector`: when every
+row of ``a`` is a single 1.0 the product *is* a row gather of ``b``, so
+nothing is expanded, sorted or hashed), but differ in how the expanded
+triplets of every other product are compressed:
 
 * :func:`spgemm` — expand-sort-compress, the same family as the GPU
   nsparse kernels the paper uses: the expanded triplets go through
   :meth:`CSRMatrix.from_coo`, which orders them by one flat
   ``row * n_cols + col`` key and sums duplicate keys.  The expansion is
-  row-major already when every row of ``a`` holds one nonzero (a row
-  selector: GraphSAGE's ``Q``, a walk frontier), and then nothing is
-  sorted at all; otherwise it is a sequence of sorted rows of ``b`` that
-  one stable sort merges.
+  row-major already when every row of ``a`` holds one nonzero (a weighted
+  row selector), and then nothing is sorted at all; otherwise it is a
+  sequence of sorted rows of ``b`` that one stable sort merges.
 * :func:`spgemm_hash` — a row-wise hash accumulator (the nsparse /
   cuSPARSE "hash SpGEMM" family): expanded triplets are inserted into an
   open-addressing table keyed by their flat output position, so only the
   *distinct* output entries are ever sorted.  It pays off where many
   expanded entries collapse into few outputs (LADIES-style ``Q A`` with
-  many batch vertices sharing neighbors); on a row selector the table is
-  pure overhead next to :func:`spgemm`'s sort-free path.
+  many batch vertices sharing neighbors).
 
 Kernel selection is a registry concern — see :mod:`repro.sparse.kernels`;
 this module holds the raw implementations.  Besides the kernels it exposes:
@@ -52,9 +53,30 @@ def spgemm(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     out_shape = (a.shape[0], b.shape[1])
     if a.nnz == 0 or b.nnz == 0:
         return CSRMatrix.zeros(out_shape)
-
+    if _is_unit_row_selector(a):
+        return b.extract_rows(a.indices)
     rows, cols, vals = _expand(a, b)
     return CSRMatrix.from_coo(rows, cols, vals, out_shape)
+
+
+def _is_unit_row_selector(a: CSRMatrix) -> bool:
+    """True iff every row of ``a`` holds exactly one entry of value 1.0.
+
+    Then ``a @ b`` is ``b.extract_rows(a.indices)``: each output row is
+    ``1.0 * b[j, :]`` for a single ``j`` — GraphSAGE's ``Q``, LADIES'
+    ``Q_R``, every walk frontier.  There is nothing to accumulate,
+    ``1.0 * x`` is ``x`` bit for bit, and the gathered rows keep ``b``'s
+    canonical column order, so the gather returns the bytes either general
+    kernel would (a stored ``-0.0`` in ``b`` excepted under
+    :func:`spgemm_hash`, whose accumulator starts from ``+0.0``) for one
+    fancy-indexed copy.  The test is O(rows of ``a``) and only reached when
+    ``a`` has as many entries as rows.
+    """
+    return (
+        a.nnz == a.shape[0]
+        and bool(np.all(np.diff(a.indptr) == 1))
+        and bool(np.all(a.data == 1.0))
+    )
 
 
 def _expand(a: CSRMatrix, b: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,6 +140,8 @@ def spgemm_hash(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     out_shape = (a.shape[0], b.shape[1])
     if a.nnz == 0 or b.nnz == 0:
         return CSRMatrix.zeros(out_shape)
+    if _is_unit_row_selector(a):
+        return b.extract_rows(a.indices)
     n_rows, n_cols = out_shape
     if n_rows * n_cols >= 2**63:  # flat keys would overflow int64
         return spgemm(a, b)

@@ -1,14 +1,19 @@
-"""Unit tests for the sampling-plan compiler (:mod:`repro.core.compile`).
+"""Unit tests for the sampling-plan optimizer (:mod:`repro.core.compile`)
+and the mask dataflow of the executors (:mod:`repro.core.plan`).
 
 Each optimizer pass is tested in isolation for legality — what it may and
 may not rewrite — plus the fused-step rendering of ``describe()``, the
 probability cache's keying/reuse behaviour, the in-place NORM variants'
-bit-equality with their copying counterparts, and the plain interpreters'
-loud refusal of fused steps.  End-to-end bit-identity of the compiled
-path lives in the golden suites and ``test_compile_differential.py``.
+bit-equality with their copying counterparts, the unit-selector row
+gather inside both SpGEMM kernels, and named plans (two EXTRACTs off one
+SAMPLE, a PROB between SAMPLE and EXTRACT) against the oracle in
+``reference_interpreter.py``.  The fuzzed surface lives in the golden
+suites and ``test_compile_differential.py``.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -19,26 +24,25 @@ from repro.core import (
     GraphSaintRWSampler,
     LadiesSampler,
     SageSampler,
+    batch_rng,
 )
 from repro.core.compile import (
-    CompiledLocalExecutor,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
     ProbCache,
-    compact_layer_from_mask,
     eliminate_dead_steps,
     fuse_prob_norm,
     fuse_sample_extract,
     optimize,
-    selector_aware_spgemm,
 )
 from repro.core.plan import (
     ExtractStep,
+    FusedProbNormStep,
+    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
+    compact_layer_from_mask,
     step_phase,
 )
 from repro.distributed.partitioned import (
@@ -47,8 +51,17 @@ from repro.distributed.partitioned import (
 )
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import row_normalize
+from repro.sparse import CSRMatrix
 from repro.sparse.kernels import KERNELS, get_kernel
+
+from reference_interpreter import (
+    PlanSampler,
+    ReferenceInterpreter,
+    reference_sample_bulk,
+)
+
+# ``repro.sparse.spgemm`` the attribute is the function; this is the module.
+spgemm_module = importlib.import_module("repro.sparse.spgemm")
 
 
 def _graph(seed=0, scale=8, deg=6):
@@ -77,21 +90,32 @@ def _layers_equal(a, b):
 
 
 # --------------------------------------------------------------------- #
-# Registry / config surface
+# Registry / config surface: "compiled" is not a kernel any more
 # --------------------------------------------------------------------- #
-def test_compiled_kernel_registered():
-    assert "compiled" in KERNELS.names()
-    backend = get_kernel("compiled")
-    assert backend.compiles_plans
-    # The SpGEMM itself is hash's: bit-identical products by construction.
-    assert not get_kernel("hash").compiles_plans
-    assert not get_kernel("esc").compiles_plans
-
-
-def test_run_config_accepts_compiled():
+def test_compiled_is_an_unknown_kernel_everywhere(tmp_path, capsys):
+    """No special case: the retired name fails through the same
+    unknown-kernel paths as any typo, each listing the known names."""
     from repro.api.config import RunConfig
+    from repro.cli import main
 
-    assert RunConfig(kernel="compiled").kernel == "compiled"
+    assert "compiled" not in KERNELS.names()
+    with pytest.raises(KeyError, match="esc.*hash"):
+        get_kernel("compiled")
+    with pytest.raises(ValueError, match="unknown kernel 'compiled'.*esc.*hash"):
+        RunConfig(kernel="compiled")
+    with pytest.raises(KeyError, match="esc.*hash"):
+        SageSampler(kernel="compiled")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "products", "--kernel", "compiled"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(
+        RunConfig(dataset="products").to_json().replace('"esc"', '"compiled"')
+    )
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown kernel 'compiled'" in err and "hash" in err
 
 
 # --------------------------------------------------------------------- #
@@ -153,9 +177,10 @@ def test_fuse_sample_extract_rejects_subgraph():
     assert fused.steps[-1].kind == "subgraph"
 
 
-def test_fuse_sample_extract_blocked_by_later_q_reader():
-    # Two EXTRACTs share one SAMPLE's q_next: fusing the first would
-    # leave nothing for the second to read.
+def test_fuse_sample_extract_fuses_first_of_two_extracts():
+    # Two EXTRACTs share one SAMPLE: the first fuses, the second stays a
+    # plain EXTRACT reading the (P, mask) pair the fused step leaves
+    # (executed against the oracle in test_double_extract_after_one_sample).
     plan = SamplingPlan(
         (
             ProbStep("frontier"),
@@ -166,12 +191,13 @@ def test_fuse_sample_extract_blocked_by_later_q_reader():
         )
     )
     fused = fuse_sample_extract(plan)
-    assert not any(s.fused for s in fused.steps)
+    assert [type(s) for s in fused.steps] == [
+        ProbStep, NormStep, FusedSampleExtractStep, ExtractStep,
+    ]
 
 
 def test_fuse_sample_extract_allows_q_rewrite_between():
-    # A later SAMPLE rewrites q_next before the second EXTRACT reads it:
-    # the first pair may fuse.
+    # Two SAMPLE, EXTRACT pairs in a row both fuse.
     plan = SamplingPlan(
         (
             ProbStep("frontier"),
@@ -190,8 +216,7 @@ def test_fuse_sample_extract_allows_q_rewrite_between():
 def test_fastgcn_plan_has_no_norm_to_fuse():
     plan = FastGCNSampler().plan((8,))
     opt = optimize(plan)
-    assert isinstance(opt.steps[0], ProbStep)
-    assert not opt.steps[0].fused
+    assert type(opt.steps[0]) is ProbStep
     assert isinstance(opt.steps[1], FusedSampleExtractStep)
 
 
@@ -331,35 +356,6 @@ def test_describe_saint_keeps_subgraph_interpreted():
 
 
 # --------------------------------------------------------------------- #
-# Interpreters refuse fused steps
-# --------------------------------------------------------------------- #
-def test_plain_local_executor_refuses_fused_steps():
-    adj = _graph()
-    batches = _batches(adj)
-    sampler = SageSampler()
-    plan = optimize(sampler.plan((4,)))
-    ex = LocalExecutor(
-        sampler, adj, batches, np.random.default_rng(0),
-        get_kernel("hash").spgemm,
-    )
-    with pytest.raises(TypeError, match="compiled"):
-        ex.run(plan)
-
-
-def test_plain_partitioned_executor_refuses_fused_steps():
-    adj = _graph()
-    batches = _batches(adj)
-    grid = ProcessGrid(2, 1)
-    blocks = BlockRows.partition(adj, grid.n_rows)
-    sampler = SageSampler()
-    ex = PartitionedExecutor(
-        Communicator(2), grid, sampler, blocks, batches, 0
-    )
-    with pytest.raises(TypeError, match="Compiled"):
-        ex.run(optimize(sampler.plan((4,))))
-
-
-# --------------------------------------------------------------------- #
 # In-place NORM bit-equality
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
@@ -386,7 +382,7 @@ def test_norm_inplace_matches_norm(sampler):
 def test_prob_cache_hits_across_bulks_sharing_frontier():
     adj = _graph()
     batches = _batches(adj)
-    sampler = SageSampler(kernel="compiled")
+    sampler = SageSampler()
     cache = ProbCache()
     baseline = sampler.sample_bulk(
         adj, batches, (5, 3), np.random.default_rng(7)
@@ -410,7 +406,7 @@ def test_prob_cache_hits_across_bulks_sharing_frontier():
 
 def test_prob_cache_keyed_by_frontier_identity():
     adj = _graph()
-    sampler = SageSampler(kernel="compiled")
+    sampler = SageSampler()
     cache = ProbCache()
     b1 = _batches(adj, seed=1)
     b2 = _batches(adj, seed=2)
@@ -429,7 +425,7 @@ def test_prob_cache_keyed_by_frontier_identity():
 
 def test_prob_cache_global_source_keyed_by_batch_count():
     adj = _graph()
-    sampler = FastGCNSampler(kernel="compiled")
+    sampler = FastGCNSampler()
     cache = ProbCache()
     b1 = _batches(adj, k=3, seed=1)
     b2 = _batches(adj, k=3, seed=9)  # different vertices, same count
@@ -461,92 +457,201 @@ def test_prob_cache_lru_eviction_and_clear():
 
 
 # --------------------------------------------------------------------- #
-# Fused kernel helpers
+# Mask kernels
 # --------------------------------------------------------------------- #
 def test_compact_layer_from_mask_matches_extract_batch_layer():
     adj = _graph()
-    sampler = SageSampler(include_dst=True)
     dst = np.arange(20, dtype=np.int64)
-    p = sampler.norm(
-        get_kernel("hash").spgemm(sampler.make_q(dst, adj.shape[0]), adj)
-    )
-    sel = sampler.sample_mask(p, 3, np.random.default_rng(5))
-    q_next = sampler.sample(p, 3, np.random.default_rng(5))
-    want = sampler.extract_batch_layer(q_next, dst)
-    got = compact_layer_from_mask(
-        p, sel, 0, p.shape[0], dst, include_dst=True
-    )
-    assert np.array_equal(want.adj.indptr, got.adj.indptr)
-    assert np.array_equal(want.adj.indices, got.adj.indices)
-    assert np.array_equal(want.adj.data, got.adj.data)
-    assert np.array_equal(want.src_ids, got.src_ids)
-    assert np.array_equal(want.dst_ids, got.dst_ids)
-
-
-def test_selector_aware_spgemm_gather_is_bit_identical():
-    """A unit row selector on the left turns SpGEMM into a row gather:
-    same indptr/indices/data bytes as the general kernel, and the wrapped
-    kernel is never called."""
-    adj = _graph()
-    rng = np.random.default_rng(9)
-    rows = rng.choice(adj.shape[0], 50, replace=True)  # duplicates allowed
-    q = SageSampler.make_q(rows, adj.shape[0])
-    calls = []
-
-    def recording(a, b):
-        calls.append((a.shape, b.shape))
-        return get_kernel("hash").spgemm(a, b)
-
-    wrapped = selector_aware_spgemm(recording)
-    got = wrapped(q, adj)
-    want = get_kernel("hash").spgemm(q, adj)
-    assert calls == []  # gather fast path, general kernel skipped
-    assert np.array_equal(want.indptr, got.indptr)
-    assert np.array_equal(want.indices, got.indices)
-    assert np.array_equal(want.data, got.data)
-    assert want.shape == got.shape
-
-
-def test_selector_aware_spgemm_falls_through_for_non_selectors():
-    """Indicator rows (multi-entry) and weighted selectors must take the
-    general kernel — the gather is only exact for unit single-entry rows."""
-    adj = _graph()
-    batches = _batches(adj)
-    q_ind = LadiesSampler.make_q(batches, adj.shape[0])
-    calls = []
-
-    def recording(a, b):
-        calls.append(a.nnz)
-        return get_kernel("hash").spgemm(a, b)
-
-    wrapped = selector_aware_spgemm(recording)
-    out = wrapped(q_ind, adj)
-    assert len(calls) == 1
-    assert out.equal(get_kernel("hash").spgemm(q_ind, adj), 0.0)
-
-    q_sel = SageSampler.make_q(np.arange(10), adj.shape[0])
-    weighted = type(q_sel)(
-        q_sel.indptr, q_sel.indices, q_sel.data * 2.0, q_sel.shape
-    )
-    wrapped(weighted, adj)
-    assert len(calls) == 2
-
-
-def test_compiled_executor_nulls_q_next():
-    adj = _graph()
-    batches = _batches(adj)
-    sampler = SageSampler()
-    ex = CompiledLocalExecutor(
-        sampler, adj, batches, np.random.default_rng(0),
-        get_kernel("hash").spgemm,
-    )
-    ex.run(optimize(sampler.plan((4,))))
-    assert ex.q_next is None
+    # The scratch table is never cleared between batches: stale slots
+    # (here, garbage and then the previous call's ranks) must not leak.
+    col_rank = np.full(adj.shape[0], -7, dtype=np.int64)
+    for include_dst in (True, False):
+        sampler = SageSampler(include_dst=include_dst)
+        p = sampler.norm(
+            get_kernel("hash").spgemm(sampler.make_q(dst, adj.shape[0]), adj)
+        )
+        sel = sampler.sample_mask(p, 3, np.random.default_rng(5))
+        q_next = sampler.sample(p, 3, np.random.default_rng(5))
+        want = sampler.extract_batch_layer(q_next, dst)
+        got = compact_layer_from_mask(
+            p, sel, 0, p.shape[0], dst, include_dst=include_dst,
+            col_rank=col_rank,
+        )
+        assert want.adj.shape == got.adj.shape
+        assert np.array_equal(want.adj.indptr, got.adj.indptr)
+        assert np.array_equal(want.adj.indices, got.adj.indices)
+        assert np.array_equal(want.adj.data, got.adj.data)
+        assert np.array_equal(want.src_ids, got.src_ids)
+        assert np.array_equal(want.dst_ids, got.dst_ids)
 
 
 # --------------------------------------------------------------------- #
-# End-to-end: compiled == interpreted (spot check; the golden and
-# differential suites are the full surface)
+# The unit-selector row gather inside spgemm / spgemm_hash
+# --------------------------------------------------------------------- #
+def _general_path(kernel_fn, a, b, monkeypatch):
+    """``kernel_fn(a, b)`` with the selector shortcut switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(spgemm_module, "_is_unit_row_selector", lambda a: False)
+        return kernel_fn(a, b)
+
+
+def _same_bytes(x, y):
+    return (
+        x.shape == y.shape
+        and x.indptr.tobytes() == y.indptr.tobytes()
+        and x.indices.tobytes() == y.indices.tobytes()
+        and x.data.tobytes() == y.data.tobytes()
+    )
+
+
+SPGEMM_KERNELS = (spgemm_module.spgemm, spgemm_module.spgemm_hash)
+
+
+def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
+    """A unit row selector on the left turns SpGEMM into a row gather with
+    the general kernel's exact bytes — on duplicate and out-of-order source
+    rows, empty source rows and explicit zeros in ``b`` — in both numpy
+    kernels, and the expansion is never built."""
+    for kernel_fn in SPGEMM_KERNELS:
+        _check_gather_is_bit_identical(kernel_fn, monkeypatch)
+
+
+def _check_gather_is_bit_identical(kernel_fn, monkeypatch):
+    adj = _graph()
+    n = adj.shape[0]
+    empty_rows = np.flatnonzero(adj.nnz_per_row() == 0)
+    assert empty_rows.size  # R-MAT leaves isolated vertices
+    rng = np.random.default_rng(9)
+    data = adj.data.copy()
+    data[rng.choice(adj.nnz, adj.nnz // 5, replace=False)] = 0.0
+    with_zeros = CSRMatrix(adj.indptr, adj.indices, data, adj.shape)
+    rows = np.concatenate(
+        [
+            rng.choice(n, 50, replace=True),  # duplicates, any order
+            empty_rows[:3],
+            np.arange(n)[::-1][:20],  # strictly descending
+        ]
+    )
+    q = SageSampler.make_q(rows, n)
+    for b in (adj, with_zeros):
+        want = _general_path(kernel_fn, q, b, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(
+                spgemm_module, "_expand",
+                lambda a, b: pytest.fail("general path ran on a selector"),
+            )
+            got = kernel_fn(q, b)
+        assert _same_bytes(want, got)
+    # Selecting only empty rows gives the empty product either way.
+    only_empty = SageSampler.make_q(empty_rows[:4], n)
+    assert _same_bytes(
+        _general_path(kernel_fn, only_empty, adj, monkeypatch),
+        kernel_fn(only_empty, adj),
+    )
+
+
+def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
+    """Indicator rows (multi-entry), weighted selectors and selectors with
+    an empty row must take the general kernel — the gather is only exact
+    for unit single-entry rows."""
+    for kernel_fn in SPGEMM_KERNELS:
+        _check_falls_through(kernel_fn, monkeypatch)
+
+
+def _check_falls_through(kernel_fn, monkeypatch):
+    adj = _graph()
+    n = adj.shape[0]
+    q_sel = SageSampler.make_q(np.arange(10), n)
+    weighted = CSRMatrix(q_sel.indptr, q_sel.indices, q_sel.data * 2.0, q_sel.shape)
+    one_empty_row = CSRMatrix(
+        np.concatenate([q_sel.indptr, [q_sel.indptr[-1]]]),
+        q_sel.indices, q_sel.data, (11, n),
+    )
+    two_in_one_row = CSRMatrix(
+        np.array([0, 2, 2]), np.array([3, 5]), np.ones(2), (2, n)
+    )
+    for q in (
+        LadiesSampler.make_q(_batches(adj), n), weighted, one_empty_row,
+        two_in_one_row,
+    ):
+        expanded = []
+        real_expand = spgemm_module._expand
+        with monkeypatch.context() as m:
+            m.setattr(
+                spgemm_module, "_expand",
+                lambda a, b: expanded.append(a.nnz) or real_expand(a, b),
+            )
+            out = kernel_fn(q, adj)
+        assert expanded == [q.nnz]
+        assert out.equal(get_kernel("scipy").spgemm(q, adj), 0.0)
+
+
+# --------------------------------------------------------------------- #
+# Named plans against the oracle
+# --------------------------------------------------------------------- #
+def _assert_executors_match_oracle(sampler, adj, batches, seed=11):
+    """Oracle == LocalExecutor and PartitionedExecutor, each on the
+    optimized plan and on the plan as emitted, under esc and hash."""
+    plan = sampler.plan((1,))
+    k = len(batches)
+    grid = ProcessGrid(4, 2)
+    blocks = BlockRows.partition(adj, grid.n_rows)
+    for kernel in ("esc", "hash"):
+        sampler.kernel = kernel
+        spgemm = get_kernel(kernel).spgemm
+        want = ReferenceInterpreter(
+            sampler, adj, batches, [batch_rng(seed, i) for i in range(k)],
+            spgemm,
+        ).run(plan)
+        for program in (optimize(plan), plan):
+            local = LocalExecutor(
+                sampler, adj, batches,
+                [batch_rng(seed, i) for i in range(k)], spgemm,
+            ).run(program)
+            _layers_equal(want, local)
+            part = PartitionedExecutor(
+                Communicator(4), grid, sampler, blocks, batches, seed,
+                kernel=kernel,
+            ).run(program)
+            _layers_equal(want, part)
+
+
+def test_double_extract_after_one_sample():
+    """Two walk advances read one SAMPLE: the first fuses with it, the
+    second reads the (P, mask) pair it left behind.  (Two *compact*
+    extractions off one SAMPLE are not a meaningful program: the second
+    would pair new destinations with old row bounds.)"""
+    steps = [
+        ProbStep("frontier"), NormStep(), SampleStep(1),
+        ExtractStep("walk"), ExtractStep("walk"),
+        ExtractStep("subgraph", n_layers=2),
+    ]
+    sampler = PlanSampler(steps, include_dst=True)
+    fused = optimize(sampler.plan((1,)))
+    assert isinstance(fused.steps[1], FusedSampleExtractStep)
+    assert type(fused.steps[2]) is ExtractStep
+    adj = _graph(seed=5)
+    _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
+
+
+@pytest.mark.parametrize("debias", [False, True])
+def test_prob_between_sample_and_extract(debias):
+    """A PROB after SAMPLE replaces the current P (here with one of a
+    different sparsity structure): EXTRACT still reads the sample out of
+    the P it was drawn from, and debiasing reads the current one."""
+    steps = [
+        ProbStep("indicator"), NormStep(), SampleStep(6),
+        ProbStep("global"), ExtractStep("bipartite", debias=debias),
+    ]
+    sampler = PlanSampler(steps, norm_mode="ladies")
+    assert optimize(sampler.plan((1,))).steps[-2:] == tuple(steps[-2:])
+    adj = _graph(seed=5)
+    _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
+
+
+# --------------------------------------------------------------------- #
+# End-to-end: the executors == the oracle on the stock samplers (spot
+# check; the golden and differential suites are the full surface)
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "factory,fanout",
@@ -567,12 +672,12 @@ def test_compiled_executor_nulls_q_next():
 def test_compiled_local_matches_interpreted(factory, fanout):
     adj = _graph(seed=3)
     batches = _batches(adj, k=4)
-    want = factory().sample_bulk(
+    want = reference_sample_bulk(
+        factory(), adj, batches, fanout, np.random.default_rng(11)
+    )
+    got = factory().sample_bulk(
         adj, batches, fanout, np.random.default_rng(11)
     )
-    sampler = factory()
-    sampler.kernel = "compiled"
-    got = sampler.sample_bulk(adj, batches, fanout, np.random.default_rng(11))
     _layers_equal(want, got)
 
 
@@ -581,12 +686,13 @@ def test_compiled_partitioned_matches_interpreted():
     batches = _batches(adj, k=4)
     grid = ProcessGrid(2, 2)
     blocks = BlockRows.partition(adj, grid.n_rows)
-    want, _ = partitioned_bulk_sampling(
-        Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
-        seed=7,
+    want = reference_sample_bulk(
+        SageSampler(), adj, batches, (5, 3),
+        [batch_rng(7, i) for i in range(len(batches))],
     )
-    got, _ = partitioned_bulk_sampling(
-        Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
-        seed=7, kernel="compiled",
-    )
-    _layers_equal(want, got)
+    for kernel in KERNELS.names():
+        got, _ = partitioned_bulk_sampling(
+            Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
+            seed=7, kernel=kernel,
+        )
+        _layers_equal(want, got)

@@ -1,16 +1,19 @@
-"""Differential plan-fuzzing: compiled execution == interpretation, always.
+"""Differential plan-fuzzing: the executors == the oracle, always.
 
 Hypothesis generates random *valid* sampling plans — stage-structured
 mixes of node-wise, layer-wise, global and random-walk stages with dead
-steps injected, fusion-blocking double extractions, debiasing, destination
+steps injected, double extractions off one SAMPLE, debiasing, destination
 unioning, both NORM styles and both sample backends — and executes each
-one on a random graph through every kernel backend.  The compiled path
-(optimizer passes + fused row-wise kernels + the plain interpreter for
-whatever stays unfused) must produce **byte-identical** samples to the
-plain interpreters, for the local executor and for the 1.5D partitioned
-executor.
+one on a random graph.  Every plan runs through the ``Q^{l-1}``-
+materializing oracle (:mod:`reference_interpreter`), through
+:class:`~repro.core.plan.LocalExecutor` on the optimized plan *and* on the
+plan as emitted (executors accept both, so the optimizer passes are
+themselves under differential test), and through
+:class:`~repro.distributed.partitioned.PartitionedExecutor` the same two
+ways on three grid shapes, under both numpy kernels — and every run must
+produce **byte-identical** samples.
 
-The plans are run by a :class:`FuzzSampler` assembled from the real
+The plans are run by a :class:`~reference_interpreter.PlanSampler` assembled from the real
 samplers' own primitives (GraphSAGE compaction, LADIES row/column
 extraction and debiasing, FastGCN's importance row, SAINT's subgraph
 induction), so every generated plan exercises production extraction code
@@ -28,36 +31,27 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import Communicator, ProcessGrid
-from repro.core import (
-    FastGCNSampler,
-    GraphSaintRWSampler,
-    LadiesSampler,
-    SageSampler,
-    batch_rng,
-)
+from repro.core import SageSampler, batch_rng
+from repro.core.compile import optimize
 from repro.core.plan import (
     ExtractStep,
+    LocalExecutor,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
 )
-from repro.core.sampler_base import MatrixSampler
-from repro.distributed.partitioned import partitioned_bulk_sampling
+from repro.distributed.partitioned import PartitionedExecutor
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import (
-    CSRMatrix,
-    indicator_rows,
-    row_normalize,
-    row_normalize_inplace,
-    row_selector,
-)
+from repro.sparse import get_kernel
 
-# Kernel names under differential test: esc and hash are independent
-# interpreted SpGEMM implementations, compiled is hash's SpGEMM plus the
-# plan optimizer and fused executors.
-KERNELS_UNDER_TEST = ("esc", "hash", "compiled")
+from reference_interpreter import PlanSampler, ReferenceInterpreter
+
+# Kernel names under differential test: two independent SpGEMM
+# implementations (scipy sums in another order and is held to a tolerance
+# elsewhere).
+KERNELS_UNDER_TEST = ("esc", "hash")
 
 GRAPHS = [
     rmat(7, 6, np.random.default_rng(101)),
@@ -66,68 +60,10 @@ GRAPHS = [
 ]
 
 
-class FuzzSampler(MatrixSampler):
-    """Executes an arbitrary stored plan with the real samplers' pieces.
-
-    ``make_q`` is polymorphic over the executor's PROB sources: a frontier
-    array gets GraphSAGE's row selector, per-batch destination lists get
-    LADIES' indicator rows.  Extraction primitives are the production
-    implementations, referenced (not reimplemented) so the fuzz runs the
-    same code paths the golden suites pin.
-    """
-
-    name = "fuzz"
-
-    def __init__(
-        self,
-        steps,
-        *,
-        norm_mode="sage",
-        include_dst=False,
-        sample_backend="its",
-        kernel=None,
-    ):
-        super().__init__(sample_backend, kernel)
-        self._steps = tuple(steps)
-        self.norm_mode = norm_mode
-        self.include_dst = include_dst
-        self.split_col_extract = True
-
-    @staticmethod
-    def make_q(arg, n):
-        if isinstance(arg, np.ndarray):
-            return row_selector(arg, n)
-        return indicator_rows(arg, n)
-
-    def norm(self, p):
-        if self.norm_mode == "ladies":
-            squared = CSRMatrix(
-                p.indptr.copy(), p.indices.copy(), p.data**2, p.shape
-            )
-            return row_normalize(squared)
-        return row_normalize(p)
-
-    def norm_inplace(self, p):
-        if self.norm_mode == "ladies":
-            np.power(p.data, 2, out=p.data)
-        return row_normalize_inplace(p)
-
-    # Production primitives, by reference.
-    extract_batch_layer = SageSampler.extract_batch_layer
-    row_extract = staticmethod(LadiesSampler.row_extract)
-    col_extract = LadiesSampler.col_extract
-    debias_layer = staticmethod(LadiesSampler.debias_layer)
-    importance_row = staticmethod(FastGCNSampler.importance_row)
-    induced_subgraph = GraphSaintRWSampler.induced_subgraph
-
-    def plan(self, fanout):
-        return SamplingPlan(self._steps)
-
-
-class FuzzSamplerCustomExtract(FuzzSampler):
-    """Overrides ``extract_batch_layer``: the compiled executor must take
-    the mask-materialization fallback instead of the fully lowered compact
-    kernel, and still match bit for bit."""
+class FuzzSamplerCustomExtract(PlanSampler):
+    """Overrides ``extract_batch_layer``: the executors must hand it each
+    batch's ``Q^{l-1}`` block instead of compacting straight from the mask,
+    and still match bit for bit."""
 
     def extract_batch_layer(self, q_next_rows, dst_ids):
         return SageSampler.extract_batch_layer(self, q_next_rows, dst_ids)
@@ -155,8 +91,8 @@ def _stage_steps(stage, draw_dead):
             steps.append(NormStep())
         steps += [SampleStep(1), ExtractStep("walk")]
         if stage["double_extract"]:
-            # A second walk advance off the same sampled Q: blocks
-            # SAMPLE+EXTRACT fusion, both executors replay it identically.
+            # A second walk advance off the same SAMPLE: the first fuses,
+            # the second reads the (P, mask) pair the fused step left.
             steps.append(ExtractStep("walk"))
     else:  # "layer" (indicator source) or "global"
         source = "indicator" if kind == "layer" else "global"
@@ -245,7 +181,7 @@ def _make_batches(case):
 
 def _make_sampler(case, kernel):
     cls = (
-        FuzzSamplerCustomExtract if case["custom_extract"] else FuzzSampler
+        FuzzSamplerCustomExtract if case["custom_extract"] else PlanSampler
     )
     return cls(
         case["steps"],
@@ -273,45 +209,72 @@ def _digest(samples):
     return h.hexdigest()
 
 
+def _rng_for(case):
+    if case["per_batch_rng"]:
+        return [batch_rng(case["seed"], i) for i in range(case["k"])]
+    return np.random.default_rng(case["seed"])
+
+
 # --------------------------------------------------------------------- #
-# Local differential: esc == hash == compiled on every generated plan
+# Local differential: oracle == LocalExecutor(optimized) == LocalExecutor
+# (as emitted), under esc and hash, on every generated plan
 # --------------------------------------------------------------------- #
 @settings(max_examples=150, deadline=None)
 @given(case=fuzz_cases())
 def test_local_compiled_matches_interpreted(case):
     adj = GRAPHS[case["graph_idx"]]
     batches = _make_batches(case)
-
-    def rng_for():
-        if case["per_batch_rng"]:
-            return [batch_rng(case["seed"], i) for i in range(case["k"])]
-        return np.random.default_rng(case["seed"])
-
+    plan = SamplingPlan(tuple(case["steps"]))
     digests = {}
     for kernel in KERNELS_UNDER_TEST:
         sampler = _make_sampler(case, kernel)
-        out = sampler.sample_bulk(adj, batches, (1,), rng_for())
-        digests[kernel] = _digest(out)
-    assert digests["esc"] == digests["hash"] == digests["compiled"], digests
+        spgemm = get_kernel(kernel).spgemm
+        digests[kernel, "oracle"] = _digest(
+            ReferenceInterpreter(
+                sampler, adj, batches, _rng_for(case), spgemm
+            ).run(plan)
+        )
+        # sample_bulk is the product path: optimize(plan) on LocalExecutor.
+        digests[kernel, "optimized"] = _digest(
+            sampler.sample_bulk(adj, batches, (1,), _rng_for(case))
+        )
+        digests[kernel, "as-emitted"] = _digest(
+            LocalExecutor(
+                sampler, adj, batches, _rng_for(case), spgemm
+            ).run(plan)
+        )
+    assert len(set(digests.values())) == 1, digests
 
 
 # --------------------------------------------------------------------- #
-# Partitioned differential: the 1.5D compiled executor matches the 1.5D
-# interpreter (and, transitively via the suite above, the local paths)
+# Partitioned differential: the 1.5D executor, on the optimized plan and
+# on the plan as emitted, matches the oracle fed the same per-batch streams
 # --------------------------------------------------------------------- #
 @settings(max_examples=60, deadline=None)
-@given(case=fuzz_cases(), grid_shape=st.sampled_from([(2, 1), (2, 2), (4, 1)]))
+@given(case=fuzz_cases(), grid_shape=st.sampled_from([(1, 1), (4, 1), (4, 2)]))
 def test_partitioned_compiled_matches_interpreted(case, grid_shape):
     adj = GRAPHS[case["graph_idx"]]
     batches = _make_batches(case)
+    plan = SamplingPlan(tuple(case["steps"]))
     p, c = grid_shape
+    grid = ProcessGrid(p, c)
+    blocks = BlockRows.partition(adj, grid.n_rows)
     digests = {}
-    for kernel in ("esc", "compiled"):
-        grid = ProcessGrid(p, c)
-        blocks = BlockRows.partition(adj, grid.n_rows)
-        out, _ = partitioned_bulk_sampling(
-            Communicator(p), grid, _make_sampler(case, kernel), blocks,
-            batches, (1,), seed=case["seed"], kernel=kernel,
+    for kernel in KERNELS_UNDER_TEST:
+        sampler = _make_sampler(case, kernel)
+        digests[kernel, "oracle"] = _digest(
+            ReferenceInterpreter(
+                sampler, adj, batches,
+                [batch_rng(case["seed"], i) for i in range(case["k"])],
+                get_kernel(kernel).spgemm,
+            ).run(plan)
         )
-        digests[kernel] = _digest(out)
-    assert digests["esc"] == digests["compiled"], digests
+        for label, program in (
+            ("optimized", optimize(plan)), ("as-emitted", plan)
+        ):
+            executor = PartitionedExecutor(
+                Communicator(p), grid, sampler, blocks, batches,
+                case["seed"], kernel=kernel,
+            )
+            digests[kernel, label] = _digest(executor.run(program))
+    assert len(set(digests.values())) == 1, digests

@@ -1,7 +1,7 @@
 """Golden regression tests for plan-driven partitioned sampling.
 
-The partitioned executor interprets the same sampling plan as the local
-one, with per-batch RNG streams keyed by *global* batch index.  Three
+The partitioned executor runs the same sampling plan as the local one,
+with per-batch RNG streams keyed by *global* batch index.  Three
 properties are pinned:
 
 1. **Pre-refactor bit-compatibility** — at ``k == p/c`` (one batch per
@@ -30,12 +30,15 @@ from repro.core import (
     LadiesSampler,
     SageSampler,
 )
+from repro.core.compile import optimize
 from repro.distributed import (
+    PartitionedExecutor,
     partitioned_bulk_sampling,
     replicated_bulk_sampling,
 )
 from repro.graphs import rmat
 from repro.partition import BlockRows
+from repro.sparse import KERNELS
 
 SEED = 42
 DIST_SEED = 7
@@ -86,16 +89,28 @@ def _bulk_digest(samples) -> str:
     return h.hexdigest()
 
 
-def _run_partitioned(name: str, p: int, c: int, kernel=None) -> str:
+def _run_partitioned(
+    name: str, p: int, c: int, kernel=None, *, optimized: bool = True
+) -> str:
+    """Digest of one partitioned bulk.  ``optimized=False`` hands the plan
+    as the sampler emitted it straight to the executor (the product path,
+    ``partitioned_bulk_sampling``, always optimizes)."""
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
     grid = ProcessGrid(p, c)
     blocks = BlockRows.partition(adj, grid.n_rows)
-    samples, _ = partitioned_bulk_sampling(
-        Communicator(p), grid, factory(), blocks, batches, fanout,
-        seed=DIST_SEED, kernel=kernel,
-    )
+    if optimized:
+        samples, _ = partitioned_bulk_sampling(
+            Communicator(p), grid, factory(), blocks, batches, fanout,
+            seed=DIST_SEED, kernel=kernel,
+        )
+    else:
+        sampler = factory()
+        samples = PartitionedExecutor(
+            Communicator(p), grid, sampler, blocks, batches, DIST_SEED,
+            kernel=kernel,
+        ).run(sampler.plan(fanout))
     assert len(samples) == N_BATCHES
     return _bulk_digest(samples)
 
@@ -114,21 +129,23 @@ def test_matches_pre_refactor_implementation(name):
 )
 @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (2, 1)])
 def test_compiled_matches_pre_refactor_digests(name, p, c):
-    """The compiled partitioned executor (kernel="compiled": optimized
-    plan, fused per-row kernels) reproduces the pre-refactor digests bit
-    for bit at every grid shape — fusion changes execution, never output."""
-    assert (
-        _run_partitioned(name, p, c, kernel="compiled")
-        == PRE_REFACTOR_DIGESTS[name]
-    )
+    """The compiled (optimized) plan reproduces the pre-refactor digests
+    bit for bit at every grid shape under every registered kernel —
+    fusion and kernel choice change execution, never output."""
+    for kernel in KERNELS.names():
+        assert (
+            _run_partitioned(name, p, c, kernel=kernel)
+            == PRE_REFACTOR_DIGESTS[name]
+        ), kernel
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_compiled_matches_interpreted_partitioned(name):
-    """Compiled == interpreted on the 1.5D grid for all four samplers
-    (SAINT has no pre-refactor digest, so it's pinned by parity)."""
-    assert _run_partitioned(name, 4, 2, kernel="compiled") == _run_partitioned(
-        name, 4, 2
+    """On the 1.5D grid the optimized plan and the plan as emitted sample
+    identically for all four samplers (SAINT has no pre-refactor digest,
+    so it is pinned by this parity)."""
+    assert _run_partitioned(name, 4, 2) == _run_partitioned(
+        name, 4, 2, optimized=False
     )
 
 
@@ -156,6 +173,29 @@ def test_parity_with_single_rank_replicated(name):
         Communicator(1), factory(), adj, batches, fanout, seed=DIST_SEED
     )
     assert _run_partitioned(name, 4, 2) == _bulk_digest(rep[0])
+
+
+@pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
+def test_optimized_plan_charges_the_same_clock(name):
+    """Fusion changes neither what is charged nor to which Figure-7 phase:
+    per (phase, kind), the simulated seconds of the optimized plan equal
+    those of the plan as emitted — in particular a fused SAMPLE+EXTRACT
+    still fills the ``extraction`` bar."""
+    adj, batches = _graph_and_batches()
+    factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
+    fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
+    grid = ProcessGrid(4, 2)
+    blocks = BlockRows.partition(adj, grid.n_rows)
+    clocks = []
+    for optimized in (True, False):
+        sampler, comm = factory(), Communicator(4)
+        plan = sampler.plan(fanout)
+        PartitionedExecutor(
+            comm, grid, sampler, blocks, batches, DIST_SEED
+        ).run(optimize(plan) if optimized else plan)
+        clocks.append(comm.clock.breakdown_by_kind())
+    assert clocks[0] == clocks[1]
+    assert clocks[0][("extraction", "compute")] > 0
 
 
 def test_saint_partitioned_samples_are_valid_subgraphs():

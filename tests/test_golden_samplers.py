@@ -30,8 +30,10 @@ from repro.core import (
     LadiesSampler,
     SageSampler,
 )
+from repro.core.compile import optimize
+from repro.core.plan import LocalExecutor
 from repro.graphs import rmat
-from repro.sparse import KERNELS
+from repro.sparse import KERNELS, get_kernel
 
 SEED = 42
 N_BATCHES = 6
@@ -123,15 +125,28 @@ def test_golden_digest(name):
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_golden_digest_compiled(name):
-    """The plan compiler (kernel="compiled": optimizer passes + fused
-    row-wise kernels) reproduces every golden digest bit for bit.
+    """The golden digests hold for the compiled (optimized) plan and for
+    the plan as emitted, each handed to the executor directly.
 
-    The ``KERNELS.names()`` loops above already cover "compiled" via the
-    registry; this explicit pin survives even if the sweep logic changes,
-    because bit-identity is the compiler's acceptance contract.
+    ``sample_bulk`` always optimizes, so the loops above pin the optimized
+    program only; this pins that the optimizer passes change nothing the
+    digest can see, on every backend.
     """
-    assert "compiled" in KERNELS.names()
-    assert _run(name, "compiled") == GOLDEN_DIGESTS[name]
+    adj, batches = _graph_and_batches()
+    factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
+    fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
+    for kernel in KERNELS.names():
+        sampler = factory(kernel)
+        plan = sampler.plan(fanout)
+        assert optimize(plan).steps != plan.steps
+        for program in (optimize(plan), plan):
+            executor = LocalExecutor(
+                sampler, adj, batches, np.random.default_rng(SEED),
+                get_kernel(kernel).spgemm,
+            )
+            assert (
+                _bulk_digest(executor.run(program)) == GOLDEN_DIGESTS[name]
+            ), (name, kernel, program.describe())
 
 
 def test_run_twice_is_deterministic():

@@ -419,6 +419,70 @@ class TestServingTraces:
         assert get_registry() is None
 
 
+class TestPlanSpans:
+    """Both executors run their steps through the one driver
+    (``repro.core.plan.run_steps``): one wall-domain ``plan`` span per step
+    of the optimized program, tagged with the step's phase."""
+
+    @staticmethod
+    def _saint_case():
+        from repro.core import GraphSaintRWSampler
+        from repro.graphs import rmat
+
+        rng = np.random.default_rng(3)
+        adj = rmat(8, 6, rng)
+        batches = [rng.choice(adj.shape[0], 8, replace=False) for _ in range(4)]
+        return GraphSaintRWSampler(walk_length=2), adj, batches
+
+    @staticmethod
+    def _expected(sampler, fanout):
+        from repro.core.compile import optimize
+        from repro.core.plan import step_phase
+        from repro.obs.trace import plan_step_name
+
+        steps = optimize(sampler.plan(fanout)).steps
+        return [(plan_step_name(s), step_phase(s)) for s in steps]
+
+    def test_partitioned_bulk_yields_one_span_per_optimized_step(self):
+        from repro.comm import Communicator, ProcessGrid
+        from repro.distributed import partitioned_bulk_sampling
+        from repro.partition import BlockRows
+
+        sampler, adj, batches = self._saint_case()
+        grid = ProcessGrid(4, 2)
+        blocks = BlockRows.partition(adj, grid.n_rows)
+
+        def run():
+            comm = Communicator(4)
+            samples, _ = partitioned_bulk_sampling(
+                comm, grid, sampler, blocks, batches, (3, 3), seed=5
+            )
+            return _bulk_digest(samples), comm.clock.breakdown()
+
+        untraced = run()
+        tracer = Tracer()
+        set_tracer(tracer)
+        assert run() == untraced  # spans perturb neither bits nor the clock
+        plan_spans = [s for s in tracer.spans if s.cat == "plan"]
+        assert all(s.domain == "wall" for s in plan_spans)
+        assert all(s.args["k"] == len(batches) for s in plan_spans)
+        got = [(s.name, s.args["phase"]) for s in plan_spans]
+        assert got == self._expected(sampler, (3, 3))
+        assert got == [
+            ("PROB+NORM", "probability"), ("SAMPLE+EXTRACT", "sampling"),
+        ] * 2 + [("EXTRACT", "extraction")]
+
+    def test_local_bulk_yields_the_same_spans(self):
+        sampler, adj, batches = self._saint_case()
+        tracer = Tracer()
+        set_tracer(tracer)
+        sampler.sample_bulk(adj, batches, (3, 3), np.random.default_rng(5))
+        got = [
+            (s.name, s.args["phase"]) for s in tracer.spans if s.cat == "plan"
+        ]
+        assert got == self._expected(sampler, (3, 3))
+
+
 @needs_parallel
 class TestWorkerTraceParity:
     def test_sim_trace_byte_identical_workers_0_vs_4(self, trained_engine):
