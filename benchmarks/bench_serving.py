@@ -1,8 +1,8 @@
 """Serving sweep: offered load vs latency/throughput, micro-batched vs not.
 
 A closed-loop load generator (``clients`` concurrent callers, one request
-in flight each) drives the :class:`~repro.serve.ServingEngine` at
-increasing offered load, once with micro-batching (``serve_batch_size=8``)
+in flight each) drives a one-replica :class:`~repro.serve.ServingCluster`
+at increasing offered load, once with micro-batching (``serve_batch_size=8``)
 and once serving one request at a time (``serve_batch_size=1``) — the
 online analogue of the paper's bulk-vs-per-batch sampling comparison.  Per
 point it reports p50/p95/p99 latency, simulated throughput and the
@@ -19,8 +19,8 @@ The script *asserts* the serving subsystem's contract as it runs:
   digest.
 
 **Fleet sweep** (``BENCH_serving_fleet.json``): the same closed-loop load
-at fleet scale — replica count x router policy through the
-:class:`~repro.serve.ServingCluster` — asserting every fleet configuration
+at fleet scale — replica count x router policy through the same server
+class — asserting every fleet configuration
 serves the *same* logits digest (exactness is replica-invariant), that a
 routed N>1 fleet out-throughputs the single replica at high offered load,
 and that the SLO autoscaler scales up and converges under an
@@ -43,7 +43,7 @@ from repro.api import Engine, RunConfig
 from repro.bench import write_bench_artifact
 from repro.bench.reporting import format_table
 from repro.pipeline import layerwise_inference
-from repro.serve import ClosedLoopWorkload, ServingCluster, ServingEngine
+from repro.serve import ClosedLoopWorkload, ServingCluster
 
 
 def run_point(
@@ -59,7 +59,7 @@ def run_point(
     cfg = engine.config.replace(
         serve_batch_size=serve_batch_size, embed_budget=embed_budget,
     )
-    server = ServingEngine(engine.model, engine.graph, cfg)
+    server = ServingCluster(engine.model, engine.graph, cfg)
     workload = ClosedLoopWorkload(
         n_requests, engine.graph.test_idx, clients=clients, seed=seed
     )

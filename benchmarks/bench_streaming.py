@@ -1,6 +1,6 @@
 """Streaming-serving sweep: edge churn vs throughput, latency and parity.
 
-Drives the :class:`~repro.serve.ServingEngine` over a
+Drives a one-replica :class:`~repro.serve.ServingCluster` over a
 :class:`~repro.stream.StreamingGraph` with :class:`~repro.stream.UpdateStream`
 workloads that interleave edge insert/delete batches with inference
 requests, sweeping
@@ -41,7 +41,7 @@ from repro.api import Engine, RunConfig
 from repro.bench import write_bench_artifact
 from repro.bench.reporting import format_table
 from repro.pipeline import layerwise_inference
-from repro.serve import ServingEngine
+from repro.serve import ServingCluster
 from repro.stream import StreamingGraph, UpdateStream
 
 
@@ -70,7 +70,7 @@ def run_point(
         stream_updates=True,
     )
     stream = StreamingGraph(graph, compaction_threshold=compaction_threshold)
-    server = ServingEngine(engine.model, graph, cfg, stream=stream)
+    server = ServingCluster(engine.model, graph, cfg, stream=stream)
     workload = UpdateStream.synthetic(
         graph.adj,
         graph.test_idx,

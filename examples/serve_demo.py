@@ -1,8 +1,8 @@
 """Online serving demo: train once, then serve ego-network requests.
 
-Trains a small SAGE model through the :class:`repro.api.Engine`, builds a
-:class:`repro.serve.ServingEngine` with ``engine.serving()``, and drives it
-two ways:
+Trains a small SAGE model through the :class:`repro.api.Engine`, builds the
+server (a one-replica :class:`repro.serve.ServingCluster`) with
+``engine.serving()``, and drives it two ways:
 
 1. an **open-loop trace** (fixed arrival times — what ``repro serve
    --requests trace.json`` replays), showing the max-batch-size / max-wait
@@ -25,7 +25,7 @@ import numpy as np
 from repro.api import Engine, RunConfig
 from repro.bench.reporting import format_latency_summary
 from repro.pipeline import layerwise_inference
-from repro.serve import ClosedLoopWorkload, ServingEngine, TraceWorkload
+from repro.serve import ClosedLoopWorkload, ServingCluster, TraceWorkload
 
 
 def main() -> None:
@@ -64,7 +64,7 @@ def main() -> None:
 
     # -- closed-loop: micro-batched vs per-request ---------------------- #
     for batch_cap in (1, 8):
-        server = ServingEngine(
+        server = ServingCluster(
             engine.model, engine.graph,
             cfg.replace(serve_batch_size=batch_cap),
         )

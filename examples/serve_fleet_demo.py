@@ -3,7 +3,7 @@
 Trains a small SAGE model through the :class:`repro.api.Engine`, then
 drives the same trained weights through four fleet shapes:
 
-1. a **single server** baseline (the pre-fleet ``ServingEngine`` path);
+1. a **single server** baseline (the N = 1 fleet: one ``direct`` replica);
 2. a **round-robin fleet** at the same offered load, showing the
    near-linear throughput win once one server saturates;
 3. a **consistent-hash fleet** with the embedding cache on, showing why

@@ -97,7 +97,7 @@ class RunConfig:
     stream_updates: bool = False  # serve over a DeltaCSR accepting edge churn
     compaction_threshold: float = 0.25  # delta-log fraction of nnz that compacts
     # -- serving fleet (repro.serve.cluster) ----------------------------- #
-    replicas: int = 1  # initial serving fleet size; 1 = single ServingEngine
+    replicas: int = 1  # initial serving fleet size; 1 = a single server
     router: str = "direct"  # fleet routing policy (repro.serve.ROUTERS key)
     shed_policy: str = "none"  # admission control: none | queue | deadline
     shed_queue_depth: int = 64  # per-replica queue bound for shed_policy="queue"

@@ -235,13 +235,12 @@ class Engine:
     ):
         """Build a server over this engine's graph and (current) weights.
 
-        Returns a single-server :class:`~repro.serve.ServingEngine`, or a
-        :class:`~repro.serve.ServingCluster` when the config asks for a
-        fleet — ``replicas > 1``, a non-``direct`` router, admission
-        control, or a p99 SLO (autoscaling).  ``fleet`` forces the choice
-        either way; both expose the same ``process(workload)`` →
-        :class:`~repro.serve.ServeReport` surface, and an N=1 cluster is
-        bit-identical to the engine.
+        Returns a :class:`~repro.serve.ServingCluster` shaped by the
+        config's fleet knobs (``replicas``, ``router``, ``shed_*``,
+        ``slo_p99``/``autoscale_*``, ``workers``); the defaults describe a
+        single server — one ``direct`` replica.  ``fleet=False`` forces
+        exactly that whatever the config says (no admission control, no
+        autoscaler, ``workers=0``); ``True``/``None`` mean "as configured".
 
         ``fanout=None`` (default) serves exact full-neighborhood logits —
         bit-identical to :func:`~repro.pipeline.layerwise_inference` — and
@@ -249,8 +248,8 @@ class Engine:
         approximate logits through the configured sampler.  Serving knobs
         (``serve_batch_size``, ``serve_max_wait``, ``embed_budget``) come
         from :attr:`config`.  The returned server snapshots nothing: it
-        reads the live model, so serve after training (or call
-        ``server.cache.clear()`` if weights change under a cache).
+        reads the live model, so serve after training (or clear every
+        replica's ``cache`` if weights change under one).
 
         ``stream`` (default ``config.stream_updates``) wraps the graph in
         a :class:`~repro.stream.StreamingGraph` so the server accepts
@@ -261,18 +260,13 @@ class Engine:
         StreamingGraph mutates this engine's ``graph.adj`` in place as
         updates land (serving tracks the *current* graph by design).
         """
-        from ..serve import ServingCluster, ServingEngine
+        from ..serve import ServingCluster
 
         cfg = self.config
-        if fleet is None:
-            fleet = (
-                cfg.replicas > 1
-                or cfg.router != "direct"
-                or cfg.shed_policy != "none"
-                or cfg.slo_p99 > 0
-                # workers > 0 serves through the cluster's parallel path
-                # (an N=1 fleet is bit-identical to the engine).
-                or cfg.workers > 0
+        if fleet is False:
+            cfg = cfg.replace(
+                replicas=1, router="direct", shed_policy="none",
+                slo_p99=0.0, workers=0,
             )
         if stream is None:
             stream = cfg.stream_updates
@@ -284,8 +278,7 @@ class Engine:
                 self.graph,
                 compaction_threshold=cfg.compaction_threshold,
             )
-        server_cls = ServingCluster if fleet else ServingEngine
-        return server_cls(
+        return ServingCluster(
             self.model, self.graph, cfg, fanout=fanout,
             stream=streaming_graph,
         )

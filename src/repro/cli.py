@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="online inference serving over a request trace",
         description="Trains a model (--epochs, default 1), then serves a "
-        "request trace through the micro-batching ServingEngine and "
+        "request trace through the micro-batching server (a "
+        "ServingCluster; one replica unless --replicas says more) and "
         "reports p50/p95/p99 latency, throughput and a deterministic "
         "logits digest.  Without --requests, a synthetic trace of "
         "--synthetic requests against the test split is generated.",
@@ -200,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="embedding-cache budget for hot penultimate-layer "
                      "rows (default 0 = off)")
     srv.add_argument("--replicas", type=int, default=None,
-                     help="serving fleet size, default 1 (>1 builds a "
-                     "routed ServingCluster)")
+                     help="serving fleet size, default 1 (one server)")
     srv.add_argument("--router", default=None,
                      choices=["direct", "round_robin", "consistent_hash"],
                      help="fleet routing policy, default direct")
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving under live edge churn (delta-CSR + invalidation)",
         description="Trains a model (--epochs, default 1), then serves a "
         "synthetic request trace interleaved with edge insert/delete "
-        "batches through the streaming ServingEngine: updates land in a "
+        "batches through the same server over a streaming graph: updates "
+        "broadcast to every replica, land in a "
         "delta-CSR overlay, compact at --compaction-threshold (parity "
         "with a from-scratch rebuild asserted), and invalidate the dirty "
         "vertices' cached embeddings.  Reports latency, update/compaction "
@@ -540,16 +541,13 @@ def _cmd_serve(args) -> int:
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
-        # — when anything forces the fleet path (including --workers) —
         # the effective replica/router/worker config with the kernel.
         print(f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
               f"{cfg.sampler}, kernel {cfg.kernel}, "
               f"serve_batch_size={cfg.serve_batch_size}, "
               f"serve_max_wait={cfg.serve_max_wait}, "
               f"embed_budget={cfg.embed_budget:.0f}")
-        fleet_line = _fleet_banner(cfg)
-        if fleet_line is not None:
-            print(fleet_line)
+        print(_fleet_banner(cfg))
         engine.train(cfg.epochs)
         server = engine.serving()
         if args.requests is not None:
@@ -573,7 +571,7 @@ def _cmd_serve(args) -> int:
     if report.cache_stats is not None:
         line += f"  embed-cache hit-rate: {report.cache_stats.hit_rate:.2%}"
     print(line)
-    if report.per_replica:
+    if len(report.per_replica) > 1:
         spread = "  ".join(
             f"r{rid}:{n}" for rid, n in sorted(report.per_replica.items())
         )
@@ -592,22 +590,8 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _fleet_banner(cfg) -> str | None:
-    """The serve/stream fleet banner, or None for a single-server run.
-
-    Mirrors Engine.serving's fleet auto-detection, so the banner prints
-    exactly when a ServingCluster will be built — including when --workers
-    alone forces the fleet path.
-    """
-    fleet = (
-        cfg.replicas > 1
-        or cfg.router != "direct"
-        or cfg.shed_policy != "none"
-        or cfg.slo_p99 > 0
-        or cfg.workers > 0
-    )
-    if not fleet:
-        return None
+def _fleet_banner(cfg) -> str:
+    """The serve/stream banner line describing the server's fleet shape."""
     line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
             f"shed_policy {cfg.shed_policy}, workers {cfg.workers}, "
             f"kernel {cfg.kernel}")
@@ -637,9 +621,7 @@ def _cmd_stream(args) -> int:
               f"serve_batch_size={cfg.serve_batch_size}, "
               f"embed_budget={cfg.embed_budget:.0f}, "
               f"compaction_threshold={cfg.compaction_threshold}")
-        fleet_line = _fleet_banner(cfg)
-        if fleet_line is not None:
-            print(fleet_line)
+        print(_fleet_banner(cfg))
         engine.train(cfg.epochs)
         server = engine.serving()
         pool = engine.graph.test_idx

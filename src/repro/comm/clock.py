@@ -12,7 +12,6 @@ the stacked-bar breakdowns of the paper's Figures 4, 6 and 7.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -29,9 +28,7 @@ class SimClock:
         self._time = [0.0] * world_size
         # (phase, kind) -> per-rank accumulated seconds; kind is
         # "compute" or "comm" so Figure 7's comm/comp split falls out.
-        self._phase_time: dict[tuple[str, str], list[float]] = defaultdict(
-            lambda: [0.0] * world_size
-        )
+        self._phase_time: dict[tuple[str, str], list[float]] = {}
         self._phase_stack: list[str] = []
 
     # -------------------------------------------------------------- #
@@ -60,7 +57,15 @@ class SimClock:
         if kind not in ("compute", "comm"):
             raise ValueError(f"kind must be 'compute' or 'comm', got {kind!r}")
         self._time[rank] += dt
-        self._phase_time[(self.current_phase, kind)][rank] += dt
+        self._slot((self.current_phase, kind))[rank] += dt
+
+    def _slot(self, key: tuple[str, str]) -> list[float]:
+        """Per-rank seconds of one (phase, kind), created on first use (a
+        plain dict, so a clock pickles across a worker pipe)."""
+        slot = self._phase_time.get(key)
+        if slot is None:
+            slot = self._phase_time[key] = [0.0] * self.world_size
+        return slot
 
     def barrier(self, ranks: Sequence[int] | None = None) -> float:
         """Synchronize ranks to the maximum clock among them; returns it."""
@@ -128,7 +133,7 @@ class SimClock:
             for r in range(c.world_size):
                 merged._time[offset + r] = c._time[r]
             for key, per_rank in c._phase_time.items():
-                slot = merged._phase_time[key]
+                slot = merged._slot(key)
                 for r, dt in enumerate(per_rank):
                     slot[offset + r] = dt
             offset += c.world_size

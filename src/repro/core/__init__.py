@@ -13,7 +13,6 @@ from .bulk import (
     stack_batches,
 )
 from .compile import (
-    ProbCache,
     eliminate_dead_steps,
     fuse_prob_norm,
     fuse_sample_extract,
@@ -56,7 +55,6 @@ __all__ = [
     "LocalExecutor",
     "FusedProbNormStep",
     "FusedSampleExtractStep",
-    "ProbCache",
     "eliminate_dead_steps",
     "fuse_prob_norm",
     "fuse_sample_extract",

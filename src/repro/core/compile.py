@@ -20,10 +20,6 @@ output bit:
   SAMPLE's selection as a mask over ``P`` whether or not the pair is fused
   (:mod:`repro.core.plan`, "Mask dataflow"), so this saves no work — it
   makes the pair one step, which the cost model counts as one launch.
-* :class:`ProbCache` — memoize probability matrices across bulk calls that
-  share a frontier (serving micro-batches hitting the same targets,
-  FastGCN's batch-independent global importance row); consulted by the
-  local executor's PROB.
 
 Executors accept optimized and unoptimized plans alike, so each pass is
 tested differentially: ``tests/test_compile_differential.py`` runs
@@ -34,7 +30,6 @@ asserting byte-equal samples.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 from .plan import (
@@ -55,7 +50,6 @@ __all__ = [
     "fuse_sample_extract",
     "optimize",
     "DEFAULT_PASSES",
-    "ProbCache",
 ]
 
 
@@ -189,69 +183,3 @@ def optimize(
     for pass_fn in passes:
         plan = pass_fn(plan)
     return plan
-
-
-# ---------------------------------------------------------------------- #
-# Probability-matrix reuse across bulks
-# ---------------------------------------------------------------------- #
-class ProbCache:
-    """LRU cache of probability matrices keyed by frontier identity.
-
-    PROB (and fused PROB+NORM) output is a pure function of the adjacency,
-    the sampler, and the per-batch destination lists — no randomness — so
-    bulk calls sharing a frontier (serving micro-batches re-requesting the
-    same targets, FastGCN's batch-count-only global importance stack) can
-    reuse the exact matrix object.  Cached matrices are never mutated by
-    the executor (in-place normalization happens only on freshly computed
-    products, before insertion), so a hit restores bit-identical state.
-
-    The cache must be invalidated when the adjacency changes; keys embed
-    ``(id(adj), adj.nnz)`` as a cheap guard, and
-    :meth:`ServingEngine.apply_update <repro.serve.engine.ServingEngine.apply_update>`
-    calls :meth:`clear` on every graph update.
-    """
-
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._store: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get(self, key):
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    def publish(self, registry, **labels) -> None:
-        """Copy the hit/miss counters into a metrics registry
-        (:mod:`repro.obs.metrics`) under ``prob_cache_*`` names."""
-        registry.counter(
-            "prob_cache_hits_total",
-            "probability-matrix cache hits", **labels,
-        ).set(self.hits)
-        registry.counter(
-            "prob_cache_misses_total",
-            "probability-matrix cache misses", **labels,
-        ).set(self.misses)
-        registry.gauge(
-            "prob_cache_entries",
-            "probability matrices currently cached", **labels,
-        ).set(len(self._store))

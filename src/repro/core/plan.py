@@ -548,9 +548,7 @@ class LocalExecutor:
     historical loops exactly — a single generator is consumed across the
     whole stacked bulk, per-batch generators draw per row block — so
     fixed-seed output is bit-identical to the pre-IR implementations
-    (pinned by the golden digest suite).  ``prob_cache`` (a
-    :class:`~repro.core.compile.ProbCache`) lets PROB reuse a probability
-    matrix an earlier bulk computed for the same frontier.
+    (pinned by the golden digest suite).
     """
 
     def __init__(
@@ -560,8 +558,6 @@ class LocalExecutor:
         batches: Sequence[np.ndarray],
         rng,
         spgemm_fn: "SpGEMMFn",
-        *,
-        prob_cache=None,
     ) -> None:
         self.sampler = sampler
         self.adj = adj
@@ -570,7 +566,6 @@ class LocalExecutor:
         self.k = len(self.batches)
         self.rng = rng
         self.spgemm = spgemm_fn
-        self.prob_cache = prob_cache
         # Frontier state: per-batch destination lists, batch-outward layers.
         self.dst_lists: list[np.ndarray] = [b for b in self.batches]
         self.layers_rev: list[list[LayerSample]] = [[] for _ in range(self.k)]
@@ -616,51 +611,15 @@ class LocalExecutor:
             self._extract(step)
 
     # ------------------------------------------------------------------ #
-    # PROB (+ in-place NORM), through the probability cache
+    # PROB (+ in-place NORM)
     # ------------------------------------------------------------------ #
     def _prob(self, step: ProbStep, *, normalize: bool) -> None:
-        cache, key = self.prob_cache, None
-        if cache is not None:
-            key = self._cache_key(step.source, normalize)
-            hit = cache.get(key)
-            if hit is not None:
-                self.p, self.bounds, frontier = hit
-                if step.source == "frontier":
-                    # A pure function of the key for this source; other
-                    # sources leave the walk frontier untouched.
-                    self.frontier = frontier
-                return
-        self._compute_prob(step.source)
-        if normalize:
-            # Fresh product (or fresh stack of the importance row): ours
-            # to overwrite, and not yet visible to the cache.
-            self.p = self.sampler.norm_inplace(self.p)
-        if cache is not None:
-            cache.put(key, (self.p, self.bounds, self.frontier))
-
-    def _cache_key(self, source: str, normalized: bool):
-        if source == "global":
-            # The global importance stack depends only on the batch count.
-            ident = self.k
-        else:
-            ident = tuple(d.tobytes() for d in self.dst_lists)
-        return (
-            id(self.sampler),
-            type(self.sampler).__qualname__,
-            source,
-            normalized,
-            id(self.adj),
-            self.adj.nnz,
-            ident,
-        )
-
-    def _compute_prob(self, source: str) -> None:
-        if source == "frontier":
+        if step.source == "frontier":
             self.frontier = np.concatenate(self.dst_lists)
             self.bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
             q = self.sampler.make_q(self.frontier, self.n)
             self.p = self.spgemm(q, self.adj)
-        elif source == "indicator":
+        elif step.source == "indicator":
             self.bounds = np.arange(self.k + 1)
             q = self.sampler.make_q(self.dst_lists, self.n)
             self.p = self.spgemm(q, self.adj)
@@ -669,6 +628,10 @@ class LocalExecutor:
                 self.importance = self.sampler.importance_row(self.adj)
             self.bounds = np.arange(self.k + 1)
             self.p = vstack([self.importance] * self.k)
+        if normalize:
+            # Fresh product (or fresh stack of the importance row): ours
+            # to overwrite.
+            self.p = self.sampler.norm_inplace(self.p)
 
     # ------------------------------------------------------------------ #
     # SAMPLE

@@ -232,7 +232,6 @@ class MatrixSampler(ABC):
         rng: RngSpec,
         *,
         spgemm_fn: SpGEMMFn | None = None,
-        prob_cache=None,
     ) -> list[MinibatchSample]:
         """Sample ``len(batches)`` minibatches in one bulk pass.
 
@@ -248,9 +247,7 @@ class MatrixSampler(ABC):
         The default implementation emits :meth:`plan`, optimizes it
         (:func:`repro.core.compile.optimize`) and runs it on the
         single-device :class:`~repro.core.plan.LocalExecutor`; samplers
-        without a plan must override this method instead.  ``prob_cache``
-        (a :class:`~repro.core.compile.ProbCache`) reuses probability
-        matrices across bulk calls sharing a frontier.
+        without a plan must override this method instead.
         """
         spgemm = self._resolve_spgemm(spgemm_fn)
         self._validate(adj, batches, fanout)
@@ -262,9 +259,7 @@ class MatrixSampler(ABC):
                 f"override sample_bulk()"
             )
         rng = self._normalize_rng(rng, len(batches))
-        executor = LocalExecutor(
-            self, adj, batches, rng, spgemm, prob_cache=prob_cache
-        )
+        executor = LocalExecutor(self, adj, batches, rng, spgemm)
         return executor.run(optimize(program))
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,10 @@
 """Parallel serving fleet: each replica's timeline in its own process.
 
 The serial :meth:`~repro.serve.cluster.ServingCluster.process` loop is an
-earliest-``(t, rid)`` merge of per-replica timelines.  When three
+earliest-``(t, rid)`` merge of per-replica timelines.  When four
 conditions hold, that merge *decomposes exactly* into independent
-per-replica runs:
+per-replica runs — each is a coupling the decomposition cannot reproduce,
+not a missing feature:
 
 * **No autoscaler** (``slo_p99 == 0``): replica membership is fixed, so
   no global evaluation point couples the timelines.
@@ -13,16 +14,21 @@ per-replica runs:
   they run in the parent, before any serving.
 * **Exact mode**: logits consume no randomness and depend only on the
   requested vertices and the graph state at dispatch, so the global
-  batch-index RNG key is metadata, not math.
+  batch-index RNG key is metadata, not math (sampled logits draw from
+  that key, which no worker knows).
+* **Fresh replicas**: worker replicas are built cold, so embedding rows
+  cached by an earlier run of the same cluster would change hit counts
+  and phase seconds (never logits).
 
-Under those conditions each worker replays its replica's full timeline —
-micro-batch dispatch, deadline shedding, streaming-update absorption at
+Under those conditions each worker runs the cluster's own control loop
+(:func:`repro.serve.cluster._serve_loop`) over its one replica — micro-
+batch dispatch, deadline shedding, streaming-update absorption at
 ``max(free, update.at)``, embedding-cache fills — against zero-copy
-shared-memory graph/feature views, and returns results, clock state and
+shared-memory graph/feature views, and returns results, clock and
 counters.  The parent reassembles the global order (dispatches sort by
 ``(t, rid)``, exactly the serial merge order), renumbers batch indices,
 replays the updates once on its own stream for final graph state, and
-emits the same :class:`~repro.serve.engine.ServeReport` the serial loop
+emits the same :class:`~repro.serve.report.ServeReport` the serial loop
 would.  Digest bit-identity at every worker count is pinned in
 ``tests/test_fleet_parallel.py``.
 
@@ -34,39 +40,14 @@ semantics.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any
-
-from ..comm.clock import SimClock
-from ..obs.trace import get_tracer
+from functools import partial
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..serve.cluster import ServingCluster
-    from ..serve.engine import ServeReport
+    from ..serve.report import ServeReport
 
-__all__ = ["process_parallel", "clock_state", "restore_clock"]
-
-
-# ---------------------------------------------------------------------- #
-# SimClock (de)serialization — the defaultdict inside SimClock holds a
-# lambda, so clocks cannot cross a pipe directly.
-# ---------------------------------------------------------------------- #
-def clock_state(clock: SimClock) -> tuple:
-    """A picklable snapshot of one clock's time and phase accounting."""
-    return (
-        clock.world_size,
-        list(clock._time),
-        {key: list(per_rank) for key, per_rank in clock._phase_time.items()},
-    )
-
-
-def restore_clock(state: tuple) -> SimClock:
-    """Rebuild a :class:`SimClock` from :func:`clock_state`."""
-    world_size, times, phase_time = state
-    clock = SimClock(world_size)
-    clock._time = list(times)
-    for key, per_rank in phase_time.items():
-        clock._phase_time[key] = list(per_rank)
-    return clock
+__all__ = ["process_parallel"]
 
 
 # ---------------------------------------------------------------------- #
@@ -76,75 +57,33 @@ def _serve_replica_task(adj, features, payload: dict) -> dict:
     """Run one replica's whole serving timeline in a pool worker.
 
     ``adj``/``features`` are the worker's shared-memory views; the payload
-    carries the replica id, its admitted requests in submission order, the
-    full update stream, the model and the config.  Mirrors the serial
-    loop's per-replica decisions exactly (see module docstring).
+    carries the replica id, its queue of parent-routed requests, the full
+    update stream, the model, the config and the admission controller.
+    The timeline is the cluster's own control loop over this one replica —
+    no router (the parent routed), no autoscaler (refused).
     """
     from ..graphs import Graph
-    from ..serve.admission import AdmissionController
+    from ..serve.cluster import _apply_update, _serve_loop
     from ..serve.replica import Replica
+    from ..stream.graph import StreamingGraph
 
     config = payload["config"]
     graph = Graph(name=payload["graph_name"], adj=adj, features=features)
     updates = payload["updates"]
-    stream = None
-    if updates:
-        from ..stream.graph import StreamingGraph
-
-        stream = StreamingGraph(
-            graph,
-            compaction_threshold=getattr(config, "compaction_threshold", 0.25),
-        )
-    rep = Replica(config=config, model=payload["model"], graph=graph,
-                  fanout=None, rid=payload["rid"])
-    admission = AdmissionController(
-        getattr(config, "shed_policy", "none"),
-        queue_depth=getattr(config, "shed_queue_depth", 64),
-        deadline=getattr(config, "shed_deadline", 0.0),
+    stream = (
+        StreamingGraph(graph, compaction_threshold=config.compaction_threshold)
+        if updates
+        else None
     )
-    for req in payload["requests"]:
-        rep.queue.push(req)
-
-    results: list[list] = []
-    dispatch_times: list[float] = []
-    next_update = 0
-    local_index = 0
-
-    def absorb(update) -> None:
-        result = stream.apply(update)
-        at = max(rep.free, update.at)
-        rep.free = at + rep.absorb_update(result, at=at)
-
-    while True:
-        dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
-        if dispatch is None:
-            if next_update < len(updates):
-                absorb(updates[next_update])
-                next_update += 1
-                continue
-            break
-        t, batch = dispatch
-        if next_update < len(updates) and updates[next_update].at <= t:
-            rep.queue.pending = batch + rep.queue.pending
-            absorb(updates[next_update])
-            next_update += 1
-            continue
-        batch = admission.filter_batch(rep, batch, t)
-        if not batch:
-            continue
-        batch_results = rep.serve_batch(batch, t, local_index)
-        rep.free = batch_results[0].completed
-        rep.batches += 1
-        rep.served += len(batch_results)
-        results.append(batch_results)
-        dispatch_times.append(t)
-        local_index += 1
-
+    rep = Replica(payload["model"], graph, config, rid=payload["rid"])
+    rep.queue = payload["queue"]
+    results, _, _ = _serve_loop(
+        [rep], payload["admission"], updates,
+        partial(_apply_update, stream, [rep]), lambda result: None,
+    )
     return {
-        "rid": payload["rid"],
         "results": results,
-        "dispatch_times": dispatch_times,
-        "clock": clock_state(rep.clock),
+        "clock": rep.clock,
         "stats": rep.stats,
         "batches": rep.batches,
         "served": rep.served,
@@ -183,52 +122,21 @@ def process_parallel(
              "must start from fresh replicas: a reused cluster carries warm "
              "embedding caches the cold worker replicas would diverge from")
 
-    for rep in cluster.replicas:
-        rep.reset()
-    cluster.router.rebalance([rep.rid for rep in cluster.replicas])
-    updates = list(workload.updates()) if hasattr(workload, "updates") else []
-    if updates and cluster.stream is None:
-        raise ValueError(
-            "workload interleaves edge updates but this cluster serves "
-            "a frozen graph; build it over a StreamingGraph "
-            "(RunConfig(stream_updates=True))"
-        )
-
-    # Routing + queue-depth admission in submission order (parent side) —
-    # identical to the serial loop because every request is submitted
-    # before any serving starts in an open-loop run.
-    by_rid = cluster._by_rid()
-    assigned: dict[int, list] = {rep.rid: [] for rep in cluster.replicas}
-    tracer = get_tracer()
-    for req in workload.initial():
-        rid = cluster.router.route(req)
-        rep = by_rid[rid]
-        admitted = cluster.admission.admit(rep, req)
-        if tracer is not None:
-            # Identical to ServingCluster._submit's route instant, so the
-            # router track matches the serial run event for event.
-            tracer.instant(
-                "route", t=req.arrival, cat="router", track="router",
-                args={
-                    "req": int(req.rid),
-                    "replica": int(rid),
-                    "admitted": bool(admitted),
-                },
-            )
-        if admitted:
-            rep.queue.push(req)
-            assigned[rep.rid].append(req)
-
+    # Routing + queue-depth admission happen here, in submission order —
+    # identical to the serial run because an open-loop workload submits
+    # everything before any serving starts.  Each worker gets its queue.
+    updates = cluster._begin(workload)
     shared_graph = SharedGraph.publish(cluster.graph.adj)
     shared_features = SharedFeatures.publish(cluster.graph.features)
     payloads = [
         {
             "rid": rep.rid,
             "graph_name": cluster.graph.name,
-            "requests": assigned[rep.rid],
+            "queue": rep.queue,
             "updates": updates,
             "model": cluster.model,
             "config": cluster.config,
+            "admission": cluster.admission,
         }
         for rep in cluster.replicas
     ]
@@ -236,7 +144,10 @@ def process_parallel(
         min(int(workers), len(cluster.replicas)), shared_graph, shared_features
     )
     try:
-        outcomes = pool.run(_serve_replica_task, payloads)
+        # One outcome per payload, in payload (= replica) order.
+        outcomes = list(
+            zip(cluster.replicas, pool.run(_serve_replica_task, payloads))
+        )
     finally:
         pool.shutdown()
         shared_graph.release()
@@ -244,31 +155,27 @@ def process_parallel(
 
     # Global dispatch order = the serial merge order: each replica's
     # dispatch times increase, and the serial loop always takes the
-    # earliest (t, rid) — a k-way merge of sorted streams.
-    schedule: list[tuple[float, int, int]] = []
-    for outcome in outcomes:
-        for local_index, t in enumerate(outcome["dispatch_times"]):
-            schedule.append((t, outcome["rid"], local_index))
-    schedule.sort()
+    # earliest (t, rid) — a k-way merge of sorted streams.  Workers
+    # numbered their batches locally; renumber along that order.
+    schedule = sorted({
+        (r.dispatched, rep.rid, r.batch_index)
+        for rep, outcome in outcomes
+        for r in outcome["results"]
+    })
     renumber = {
         (rid, local): global_index
         for global_index, (_, rid, local) in enumerate(schedule)
     }
-    results = []
-    for outcome in outcomes:
-        rid = outcome["rid"]
-        for local_index, batch_results in enumerate(outcome["results"]):
-            global_index = renumber[(rid, local_index)]
-            results.extend(
-                dataclasses.replace(r, batch_index=global_index)
-                for r in batch_results
-            )
+    results = [
+        dataclasses.replace(r, batch_index=renumber[(rep.rid, r.batch_index)])
+        for rep, outcome in outcomes
+        for r in outcome["results"]
+    ]
 
     # Merge worker state back onto the parent replicas so _report (and any
     # later inspection) sees the same fleet the serial loop would leave.
-    for outcome in outcomes:
-        rep = by_rid[outcome["rid"]]
-        rep.clock = restore_clock(outcome["clock"])
+    for rep, outcome in outcomes:
+        rep.clock = outcome["clock"]
         for f in dataclasses.fields(ServeStats):
             setattr(rep.stats, f.name,
                     getattr(rep.stats, f.name) + getattr(outcome["stats"], f.name))
@@ -283,6 +190,5 @@ def process_parallel(
     for update in updates:
         cluster.stream.apply(update)
 
-    results.sort(key=lambda r: r.request.rid)
     trace = [(0.0, len(cluster.replicas))]
     return cluster._report(results, len(schedule), updates, trace)

@@ -19,19 +19,20 @@ Quickstart::
     )
     print(report.latency_summary(), report.throughput)
 
-Fleet serving (N replicas, routed, SLO-autoscaled) layers a
-:class:`ServingCluster` over the same :class:`Replica` core::
+``server`` is a :class:`ServingCluster` — the only server: one control
+loop over ``config.replicas`` :class:`Replica`\\ s, so the single server
+above is the N = 1 fleet and a routed, SLO-autoscaled one is a config away::
 
     cfg = RunConfig(..., replicas=4, router="consistent_hash", slo_p99=2e-4)
-    fleet = Engine(cfg).serving()        # a ServingCluster now
+    fleet = Engine(cfg).serving()
     report = fleet.process(ClosedLoopWorkload(4096, targets, clients=64))
 """
 
 from .admission import AdmissionController, SHED_POLICIES
 from .cache import EmbeddingCache, ServeStats
 from .cluster import Autoscaler, ServingCluster
-from .engine import ServeReport, ServingEngine
 from .replica import Replica
+from .report import ServeReport
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
 from .router import (
     ConsistentHashRouter,
@@ -50,7 +51,6 @@ __all__ = [
     "MicroBatcher",
     "EmbeddingCache",
     "ServeStats",
-    "ServingEngine",
     "ServeReport",
     "Replica",
     "Router",

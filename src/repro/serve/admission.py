@@ -12,11 +12,10 @@ refusing work it can tell will be wasted.  Two orthogonal checks:
   dispatches is shed at *dispatch* time: serving it would burn replica
   time on an answer the client has given up on.
 
-``shed_policy="none"`` admits everything (the default, and the setting
-under which an N=1 fleet is bit-identical to the single-server engine).
+``shed_policy="none"`` admits everything (the default).
 Shed counts accumulate in each replica's
 :class:`~repro.serve.cache.ServeStats` (``stats.shed``) and surface in the
-fleet's :class:`~repro.serve.engine.ServeReport`.
+run's :class:`~repro.serve.report.ServeReport`.
 """
 
 from __future__ import annotations

@@ -1,41 +1,63 @@
-"""The serving fleet: N replicas, a router, admission control, autoscaling.
+"""The server: N replicas behind a router, one control loop.
 
-:class:`ServingCluster` is the multi-replica control loop over the same
-:class:`~repro.serve.replica.Replica` core the single-server
-:class:`~repro.serve.engine.ServingEngine` drives.  The moving parts:
+:class:`ServingCluster` turns the repo's *offline* bulk-sampling machinery
+into an online service, and it is the only server there is: the paper's
+Graph Replicated algorithm replayed at serving time, where every replica
+holds the whole topology and samples its micro-batch with one bulk plan
+and no communication — so a single server is nothing but the N = 1 fleet
+(``replicas=1``, the ``direct`` router, no shedding), not a second code
+path.  Concurrent :class:`~repro.serve.request.InferenceRequest`\\ s are
+coalesced per replica by a :class:`~repro.serve.request.MicroBatcher`, the
+micro-batch's deduplicated targets are sampled through the sampling-plan
+IR (:mod:`repro.core.plan`, the same executor training uses), and the
+:class:`~repro.gnn.GNNModel` produces one logits row per target: one
+micro-batch costs one plan's worth of kernel launches however many
+requests share it.  The moving parts:
 
 * a :class:`~repro.serve.router.Router` policy assigns each request to a
   replica at submit time;
 * an :class:`~repro.serve.admission.AdmissionController` may shed requests
   (queue-depth at submit, deadline at dispatch) — sheds are counted per
   replica and surfaced in the report;
-* every replica runs its own :class:`~repro.serve.request.MicroBatcher`
-  over its own queue; the cluster repeatedly picks the earliest dispatch
-  across live replicas, so the fleet timeline is a deterministic merge of
-  per-replica timelines;
-* streaming updates broadcast: the delta-log merge happens once on the
-  shared :class:`~repro.stream.StreamingGraph`, then *every* replica
-  absorbs it (fanout refresh, ProbCache clear, dirty-vertex
-  EmbeddingCache invalidation) on its own clock;
+* every :class:`~repro.serve.replica.Replica` owns its compute, caches,
+  clock, batcher and queue; :func:`_serve_loop` — the one dispatch →
+  update-preempt → serve → ``on_complete`` loop, also what each worker of
+  the parallel path (:mod:`repro.parallel.fleet`) runs over its one
+  replica — repeatedly picks the earliest dispatch across live replicas,
+  so the fleet timeline is a deterministic merge of per-replica timelines;
+* streaming updates (a workload with ``updates()``, or
+  :meth:`ServingCluster.apply_update` directly) broadcast: the delta-log
+  merge happens once on the shared :class:`~repro.stream.StreamingGraph`,
+  then *every* replica absorbs it (fanout refresh, dirty-vertex
+  EmbeddingCache invalidation) on its own clock under ``graph_update``,
+  so every request is served on the graph as of its dispatch time;
 * an optional :class:`Autoscaler` (enabled by ``slo_p99 > 0``) evaluates
   the p99 of each fixed interval on the simulated clock and steps the
   live replica count up when the SLO is violated, down (with hysteresis)
   when there is ample headroom — MLSYSIM-style first-principles modeling:
   all of it on simulated time, so scaling decisions replay identically.
 
-**Exactness.** Replicas serve exact logits (``fanout=None``), so *which*
-replica serves a request never changes its bits — routing, shedding and
-scaling only move latency and throughput.  With ``replicas=1``, the
-``direct`` router, and ``shed_policy="none"``, the cluster's dispatch
-sequence degenerates to the single-server engine's and the run is
-bit-identical to :class:`ServingEngine` (pinned by tests against the
-pre-fleet golden digests).
+**Modes.** *Exact* (default, ``fanout=None``): every hop keeps the full
+neighborhood, so served logits are **bit-identical** to
+:func:`~repro.pipeline.layerwise_inference` and *which* replica serves a
+request never changes its bits — routing, shedding, scaling and the
+:class:`~repro.serve.cache.EmbeddingCache` (``embed_budget``) only move
+latency and throughput.  *Sampled* (an explicit ``fanout``): micro-batches
+go through the configured sampler at that fanout — approximate logits,
+lower latency, no embedding cache.
+
+All time is simulated (roofline :class:`~repro.comm.cost_model.CostModel`
+on per-replica :class:`~repro.comm.clock.SimClock`\\ s), so admission,
+batching and p50/p95/p99 latency are exactly reproducible.  The N = 1 loop
+is held to the pre-fleet single-server loop, kept as an oracle in
+``tests/reference_serving_loop.py``, and to the golden digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,8 +68,8 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .admission import AdmissionController
 from .cache import ServeStats
-from .engine import ServeReport
 from .replica import Replica
+from .report import ServeReport
 from .request import InferenceRequest, InferenceResult
 from .router import make_router
 
@@ -99,13 +121,19 @@ class Autoscaler:
 
 
 class ServingCluster:
-    """Drive N replicas through a routed, admission-controlled workload.
+    """The server: N replicas behind a router and admission control.
 
-    ``config`` supplies the fleet knobs on top of the serving knobs:
+    ``config`` (a :class:`~repro.api.RunConfig`) supplies the per-replica
+    serving knobs (``serve_batch_size``, ``serve_max_wait``,
+    ``embed_budget``, kernel, machine model, seed) and the fleet knobs:
     ``replicas`` (initial fleet size), ``router`` (policy name),
-    ``shed_policy``/``shed_queue_depth``/``shed_deadline``, and the
-    autoscaler bounds ``slo_p99``/``autoscale_min``/``autoscale_max``/
-    ``autoscale_interval`` (``slo_p99=0`` disables autoscaling).
+    ``shed_policy``/``shed_queue_depth``/``shed_deadline``, the autoscaler
+    bounds ``slo_p99``/``autoscale_min``/``autoscale_max``/
+    ``autoscale_interval`` (``slo_p99=0`` disables autoscaling) and
+    ``workers``.  The defaults are a single server.  ``fanout=None``
+    serves exact logits; a per-layer tuple serves sampled ones.  ``stream``
+    is the :class:`~repro.stream.StreamingGraph` to serve over when the
+    graph takes edge updates.
     """
 
     def __init__(
@@ -124,29 +152,25 @@ class ServingCluster:
         self.stream = stream
         self.config = config
         self._fanout = tuple(int(s) for s in fanout) if fanout is not None else None
-        n_replicas = int(getattr(config, "replicas", 1))
-        if n_replicas <= 0:
-            raise ValueError(f"need at least one replica, got {n_replicas}")
         self.replicas: list[Replica] = [
-            self._new_replica(rid) for rid in range(n_replicas)
+            self._new_replica(rid) for rid in range(config.replicas)
         ]
         # Retired replicas keep contributing their clocks and shed counts
         # to the final report even after the autoscaler removes them.
         self.retired: list[Replica] = []
-        self.router = make_router(getattr(config, "router", "direct"), graph.n)
+        self.router = make_router(config.router, graph.n)
         self.admission = AdmissionController(
-            getattr(config, "shed_policy", "none"),
-            queue_depth=getattr(config, "shed_queue_depth", 64),
-            deadline=getattr(config, "shed_deadline", 0.0),
+            config.shed_policy,
+            queue_depth=config.shed_queue_depth,
+            deadline=config.shed_deadline,
         )
-        slo = float(getattr(config, "slo_p99", 0.0))
         self.autoscaler: Autoscaler | None = None
-        if slo > 0:
+        if config.slo_p99 > 0:
             self.autoscaler = Autoscaler(
-                slo,
-                min_replicas=int(getattr(config, "autoscale_min", 1)),
-                max_replicas=int(getattr(config, "autoscale_max", 8)),
-                interval=float(getattr(config, "autoscale_interval", 0.01)),
+                config.slo_p99,
+                min_replicas=config.autoscale_min,
+                max_replicas=config.autoscale_max,
+                interval=config.autoscale_interval,
             )
 
     def _new_replica(self, rid: int) -> Replica:
@@ -155,24 +179,20 @@ class ServingCluster:
 
     @property
     def exact(self) -> bool:
-        return self.replicas[0].exact if self.replicas else self._fanout is None
+        return self._fanout is None
 
     # ------------------------------------------------------------------ #
     # Request flow
     # ------------------------------------------------------------------ #
-    def _by_rid(self) -> dict[int, Replica]:
-        return {rep.rid: rep for rep in self.replicas}
-
     def _submit(self, request: InferenceRequest) -> None:
         rid = self.router.route(request)
-        rep = self._by_rid()[rid]
+        rep = next(rep for rep in self.replicas if rep.rid == rid)
         admitted = self.admission.admit(rep, request)
         tracer = get_tracer()
         if tracer is not None:
             # The flight recorder's first hop: the routing decision, keyed
             # by the request's rid (the same trace id the replica's async
-            # window carries).  Recorded identically by the parallel path's
-            # parent-side routing loop (repro.parallel.fleet).
+            # window carries).
             tracer.instant(
                 "route", t=request.arrival, cat="router", track="router",
                 args={
@@ -184,17 +204,25 @@ class ServingCluster:
         if admitted:
             rep.queue.push(request)
 
-    def _broadcast_update(self, batch) -> None:
-        """Apply one EdgeBatch to the shared graph, absorb on every replica.
+    def apply_update(self, batch, at: float | None = None) -> float:
+        """Apply one :class:`~repro.stream.EdgeBatch`; returns sim seconds.
 
-        The structural merge happens once; each replica then pays its own
-        absorb cost (and invalidates its own cached rows) and is busy for
-        that duration starting no earlier than the update's arrival.
+        The structural merge (delta log, maybe a compaction) happens once,
+        on the shared :class:`~repro.stream.StreamingGraph`; then every
+        live replica absorbs the result on its own clock under
+        ``graph_update`` — fanout refresh, invalidation of the cached
+        embeddings the change can reach — starting at ``max(its free time,
+        at)`` and busy until done.  ``at`` is the update's arrival on the
+        workload timeline (default: the batch's own stamp).  Returns the
+        slowest replica's absorb time.
         """
-        result = self.stream.apply(batch)
-        for rep in self.replicas:
-            at = max(rep.free, batch.at)
-            rep.free = at + rep.absorb_update(result, at=at)
+        if self.stream is None:
+            raise ValueError(
+                "this server serves a frozen graph; build it over a "
+                "StreamingGraph (Engine.serving with stream_updates=True) "
+                "to apply edge updates"
+            )
+        return _apply_update(self.stream, self.replicas, batch, at)
 
     def _autoscale_step(self, window: list[InferenceResult], now: float) -> None:
         """One autoscaler evaluation: maybe add or retire a replica."""
@@ -240,9 +268,8 @@ class ServingCluster:
     def serve(self, vertices: np.ndarray) -> np.ndarray:
         """One-shot serving (no queueing): logits aligned with ``vertices``.
 
-        Served by the lowest-id live replica with the same RNG stream the
-        single-server engine uses — in exact mode the answer is the same
-        from any replica.
+        Served by the lowest-id live replica — in exact mode the answer is
+        the same from any replica.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.unique(vertices)
@@ -254,29 +281,13 @@ class ServingCluster:
         return logits[np.searchsorted(targets, vertices)]
 
     # ------------------------------------------------------------------ #
-    # The fleet event loop
+    # Running a workload
     # ------------------------------------------------------------------ #
-    def process(self, workload) -> ServeReport:
-        """Run a workload to exhaustion across the fleet.
-
-        The loop repeatedly asks every live replica's batcher for its next
-        dispatch, picks the earliest ``(time, rid)``, and pushes the other
-        candidates back (each taken batch is its queue's oldest pending
-        work, so push-back preserves order).  Streaming updates due before
-        the chosen dispatch broadcast first; autoscaler evaluations due
-        before it run first.  Deterministic end to end: every decision is
-        a function of simulated times and ids.
-
-        With ``config.workers > 0`` the same run executes on real cores:
-        each replica's timeline runs in its own worker process over
-        shared-memory graph views (:mod:`repro.parallel.fleet`), with the
-        merge order — and therefore every digest — unchanged.
-        """
-        workers = int(getattr(self.config, "workers", 0))
-        if workers > 0:
-            from ..parallel.fleet import process_parallel
-
-            return process_parallel(self, workload, workers)
+    def _begin(self, workload) -> list:
+        """Start a run: per-run reset (clocks, counters and queues — cached
+        rows and LFU frequencies persist, like the feature cache across
+        epochs), then route and admit the workload's initial requests.
+        Returns the workload's edge updates (``[]`` for a read-only one)."""
         for rep in self.replicas:
             rep.reset()
         if self.autoscaler is not None and (
@@ -289,73 +300,49 @@ class ServingCluster:
         updates = list(workload.updates()) if hasattr(workload, "updates") else []
         if updates and self.stream is None:
             raise ValueError(
-                "workload interleaves edge updates but this cluster serves "
-                "a frozen graph; build it over a StreamingGraph "
-                "(RunConfig(stream_updates=True))"
+                "workload interleaves edge updates but this server serves "
+                "a frozen graph; build it with Engine.serving() under "
+                "RunConfig(stream_updates=True) (or pass a StreamingGraph)"
             )
         for req in workload.initial():
             self._submit(req)
-        results: list[InferenceResult] = []
-        window: list[InferenceResult] = []
-        scaler = self.autoscaler
-        next_eval = scaler.interval if scaler is not None else None
-        trace: list[tuple[float, int]] = [(0.0, len(self.replicas))]
-        batch_index = 0
-        next_update = 0
-        while True:
-            # One dispatch candidate per live replica; earliest (t, rid)
-            # wins, everyone else's batch goes back to the queue front.
-            candidates: list[tuple[float, Replica, list[InferenceRequest]]] = []
-            for rep in self.replicas:
-                dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
-                if dispatch is not None:
-                    candidates.append((dispatch[0], rep, dispatch[1]))
-            if not candidates:
-                if next_update < len(updates):
-                    # Requests drained first: apply the remaining churn.
-                    self._broadcast_update(updates[next_update])
-                    next_update += 1
-                    continue
-                break
-            t, rep, batch = min(candidates, key=lambda c: (c[0], c[1].rid))
+        return updates
 
-            def push_back() -> None:
-                for _, other, other_batch in candidates:
-                    other.queue.pending = other_batch + other.queue.pending
+    def process(self, workload) -> ServeReport:
+        """Run a workload to exhaustion under the micro-batching policy.
 
-            if next_update < len(updates) and updates[next_update].at <= t:
-                push_back()
-                self._broadcast_update(updates[next_update])
-                next_update += 1
-                continue
-            if next_eval is not None and t >= next_eval:
-                push_back()
-                self._autoscale_step(window, next_eval)
-                trace.append((next_eval, len(self.replicas)))
-                window = []
-                next_eval += scaler.interval
-                continue
-            for _, other, other_batch in candidates:
-                if other is not rep:
-                    other.queue.pending = other_batch + other.queue.pending
-            batch = self.admission.filter_batch(rep, batch, t)
-            if not batch:
-                continue
-            batch_results = rep.serve_batch(batch, t, batch_index)
-            rep.free = batch_results[0].completed
-            rep.batches += 1
-            rep.served += len(batch_results)
-            results.extend(batch_results)
-            if next_eval is not None:
-                window.extend(batch_results)
-            for result in batch_results:
-                for req in workload.on_complete(result):
-                    self._submit(req)
-            batch_index += 1
-        results.sort(key=lambda r: r.request.rid)
-        return self._report(results, batch_index, updates, trace)
+        ``workload`` provides ``initial() -> [requests]`` and
+        ``on_complete(result) -> [requests]`` (see
+        :mod:`repro.serve.workload`), and optionally ``updates() ->
+        [EdgeBatch]`` (:class:`~repro.stream.UpdateStream`).  Each call
+        reports only its own run.  Deterministic end to end: every decision
+        of :func:`_serve_loop` is a function of simulated times and ids.
+
+        With ``config.workers > 0`` the same run executes on real cores:
+        each replica's timeline runs in its own worker process over
+        shared-memory graph views (:mod:`repro.parallel.fleet`), with the
+        merge order — and therefore every digest — unchanged.
+        """
+        if self.config.workers > 0:
+            from ..parallel.fleet import process_parallel
+
+            return process_parallel(self, workload, self.config.workers)
+        updates = self._begin(workload)
+
+        def on_complete(result: InferenceResult) -> None:
+            for req in workload.on_complete(result):
+                self._submit(req)
+
+        results, batches, trace = _serve_loop(
+            self.replicas, self.admission, updates, self.apply_update,
+            on_complete,
+            interval=self.autoscaler.interval if self.autoscaler else math.inf,
+            rescale=self._autoscale_step,
+        )
+        return self._report(results, batches, updates, trace)
 
     def _report(self, results, batches, updates, trace) -> ServeReport:
+        results.sort(key=lambda r: r.request.rid)
         everyone = self.replicas + self.retired
         cache_stats: ServeStats | None = None
         if any(rep.cache is not None for rep in everyone):
@@ -397,5 +384,99 @@ class ServingCluster:
                     "serve_replica_requests_total",
                     "requests served per replica", replica=rep.rid,
                 ).set(rep.served)
-                rep.prob_cache.publish(registry, replica=rep.rid)
         return report
+
+
+# ---------------------------------------------------------------------- #
+# The control loop
+# ---------------------------------------------------------------------- #
+def _apply_update(stream, replicas, batch, at: float | None = None) -> float:
+    """Merge ``batch`` once on the shared graph, absorb it on every replica
+    (see :meth:`ServingCluster.apply_update`)."""
+    result = stream.apply(batch)
+    arrival = batch.at if at is None else at
+    slowest = 0.0
+    for rep in replicas:
+        start = max(rep.free, arrival)
+        spent = rep.absorb_update(result, at=start)
+        rep.free = start + spent
+        slowest = max(slowest, spent)
+    return slowest
+
+
+def _serve_loop(
+    replicas: list[Replica],
+    admission: AdmissionController,
+    updates: Sequence,
+    apply_update: Callable[[object], float],
+    on_complete: Callable[[InferenceResult], None],
+    *,
+    interval: float = math.inf,
+    rescale: Callable[[list[InferenceResult], float], None] | None = None,
+) -> tuple[list[InferenceResult], int, list[tuple[float, int]]]:
+    """Drain the replicas' queues: dispatch -> update-preempt -> serve.
+
+    Every live replica's batcher proposes its next dispatch; the earliest
+    ``(time, rid)`` wins and the other candidates go back to the front of
+    their queues (each taken batch is its queue's oldest pending work, so
+    push-back preserves order).  An update whose arrival precedes the
+    winning dispatch is applied first — the replicas are busy for its
+    simulated duration and the decision is re-taken afterwards (more
+    arrivals may have joined the batch); once requests drain, the remaining
+    updates apply in order.  Likewise an autoscaler evaluation due by then
+    (``rescale(window, now)`` every ``interval`` seconds; it may grow or
+    shrink ``replicas`` in place) runs first.  The winner's batch passes
+    the deadline filter, is served, and ``on_complete`` sees each result —
+    the hook through which closed-loop clients submit their next request.
+
+    Returns the results in dispatch order, the micro-batch count and the
+    ``[(sim_time, n_replicas)]`` trace.
+    """
+    results: list[InferenceResult] = []
+    window: list[InferenceResult] = []
+    trace = [(0.0, len(replicas))]
+    next_eval = interval
+    batch_index = 0
+    next_update = 0
+    while True:
+        candidates = []
+        for rep in replicas:
+            dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
+            if dispatch is not None:
+                candidates.append((dispatch[0], rep, dispatch[1]))
+        if not candidates and next_update == len(updates):
+            break
+        t, rep, batch = min(
+            candidates, key=lambda c: (c[0], c[1].rid),
+            default=(math.inf, None, None),
+        )
+        update_due = next_update < len(updates) and updates[next_update].at <= t
+        rescale_due = not update_due and t >= next_eval
+        winner = None if update_due or rescale_due else rep
+        for _, other, other_batch in candidates:
+            if other is not winner:
+                other.queue.pending = other_batch + other.queue.pending
+        if update_due:
+            apply_update(updates[next_update])
+            next_update += 1
+            continue
+        if rescale_due:
+            rescale(window, next_eval)
+            trace.append((next_eval, len(replicas)))
+            window = []
+            next_eval += interval
+            continue
+        batch = admission.filter_batch(rep, batch, t)
+        if not batch:
+            continue
+        batch_results = rep.serve_batch(batch, t, batch_index)
+        rep.free = batch_results[0].completed
+        rep.batches += 1
+        rep.served += len(batch_results)
+        results.extend(batch_results)
+        if interval < math.inf:
+            window.extend(batch_results)
+        for result in batch_results:
+            on_complete(result)
+        batch_index += 1
+    return results, batch_index, trace

@@ -1,23 +1,21 @@
 """Replica: one serving unit's compute core, caches, and clock.
 
 A :class:`Replica` is everything *one* server owns in a serving fleet: the
-sampler, the :class:`~repro.core.compile.ProbCache`, the
-:class:`~repro.serve.cache.EmbeddingCache`, a private
+sampler, the :class:`~repro.serve.cache.EmbeddingCache`, a private
 :class:`~repro.comm.clock.SimClock` / :class:`~repro.comm.cost_model.CostModel`
 pair for phase accounting, and the :class:`~repro.serve.request.MicroBatcher`
 plus :class:`~repro.serve.request.RequestQueue` the dispatch policy runs on.
-What it deliberately does **not** own is the control loop: a single-server
-:class:`~repro.serve.engine.ServingEngine` or a multi-replica
-:class:`~repro.serve.cluster.ServingCluster` drives one or many replicas
-through the same three verbs —
+What it deliberately does **not** own is the control loop: the
+:class:`~repro.serve.cluster.ServingCluster` drives its one or many
+replicas through three verbs —
 
 * :meth:`serve_batch` — compute logits for one dispatched micro-batch,
   charging the replica's own clock;
 * :meth:`logits_for` — the underlying cached/exact/sampled forward path;
 * :meth:`absorb_update` — react to an applied graph update: refresh the
-  exact-mode fanout, drop stale probability matrices, and invalidate the
-  dirty vertices' cached embeddings (each replica invalidates *its own*
-  cache contents, which is what makes fleet-wide update broadcast cheap).
+  exact-mode fanout and invalidate the dirty vertices' cached embeddings
+  (each replica invalidates *its own* cache contents, which is what makes
+  fleet-wide update broadcast cheap).
 
 Exactness is a per-replica property: in exact mode (``fanout=None``) the
 logits a replica serves are bit-identical to layer-wise inference and do
@@ -33,7 +31,7 @@ import numpy as np
 
 from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
-from ..core.compile import ProbCache, optimize
+from ..core.compile import optimize
 from ..core.sage_sampler import SageSampler
 from ..gnn.model import GNNModel
 from ..graphs import Graph
@@ -110,9 +108,9 @@ class Replica:
                 config.sampler, graph=graph, for_training=True,
                 kernel=config.kernel,
             )
-        # Probability matrices are reusable across micro-batches that
-        # share a frontier.
-        self.prob_cache = ProbCache()
+        # benchmarks/e2e reads this attribute off every replica (and
+        # filters None); nothing else does.
+        self.prob_cache = None
         self.cache: EmbeddingCache | None = None
         if self.exact and n_layers > 1 and config.embed_budget > 0:
             self.cache = EmbeddingCache(
@@ -209,9 +207,6 @@ class Replica:
                 )
             if self.exact:
                 self.fanout = self._full_fanout()
-            # Cached probability matrices were computed on the old
-            # adjacency; every one of them is stale now.
-            self.prob_cache.clear()
             if self.cache is not None and result.dirty_rows.size:
                 stale = dirty_closure(
                     self.graph.adj, result.dirty_rows, self.model.n_layers - 2
@@ -232,9 +227,7 @@ class Replica:
     # ------------------------------------------------------------------ #
     def _sample_bulk(self, batches, fanout, rng):
         """The replica's one bulk-sampling call site."""
-        return self.sampler.sample_bulk(
-            self.graph.adj, batches, fanout, rng, prob_cache=self.prob_cache
-        )
+        return self.sampler.sample_bulk(self.graph.adj, batches, fanout, rng)
 
     def _charge_sampling(self, layers) -> None:
         """One plan execution: fixed kernel launches + size-scaled work.
@@ -356,8 +349,8 @@ class Replica:
         """Serve one micro-batch; returns one result per member request.
 
         The per-batch RNG stream is keyed by ``(seed, batch_index)`` only —
-        not the replica id — which keeps a one-replica fleet bit-identical
-        to the pre-fleet engine.  In exact mode the logits do not consume
+        not the replica id — so sampled logits depend on the global
+        dispatch order alone.  In exact mode the logits do not consume
         randomness at all, so replicas sharing a stream cannot correlate.
         """
         targets = np.unique(np.concatenate([r.vertices for r in batch]))

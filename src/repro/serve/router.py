@@ -10,9 +10,8 @@ exactly reproducible.
 
 Three built-in policies:
 
-* ``direct`` — everything to the lowest-id live replica.  The degenerate
-  policy that makes an N=1 fleet bit-identical to the single-server
-  :class:`~repro.serve.engine.ServingEngine`.
+* ``direct`` — everything to the lowest-id live replica: the policy of
+  a single server (the N=1 fleet), and the default.
 * ``round_robin`` — cycle through live replicas in id order.  Best load
   spread, worst cache locality: a hot vertex's penultimate-layer row ends
   up cached on *every* replica.

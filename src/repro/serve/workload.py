@@ -1,6 +1,6 @@
-"""Request sources for the serving engine: traces and closed-loop clients.
+"""Request sources for the server: traces and closed-loop clients.
 
-A *workload* feeds :meth:`~repro.serve.engine.ServingEngine.process`:
+A *workload* feeds :meth:`~repro.serve.cluster.ServingCluster.process`:
 
 * :class:`TraceWorkload` — open loop: a fixed list of requests with
   pre-assigned arrival times (optionally loaded from / saved to JSON, the

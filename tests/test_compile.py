@@ -27,7 +27,6 @@ from repro.core import (
     batch_rng,
 )
 from repro.core.compile import (
-    ProbCache,
     eliminate_dead_steps,
     fuse_prob_norm,
     fuse_sample_extract,
@@ -374,86 +373,6 @@ def test_norm_inplace_matches_norm(sampler):
     assert np.array_equal(expected.indptr, got.indptr)
     assert np.array_equal(expected.indices, got.indices)
     assert np.array_equal(expected.data, got.data)
-
-
-# --------------------------------------------------------------------- #
-# ProbCache
-# --------------------------------------------------------------------- #
-def test_prob_cache_hits_across_bulks_sharing_frontier():
-    adj = _graph()
-    batches = _batches(adj)
-    sampler = SageSampler()
-    cache = ProbCache()
-    baseline = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7)
-    )
-    first = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7), prob_cache=cache
-    )
-    assert cache.misses > 0 and cache.hits == 0
-    misses_after_first = cache.misses
-    second = sampler.sample_bulk(
-        adj, batches, (5, 3), np.random.default_rng(7), prob_cache=cache
-    )
-    # Layer 0 shares the batch frontier across calls and must hit; deeper
-    # layers depend on sampled frontiers (same rng seed -> same frontier,
-    # so they hit too).
-    assert cache.hits > 0
-    assert cache.misses == misses_after_first
-    _layers_equal(baseline, first)
-    _layers_equal(baseline, second)
-
-
-def test_prob_cache_keyed_by_frontier_identity():
-    adj = _graph()
-    sampler = SageSampler()
-    cache = ProbCache()
-    b1 = _batches(adj, seed=1)
-    b2 = _batches(adj, seed=2)
-    sampler.sample_bulk(adj, b1, (4,), np.random.default_rng(0), prob_cache=cache)
-    assert cache.hits == 0
-    # A different frontier must not hit.
-    sampler.sample_bulk(adj, b2, (4,), np.random.default_rng(0), prob_cache=cache)
-    assert cache.hits == 0
-    # The same frontier (fresh arrays, same values) must hit.
-    b1_copy = [b.copy() for b in b1]
-    sampler.sample_bulk(
-        adj, b1_copy, (4,), np.random.default_rng(0), prob_cache=cache
-    )
-    assert cache.hits == 1
-
-
-def test_prob_cache_global_source_keyed_by_batch_count():
-    adj = _graph()
-    sampler = FastGCNSampler()
-    cache = ProbCache()
-    b1 = _batches(adj, k=3, seed=1)
-    b2 = _batches(adj, k=3, seed=9)  # different vertices, same count
-    out1 = sampler.sample_bulk(
-        adj, b1, (8,), np.random.default_rng(0), prob_cache=cache
-    )
-    assert cache.hits == 0
-    sampler.sample_bulk(adj, b2, (8,), np.random.default_rng(0), prob_cache=cache)
-    # The global importance stack depends only on the batch count.
-    assert cache.hits == 1
-    # And hits are bit-identical to the uncached path.
-    baseline = sampler.sample_bulk(adj, b1, (8,), np.random.default_rng(0))
-    _layers_equal(baseline, out1)
-
-
-def test_prob_cache_lru_eviction_and_clear():
-    cache = ProbCache(max_entries=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1  # refresh a
-    cache.put("c", 3)  # evicts b
-    assert cache.get("b") is None
-    assert cache.get("a") == 1
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0
-    with pytest.raises(ValueError):
-        ProbCache(max_entries=0)
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,6 @@ from repro.serve import (
     Replica,
     RoundRobinRouter,
     ServingCluster,
-    ServingEngine,
     TraceWorkload,
     make_router,
 )
@@ -64,9 +63,10 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 
 
 # Digest of the 20-request / seed-5 synthetic trace under the module
-# fixture config, pinned before the Replica/Router/Cluster split.  Both
-# the single-server engine and an N=1 direct fleet must reproduce it
-# bit-identically — the refactor moves code, never floats.
+# fixture config, pinned before the Replica/Router/Cluster split, when the
+# server was a single-replica engine.  Engine.serving()'s default server
+# and a hand-built N=1 direct fleet must both reproduce it bit-identically
+# — the refactors moved code, never floats.
 GOLDEN_SERVE_DIGEST = (
     "f066470bfc98efbcce4a88da5bfaceef55d0349aa87a97dd9a990d20808dfc51"
 )
@@ -503,10 +503,9 @@ class TestFleetUpdates:
         reference = layerwise_inference(trained_engine.model, rebuilt)
         assert np.array_equal(cluster.serve(verts), reference[verts])
 
-    def test_absorb_update_clears_prob_cache(self, trained_engine):
-        """Satellite: ProbCache / EmbeddingCache interplay on one replica.
-        An update drops stale probability matrices AND the dirty rows'
-        embeddings, leaving clean rows cached."""
+    def test_absorb_update_invalidates_dirty_embeddings(self, trained_engine):
+        """An update drops the dirty rows' cached embeddings on one
+        replica, charged to its own clock, leaving clean rows cached."""
         graph = copy.copy(trained_engine.graph)
         cfg = trained_engine.config.replace(
             stream_updates=True, embed_budget=65536.0
@@ -516,8 +515,8 @@ class TestFleetUpdates:
         rng = np.random.default_rng(0)
         targets = np.unique(graph.test_idx[:8])
         rep.logits_for(targets, rng)
-        assert len(rep.prob_cache) > 0  # warmed by the serve
-        assert len(rep.cache) > 0
+        cached = len(rep.cache)
+        assert cached > 0  # warmed by the serve
         v = int(graph.test_idx[0])
         u = next(
             w for w in range(graph.n)
@@ -526,8 +525,8 @@ class TestFleetUpdates:
         result = stream.apply(EdgeBatch(np.array([v]), np.array([u]), "insert"))
         spent = rep.absorb_update(result)
         assert spent > 0  # charged to the replica's own clock
-        assert len(rep.prob_cache) == 0  # all probability matrices stale
         assert rep.stats.invalidations > 0
+        assert 0 < len(rep.cache) < cached  # clean rows stay
         assert rep.stats.evictions == 0  # churn is not budget pressure
 
     def test_frozen_fleet_rejects_update_workloads(self, trained_engine):
@@ -569,24 +568,39 @@ class TestFleetWiring:
         assert again == cfg
 
     def test_engine_serving_picks_the_fleet(self, trained_engine):
-        assert isinstance(trained_engine.serving(), ServingEngine)
-        for overrides in (
-            {"replicas": 2},
-            {"router": "round_robin"},
-            {"shed_policy": "queue"},
-            {"slo_p99": 1e-3},
+        """One server type; the config's fleet knobs shape it."""
+
+        def shape(server):
+            assert isinstance(server, ServingCluster)
+            return (
+                len(server.replicas), server.router.name,
+                server.admission.policy, server.autoscaler is not None,
+            )
+
+        assert shape(trained_engine.serving()) == (1, "direct", "none", False)
+        for overrides, expected in (
+            ({"replicas": 2}, (2, "direct", "none", False)),
+            ({"router": "round_robin"}, (1, "round_robin", "none", False)),
+            ({"shed_policy": "queue"}, (1, "direct", "queue", False)),
+            ({"slo_p99": 1e-3}, (1, "direct", "none", True)),
         ):
             engine = Engine(
                 trained_engine.config.replace(**overrides),
                 graph=trained_engine.graph,
             )
             engine._pipeline = trained_engine.pipeline
-            assert isinstance(engine.serving(), ServingCluster)
+            assert shape(engine.serving()) == expected
 
     def test_engine_serving_fleet_flag_overrides(self, trained_engine):
-        assert isinstance(
-            trained_engine.serving(fleet=True), ServingCluster
+        """fleet=True means "as configured"; fleet=False strips a
+        configured fleet down to one direct replica."""
+        engine = Engine(
+            trained_engine.config.replace(replicas=2, router="round_robin"),
+            graph=trained_engine.graph,
         )
+        assert len(engine.serving(fleet=True).replicas) == 2
+        single = engine.serving(fleet=False)
+        assert len(single.replicas) == 1 and single.router.name == "direct"
 
     def test_cli_serve_fleet_smoke(self, capsys):
         from repro.cli import main

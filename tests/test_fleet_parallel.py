@@ -169,6 +169,22 @@ class TestFleetValidation:
         with pytest.raises(ValueError, match="exact serving"):
             cluster.process(workload)
 
+    def test_warm_replicas_rejected(self, trained_engine):
+        """A cluster that has served before carries warm embedding caches
+        the cold worker replicas would not have."""
+        cfg = trained_engine.config.replace(
+            replicas=2, router="round_robin", workers=2,
+        )
+        cluster = ServingCluster(
+            trained_engine.model, trained_engine.graph, cfg
+        )
+        cluster.replicas[1].batches = cluster.replicas[1].served = 1
+        workload = TraceWorkload.synthetic(
+            8, trained_engine.graph.test_idx, seed=0
+        )
+        with pytest.raises(ValueError, match="fresh replicas"):
+            cluster.process(workload)
+
     def test_error_messages_name_the_fix(self, trained_engine):
         """Every refusal points at the serial path."""
         cfg = trained_engine.config.replace(

@@ -14,7 +14,7 @@ from repro.serve import (
     InferenceRequest,
     MicroBatcher,
     RequestQueue,
-    ServingEngine,
+    ServingCluster,
     TraceWorkload,
     load_trace,
     save_trace,
@@ -271,7 +271,7 @@ class TestServingExactness:
     def test_bit_identical_with_cache_on(
         self, trained_engine, reference_logits
     ):
-        server = ServingEngine(
+        server = ServingCluster(
             trained_engine.model,
             trained_engine.graph,
             trained_engine.config.replace(embed_budget=65536.0),
@@ -290,7 +290,7 @@ class TestServingExactness:
     def test_digest_invariant_to_batching_policy(self, trained_engine):
         reports = []
         for batch_cap, budget in ((1, 0.0), (8, 0.0), (4, 32768.0)):
-            server = ServingEngine(
+            server = ServingCluster(
                 trained_engine.model,
                 trained_engine.graph,
                 trained_engine.config.replace(
@@ -344,7 +344,7 @@ class TestServingDynamics:
         one-request-at-a-time sampling at the same offered load."""
         rates = {}
         for cap in (1, 8):
-            server = ServingEngine(
+            server = ServingCluster(
                 trained_engine.model,
                 trained_engine.graph,
                 trained_engine.config.replace(serve_batch_size=cap),
@@ -383,7 +383,7 @@ class TestServingDynamics:
         assert report.throughput > 0
 
     def test_sampled_mode_runs_any_sampler(self, trained_engine):
-        server = ServingEngine(
+        server = ServingCluster(
             trained_engine.model, trained_engine.graph,
             trained_engine.config, fanout=(3, 2),
         )
@@ -394,7 +394,7 @@ class TestServingDynamics:
 
     def test_sampled_mode_fanout_length_checked(self, trained_engine):
         with pytest.raises(ValueError):
-            ServingEngine(
+            ServingCluster(
                 trained_engine.model, trained_engine.graph,
                 trained_engine.config, fanout=(3,),
             )
@@ -424,7 +424,7 @@ class TestWiring:
 
     def test_engine_serving_constructor(self, trained_engine):
         server = trained_engine.serving()
-        assert isinstance(server, ServingEngine)
+        assert len(server.replicas) == 1 and server.router.name == "direct"
         assert server.exact
         assert server.model is trained_engine.model
 
@@ -487,7 +487,7 @@ class TestWiring:
 
     def test_process_reports_per_run_counters(self, trained_engine):
         """A reused server reports each run's own breakdown and stats."""
-        server = ServingEngine(
+        server = ServingCluster(
             trained_engine.model,
             trained_engine.graph,
             trained_engine.config.replace(embed_budget=65536.0),

@@ -16,7 +16,7 @@ from repro.pipeline import layerwise_inference
 from repro.serve import (
     EmbeddingCache,
     InferenceRequest,
-    ServingEngine,
+    ServingCluster,
     TraceWorkload,
 )
 from repro.sparse import CSRMatrix
@@ -475,7 +475,7 @@ def _streaming_server(
         stream_updates=True,
     )
     stream = StreamingGraph(graph, compaction_threshold=compaction_threshold)
-    return ServingEngine(engine.model, graph, cfg, stream=stream)
+    return ServingCluster(engine.model, graph, cfg, stream=stream)
 
 
 def _churn_workload(engine: Engine, *, n_requests=32, update_ratio=0.5,
@@ -528,7 +528,7 @@ class TestStreamingServing:
     def test_updates_invalidate_cached_embeddings(self, trained_engine):
         server = _streaming_server(trained_engine, embed_budget=65536.0)
         report = server.process(_churn_workload(trained_engine))
-        assert server.cache is not None
+        assert server.replicas[0].cache is not None
         assert report.cache_stats.invalidations > 0
         assert report.update_stats.batches == 16
         assert "update_batches" in report.row()
@@ -551,7 +551,7 @@ class TestStreamingServing:
         ]
         update = EdgeBatch(np.array([v]), np.array([u]), "insert", at=0.25)
         cfg = engine.config.replace(stream_updates=True)
-        server = ServingEngine(
+        server = ServingCluster(
             engine.model, graph, cfg, stream=StreamingGraph(graph)
         )
         report = server.process(UpdateStream(TraceWorkload(requests), [update]))
