@@ -3,9 +3,10 @@
 Production graphs mutate under traffic; everything else in this repo
 assumes a frozen CSR.  This package bridges the two:
 
-* :class:`DeltaCSR` — edge insertions/deletions absorbed into a per-row
-  delta log over a frozen base, exposing canonical frozen views and
-  threshold-triggered compaction with a from-scratch parity assert.
+* :class:`DeltaCSR` — edge insertions/deletions spliced, one vectorized
+  pass per batch, into a fresh canonical frozen view over a frozen base,
+  with a sorted-array delta log and threshold-triggered compaction under
+  a from-scratch parity assert.
 * :class:`StreamingGraph` — a :class:`~repro.graphs.Graph` wrapper that
   refreshes ``graph.adj`` on every update, so samplers / executors /
   inference transparently run on the current graph.

@@ -3,28 +3,37 @@
 Everything upstream of this module — the samplers, the plan executors, the
 feature and embedding caches — consumes a *frozen* :class:`~repro.sparse.CSRMatrix`.
 Production graphs mutate under traffic, so :class:`DeltaCSR` gives them a
-frozen view of a moving target: edge insertions and deletions accumulate in
-a per-row delta log, :meth:`view` splices the changed rows into the base
-CSR (only dirty rows are re-merged; clean rows are block-copied), and once
-the log crosses ``compaction_threshold`` of the base size the overlay
-*compacts* into a fresh frozen CSR.
+frozen view of a moving target.  Its state is array-native: the ``base``
+CSR, the current view (always up to date), a *delta log* of parallel sorted
+arrays (flat key ``row * n + col``, value, deleted flag) and the sorted rows
+dirtied since the last compaction.  :meth:`DeltaCSR.apply` splices one edge
+batch into a fresh copy of the *previous view* — it never re-derives the
+view from base + log — and once the log crosses ``compaction_threshold`` of
+the base size the overlay *compacts*: the view becomes the new base.
 
-Two invariants make the overlay safe to put under the sampling stack:
+Three invariants make the overlay safe to put under the sampling stack:
 
-* **Canonical views.**  Every :meth:`view` satisfies the full CSR contract
-  (sorted, duplicate-free columns — ``CSRMatrix.check``), so a view is
-  indistinguishable from a from-scratch build of the same edge set and
-  sampling from it is bit-identical.
-* **Compaction parity.**  Every :meth:`compact` re-derives the matrix
-  through the independent :meth:`CSRMatrix.from_coo` path (all surviving
-  entries canonicalized at once by their flat key, no splicing) and
-  asserts the incremental merge produced the exact same
-  ``indptr``/``indices``/``data`` arrays before promoting it to the new
-  base.
+* **Canonical views.**  Every :meth:`DeltaCSR.view` satisfies the full CSR
+  contract (sorted, duplicate-free columns — ``CSRMatrix.check``), so a
+  view is indistinguishable from a from-scratch build of the same edge set
+  and sampling from it is bit-identical.
+* **Frozen views.**  A returned view is never written again — every batch
+  that changes the graph builds new arrays — so replicas, shared-memory
+  publishers and checkers may keep references to old views.
+* **Compaction parity.**  Every :meth:`DeltaCSR.compact` re-derives the
+  matrix through the independent :meth:`CSRMatrix.from_coo` path (the base
+  COO filtered through the *log*, never read from the view) and asserts
+  the incremental splices produced the exact same ``indptr`` / ``indices``
+  / ``data`` arrays before promoting the view to the new base.
 
-The delta log stores *final* per-edge outcomes (an insert overwrites a
-pending insert; a delete cancels one), so the log is bounded by the number
-of distinct touched edges, not the number of operations.
+Ops apply *sequentially*, duplicates inside one batch included: a second
+identical insert is a no-op, inserts of one edge with different values all
+apply and the last wins, a second delete of one edge misses.  The log holds
+the *final* outcome per touched edge (an outcome equal to the base drops
+out), so it is bounded by the distinct touched edges, not the operations.
+
+Cost: O(batch + one copy of the CSR arrays + pending) per batch, however
+many batches came before; O(nnz) per compaction.
 """
 
 from __future__ import annotations
@@ -87,8 +96,50 @@ class UpdateResult:
     sim_cost: dict[str, float] = field(default_factory=dict)
 
 
+
+
+def _locate(
+    adj: CSRMatrix, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each edge ``rows[i] -> cols[i]`` sits in ``adj.indices`` (its
+    insertion point when absent), and whether it is present.
+
+    Reads the touched rows only: gathered into one array of flat keys —
+    sorted, because rows and in-row columns are — and searched once.
+    """
+    touched, slot = np.unique(rows, return_inverse=True)
+    sub = adj.extract_rows(touched)
+    width = adj.shape[1]
+    at = np.searchsorted(sub.row_ids() * width + sub.indices, slot * width + cols)
+    found = at < sub.indptr[slot + 1]
+    found[found] = sub.indices[at[found]] == cols[found]
+    return adj.indptr[rows] + (at - sub.indptr[slot]), found
+
+
+def _spliced(
+    arr: np.ndarray, at: np.ndarray, new: np.ndarray | None = None
+) -> np.ndarray:
+    """A fresh copy of ``arr`` with ``new[k]`` inserted before slot ``at[k]``
+    or, without ``new``, the slots ``at`` removed (``at`` ascending):
+    ``np.insert`` / ``np.delete`` by slice copies, without their O(n) mask.
+    """
+    step, skip = (1, 0) if new is not None else (-1, 1)
+    out = np.empty(arr.size + step * at.size, dtype=arr.dtype)
+    lo = 0
+    for k, hi in enumerate([*at.tolist(), arr.size]):
+        out[lo + step * k : hi + step * k] = arr[lo:hi]
+        lo = hi + skip
+    if new is not None:
+        out[at + np.arange(at.size)] = new
+    return out
+
+
 class DeltaCSR:
-    """A frozen-CSR view over a sorted per-row delta log.
+    """A frozen-CSR view kept current over a sorted-array delta log.
+
+    Holds ``base`` (the CSR as of the last compaction), the current view,
+    the log (the final outcome of every edge that differs from ``base``)
+    and the rows dirtied since the last compaction; see the module docs.
 
     ``compaction_threshold`` is the delta-log size (as a fraction of the
     base nnz, minimum one edge) at which :meth:`maybe_compact` folds the
@@ -104,11 +155,15 @@ class DeltaCSR:
             raise ValueError("compaction_threshold must be positive")
         self.base = base
         self.compaction_threshold = float(compaction_threshold)
-        # Final outcome per touched edge: value (insert) or None (delete).
-        self._ops: dict[tuple[int, int], float | None] = {}
-        self._dirty_rows: set[int] = set()
-        self._view: CSRMatrix | None = base
         self.compactions = 0
+        self._view = base
+        self._clear_log()
+
+    def _clear_log(self) -> None:
+        self._log_keys = np.empty(0, dtype=np.int64)  # row * n + col, sorted
+        self._log_vals = np.empty(0, dtype=np.float64)
+        self._log_deleted = np.empty(0, dtype=np.bool_)
+        self._dirty = np.empty(0, dtype=np.int64)  # rows dirtied since
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -124,7 +179,7 @@ class DeltaCSR:
     @property
     def pending(self) -> int:
         """Distinct edges with an outstanding (un-compacted) mutation."""
-        return len(self._ops)
+        return int(self._log_keys.size)
 
     @property
     def compaction_limit(self) -> int:
@@ -133,29 +188,26 @@ class DeltaCSR:
 
     @property
     def dirty_row_ids(self) -> np.ndarray:
-        """Sorted rows the next :meth:`view` must re-merge."""
-        return np.array(sorted(self._dirty_rows), dtype=np.int64)
+        """Sorted rows dirtied since the last compaction (cumulative)."""
+        return self._dirty
 
-    def _has_edge(self, u: int, v: int) -> bool:
-        """Edge existence in the *current* (base + log) graph."""
-        key = (u, v)
-        if key in self._ops:
-            return self._ops[key] is not None
-        cols, _ = self.base.row(u)
-        i = int(np.searchsorted(cols, v))
-        return i < cols.size and cols[i] == v
+    def view(self) -> CSRMatrix:
+        """The current graph as a canonical frozen CSR: the same object
+        until a batch changes the graph (``base`` itself while none has,
+        and right after a compaction), never written again."""
+        return self._view
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
     def apply(self, batch: EdgeBatch, *, strict: bool = False) -> UpdateResult:
-        """Absorb one edge batch into the delta log.
+        """Absorb one edge batch: a new frozen view and an updated log.
 
         Inserting an edge that already exists with the same value, or
         deleting an edge that does not exist, is a *no-op*: it neither
         dirties the row nor grows the log.  With ``strict=True`` a missing
-        delete raises instead (an actionable error naming the edge).
-        Within one batch, later ops win (insert-then-delete deletes).
+        delete raises instead (an actionable error naming the first such
+        edge in batch order) and leaves the overlay untouched.
         """
         n = self.n
         if batch.n_edges and (
@@ -167,50 +219,95 @@ class DeltaCSR:
                 f"mutate edges only — the vertex set is fixed at build time"
             )
         inserting = batch.op == "insert"
-        vals = (
-            batch.vals
-            if batch.vals is not None
-            else np.ones(batch.n_edges, dtype=np.float64)
-        )
-        dirty: set[int] = set()
-        applied = skipped = 0
-        for i in range(batch.n_edges):
-            u, v = int(batch.src[i]), int(batch.dst[i])
-            key = (u, v)
-            if inserting:
-                val = float(vals[i])
-                if self._edge_value(u, v) == val:
-                    skipped += 1  # duplicate insert: already present as-is
-                    continue
-                new_op = val
-            else:
-                if not self._has_edge(u, v):
-                    if strict:
-                        raise ValueError(
-                            f"cannot delete edge {u} -> {v}: not present in "
-                            f"the current graph (pass strict=False to skip "
-                            f"missing deletes)"
-                        )
-                    skipped += 1
-                    continue
-                new_op = None
-            # Record the final outcome; drop ops that restore the base.
-            base_val = self._base_value(u, v)
-            if new_op == base_val:
-                self._ops.pop(key, None)
-            else:
-                self._ops[key] = new_op
-            dirty.add(u)
-            applied += 1
-        if dirty:
-            self._dirty_rows.update(dirty)
-            self._view = None  # stale: next view() re-splices
+        # Stable sort by edge: the ops on one edge become neighbours, still
+        # in batch order, so what an edge holds at an op's turn is the
+        # outcome of the element before it.
+        keys = batch.src * n + batch.dst
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) != 0  # first op on its edge
+        at, present = _locate(self._view, batch.src[order], batch.dst[order])
+        if inserting:
+            vals = np.ones(order.size) if batch.vals is None else batch.vals[order]
+            # A no-op iff the edge already holds the value: the previous
+            # insert's or, for a first op, the view's (NaN — equal to
+            # nothing — when the edge is absent).
+            held = np.roll(vals, 1)
+            held[first] = np.nan
+            head = first & present
+            held[head] = self._view.data[at[head]]
+            applied = vals != held
+            # An edge's outcome is its last applied op.
+            hits = np.flatnonzero(applied)
+            changed = hits[np.diff(np.cumsum(first)[hits], append=-1) != 0]
+        else:
+            vals = np.zeros(order.size)  # the log's filler for a delete
+            applied = first & present  # a repeated delete finds it gone
+            if strict and not applied.all():
+                miss = order[~applied].min()
+                raise ValueError(
+                    f"cannot delete edge {batch.src[miss]} -> "
+                    f"{batch.dst[miss]}: not present in the current graph "
+                    f"(pass strict=False to skip missing deletes)"
+                )
+            changed = np.flatnonzero(applied)
+        dirty = np.unique(keys[changed] // n)
+        if changed.size:
+            self._advance(
+                inserting, keys[changed], vals[changed], at[changed], present[changed]
+            )
+            self._dirty = np.union1d(self._dirty, dirty)
+        n_applied = int(np.count_nonzero(applied))
         return UpdateResult(
-            dirty_rows=np.array(sorted(dirty), dtype=np.int64),
-            applied=applied,
-            skipped=skipped,
+            dirty_rows=dirty,
+            applied=n_applied,
+            skipped=batch.n_edges - n_applied,
             pending=self.pending,
         )
+
+    def _advance(
+        self, inserting: bool, keys: np.ndarray, vals: np.ndarray,
+        at: np.ndarray, present: np.ndarray,
+    ) -> None:
+        """Move view and log past one batch's changed edges: distinct
+        sorted flat ``keys``, found in the current view at ``at`` if
+        ``present``; ``vals`` are the inserted values."""
+        view, base, n = self._view, self.base, self.n
+        rows, cols = np.divmod(keys, n)
+        base_at, in_base = _locate(base, rows, cols)
+        if inserting:
+            # An insert back to the base value drops out of the log, and
+            # the view shows the base's own bits for it (-0.0 == 0.0).
+            restores = in_base.copy()
+            restores[in_base] = base.data[base_at[in_base]] == vals[in_base]
+            vals[restores] = base.data[base_at[restores]]
+            add = ~present
+            indices = _spliced(view.indices, at[add], cols[add])
+            data = _spliced(view.data, at[add], vals[add])
+            # An overwritten slot sits right of its old position by the
+            # number of inserts at or before it.
+            over = at[present]
+            data[over + np.searchsorted(at[add], over, side="right")] = vals[present]
+            growth = np.bincount(rows[add], minlength=n)
+        else:
+            restores = ~in_base  # deleting an edge the base never had
+            indices = _spliced(view.indices, at)
+            data = _spliced(view.data, at)
+            growth = -np.bincount(rows, minlength=n)
+        indptr = view.indptr.copy()
+        indptr[1:] += np.cumsum(growth)
+        self._view = CSRMatrix(indptr, indices, data, view.shape)
+        # One final outcome per touched edge: this batch's supersede the
+        # logged ones, and those that restore the base are not logged.
+        lo = np.searchsorted(self._log_keys, keys)
+        stale = lo[np.searchsorted(self._log_keys, keys, side="right") > lo]
+        log_keys = np.delete(self._log_keys, stale)
+        keep = ~restores
+        where = np.searchsorted(log_keys, keys[keep])
+        self._log_keys = np.insert(log_keys, where, keys[keep])
+        self._log_vals = np.insert(np.delete(self._log_vals, stale), where, vals[keep])
+        deleted = np.delete(self._log_deleted, stale)
+        self._log_deleted = np.insert(deleted, where, not inserting)
 
     def insert_edges(
         self, src, dst, vals: np.ndarray | None = None
@@ -224,100 +321,14 @@ class DeltaCSR:
             EdgeBatch(np.asarray(src), np.asarray(dst), "delete"), strict=strict
         )
 
-    def _base_value(self, u: int, v: int) -> float | None:
-        cols, data = self.base.row(u)
-        i = int(np.searchsorted(cols, v))
-        if i < cols.size and cols[i] == v:
-            return float(data[i])
-        return None
-
-    def _edge_value(self, u: int, v: int) -> float | None:
-        key = (u, v)
-        if key in self._ops:
-            return self._ops[key]
-        return self._base_value(u, v)
-
-    # ------------------------------------------------------------------ #
-    # The frozen view
-    # ------------------------------------------------------------------ #
-    def view(self) -> CSRMatrix:
-        """The current graph as a canonical frozen CSR.
-
-        Cached between mutations.  Rebuilds only the rows in the dirty set:
-        clean row segments are copied from the base in one vectorized move,
-        dirty rows are merged (base row minus deletes/overwrites, plus
-        inserts, column-sorted) and spliced in.
-        """
-        if self._view is not None:
-            return self._view
-        base = self.base
-        merged: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            r: self._merge_row(r) for r in self._dirty_rows
-        }
-        counts = base.nnz_per_row().copy()
-        for r, (cols, _) in merged.items():
-            counts[r] = cols.size
-        indptr = np.zeros(base.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        data = np.empty(int(indptr[-1]), dtype=np.float64)
-        # Copy clean segments between consecutive dirty rows en bloc.
-        dirty_sorted = sorted(self._dirty_rows)
-        prev = 0
-        for r in dirty_sorted:
-            self._copy_clean(base, indptr, indices, data, prev, r)
-            cols, vals = merged[r]
-            lo = indptr[r]
-            indices[lo : lo + cols.size] = cols
-            data[lo : lo + cols.size] = vals
-            prev = r + 1
-        self._copy_clean(base, indptr, indices, data, prev, base.shape[0])
-        self._view = CSRMatrix(indptr, indices, data, base.shape)
-        return self._view
-
-    @staticmethod
-    def _copy_clean(
-        base: CSRMatrix,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> None:
-        if start >= stop:
-            return
-        src_lo, src_hi = base.indptr[start], base.indptr[stop]
-        dst_lo = indptr[start]
-        span = src_hi - src_lo
-        indices[dst_lo : dst_lo + span] = base.indices[src_lo:src_hi]
-        data[dst_lo : dst_lo + span] = base.data[src_lo:src_hi]
-
-    def _merge_row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row ``r`` of base merged with its pending ops, column-sorted."""
-        cols, vals = self.base.row(r)
-        ops = [(v, op) for (u, v), op in self._ops.items() if u == r]
-        if not ops:
-            return cols.copy(), vals.copy()
-        touched = np.array([v for v, _ in ops], dtype=np.int64)
-        keep = ~np.isin(cols, touched)
-        ins = [(v, op) for v, op in ops if op is not None]
-        out_cols = np.concatenate(
-            [cols[keep], np.array([v for v, _ in ins], dtype=np.int64)]
-        )
-        out_vals = np.concatenate(
-            [vals[keep], np.array([op for _, op in ins], dtype=np.float64)]
-        )
-        order = np.argsort(out_cols, kind="stable")
-        return out_cols[order], out_vals[order]
-
     # ------------------------------------------------------------------ #
     # Compaction
     # ------------------------------------------------------------------ #
     def compact(self) -> CSRMatrix:
-        """Fold the delta log into a fresh frozen base CSR.
+        """Promote the view to the new frozen base and empty the log.
 
         Parity with a from-scratch rebuild is asserted on every call: the
-        incremental splice (:meth:`view`) must equal the matrix built by
+        incrementally spliced view must equal the matrix built by
         filtering the base COO through the log and re-canonicalizing with
         :meth:`CSRMatrix.from_coo` — array-for-array, not just numerically.
         """
@@ -334,9 +345,7 @@ class DeltaCSR:
             )
         spliced.check()
         self.base = spliced
-        self._ops.clear()
-        self._dirty_rows.clear()
-        self._view = spliced
+        self._clear_log()
         self.compactions += 1
         return spliced
 
@@ -348,25 +357,16 @@ class DeltaCSR:
         return False
 
     def _rebuild_from_scratch(self) -> CSRMatrix:
-        """The current edge set built through the independent COO path."""
+        """The current edge set built through the independent COO path:
+        base entries the log does not touch, plus the log's inserts."""
         rows, cols, vals = self.base.to_coo()
-        if self._ops:
-            touched = np.array(sorted(self._ops), dtype=np.int64).reshape(-1, 2)
+        if self.pending:
             width = self.base.shape[1]
-            op_keys = touched[:, 0] * width + touched[:, 1]
-            keep = ~np.isin(rows * width + cols, op_keys)
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-            ins = [(k, v) for k, v in self._ops.items() if v is not None]
-            if ins:
-                rows = np.concatenate(
-                    [rows, np.array([u for (u, _), _ in ins], dtype=np.int64)]
-                )
-                cols = np.concatenate(
-                    [cols, np.array([c for (_, c), _ in ins], dtype=np.int64)]
-                )
-                vals = np.concatenate(
-                    [vals, np.array([v for _, v in ins], dtype=np.float64)]
-                )
+            keep = ~np.isin(rows * width + cols, self._log_keys)
+            ins = ~self._log_deleted
+            rows = np.concatenate([rows[keep], self._log_keys[ins] // width])
+            cols = np.concatenate([cols[keep], self._log_keys[ins] % width])
+            vals = np.concatenate([vals[keep], self._log_vals[ins]])
         return CSRMatrix.from_coo(
             rows, cols, vals, self.base.shape, sum_duplicates=False
         )

@@ -66,7 +66,7 @@ class StreamStats:
     skipped: int = 0  # duplicate inserts / missing deletes
     compactions: int = 0
     dirty_vertices: int = 0  # sum of per-batch dirty-row counts
-    merged_rows: int = 0  # rows re-merged across view refreshes
+    merged_rows: int = 0  # cumulative dirty rows per batch, summed (SimClock's charge)
 
     def row(self) -> dict[str, object]:
         return {
@@ -93,7 +93,7 @@ class StreamStats:
 
 @dataclass
 class StreamingGraph:
-    """A Graph whose adjacency absorbs edge batches through a delta log.
+    """A Graph whose adjacency absorbs edge batches through a delta-CSR.
 
     ``auto_compact`` folds the log into a fresh base whenever it crosses
     ``compaction_threshold`` of the base nnz (parity with a from-scratch
@@ -147,8 +147,11 @@ class StreamingGraph:
             compacted_nnz = self.graph.adj.nnz
             for hook in self.compaction_hooks:
                 hook(self.graph.adj)
-        # What the simulated clock should charge: log absorb + dirty-row
-        # re-merge, plus (rarely) the full canonicalizing compaction.
+        # What the simulated clock charges: log absorb + a re-merge of every
+        # row dirtied since the last compaction (the cost *model* predates
+        # the array-native overlay, which splices only the batch; kept so
+        # the SimClock baselines stay put — ROADMAP item 5), plus (rarely)
+        # the full canonicalizing compaction.
         result.sim_cost = {
             "batch_edges": float(batch.n_edges),
             "merged_nnz": float(merged_nnz),

@@ -96,27 +96,31 @@ class UpdateStream:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 577]))
         n = adj.shape[0]
         # Distinct existing edges to delete, distinct absent pairs to insert.
-        rows, cols, _ = adj.to_coo()
         n_batches_del = int(round(delete_fraction * n_updates))
         need_del = n_batches_del * edges_per_update
-        if need_del > rows.size:
+        if need_del > adj.nnz:
             raise ValueError(
                 f"cannot delete {need_del} distinct edges from a graph with "
-                f"{rows.size}; lower update_ratio or edges_per_update"
+                f"{adj.nnz}; lower update_ratio or edges_per_update"
             )
         del_pick = (
-            rng.choice(rows.size, size=need_del, replace=False)
+            rng.choice(adj.nnz, size=need_del, replace=False)
             if need_del
             else np.empty(0, dtype=np.int64)
         )
-        existing = set(zip(rows.tolist(), cols.tolist()))
+        del_rows = np.searchsorted(adj.indptr, del_pick, side="right") - 1
+        del_cols = adj.indices[del_pick]
         inserts: list[tuple[int, int]] = []
         need_ins = (n_updates - n_batches_del) * edges_per_update
         taken: set[tuple[int, int]] = set()
         while len(inserts) < need_ins:
             u = int(rng.integers(0, n))
             v = int(rng.integers(0, n))
-            if u == v or (u, v) in existing or (u, v) in taken:
+            # Membership against the canonical CSR: row u's sorted columns.
+            cols = adj.indices[adj.indptr[u] : adj.indptr[u + 1]]
+            j = int(np.searchsorted(cols, v))
+            exists = j < cols.size and cols[j] == v
+            if u == v or exists or (u, v) in taken:
                 continue
             taken.add((u, v))
             inserts.append((u, v))
@@ -127,10 +131,10 @@ class UpdateStream:
         for k in range(n_updates):
             at = (k + 0.5) * gap
             if k < n_batches_del:
-                pick = del_pick[d : d + edges_per_update]
+                pick = slice(d, d + edges_per_update)
                 d += edges_per_update
                 batches.append(
-                    EdgeBatch(rows[pick], cols[pick], "delete", at=at)
+                    EdgeBatch(del_rows[pick], del_cols[pick], "delete", at=at)
                 )
             else:
                 pairs = inserts[i : i + edges_per_update]

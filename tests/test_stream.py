@@ -4,13 +4,16 @@ protocol, and update-interleaved serving parity (with pinned digests)."""
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.api import Engine, RunConfig
 from repro.comm import Communicator, ProcessGrid
-from repro.graphs import Graph
+from repro.graphs import Graph, rmat
 from repro.partition import CachedFeatureStore, FeatureStore
 from repro.pipeline import layerwise_inference
 from repro.serve import (
@@ -222,6 +225,70 @@ class TestDeltaCSR:
         d.insert_edges([0], [5])
         assert d.view() is d.view()
 
+    def test_failed_strict_delete_leaves_overlay_untouched(self):
+        """A strict delete whose second edge is missing used to raise with
+        the first already in the log but not in the dirty set or the view,
+        and the next compact() died on its parity assertion."""
+        base = _small_base()
+        d = DeltaCSR(base)
+        (u, v) = next(iter(_edge_set(base)))
+        assert (u, u) not in _edge_set(base)
+        d.insert_edges([u], [(u + 1) % 10], vals=np.array([7.0]))  # a live log
+        before = (d.view(), d.pending, d.dirty_row_ids.tolist())
+        with pytest.raises(ValueError, match=f"{u} -> {u}"):
+            d.delete_edges([u, u], [v, u], strict=True)
+        assert d.view() is before[0]
+        assert (d.pending, d.dirty_row_ids.tolist()) == before[1:]
+        # The error names the first miss in batch order — here the repeat.
+        with pytest.raises(ValueError, match=f"{u} -> {v}"):
+            d.delete_edges([u, u, u], [v, v, u], strict=True)
+        assert d.view() is before[0] and d.pending == before[1]
+        d.compact()  # parity holds: nothing was half-applied
+        assert (u, v) in _edge_set(d.base)
+
+    def test_update_cost_does_not_grow_with_history(self):
+        """64 sixteen-edge batches, compaction off: an update costs a copy
+        of the CSR arrays whatever came before it (the dict overlay
+        re-merged every row dirtied so far: last 8 / first 8 was > 10x).
+        The counters and every simulated charge are pinned from that
+        overlay, which is what keeps the SimClock baselines still."""
+        adj = rmat(13, 8, np.random.default_rng(21))
+        n = adj.shape[0]
+        rng = np.random.default_rng(5)
+        batches = []
+        for k in range(64):
+            if k % 2:
+                pick = rng.choice(adj.nnz, 16, replace=False)
+                src = np.searchsorted(adj.indptr, pick, side="right") - 1
+                batches.append(EdgeBatch(src, adj.indices[pick], "delete"))
+            else:
+                batches.append(
+                    EdgeBatch(rng.integers(0, n, 16), rng.integers(0, n, 16))
+                )
+        best = np.full(len(batches), np.inf)
+        for _ in range(5):
+            sg = StreamingGraph(
+                Graph(name="hist", adj=adj, features=np.zeros((n, 1))),
+                compaction_threshold=1e6,
+            )
+            costs = []
+            for k, batch in enumerate(batches):
+                t = time.perf_counter()
+                result = sg.apply(batch)
+                best[k] = min(best[k], time.perf_counter() - t)
+                costs.append(result.sim_cost)
+        assert best[-8:].mean() <= 3 * best[:8].mean()
+        s = sg.stats
+        assert (s.batches, s.applied, s.skipped, s.dirty_vertices,
+                s.merged_rows, s.compactions) == (64, 1021, 3, 1015, 28920, 0)
+        assert sg.delta.pending == 1021
+        assert sum(c["merged_nnz"] for c in costs) == 974507.0
+        assert hashlib.sha256(
+            json.dumps(costs, sort_keys=True).encode()
+        ).hexdigest() == (
+            "ba32011de579a9809c2645791992ef73f013e7211d293bdf8fd136c998e947ca"
+        )
+
 
 class TestDirtyClosure:
     @pytest.fixture()
@@ -346,6 +413,26 @@ class TestUpdateStream:
                 small_adj, pool, n_requests=4, update_ratio=1.0,
                 edges_per_update=small_adj.nnz, delete_fraction=1.0,
             )
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "3de855941f4924a6a89bb4b85da0021dd2d5c94e34656d8054c9527ced870edb"),
+        (9, "cab57990572423b3002fc2c6790cbfc0b8839276f83d3bf9d8c0d35d3aa7432b"),
+    ])
+    def test_synthetic_stream_is_pinned(self, small_adj, seed, digest):
+        """(src, dst, op, at) of every batch, pinned from the generator that
+        tested membership in a Python set of all edges: the CSR lookup draws
+        the same numbers in the same order."""
+        wl = UpdateStream.synthetic(
+            small_adj, np.arange(64, dtype=np.int64), n_requests=32,
+            update_ratio=0.5, edges_per_update=8, seed=seed,
+        )
+        h = hashlib.sha256()
+        for b in wl.edge_batches:
+            h.update(b.src.tobytes())
+            h.update(b.dst.tobytes())
+            h.update(b.op.encode())
+            h.update(np.float64(b.at).tobytes())
+        assert h.hexdigest() == digest
 
     def test_zero_ratio_has_no_updates(self, small_adj):
         wl = UpdateStream.synthetic(small_adj, np.arange(8, dtype=np.int64),
