@@ -110,6 +110,13 @@ class RunConfig:
     workers: int = 0  # shared-memory worker processes; 0 = serial, no mp import
 
     def __post_init__(self) -> None:
+        if any(s is None or s <= 0 for s in self.fanout):
+            raise ValueError(
+                f"fanout entries must be positive integers, got "
+                f"{tuple(self.fanout)}: keeping every neighbour (None) is "
+                f"the serving mode Engine.serving(fanout=None), not a "
+                f"training fanout"
+            )
         if isinstance(self.fanout, list):
             self.fanout = tuple(int(x) for x in self.fanout)
         if isinstance(self.machine, dict):

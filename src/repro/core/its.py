@@ -17,6 +17,11 @@ the same kernel launches).
 :func:`gumbel_topk_rows` offers an equivalent single-pass alternative
 (exponential races / Gumbel top-k), used in tests as a statistical
 cross-check and available as an optional sampler backend.
+
+:func:`keep_all_mask` is the degenerate SAMPLE both reduce to once ``s``
+reaches the largest row: every positive entry, selected without a draw.
+Exact serving asks for it by name (a ``None`` fanout position) instead of
+making ITS win a coupon-collector game whose outcome is known.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from ..sparse.csr import _indptr_from_rows
 __all__ = [
     "its_sample_rows",
     "its_select_mask",
+    "keep_all_mask",
+    "keep_all_rows",
     "gumbel_topk_rows",
     "gumbel_select_mask",
     "its_flops",
@@ -116,6 +123,23 @@ def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:
     )
 
 
+def keep_all_mask(p: CSRMatrix) -> np.ndarray:
+    """SAMPLE(P, all): every positive entry of every row, as a mask.
+
+    What :func:`its_select_mask` and :func:`gumbel_select_mask` select at
+    any ``s`` at or above the largest row's positive count — the outcome
+    is known beforehand, so nothing is drawn and no generator is touched.
+    """
+    if np.any(p.data < 0):
+        raise ValueError("P must be non-negative to be sampled")
+    return p.data > 0
+
+
+def keep_all_rows(p: CSRMatrix) -> CSRMatrix:
+    """:func:`keep_all_mask` as the binary sampled ``Q^{l-1}``."""
+    return _mask_to_csr(p, keep_all_mask(p))
+
+
 def its_sample_rows(
     p: CSRMatrix,
     s: int,
@@ -174,11 +198,14 @@ def gumbel_topk_rows(
     return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
 
 
-def its_flops(p: CSRMatrix, s: int) -> int:
+def its_flops(p: CSRMatrix, s: int | None) -> int:
     """Operation count of ITS on ``p``: prefix sum + s binary searches/row.
 
     The paper argues (section 2.3) the prefix sum is a negligible cost; this
     estimate feeds the simulated compute model so that claim is measurable.
+    A keep-all SAMPLE (``s=None``) searches nothing: one pass over ``p``.
     """
+    if s is None:
+        return int(p.nnz)
     searches = p.shape[0] * s * max(1, int(np.log2(max(2, p.nnz))))
     return int(p.nnz + searches)

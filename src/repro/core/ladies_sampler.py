@@ -185,6 +185,7 @@ class LadiesSampler(MatrixSampler):
     # Plan emission: the layer-wise Algorithm-1 program
     # ------------------------------------------------------------------ #
     def plan(self, fanout: Sequence[int]) -> SamplingPlan:
+        self._require_counts(fanout)  # debias and the budget read s
         steps: list = []
         for s in fanout:
             steps += [

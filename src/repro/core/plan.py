@@ -39,7 +39,10 @@ Step vocabulary (paper mapping)
 ``NormStep``
     ``P = NORM(P)`` — the sampler's row-local normalization.
 ``SampleStep``
-    ``SAMPLE(P, count)`` — ITS/Gumbel, ``count`` draws per row.
+    ``SAMPLE(P, count | all)`` — ITS/Gumbel, ``count`` draws per row; or,
+    with ``count=None``, *keep every positive entry* of the row: the
+    outcome of any count at or above the row's degree, taken without a
+    draw (exact serving's whole-neighbourhood expansion).
 ``ExtractStep``
     ``A^l = EXTRACT(...)``: ``"compact"`` (per-batch column compaction,
     section 4.1.3), ``"bipartite"`` (row-extraction SpGEMM + per-batch
@@ -132,16 +135,17 @@ class NormStep:
 
 @dataclass(frozen=True)
 class SampleStep:
-    """SAMPLE: draw ``count`` distinct columns per row of ``P``."""
+    """SAMPLE: draw ``count`` distinct columns per row of ``P`` — or, with
+    ``count=None``, keep every positive entry (no draw, no RNG use)."""
 
-    count: int
+    count: int | None
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
+        if self.count is not None and self.count <= 0:
             raise ValueError(f"SAMPLE count must be positive, got {self.count}")
 
     def describe_args(self) -> list[str]:
-        return [f"s={self.count}"]
+        return ["s=all" if self.count is None else f"s={self.count}"]
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,7 @@ class FusedSampleExtractStep(SampleStep):
             )
 
     def describe_args(self) -> list[str]:
-        return [f"s={self.count}"] + self.extract.describe_args()
+        return super().describe_args() + self.extract.describe_args()
 
 
 Step = Union[
@@ -249,8 +253,9 @@ class SamplingPlan:
     """A sampler's whole bulk computation as a linear program of steps.
 
     Plans are emitted for a *concrete* fanout (``SampleStep.count`` values
-    are literal), so one plan fully describes one bulk call and can be
-    interpreted by any executor.  Construction validates basic dataflow:
+    are literal — an integer, or ``None`` for keep-all), so one plan fully
+    describes one bulk call and can be interpreted by any executor.
+    Construction validates basic dataflow:
     SAMPLE needs a preceding PROB, and every EXTRACT needs a preceding
     SAMPLE (except ``"subgraph"``, which reads the walk history).
     """
@@ -397,9 +402,10 @@ def compact_layer_from_mask(
     this batch did not keep hold garbage and are never read.
     """
     indptr, cols = _block_selection(p, sel, lo, hi)
-    kept = np.unique(cols)
-    src = np.union1d(kept, dst_ids) if include_dst else kept
-    col_rank[kept] = np.searchsorted(src, kept)
+    # One sort serves both the frontier and the renumbering: ``src`` is the
+    # sorted union, so a kept column's new id is its position in it.
+    src = np.unique(np.concatenate((cols, dst_ids)) if include_dst else cols)
+    col_rank[src] = np.arange(src.size)
     adj = CSRMatrix(
         indptr, col_rank[cols], np.ones(cols.size), (hi - lo, int(src.size))
     )

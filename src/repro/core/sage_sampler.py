@@ -11,7 +11,9 @@ Bulk sampling of ``k`` minibatches stacks the per-batch frontiers vertically
 (Equation 1); all matrix steps are oblivious to the stacking.  The whole
 algorithm is emitted as a sampling plan — per layer ``PROB(frontier) ->
 NORM -> SAMPLE(s) -> EXTRACT(compact)`` — and interpreted by the executors
-in :mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.
+in :mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.  A
+``None`` fanout position emits ``SAMPLE(all)``: the layer keeps each
+vertex's whole neighbourhood, which is what exact serving runs.
 """
 
 from __future__ import annotations
@@ -100,13 +102,13 @@ class SageSampler(MatrixSampler):
     # ------------------------------------------------------------------ #
     # Plan emission: the node-wise Algorithm-1 program
     # ------------------------------------------------------------------ #
-    def plan(self, fanout: Sequence[int]) -> SamplingPlan:
+    def plan(self, fanout: Sequence[int | None]) -> SamplingPlan:
         steps: list = []
         for s in fanout:
             steps += [
                 ProbStep("frontier"),
                 NormStep(),
-                SampleStep(int(s)),
+                SampleStep(None if s is None else int(s)),
                 ExtractStep("compact"),
             ]
         return SamplingPlan(tuple(steps))

@@ -81,6 +81,7 @@ class GraphSaintRWSampler(SageSampler):
         """``walk_length`` GraphSAGE-with-``s=1`` stages advancing every
         root's walk position, then one subgraph induction emitting all
         ``len(fanout)`` layers (fanout values are only the GNN depth)."""
+        self._require_counts(fanout)  # walks take one step, never "all"
         steps: list = []
         for _ in range(self.walk_length):
             steps += [

@@ -42,6 +42,8 @@ from .its import (
     gumbel_topk_rows,
     its_sample_rows,
     its_select_mask,
+    keep_all_mask,
+    keep_all_rows,
 )
 from .plan import LocalExecutor, SamplingPlan
 
@@ -85,6 +87,8 @@ class MatrixSampler(ABC):
         self.sample_backend = sample_backend
         get_kernel(kernel)  # fail fast on a typo'd registry name
         self.kernel = kernel
+        # fanout tuple -> optimized plan; see optimized_plan().
+        self._plans: dict[tuple, SamplingPlan | None] = {}
 
     def _resolve_spgemm(self, spgemm_fn: SpGEMMFn | None) -> SpGEMMFn:
         """The SpGEMM to use: an explicit override (e.g. a distributed or
@@ -109,21 +113,30 @@ class MatrixSampler(ABC):
         return self.norm(p)
 
     def sample(
-        self, p: CSRMatrix, s: int, rng: np.random.Generator
+        self, p: CSRMatrix, s: int | None, rng: np.random.Generator
     ) -> CSRMatrix:
-        """SAMPLE(P, s): ``min(s, nnz)`` distinct columns per row of ``p``."""
+        """SAMPLE(P, s): ``min(s, nnz)`` distinct columns per row of ``p``.
+
+        ``s=None`` keeps every positive entry — what either backend selects
+        at any ``s`` at or above the largest row — without drawing: ``rng``
+        is not touched.
+        """
+        if s is None:
+            return keep_all_rows(p)
         if self.sample_backend == "gumbel":
             return gumbel_topk_rows(p, s, rng)
         return its_sample_rows(p, s, rng)
 
     def sample_mask(
-        self, p: CSRMatrix, s: int, rng: np.random.Generator
+        self, p: CSRMatrix, s: int | None, rng: np.random.Generator
     ) -> np.ndarray:
         """:meth:`sample` as a boolean mask over ``p``'s nonzeros.
 
         Identical draws in identical order (the CSR build is the only
         thing skipped) — the form the executors' EXTRACT handlers read.
         """
+        if s is None:
+            return keep_all_mask(p)
         if self.sample_backend == "gumbel":
             return gumbel_select_mask(p, s, rng)
         return its_select_mask(p, s, rng)
@@ -212,7 +225,7 @@ class MatrixSampler(ABC):
     # ------------------------------------------------------------------ #
     # Plan emission + whole-algorithm entry point (single device)
     # ------------------------------------------------------------------ #
-    def plan(self, fanout: Sequence[int]) -> SamplingPlan | None:
+    def plan(self, fanout: Sequence[int | None]) -> SamplingPlan | None:
         """Emit this sampler's declarative program for a concrete fanout.
 
         Returning a :class:`~repro.core.plan.SamplingPlan` is what makes a
@@ -224,11 +237,47 @@ class MatrixSampler(ABC):
         """
         return None
 
+    def _require_counts(self, fanout: Sequence[int | None]) -> None:
+        """Refuse a keep-all (``None``) fanout position, for samplers whose
+        EXTRACT reads the sample count."""
+        for i, s in enumerate(fanout):
+            if s is None:
+                raise ValueError(
+                    f"sampler {self.name!r} cannot keep every neighbour "
+                    f"(fanout[{i}] is None): its EXTRACT reads the sample "
+                    f"count — use an integer count (keep-all is a node-wise "
+                    f"mode: sampler 'sage')"
+                )
+
+    def optimized_plan(
+        self, fanout: Sequence[int | None]
+    ) -> SamplingPlan | None:
+        """:func:`~repro.core.compile.optimize` of :meth:`plan`, built once
+        per distinct fanout and kept on the sampler.
+
+        The program a fanout emits cannot change over a sampler's life
+        (plans depend on construction-time attributes only), so the
+        emission, its dataflow validation and the optimizer passes are paid
+        on first use — by :meth:`sample_bulk` or by anything that only
+        wants to count the steps that will run.
+        """
+        key = tuple(fanout)
+        try:
+            return self._plans[key]
+        except KeyError:
+            program = self.plan(
+                tuple(None if s is None else int(s) for s in key)
+            )
+            if program is not None:
+                program = optimize(program)
+            self._plans[key] = program
+            return program
+
     def sample_bulk(
         self,
         adj: CSRMatrix,
         batches: Sequence[np.ndarray],
-        fanout: Sequence[int],
+        fanout: Sequence[int | None],
         rng: RngSpec,
         *,
         spgemm_fn: SpGEMMFn | None = None,
@@ -237,6 +286,12 @@ class MatrixSampler(ABC):
 
         ``fanout[0]`` is the sample count for the layer adjacent to the
         batch (the paper's layer ``L``) and ``fanout[-1]`` the furthest.
+        Each entry is a positive integer (draw that many distinct
+        neighbours per row) or ``None`` (keep every positive entry of the
+        row; node-wise samplers only).  A keep-all position draws nothing,
+        so with one generator shared across layers it *shortens the
+        stream*: ``(None, 3)`` gives its second layer other uniforms than
+        ``(max_degree, 3)`` does, although the first layers are equal.
         Returns one :class:`MinibatchSample` per input batch, in order.
         ``rng`` is a single generator (draws consumed across the stacked
         bulk) or a sequence of one generator per batch (each batch draws
@@ -244,14 +299,15 @@ class MatrixSampler(ABC):
         uses the sampler's kernel backend; distributed drivers and cost
         recorders pass their own wrapper.
 
-        The default implementation emits :meth:`plan`, optimizes it
-        (:func:`repro.core.compile.optimize`) and runs it on the
-        single-device :class:`~repro.core.plan.LocalExecutor`; samplers
-        without a plan must override this method instead.
+        The default implementation runs :meth:`optimized_plan` (the
+        emitted :meth:`plan` after :func:`repro.core.compile.optimize`,
+        memoized per fanout) on the single-device
+        :class:`~repro.core.plan.LocalExecutor`; samplers without a plan
+        must override this method instead.
         """
         spgemm = self._resolve_spgemm(spgemm_fn)
         self._validate(adj, batches, fanout)
-        program = self.plan(tuple(int(s) for s in fanout))
+        program = self.optimized_plan(fanout)
         if program is None:
             raise TypeError(
                 f"{type(self).__name__} emits no sampling plan; implement "
@@ -260,7 +316,7 @@ class MatrixSampler(ABC):
             )
         rng = self._normalize_rng(rng, len(batches))
         executor = LocalExecutor(self, adj, batches, rng, spgemm)
-        return executor.run(optimize(program))
+        return executor.run(program)
 
     # ------------------------------------------------------------------ #
     # Shared validation
@@ -269,7 +325,7 @@ class MatrixSampler(ABC):
     def _validate(
         adj: CSRMatrix,
         batches: Sequence[np.ndarray],
-        fanout: Sequence[int],
+        fanout: Sequence[int | None],
     ) -> int:
         if adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
@@ -277,8 +333,11 @@ class MatrixSampler(ABC):
             raise ValueError("need at least one batch")
         if not fanout:
             raise ValueError("need at least one layer fanout")
-        if any(s <= 0 for s in fanout):
-            raise ValueError(f"fanout entries must be positive, got {fanout}")
+        if any(s is not None and s <= 0 for s in fanout):
+            raise ValueError(
+                f"fanout entries must be positive (or None: keep every "
+                f"neighbour), got {fanout}"
+            )
         n = adj.shape[0]
         for b in batches:
             b = np.asarray(b)

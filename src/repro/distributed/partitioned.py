@@ -49,7 +49,6 @@ from ..core import (
     reassemble_round_robin,
     step_phase,
 )
-from ..core.compile import optimize
 from ..core.frontier import LayerSample
 from ..core.plan import (
     ExtractStep,
@@ -498,8 +497,8 @@ def partitioned_bulk_sampling(
     registry plugins alike); a sampler without a plan raises ``TypeError``
     because there is nothing to distribute.
     """
-    plan_fn = getattr(sampler, "plan", None)
-    plan = plan_fn(tuple(int(s) for s in fanout)) if callable(plan_fn) else None
+    plan_fn = getattr(sampler, "optimized_plan", None)
+    plan = plan_fn(fanout) if callable(plan_fn) else None
     if plan is None:
         raise TypeError(
             f"partitioned sampling needs a sampler that emits a sampling "
@@ -510,4 +509,4 @@ def partitioned_bulk_sampling(
         comm, grid, sampler, a_blocks, batches, seed,
         sparsity_aware=sparsity_aware, kernel=kernel,
     )
-    return executor.run(optimize(plan)), executor.owners
+    return executor.run(plan), executor.owners

@@ -28,8 +28,8 @@ requests share it.  The moving parts:
 * streaming updates (a workload with ``updates()``, or
   :meth:`ServingCluster.apply_update` directly) broadcast: the delta-log
   merge happens once on the shared :class:`~repro.stream.StreamingGraph`,
-  then *every* replica absorbs it (fanout refresh, dirty-vertex
-  EmbeddingCache invalidation) on its own clock under ``graph_update``,
+  then *every* replica absorbs it (dirty-vertex EmbeddingCache
+  invalidation) on its own clock under ``graph_update``,
   so every request is served on the graph as of its dispatch time;
 * an optional :class:`Autoscaler` (enabled by ``slo_p99 > 0``) evaluates
   the p99 of each fixed interval on the simulated clock and steps the
@@ -38,7 +38,8 @@ requests share it.  The moving parts:
   all of it on simulated time, so scaling decisions replay identically.
 
 **Modes.** *Exact* (default, ``fanout=None``): every hop keeps the full
-neighborhood, so served logits are **bit-identical** to
+neighborhood — a keep-all ``SAMPLE(all)`` per layer, which draws nothing
+and needs no degree bound — so served logits are **bit-identical** to
 :func:`~repro.pipeline.layerwise_inference` and *which* replica serves a
 request never changes its bits — routing, shedding, scaling and the
 :class:`~repro.serve.cache.EmbeddingCache` (``embed_budget``) only move
@@ -210,8 +211,8 @@ class ServingCluster:
         The structural merge (delta log, maybe a compaction) happens once,
         on the shared :class:`~repro.stream.StreamingGraph`; then every
         live replica absorbs the result on its own clock under
-        ``graph_update`` — fanout refresh, invalidation of the cached
-        embeddings the change can reach — starting at ``max(its free time,
+        ``graph_update`` — invalidation of the cached embeddings the
+        change can reach — starting at ``max(its free time,
         at)`` and busy until done.  ``at`` is the update's arrival on the
         workload timeline (default: the batch's own stamp).  Returns the
         slowest replica's absorb time.

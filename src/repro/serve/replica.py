@@ -12,15 +12,17 @@ replicas through three verbs —
 * :meth:`serve_batch` — compute logits for one dispatched micro-batch,
   charging the replica's own clock;
 * :meth:`logits_for` — the underlying cached/exact/sampled forward path;
-* :meth:`absorb_update` — react to an applied graph update: refresh the
-  exact-mode fanout and invalidate the dirty vertices' cached embeddings
-  (each replica invalidates *its own* cache contents, which is what makes
+* :meth:`absorb_update` — react to an applied graph update: charge the
+  absorb and invalidate the dirty vertices' cached embeddings (each
+  replica invalidates *its own* cache contents, which is what makes
   fleet-wide update broadcast cheap).
 
-Exactness is a per-replica property: in exact mode (``fanout=None``) the
-logits a replica serves are bit-identical to layer-wise inference and do
-not depend on which replica served the request, so any router policy in
-front of a fleet of replicas preserves the repo's signature contract.
+Exactness is a per-replica property: in exact mode (``fanout=None``) every
+layer's SAMPLE is *keep-all* (``SAMPLE(all)``: every positive entry of the
+row, nothing drawn), so the logits a replica serves are bit-identical to
+layer-wise inference whatever the graph's degrees become under updates,
+and do not depend on which replica served the request — any router policy
+in front of a fleet of replicas preserves the repo's signature contract.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
-from ..core.compile import optimize
 from ..core.sage_sampler import SageSampler
 from ..gnn.model import GNNModel
 from ..graphs import Graph
@@ -62,7 +63,8 @@ class Replica:
     ``config`` supplies the serving knobs (``serve_batch_size``,
     ``serve_max_wait``, ``embed_budget``), the kernel backend, the machine
     model and the seed.  ``fanout=None`` selects the exact full-neighborhood
-    mode; a tuple of per-layer counts selects sampled serving through the
+    mode (held as ``self.fanout = (None,) * n_layers``, the keep-all plan);
+    a tuple of per-layer counts selects sampled serving through the
     configured sampler (its length must match the model depth).  ``rid``
     names the replica inside a fleet (0 for a single server).
     """
@@ -90,9 +92,9 @@ class Replica:
             _conv_out_dim(model.convs[-1])
         ]
         if self.exact:
-            self.fanout = self._full_fanout()
             # Exactness needs the node-wise full-expansion plan: every dst
             # keeps its whole neighborhood and joins its own frontier.
+            self.fanout: tuple[int | None, ...] = (None,) * n_layers
             self.sampler = SageSampler(include_dst=True, kernel=config.kernel)
         else:
             fanout = tuple(int(s) for s in fanout)
@@ -128,15 +130,6 @@ class Replica:
         self.free = 0.0
         self.batches = 0
         self.served = 0
-
-    def _full_fanout(self) -> tuple[int, ...]:
-        """The per-layer count that keeps every neighborhood whole.
-
-        Recomputed after each graph update: an insertion can raise the max
-        in-degree, and exactness requires the SAMPLE cap to stay above it.
-        """
-        full = max(1, int(self.graph.adj.nnz_per_row().max()))
-        return (full,) * self.model.n_layers
 
     def reset(self) -> None:
         """Per-run reset: clock, counters and scheduling state — cached
@@ -205,8 +198,6 @@ class Replica:
                     ),
                     "compute",
                 )
-            if self.exact:
-                self.fanout = self._full_fanout()
             if self.cache is not None and result.dirty_rows.size:
                 stale = dirty_closure(
                     self.graph.adj, result.dirty_rows, self.model.n_layers - 2
@@ -238,11 +229,9 @@ class Replica:
         coalesced requests: that independence is the micro-batching
         amortization.
         """
-        program = self.sampler.plan(tuple(self.fanout[: len(layers)]))
+        program = self.sampler.optimized_plan(self.fanout[: len(layers)])
         kernels = (
-            len(optimize(program).steps)
-            if program is not None
-            else 4 * len(layers)
+            len(program.steps) if program is not None else 4 * len(layers)
         )
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])
@@ -350,8 +339,9 @@ class Replica:
 
         The per-batch RNG stream is keyed by ``(seed, batch_index)`` only —
         not the replica id — so sampled logits depend on the global
-        dispatch order alone.  In exact mode the logits do not consume
-        randomness at all, so replicas sharing a stream cannot correlate.
+        dispatch order alone.  In exact mode every SAMPLE is keep-all and
+        the stream is never drawn from, so replicas sharing it cannot
+        correlate.
         """
         targets = np.unique(np.concatenate([r.vertices for r in batch]))
         rng = np.random.default_rng(

@@ -283,8 +283,10 @@ class CSRMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
             raise IndexError("row index out of range")
-        counts = self.nnz_per_row()[rows]
+        # Lengths of the asked-for rows only: O(len(rows)), not a diff over
+        # the whole matrix's indptr.
         starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
         take = _ranges(starts, counts)
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

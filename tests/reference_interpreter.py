@@ -53,7 +53,7 @@ def reference_sample_bulk(sampler, adj, batches, fanout, rng):
     unoptimized, through :class:`ReferenceInterpreter` with the sampler's
     own kernel."""
     sampler._validate(adj, batches, fanout)
-    plan = sampler.plan(tuple(int(s) for s in fanout))
+    plan = sampler.plan(tuple(None if s is None else int(s) for s in fanout))
     rng = sampler._normalize_rng(rng, len(batches))
     spgemm = get_kernel(sampler.kernel).spgemm
     return ReferenceInterpreter(sampler, adj, batches, rng, spgemm).run(plan)

@@ -3,9 +3,10 @@
 Hypothesis generates random *valid* sampling plans — stage-structured
 mixes of node-wise, layer-wise, global and random-walk stages with dead
 steps injected, double extractions off one SAMPLE, debiasing, destination
-unioning, both NORM styles and both sample backends — and executes each
-one on a random graph.  Every plan runs through the ``Q^{l-1}``-
-materializing oracle (:mod:`reference_interpreter`), through
+unioning, keep-all ``SAMPLE(all)`` node-wise stages (exact serving's
+program, alone or mixed with counted stages), both NORM styles and both
+sample backends — and executes each one on a random graph.  Every plan
+runs through the ``Q^{l-1}``-materializing oracle (:mod:`reference_interpreter`), through
 :class:`~repro.core.plan.LocalExecutor` on the optimized plan *and* on the
 plan as emitted (executors accept both, so the optimizer passes are
 themselves under differential test), and through
@@ -133,11 +134,14 @@ def fuzz_cases(draw):
                 debias = draw(st.booleans())
         if kind == "walk":
             double = draw(st.booleans())
+        count = draw(st.integers(1, 4))
+        if kind == "node" and draw(st.booleans()):
+            count = None  # the keep-all family: SAMPLE(all), no draw
         stages.append(
             {
                 "kind": kind,
                 "norm": norm,
-                "count": draw(st.integers(1, 4)),
+                "count": count,
                 "union_dst": union_dst,
                 "debias": debias,
                 "double_extract": double,

@@ -117,6 +117,45 @@ class TestStructuralOps:
         with pytest.raises(IndexError):
             m.extract_rows([5])
 
+    def test_extract_rows_never_scans_the_whole_indptr(self, rng, monkeypatch):
+        """A gather costs O(len(rows)): it must not take ``nnz_per_row()``
+        (a diff over every row of the matrix) to learn a few row lengths."""
+        m = sprand(40, 12, 0.3, rng)
+        expect = m.to_dense()
+
+        def boom(self):
+            raise AssertionError("extract_rows diffed the whole indptr")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CSRMatrix, "nnz_per_row", boom)
+            sub = m.extract_rows([7, 31, 7])
+        assert np.array_equal(sub.to_dense(), expect[[7, 31, 7]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [4], [9, 9, 9], [8, 2, 5, 2, 0], list(range(9, -1, -1)), [3, 1]],
+        ids=["empty", "one", "dup", "unordered-dup", "reversed", "empty-row"],
+    )
+    def test_extract_rows_equals_the_full_diff_gather(self, rng, rows):
+        """Array-for-array what the old body (``nnz_per_row()[rows]``) built."""
+        m = sprand(10, 8, 0.3, rng)
+        m = CSRMatrix.from_dense(  # row 3 empty
+            np.where(np.arange(10)[:, None] == 3, 0.0, m.to_dense())
+        )
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.diff(m.indptr)[rows]
+        take = np.concatenate(
+            [np.arange(m.indptr[r], m.indptr[r + 1]) for r in rows]
+            + [np.empty(0, dtype=np.int64)]
+        ).astype(np.int64)
+        sub = m.extract_rows(rows)
+        assert np.array_equal(sub.indptr, np.concatenate(([0], np.cumsum(counts))))
+        assert sub.indptr.dtype == np.int64
+        assert np.array_equal(sub.indices, m.indices[take])
+        assert np.array_equal(sub.data, m.data[take])
+        assert sub.shape == (rows.size, 8)
+        sub.check()
+
     def test_row_block(self, rng):
         m = sprand(20, 10, 0.25, rng)
         blk = m.row_block(5, 12)
