@@ -8,23 +8,33 @@ reproduces a run::
     cfg.to_json("run.json")
     Engine.from_json("run.json").train()
 
-Validation happens at construction and names the registry's known keys, so
-a typo or a missing plugin import fails immediately with the accepted
-options listed.  ``repro.pipeline.PipelineConfig`` is a deprecated alias
-that delegates here.
+The dataclass is the *single declaration* of every knob: each field's
+``metadata`` carries its help text, value type, bound and — for a knob
+that names a pluggable implementation — the registry it must be a key of.
+Validation (:meth:`RunConfig.__post_init__`), the CLI's flags
+(:func:`repro.cli.add_config_flags`) and the README's knob table
+(:func:`repro.cli.knob_table`) are all read off
+``dataclasses.fields(RunConfig)``, so a flag, its help and its check cannot
+drift apart.  Validation happens at construction and names the registry's
+known keys, so a typo or a missing plugin import fails immediately with the
+accepted options listed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
 
 from ..config import DeviceModel, LinkModel, MachineConfig, PERLMUTTER_LIKE
 from ..gnn.activations import ACTIVATIONS
+from ..gnn.model import CONVS
 from ..partition.cache import CACHE_POLICIES
+from ..serve.admission import SHED_POLICIES
+from ..serve.router import ROUTERS
 from ..sparse.kernels import KERNELS
 from .registries import (
     ALGORITHMS,
@@ -51,110 +61,248 @@ def machine_from_dict(data: dict[str, Any]) -> MachineConfig:
     return MachineConfig(**data)
 
 
+#: What a field's ``bound`` metadata admits; the key is also the wording
+#: of the error message.
+_BOUNDS = {
+    None: lambda v: True,
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+#: The abstract numeric type a declared ``type`` accepts: an ``int`` is
+#: fine where ``float`` is declared (and numpy scalars are fine for both),
+#: ``bool`` for neither.
+_NUMERIC = {int: Integral, float: Real}
+
+
+def _knob(default: Any, help: str, type: type, **meta: Any) -> Any:
+    """A RunConfig field carrying its own declaration.
+
+    ``help`` and ``type`` are mandatory; optional metadata: ``bound`` (a
+    :data:`_BOUNDS` key), ``registry`` (the collection of names the value
+    must be one of — looked up at validation time, so plugin entries
+    count), ``optional`` (``None`` is a legal value), ``metavar`` (the
+    CLI's placeholder) and ``note`` (appended to the field's error
+    message).  A callable ``default`` is a default factory.
+    """
+    meta.update(help=help, type=type)
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=meta)
+    return dataclasses.field(default=default, metadata=meta)
+
+
+def knob_expectation(f: dataclasses.Field) -> str:
+    """What a field accepts, in words: ``"a positive int"``, ``"a
+    registered cache policy"``, ``"a float in (0, 1] or None"``."""
+    m = f.metadata
+    bound, kind = m.get("bound"), m["type"].__name__
+    if "registry" in m:
+        text = f"a registered {f.name.replace('_', ' ')}"
+    elif m["type"] is tuple:
+        text = "a non-empty tuple of positive integers"
+    elif bound is None:
+        text = f"a {kind}"
+    else:
+        text = f"a {kind} {bound}" if bound.startswith("in ") else f"a {bound} {kind}"
+    return text + (" or None" if m.get("optional") else "")
+
+
+def _check_knob(f: dataclasses.Field, value: Any) -> Any:
+    """One field's value, validated against its declaration (and
+    normalized: a fanout list becomes a tuple, a machine dict a
+    :class:`MachineConfig`)."""
+    m, kind = f.metadata, f.metadata["type"]
+    if value is None and m.get("optional"):
+        return value
+    if "registry" in m:
+        if value not in list(m["registry"]):
+            noun = f.name.replace("_", " ")
+            plural = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
+            raise ValueError(
+                f"unknown {noun} {value!r}; known {plural}: "
+                f"{', '.join(m['registry'])}"
+            )
+        return value
+    if kind is MachineConfig and isinstance(value, dict):
+        return machine_from_dict(value)
+    if kind is tuple:
+        if isinstance(value, (list, tuple)) and value and all(
+            isinstance(s, Integral) and not isinstance(s, bool) and s > 0
+            for s in value
+        ):
+            return tuple(int(s) for s in value)
+    elif (
+        isinstance(value, _NUMERIC.get(kind, kind))
+        and (kind is bool or not isinstance(value, bool))
+        and _BOUNDS[m.get("bound")](value)
+    ):
+        return value
+    raise ValueError(
+        f"{f.name} must be {knob_expectation(f)}, got {value!r}"
+        + m.get("note", "")
+    )
+
+
 @dataclass
 class RunConfig:
     """Configuration of one run: cluster shape, algorithm/sampler keys,
     model hyper-parameters and (optionally) the dataset to load.
 
-    Field order up to ``machine`` matches the historical ``PipelineConfig``
-    so existing call sites keep working; everything after it is new
-    Engine-level configuration.
+    Every field is declared once, with :func:`_knob`; see the module
+    docstring for what is derived from the declarations.
     """
 
-    p: int = 1
-    c: int = 1
-    algorithm: str = "replicated"
-    sampler: str = "sage"
-    fanout: tuple[int, ...] = (15, 10, 5)
-    batch_size: int = 1024
-    k: int | None = None  # bulk size in minibatches; None = whole epoch
-    hidden: int = 256
-    lr: float = 3e-3
-    seed: int = 0
-    train_model: bool = True
-    sparsity_aware: bool = True
-    conv: str | None = None  # model conv type; defaults per sampler metadata
-    work_scale: float = 1.0  # sim-to-paper workload scale (see Communicator)
-    machine: MachineConfig = field(default_factory=lambda: PERLMUTTER_LIKE)
-    # -- Engine-level configuration (new with repro.api) ----------------- #
-    dataset: str | None = None  # registry key; None = caller supplies a graph
-    scale: float = 1.0  # dataset down-scaling factor
-    train_split: float | None = None  # override train fraction; None = keep
-    epochs: int = 3  # default epoch count for engine.train()
-    dataset_kwargs: dict[str, Any] = field(default_factory=dict)
-    kernel: str = "esc"  # sparse-kernel backend (repro.sparse.KERNELS key)
+    # -- cluster shape + what runs on it --------------------------------- #
+    p: int = _knob(1, "simulated GPU count", int, bound="positive")
+    c: int = _knob(
+        1, "replication factor of the p/c x c grid; must divide --p (on "
+        "the command line c > 1 implies --algorithm partitioned unless given)",
+        int, bound="positive",
+    )
+    algorithm: str = _knob(
+        "replicated", "execution algorithm", str, registry=ALGORITHMS
+    )
+    sampler: str = _knob("sage", "sampling algorithm", str, registry=SAMPLERS)
+    fanout: tuple[int, ...] = _knob(
+        (15, 10, 5), "per-layer sample counts (their number is the model "
+        "depth; serving itself always uses exact full neighborhoods)",
+        tuple, metavar="N,N,...",
+        note=": keeping every neighbour (None) is the serving mode "
+        "Engine.serving(fanout=None), not a training fanout",
+    )
+    batch_size: int = _knob(1024, "training minibatch size", int, bound="positive")
+    k: int | None = _knob(
+        None, "bulk size in minibatches; None = the whole epoch", int,
+        bound="positive", optional=True,
+    )
+    hidden: int = _knob(256, "hidden width", int, bound="positive")
+    lr: float = _knob(3e-3, "Adam learning rate", float, bound="positive")
+    seed: int = _knob(0, "RNG seed", int, bound="non-negative")
+    train_model: bool = _knob(
+        True, "run the numpy forward/backward (False = charge costs only)", bool
+    )
+    sparsity_aware: bool = _knob(
+        True, "partitioned SpGEMM ships only the rows a block needs", bool
+    )
+    conv: str | None = _knob(
+        None, "model convolution; None = the sampler's registry default",
+        str, registry=CONVS, optional=True,
+    )
+    work_scale: float = _knob(
+        1.0, "sim-to-paper workload scale (see Communicator)", float,
+        bound="positive",
+    )
+    machine: MachineConfig = _knob(
+        lambda: PERLMUTTER_LIKE, "simulated machine model", MachineConfig
+    )
+    # -- dataset ---------------------------------------------------------- #
+    dataset: str | None = _knob(
+        None, "dataset registry key; None = the caller supplies a graph",
+        str, registry=DATASETS, optional=True,
+    )
+    scale: float = _knob(
+        1.0, "dataset down-scaling factor", float, bound="positive"
+    )
+    train_split: float | None = _knob(
+        None, "fraction of vertices used for training; None = keep the "
+        "dataset's split", float, bound="in (0, 1]", optional=True,
+        metavar="FRAC",
+    )
+    epochs: int = _knob(
+        3, "training epochs (before serving, for serve/stream)", int,
+        bound="positive",
+    )
+    dataset_kwargs: dict[str, Any] = _knob(
+        dict, "extra keyword arguments for the dataset loader", dict
+    )
+    kernel: str = _knob("esc", "sparse-kernel backend", str, registry=KERNELS)
     # -- feature cache + bulk scheduling (repro.partition.cache) --------- #
-    cache_budget: float = 0.0  # per-rank bytes for replicated hot rows; 0 = off
-    cache_policy: str = "degree"  # repro.partition.CACHE_POLICIES key
-    overlap: bool = False  # double-buffer sampling+fetch with training
-    # -- model --------------------------------------------------------- #
-    activation: str = "relu"  # inter-layer nonlinearity (repro.gnn.ACTIVATIONS)
-    # -- online serving (repro.serve) ----------------------------------- #
-    serve_batch_size: int = 8  # micro-batch size cap for the serving engine
-    serve_max_wait: float = 1e-3  # max simulated seconds a request queues
-    embed_budget: float = 0.0  # bytes for cached h^{L-1} rows; 0 = off
-    # -- streaming graphs (repro.stream) -------------------------------- #
-    stream_updates: bool = False  # serve over a DeltaCSR accepting edge churn
-    compaction_threshold: float = 0.25  # delta-log fraction of nnz that compacts
-    # -- serving fleet (repro.serve.cluster) ----------------------------- #
-    replicas: int = 1  # initial serving fleet size; 1 = a single server
-    router: str = "direct"  # fleet routing policy (repro.serve.ROUTERS key)
-    shed_policy: str = "none"  # admission control: none | queue | deadline
-    shed_queue_depth: int = 64  # per-replica queue bound for shed_policy="queue"
-    shed_deadline: float = 0.0  # staleness bound (s) for shed_policy="deadline"
-    slo_p99: float = 0.0  # p99 latency SLO (s) driving the autoscaler; 0 = off
-    autoscale_min: int = 1  # autoscaler replica-count floor
-    autoscale_max: int = 8  # autoscaler replica-count ceiling
-    autoscale_interval: float = 0.01  # seconds of sim time per autoscaler window
+    cache_budget: float = _knob(
+        0.0, "per-rank feature-cache budget in bytes; replicated hot rows "
+        "are served locally instead of all-to-allv'd (0 = off)", float,
+        bound="non-negative", metavar="BYTES",
+    )
+    cache_policy: str = _knob(
+        "degree", "feature-cache replication policy", str,
+        registry=CACHE_POLICIES,
+    )
+    overlap: bool = _knob(
+        False, "double-buffer bulks: overlap sampling+fetch of bulk k+1 "
+        "with training on bulk k (simulated clock)", bool,
+    )
+    # -- model ------------------------------------------------------------ #
+    activation: str = _knob(
+        "relu", "inter-layer nonlinearity", str, registry=ACTIVATIONS
+    )
+    # -- online serving (repro.serve) ------------------------------------ #
+    serve_batch_size: int = _knob(
+        8, "micro-batch size cap (1 = per-request)", int, bound="positive"
+    )
+    serve_max_wait: float = _knob(
+        1e-3, "max simulated seconds a request queues", float,
+        bound="non-negative", metavar="SECONDS",
+    )
+    embed_budget: float = _knob(
+        0.0, "embedding-cache budget in bytes for hot penultimate-layer "
+        "rows; graph updates invalidate dirty rows (0 = off)", float,
+        bound="non-negative", metavar="BYTES",
+    )
+    # -- streaming graphs (repro.stream) --------------------------------- #
+    stream_updates: bool = _knob(
+        False, "serve over a DeltaCSR that accepts edge churn", bool
+    )
+    compaction_threshold: float = _knob(
+        0.25, "delta-log size, as a fraction of the base nnz, at which the "
+        "streaming overlay compacts into a fresh CSR", float,
+        bound="positive", metavar="FRAC",
+    )
+    # -- serving fleet (repro.serve.cluster) ------------------------------ #
+    replicas: int = _knob(
+        1, "initial serving fleet size (1 = a single server)", int,
+        bound="positive",
+    )
+    router: str = _knob("direct", "fleet routing policy", str, registry=ROUTERS)
+    shed_policy: str = _knob(
+        "none", "admission control: shed on per-replica queue depth or "
+        "request deadline", str, registry=SHED_POLICIES,
+    )
+    shed_queue_depth: int = _knob(
+        64, "per-replica queue bound for shed_policy=queue", int,
+        bound="positive", metavar="N",
+    )
+    shed_deadline: float = _knob(
+        0.0, "staleness bound for shed_policy=deadline", float,
+        bound="non-negative", metavar="SECONDS",
+    )
+    slo_p99: float = _knob(
+        0.0, "p99 latency SLO driving the autoscaler (0 = autoscaling off)",
+        float, bound="non-negative", metavar="SECONDS",
+    )
+    autoscale_min: int = _knob(
+        1, "autoscaler replica floor", int, bound="positive", metavar="N"
+    )
+    autoscale_max: int = _knob(
+        8, "autoscaler replica ceiling", int, bound="positive", metavar="N"
+    )
+    autoscale_interval: float = _knob(
+        0.01, "simulated seconds per autoscaler evaluation window", float,
+        bound="positive", metavar="SECONDS",
+    )
     # -- real multi-core execution (repro.parallel) ----------------------- #
-    workers: int = 0  # shared-memory worker processes; 0 = serial, no mp import
+    workers: int = _knob(
+        0, "shared-memory worker processes (0 = serial / in-process): bulk "
+        "sampling under train, where > 0 implies --algorithm parallel "
+        "unless given; one replica per worker under serve/stream, which "
+        "needs an open-loop trace and no autoscaler", int,
+        bound="non-negative",
+    )
 
     def __post_init__(self) -> None:
-        if any(s is None or s <= 0 for s in self.fanout):
-            raise ValueError(
-                f"fanout entries must be positive integers, got "
-                f"{tuple(self.fanout)}: keeping every neighbour (None) is "
-                f"the serving mode Engine.serving(fanout=None), not a "
-                f"training fanout"
-            )
-        if isinstance(self.fanout, list):
-            self.fanout = tuple(int(x) for x in self.fanout)
-        if isinstance(self.machine, dict):
-            self.machine = machine_from_dict(self.machine)
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; known algorithms: "
-                f"{', '.join(ALGORITHMS.names())}"
-            )
-        if self.sampler not in SAMPLERS:
-            raise ValueError(
-                f"unknown sampler {self.sampler!r}; known samplers: "
-                f"{', '.join(SAMPLERS.names())}"
-            )
-        if self.dataset is not None and self.dataset not in DATASETS:
-            raise ValueError(
-                f"unknown dataset {self.dataset!r}; known datasets: "
-                f"{', '.join(DATASETS.names())}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; known kernels: "
-                f"{', '.join(KERNELS.names())}"
-            )
-        if self.cache_budget < 0:
-            raise ValueError("cache_budget must be non-negative bytes")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {self.cache_policy!r}; known "
-                f"policies: {', '.join(CACHE_POLICIES)}"
-            )
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _check_knob(f, getattr(self, f.name)))
+        # What is left by hand is what no single field can decide.
         check_sampler_supports(self.sampler, self.algorithm)
-        if self.p <= 0 or self.c <= 0:
-            raise ValueError(
-                f"invalid process grid p={self.p}, c={self.c}: the GPU "
-                f"count (--p) and the replication factor (--c) must both "
-                f"be positive"
-            )
         if self.p % self.c:
             raise ValueError(
                 f"invalid process grid p={self.p}, c={self.c}: the "
@@ -166,70 +314,17 @@ class RunConfig:
             raise ValueError(
                 f"algorithm 'single' requires p=1, got p={self.p}"
             )
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be non-negative (0 = serial), got {self.workers}"
-            )
         if self.algorithm == "parallel" and self.p != 1:
             raise ValueError(
                 f"algorithm 'parallel' requires p=1, got p={self.p}: it "
                 f"parallelizes over real worker processes (workers=N), not "
                 f"simulated ranks — use algorithm='replicated' to sweep p"
             )
-        if self.k is not None and self.k <= 0:
-            raise ValueError("bulk size k must be positive")
-        if self.scale <= 0:
-            raise ValueError("dataset scale must be positive")
-        if self.train_split is not None and not 0.0 < self.train_split <= 1.0:
-            raise ValueError("train_split must be in (0, 1]")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}; known activations: "
-                f"{', '.join(ACTIVATIONS)}"
-            )
-        if self.serve_batch_size <= 0:
-            raise ValueError("serve_batch_size must be positive")
-        if self.serve_max_wait < 0:
-            raise ValueError("serve_max_wait must be non-negative seconds")
-        if self.embed_budget < 0:
-            raise ValueError("embed_budget must be non-negative bytes")
-        if self.compaction_threshold <= 0:
-            raise ValueError(
-                "compaction_threshold must be positive (the delta-log size, "
-                "as a fraction of the base nnz, at which the streaming "
-                "overlay compacts into a fresh CSR)"
-            )
-        # Fleet knobs: import locally — repro.serve imports repro.api.
-        from ..serve.admission import SHED_POLICIES
-        from ..serve.router import ROUTERS
-
-        if self.replicas <= 0:
-            raise ValueError("replicas must be positive")
-        if self.router not in ROUTERS:
-            raise ValueError(
-                f"unknown router {self.router!r}; known routers: "
-                f"{', '.join(sorted(ROUTERS))}"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r}; known policies: "
-                f"{', '.join(SHED_POLICIES)}"
-            )
-        if self.shed_queue_depth <= 0:
-            raise ValueError("shed_queue_depth must be positive")
-        if self.shed_deadline < 0:
-            raise ValueError("shed_deadline must be non-negative seconds")
-        if self.slo_p99 < 0:
-            raise ValueError("slo_p99 must be non-negative seconds (0 = off)")
-        if not (1 <= self.autoscale_min <= self.autoscale_max):
+        if self.autoscale_min > self.autoscale_max:
             raise ValueError(
                 f"need 1 <= autoscale_min <= autoscale_max, got "
                 f"[{self.autoscale_min}, {self.autoscale_max}]"
             )
-        if self.autoscale_interval <= 0:
-            raise ValueError("autoscale_interval must be positive seconds")
         if self.slo_p99 > 0 and self.replicas > self.autoscale_max:
             raise ValueError(
                 "initial replicas exceed autoscale_max; raise the ceiling "

@@ -137,36 +137,6 @@ class Engine:
             return None
         return getattr(self._pipeline.store, "stats", None)
 
-    def publish_metrics(self, registry=None) -> bool:
-        """Publish the engine's current stats into a metrics registry.
-
-        Uses the process-wide registry (``repro.obs.set_registry`` / the
-        CLI's ``--metrics`` flag) when ``registry`` is omitted.  Covers the
-        last epoch's :class:`EpochStats` and the feature cache's counters;
-        serving reports publish themselves at the end of ``process``.
-        Returns ``True`` if anything was published.
-
-        Note: when a process-wide registry is installed *during* training,
-        the pipeline already publishes every epoch as it completes — call
-        this only with a private ``registry`` in that case, or you will
-        count the last epoch twice.
-        """
-        if registry is None:
-            from ..obs.metrics import get_registry
-
-            registry = get_registry()
-        if registry is None:
-            return False
-        published = False
-        if self.epoch_stats is not None:
-            self.epoch_stats.publish(registry)
-            published = True
-        cache = self.cache_stats
-        if cache is not None and hasattr(cache, "publish"):
-            cache.publish(registry)
-            published = True
-        return published
-
     # ------------------------------------------------------------------ #
     # The four verbs
     # ------------------------------------------------------------------ #

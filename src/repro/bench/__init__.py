@@ -14,7 +14,6 @@ from .regression import (
     EnvMismatch,
     ParamsMismatch,
     Regression,
-    compare_artifact_files,
     compare_artifacts,
     metric_direction,
 )
@@ -49,5 +48,4 @@ __all__ = [
     "EnvMismatch",
     "metric_direction",
     "compare_artifacts",
-    "compare_artifact_files",
 ]

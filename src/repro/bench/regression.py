@@ -24,10 +24,7 @@ it exists to absorb intentional-but-small drift, not measurement noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping
-
-from .artifact import load_bench_artifact
 
 __all__ = [
     "Regression",
@@ -35,7 +32,6 @@ __all__ = [
     "EnvMismatch",
     "metric_direction",
     "compare_artifacts",
-    "compare_artifact_files",
 ]
 
 #: Key-name fragments that classify a metric's good direction.  Checked in
@@ -190,22 +186,3 @@ def compare_artifacts(
                 )
             )
     return regressions
-
-
-def compare_artifact_files(
-    baseline_path: str | Path,
-    fresh_path: str | Path,
-    *,
-    tolerance: float = 0.05,
-    ignore_params: tuple[str, ...] = (),
-    ignore_env: bool = False,
-) -> list[Regression]:
-    """File-path convenience over :func:`compare_artifacts` (both loads
-    are schema-version checked)."""
-    return compare_artifacts(
-        load_bench_artifact(baseline_path),
-        load_bench_artifact(fresh_path),
-        tolerance=tolerance,
-        ignore_params=ignore_params,
-        ignore_env=ignore_env,
-    )

@@ -1,4 +1,4 @@
-"""Command-line interface: generate datasets, sample, train, run sweeps.
+"""Command-line interface: generate datasets, sample, train, serve, sweep.
 
 Usage (after install)::
 
@@ -7,41 +7,62 @@ Usage (after install)::
     python -m repro sample products --sampler ladies --batches 8
     python -m repro train products --epochs 5 --p 4 --c 2 --fanout 10,5
     python -m repro train --config examples/run_config.json
+    python -m repro serve products --replicas 4 --router consistent_hash
     python -m repro sweep products --algorithm replicated
 
-Every choice list (datasets, samplers, execution algorithms) is driven by
-the :mod:`repro.api` registries, so plugins loaded with ``--plugin
-my_module`` (importable module that registers itself) appear as valid
-options everywhere.  ``repro train`` accepts a ``--config file.json``
-RunConfig; explicit flags override the file.  Subcommands print
-human-readable tables; simulated times follow the same semantics as the
-benchmarks.
+``train`` / ``serve`` / ``stream`` each build one
+:class:`~repro.api.RunConfig` — from ``--config file.json``, from flags
+(which override the file) or from the CLI defaults — and their knob flags
+are not written here: :func:`add_config_flags` derives each from the
+dataclass field it sets (``repro info`` prints the table).  Every choice
+list is read from a registry, so plugins loaded with ``--plugin my_module``
+(importable module that registers itself) appear as valid options
+everywhere.  Subcommands print human-readable tables; simulated times
+follow the same semantics as the benchmarks.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import sys
 import time
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_config_flags", "knob_table"]
 
-#: ``repro train`` / ``repro serve`` flags that override the corresponding
-#: RunConfig field (None = not given, fall back to --config / defaults;
-#: flags a subcommand does not define are simply absent).
-_TRAIN_OVERRIDES = (
-    "scale", "epochs", "p", "c", "algorithm", "sampler", "kernel",
-    "batch_size", "seed", "hidden", "lr", "k", "train_split",
-    "cache_budget", "cache_policy", "overlap", "activation",
-    "serve_batch_size", "serve_max_wait", "embed_budget",
-    "compaction_threshold",
-    "replicas", "router", "shed_policy", "shed_queue_depth",
-    "shed_deadline", "slo_p99", "autoscale_min", "autoscale_max",
-    "autoscale_interval", "workers",
+#: ``fanout`` placeholder: without --config the default is the sampler's
+#: registry ``default_fanout``, known only once the sampler is.
+_PER_SAMPLER = "per sampler"
+
+#: What the training subcommands fall back to when no --config is given —
+#: sized for a quick interactive run where RunConfig's own defaults are the
+#: paper's.  ``serve`` / ``stream`` train for one epoch before serving.
+_CLI_DEFAULTS = dict(
+    dataset="products", p=4, batch_size=32, scale=0.25, hidden=32, lr=0.01,
+    train_split=0.5, fanout=_PER_SAMPLER,
 )
+_SERVE_DEFAULTS = {**_CLI_DEFAULTS, "epochs": 1}
+
+#: The RunConfig fields each subcommand exposes as ``--kebab-name`` flags
+#: (see :func:`add_config_flags`); every other flag it has is not a knob.
+_TRAIN_KNOBS = (
+    "scale", "epochs", "p", "c", "k", "workers", "algorithm", "sampler",
+    "kernel", "fanout", "train_split", "batch_size", "hidden", "lr", "seed",
+    "activation", "cache_budget", "cache_policy", "overlap",
+)
+_SERVING_KNOBS = (
+    "scale", "epochs", "sampler", "kernel", "fanout", "batch_size", "hidden",
+    "seed", "serve_batch_size", "serve_max_wait", "embed_budget", "workers",
+)
+_SERVE_KNOBS = _SERVING_KNOBS + (
+    "activation", "replicas", "router", "shed_policy", "shed_queue_depth",
+    "shed_deadline", "slo_p99", "autoscale_min", "autoscale_max",
+    "autoscale_interval",
+)
+_STREAM_KNOBS = _SERVING_KNOBS + ("compaction_threshold",)
 
 
 def _parse_fanout(text: str) -> tuple[int, ...]:
@@ -60,17 +81,68 @@ def _user_error(exc: object) -> int:
     return 2
 
 
+def add_config_flags(parser, names, cli_defaults) -> None:
+    """One ``--kebab-name`` flag per named RunConfig field, everything about
+    it read off the field's declaration: ``type``, registry ``choices``
+    (as registered right now, plugins included), ``metavar`` and the help
+    text, which ends with the default in force — ``cli_defaults`` where it
+    has the field, the dataclass default otherwise.  Every flag parses to
+    ``None`` when absent, so :func:`_resolve_train_config` can tell "not
+    given" from any value."""
+    from repro.api import RunConfig
+
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for name in names:
+        f, m = fields[name], fields[name].metadata
+        options = dict(
+            default=None,
+            help=f"{m['help']}; default {cli_defaults.get(name, f.default)}",
+        )
+        if m["type"] is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        elif "registry" in m:
+            options["choices"] = list(m["registry"])
+        else:
+            options["metavar"] = m.get("metavar")
+            if m["type"] is not tuple:  # a tuple arrives as "N,N,..." text
+                options["type"] = m["type"]
+        parser.add_argument("--" + name.replace("_", "-"), **options)
+
+
+def _add_run_parser(sub, name, knobs, cli_defaults, **kwargs):
+    """A subcommand that builds a RunConfig: the dataset positional,
+    --config, its knobs' flags and the observability flags.  The parsed
+    namespace carries ``cli_defaults`` for :func:`_resolve_train_config`."""
+    from repro.api import DATASETS
+
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(cli_defaults=cli_defaults)
+    parser.add_argument("dataset", nargs="?", default=None,
+                        choices=DATASETS.names())
+    parser.add_argument("--config", default=None, metavar="FILE.json",
+                        help="RunConfig JSON (repro.api.RunConfig.to_json); "
+                        "flags given explicitly override it")
+    add_config_flags(parser, knobs, cli_defaults)
+    parser.add_argument(
+        "--trace", default=None, metavar="OUT.json",
+        help="record spans and write a Chrome trace-event JSON "
+        "(load in Perfetto or chrome://tracing; summarize with "
+        "`repro trace OUT.json`)",
+    )
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="collect counters/histograms and print a Prometheus-style "
+        "text dump after the run",
+    )
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.api import ALGORITHMS, DATASETS, KERNELS, SAMPLERS
-    from repro.gnn import ACTIVATIONS as activations
-    from repro.partition import CACHE_POLICIES as cache_policies
 
     datasets = DATASETS.names()
-    samplers = SAMPLERS.names()
-    algorithms = ALGORITHMS.names()
-    kernels = KERNELS.names()
     sweep_algorithms = [
-        n for n in algorithms if ALGORITHMS.spec(n).meta("scalable", True)
+        n for n in ALGORITHMS.names() if ALGORITHMS.spec(n).meta("scalable", True)
     ]
 
     parser = argparse.ArgumentParser(
@@ -83,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="print version and simulated machine config")
+    sub.add_parser("info", help="print version, simulated machine config, "
+                   "registries and the RunConfig knob table")
 
     gen = sub.add_parser("generate", help="generate a dataset stand-in to .npz")
     gen.add_argument("dataset", choices=datasets)
@@ -94,17 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="bulk-sample minibatches, print stats")
     smp.add_argument("dataset", choices=datasets)
-    smp.add_argument("--sampler", default="sage", choices=samplers)
+    smp.add_argument("--sampler", default="sage", choices=SAMPLERS.names())
     smp.add_argument("--scale", type=float, default=0.25)
     smp.add_argument("--batches", type=int, default=8)
     smp.add_argument("--batch-size", type=int, default=32)
     smp.add_argument("--fanout", default="5,3")
-    smp.add_argument("--kernel", default=None, choices=kernels,
+    smp.add_argument("--kernel", default=None, choices=KERNELS.names(),
                      help="sparse-kernel backend, default esc")
     smp.add_argument("--seed", type=int, default=0)
 
-    trn = sub.add_parser(
-        "train",
+    _add_run_parser(
+        sub, "train", _TRAIN_KNOBS, _CLI_DEFAULTS,
         help="train the pipeline on a sim cluster",
         description="Flags override --config; without --config unset flags "
         "use the defaults shown (dataset defaults to 'products'). Giving "
@@ -113,53 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         "without --algorithm/--p selects the parallel algorithm (real "
         "worker processes instead of simulated ranks).",
     )
-    trn.add_argument("dataset", nargs="?", default=None, choices=datasets)
-    trn.add_argument("--config", default=None, metavar="FILE.json",
-                     help="RunConfig JSON (repro.api.RunConfig.to_json)")
-    trn.add_argument("--scale", type=float, default=None, help="default 0.25")
-    trn.add_argument("--epochs", type=int, default=None, help="default 3")
-    trn.add_argument("--p", type=int, default=None, help="GPU count, default 4")
-    trn.add_argument("--c", type=int, default=None,
-                     help="replication factor of the p/c x c grid, default "
-                     "1; must divide --p (c > 1 implies --algorithm "
-                     "partitioned unless given)")
-    trn.add_argument("--k", type=int, default=None,
-                     help="bulk size in minibatches, default whole epoch")
-    trn.add_argument("--workers", type=int, default=None,
-                     help="real worker processes for bulk sampling "
-                     "(default 0 = serial; > 0 implies --algorithm "
-                     "parallel unless given)")
-    trn.add_argument("--algorithm", default=None, choices=algorithms)
-    trn.add_argument("--sampler", default=None, choices=samplers)
-    trn.add_argument("--kernel", default=None, choices=kernels,
-                     help="sparse-kernel backend, default esc")
-    trn.add_argument("--fanout", default=None, metavar="N,N,...",
-                     help="per-layer sample counts; default per sampler")
-    trn.add_argument("--train-split", type=float, default=None,
-                     dest="train_split", metavar="FRAC",
-                     help="fraction of vertices used for training, default 0.5")
-    trn.add_argument("--batch-size", type=int, default=None, help="default 32")
-    trn.add_argument("--hidden", type=int, default=None, help="default 32")
-    trn.add_argument("--lr", type=float, default=None, help="default 0.01")
-    trn.add_argument("--seed", type=int, default=None, help="default 0")
-    trn.add_argument("--activation", default=None, choices=list(activations),
-                     help="inter-layer nonlinearity, default relu")
-    trn.add_argument("--cache-budget", type=float, default=None,
-                     dest="cache_budget", metavar="BYTES",
-                     help="per-rank feature-cache budget in bytes; replicated "
-                     "hot rows are served locally instead of all-to-allv'd "
-                     "(default 0 = off)")
-    trn.add_argument("--cache-policy", default=None, dest="cache_policy",
-                     choices=list(cache_policies),
-                     help="feature-cache replication policy, default degree")
-    trn.add_argument("--overlap", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="double-buffer bulks: overlap sampling+fetch of "
-                     "bulk k+1 with training on bulk k (simulated clock)")
-    _add_obs_flags(trn)
 
-    srv = sub.add_parser(
-        "serve",
+    srv = _add_run_parser(
+        sub, "serve", _SERVE_KNOBS, _SERVE_DEFAULTS,
         help="online inference serving over a request trace",
         description="Trains a model (--epochs, default 1), then serves a "
         "request trace through the micro-batching server (a "
@@ -168,75 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         "logits digest.  Without --requests, a synthetic trace of "
         "--synthetic requests against the test split is generated.",
     )
-    srv.add_argument("dataset", nargs="?", default=None, choices=datasets)
-    srv.add_argument("--config", default=None, metavar="FILE.json",
-                     help="RunConfig JSON (repro.api.RunConfig.to_json)")
     srv.add_argument("--requests", default=None, metavar="TRACE.json",
                      help="JSON request trace: a list of "
                      '{"arrival": seconds, "vertices": [ids]} objects')
     srv.add_argument("--synthetic", type=int, default=32, metavar="N",
                      help="synthetic trace size when --requests is absent")
-    srv.add_argument("--scale", type=float, default=None, help="default 0.25")
-    srv.add_argument("--epochs", type=int, default=None,
-                     help="training epochs before serving, default 1")
-    srv.add_argument("--sampler", default=None, choices=samplers)
-    srv.add_argument("--kernel", default=None, choices=kernels,
-                     help="sparse-kernel backend, default esc")
-    srv.add_argument("--fanout", default=None, metavar="N,N,...",
-                     help="model fanout during training; serving itself "
-                     "always uses exact full neighborhoods")
-    srv.add_argument("--batch-size", type=int, default=None, help="default 32")
-    srv.add_argument("--hidden", type=int, default=None, help="default 32")
-    srv.add_argument("--seed", type=int, default=None, help="default 0")
-    srv.add_argument("--activation", default=None, choices=list(activations),
-                     help="inter-layer nonlinearity, default relu")
-    srv.add_argument("--serve-batch-size", type=int, default=None,
-                     dest="serve_batch_size",
-                     help="micro-batch size cap, default 8 (1 = per-request)")
-    srv.add_argument("--serve-max-wait", type=float, default=None,
-                     dest="serve_max_wait", metavar="SECONDS",
-                     help="max simulated queueing delay, default 1e-3")
-    srv.add_argument("--embed-budget", type=float, default=None,
-                     dest="embed_budget", metavar="BYTES",
-                     help="embedding-cache budget for hot penultimate-layer "
-                     "rows (default 0 = off)")
-    srv.add_argument("--replicas", type=int, default=None,
-                     help="serving fleet size, default 1 (one server)")
-    srv.add_argument("--router", default=None,
-                     choices=["direct", "round_robin", "consistent_hash"],
-                     help="fleet routing policy, default direct")
-    srv.add_argument("--shed-policy", default=None, dest="shed_policy",
-                     choices=["none", "queue", "deadline"],
-                     help="admission control: shed on per-replica queue "
-                     "depth or request deadline, default none")
-    srv.add_argument("--shed-queue-depth", type=int, default=None,
-                     dest="shed_queue_depth", metavar="N",
-                     help="per-replica queue bound for --shed-policy queue, "
-                     "default 64")
-    srv.add_argument("--shed-deadline", type=float, default=None,
-                     dest="shed_deadline", metavar="SECONDS",
-                     help="staleness bound for --shed-policy deadline")
-    srv.add_argument("--slo-p99", type=float, default=None, dest="slo_p99",
-                     metavar="SECONDS",
-                     help="p99 latency SLO driving the autoscaler "
-                     "(default 0 = autoscaling off)")
-    srv.add_argument("--autoscale-min", type=int, default=None,
-                     dest="autoscale_min", metavar="N",
-                     help="autoscaler replica floor, default 1")
-    srv.add_argument("--autoscale-max", type=int, default=None,
-                     dest="autoscale_max", metavar="N",
-                     help="autoscaler replica ceiling, default 8")
-    srv.add_argument("--autoscale-interval", type=float, default=None,
-                     dest="autoscale_interval", metavar="SECONDS",
-                     help="autoscaler evaluation window, default 0.01")
-    srv.add_argument("--workers", type=int, default=None,
-                     help="serve each replica in its own worker process "
-                     "over a shared-memory graph (default 0 = in-process; "
-                     "needs an open-loop trace and no autoscaler)")
-    _add_obs_flags(srv)
 
-    stm = sub.add_parser(
-        "stream",
+    stm = _add_run_parser(
+        sub, "stream", _STREAM_KNOBS, _SERVE_DEFAULTS,
         help="serving under live edge churn (delta-CSR + invalidation)",
         description="Trains a model (--epochs, default 1), then serves a "
         "synthetic request trace interleaved with edge insert/delete "
@@ -249,53 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
         "asserts post-churn logits are bit-identical to layer-wise "
         "inference on a from-scratch rebuild of the final graph.",
     )
-    stm.add_argument("dataset", nargs="?", default=None, choices=datasets)
-    stm.add_argument("--config", default=None, metavar="FILE.json",
-                     help="RunConfig JSON (repro.api.RunConfig.to_json)")
     stm.add_argument("--requests", type=int, default=48, metavar="N",
                      help="synthetic request count, default 48")
-    stm.add_argument("--update-ratio", type=float, default=0.25,
-                     dest="update_ratio", metavar="R",
+    stm.add_argument("--update-ratio", type=float, default=0.25, metavar="R",
                      help="edge-update batches per request, default 0.25")
-    stm.add_argument("--edges-per-update", type=int, default=8,
-                     dest="edges_per_update", metavar="E",
+    stm.add_argument("--edges-per-update", type=int, default=8, metavar="E",
                      help="edges per update batch, default 8")
-    stm.add_argument("--delete-fraction", type=float, default=0.5,
-                     dest="delete_fraction", metavar="F",
+    stm.add_argument("--delete-fraction", type=float, default=0.5, metavar="F",
                      help="fraction of update batches that delete, default 0.5")
-    stm.add_argument("--compaction-threshold", type=float, default=None,
-                     dest="compaction_threshold", metavar="FRAC",
-                     help="delta-log fraction of nnz that compacts, "
-                     "default 0.25")
     stm.add_argument("--verify", action="store_true",
                      help="assert post-churn parity with a from-scratch "
                      "rebuild of the final graph")
-    stm.add_argument("--scale", type=float, default=None, help="default 0.25")
-    stm.add_argument("--epochs", type=int, default=None,
-                     help="training epochs before serving, default 1")
-    stm.add_argument("--sampler", default=None, choices=samplers)
-    stm.add_argument("--kernel", default=None, choices=kernels,
-                     help="sparse-kernel backend, default esc")
-    stm.add_argument("--fanout", default=None, metavar="N,N,...",
-                     help="model fanout during training; streaming serving "
-                     "always uses exact full neighborhoods")
-    stm.add_argument("--batch-size", type=int, default=None, help="default 32")
-    stm.add_argument("--hidden", type=int, default=None, help="default 32")
-    stm.add_argument("--seed", type=int, default=None, help="default 0")
-    stm.add_argument("--serve-batch-size", type=int, default=None,
-                     dest="serve_batch_size",
-                     help="micro-batch size cap, default 8 (1 = per-request)")
-    stm.add_argument("--serve-max-wait", type=float, default=None,
-                     dest="serve_max_wait", metavar="SECONDS",
-                     help="max simulated queueing delay, default 1e-3")
-    stm.add_argument("--embed-budget", type=float, default=None,
-                     dest="embed_budget", metavar="BYTES",
-                     help="embedding-cache budget; updates invalidate dirty "
-                     "rows (default 0 = off)")
-    stm.add_argument("--workers", type=int, default=None,
-                     help="serve each replica in its own worker process "
-                     "over a shared-memory graph (default 0 = in-process)")
-    _add_obs_flags(stm)
 
     swp = sub.add_parser("sweep", help="figure-4-style GPU-count sweep")
     swp.add_argument("dataset", choices=datasets)
@@ -320,29 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_flags(sub_parser) -> None:
-    sub_parser.add_argument(
-        "--trace", default=None, metavar="OUT.json", dest="trace",
-        help="record spans and write a Chrome trace-event JSON "
-        "(load in Perfetto or chrome://tracing; summarize with "
-        "`repro trace OUT.json`)",
-    )
-    sub_parser.add_argument(
-        "--metrics", action="store_true",
-        help="collect counters/histograms and print a Prometheus-style "
-        "text dump after the run",
-    )
-
-
 def _setup_obs(args) -> None:
     """Install the tracer / metrics registry the flags ask for (before
     any engine or worker-pool construction, so pools inherit tracing)."""
     from repro.obs import MetricsRegistry, Tracer, set_registry, set_tracer
     from repro.obs.trace import get_tracer
 
-    if getattr(args, "trace", None) and get_tracer() is None:
+    if args.trace and get_tracer() is None:
         set_tracer(Tracer())
-    if getattr(args, "metrics", False):
+    if args.metrics:
         set_registry(MetricsRegistry())
 
 
@@ -352,15 +270,44 @@ def _finish_obs(args) -> None:
     from repro.obs.trace import get_tracer
 
     tracer = get_tracer()
-    if getattr(args, "trace", None) and tracer is not None:
+    if args.trace and tracer is not None:
         path = write_chrome_trace(args.trace, tracer.spans)
         print(f"wrote trace: {path} ({len(tracer)} spans)")
     registry = get_registry()
-    if getattr(args, "metrics", False) and registry is not None:
+    if args.metrics and registry is not None:
         print(registry.render(), end="")
 
 
-def _cmd_info() -> int:
+def knob_table() -> str:
+    """Every RunConfig knob as one markdown table — field, the flag that
+    sets it (and on which subcommands), default, meaning — generated from
+    the dataclass; ``repro info`` prints it and the README embeds it."""
+    from repro.api import RunConfig
+    from repro.api.config import knob_expectation
+
+    commands = (("train", _TRAIN_KNOBS), ("serve", _SERVE_KNOBS),
+                ("stream", _STREAM_KNOBS))
+    rows = ["| field | flag | default | meaning |", "|---|---|---|---|"]
+    for f in dataclasses.fields(RunConfig):
+        on = [cmd for cmd, knobs in commands if f.name in knobs]
+        if f.name == "dataset":
+            flag = "`DATASET` positional (train, serve, stream)"
+        elif on:
+            flag = f"`--{f.name.replace('_', '-')}` ({', '.join(on)})"
+        else:
+            flag = "— (JSON only)"
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        default = getattr(default, "name", default)  # a MachineConfig by name
+        if f.name in _CLI_DEFAULTS:
+            default = f"{default}; CLI {_CLI_DEFAULTS[f.name]}"
+        rows.append(
+            f"| `{f.name}` | {flag} | `{default}` | {f.metadata['help']} — "
+            f"{knob_expectation(f)} |"
+        )
+    return "\n".join(rows)
+
+
+def _cmd_info(args) -> int:
     import repro
     from repro.api import ALGORITHMS, KERNELS, SAMPLERS
     from repro.config import PERLMUTTER_LIKE
@@ -376,6 +323,8 @@ def _cmd_info() -> int:
     print(f"samplers: {', '.join(SAMPLERS.names())}")
     print(f"algorithms: {', '.join(ALGORITHMS.names())}")
     print(f"kernels: {', '.join(KERNELS.names())}")
+    print("RunConfig knobs (serve/stream default to --epochs 1):")
+    print(knob_table())
     return 0
 
 
@@ -436,22 +385,21 @@ def _resolve_train_config(args):
     validated RunConfig."""
     from repro.api import RunConfig, SAMPLERS
 
+    knobs = {f.name for f in dataclasses.fields(RunConfig)}
     overrides = {
-        name: getattr(args, name, None)
-        for name in _TRAIN_OVERRIDES
-        if getattr(args, name, None) is not None
+        name: value for name, value in vars(args).items()
+        if name in knobs and value is not None
     }
-    if args.dataset is not None:
-        overrides["dataset"] = args.dataset
-    if args.fanout is not None:
-        overrides["fanout"] = _parse_fanout(args.fanout)
+    if "fanout" in overrides:
+        overrides["fanout"] = _parse_fanout(overrides["fanout"])
     if args.config is not None:
-        return RunConfig.from_json(args.config).replace(**overrides)
-    settings = dict(
-        p=4, c=1, algorithm="replicated", sampler="sage", batch_size=32,
-        seed=0, scale=0.25, epochs=3, hidden=32, lr=0.01, train_split=0.5,
-        dataset="products",
-    )
+        cfg = RunConfig.from_json(args.config).replace(**overrides)
+        if cfg.dataset is None:
+            raise ValueError(
+                "no dataset given (positional argument or --config)"
+            )
+        return cfg
+    settings = dict(args.cli_defaults)
     # A replication group only means something on the p/c x c grid, so an
     # explicit --c > 1 without --algorithm selects the partitioned path
     # instead of failing the grid validation downstream.
@@ -462,7 +410,7 @@ def _resolve_train_config(args):
     # backend at p=1.  serve/stream keep their training defaults: there
     # --workers drives the serving fleet, not the training backend.
     if (
-        getattr(args, "command", None) == "train"
+        args.command == "train"
         and overrides.get("workers", 0) > 0
         and "algorithm" not in overrides
         and "p" not in overrides
@@ -470,10 +418,10 @@ def _resolve_train_config(args):
         settings["algorithm"] = "parallel"
         settings["p"] = 1
     settings.update(overrides)
-    settings.setdefault(
-        "fanout",
-        SAMPLERS.spec(settings["sampler"]).meta("default_fanout", (5, 3)),
-    )
+    if settings["fanout"] is _PER_SAMPLER:
+        settings["fanout"] = SAMPLERS.spec(
+            settings.get("sampler", RunConfig.sampler)
+        ).meta("default_fanout", (5, 3))
     return RunConfig(**settings)
 
 
@@ -482,10 +430,6 @@ def _cmd_train(args) -> int:
 
     try:
         cfg = _resolve_train_config(args)
-        if cfg.dataset is None:
-            raise ValueError(
-                "no dataset given (positional argument or --config)"
-            )
         _setup_obs(args)
         engine = Engine(cfg)
         print(f"dataset {cfg.dataset} (scale {cfg.scale}): "
@@ -525,37 +469,55 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serving(args) -> int:
+    """``repro serve`` and ``repro stream``: train, build the server, run
+    the command's workload through it, print the report.  ``stream`` is
+    ``serve`` over a streaming graph with edge updates in the workload."""
     from repro.api import Engine
     from repro.bench.reporting import format_latency_summary
     from repro.serve import TraceWorkload, load_trace
+    from repro.stream import UpdateStream
 
+    streaming = args.command == "stream"
     try:
         cfg = _resolve_train_config(args)
-        if cfg.dataset is None:
-            raise ValueError(
-                "no dataset given (positional argument or --config)"
-            )
-        if args.epochs is None and args.config is None:
-            cfg = cfg.replace(epochs=1)
+        if streaming:
+            cfg = cfg.replace(stream_updates=True)
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
         # the effective replica/router/worker config with the kernel.
-        print(f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
-              f"{cfg.sampler}, kernel {cfg.kernel}, "
-              f"serve_batch_size={cfg.serve_batch_size}, "
-              f"serve_max_wait={cfg.serve_max_wait}, "
-              f"embed_budget={cfg.embed_budget:.0f}")
-        print(_fleet_banner(cfg))
+        line = (f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
+                f"{cfg.sampler}, kernel {cfg.kernel}, "
+                f"serve_batch_size={cfg.serve_batch_size}, "
+                f"serve_max_wait={cfg.serve_max_wait}, "
+                f"embed_budget={cfg.embed_budget:.0f}")
+        if streaming:
+            line += f", compaction_threshold={cfg.compaction_threshold}"
+        print(line)
+        line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
+                f"shed_policy {cfg.shed_policy}, workers {cfg.workers}, "
+                f"kernel {cfg.kernel}")
+        if cfg.slo_p99 > 0:
+            line += (f", autoscaling to p99<={cfg.slo_p99:g}s in "
+                     f"[{cfg.autoscale_min}, {cfg.autoscale_max}]")
+        print(line)
         engine.train(cfg.epochs)
         server = engine.serving()
-        if args.requests is not None:
+        pool = engine.graph.test_idx
+        if pool.size == 0:
+            pool = np.arange(engine.graph.n, dtype=np.int64)
+        if streaming:
+            workload = UpdateStream.synthetic(
+                engine.graph.adj, pool, n_requests=args.requests,
+                update_ratio=args.update_ratio,
+                edges_per_update=args.edges_per_update,
+                delete_fraction=args.delete_fraction, seed=cfg.seed,
+                interarrival=1e-4,
+            )
+        elif args.requests is not None:
             workload = load_trace(args.requests)
         else:
-            pool = engine.graph.test_idx
-            if pool.size == 0:
-                pool = np.arange(engine.graph.n, dtype=np.int64)
             workload = TraceWorkload.synthetic(
                 args.synthetic, pool, seed=cfg.seed, interarrival=1e-4
             )
@@ -564,12 +526,20 @@ def _cmd_serve(args) -> int:
         report = server.process(workload)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         return _user_error(exc)
-    print(f"served {report.n_requests} requests in {report.batches} "
-          f"micro-batches (mean {report.mean_batch_size:.2f} req/batch)")
+    line = (f"served {report.n_requests} requests in {report.batches} "
+            f"micro-batches (mean {report.mean_batch_size:.2f} req/batch)")
+    if report.update_stats is not None:
+        line += (f" under {report.update_stats.batches} update batches "
+                 f"({report.update_stats.applied} edge edits, "
+                 f"{report.update_stats.compactions} compactions)")
+    elif streaming:
+        line += " (no edge updates)"
+    print(line)
     print(format_latency_summary(report.latencies, label="latency"))
     line = f"throughput: {report.throughput:.0f} req/s (simulated)"
     if report.cache_stats is not None:
-        line += f"  embed-cache hit-rate: {report.cache_stats.hit_rate:.2%}"
+        line += (f"  embed-cache hit-rate: {report.cache_stats.hit_rate:.2%}"
+                 f" ({report.cache_stats.invalidations} invalidations)")
     print(line)
     if len(report.per_replica) > 1:
         spread = "  ".join(
@@ -586,77 +556,7 @@ def _cmd_serve(args) -> int:
     )
     print(f"service breakdown: {phases}")
     print(f"logits digest: {report.digest()}")
-    _finish_obs(args)
-    return 0
-
-
-def _fleet_banner(cfg) -> str:
-    """The serve/stream banner line describing the server's fleet shape."""
-    line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
-            f"shed_policy {cfg.shed_policy}, workers {cfg.workers}, "
-            f"kernel {cfg.kernel}")
-    if cfg.slo_p99 > 0:
-        line += (f", autoscaling to p99<={cfg.slo_p99:g}s in "
-                 f"[{cfg.autoscale_min}, {cfg.autoscale_max}]")
-    return line
-
-
-def _cmd_stream(args) -> int:
-    from repro.api import Engine
-    from repro.bench.reporting import format_latency_summary
-    from repro.stream import UpdateStream
-
-    try:
-        cfg = _resolve_train_config(args).replace(stream_updates=True)
-        if cfg.dataset is None:
-            raise ValueError(
-                "no dataset given (positional argument or --config)"
-            )
-        if args.epochs is None and args.config is None:
-            cfg = cfg.replace(epochs=1)
-        _setup_obs(args)
-        engine = Engine(cfg)
-        print(f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
-              f"{cfg.sampler}, kernel {cfg.kernel}, "
-              f"serve_batch_size={cfg.serve_batch_size}, "
-              f"embed_budget={cfg.embed_budget:.0f}, "
-              f"compaction_threshold={cfg.compaction_threshold}")
-        print(_fleet_banner(cfg))
-        engine.train(cfg.epochs)
-        server = engine.serving()
-        pool = engine.graph.test_idx
-        if pool.size == 0:
-            pool = np.arange(engine.graph.n, dtype=np.int64)
-        workload = UpdateStream.synthetic(
-            engine.graph.adj, pool, n_requests=args.requests,
-            update_ratio=args.update_ratio,
-            edges_per_update=args.edges_per_update,
-            delete_fraction=args.delete_fraction, seed=cfg.seed,
-            interarrival=1e-4,
-        )
-        report = server.process(workload)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
-        return _user_error(exc)
-    if report.update_stats is not None:
-        print(f"served {report.n_requests} requests in {report.batches} "
-              f"micro-batches under {report.update_stats.batches} update "
-              f"batches ({report.update_stats.applied} edge edits, "
-              f"{report.update_stats.compactions} compactions)")
-    else:
-        print(f"served {report.n_requests} requests in {report.batches} "
-              f"micro-batches (no edge updates)")
-    print(format_latency_summary(report.latencies, label="latency"))
-    line = f"throughput: {report.throughput:.0f} req/s (simulated)"
-    if report.cache_stats is not None:
-        line += (f"  embed-cache hit-rate: {report.cache_stats.hit_rate:.2%}"
-                 f" ({report.cache_stats.invalidations} invalidations)")
-    print(line)
-    phases = "  ".join(
-        f"{ph} {s:.6f}s" for ph, s in sorted(report.phase_seconds.items())
-    )
-    print(f"service breakdown: {phases}")
-    print(f"logits digest: {report.digest()}")
-    if args.verify:
+    if streaming and args.verify:
         from repro.pipeline import layerwise_inference
 
         rebuilt = server.stream.rebuild_from_scratch()
@@ -750,25 +650,16 @@ def main(argv: list[str] | None = None) -> int:
         return _user_error(f"could not import plugin: {exc}")
     args = build_parser().parse_args(remaining)
     try:
-        if args.command == "info":
-            return _cmd_info()
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "stream":
-            return _cmd_stream(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
+        return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro train ... | head`
         return 0
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+
+
+_COMMANDS = {
+    "info": _cmd_info, "generate": _cmd_generate, "sample": _cmd_sample,
+    "train": _cmd_train, "serve": _cmd_serving, "stream": _cmd_serving,
+    "sweep": _cmd_sweep, "trace": _cmd_trace,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -92,9 +92,6 @@ class MachineConfig:
             return self.intra_node
         return self.inter_node
 
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
 
 #: Default machine: Perlmutter-like A100 nodes.  Bandwidths follow the paper's
 #: system description (section 7.2); FLOP rate is A100 fp32 tensor-core order.

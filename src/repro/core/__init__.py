@@ -9,8 +9,6 @@ from .bulk import (
     batch_rng,
     chunk_bulks,
     reassemble_round_robin,
-    split_stacked,
-    stack_batches,
 )
 from .compile import (
     eliminate_dead_steps,
@@ -66,6 +64,4 @@ __all__ = [
     "assign_round_robin",
     "reassemble_round_robin",
     "batch_rng",
-    "stack_batches",
-    "split_stacked",
 ]

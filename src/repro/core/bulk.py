@@ -20,8 +20,6 @@ __all__ = [
     "assign_round_robin",
     "reassemble_round_robin",
     "batch_rng",
-    "stack_batches",
-    "split_stacked",
 ]
 
 
@@ -87,28 +85,3 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     is batch-local.
     """
     return np.random.default_rng(np.random.SeedSequence([seed, batch_index]))
-
-
-def stack_batches(batches: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Equation 1's vertical stacking at the vertex level.
-
-    Returns ``(stacked_vertices, batch_of_row)`` — the concatenated batch
-    vertices and, for every stacked row, which batch it came from.
-    """
-    if not batches:
-        raise ValueError("need at least one batch")
-    stacked = np.concatenate([np.asarray(b, dtype=np.int64) for b in batches])
-    owner = np.repeat(
-        np.arange(len(batches), dtype=np.int64),
-        [len(b) for b in batches],
-    )
-    return stacked, owner
-
-
-def split_stacked(
-    values: np.ndarray, batch_of_row: np.ndarray, n_batches: int
-) -> list[np.ndarray]:
-    """Invert :func:`stack_batches` for any row-aligned array."""
-    if values.shape[0] != batch_of_row.shape[0]:
-        raise ValueError("values and batch_of_row must align")
-    return [values[batch_of_row == i] for i in range(n_batches)]

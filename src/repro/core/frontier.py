@@ -79,7 +79,3 @@ class MinibatchSample:
     def total_edges(self) -> int:
         """Sampled edges across all layers (proxy for propagation cost)."""
         return sum(layer.adj.nnz for layer in self.layers)
-
-    def total_vertices(self) -> int:
-        """Distinct vertex slots across all frontiers (with batch)."""
-        return len(self.batch) + sum(layer.n_src for layer in self.layers)

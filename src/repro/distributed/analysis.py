@@ -58,10 +58,6 @@ class ProbCostPrediction:
     rowdata_bytes_per_rank: float
     allreduce_bytes_per_rank: float
 
-    @property
-    def t_prob(self) -> float:
-        return self.t_rowdata + self.t_allreduce
-
 
 def predict_prob_costs(
     inputs: ProbCostInputs, machine: MachineConfig = PERLMUTTER_LIKE

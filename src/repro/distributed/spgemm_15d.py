@@ -25,7 +25,7 @@ import numpy as np
 
 from ..comm import Communicator, ProcessGrid
 from ..partition.block1d import BlockRows
-from ..sparse import CSRMatrix, spgemm_flops
+from ..sparse import CSRMatrix, required_rows, spgemm_flops
 from ..sparse.kernels import KernelSpec, get_kernel
 
 __all__ = ["spgemm_15d", "stage_blocks"]
@@ -98,7 +98,7 @@ def spgemm_15d(
             if sparsity_aware:
                 # Algorithm 2 lines 4-11: gather needed column ids onto the
                 # stage owner, which extracts and ISends only those rows.
-                needed = [q.nonzero_columns() for q in q_iks]
+                needed = [required_rows(q, a_k.shape[0]) for q in q_iks]
                 comm.gather(needed, col, root_pos=k)
                 owner = grid.rank(k, j)
                 row_data = [a_k.extract_rows(ids) for ids in needed]

@@ -14,7 +14,7 @@ from .attention import GATConv
 from .checkpoint import load_model_into, save_model
 from .layers import GCNConv, Linear, SAGEConv, glorot
 from .loss import softmax, softmax_cross_entropy
-from .metrics import accuracy, macro_f1
+from .metrics import accuracy
 from .model import GNNModel, full_graph_sample, propagation_flops
 from .optim import SGD, Adam
 
@@ -36,7 +36,6 @@ __all__ = [
     "softmax",
     "softmax_cross_entropy",
     "accuracy",
-    "macro_f1",
     "GNNModel",
     "full_graph_sample",
     "propagation_flops",

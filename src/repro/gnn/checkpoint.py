@@ -33,5 +33,5 @@ def load_model_into(model: GNNModel, path: str | Path) -> GNNModel:
                 f"shape mismatch for {name}: model {own[name].shape} "
                 f"vs checkpoint {value.shape}"
             )
-        own[name][...] = value
+    model.set_parameters(stored)
     return model

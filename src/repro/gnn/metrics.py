@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "macro_f1"]
+__all__ = ["accuracy"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -14,18 +14,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         return 0.0
     return float((logits.argmax(axis=1) == labels).mean())
-
-
-def macro_f1(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Unweighted mean F1 over the classes present in ``labels``."""
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError("one label per logit row required")
-    preds = logits.argmax(axis=1)
-    scores = []
-    for cls in np.unique(labels):
-        tp = np.sum((preds == cls) & (labels == cls))
-        fp = np.sum((preds == cls) & (labels != cls))
-        fn = np.sum((preds != cls) & (labels == cls))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores)) if scores else 0.0

@@ -11,12 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.frontier import LayerSample, MinibatchSample
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, spmm_flops
 from .activations import make_activation
 from .attention import GATConv
 from .layers import GCNConv, SAGEConv
 
-__all__ = ["GNNModel", "full_graph_sample", "propagation_flops"]
+__all__ = ["GNNModel", "CONVS", "full_graph_sample", "propagation_flops"]
+
+#: Convolution layer classes by ``conv`` name (what ``RunConfig.conv`` and
+#: a sampler's ``default_conv`` metadata must be a key of).
+CONVS: dict[str, type] = {"sage": SAGEConv, "gcn": GCNConv, "gat": GATConv}
 
 
 class GNNModel:
@@ -45,9 +49,11 @@ class GNNModel:
     ) -> None:
         if n_layers <= 0:
             raise ValueError("need at least one layer")
-        conv_cls = {"sage": SAGEConv, "gcn": GCNConv, "gat": GATConv}.get(conv)
+        conv_cls = CONVS.get(conv)
         if conv_cls is None:
-            raise ValueError(f"unknown conv type {conv!r}")
+            raise ValueError(
+                f"unknown conv type {conv!r}; known convs: {', '.join(CONVS)}"
+            )
         dims = [in_dim] + [hidden_dim] * (n_layers - 1) + [out_dim]
         self.convs = [
             conv_cls(dims[i], dims[i + 1], rng) for i in range(n_layers)
@@ -143,6 +149,6 @@ def propagation_flops(sample: MinibatchSample, dims: list[int]) -> float:
         raise ValueError("dims must list one width per frontier")
     total = 0.0
     for layer, f_in, f_out in zip(sample.layers, dims[:-1], dims[1:]):
-        total += 2.0 * layer.adj.nnz * f_in
+        total += spmm_flops(layer.adj, f_in)
         total += 2.0 * 2.0 * layer.n_dst * f_in * f_out
     return 3.0 * total

@@ -90,9 +90,6 @@ class Gauge(Counter):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""

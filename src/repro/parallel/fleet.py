@@ -103,7 +103,6 @@ def process_parallel(
     cluster: "ServingCluster", workload, workers: int
 ) -> "ServeReport":
     """The ``workers > 0`` path of :meth:`ServingCluster.process`."""
-    from ..serve.cache import ServeStats
     from ..serve.request import RequestQueue
     from .pool import WorkerPool
     from .shm import SharedFeatures, SharedGraph
@@ -176,9 +175,7 @@ def process_parallel(
     # later inspection) sees the same fleet the serial loop would leave.
     for rep, outcome in outcomes:
         rep.clock = outcome["clock"]
-        for f in dataclasses.fields(ServeStats):
-            setattr(rep.stats, f.name,
-                    getattr(rep.stats, f.name) + getattr(outcome["stats"], f.name))
+        rep.stats.add(outcome["stats"])
         rep.batches = outcome["batches"]
         rep.served = outcome["served"]
         rep.free = outcome["free"]

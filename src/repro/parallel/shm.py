@@ -163,10 +163,6 @@ class SharedArraySpec:
     shape: tuple[int, ...]
     dtype: str
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.dtype(self.dtype).itemsize * max(1, int(np.prod(self.shape))))
-
 
 def publish_array(array: np.ndarray, label: str):
     """Copy ``array`` into a fresh named segment owned by this process.

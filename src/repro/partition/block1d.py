@@ -75,9 +75,3 @@ class BlockRows:
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise IndexError("row out of range")
         return np.searchsorted(self.starts, rows, side="right") - 1
-
-    def to_matrix(self) -> CSRMatrix:
-        """Reassemble the original matrix (tests)."""
-        from ..sparse import vstack
-
-        return vstack(self.blocks)

@@ -4,10 +4,9 @@ from .inference import layerwise_inference
 from .memory import MemoryModel, choose_c_k, quiver_fits
 from .schedule import overlap_saving, overlapped_makespan
 from .stats import BulkStats, EpochStats
-from .trainer import PipelineConfig, TrainingPipeline
+from .trainer import TrainingPipeline
 
 __all__ = [
-    "PipelineConfig",
     "TrainingPipeline",
     "BulkStats",
     "EpochStats",

@@ -21,7 +21,6 @@ sweeps (``train_model=False``) while all costs are still charged.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator
 
 import numpy as np
@@ -45,25 +44,9 @@ from ..partition import CachedFeatureStore, FeatureStore
 from .schedule import overlapped_makespan
 from .stats import BulkStats, EpochStats
 
-__all__ = ["PipelineConfig", "TrainingPipeline"]
+__all__ = ["TrainingPipeline"]
 
 _SAMPLING_PHASES = ("sampling", "probability", "extraction")
-
-
-class PipelineConfig(RunConfig):
-    """Deprecated alias of :class:`repro.api.RunConfig`.
-
-    Kept for backward compatibility; construct :class:`RunConfig` instead
-    (same fields, plus serialization and Engine-level options).
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "PipelineConfig is deprecated; use repro.api.RunConfig",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
 
 
 class TrainingPipeline:
@@ -122,13 +105,6 @@ class TrainingPipeline:
         self._param_bytes = 4.0 * sum(
             v.size for v in self.model.parameters().values()
         )
-
-    # ------------------------------------------------------------------ #
-    # Compatibility accessor (the block partition now lives on the backend)
-    # ------------------------------------------------------------------ #
-    @property
-    def a_blocks(self):
-        return getattr(self.backend, "a_blocks", None)
 
     def close(self) -> None:
         """Release backend resources (the parallel backend's worker pool

@@ -21,6 +21,7 @@ every lookup counts, and when the cache is over budget the top
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,14 @@ class ServeStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def reset(self) -> None:
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.shed = 0
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, f.default)
+
+    def add(self, other: "ServeStats") -> None:
+        """Accumulate ``other``'s counters into this one (fleet totals;
+        a pool worker's counters merged back onto the parent's replica)."""
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def publish(self, registry, **labels) -> None:
         """Copy the counters into a metrics registry

@@ -255,13 +255,8 @@ class ServingCluster:
             rep = max(self.replicas, key=lambda r: r.rid)
             self.replicas.remove(rep)
             self.retired.append(rep)
-            orphans = sorted(
-                rep.queue.pending
-                + [r for _, _, r in rep.queue._arrivals],
-                key=lambda r: (r.arrival, r.rid),
-            )
             self.router.rebalance([r.rid for r in self.replicas])
-            for req in orphans:
+            for req in rep.queue.drain():
                 self._submit(req)
             return
         self.router.rebalance([r.rid for r in self.replicas])
@@ -350,11 +345,7 @@ class ServingCluster:
             # Fleet-wide counters: one ServeStats summing every replica's.
             cache_stats = ServeStats()
             for rep in everyone:
-                for f in dataclasses.fields(ServeStats):
-                    setattr(
-                        cache_stats, f.name,
-                        getattr(cache_stats, f.name) + getattr(rep.stats, f.name),
-                    )
+                cache_stats.add(rep.stats)
         report = ServeReport(
             results=results,
             batches=batches,

@@ -37,6 +37,7 @@ from ..core.sage_sampler import SageSampler
 from ..gnn.model import GNNModel
 from ..graphs import Graph
 from ..obs.trace import get_tracer, maybe_span
+from ..sparse import spmm_flops
 from .cache import EmbeddingCache, ServeStats
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
 
@@ -245,7 +246,7 @@ class Replica:
         flops = 0.0
         nbytes = 0.0
         for layer, f_in, f_out in zip(layers, dims[:-1], dims[1:]):
-            flops += 2.0 * layer.adj.nnz * f_in
+            flops += spmm_flops(layer.adj, f_in)
             flops += 2.0 * layer.n_dst * f_in * f_out
             nbytes += 8.0 * (layer.n_src * f_in + layer.n_dst * f_out)
         self.clock.advance(

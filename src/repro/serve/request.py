@@ -107,6 +107,13 @@ class RequestQueue:
         batch, self.pending = self.pending[:n], self.pending[n:]
         return batch
 
+    def drain(self) -> list[InferenceRequest]:
+        """Empty the queue: everything pending or still to arrive, in
+        ``(arrival, rid)`` order (a retired replica's work, re-routed)."""
+        everything = self.pending + [r for _, _, r in self._arrivals]
+        self.pending, self._arrivals = [], []
+        return sorted(everything, key=lambda r: (r.arrival, r.rid))
+
 
 @dataclass(frozen=True)
 class MicroBatcher:

@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.config import PERLMUTTER_LIKE
 from repro.core import MatrixSampler, SageSampler
-from repro.pipeline import PipelineConfig, TrainingPipeline
+from repro.pipeline import TrainingPipeline
 
 
 @pytest.fixture
@@ -169,19 +169,6 @@ class TestRunConfig:
         assert RunConfig(sampler="sage").resolved_conv() == "sage"
         assert RunConfig(sampler="ladies", fanout=(8,)).resolved_conv() == "gcn"
         assert RunConfig(conv="gat", fanout=(4, 2)).resolved_conv() == "gat"
-
-
-class TestPipelineConfigShim:
-    def test_is_deprecated_runconfig(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            cfg = PipelineConfig(p=2, fanout=(5, 3))
-        assert isinstance(cfg, RunConfig)
-        assert cfg.p == 2 and cfg.fanout == (5, 3)
-
-    def test_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                PipelineConfig(p=4, sampler="magic")
 
 
 class TestCapabilities:

@@ -163,7 +163,7 @@ class TestConfigObjects:
 
         assert m.node_of(0) == m.node_of(3) == 0
         assert m.node_of(4) == 1
-        assert m.same_node(1, 2) and not m.same_node(3, 4)
+        assert m.node_of(1) == m.node_of(2) != m.node_of(4)
         with pytest.raises(ValueError):
             m.node_of(-1)
 
@@ -366,7 +366,11 @@ class TestCompareArtifacts:
             compare_artifacts(_artifact({}), _artifact({}), tolerance=-0.1)
 
     def test_compare_artifact_files(self, tmp_path):
-        from repro.bench import compare_artifact_files, write_bench_artifact
+        from repro.bench import (
+            compare_artifacts,
+            load_bench_artifact,
+            write_bench_artifact,
+        )
 
         base = write_bench_artifact(
             "demo", params={"s": 1}, metrics={"req_per_s": 100.0},
@@ -376,7 +380,10 @@ class TestCompareArtifacts:
             "demo", params={"s": 1}, metrics={"req_per_s": 50.0},
             rows=[], path=tmp_path / "fresh.json",
         )
-        assert len(compare_artifact_files(base, fresh)) == 1
+        regressions = compare_artifacts(
+            load_bench_artifact(base), load_bench_artifact(fresh)
+        )
+        assert len(regressions) == 1
 
 
 class TestCheckRegressionCLI:

@@ -12,8 +12,6 @@ from repro.core import (
     batch_rng,
     chunk_bulks,
     reassemble_round_robin,
-    split_stacked,
-    stack_batches,
 )
 
 
@@ -69,19 +67,6 @@ class TestBookkeeping:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
-
-    def test_stack_and_split(self):
-        batches = [np.array([3, 1]), np.array([7]), np.array([2, 8, 4])]
-        stacked, owner = stack_batches(batches)
-        assert np.array_equal(stacked, [3, 1, 7, 2, 8, 4])
-        assert np.array_equal(owner, [0, 0, 1, 2, 2, 2])
-        parts = split_stacked(stacked, owner, 3)
-        for got, want in zip(parts, batches):
-            assert np.array_equal(got, want)
-        with pytest.raises(ValueError):
-            stack_batches([])
-        with pytest.raises(ValueError):
-            split_stacked(stacked, owner[:-1], 3)
 
 
 class TestBulkEquivalence:

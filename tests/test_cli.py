@@ -242,6 +242,28 @@ class TestCommands:
         assert code == 0
         assert "degree-biased" in capsys.readouterr().out
 
+    def test_plugin_flag_registers_router(self, capsys, tmp_path, monkeypatch):
+        """--router's choices are read off ROUTERS, so a router a plugin
+        registers is accepted by argparse as it is by RunConfig."""
+        from repro.serve import ROUTERS
+
+        (tmp_path / "sticky_router_plugin.py").write_text(
+            "from repro.serve.router import ROUTERS, DirectRouter\n"
+            "ROUTERS['sticky'] = DirectRouter\n"
+        )
+        monkeypatch.syspath_prepend(tmp_path)
+        argv = ["serve", "products", "--router", "sticky", "--scale", "0.1",
+                "--batch-size", "16", "--hidden", "16", "--fanout", "4,3",
+                "--synthetic", "4"]
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "invalid choice: 'sticky'" in capsys.readouterr().err
+        try:
+            assert main(["--plugin", "sticky_router_plugin", *argv]) == 0
+            assert "router sticky" in capsys.readouterr().out
+        finally:
+            ROUTERS.pop("sticky", None)
+
     def test_plugin_flag_works_after_subcommand(self, capsys):
         """--plugin is position-independent (stripped before argparse)."""
         code = main(

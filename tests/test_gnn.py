@@ -19,7 +19,6 @@ from repro.gnn import (
     accuracy,
     full_graph_sample,
     glorot,
-    macro_f1,
     propagation_flops,
     softmax,
     softmax_cross_entropy,
@@ -269,10 +268,6 @@ class TestLossAndMetrics:
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
         assert accuracy(np.empty((0, 2)), np.empty(0, dtype=int)) == 0.0
-
-    def test_macro_f1_perfect(self):
-        logits = np.eye(3)
-        assert macro_f1(logits, np.arange(3)) == 1.0
 
 
 class TestOptimizers:

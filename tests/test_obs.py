@@ -187,7 +187,7 @@ class TestMetrics:
     def test_gauge_moves_both_ways(self):
         g = MetricsRegistry().gauge("replicas")
         g.inc(3)
-        g.dec()
+        g.inc(-1)
         assert g.value == 2
 
     def test_labels_key_distinct_children(self):

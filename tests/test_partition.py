@@ -7,7 +7,7 @@ import pytest
 
 from repro.comm import Communicator, ProcessGrid
 from repro.partition import BlockRows, FeatureStore, split_rows
-from repro.sparse import sprand
+from repro.sparse import sprand, vstack
 
 
 class TestSplitRows:
@@ -33,7 +33,7 @@ class TestBlockRows:
         m = sprand(37, 20, 0.2, rng)
         br = BlockRows.partition(m, 5)
         assert br.n_blocks == 5
-        assert br.to_matrix().equal(m)
+        assert vstack(br.blocks).equal(m)
 
     def test_owner_lookup(self, rng):
         m = sprand(10, 10, 0.3, rng)
