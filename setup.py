@@ -1,7 +1,6 @@
-"""Legacy setup shim: the environment's setuptools lacks PEP 517 editable
-support (no wheel package offline), so ``pip install -e .`` falls back to
-``setup.py develop`` via this file.  All metadata lives in pyproject.toml.
-"""
+"""Package metadata.  ``numpy`` and ``scipy`` are hard requirements:
+``repro.sparse.spmm`` runs on ``scipy.sparse``'s compiled CSR kernel and
+there is no numpy fallback (it would be a second set of bits)."""
 
 from setuptools import find_packages, setup
 
@@ -10,4 +9,5 @@ setup(
     version="1.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy", "scipy"],
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 __all__ = ["CSRMatrix"]
 
@@ -255,9 +256,8 @@ class CSRMatrix:
         return self.row_ids(), self.indices.copy(), self.data.copy()
 
     def to_scipy(self):
-        """Convert to ``scipy.sparse.csr_matrix`` (tests only)."""
-        from scipy.sparse import csr_matrix
-
+        """A ``scipy.sparse.csr_matrix`` over the same values (the operand
+        of :func:`repro.sparse.spmm.spmm` and of the ``scipy`` SpGEMM)."""
         return csr_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape
         )

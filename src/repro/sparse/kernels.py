@@ -19,8 +19,10 @@ Built-ins:
   Both run a product whose left operand is a unit row selector
   (GraphSAGE's ``Q``, LADIES' ``Q_R``, a walk frontier) as a row gather of
   the right operand — see :mod:`repro.sparse.spgemm`.
-* ``scipy`` — auto-registered only when ``scipy`` is importable; delegates
-  to ``scipy.sparse``'s compiled CSR kernels.
+* ``scipy`` — ``scipy.sparse``'s compiled CSR SpGEMM.
+
+SpMM is not an axis: every backend runs :func:`repro.sparse.spmm.spmm`, so
+propagation has one set of bits whatever ``kernel=`` says.
 
 Selection is threaded everywhere a kernel runs: ``CSRMatrix.__matmul__``
 dispatches through the process-wide default (:func:`set_default_kernel`,
@@ -58,7 +60,7 @@ import numpy as np
 from ..api.registry import Registry
 from .csr import CSRMatrix
 from .spgemm import spgemm, spgemm_hash
-from .spmm import _dense_operand, sddmm, spmm
+from .spmm import sddmm, spmm
 
 __all__ = [
     "KERNELS",
@@ -78,9 +80,9 @@ class KernelBackend:
     """One interchangeable set of sparse kernels.
 
     Subclasses must implement :meth:`spgemm`; :meth:`spmm` and
-    :meth:`sddmm` default to the shared numpy kernels, since SpGEMM is
-    where implementations meaningfully diverge.  Backends are stateless —
-    the registry stores one instance, shared by every caller.
+    :meth:`sddmm` default to the shared kernels, since SpGEMM is where
+    implementations meaningfully diverge.  Backends are stateless — the
+    registry stores one instance, shared by every caller.
     """
 
     name: str = "abstract"
@@ -123,7 +125,7 @@ class HashKernel(KernelBackend):
 
 
 class ScipyKernel(KernelBackend):
-    """Delegates to scipy.sparse's compiled CSR kernels (when available)."""
+    """Delegates SpGEMM to scipy.sparse's compiled CSR kernel."""
 
     name = "scipy"
 
@@ -134,11 +136,6 @@ class ScipyKernel(KernelBackend):
             return CSRMatrix.zeros((a.shape[0], b.shape[1]))
         return CSRMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
 
-    def spmm(self, a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-        dense, squeeze = _dense_operand(a, dense)
-        out = np.asarray(a.to_scipy() @ dense, dtype=np.float64)
-        return out[:, 0] if squeeze else out
-
 
 #: All registered kernel backends, built-in and plugin.
 KERNELS = Registry("kernel")
@@ -148,31 +145,17 @@ KERNELS.register(
     ESCKernel(),
     description="expand-sort-compress (single-key stable sort, skipped "
     "when already row-major); the default",
-    requires=None,
 )
 KERNELS.register(
     "hash",
     HashKernel(),
     description="row-wise hash accumulator; fast on duplicate-heavy products",
-    requires=None,
 )
-
-
-def _scipy_available() -> bool:
-    try:
-        import scipy.sparse  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-if _scipy_available():
-    KERNELS.register(
-        "scipy",
-        ScipyKernel(),
-        description="scipy.sparse compiled CSR kernels",
-        requires="scipy",
-    )
+KERNELS.register(
+    "scipy",
+    ScipyKernel(),
+    description="scipy.sparse compiled CSR SpGEMM",
+)
 
 
 #: Anything resolvable to a backend: a registry name, an instance, or None

@@ -6,27 +6,30 @@ backward pass reuses the same kernel with the transposed adjacency.
 :func:`sddmm` is the companion sampled dense-dense product (per-edge score
 computation, e.g. attention logits) restricted to a sparse pattern.
 
-:func:`spmm` is the one SpMM body every numpy-backed caller shares, and
-its *bits* are part of the repo's contract (golden training losses, the
-pinned serving digest).  Per output element ``(i, k)`` it computes::
+:func:`spmm` is the one SpMM every caller shares — all kernel backends and
+``gnn.layers`` — and it runs on ``scipy.sparse``'s compiled CSR kernel.
+Its *bits* are part of the repo's contract (golden training losses, the
+pinned serving digests), and this is the whole contract:
 
-    first + pairwise(rest)      # over a.data[e] * dense[a.indices[e], k],
-                                # e in CSR entry order of row i
+* **Order.**  Each output element ``(i, k)`` is the strict left-to-right
+  sum ``((0 + a1*x1) + a2*x2) + ...`` over ``a.data[e] * dense[a.indices[e],
+  k]``, ``e`` in CSR entry order of row ``i`` — what ``np.add.at`` over the
+  same products computes, bit for bit.
+* **Independence.**  A row's result depends on no other row, and a feature
+  column's on no other column: ``spmm(a.extract_rows(r), x)`` is
+  ``spmm(a, x)[r]`` and ``spmm(a, x[:, cols])`` is ``spmm(a, x)[:, cols]``,
+  bitwise.  Exact serving, the embedding cache, workers-0-vs-N and
+  fleet-shape invariance rest on this.
+* **Scope.**  Bit-identity is promised *per build of the kernel*; across
+  builds (a compiler that contracts ``y + a*x`` to one FMA rounds once where
+  this box rounds twice) results are ``allclose``, and the pinned digests
+  skip themselves when ``tests/test_gnn.py::_spmm_probe`` sees such a build.
 
-i.e. one ``np.add.reduceat`` segment per row: the segment's first product,
-plus numpy's pairwise sum of the remaining ones.  The layout is
-*feature-major*: products live in an ``(f, nnz)`` array so each segment is
-contiguous in memory, and rows are processed in slabs so that temporary
-stays near ``_SLAB_ELEMS`` float64 however large the operands are.  Layout
-and slabbing do not touch the association, so they do not touch the bits.
-
-Kernels that *do* associate differently are therefore not drop-in
-replacements, however close numerically: ``scipy.sparse``'s CSR kernel
-accumulates ``0 + a*x`` left to right (and its compiler may contract to
-FMA), ``np.add.at`` is a strict left-to-right scatter, a slot-by-slot
-sweep (``out += a[:, j] * dense[col_j]``) is left to right as well, and
-reassociating to ``A (H W)`` changes every product.  Each gives an
-``allclose`` result and a different serve digest.
+Kernels that associate differently are not drop-in replacements, however
+close numerically: numpy's segmented reduction sums a row as its first
+product plus the *pairwise* sum of the rest (the body this module had
+before; now the ``allclose`` oracle in ``tests/test_spmm_layout.py``), and
+reassociating to ``A (H W)`` changes every product.
 """
 
 from __future__ import annotations
@@ -37,15 +40,15 @@ from .csr import CSRMatrix
 
 __all__ = ["spmm", "sddmm", "spmm_flops"]
 
-#: Upper target, in float64 elements (8 MiB), for the ``(f, nnz_slab)``
-#: product temporary of :func:`spmm`.  An internal blocking constant like
-#: numpy's own pairwise-sum block, not a tunable.
-_SLAB_ELEMS = 1 << 20
 
+def spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
+    """Compute ``a @ dense`` where ``dense`` is a 2-D (or 1-D) array.
 
-def _dense_operand(a: CSRMatrix, dense: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The right operand of ``a @ dense`` as 2-D float64, validated, plus
-    whether it was 1-D — the one operand check every SpMM backend shares."""
+    The result is a fresh C-contiguous float64 array; each element is summed
+    strictly left to right in CSR entry order, independently of every other
+    row and feature column (see the module docstring — callers' digests
+    depend on it).  No memory is held beyond the output.
+    """
     dense = np.asarray(dense, dtype=np.float64)
     squeeze = dense.ndim == 1
     if squeeze:
@@ -54,45 +57,7 @@ def _dense_operand(a: CSRMatrix, dense: np.ndarray) -> tuple[np.ndarray, bool]:
         raise ValueError(f"dense operand must be 1-D or 2-D, got {dense.ndim}-D")
     if a.shape[1] != dense.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {dense.shape}")
-    return dense, squeeze
-
-
-def spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    """Compute ``a @ dense`` where ``dense`` is a 2-D (or 1-D) array.
-
-    The result is a fresh C-contiguous float64 array.  Each output element
-    is one ``np.add.reduceat`` segment over its row's products in CSR
-    entry order (see the module docstring for the exact association, which
-    callers' digests depend on).  Memory held beyond the output: the
-    ``(f, n)`` transpose of ``dense`` and one ``(f, nnz_slab)`` temporary
-    of about ``_SLAB_ELEMS`` elements — a row with more entries than that
-    forms a slab of its own.
-    """
-    dense, squeeze = _dense_operand(a, dense)
-    n_features = dense.shape[1]
-    out = np.zeros((a.shape[0], n_features), dtype=np.float64)
-    if a.nnz:
-        dense_t = np.ascontiguousarray(dense.T)
-        # CSR entries are already grouped by row, so a segmented reduction
-        # over non-empty rows is exact (and far faster than scatter-add).
-        nonempty = np.flatnonzero(np.diff(a.indptr) > 0)
-        starts = a.indptr[nonempty]
-        # Slabs of whole rows: cut at the first row start at or after each
-        # multiple of the per-slab entry budget.
-        budget = max(1, _SLAB_ELEMS // max(1, n_features))
-        cuts = np.unique(
-            np.append(
-                np.searchsorted(starts, np.arange(0, a.nnz, budget)),
-                nonempty.size,
-            )
-        )
-        bounds = np.append(starts, a.nnz)[cuts]
-        for i, j, lo, hi in zip(cuts[:-1], cuts[1:], bounds[:-1], bounds[1:]):
-            contrib = np.take(dense_t, a.indices[lo:hi], axis=1)
-            np.multiply(a.data[lo:hi], contrib, out=contrib)
-            out[nonempty[i:j]] = np.add.reduceat(
-                contrib, starts[i:j] - lo, axis=1
-            ).T
+    out = a.to_scipy() @ dense
     return out[:, 0] if squeeze else out
 
 

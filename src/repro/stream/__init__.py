@@ -5,8 +5,7 @@ assumes a frozen CSR.  This package bridges the two:
 
 * :class:`DeltaCSR` — edge insertions/deletions spliced, one vectorized
   pass per batch, into a fresh canonical frozen view over a frozen base,
-  with a sorted-array delta log and threshold-triggered compaction under
-  a from-scratch parity assert.
+  with a sorted-array delta log and threshold-triggered compaction.
 * :class:`StreamingGraph` — a :class:`~repro.graphs.Graph` wrapper that
   refreshes ``graph.adj`` on every update, so samplers / executors /
   inference transparently run on the current graph.

@@ -96,9 +96,8 @@ class StreamingGraph:
     """A Graph whose adjacency absorbs edge batches through a delta-CSR.
 
     ``auto_compact`` folds the log into a fresh base whenever it crosses
-    ``compaction_threshold`` of the base nnz (parity with a from-scratch
-    rebuild asserted inside :meth:`DeltaCSR.compact`); pass ``False`` to
-    drive :meth:`compact` manually (benchmarks sweeping the policy do).
+    ``compaction_threshold`` of the base nnz; pass ``False`` to drive
+    :meth:`compact` manually (benchmarks sweeping the policy do).
     """
 
     graph: Graph
@@ -165,7 +164,7 @@ class StreamingGraph:
         return result
 
     def compact(self) -> CSRMatrix:
-        """Force a compaction now (parity-asserted)."""
+        """Force a compaction now."""
         self.graph.adj = self.delta.compact()
         self.stats.compactions = self.delta.compactions
         for hook in self.compaction_hooks:

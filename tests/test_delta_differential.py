@@ -12,6 +12,9 @@ threshold.  After **every** rule:
 
 * ``view()``'s three arrays equal the oracle's *byte for byte* (the value
   pool holds ``0.0`` and ``-0.0``) and a ``from_coo`` rebuild of the model;
+* the view equals ``rebuild_from_log`` — the base COO filtered through the
+  *log* and re-canonicalized by ``from_coo``, the parity check
+  ``DeltaCSR.compact()`` ran on every call until it moved here;
 * ``pending``, ``compaction_limit``, ``dirty_row_ids`` and ``compactions``
   equal the oracle's (every ``UpdateResult`` field is compared inside the
   rule that produced it);
@@ -51,6 +54,23 @@ def _csr(edges: dict[tuple[int, int], float], n: int) -> CSRMatrix:
     )
 
 
+def rebuild_from_log(delta: DeltaCSR) -> CSRMatrix:
+    """The overlay's edge set built through the independent COO path: base
+    entries the log does not touch, plus the log's inserts — never read
+    from the view, so a log that drifted from the splices shows."""
+    rows, cols, vals = delta.base.to_coo()
+    if delta.pending:
+        width = delta.base.shape[1]
+        keep = ~np.isin(rows * width + cols, delta._log_keys)
+        ins = ~delta._log_deleted
+        rows = np.concatenate([rows[keep], delta._log_keys[ins] // width])
+        cols = np.concatenate([cols[keep], delta._log_keys[ins] % width])
+        vals = np.concatenate([vals[keep], delta._log_vals[ins]])
+    return CSRMatrix.from_coo(
+        rows, cols, vals, delta.base.shape, sum_duplicates=False
+    )
+
+
 def _bytes(adj: CSRMatrix) -> tuple[bytes, bytes, bytes]:
     return adj.indptr.tobytes(), adj.indices.tobytes(), adj.data.tobytes()
 
@@ -60,15 +80,20 @@ class DeltaMachine(RuleBasedStateMachine):
         n=st.integers(6, 40),
         density=st.sampled_from([0.0, 0.05, 0.3]),
         threshold=st.sampled_from([0.02, 0.1, 0.5]),
+        unit=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def build(self, n, density, threshold, seed):
+    def build(self, n, density, threshold, unit, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < density
         mask[rng.integers(0, n)] = False  # always at least one empty row
         self.n = n
+        # A unit-weight base with unit inserts stays on the overlay's shared
+        # run of ones (views hold no ``data`` of their own) until ``overwrite``
+        # leaves it.
+        self.values = [1.0] if unit else VALUES
         self.edges = {
-            (int(u), int(v)): VALUES[int(rng.integers(len(VALUES)))]
+            (int(u), int(v)): self.values[int(rng.integers(len(self.values)))]
             for u, v in zip(*np.nonzero(mask))
         }
         base = _csr(self.edges, n)
@@ -84,7 +109,7 @@ class DeltaMachine(RuleBasedStateMachine):
         return [u for u, _ in picked], [v for _, v in picked]
 
     def _values(self, data, k):
-        return data.draw(st.lists(st.sampled_from(VALUES), min_size=k, max_size=k))
+        return data.draw(st.lists(st.sampled_from(self.values), min_size=k, max_size=k))
 
     def _absent(self):
         return {
@@ -230,6 +255,7 @@ class DeltaMachine(RuleBasedStateMachine):
         assert np.array_equal(view.indptr, model.indptr)
         assert np.array_equal(view.indices, model.indices)
         assert np.array_equal(view.data, model.data)
+        assert _bytes(view) == _bytes(rebuild_from_log(new))
         assert new.pending == ref.pending
         assert new.compaction_limit == ref.compaction_limit
         assert new.dirty_row_ids.dtype == ref.dirty_row_ids.dtype

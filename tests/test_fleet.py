@@ -25,6 +25,7 @@ from repro.serve import (
     make_router,
 )
 from repro.stream import EdgeBatch, StreamingGraph, UpdateStream
+from test_gnn import skip_unless_pinned_spmm
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,13 @@ def trained_engine() -> Engine:
 @pytest.fixture(scope="module")
 def reference_logits(trained_engine) -> np.ndarray:
     return layerwise_inference(trained_engine.model, trained_engine.graph)
+
+
+@pytest.fixture(scope="module")
+def engine_digest(trained_engine) -> str:
+    """The default single server's digest of ``_trace``, computed in this
+    process: what every fleet shape is held to on any build."""
+    return trained_engine.serving().process(_trace(trained_engine)).digest()
 
 
 def _cluster(engine: Engine, **overrides) -> ServingCluster:
@@ -63,12 +71,12 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 
 
 # Digest of the 20-request / seed-5 synthetic trace under the module
-# fixture config, pinned before the Replica/Router/Cluster split, when the
-# server was a single-replica engine.  Engine.serving()'s default server
-# and a hand-built N=1 direct fleet must both reproduce it bit-identically
-# — the refactors moved code, never floats.
+# fixture config on Engine.serving()'s default server.  First pinned before
+# the Replica/Router/Cluster split (f066470b…, the ``reduceat`` SpMM's
+# bits) and re-recorded once when ``spmm`` moved to scipy's left-to-right
+# CSR kernel; the refactors in between moved code, never floats.
 GOLDEN_SERVE_DIGEST = (
-    "f066470bfc98efbcce4a88da5bfaceef55d0349aa87a97dd9a990d20808dfc51"
+    "303057a600840252951a745c66ad6382e4c5eb8699ec0d1810ff9f9d83aef9e7"
 )
 
 
@@ -225,15 +233,15 @@ class TestAutoscaler:
 # Fleet exactness: the refactor contract
 # ---------------------------------------------------------------------- #
 class TestFleetExactness:
-    def test_single_server_engine_reproduces_pinned_digest(
-        self, trained_engine
-    ):
-        report = trained_engine.serving().process(_trace(trained_engine))
-        assert report.digest() == GOLDEN_SERVE_DIGEST
+    def test_single_server_engine_reproduces_pinned_digest(self, engine_digest):
+        skip_unless_pinned_spmm()
+        assert engine_digest == GOLDEN_SERVE_DIGEST
 
-    def test_one_replica_fleet_bit_identical_to_engine(self, trained_engine):
+    def test_one_replica_fleet_bit_identical_to_engine(
+        self, trained_engine, engine_digest
+    ):
         report = _cluster(trained_engine).process(_trace(trained_engine))
-        assert report.digest() == GOLDEN_SERVE_DIGEST
+        assert report.digest() == engine_digest
 
     @pytest.mark.parametrize(
         "replicas,router,budget",
@@ -246,7 +254,7 @@ class TestFleetExactness:
         ],
     )
     def test_digest_invariant_to_fleet_shape(
-        self, trained_engine, replicas, router, budget
+        self, trained_engine, engine_digest, replicas, router, budget
     ):
         """Exact serving means routing and replica count move latency,
         never bits."""
@@ -255,7 +263,7 @@ class TestFleetExactness:
             replicas=replicas, router=router, embed_budget=budget,
         )
         report = cluster.process(_trace(trained_engine))
-        assert report.digest() == GOLDEN_SERVE_DIGEST
+        assert report.digest() == engine_digest
 
     def test_one_shot_serve_matches_layerwise(
         self, trained_engine, reference_logits
@@ -472,6 +480,7 @@ class TestFleetUpdates:
         pinned by the same streaming golden digest test_stream.py pins."""
         from test_stream import GOLDEN_STREAM_DIGEST
 
+        skip_unless_pinned_spmm()
         cluster = _streaming_cluster(trained_engine)
         report = cluster.process(_churn(trained_engine))
         assert report.digest() == GOLDEN_STREAM_DIGEST

@@ -377,27 +377,29 @@ class TestModel:
 
 
 # ---------------------------------------------------------------------- #
-# Training bits across the propagation rewrite (feature-major slabbed spmm,
-# no input-feature gradient)
+# Training bits: pinned, and reproduced in-process from the left-to-right
+# SpMM oracle with the input-feature gradient computed and dropped
 # ---------------------------------------------------------------------- #
 #: (sampler, algorithm) -> (loss bytes of epochs 0 and 1, parameter digest),
-#: recorded from the commit *before* the rewrite with ``_train_bits`` below.
+#: recorded with ``_train_bits`` below when ``spmm`` moved to scipy's CSR
+#: kernel (strict left-to-right sums); the previous pins were the
+#: ``reduceat`` body's.
 PARENT_TRAINING_BITS = {
     ("sage", "replicated"): (
         ["65bb76351e721040", "b001259de4780540"],
-        "944c529621fd3e7f3d1cd164aecbf198501766554ea7aa24c91d2e11d437a21a",
+        "2f9ffce1bd03130d577acec703b3515a0f9219125e8c35f4f79cdf45e76875ea",
     ),
     ("sage", "partitioned"): (
         ["83694313e00f1140", "52dc1917a1d60840"],
-        "40e248eac3d93e4e0d5f02ac779b3e952bb4e4bb31777db6d6924675387345d7",
+        "2712d2601dc11b2f1813ebfed41e754167c04d2780123b1b6aac3f65ce45550c",
     ),
     ("ladies", "replicated"): (
-        ["3f29095e5cca0540", "894ff0c48b0a0440"],
-        "d12d36c99d1485ba3130b1bd56604776c4d99e979c1072d2062ba2d2ad08cd91",
+        ["3f29095e5cca0540", "8a4ff0c48b0a0440"],
+        "d683122df1681d89b491a12fc73d393c9516f4bfedbf2c32d64ba8dbbfde5fc7",
     ),
     ("ladies", "partitioned"): (
         ["a3f0d1d2200e0640", "24b42b1a559f0440"],
-        "c53618fb7bcc2147c6f282bfc0d40e3ad38cf689bff82d25162407cedb08e572",
+        "ad11f5ed1e6852a58f44c25e9a2cd82ca923657088a5705ce3476ef40946534c",
     ),
 }
 
@@ -416,6 +418,33 @@ def _gemm_probe() -> str:
         h.update((x @ w).tobytes())
         h.update((x.T @ (x @ w)).tobytes())
     return h.hexdigest()[:16]
+
+
+#: ``_spmm_probe()`` on the build the pins here, in ``test_fleet.py``,
+#: ``test_stream.py`` and ``test_obs.py`` were recorded on.  ``spmm``'s bits
+#: are promised per build of scipy's CSR kernel: one compiled to contract
+#: ``y + a * x`` into an FMA rounds once where this one rounds twice.
+PINNED_SPMM_PROBE = "00" * 8 * 9
+
+
+def _spmm_probe() -> str:
+    """One product whose strict left-to-right sum and FMA-contracted sum
+    differ: ``(0 + -r) + a * a`` with ``r = round(a * a)`` is exactly 0.0 in
+    two roundings and ``a * a``'s rounding error, ``2**-60``, in one.  Nine
+    columns, so a vector body and its scalar tail are both probed."""
+    from repro.sparse import CSRMatrix, spmm
+
+    a = 1.0 + 2.0**-30
+    row = CSRMatrix.from_dense(np.array([[-(a * a), a]]))
+    return spmm(row, np.array([[1.0] * 9, [a] * 9])).tobytes().hex()
+
+
+def skip_unless_pinned_spmm() -> None:
+    """Guard of every re-recorded absolute pin; relative checks (served ==
+    ``layerwise_inference``, cache on / off, fleet shapes) need no guard."""
+    if _spmm_probe() != PINNED_SPMM_PROBE:
+        pytest.skip("this scipy build's CSR kernel rounds differently from "
+                    "the one the pins were recorded on (FMA contraction?)")
 
 
 def _train_bits(sampler: str, algorithm: str):
@@ -443,6 +472,7 @@ class TestTrainingBitsUnchanged:
         if _gemm_probe() != PINNED_GEMM_PROBE:
             pytest.skip("this machine's GEMM rounds differently from the "
                         "one the pins were recorded on")
+        skip_unless_pinned_spmm()
         assert _train_bits(sampler, algorithm) == PARENT_TRAINING_BITS[
             sampler, algorithm
         ]
@@ -450,12 +480,13 @@ class TestTrainingBitsUnchanged:
     def test_matches_row_major_full_gradient_reference(
         self, sampler, algorithm, monkeypatch
     ):
-        """Portable form of the pin: the same two epochs with the old
-        propagation — row-major ``spmm``, input-feature gradient computed
-        and dropped — give the same loss and weight bytes in this process."""
+        """Portable form of the pin: the same two epochs with the reference
+        propagation — the strict left-to-right ``spmm`` oracle, input-feature
+        gradient computed and dropped — give the same loss and weight bytes
+        in this process."""
         import repro.gnn.layers as layers_module
 
-        from tests.test_spmm_layout import _row_major_spmm
+        from tests.test_spmm_layout import _left_to_right_spmm
 
         got = _train_bits(sampler, algorithm)
 
@@ -466,6 +497,6 @@ class TestTrainingBitsUnchanged:
                     g = self.acts[i].backward(g)
                 g = self.convs[i].backward(g)
 
-        monkeypatch.setattr(layers_module, "spmm", _row_major_spmm)
+        monkeypatch.setattr(layers_module, "spmm", _left_to_right_spmm)
         monkeypatch.setattr(GNNModel, "backward", full_backward)
         assert _train_bits(sampler, algorithm) == got

@@ -9,8 +9,7 @@ strategies and a seeded deterministic sweep that pins the awkward shapes
 (zero rows, zero columns, hypersparse selectors).
 
 The suite iterates ``KERNELS.names()`` at run time, so it automatically
-covers the scipy backend when scipy is importable and newly registered
-plugin backends.
+covers newly registered plugin backends.
 """
 
 from __future__ import annotations
@@ -293,16 +292,18 @@ class TestRegistryAndDispatch:
             SageSampler(kernel="no-such-kernel")
 
     def test_graceful_without_scipy(self):
-        """Blocking scipy at import time must leave esc/hash registered
-        and the default path fully functional (the no-scipy CI leg)."""
+        """scipy is a declared requirement (``spmm`` runs on its CSR
+        kernel): its backend is always registered, and importing
+        ``repro.sparse`` without it fails at once with an error that names
+        the missing package — never a numpy fallback with other bits."""
+        assert "scipy" in KERNELS.names()
         code = (
-            "import sys; sys.modules['scipy'] = None;"
-            "from repro.sparse import KERNELS, CSRMatrix;"
-            "assert 'scipy' not in KERNELS.names(), KERNELS.names();"
-            "assert {'esc', 'hash'} <= set(KERNELS.names());"
-            "a = CSRMatrix.identity(3);"
-            "assert KERNELS.get('hash').spgemm(a, a).equal(a);"
-            "print('ok')"
+            "import sys; sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import repro.sparse\n"
+            "except ImportError as err:\n"
+            "    assert 'scipy' in str(err), err\n"
+            "    print('ok')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

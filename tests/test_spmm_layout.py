@@ -1,17 +1,20 @@
-"""``spmm`` (feature-major, slabbed) against the row-major body it replaced.
+"""``spmm`` (scipy's compiled CSR kernel) against the contract it is held to.
 
-``_row_major_spmm`` below is the previous body of ``repro.sparse.spmm.spmm``,
-kept verbatim as the oracle.  Both reduce every ``(row, feature)`` output as
-one ``np.add.reduceat`` segment over the same products in the same order —
-the rewrite only makes each segment contiguous and bounds the temporary — so
-the results must be equal *bitwise* (``tobytes()``, not ``allclose``):
-training losses and the pinned serving digest are functions of these bits.
+Two oracles live here.  ``_left_to_right_spmm`` *is* the contract of
+``repro.sparse.spmm``: every output element is ``((0 + a1*x1) + a2*x2) + ...``
+in CSR entry order, which ``np.add.at`` (a strict scatter, no pairwise
+blocking) computes — equality with it is *bitwise* (``tobytes()``), since
+training losses and the pinned serving digests are functions of these bits.
+``_reduceat_spmm`` is the feature-major slabbed body ``spmm`` had until it
+moved to the compiled kernel, kept verbatim; it sums each row as ``first +
+numpy-pairwise(rest)``, another association, so it is held at ``allclose``.
+
+The two Hypothesis properties at the end are the serving contract itself: a
+row's bits do not depend on which other rows are in the product, nor a
+feature column's on which other columns are.
 """
 
 from __future__ import annotations
-
-from importlib import import_module
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,13 +22,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSRMatrix, spmm
 
-# ``repro.sparse.spmm`` the attribute is the function (the package re-exports
-# it over the submodule's name); the slab constant lives on the module.
-spmm_module = import_module("repro.sparse.spmm")
+#: Upper target, in float64 elements (8 MiB), for the ``(f, nnz_slab)``
+#: product temporary of ``_reduceat_spmm``.
+_SLAB_ELEMS = 1 << 20
 
 
-def _row_major_spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    """The pre-rewrite ``spmm`` (oracle; do not optimize)."""
+def _left_to_right_spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
+    """The summation-order contract, executable (oracle; do not optimize)."""
+    dense = np.asarray(dense, dtype=np.float64)
+    squeeze = dense.ndim == 1
+    if squeeze:
+        dense = dense[:, None]
+    out = np.zeros((a.shape[0], dense.shape[1]), dtype=np.float64)
+    np.add.at(out, a.row_ids(), a.data[:, None] * dense[a.indices])
+    return out[:, 0] if squeeze else out
+
+
+def _reduceat_spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
+    """The pre-scipy ``spmm`` (oracle; do not optimize)."""
     dense = np.asarray(dense, dtype=np.float64)
     squeeze = dense.ndim == 1
     if squeeze:
@@ -34,13 +48,30 @@ def _row_major_spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
         raise ValueError(f"dense operand must be 1-D or 2-D, got {dense.ndim}-D")
     if a.shape[1] != dense.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {dense.shape}")
-    out = np.zeros((a.shape[0], dense.shape[1]), dtype=np.float64)
+    n_features = dense.shape[1]
+    out = np.zeros((a.shape[0], n_features), dtype=np.float64)
     if a.nnz:
-        contrib = a.data[:, None] * dense[a.indices]
+        dense_t = np.ascontiguousarray(dense.T)
         # CSR entries are already grouped by row, so a segmented reduction
         # over non-empty rows is exact (and far faster than scatter-add).
         nonempty = np.flatnonzero(np.diff(a.indptr) > 0)
-        out[nonempty] = np.add.reduceat(contrib, a.indptr[nonempty], axis=0)
+        starts = a.indptr[nonempty]
+        # Slabs of whole rows: cut at the first row start at or after each
+        # multiple of the per-slab entry budget.
+        budget = max(1, _SLAB_ELEMS // max(1, n_features))
+        cuts = np.unique(
+            np.append(
+                np.searchsorted(starts, np.arange(0, a.nnz, budget)),
+                nonempty.size,
+            )
+        )
+        bounds = np.append(starts, a.nnz)[cuts]
+        for i, j, lo, hi in zip(cuts[:-1], cuts[1:], bounds[:-1], bounds[1:]):
+            contrib = np.take(dense_t, a.indices[lo:hi], axis=1)
+            np.multiply(a.data[lo:hi], contrib, out=contrib)
+            out[nonempty[i:j]] = np.add.reduceat(
+                contrib, starts[i:j] - lo, axis=1
+            ).T
     return out[:, 0] if squeeze else out
 
 
@@ -58,36 +89,29 @@ def _csr(rng, degrees, n_cols, data=None) -> CSRMatrix:
 
 
 def _assert_same_bits(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    got, want = spmm(a, dense), _row_major_spmm(a, dense)
+    got, want = spmm(a, dense), _left_to_right_spmm(a, dense)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    # Another association of at most a few thousand float64 terms.
+    np.testing.assert_allclose(
+        got, _reduceat_spmm(a, dense), rtol=1e-10, atol=1e-10
+    )
     return got
 
 
-@pytest.fixture
-def small_slab(monkeypatch):
-    """Shrink the slab so small inputs run through many slabs."""
-    monkeypatch.setattr(spmm_module, "_SLAB_ELEMS", 300)
-
-
 # ---------------------------------------------------------------------- #
-# Property: any row-degree profile, any slab size, same bits
+# Property: any row-degree profile, same bits as the left-to-right oracle
 # ---------------------------------------------------------------------- #
 @settings(max_examples=60, deadline=None)
 @given(
     degrees=st.lists(st.integers(0, 40), min_size=0, max_size=30),
     n_features=st.integers(1, 9),
-    slab=st.sampled_from([1, 7, 64, 300, 1 << 20]),
     seed=st.integers(0, 2**16),
 )
-def test_bitwise_equal_under_hypothesis(degrees, n_features, slab, seed):
+def test_bitwise_equal_under_hypothesis(degrees, n_features, seed):
     rng = np.random.default_rng(seed)
     a = _csr(rng, degrees, 48)
-    x = rng.standard_normal((48, n_features))
-    # Not the ``small_slab`` fixture: hypothesis runs many examples per
-    # fixture instance, and the slab size is itself drawn here.
-    with mock.patch.object(spmm_module, "_SLAB_ELEMS", slab):
-        _assert_same_bits(a, x)
+    _assert_same_bits(a, rng.standard_normal((48, n_features)))
 
 
 # ---------------------------------------------------------------------- #
@@ -104,14 +128,14 @@ def test_bitwise_equal_under_hypothesis(degrees, n_features, slab, seed):
     ],
     ids=["first", "last", "interleaved", "all-empty", "zero-rows"],
 )
-def test_empty_rows(rng, small_slab, degrees):
+def test_empty_rows(rng, degrees):
     a = _csr(rng, degrees, 12)
     out = _assert_same_bits(a, rng.standard_normal((12, 50)))
     empty = np.flatnonzero(np.asarray(degrees) == 0)
     assert not out[empty].any()
 
 
-def test_one_dimensional_and_single_feature(rng, small_slab):
+def test_one_dimensional_and_single_feature(rng):
     a = _csr(rng, rng.integers(0, 9, 40), 25)
     v = rng.standard_normal(25)
     assert _assert_same_bits(a, v).shape == (40,)
@@ -124,28 +148,29 @@ def test_zero_features(rng):
 
 
 def test_row_degrees_cross_pairwise_blocks(rng):
-    """Degrees 1..300: numpy's pairwise sum changes shape at 8 and 128."""
+    """Degrees 1..300: numpy's pairwise sum (the retired body) changes shape
+    at 8 and 128; the left-to-right kernel has no such blocks."""
     a = _csr(rng, np.arange(1, 301), 400)
     _assert_same_bits(a, rng.standard_normal((400, 3)))
 
 
 # ---------------------------------------------------------------------- #
-# Slabs
+# Long rows and wide operands (where the retired body cut its slabs)
 # ---------------------------------------------------------------------- #
-def test_row_longer_than_a_slab(rng, small_slab):
-    # 300 // 10 features = 30 entries per slab; the middle row has 200.
-    a = _csr(rng, [4, 200, 6, 0, 25, 31], 256)
-    _assert_same_bits(a, rng.standard_normal((256, 10)))
+def test_row_longer_than_a_slab(rng):
+    # 2**20 // 512 features = 2048 entries per slab; the middle row has 2500.
+    a = _csr(rng, [4, 2500, 6, 0, 25, 31], 3000)
+    _assert_same_bits(a, rng.standard_normal((3000, 512)))
 
 
-def test_slab_boundary_on_a_row_end(rng, small_slab):
-    # Budget 30 entries: rows end exactly at 30, 60 and 90.
-    a = _csr(rng, [10, 20, 30, 15, 15, 7], 64)
-    _assert_same_bits(a, rng.standard_normal((64, 10)))
+def test_slab_boundary_on_a_row_end(rng):
+    # Rows end exactly at 2048 and 4096 entries.
+    a = _csr(rng, [1000, 1048, 2048, 15, 15, 7], 2100)
+    _assert_same_bits(a, rng.standard_normal((2100, 512)))
 
 
-def test_features_wider_than_a_slab(rng, small_slab):
-    # 300 // 512 == 0: the budget floors at one entry per slab.
+def test_features_wider_than_a_slab(rng):
+    # Many more features than entries per row.
     a = _csr(rng, [3, 0, 2], 8)
     _assert_same_bits(a, rng.standard_normal((8, 512)))
 
@@ -153,14 +178,14 @@ def test_features_wider_than_a_slab(rng, small_slab):
 def test_default_slab_is_crossed(rng):
     """At the real constant: f = 512 leaves 2048 entries per slab."""
     a = _csr(rng, rng.integers(0, 60, 200), 300)
-    assert a.nnz > 2 * (spmm_module._SLAB_ELEMS // 512)
+    assert a.nnz > 2 * (_SLAB_ELEMS // 512)
     _assert_same_bits(a, rng.standard_normal((300, 512)))
 
 
 # ---------------------------------------------------------------------- #
 # Values
 # ---------------------------------------------------------------------- #
-def test_explicit_zeros_and_special_values(rng, small_slab):
+def test_explicit_zeros_and_special_values(rng):
     degrees = rng.integers(1, 20, 30)
     data = rng.standard_normal(int(degrees.sum()))
     data[::5] = 0.0  # explicit zeros stay stored
@@ -179,10 +204,14 @@ def test_explicit_zeros_and_special_values(rng, small_slab):
     assert np.isnan(out).any() and np.isinf(out).any()
 
 
-def test_negative_zero_row_keeps_its_sign(small_slab):
+def test_negative_zero_row_keeps_its_sign():
+    """The sum starts from ``+0.0``: ``(0 + -0.0) + -0.0`` is ``+0.0``, where
+    the retired body's ``-0.0 + -0.0`` kept the minus."""
     a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    out = _assert_same_bits(a, np.array([[-0.0], [-0.0]]))
-    assert np.signbit(out[0, 0]) and not np.signbit(out[1, 0])
+    x = np.array([[-0.0], [-0.0]])
+    out = _assert_same_bits(a, x)
+    assert not np.signbit(out).any()
+    assert np.signbit(_reduceat_spmm(a, x)[0, 0])
 
 
 # ---------------------------------------------------------------------- #
@@ -200,7 +229,7 @@ def test_negative_zero_row_keeps_its_sign(small_slab):
     ],
     ids=["fortran", "col-sliced", "row-sliced", "float32", "int64", "list"],
 )
-def test_dense_operand_forms(rng, small_slab, make):
+def test_dense_operand_forms(rng, make):
     a = _csr(rng, rng.integers(0, 12, 35), 20)
     _assert_same_bits(a, make(rng.standard_normal((20, 7))))
 
@@ -214,11 +243,11 @@ def test_result_is_c_contiguous_and_owned(rng):
         assert out.dtype == np.float64
 
 
-def test_operands_not_modified(rng, small_slab):
+def test_operands_not_modified(rng):
     a = _csr(rng, rng.integers(0, 9, 20), 15)
     x = rng.standard_normal((15, 4))
     before = (a.data.copy(), a.indices.copy(), a.indptr.copy(), x.copy())
-    spmm(a, np.asfortranarray(x))  # already-transposed-contiguous operand
+    spmm(a, np.asfortranarray(x))
     spmm(a, x)
     for got, want in zip((a.data, a.indices, a.indptr, x), before):
         assert got.tobytes() == want.tobytes()
@@ -233,8 +262,49 @@ def test_error_text_unchanged(rng):
     a = _csr(rng, [1, 2, 1], 4)
     for bad in (np.ones((5, 2)), np.ones((4, 2, 2)), np.ones(3)):
         with pytest.raises(ValueError) as want:
-            _row_major_spmm(a, bad)
+            _reduceat_spmm(a, bad)
         for name in KERNELS.names():
             with pytest.raises(ValueError) as got:
                 KERNELS.get(name).spmm(a, bad)
             assert str(got.value) == str(want.value), name
+
+
+# ---------------------------------------------------------------------- #
+# The serving contract: rows and feature columns are independent
+# ---------------------------------------------------------------------- #
+_operands = dict(
+    degrees=st.lists(st.integers(0, 40), min_size=1, max_size=30),
+    n_features=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_operands)
+def test_a_rows_bits_do_not_depend_on_the_other_rows(
+    degrees, n_features, seed, data
+):
+    """What exact serving and the embedding cache rest on: a vertex served
+    alone, in a micro-batch or by ``layerwise_inference`` gets the same row."""
+    rng = np.random.default_rng(seed)
+    a = _csr(rng, degrees, 48)
+    x = rng.standard_normal((48, n_features))
+    rows = data.draw(st.lists(st.integers(0, len(degrees) - 1), max_size=12))
+    got = spmm(a.extract_rows(rows), x)
+    assert got.tobytes() == spmm(a, x)[rows].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_operands)
+def test_a_columns_bits_do_not_depend_on_the_other_columns(
+    degrees, n_features, seed, data
+):
+    """No lane of the kernel's vectorized ``y += a * x`` may round
+    differently from its scalar tail."""
+    rng = np.random.default_rng(seed)
+    a = _csr(rng, degrees, 48)
+    x = rng.standard_normal((48, n_features))
+    cols = data.draw(st.lists(st.integers(0, n_features - 1), max_size=12))
+    got = spmm(a, x[:, cols])
+    assert got.tobytes() == spmm(a, x)[:, cols].tobytes()
