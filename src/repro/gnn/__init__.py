@@ -12,7 +12,7 @@ from .activations import (
 )
 from .attention import GATConv
 from .checkpoint import load_model_into, save_model
-from .layers import GCNConv, Linear, SAGEConv, glorot
+from .layers import GCNConv, SAGEConv, glorot
 from .loss import softmax, softmax_cross_entropy
 from .metrics import accuracy
 from .model import GNNModel, full_graph_sample, propagation_flops
@@ -26,7 +26,6 @@ __all__ = [
     "Identity",
     "make_activation",
     "Dropout",
-    "Linear",
     "SAGEConv",
     "GCNConv",
     "GATConv",

@@ -94,8 +94,10 @@ class GATConv(_ConvBase):
         """Stateless, row-stable forward (see :func:`~repro.gnn.layers.stable_matmul`).
 
         The segmented softmax and the edge scatter already accumulate in
-        CSR edge order per destination row, so only the dense transforms
-        need the einsum route for grouping-independent bits.
+        CSR edge order per destination row, so only the dense transform
+        needs :func:`~repro.gnn.layers.stable_matmul` for grouping-independent
+        bits; the two score einsums are one dot product per row of ``z``,
+        which no other row enters, so they are row-stable as they are.
         """
         if h_src.shape[0] != layer.n_src:
             raise ValueError(

@@ -13,7 +13,11 @@ import numpy as np
 from ..core.frontier import LayerSample
 from ..sparse import CSRMatrix, row_normalize, spmm
 
-__all__ = ["Linear", "SAGEConv", "GCNConv", "glorot", "stable_matmul"]
+__all__ = ["SAGEConv", "GCNConv", "glorot", "stable_matmul"]
+
+#: Rows per GEMM: every product :func:`stable_matmul` runs is
+#: ``(_ROWS, k) @ (k, n)``, whatever the row count of its operand.
+_ROWS = 32
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -23,49 +27,28 @@ def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
 
 
 def stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` with row-count-independent bit patterns.
+    """``x @ w`` whose rows' bits do not depend on how rows are grouped.
 
-    BLAS GEMM picks its blocking (and therefore its rounding) from the row
-    count ``m``, so ``(x @ w)[rows]`` and ``x[rows] @ w`` can differ in the
-    last bits.  Inference paths that must produce identical logits no
-    matter how vertices are grouped into batches (layer-wise inference,
-    online serving with micro-batching and embedding caches) route their
-    dense transforms through this einsum, whose per-row accumulation order
-    depends only on the inner dimension.  Training keeps plain ``@``.
+    Plain ``@`` lets numpy and BLAS pick gemv or GEMM, and a blocking, from
+    the row count ``m``, so ``(x @ w)[r]`` and ``x[r] @ w`` can differ in
+    the last bits.  Inference paths that must produce identical logits
+    however vertices are batched (layer-wise inference, online serving with
+    micro-batching and embedding caches) route their dense transforms
+    through this function; training keeps plain ``@``.  The contract:
+
+    * **Order.**  A row's result is that row of one ``(32, k) @ (k, n)``
+      BLAS GEMM: ``x`` goes in blocks of :data:`_ROWS` rows, the tail
+      zero-padded to a full block.
+    * **Independence.**  ``stable_matmul(x[r], w)`` is
+      ``stable_matmul(x, w)[r]`` bitwise for any index array ``r``.
+    * **Scope.**  The bits are identical per BLAS build and CPU kernel, and
+      ``allclose`` across them; the pinned digests skip themselves when
+      ``tests/test_gnn.py::_gemm_probe`` sees another.
     """
-    return np.einsum("ij,jk->ik", x, w, optimize=False)
-
-
-class Linear:
-    """Dense affine layer ``y = x W + b``."""
-
-    def __init__(
-        self, in_dim: int, out_dim: int, rng: np.random.Generator, *, bias: bool = True
-    ) -> None:
-        self.params = {"W": glorot((in_dim, out_dim), rng)}
-        if bias:
-            self.params["b"] = np.zeros(out_dim)
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        out = x @ self.params["W"]
-        if "b" in self.params:
-            out = out + self.params["b"]
-        return out
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.grads["W"] += self._x.T @ dy
-        if "b" in self.params:
-            self.grads["b"] += dy.sum(axis=0)
-        return dy @ self.params["W"].T
-
-    def zero_grad(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
+    m, k = x.shape
+    blocks = np.zeros((-(-m // _ROWS), _ROWS, k))
+    blocks.reshape(-1, k)[:m] = x
+    return (blocks @ w).reshape(-1, w.shape[1])[:m]
 
 
 class _ConvBase:

@@ -14,7 +14,8 @@ properties are load-bearing (and tested):
 * it applies the model's *configured* inter-layer activation
   (``model.acts``) rather than assuming ReLU, so tanh/leaky-relu/identity
   models get exact full-graph inference too;
-* it runs through the convolutions' row-stable ``infer`` path
+* it runs through the convolutions' row-stable ``infer`` path, whose dense
+  transforms are fixed-shape 32-row BLAS GEMMs
   (:func:`~repro.gnn.layers.stable_matmul`), so the output is bit-identical
   for every ``batch_size`` — which is what lets the online serving engine
   (:mod:`repro.serve`) promise logits bit-identical to this function no

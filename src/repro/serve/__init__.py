@@ -3,8 +3,11 @@
 The serving subsystem reuses the training stack end to end: the sampling-
 plan IR compiles each micro-batch of concurrent requests into one bulk
 sampling program, the trained :class:`~repro.gnn.GNNModel` produces the
-logits through its row-stable ``infer`` kernels, and the simulated clock /
-roofline cost model make every latency number exactly reproducible.
+logits through its row-stable ``infer`` kernels (SpMM, then fixed-shape
+32-row BLAS GEMMs, :func:`~repro.gnn.layers.stable_matmul`: a vertex's
+logits do not depend on which requests share its micro-batch), and the
+simulated clock / roofline cost model make every latency number exactly
+reproducible.
 
 Quickstart::
 

@@ -25,7 +25,7 @@ from repro.serve import (
     make_router,
 )
 from repro.stream import EdgeBatch, StreamingGraph, UpdateStream
-from test_gnn import skip_unless_pinned_spmm
+from test_gnn import skip_unless_pinned_kernels
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +73,11 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 # Digest of the 20-request / seed-5 synthetic trace under the module
 # fixture config on Engine.serving()'s default server.  First pinned before
 # the Replica/Router/Cluster split (f066470b…, the ``reduceat`` SpMM's
-# bits) and re-recorded once when ``spmm`` moved to scipy's left-to-right
-# CSR kernel; the refactors in between moved code, never floats.
+# bits), re-recorded when ``spmm`` moved to scipy's left-to-right CSR
+# kernel (303057a6…) and when ``stable_matmul`` moved to fixed-shape BLAS
+# GEMMs; the refactors in between moved code, never floats.
 GOLDEN_SERVE_DIGEST = (
-    "303057a600840252951a745c66ad6382e4c5eb8699ec0d1810ff9f9d83aef9e7"
+    "721e934e2458208b9fa44fe5b69bad825984eaa06410a89fb2402f00b760b18f"
 )
 
 
@@ -234,7 +235,7 @@ class TestAutoscaler:
 # ---------------------------------------------------------------------- #
 class TestFleetExactness:
     def test_single_server_engine_reproduces_pinned_digest(self, engine_digest):
-        skip_unless_pinned_spmm()
+        skip_unless_pinned_kernels()
         assert engine_digest == GOLDEN_SERVE_DIGEST
 
     def test_one_replica_fleet_bit_identical_to_engine(
@@ -480,7 +481,7 @@ class TestFleetUpdates:
         pinned by the same streaming golden digest test_stream.py pins."""
         from test_stream import GOLDEN_STREAM_DIGEST
 
-        skip_unless_pinned_spmm()
+        skip_unless_pinned_kernels()
         cluster = _streaming_cluster(trained_engine)
         report = cluster.process(_churn(trained_engine))
         assert report.digest() == GOLDEN_STREAM_DIGEST

@@ -13,7 +13,6 @@ from repro.gnn import (
     Dropout,
     GCNConv,
     GNNModel,
-    Linear,
     ReLU,
     SGD,
     accuracy,
@@ -67,38 +66,10 @@ def check_input_grad_false(conv, layer, h, dy):
     assert any(np.frombuffer(b).any() for b in full.values())
 
 
-class TestLinear:
-    def test_forward(self, rng):
-        lin = Linear(4, 3, rng)
-        x = rng.random((5, 4))
-        out = lin.forward(x)
-        assert np.allclose(out, x @ lin.params["W"] + lin.params["b"])
-
-    def test_gradcheck(self, rng):
-        lin = Linear(3, 2, rng)
-        x = rng.random((4, 3))
-        target = rng.random((4, 2))
-
-        def loss():
-            return 0.5 * np.sum((lin.forward(x) - target) ** 2)
-
-        lin.zero_grad()
-        dy = lin.forward(x) - target
-        dx = lin.backward(dy)
-        for name in ("W", "b"):
-            num = numeric_grad(loss, lin.params[name])
-            assert np.allclose(lin.grads[name], num, atol=1e-5), name
-        num_dx = numeric_grad(loss, x)
-        assert np.allclose(dx, num_dx, atol=1e-5)
-
-    def test_backward_before_forward(self, rng):
-        with pytest.raises(RuntimeError):
-            Linear(2, 2, rng).backward(np.ones((1, 2)))
-
-    def test_glorot_range(self, rng):
-        w = glorot((100, 100), rng)
-        limit = np.sqrt(6 / 200)
-        assert np.all(np.abs(w) <= limit)
+def test_glorot_range(rng):
+    w = glorot((100, 100), rng)
+    limit = np.sqrt(6 / 200)
+    assert np.all(np.abs(w) <= limit)
 
 
 class TestActivations:
@@ -404,19 +375,25 @@ PARENT_TRAINING_BITS = {
 }
 
 #: ``_gemm_probe()`` on the machine the pins were recorded on.  Training
-#: runs its dense transforms through BLAS, whose rounding is the library's
-#: and the CPU's business; on a machine whose GEMM rounds differently the
-#: pins prove nothing, and the in-process reference test is the check.
-PINNED_GEMM_PROBE = "901a3d952222142b"
+#: runs its dense transforms through BLAS, and serving through
+#: ``stable_matmul``'s fixed-shape BLAS GEMMs, whose rounding is the
+#: library's and the CPU kernel's business; on a machine whose GEMM rounds
+#: differently the pins prove nothing, and the in-process reference test and
+#: the relative serving tests are the check.
+PINNED_GEMM_PROBE = "a720d5b55634378e"
 
 
 def _gemm_probe() -> str:
+    from repro.gnn.layers import stable_matmul
+
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for m, k, n in ((32, 100, 24), (301, 24, 24), (57, 24, 7)):
         x, w = rng.standard_normal((m, k)), rng.standard_normal((k, n))
         h.update((x @ w).tobytes())
         h.update((x.T @ (x @ w)).tobytes())
+    x, w = rng.standard_normal((33, 100)), rng.standard_normal((100, 24))
+    h.update(stable_matmul(x, w).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -439,12 +416,26 @@ def _spmm_probe() -> str:
     return spmm(row, np.array([[1.0] * 9, [a] * 9])).tobytes().hex()
 
 
-def skip_unless_pinned_spmm() -> None:
+def pinned_kernel_mismatch() -> str:
+    """The probes that differ from the build the absolute pins were recorded
+    on, comma-separated, or ``""``; the CI digest steps print it too."""
+    return ", ".join(
+        name
+        for name, probe, pinned in (
+            ("_spmm_probe (scipy's CSR kernel)", _spmm_probe, PINNED_SPMM_PROBE),
+            ("_gemm_probe (BLAS GEMM)", _gemm_probe, PINNED_GEMM_PROBE),
+        )
+        if probe() != pinned
+    )
+
+
+def skip_unless_pinned_kernels() -> None:
     """Guard of every re-recorded absolute pin; relative checks (served ==
     ``layerwise_inference``, cache on / off, fleet shapes) need no guard."""
-    if _spmm_probe() != PINNED_SPMM_PROBE:
-        pytest.skip("this scipy build's CSR kernel rounds differently from "
-                    "the one the pins were recorded on (FMA contraction?)")
+    differs = pinned_kernel_mismatch()
+    if differs:
+        pytest.skip(f"{differs} rounds differently from the build the pins "
+                    "were recorded on")
 
 
 def _train_bits(sampler: str, algorithm: str):
@@ -469,10 +460,7 @@ def _train_bits(sampler: str, algorithm: str):
 @pytest.mark.parametrize("sampler, algorithm", sorted(PARENT_TRAINING_BITS))
 class TestTrainingBitsUnchanged:
     def test_matches_parent_commit(self, sampler, algorithm):
-        if _gemm_probe() != PINNED_GEMM_PROBE:
-            pytest.skip("this machine's GEMM rounds differently from the "
-                        "one the pins were recorded on")
-        skip_unless_pinned_spmm()
+        skip_unless_pinned_kernels()
         assert _train_bits(sampler, algorithm) == PARENT_TRAINING_BITS[
             sampler, algorithm
         ]

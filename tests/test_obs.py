@@ -33,7 +33,7 @@ from repro.obs import (
 )
 from repro.parallel import parallel_support_error
 from repro.serve import ServingCluster, TraceWorkload
-from test_gnn import skip_unless_pinned_spmm
+from test_gnn import skip_unless_pinned_kernels
 
 needs_parallel = pytest.mark.skipif(
     parallel_support_error() is not None,
@@ -546,10 +546,10 @@ class TestCli:
         # router); replica, phase, and flight-recorder spans must appear.
         assert {"serve_batch", "sampling", "request"} <= names
         # The CI-pinned digest: tracing must not move it.
-        skip_unless_pinned_spmm()
+        skip_unless_pinned_kernels()
         assert (
-            "logits digest: bcd2cbc3cde0dbbba58da87cc94bfa18e8"
-            "483f8ce9dadca2c060e73d6604bb32" in stdout
+            "logits digest: 3314810865efbf723317a80c98fcbb5727"
+            "d7172dccb4d2b1e77d4c7fef08dc05" in stdout
         )
 
     @needs_parallel

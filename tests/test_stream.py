@@ -31,7 +31,7 @@ from repro.stream import (
     dirty_closure,
 )
 from test_delta_differential import _bytes, rebuild_from_log
-from test_gnn import skip_unless_pinned_spmm
+from test_gnn import skip_unless_pinned_kernels
 
 
 def _small_base(n: int = 10, degree: int = 3, seed: int = 0) -> CSRMatrix:
@@ -614,12 +614,13 @@ def _churn_workload(engine: Engine, *, n_requests=32, update_ratio=0.5,
 
 
 # Digest of the 32-request / 0.5-ratio / seed-0 streaming run below
-# (re-recorded once, from 20fbc1ad…, when ``spmm`` moved to scipy's
-# left-to-right CSR kernel).  The serving stack is bit-exact and row-stable,
-# so on one build of that kernel an unexplained change means updates,
-# sampling or inference drifted.
+# (re-recorded from 20fbc1ad… when ``spmm`` moved to scipy's left-to-right
+# CSR kernel, and from 34ed807f… when ``stable_matmul`` moved to fixed-shape
+# BLAS GEMMs).  The serving stack is bit-exact and row-stable, so on one
+# build of those kernels an unexplained change means updates, sampling or
+# inference drifted.
 GOLDEN_STREAM_DIGEST = (
-    "34ed807f3ab863acb4495ec26be690cf3a24e26247f23d41abf430fd08cb82bc"
+    "351ccdd327c0e9d7cc8bb8233638e2d35705bc00b441aa848ae2589c8b35375f"
 )
 
 
@@ -639,7 +640,7 @@ class TestStreamingServing:
             reference = layerwise_inference(trained_engine.model, rebuilt)
             assert np.array_equal(server.serve(verts), reference[verts])
         assert digests[0.0] == digests[65536.0]
-        skip_unless_pinned_spmm()
+        skip_unless_pinned_kernels()
         assert digests[0.0] == GOLDEN_STREAM_DIGEST
 
     def test_compaction_during_serving_keeps_parity(self, trained_engine):

@@ -222,9 +222,8 @@ ALLOWED = {
     "reads; the kernel-matrix tests switch it",
     "use_kernel": "scoped form of set_default_kernel",
     # Deferred, not kept: nothing uses these, but deleting them deletes the
-    # 19 tier-1 tests named after them, and one PR may retire only a few.
+    # 15 tier-1 tests named after them, and one PR may retire only a few.
     "Dropout": "deferred deletion (3 tests)",
-    "Linear": "deferred deletion (4 tests)",
     "SGD": "deferred deletion (3 tests)",
     "chung_lu": "deferred deletion (2 tests)",
     "hstack": "deferred deletion (2 tests)",
