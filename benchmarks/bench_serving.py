@@ -256,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=96,
                         help="requests per sweep point")
     parser.add_argument("--embed-budget", type=float, default=65536.0)
-    parser.add_argument("--kernel", default=RunConfig().kernel,
-                        help="sparse-kernel backend the server samples "
-                        "with (default: RunConfig's)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI (fewer points and requests)")
@@ -320,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         dataset=args.dataset, scale=args.scale, train_split=0.5,
         sampler="sage", fanout=tuple(int(x) for x in args.fanout.split(",")),
         batch_size=16, hidden=args.hidden, epochs=args.epochs,
-        seed=args.seed, kernel=args.kernel,
+        seed=args.seed,
     )
     engine = Engine(cfg)
     engine.train(cfg.epochs)
@@ -396,8 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     print(format_table(
         rows,
         title=f"serving sweep: {args.dataset} scale={args.scale} "
-        f"fanout={args.fanout} requests/point={args.requests} "
-        f"kernel={args.kernel}",
+        f"fanout={args.fanout} requests/point={args.requests}",
     ))
 
     fleet_rows: list[dict] = []
@@ -439,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
                 "epochs": args.epochs, "clients": client_counts,
                 "requests": args.requests,
                 "embed_budget": args.embed_budget, "seed": args.seed,
-                "kernel": args.kernel, "smoke": bool(args.smoke),
+                "smoke": bool(args.smoke),
             },
             metrics=metrics,
             rows=rows,
@@ -453,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
                 "dataset": args.dataset, "scale": args.scale,
                 "fanout": args.fanout, "hidden": args.hidden,
                 "epochs": args.epochs, "seed": args.seed,
-                "kernel": args.kernel, "smoke": bool(args.smoke),
+                "smoke": bool(args.smoke),
                 "replicas": sorted(
                     {int(x) for x in args.replicas.split(",")} | {1}
                 ),

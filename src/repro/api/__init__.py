@@ -2,8 +2,8 @@
 
 Everything user-facing goes through three pieces:
 
-* **Registries** (:data:`SAMPLERS`, :data:`ALGORITHMS`, :data:`DATASETS`,
-  :data:`KERNELS`) — the only name -> implementation tables in the system.
+* **Registries** (:data:`SAMPLERS`, :data:`ALGORITHMS`, :data:`DATASETS`)
+  — the only name -> implementation tables in the system.
   Plugins register here and become available to the CLI, the pipeline, the
   benchmarks and the Engine at once.
 * **RunConfig** — a validated, JSON-round-trippable description of a run.
@@ -39,7 +39,6 @@ from .registries import (
     sampler_algorithms,
 )
 from .registry import Registry, RegistryEntry, RegistryKeyError
-from ..sparse.kernels import KERNELS
 
 __all__ = [
     "Registry",
@@ -49,7 +48,6 @@ __all__ = [
     "SAMPLERS",
     "ALGORITHMS",
     "DATASETS",
-    "KERNELS",
     "make_sampler",
     "load_graph_from_registry",
     "sampler_algorithms",

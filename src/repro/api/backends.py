@@ -69,7 +69,7 @@ class SingleDeviceBackend:
     ) -> list[list[MinibatchSample]]:
         comm, cfg = pipeline.comm, pipeline.config
         with comm.phase("sampling"):
-            recorder = RecordingSpGEMM(kernel=cfg.kernel)
+            recorder = RecordingSpGEMM()
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
             samples = pipeline.sampler.sample_bulk(
                 pipeline.graph.adj, bulk, cfg.fanout, rng, spgemm_fn=recorder
@@ -93,7 +93,7 @@ class ReplicatedBackend:
         cfg = pipeline.config
         return replicated_bulk_sampling(
             pipeline.comm, pipeline.sampler, pipeline.graph.adj, bulk,
-            cfg.fanout, seed=seed, kernel=cfg.kernel,
+            cfg.fanout, seed=seed,
         )
 
 
@@ -124,7 +124,6 @@ class PartitionedBackend:
         samples, owners = partitioned_bulk_sampling(
             pipeline.comm, grid, pipeline.sampler, self.a_blocks, bulk,
             cfg.fanout, seed=seed, sparsity_aware=cfg.sparsity_aware,
-            kernel=cfg.kernel,
         )
         # Each process row's batches are trained by its c replica ranks,
         # round-robin, so all p ranks participate in propagation.

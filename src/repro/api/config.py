@@ -35,7 +35,6 @@ from ..gnn.model import CONVS
 from ..partition.cache import CACHE_POLICIES
 from ..serve.admission import SHED_POLICIES
 from ..serve.router import ROUTERS
-from ..sparse.kernels import KERNELS
 from .registries import (
     ALGORITHMS,
     DATASETS,
@@ -121,7 +120,7 @@ def _check_knob(f: dataclasses.Field, value: Any) -> Any:
             plural = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
             raise ValueError(
                 f"unknown {noun} {value!r}; known {plural}: "
-                f"{', '.join(m['registry'])}"
+                f"{', '.join(m['registry'])}" + m.get("note", "")
             )
         return value
     if kind is MachineConfig and isinstance(value, dict):
@@ -216,7 +215,15 @@ class RunConfig:
     dataset_kwargs: dict[str, Any] = _knob(
         dict, "extra keyword arguments for the dataset loader", dict
     )
-    kernel: str = _knob("esc", "sparse-kernel backend", str, registry=KERNELS)
+    # benchmarks/e2e hashes to_dict() and reads cfg.kernel, so the field
+    # stays until ROADMAP item 8 retargets its tracer.
+    kernel: str = _knob(
+        "esc", "the SpGEMM kernel, always 'esc' (no flag; the field is kept "
+        "so saved configs hash as before)", str,
+        registry=("esc",),
+        note=" (the hash and scipy kernels were removed: drop the key or "
+        "set it to 'esc')",
+    )
     # -- feature cache + bulk scheduling (repro.partition.cache) --------- #
     cache_budget: float = _knob(
         0.0, "per-rank feature-cache budget in bytes; replicated hot rows "

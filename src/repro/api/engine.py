@@ -106,7 +106,6 @@ class Engine:
         if self._sampler is None:
             self._sampler = make_sampler(
                 self.config.sampler, graph=self.graph, for_training=True,
-                kernel=self.config.kernel,
             )
         return self._sampler
 

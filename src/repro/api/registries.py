@@ -171,7 +171,6 @@ def make_sampler(
     *,
     graph: Graph | None = None,
     for_training: bool = False,
-    kernel: Any = None,
     **overrides: Any,
 ) -> MatrixSampler:
     """Instantiate a registered sampler.
@@ -179,14 +178,8 @@ def make_sampler(
     ``for_training`` applies the entry's ``pipeline_kwargs`` (the built-ins
     use it to add the destination vertices to each frontier so models keep
     a root term).  ``graph`` is forwarded as the first argument for
-    ``graph_aware`` entries.  ``kernel`` (a :data:`repro.sparse.KERNELS`
-    name or backend instance) selects the sparse-kernel backend — it is
-    resolved and assigned to the instance after construction, so plugin
-    factories need not accept a ``kernel`` kwarg themselves.  ``overrides``
-    go to the factory verbatim.
+    ``graph_aware`` entries.  ``overrides`` go to the factory verbatim.
     """
-    from ..sparse.kernels import get_kernel
-
     entry = SAMPLERS.spec(name)
     kwargs: dict[str, Any] = {}
     if for_training:
@@ -197,12 +190,8 @@ def make_sampler(
             raise ValueError(
                 f"sampler {name!r} is graph-aware and needs a graph to build"
             )
-        sampler = entry.obj(graph, **kwargs)
-    else:
-        sampler = entry.obj(**kwargs)
-    if kernel is not None:
-        sampler.kernel = get_kernel(kernel)
-    return sampler
+        return entry.obj(graph, **kwargs)
+    return entry.obj(**kwargs)
 
 
 def load_graph_from_registry(

@@ -50,11 +50,11 @@ _SERVE_DEFAULTS = {**_CLI_DEFAULTS, "epochs": 1}
 #: (see :func:`add_config_flags`); every other flag it has is not a knob.
 _TRAIN_KNOBS = (
     "scale", "epochs", "p", "c", "k", "workers", "algorithm", "sampler",
-    "kernel", "fanout", "train_split", "batch_size", "hidden", "lr", "seed",
+    "fanout", "train_split", "batch_size", "hidden", "lr", "seed",
     "activation", "cache_budget", "cache_policy", "overlap",
 )
 _SERVING_KNOBS = (
-    "scale", "epochs", "sampler", "kernel", "fanout", "batch_size", "hidden",
+    "scale", "epochs", "sampler", "fanout", "batch_size", "hidden",
     "seed", "serve_batch_size", "serve_max_wait", "embed_budget", "workers",
 )
 _SERVE_KNOBS = _SERVING_KNOBS + (
@@ -138,7 +138,7 @@ def _add_run_parser(sub, name, knobs, cli_defaults, **kwargs):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.api import ALGORITHMS, DATASETS, KERNELS, SAMPLERS
+    from repro.api import ALGORITHMS, DATASETS, SAMPLERS
 
     datasets = DATASETS.names()
     sweep_algorithms = [
@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--batches", type=int, default=8)
     smp.add_argument("--batch-size", type=int, default=32)
     smp.add_argument("--fanout", default="5,3")
-    smp.add_argument("--kernel", default=None, choices=KERNELS.names(),
-                     help="sparse-kernel backend, default esc")
     smp.add_argument("--seed", type=int, default=0)
 
     _add_run_parser(
@@ -309,7 +307,7 @@ def knob_table() -> str:
 
 def _cmd_info(args) -> int:
     import repro
-    from repro.api import ALGORITHMS, KERNELS, SAMPLERS
+    from repro.api import ALGORITHMS, SAMPLERS
     from repro.config import PERLMUTTER_LIKE
 
     m = PERLMUTTER_LIKE
@@ -322,7 +320,6 @@ def _cmd_info(args) -> int:
     print(f"  inter-node link: {1 / m.inter_node.beta / 1e9:.0f} GB/s")
     print(f"samplers: {', '.join(SAMPLERS.names())}")
     print(f"algorithms: {', '.join(ALGORITHMS.names())}")
-    print(f"kernels: {', '.join(KERNELS.names())}")
     print("RunConfig knobs (serve/stream default to --epochs 1):")
     print(knob_table())
     return 0
@@ -355,7 +352,7 @@ def _cmd_sample(args) -> int:
         graph = load_graph_from_registry(
             args.dataset, scale=args.scale, seed=args.seed
         )
-        sampler = make_sampler(args.sampler, graph=graph, kernel=args.kernel)
+        sampler = make_sampler(args.sampler, graph=graph)
     except (ValueError, KeyError) as exc:
         return _user_error(exc)
     rng = np.random.default_rng(args.seed)
@@ -486,18 +483,16 @@ def _cmd_serving(args) -> int:
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
-        # the effective replica/router/worker config with the kernel.
+        # the effective replica/router/worker config.
         line = (f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
-                f"{cfg.sampler}, kernel {cfg.kernel}, "
-                f"serve_batch_size={cfg.serve_batch_size}, "
+                f"{cfg.sampler}, serve_batch_size={cfg.serve_batch_size}, "
                 f"serve_max_wait={cfg.serve_max_wait}, "
                 f"embed_budget={cfg.embed_budget:.0f}")
         if streaming:
             line += f", compaction_threshold={cfg.compaction_threshold}"
         print(line)
         line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
-                f"shed_policy {cfg.shed_policy}, workers {cfg.workers}, "
-                f"kernel {cfg.kernel}")
+                f"shed_policy {cfg.shed_policy}, workers {cfg.workers}")
         if cfg.slo_p99 > 0:
             line += (f", autoscaling to p99<={cfg.slo_p99:g}s in "
                      f"[{cfg.autoscale_min}, {cfg.autoscale_max}]")

@@ -60,9 +60,8 @@ class LadiesSampler(MatrixSampler):
         split_col_extract: bool = True,
         debias: bool = False,
         sample_backend: str = "its",
-        kernel=None,
     ) -> None:
-        super().__init__(sample_backend, kernel)
+        super().__init__(sample_backend)
         if debias and include_dst:
             raise ValueError(
                 "debias needs pure LADIES samples: destinations unioned "
@@ -135,7 +134,7 @@ class LadiesSampler(MatrixSampler):
         dst_lists: Sequence[np.ndarray],
         sampled_lists: Sequence[np.ndarray],
         *,
-        spgemm_fn: SpGEMMFn | None = None,
+        spgemm_fn: SpGEMMFn = spgemm,
     ) -> list[CSRMatrix]:
         """Per-batch column extraction ``A_Si = A_Ri Q_Ci``.
 
@@ -143,7 +142,6 @@ class LadiesSampler(MatrixSampler):
         rows matching ``dst_lists[i]``.  Returns one ``(b_i, s_i)`` sampled
         adjacency per batch.
         """
-        spgemm_fn = self._resolve_spgemm(spgemm_fn)
         bounds = np.cumsum([0] + [len(d) for d in dst_lists])
         n = a_r.shape[1]
         if self.split_col_extract:

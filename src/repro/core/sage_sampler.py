@@ -51,9 +51,8 @@ class SageSampler(MatrixSampler):
         *,
         include_dst: bool = True,
         sample_backend: str = "its",
-        kernel=None,
     ) -> None:
-        super().__init__(sample_backend, kernel)
+        super().__init__(sample_backend)
         self.include_dst = include_dst
 
     # ------------------------------------------------------------------ #

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..sparse import CSRMatrix, row_selector
+from ..sparse import CSRMatrix, row_selector, spgemm
 from .plan import ExtractStep, NormStep, ProbStep, SampleStep, SamplingPlan
 from .sage_sampler import SageSampler
 from .sampler_base import SpGEMMFn
@@ -51,11 +51,9 @@ class GraphSaintRWSampler(SageSampler):
     name = "graphsaint-rw"
 
     def __init__(
-        self, *, walk_length: int = 3, sample_backend: str = "its", kernel=None
+        self, *, walk_length: int = 3, sample_backend: str = "its"
     ) -> None:
-        super().__init__(
-            include_dst=True, sample_backend=sample_backend, kernel=kernel
-        )
+        super().__init__(include_dst=True, sample_backend=sample_backend)
         if walk_length <= 0:
             raise ValueError("walk_length must be positive")
         self.walk_length = walk_length
@@ -65,10 +63,9 @@ class GraphSaintRWSampler(SageSampler):
         adj: CSRMatrix,
         vertices: np.ndarray,
         *,
-        spgemm_fn: SpGEMMFn | None = None,
+        spgemm_fn: SpGEMMFn = spgemm,
     ) -> CSRMatrix:
         """EXTRACT: ``A`` restricted to ``vertices`` on both axes."""
-        spgemm_fn = self._resolve_spgemm(spgemm_fn)
         rows = spgemm_fn(row_selector(vertices, adj.shape[0]), adj)
         mask = np.zeros(adj.shape[1], dtype=bool)
         mask[vertices] = True

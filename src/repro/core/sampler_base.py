@@ -33,8 +33,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ..sparse import CSRMatrix, vstack
-from ..sparse.kernels import KernelSpec, get_kernel
+from ..sparse import CSRMatrix, spgemm, vstack
 from .compile import optimize
 from .frontier import MinibatchSample
 from .its import (
@@ -67,33 +66,18 @@ class MatrixSampler(ABC):
 
     ``sample_backend`` selects the SAMPLE implementation: ``"its"`` (the
     paper's inverse transform sampling) or ``"gumbel"`` (equivalent
-    distribution, single pass).  ``kernel`` selects the sparse-kernel
-    backend (a :data:`repro.sparse.KERNELS` name or a
-    :class:`~repro.sparse.KernelBackend` instance) used for the sampler's
-    own SpGEMMs; ``None`` means the process-wide default.  The spec is
-    kept as given and resolved per call, so a ``None``-kernel sampler
-    tracks later :func:`~repro.sparse.set_default_kernel` /
-    :func:`~repro.sparse.use_kernel` changes instead of snapshotting the
-    default at construction.
+    distribution, single pass).  The sampler's own products run
+    :func:`~repro.sparse.spgemm` unless a caller hands in a wrapper.
     """
 
     name: str = "abstract"
 
-    def __init__(
-        self, sample_backend: str = "its", kernel: KernelSpec = None
-    ) -> None:
+    def __init__(self, sample_backend: str = "its") -> None:
         if sample_backend not in ("its", "gumbel"):
             raise ValueError(f"unknown sample backend {sample_backend!r}")
         self.sample_backend = sample_backend
-        get_kernel(kernel)  # fail fast on a typo'd registry name
-        self.kernel = kernel
         # fanout tuple -> optimized plan; see optimized_plan().
         self._plans: dict[tuple, SamplingPlan | None] = {}
-
-    def _resolve_spgemm(self, spgemm_fn: SpGEMMFn | None) -> SpGEMMFn:
-        """The SpGEMM to use: an explicit override (e.g. a distributed or
-        recording wrapper) or this sampler's kernel backend."""
-        return get_kernel(self.kernel).spgemm if spgemm_fn is None else spgemm_fn
 
     # ------------------------------------------------------------------ #
     # Algorithm-1 pieces
@@ -296,8 +280,8 @@ class MatrixSampler(ABC):
         ``rng`` is a single generator (draws consumed across the stacked
         bulk) or a sequence of one generator per batch (each batch draws
         only from its own stream — see :data:`RngSpec`).  ``spgemm_fn=None``
-        uses the sampler's kernel backend; distributed drivers and cost
-        recorders pass their own wrapper.
+        runs :func:`~repro.sparse.spgemm`; the distributed executors and
+        cost recorders pass their own wrapper.
 
         The default implementation runs :meth:`optimized_plan` (the
         emitted :meth:`plan` after :func:`repro.core.compile.optimize`,
@@ -305,7 +289,6 @@ class MatrixSampler(ABC):
         :class:`~repro.core.plan.LocalExecutor`; samplers without a plan
         must override this method instead.
         """
-        spgemm = self._resolve_spgemm(spgemm_fn)
         self._validate(adj, batches, fanout)
         program = self.optimized_plan(fanout)
         if program is None:
@@ -315,7 +298,7 @@ class MatrixSampler(ABC):
                 f"override sample_bulk()"
             )
         rng = self._normalize_rng(rng, len(batches))
-        executor = LocalExecutor(self, adj, batches, rng, spgemm)
+        executor = LocalExecutor(self, adj, batches, rng, spgemm_fn or spgemm)
         return executor.run(program)
 
     # ------------------------------------------------------------------ #

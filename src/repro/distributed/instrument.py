@@ -21,8 +21,7 @@ import numpy as np
 from ..comm import Communicator
 from ..core.its import its_flops
 from ..partition.cache import CacheStats
-from ..sparse import CSRMatrix, spgemm_flops
-from ..sparse.kernels import KernelSpec, get_kernel
+from ..sparse import CSRMatrix, spgemm, spgemm_flops
 
 __all__ = [
     "RecordingSpGEMM",
@@ -48,19 +47,15 @@ CALL_OVERHEAD_S = 5e-3
 
 @dataclass
 class RecordingSpGEMM:
-    """A drop-in ``spgemm_fn`` that records the cost of every call.
-
-    ``kernel`` selects the backend that actually executes the products (a
-    :data:`repro.sparse.KERNELS` name or instance; ``None`` = process
-    default).  The recorded cost model is kernel-independent: it counts
-    the expansion work every SpGEMM formulation performs.
+    """A drop-in ``spgemm_fn`` that runs :func:`~repro.sparse.spgemm` and
+    records the cost of every call: the expansion work every SpGEMM
+    formulation performs, read off the operands' shapes.
     """
 
     flops: float = 0.0
     nbytes: float = 0.0
     kernels: int = 0
     outputs: list[CSRMatrix] = field(default_factory=list)
-    kernel: KernelSpec = None
 
     def __call__(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         expansion = spgemm_flops(a, b)
@@ -76,7 +71,7 @@ class RecordingSpGEMM:
             a.shape[0] + b.shape[0]
         )
         self.kernels += 2
-        out = get_kernel(self.kernel).spgemm(a, b)
+        out = spgemm(a, b)
         self.outputs.append(out)
         return out
 

@@ -69,7 +69,6 @@ from ..core.plan import (
 )
 from ..partition.block1d import BlockRows
 from ..sparse import CSRMatrix, row_selector, vstack
-from ..sparse.kernels import get_kernel
 from .instrument import sample_norm_flops
 from .spgemm_15d import spgemm_15d
 
@@ -122,7 +121,6 @@ class PartitionedExecutor:
         seed: int,
         *,
         sparsity_aware: bool = True,
-        kernel=None,
     ) -> None:
         if a_blocks.n_blocks != grid.n_rows:
             raise ValueError(
@@ -136,9 +134,6 @@ class PartitionedExecutor:
         self.n = a_blocks.n_cols
         self.n_rows = grid.n_rows
         self.sparsity_aware = sparsity_aware
-        self.kernel = kernel if kernel is not None else getattr(
-            sampler, "kernel", None
-        )
         self.batches = [np.asarray(b, dtype=np.int64) for b in batches]
         self.owners = assign_round_robin(len(batches), grid.n_rows)
         rows = range(self.n_rows)
@@ -254,7 +249,6 @@ class PartitionedExecutor:
         self.p_blocks = spgemm_15d(
             self.comm, self.grid, _make_q_blocks(q_rows, self.n),
             self.a_blocks, sparsity_aware=self.sparsity_aware,
-            kernel=self.kernel,
         )
 
     def _prob_global(self) -> None:
@@ -357,13 +351,7 @@ class PartitionedExecutor:
             sampled = sampled_lists(
                 self.p_sampled[row], self.sels[row], dsts, step.union_dst
             )
-            # Thread the selected kernel explicitly: col_extract would
-            # otherwise fall back to the sampler's own backend, losing a
-            # kernel= override on the product that dominates LADIES.
-            adjs = self.sampler.col_extract(
-                a_r, dsts, sampled,
-                spgemm_fn=get_kernel(self.kernel).spgemm,
-            )
+            adjs = self.sampler.col_extract(a_r, dsts, sampled)
             bounds = np.cumsum([0] + [len(d) for d in dsts])
             self._charge_split_extraction(row, a_r, bounds, adjs)
             self._collect(
@@ -391,7 +379,6 @@ class PartitionedExecutor:
         return spgemm_15d(
             self.comm, self.grid, _make_q_blocks(qr_rows, self.n),
             self.a_blocks, sparsity_aware=self.sparsity_aware,
-            kernel=self.kernel,
         )
 
     def _charge_split_extraction(
@@ -481,17 +468,14 @@ def partitioned_bulk_sampling(
     seed: int = 0,
     *,
     sparsity_aware: bool = True,
-    kernel=None,
 ) -> tuple[list[MinibatchSample], list[list[int]]]:
     """Sample one bulk of minibatches with the 1.5D partitioned algorithm.
 
     ``a_blocks`` must be partitioned into ``grid.n_rows`` block rows.
     Batches are assigned round-robin to process rows; each batch draws from
     its own RNG stream keyed by its global index, so output is invariant to
-    the grid shape.  ``kernel`` selects the local SpGEMM backend of the
-    distributed products (``None`` = the sampler's own backend).  Returns
-    the samples in the input batch order plus the per-process-row ownership
-    lists.
+    the grid shape.  Returns the samples in the input batch order plus the
+    per-process-row ownership lists.
 
     Works for *any* sampler that emits a sampling plan (built-ins and
     registry plugins alike); a sampler without a plan raises ``TypeError``
@@ -507,6 +491,6 @@ def partitioned_bulk_sampling(
         )
     executor = PartitionedExecutor(
         comm, grid, sampler, a_blocks, batches, seed,
-        sparsity_aware=sparsity_aware, kernel=kernel,
+        sparsity_aware=sparsity_aware,
     )
     return executor.run(plan), executor.owners

@@ -40,8 +40,6 @@ def replicated_bulk_sampling(
     batches: Sequence[np.ndarray],
     fanout: Sequence[int],
     seed: int = 0,
-    *,
-    kernel=None,
 ) -> list[list[MinibatchSample]]:
     """Sample one bulk of minibatches under the Graph Replicated algorithm.
 
@@ -50,18 +48,14 @@ def replicated_bulk_sampling(
     per-rank lists of samples; ``out[r][x]`` is rank ``r``'s ``x``-th batch
     (batch index ``r + x * p`` in the input order).
 
-    ``kernel`` selects the sparse-kernel backend for the local SpGEMMs
-    (``None`` = the sampler's own backend).  Simulated device time is
-    charged per rank from the recorded kernel costs; no communication is
-    charged because none occurs (section 5.1).
+    Simulated device time is charged per rank from the recorded kernel
+    costs; no communication is charged because none occurs (section 5.1).
 
     Each batch's randomness is an independent stream keyed by its global
     batch index (:func:`batch_rng`), so the sampled output is invariant to
     the world size — the same batches yield bit-identical samples at any
     ``p``.
     """
-    if kernel is None:
-        kernel = getattr(sampler, "kernel", None)
     owners = assign_batches(len(batches), comm.world_size)
     results: list[list[MinibatchSample]] = []
     with comm.phase("sampling"):
@@ -70,7 +64,7 @@ def replicated_bulk_sampling(
             if not mine:
                 results.append([])
                 continue
-            recorder = RecordingSpGEMM(kernel=kernel)
+            recorder = RecordingSpGEMM()
             rngs = [batch_rng(seed, int(i)) for i in owners[rank]]
             samples = sampler.sample_bulk(
                 adj, mine, fanout, rngs, spgemm_fn=recorder

@@ -25,8 +25,7 @@ import numpy as np
 
 from ..comm import Communicator, ProcessGrid
 from ..partition.block1d import BlockRows
-from ..sparse import CSRMatrix, required_rows, spgemm_flops
-from ..sparse.kernels import KernelSpec, get_kernel
+from ..sparse import CSRMatrix, required_rows, spgemm, spgemm_flops
 
 __all__ = ["spgemm_15d", "stage_blocks"]
 
@@ -52,17 +51,13 @@ def spgemm_15d(
     a_blocks: BlockRows,
     *,
     sparsity_aware: bool = True,
-    kernel: KernelSpec = None,
 ) -> list[CSRMatrix]:
     """Distributed ``P = Q A``; returns P's block rows (one per process row).
 
     ``q_blocks`` must have one block per process row; ``a_blocks`` likewise,
-    with its row boundaries defining the column split of ``Q``.  ``kernel``
-    selects the local SpGEMM backend each rank runs (a
-    :data:`repro.sparse.KERNELS` name; ``None`` = process default) — the
-    communication schedule is kernel-independent.
+    with its row boundaries defining the column split of ``Q``.  Each
+    rank's local product is :func:`~repro.sparse.spgemm`.
     """
-    local_spgemm = get_kernel(kernel).spgemm
     if q_blocks.n_blocks != grid.n_rows or a_blocks.n_blocks != grid.n_rows:
         raise ValueError(
             f"need {grid.n_rows} blocks of Q and A, got "
@@ -127,7 +122,7 @@ def spgemm_15d(
                     nbytes=24 * (q_local.nnz + a_hat.nnz),
                     kernels=2,
                 )
-                partial[i][j] = partial[i][j].add(local_spgemm(q_local, a_hat))
+                partial[i][j] = partial[i][j].add(spgemm(q_local, a_hat))
 
     p_blocks: list[CSRMatrix] = []
     for i in range(n_rows):

@@ -74,10 +74,7 @@ class ParallelBackend:
         finally:
             shared.release()  # the pool holds its own reference now
         self.spec = SamplerSpec(
-            sampler=cfg.sampler,
-            fanout=tuple(cfg.fanout),
-            kernel=cfg.kernel,
-            for_training=True,
+            sampler=cfg.sampler, fanout=tuple(cfg.fanout), for_training=True
         )
         self.pool.register(self.spec)
 
@@ -95,7 +92,7 @@ class ParallelBackend:
         if self.pool is None:
             return replicated_bulk_sampling(
                 comm, pipeline.sampler, pipeline.graph.adj, bulk,
-                cfg.fanout, seed=seed, kernel=cfg.kernel,
+                cfg.fanout, seed=seed,
             )
         with comm.phase("sampling"):
             # Wall-domain: the pool round-trip is real elapsed time the

@@ -56,7 +56,6 @@ class SamplerSpec:
 
     sampler: str
     fanout: tuple[int, ...]
-    kernel: str | None = None
     for_training: bool = True
     overrides: tuple[tuple[str, Any], ...] = ()
 
@@ -64,14 +63,14 @@ class SamplerSpec:
         from ..api.registries import SAMPLERS, make_sampler
 
         h = hashlib.blake2b(digest_size=16)
-        h.update(repr((self.sampler, self.fanout, self.kernel,
-                       self.for_training, self.overrides)).encode())
+        h.update(repr((self.sampler, self.fanout, self.for_training,
+                       self.overrides)).encode())
         entry = SAMPLERS.spec(self.sampler)
         obj = entry.obj
         if isinstance(obj, type) and not entry.meta("graph_aware", False):
             sampler = make_sampler(
                 self.sampler, for_training=self.for_training,
-                kernel=self.kernel, **dict(self.overrides),
+                **dict(self.overrides),
             )
             plan = sampler.plan(tuple(self.fanout))
             if plan is not None:
@@ -90,7 +89,7 @@ class SamplerSpec:
             graph = Graph(name="shared", adj=adj)
         return make_sampler(
             self.sampler, graph=graph, for_training=self.for_training,
-            kernel=self.kernel, **dict(self.overrides),
+            **dict(self.overrides),
         )
 
 
@@ -170,7 +169,7 @@ def _worker_main(
                 sampler = samplers.get(digest)
                 if sampler is None:  # owner never pre-registered; build now
                     sampler = samplers[digest] = spec.build(adj)
-                recorder = RecordingSpGEMM(kernel=getattr(sampler, "kernel", None))
+                recorder = RecordingSpGEMM()
                 rngs = [batch_rng(seed, int(i)) for i in indices]
                 with maybe_span(
                     "sample_bulk", cat="pool", domain="wall", track=track,

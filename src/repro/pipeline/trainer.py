@@ -80,7 +80,6 @@ class TrainingPipeline:
             )
         self.sampler = make_sampler(
             config.sampler, graph=graph, for_training=True,
-            kernel=config.kernel,
         )
         self.backend = ALGORITHMS.get(config.algorithm)()
         self.backend.setup(self)

@@ -126,7 +126,7 @@ class ServingCluster:
 
     ``config`` (a :class:`~repro.api.RunConfig`) supplies the per-replica
     serving knobs (``serve_batch_size``, ``serve_max_wait``,
-    ``embed_budget``, kernel, machine model, seed) and the fleet knobs:
+    ``embed_budget``, machine model, seed) and the fleet knobs:
     ``replicas`` (initial fleet size), ``router`` (policy name),
     ``shed_policy``/``shed_queue_depth``/``shed_deadline``, the autoscaler
     bounds ``slo_p99``/``autoscale_min``/``autoscale_max``/

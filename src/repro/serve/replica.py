@@ -62,8 +62,8 @@ class Replica:
     """One serving unit: sampler + caches + clock, no control loop.
 
     ``config`` supplies the serving knobs (``serve_batch_size``,
-    ``serve_max_wait``, ``embed_budget``), the kernel backend, the machine
-    model and the seed.  ``fanout=None`` selects the exact full-neighborhood
+    ``serve_max_wait``, ``embed_budget``), the machine model and the seed.
+    ``fanout=None`` selects the exact full-neighborhood
     mode (held as ``self.fanout = (None,) * n_layers``, the keep-all plan);
     a tuple of per-layer counts selects sampled serving through the
     configured sampler (its length must match the model depth).  ``rid``
@@ -96,7 +96,7 @@ class Replica:
             # Exactness needs the node-wise full-expansion plan: every dst
             # keeps its whole neighborhood and joins its own frontier.
             self.fanout: tuple[int | None, ...] = (None,) * n_layers
-            self.sampler = SageSampler(include_dst=True, kernel=config.kernel)
+            self.sampler = SageSampler(include_dst=True)
         else:
             fanout = tuple(int(s) for s in fanout)
             if len(fanout) != n_layers:
@@ -109,7 +109,6 @@ class Replica:
 
             self.sampler = make_sampler(
                 config.sampler, graph=graph, for_training=True,
-                kernel=config.kernel,
             )
         # benchmarks/e2e reads this attribute off every replica (and
         # filters None); nothing else does.

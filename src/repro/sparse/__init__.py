@@ -1,11 +1,9 @@
-"""Sparse-matrix substrate: CSR storage, pluggable kernels, structural ops.
+"""Sparse-matrix substrate: CSR storage, the SpGEMM and SpMM, structural ops.
 
-Everything the paper's sampling framework needs from cuSPARSE/nsparse,
-implemented from scratch with vectorized numpy kernels.  Kernel
-implementations (SpGEMM/SpMM/SDDMM) are a registry axis — see
-:mod:`repro.sparse.kernels` — so samplers, the distributed drivers and the
-CLI can swap backends (``esc``, ``hash``, ``scipy``, plugins) without code
-changes.
+Everything the paper's sampling framework needs from cuSPARSE/nsparse:
+one SpGEMM (:func:`spgemm`, numpy expand-sort-compress), one SpMM
+(:func:`spmm`, scipy's compiled CSR kernel) — each with its bit contract in
+its docstring — and the selector / stacking / normalization ops around them.
 """
 
 from .csr import CSRMatrix
@@ -13,44 +11,26 @@ from .ops import (
     block_diag,
     col_selector,
     compact_columns,
-    hstack,
     indicator_rows,
     row_normalize,
     row_normalize_inplace,
     row_selector,
     vstack,
 )
-from .random_matrix import sprand, sprand_per_row
-from .spgemm import required_rows, spgemm, spgemm_flops, spgemm_hash
+from .random_matrix import sprand
+from .spgemm import get_kernel, required_rows, spgemm, spgemm_flops
 from .spmm import sddmm, spmm, spmm_flops
-
-# Must come after the raw-kernel imports above: the registry wraps them.
-from .kernels import (
-    KERNELS,
-    KernelBackend,
-    default_kernel,
-    get_kernel,
-    set_default_kernel,
-    use_kernel,
-)
 
 __all__ = [
     "CSRMatrix",
-    "KERNELS",
-    "KernelBackend",
     "get_kernel",
-    "default_kernel",
-    "set_default_kernel",
-    "use_kernel",
     "spgemm",
-    "spgemm_hash",
     "spgemm_flops",
     "required_rows",
     "spmm",
     "sddmm",
     "spmm_flops",
     "vstack",
-    "hstack",
     "block_diag",
     "row_selector",
     "col_selector",
@@ -59,5 +39,4 @@ __all__ = [
     "row_normalize_inplace",
     "compact_columns",
     "sprand",
-    "sprand_per_row",
 ]

@@ -62,8 +62,10 @@ class CSRMatrix:
         ``to_coo`` round trip) is detected with one linear pass and not
         sorted at all; anything else takes one stable argsort, which merges
         concatenated sorted runs (``a.add(b)``, the sparse all-reduce) in
-        near-linear time.  Duplicates of one ``(row, col)`` are summed left
-        to right in input order.  Shapes whose flat key space does not fit
+        near-linear time.  Duplicates of one ``(row, col)`` keep their input
+        order and are summed by one ``np.add.reduceat`` run: the first value
+        plus numpy's pairwise sum of the rest (left to right for two, not
+        beyond).  Shapes whose flat key space does not fit
         int64 fall back to a two-key lexsort — the same permutation, so the
         result does not depend on which path ran.  The returned arrays never
         alias the caller's.
@@ -151,14 +153,6 @@ class CSRMatrix:
         """The n-by-n identity."""
         idx = np.arange(n, dtype=np.int64)
         return cls(np.arange(n + 1, dtype=np.int64), idx, np.ones(n), (n, n))
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSRMatrix":
-        """Convert from a scipy.sparse matrix (used by tests as an oracle)."""
-        mat = mat.tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return cls(mat.indptr, mat.indices, mat.data, mat.shape)
 
     # ------------------------------------------------------------------ #
     # Buffer export (zero-copy shared-memory publication)
@@ -257,7 +251,7 @@ class CSRMatrix:
 
     def to_scipy(self):
         """A ``scipy.sparse.csr_matrix`` over the same values (the operand
-        of :func:`repro.sparse.spmm.spmm` and of the ``scipy`` SpGEMM)."""
+        of :func:`repro.sparse.spmm.spmm`)."""
         return csr_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape
         )
@@ -322,18 +316,6 @@ class CSRMatrix:
         """Sorted unique column ids that hold at least one nonzero."""
         return np.unique(self.indices)
 
-    def scale_rows(self, factors: np.ndarray) -> "CSRMatrix":
-        """Multiply each row by a scalar factor (returns a new matrix)."""
-        factors = np.asarray(factors, dtype=np.float64)
-        if factors.shape[0] != self.shape[0]:
-            raise ValueError("one factor per row required")
-        return CSRMatrix(
-            self.indptr.copy(),
-            self.indices.copy(),
-            self.data * factors[self.row_ids()] if self.nnz else self.data.copy(),
-            self.shape,
-        )
-
     def prune_zeros(self, tol: float = 0.0) -> "CSRMatrix":
         """Drop stored entries with ``|value| <= tol``."""
         keep = np.abs(self.data) > tol
@@ -344,14 +326,12 @@ class CSRMatrix:
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __matmul__(self, other):
-        # Dispatch through the process-wide kernel backend so `q @ adj`
-        # call sites pick up --kernel / use_kernel() selections.
-        from .kernels import default_kernel
+        from .spgemm import spgemm
+        from .spmm import spmm
 
-        kernel = default_kernel()
         if isinstance(other, CSRMatrix):
-            return kernel.spgemm(self, other)
-        return kernel.spmm(self, np.asarray(other))
+            return spgemm(self, other)
+        return spmm(self, np.asarray(other))
 
     def add(self, other: "CSRMatrix") -> "CSRMatrix":
         """Element-wise sum with another matrix of the same shape."""

@@ -23,7 +23,6 @@ from .csr import CSRMatrix
 
 __all__ = [
     "vstack",
-    "hstack",
     "block_diag",
     "row_selector",
     "col_selector",
@@ -51,24 +50,6 @@ def vstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:
         np.concatenate([m.indices for m in mats]),
         np.concatenate([m.data for m in mats]),
         (sum(m.shape[0] for m in mats), n_cols),
-    )
-
-
-def hstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:
-    """Stack matrices horizontally; all must share a row count."""
-    if not mats:
-        raise ValueError("need at least one matrix to stack")
-    n_rows = mats[0].shape[0]
-    if any(m.shape[0] != n_rows for m in mats):
-        raise ValueError("all matrices must have the same number of rows")
-    rows = np.concatenate([m.row_ids() for m in mats])
-    col_offsets = np.cumsum([0] + [m.shape[1] for m in mats])
-    cols = np.concatenate(
-        [m.indices + off for m, off in zip(mats, col_offsets[:-1])]
-    )
-    vals = np.concatenate([m.data for m in mats])
-    return CSRMatrix.from_coo(
-        rows, cols, vals, (n_rows, int(col_offsets[-1])), sum_duplicates=False
     )
 
 

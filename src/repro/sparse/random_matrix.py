@@ -6,7 +6,7 @@ import numpy as np
 
 from .csr import CSRMatrix
 
-__all__ = ["sprand", "sprand_per_row"]
+__all__ = ["sprand"]
 
 
 def sprand(
@@ -37,19 +37,3 @@ def sprand(
     else:
         raise ValueError(f"unknown values kind {values!r}")
     return CSRMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
-
-
-def sprand_per_row(
-    n_rows: int,
-    n_cols: int,
-    nnz_per_row: int,
-    rng: np.random.Generator,
-) -> CSRMatrix:
-    """A random binary matrix with exactly ``nnz_per_row`` nonzeros per row."""
-    if nnz_per_row > n_cols:
-        raise ValueError("cannot place more nonzeros per row than columns")
-    cols = np.empty((n_rows, nnz_per_row), dtype=np.int64)
-    for i in range(n_rows):  # permutation draw per row; rows are independent
-        cols[i] = rng.choice(n_cols, size=nnz_per_row, replace=False)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), nnz_per_row)
-    return CSRMatrix.from_coo(rows, cols.ravel(), None, (n_rows, n_cols))

@@ -1,76 +1,96 @@
-"""Sparse general matrix-matrix multiplication (SpGEMM).
+"""Sparse general matrix-matrix multiplication (SpGEMM): the one kernel.
 
-Two serial kernels share the row-gather expansion (every nonzero
-``A[i, j]`` contributes ``A[i, j] * B[j, :]`` to row ``i`` of the output)
-and the unit-selector shortcut (:func:`_is_unit_row_selector`: when every
-row of ``a`` is a single 1.0 the product *is* a row gather of ``b``, so
-nothing is expanded, sorted or hashed), but differ in how the expanded
-triplets of every other product are compressed:
+:func:`spgemm` is expand-sort-compress, the family of the GPU nsparse
+kernels the paper uses: every nonzero ``A[i, j]`` contributes
+``A[i, j] * B[j, :]`` to row ``i`` of the output, and
+:meth:`CSRMatrix.from_coo` orders the expanded triplets by one flat
+``row * n_cols + col`` key and sums duplicate keys.  A product whose left
+operand is a unit row selector (GraphSAGE's ``Q``, LADIES' ``Q_R``, a walk
+frontier) is a row gather of the right operand and runs as one.
 
-* :func:`spgemm` — expand-sort-compress, the same family as the GPU
-  nsparse kernels the paper uses: the expanded triplets go through
-  :meth:`CSRMatrix.from_coo`, which orders them by one flat
-  ``row * n_cols + col`` key and sums duplicate keys.  The expansion is
-  row-major already when every row of ``a`` holds one nonzero (a weighted
-  row selector), and then nothing is sorted at all; otherwise it is a
-  sequence of sorted rows of ``b`` that one stable sort merges.
-* :func:`spgemm_hash` — a row-wise hash accumulator (the nsparse /
-  cuSPARSE "hash SpGEMM" family): expanded triplets are inserted into an
-  open-addressing table keyed by their flat output position, so only the
-  *distinct* output entries are ever sorted.  It pays off where many
-  expanded entries collapse into few outputs (LADIES-style ``Q A`` with
-  many batch vertices sharing neighbors).
-
-Kernel selection is a registry concern — see :mod:`repro.sparse.kernels`;
-this module holds the raw implementations.  Besides the kernels it exposes:
-
-* :func:`spgemm_flops` — the multiply-add count, used by the simulated
-  compute-cost model.
-* :func:`required_rows` — which rows of ``B`` a given ``A`` block actually
-  touches; this is the sparsity-aware communication optimization of the
-  paper's Algorithm 2 (only ship rows of ``A_k`` whose column appears in
-  ``Q_ik``).
+Besides the kernel the module exposes :func:`spgemm_flops` (the
+multiply-add count the simulated cost model charges) and
+:func:`required_rows` (which rows of ``B`` an ``A`` block touches: the
+sparsity-aware communication of the paper's Algorithm 2).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix, _indptr_from_rows, _ranges
+from .csr import CSRMatrix, _ranges
 
-__all__ = ["spgemm", "spgemm_hash", "spgemm_flops", "required_rows"]
+__all__ = ["spgemm", "get_kernel", "spgemm_flops", "required_rows"]
 
 
 def spgemm(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """Compute ``a @ b`` for two CSR matrices.
+    """Compute ``a @ b`` for two CSR matrices (``ValueError`` on an
+    inner-dimension mismatch).
 
-    Raises ``ValueError`` on inner-dimension mismatch.  The result has
-    duplicates summed and explicit zeros kept only if a cancellation
-    produces one (callers that care use :meth:`CSRMatrix.prune_zeros`).
+    Every product in the repo — this function, ``a @ b``, the samplers,
+    the cost recorder and the 1.5D SpGEMM — runs this body, and its bits
+    are a contract (the golden sampler digests and every serving pin read
+    them):
+
+    * **Order.**  The expansion lists the partial products
+      ``a[i, j] * b[j, k]`` in (a-entry, b-entry) order: ``a``'s entries
+      row-major, each followed by its row of ``b`` in column order.  The
+      stable single-key sort keeps that order among the products of one
+      output entry, and one ``np.add.reduceat`` run sums them: the first
+      product plus numpy's pairwise sum of the rest.  Two products are a
+      left-to-right sum; three or more are not, so a strictly sequential
+      kernel (scipy's ``csr_matmat``) can differ in the last bit on
+      weighted operands.  Unit-weight products sum exact integers and
+      agree under any order.
+    * **Zeros.**  An entry whose products cancel keeps an explicit ``0.0``;
+      an entry no product reaches is absent.
+    * **Gather.**  When every row of ``a`` is one entry of value ``1.0``
+      the result is ``b.extract_rows(a.indices)``: ``b``'s rows bit for
+      bit, which is what the general path computes too (``1.0 * x`` is
+      ``x``), without expanding or sorting anything.
+    * **Scope.**  The bits are promised per numpy build, like
+      :func:`~repro.sparse.spmm.spmm`'s per scipy build.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    out_shape = (a.shape[0], b.shape[1])
-    if a.nnz == 0 or b.nnz == 0:
-        return CSRMatrix.zeros(out_shape)
-    if _is_unit_row_selector(a):
-        return b.extract_rows(a.indices)
-    rows, cols, vals = _expand(a, b)
-    return CSRMatrix.from_coo(rows, cols, vals, out_shape)
+    return _KERNEL.spgemm(a, b)
+
+
+class _ESCKernel:
+    """The object the body lives on.  :func:`spgemm` and ``a @ b`` look
+    :meth:`spgemm` up on the one instance at call time, so a wrapper set
+    on the class — ``benchmarks/e2e/trace.py`` finds it through
+    :func:`get_kernel` — sees every product.  Kept only for that tracer
+    (ROADMAP item 8 retargets it and deletes this class)."""
+
+    def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+        out_shape = (a.shape[0], b.shape[1])
+        if a.nnz == 0 or b.nnz == 0:
+            return CSRMatrix.zeros(out_shape)
+        if _is_unit_row_selector(a):
+            return b.extract_rows(a.indices)
+        rows, cols, vals = _expand(a, b)
+        return CSRMatrix.from_coo(rows, cols, vals, out_shape)
+
+
+_KERNEL = _ESCKernel()
+
+
+def get_kernel(name: str) -> _ESCKernel:
+    """The one SpGEMM kernel object, for a tracer that wraps its class.
+    ``"esc"`` is the only name (ROADMAP item 8 deletes this lookup)."""
+    if name != "esc":
+        raise ValueError(
+            f"unknown kernel {name!r}: 'esc' is the only SpGEMM kernel"
+        )
+    return _KERNEL
 
 
 def _is_unit_row_selector(a: CSRMatrix) -> bool:
     """True iff every row of ``a`` holds exactly one entry of value 1.0.
 
-    Then ``a @ b`` is ``b.extract_rows(a.indices)``: each output row is
-    ``1.0 * b[j, :]`` for a single ``j`` — GraphSAGE's ``Q``, LADIES'
-    ``Q_R``, every walk frontier.  There is nothing to accumulate,
-    ``1.0 * x`` is ``x`` bit for bit, and the gathered rows keep ``b``'s
-    canonical column order, so the gather returns the bytes either general
-    kernel would (a stored ``-0.0`` in ``b`` excepted under
-    :func:`spgemm_hash`, whose accumulator starts from ``+0.0``) for one
-    fancy-indexed copy.  The test is O(rows of ``a``) and only reached when
-    ``a`` has as many entries as rows.
+    The test is O(rows of ``a``) and only reached when ``a`` has as many
+    entries as rows.
     """
     return (
         a.nnz == a.shape[0]
@@ -80,88 +100,14 @@ def _is_unit_row_selector(a: CSRMatrix) -> bool:
 
 
 def _expand(a: CSRMatrix, b: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shared row-gather expansion: COO triplets of every partial
-    product ``A[i, j] * B[j, :]``, with duplicates not yet combined."""
+    """COO triplets of every partial product ``A[i, j] * B[j, :]``, in
+    (a-entry, b-entry) order, duplicates not yet combined."""
     counts = b.nnz_per_row()[a.indices]  # expansion count per A nonzero
     take = _ranges(b.indptr[a.indices], counts)
     rows = np.repeat(a.row_ids(), counts)
     cols = b.indices[take]
     vals = np.repeat(a.data, counts) * b.data[take]
     return rows, cols, vals
-
-
-#: Fibonacci hashing multiplier (2^64 / golden ratio), the standard mixer
-#: for power-of-two open-addressing tables.
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _hash_slots(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Insert ``keys`` (non-negative int64) into an open-addressing table.
-
-    Returns ``(slot, table)`` where ``slot[i]`` is the table position key
-    ``i`` resolved to (equal keys share a slot) and ``table`` holds the key
-    stored in each slot (-1 = empty).  The insert loop is vectorized:
-    every pending key tries to claim its probe slot at once (last writer
-    wins on a contested empty slot), matched keys retire, and the rest
-    linearly probe onward.  The table is sized to at most 50% load, so
-    every round retires at least one key per contested slot and the loop
-    terminates.
-    """
-    n = keys.shape[0]
-    log2_size = max(3, int(2 * n - 1).bit_length())
-    size = 1 << log2_size
-    mask = np.int64(size - 1)
-    slot = (
-        (keys.astype(np.uint64) * _HASH_MULT) >> np.uint64(64 - log2_size)
-    ).astype(np.int64)
-    table = np.full(size, -1, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
-    while pending.size:
-        probe = slot[pending]
-        free = table[probe] == -1
-        table[probe[free]] = keys[pending[free]]
-        matched = table[probe] == keys[pending]
-        pending = pending[~matched]
-        slot[pending] = (slot[pending] + 1) & mask
-    return slot, table
-
-
-def spgemm_hash(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """Compute ``a @ b`` with a hash-accumulator compression.
-
-    Semantics match :func:`spgemm` (duplicates summed, explicit zeros kept
-    only when produced by cancellation); only the accumulation strategy —
-    and therefore floating-point summation order — differs.  Output keys
-    are flattened to ``row * n_cols + col``; shapes whose flat index space
-    would overflow int64 fall back to the sort-based kernel.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    out_shape = (a.shape[0], b.shape[1])
-    if a.nnz == 0 or b.nnz == 0:
-        return CSRMatrix.zeros(out_shape)
-    if _is_unit_row_selector(a):
-        return b.extract_rows(a.indices)
-    n_rows, n_cols = out_shape
-    if n_rows * n_cols >= 2**63:  # flat keys would overflow int64
-        return spgemm(a, b)
-    rows, cols, vals = _expand(a, b)
-    if rows.size == 0:
-        return CSRMatrix.zeros(out_shape)
-    keys = rows * np.int64(n_cols) + cols
-    slot, table = _hash_slots(keys)
-    acc = np.bincount(slot, weights=vals, minlength=table.shape[0])
-    used = np.flatnonzero(table != -1)
-    out_keys = table[used]
-    order = np.argsort(out_keys)  # only the distinct outputs are sorted
-    out_keys = out_keys[order]
-    out_rows = out_keys // n_cols
-    return CSRMatrix(
-        _indptr_from_rows(out_rows, n_rows),
-        out_keys - out_rows * n_cols,
-        acc[used][order],
-        out_shape,
-    )
 
 
 def spgemm_flops(a: CSRMatrix, b: CSRMatrix) -> int:

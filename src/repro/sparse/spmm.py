@@ -6,7 +6,7 @@ backward pass reuses the same kernel with the transposed adjacency.
 :func:`sddmm` is the companion sampled dense-dense product (per-edge score
 computation, e.g. attention logits) restricted to a sparse pattern.
 
-:func:`spmm` is the one SpMM every caller shares — all kernel backends and
+:func:`spmm` is the one SpMM every caller shares — ``a @ dense`` and
 ``gnn.layers`` — and it runs on ``scipy.sparse``'s compiled CSR kernel.
 Its *bits* are part of the repo's contract (golden training losses, the
 pinned serving digests), and this is the whole contract:

@@ -41,21 +41,19 @@ from repro.sparse import (
     row_normalize,
     row_normalize_inplace,
     row_selector,
+    spgemm,
     vstack,
 )
-from repro.sparse.kernels import get_kernel
 
 __all__ = ["ReferenceInterpreter", "reference_sample_bulk", "PlanSampler"]
 
 
 def reference_sample_bulk(sampler, adj, batches, fanout, rng):
     """``sampler.sample_bulk`` as the oracle runs it: the emitted plan,
-    unoptimized, through :class:`ReferenceInterpreter` with the sampler's
-    own kernel."""
+    unoptimized, through :class:`ReferenceInterpreter`."""
     sampler._validate(adj, batches, fanout)
     plan = sampler.plan(tuple(None if s is None else int(s) for s in fanout))
     rng = sampler._normalize_rng(rng, len(batches))
-    spgemm = get_kernel(sampler.kernel).spgemm
     return ReferenceInterpreter(sampler, adj, batches, rng, spgemm).run(plan)
 
 
@@ -78,9 +76,8 @@ class PlanSampler(MatrixSampler):
         norm_mode="sage",
         include_dst=False,
         sample_backend="its",
-        kernel=None,
     ):
-        super().__init__(sample_backend, kernel)
+        super().__init__(sample_backend)
         self._steps = tuple(steps)
         self.norm_mode = norm_mode
         self.include_dst = include_dst

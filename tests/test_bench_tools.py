@@ -568,8 +568,8 @@ class TestCheckRegressionCLI:
         from repro.bench import default_artifact_path
 
         for name in (
-            "kernels_gate", "serving_gate", "streaming_gate",
-            "feature_cache_gate", "parallel",
+            "serving_gate", "streaming_gate", "feature_cache_gate",
+            "parallel",
         ):
             path = default_artifact_path(name)
             assert path.exists(), f"missing committed baseline {path}"

@@ -5,7 +5,7 @@ Each optimizer pass is tested in isolation for legality — what it may and
 may not rewrite — plus the fused-step rendering of ``describe()``, the
 probability cache's keying/reuse behaviour, the in-place NORM variants'
 bit-equality with their copying counterparts, the unit-selector row
-gather inside both SpGEMM kernels, and named plans (two EXTRACTs off one
+gather inside the SpGEMM, and named plans (two EXTRACTs off one
 SAMPLE, a PROB between SAMPLE and EXTRACT) against the oracle in
 ``reference_interpreter.py``.  The fuzzed surface lives in the golden
 suites and ``test_compile_differential.py``.
@@ -50,14 +50,14 @@ from repro.distributed.partitioned import (
 )
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import CSRMatrix
-from repro.sparse.kernels import KERNELS, get_kernel
+from repro.sparse import CSRMatrix, spgemm
 
 from reference_interpreter import (
     PlanSampler,
     ReferenceInterpreter,
     reference_sample_bulk,
 )
+from reference_spgemm import spgemm_hash, spgemm_scipy
 
 # ``repro.sparse.spgemm`` the attribute is the function; this is the module.
 spgemm_module = importlib.import_module("repro.sparse.spgemm")
@@ -89,32 +89,31 @@ def _layers_equal(a, b):
 
 
 # --------------------------------------------------------------------- #
-# Registry / config surface: "compiled" is not a kernel any more
+# Config surface: "compiled" is not a kernel any more (nor is anything
+# but "esc")
 # --------------------------------------------------------------------- #
 def test_compiled_is_an_unknown_kernel_everywhere(tmp_path, capsys):
-    """No special case: the retired name fails through the same
-    unknown-kernel paths as any typo, each listing the known names."""
+    """No special case: the retired name fails like any stale kernel, each
+    path naming the one that exists."""
     from repro.api.config import RunConfig
     from repro.cli import main
+    from repro.sparse import get_kernel
 
-    assert "compiled" not in KERNELS.names()
-    with pytest.raises(KeyError, match="esc.*hash"):
+    with pytest.raises(ValueError, match="'esc' is the only"):
         get_kernel("compiled")
-    with pytest.raises(ValueError, match="unknown kernel 'compiled'.*esc.*hash"):
+    with pytest.raises(ValueError, match="unknown kernel 'compiled'.*esc"):
         RunConfig(kernel="compiled")
-    with pytest.raises(KeyError, match="esc.*hash"):
-        SageSampler(kernel="compiled")
     with pytest.raises(SystemExit) as exc:
         main(["train", "products", "--kernel", "compiled"])
     assert exc.value.code == 2
-    assert "invalid choice: 'compiled'" in capsys.readouterr().err
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
     path = tmp_path / "run.json"
     path.write_text(
         RunConfig(dataset="products").to_json().replace('"esc"', '"compiled"')
     )
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "unknown kernel 'compiled'" in err and "hash" in err
+    assert "unknown kernel 'compiled'" in err and "'esc'" in err
 
 
 # --------------------------------------------------------------------- #
@@ -362,7 +361,7 @@ def test_describe_saint_keeps_subgraph_interpreted():
 )
 def test_norm_inplace_matches_norm(sampler):
     adj = _graph()
-    p = get_kernel("hash").spgemm(
+    p = spgemm(
         SageSampler.make_q(np.arange(40, dtype=np.int64), adj.shape[0]),
         adj,
     )
@@ -386,9 +385,7 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
     col_rank = np.full(adj.shape[0], -7, dtype=np.int64)
     for include_dst in (True, False):
         sampler = SageSampler(include_dst=include_dst)
-        p = sampler.norm(
-            get_kernel("hash").spgemm(sampler.make_q(dst, adj.shape[0]), adj)
-        )
+        p = sampler.norm(spgemm(sampler.make_q(dst, adj.shape[0]), adj))
         sel = sampler.sample_mask(p, 3, np.random.default_rng(5))
         q_next = sampler.sample(p, 3, np.random.default_rng(5))
         want = sampler.extract_batch_layer(q_next, dst)
@@ -405,13 +402,13 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
 
 
 # --------------------------------------------------------------------- #
-# The unit-selector row gather inside spgemm / spgemm_hash
+# The unit-selector row gather inside spgemm
 # --------------------------------------------------------------------- #
-def _general_path(kernel_fn, a, b, monkeypatch):
-    """``kernel_fn(a, b)`` with the selector shortcut switched off."""
+def _general_path(a, b, monkeypatch):
+    """``spgemm(a, b)`` with the selector shortcut switched off."""
     with monkeypatch.context() as m:
         m.setattr(spgemm_module, "_is_unit_row_selector", lambda a: False)
-        return kernel_fn(a, b)
+        return spgemm(a, b)
 
 
 def _same_bytes(x, y):
@@ -423,19 +420,11 @@ def _same_bytes(x, y):
     )
 
 
-SPGEMM_KERNELS = (spgemm_module.spgemm, spgemm_module.spgemm_hash)
-
-
 def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
     """A unit row selector on the left turns SpGEMM into a row gather with
-    the general kernel's exact bytes — on duplicate and out-of-order source
-    rows, empty source rows and explicit zeros in ``b`` — in both numpy
-    kernels, and the expansion is never built."""
-    for kernel_fn in SPGEMM_KERNELS:
-        _check_gather_is_bit_identical(kernel_fn, monkeypatch)
-
-
-def _check_gather_is_bit_identical(kernel_fn, monkeypatch):
+    the general path's exact bytes — on duplicate and out-of-order source
+    rows, empty source rows and explicit zeros in ``b`` — and the expansion
+    is never built."""
     adj = _graph()
     n = adj.shape[0]
     empty_rows = np.flatnonzero(adj.nnz_per_row() == 0)
@@ -453,31 +442,26 @@ def _check_gather_is_bit_identical(kernel_fn, monkeypatch):
     )
     q = SageSampler.make_q(rows, n)
     for b in (adj, with_zeros):
-        want = _general_path(kernel_fn, q, b, monkeypatch)
+        want = _general_path(q, b, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(
                 spgemm_module, "_expand",
                 lambda a, b: pytest.fail("general path ran on a selector"),
             )
-            got = kernel_fn(q, b)
+            got = spgemm(q, b)
         assert _same_bytes(want, got)
+        assert _same_bytes(got, b.extract_rows(rows))
     # Selecting only empty rows gives the empty product either way.
     only_empty = SageSampler.make_q(empty_rows[:4], n)
     assert _same_bytes(
-        _general_path(kernel_fn, only_empty, adj, monkeypatch),
-        kernel_fn(only_empty, adj),
+        _general_path(only_empty, adj, monkeypatch), spgemm(only_empty, adj)
     )
 
 
 def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
     """Indicator rows (multi-entry), weighted selectors and selectors with
-    an empty row must take the general kernel — the gather is only exact
+    an empty row must take the general path — the gather is only exact
     for unit single-entry rows."""
-    for kernel_fn in SPGEMM_KERNELS:
-        _check_falls_through(kernel_fn, monkeypatch)
-
-
-def _check_falls_through(kernel_fn, monkeypatch):
     adj = _graph()
     n = adj.shape[0]
     q_sel = SageSampler.make_q(np.arange(10), n)
@@ -500,9 +484,10 @@ def _check_falls_through(kernel_fn, monkeypatch):
                 spgemm_module, "_expand",
                 lambda a, b: expanded.append(a.nnz) or real_expand(a, b),
             )
-            out = kernel_fn(q, adj)
+            out = spgemm(q, adj)
         assert expanded == [q.nnz]
-        assert out.equal(get_kernel("scipy").spgemm(q, adj), 0.0)
+        assert out.equal(spgemm_scipy(q, adj), 0.0)
+        assert _same_bytes(out, spgemm_hash(q, adj))
 
 
 # --------------------------------------------------------------------- #
@@ -510,29 +495,24 @@ def _check_falls_through(kernel_fn, monkeypatch):
 # --------------------------------------------------------------------- #
 def _assert_executors_match_oracle(sampler, adj, batches, seed=11):
     """Oracle == LocalExecutor and PartitionedExecutor, each on the
-    optimized plan and on the plan as emitted, under esc and hash."""
+    optimized plan and on the plan as emitted."""
     plan = sampler.plan((1,))
     k = len(batches)
     grid = ProcessGrid(4, 2)
     blocks = BlockRows.partition(adj, grid.n_rows)
-    for kernel in ("esc", "hash"):
-        sampler.kernel = kernel
-        spgemm = get_kernel(kernel).spgemm
-        want = ReferenceInterpreter(
-            sampler, adj, batches, [batch_rng(seed, i) for i in range(k)],
-            spgemm,
-        ).run(plan)
-        for program in (optimize(plan), plan):
-            local = LocalExecutor(
-                sampler, adj, batches,
-                [batch_rng(seed, i) for i in range(k)], spgemm,
-            ).run(program)
-            _layers_equal(want, local)
-            part = PartitionedExecutor(
-                Communicator(4), grid, sampler, blocks, batches, seed,
-                kernel=kernel,
-            ).run(program)
-            _layers_equal(want, part)
+    want = ReferenceInterpreter(
+        sampler, adj, batches, [batch_rng(seed, i) for i in range(k)], spgemm,
+    ).run(plan)
+    for program in (optimize(plan), plan):
+        local = LocalExecutor(
+            sampler, adj, batches,
+            [batch_rng(seed, i) for i in range(k)], spgemm,
+        ).run(program)
+        _layers_equal(want, local)
+        part = PartitionedExecutor(
+            Communicator(4), grid, sampler, blocks, batches, seed,
+        ).run(program)
+        _layers_equal(want, part)
 
 
 def test_double_extract_after_one_sample():
@@ -609,9 +589,7 @@ def test_compiled_partitioned_matches_interpreted():
         SageSampler(), adj, batches, (5, 3),
         [batch_rng(7, i) for i in range(len(batches))],
     )
-    for kernel in KERNELS.names():
-        got, _ = partitioned_bulk_sampling(
-            Communicator(2), grid, SageSampler(), blocks, batches, (5, 3),
-            seed=7, kernel=kernel,
-        )
-        _layers_equal(want, got)
+    got, _ = partitioned_bulk_sampling(
+        Communicator(2), grid, SageSampler(), blocks, batches, (5, 3), seed=7,
+    )
+    _layers_equal(want, got)

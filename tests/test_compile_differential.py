@@ -11,8 +11,8 @@ runs through the ``Q^{l-1}``-materializing oracle (:mod:`reference_interpreter`)
 plan as emitted (executors accept both, so the optimizer passes are
 themselves under differential test), and through
 :class:`~repro.distributed.partitioned.PartitionedExecutor` the same two
-ways on three grid shapes, under both numpy kernels — and every run must
-produce **byte-identical** samples.
+ways on three grid shapes — and every run must produce **byte-identical**
+samples.
 
 The plans are run by a :class:`~reference_interpreter.PlanSampler` assembled from the real
 samplers' own primitives (GraphSAGE compaction, LADIES row/column
@@ -45,14 +45,9 @@ from repro.core.plan import (
 from repro.distributed.partitioned import PartitionedExecutor
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import get_kernel
+from repro.sparse import spgemm
 
 from reference_interpreter import PlanSampler, ReferenceInterpreter
-
-# Kernel names under differential test: two independent SpGEMM
-# implementations (scipy sums in another order and is held to a tolerance
-# elsewhere).
-KERNELS_UNDER_TEST = ("esc", "hash")
 
 GRAPHS = [
     rmat(7, 6, np.random.default_rng(101)),
@@ -183,7 +178,7 @@ def _make_batches(case):
     ]
 
 
-def _make_sampler(case, kernel):
+def _make_sampler(case):
     cls = (
         FuzzSamplerCustomExtract if case["custom_extract"] else PlanSampler
     )
@@ -192,7 +187,6 @@ def _make_sampler(case, kernel):
         norm_mode=case["norm_mode"],
         include_dst=case["include_dst"],
         sample_backend=case["sample_backend"],
-        kernel=kernel,
     )
 
 
@@ -221,7 +215,7 @@ def _rng_for(case):
 
 # --------------------------------------------------------------------- #
 # Local differential: oracle == LocalExecutor(optimized) == LocalExecutor
-# (as emitted), under esc and hash, on every generated plan
+# (as emitted), on every generated plan
 # --------------------------------------------------------------------- #
 @settings(max_examples=150, deadline=None)
 @given(case=fuzz_cases())
@@ -229,24 +223,23 @@ def test_local_compiled_matches_interpreted(case):
     adj = GRAPHS[case["graph_idx"]]
     batches = _make_batches(case)
     plan = SamplingPlan(tuple(case["steps"]))
-    digests = {}
-    for kernel in KERNELS_UNDER_TEST:
-        sampler = _make_sampler(case, kernel)
-        spgemm = get_kernel(kernel).spgemm
-        digests[kernel, "oracle"] = _digest(
+    sampler = _make_sampler(case)
+    digests = {
+        "oracle": _digest(
             ReferenceInterpreter(
                 sampler, adj, batches, _rng_for(case), spgemm
             ).run(plan)
-        )
+        ),
         # sample_bulk is the product path: optimize(plan) on LocalExecutor.
-        digests[kernel, "optimized"] = _digest(
+        "optimized": _digest(
             sampler.sample_bulk(adj, batches, (1,), _rng_for(case))
-        )
-        digests[kernel, "as-emitted"] = _digest(
+        ),
+        "as-emitted": _digest(
             LocalExecutor(
                 sampler, adj, batches, _rng_for(case), spgemm
             ).run(plan)
-        )
+        ),
+    }
     assert len(set(digests.values())) == 1, digests
 
 
@@ -263,22 +256,19 @@ def test_partitioned_compiled_matches_interpreted(case, grid_shape):
     p, c = grid_shape
     grid = ProcessGrid(p, c)
     blocks = BlockRows.partition(adj, grid.n_rows)
-    digests = {}
-    for kernel in KERNELS_UNDER_TEST:
-        sampler = _make_sampler(case, kernel)
-        digests[kernel, "oracle"] = _digest(
+    sampler = _make_sampler(case)
+    digests = {
+        "oracle": _digest(
             ReferenceInterpreter(
                 sampler, adj, batches,
                 [batch_rng(case["seed"], i) for i in range(case["k"])],
-                get_kernel(kernel).spgemm,
+                spgemm,
             ).run(plan)
         )
-        for label, program in (
-            ("optimized", optimize(plan)), ("as-emitted", plan)
-        ):
-            executor = PartitionedExecutor(
-                Communicator(p), grid, sampler, blocks, batches,
-                case["seed"], kernel=kernel,
-            )
-            digests[kernel, label] = _digest(executor.run(program))
+    }
+    for label, program in (("optimized", optimize(plan)), ("as-emitted", plan)):
+        executor = PartitionedExecutor(
+            Communicator(p), grid, sampler, blocks, batches, case["seed"],
+        )
+        digests[label] = _digest(executor.run(program))
     assert len(set(digests.values())) == 1, digests

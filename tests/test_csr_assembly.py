@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sparse import CSRMatrix, get_kernel
+from repro.sparse import CSRMatrix, spgemm
 
 #: rows * cols >= 2**63, so flat keys do not fit int64, yet few enough rows
 #: for an ``indptr`` to exist.
@@ -297,4 +297,4 @@ def test_unit_row_selector_product_is_a_row_gather(args, seed):
     q = CSRMatrix.from_coo(
         np.arange(picks.size), picks, None, (picks.size, a.shape[0])
     )
-    assert_identical(get_kernel("esc").spgemm(q, a), a.extract_rows(q.indices))
+    assert_identical(spgemm(q, a), a.extract_rows(q.indices))

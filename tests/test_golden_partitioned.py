@@ -38,7 +38,6 @@ from repro.distributed import (
 )
 from repro.graphs import rmat
 from repro.partition import BlockRows
-from repro.sparse import KERNELS
 
 SEED = 42
 DIST_SEED = 7
@@ -89,9 +88,7 @@ def _bulk_digest(samples) -> str:
     return h.hexdigest()
 
 
-def _run_partitioned(
-    name: str, p: int, c: int, kernel=None, *, optimized: bool = True
-) -> str:
+def _run_partitioned(name: str, p: int, c: int, *, optimized: bool = True) -> str:
     """Digest of one partitioned bulk.  ``optimized=False`` hands the plan
     as the sampler emitted it straight to the executor (the product path,
     ``partitioned_bulk_sampling``, always optimizes)."""
@@ -103,13 +100,12 @@ def _run_partitioned(
     if optimized:
         samples, _ = partitioned_bulk_sampling(
             Communicator(p), grid, factory(), blocks, batches, fanout,
-            seed=DIST_SEED, kernel=kernel,
+            seed=DIST_SEED,
         )
     else:
         sampler = factory()
         samples = PartitionedExecutor(
             Communicator(p), grid, sampler, blocks, batches, DIST_SEED,
-            kernel=kernel,
         ).run(sampler.plan(fanout))
     assert len(samples) == N_BATCHES
     return _bulk_digest(samples)
@@ -130,13 +126,9 @@ def test_matches_pre_refactor_implementation(name):
 @pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (2, 1)])
 def test_compiled_matches_pre_refactor_digests(name, p, c):
     """The compiled (optimized) plan reproduces the pre-refactor digests
-    bit for bit at every grid shape under every registered kernel —
-    fusion and kernel choice change execution, never output."""
-    for kernel in KERNELS.names():
-        assert (
-            _run_partitioned(name, p, c, kernel=kernel)
-            == PRE_REFACTOR_DIGESTS[name]
-        ), kernel
+    bit for bit at every grid shape — fusion changes execution, never
+    output."""
+    assert _run_partitioned(name, p, c) == PRE_REFACTOR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])

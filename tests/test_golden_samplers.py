@@ -1,14 +1,16 @@
 """Golden regression tests: fixed-seed sampler runs have pinned outputs.
 
-Kernel backends are allowed to differ in floating-point summation order,
-but on the integer-valued probability matrices the built-in samplers
-produce (neighbor counts, squared counts, exact divisions) every backend
+SpGEMM bodies may differ in floating-point summation order, but on the
+integer-valued probability matrices the built-in samplers produce
+(neighbor counts, squared counts, exact divisions) every correct SpGEMM
 must yield *bit-identical* sampled minibatches.  These tests pin the full
 bulk output of each built-in sampler — frontier ids, per-layer adjacency
 structure and values — as a digest, and assert it
 
-1. is identical under every registered kernel backend (a kernel swap can
-   never silently change sampling semantics), and
+1. is identical when the sampler's products run through the retired
+   ``hash`` and ``scipy`` bodies (``reference_spgemm.py``) instead of
+   :func:`repro.sparse.spgemm` — the digests depend on what is sampled,
+   not on which correct SpGEMM computed it — and
 2. matches a recorded golden constant (any change to sampler logic or the
    RNG consumption pattern is loud, not silent).
 
@@ -33,7 +35,9 @@ from repro.core import (
 from repro.core.compile import optimize
 from repro.core.plan import LocalExecutor
 from repro.graphs import rmat
-from repro.sparse import KERNELS, get_kernel
+from repro.sparse import spgemm
+
+from reference_spgemm import spgemm_hash, spgemm_scipy
 
 SEED = 42
 N_BATCHES = 6
@@ -41,22 +45,10 @@ BATCH_SIZE = 24
 
 #: (name, factory, fanout) for every built-in sampler, training-shaped.
 SAMPLER_CASES = [
-    ("sage", lambda kernel: SageSampler(include_dst=True, kernel=kernel), (5, 3)),
-    (
-        "ladies",
-        lambda kernel: LadiesSampler(include_dst=True, kernel=kernel),
-        (32,),
-    ),
-    (
-        "fastgcn",
-        lambda kernel: FastGCNSampler(include_dst=True, kernel=kernel),
-        (32,),
-    ),
-    (
-        "saint",
-        lambda kernel: GraphSaintRWSampler(walk_length=3, kernel=kernel),
-        (3, 3),
-    ),
+    ("sage", lambda: SageSampler(include_dst=True), (5, 3)),
+    ("ladies", lambda: LadiesSampler(include_dst=True), (32,)),
+    ("fastgcn", lambda: FastGCNSampler(include_dst=True), (32,)),
+    ("saint", lambda: GraphSaintRWSampler(walk_length=3), (3, 3)),
 ]
 
 #: Pinned digests of each sampler's full bulk output (see _bulk_digest).
@@ -96,13 +88,12 @@ def _bulk_digest(samples) -> str:
     return h.hexdigest()
 
 
-def _run(name: str, kernel: str) -> str:
+def _run(name: str, spgemm_fn=None) -> str:
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
-    sampler = factory(kernel)
-    samples = sampler.sample_bulk(
-        adj, batches, fanout, np.random.default_rng(SEED)
+    samples = factory().sample_bulk(
+        adj, batches, fanout, np.random.default_rng(SEED), spgemm_fn=spgemm_fn
     )
     assert len(samples) == N_BATCHES
     return _bulk_digest(samples)
@@ -110,17 +101,19 @@ def _run(name: str, kernel: str) -> str:
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_kernels_sample_identically(name):
-    """Swapping the kernel backend never changes what gets sampled."""
-    digests = {kernel: _run(name, kernel) for kernel in KERNELS.names()}
+    """Running the products through a retired SpGEMM body never changes
+    what gets sampled."""
+    digests = {
+        body.__name__: _run(name, body)
+        for body in (spgemm, spgemm_hash, spgemm_scipy)
+    }
     assert len(set(digests.values())) == 1, digests
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_golden_digest(name):
-    """Fixed-seed output matches the recorded golden, on every backend."""
-    golden = GOLDEN_DIGESTS[name]
-    for kernel in KERNELS.names():
-        assert _run(name, kernel) == golden, (name, kernel)
+    """Fixed-seed output matches the recorded golden."""
+    assert _run(name) == GOLDEN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
@@ -128,31 +121,29 @@ def test_golden_digest_compiled(name):
     """The golden digests hold for the compiled (optimized) plan and for
     the plan as emitted, each handed to the executor directly.
 
-    ``sample_bulk`` always optimizes, so the loops above pin the optimized
+    ``sample_bulk`` always optimizes, so the tests above pin the optimized
     program only; this pins that the optimizer passes change nothing the
-    digest can see, on every backend.
+    digest can see.
     """
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
-    for kernel in KERNELS.names():
-        sampler = factory(kernel)
-        plan = sampler.plan(fanout)
-        assert optimize(plan).steps != plan.steps
-        for program in (optimize(plan), plan):
-            executor = LocalExecutor(
-                sampler, adj, batches, np.random.default_rng(SEED),
-                get_kernel(kernel).spgemm,
-            )
-            assert (
-                _bulk_digest(executor.run(program)) == GOLDEN_DIGESTS[name]
-            ), (name, kernel, program.describe())
+    sampler = factory()
+    plan = sampler.plan(fanout)
+    assert optimize(plan).steps != plan.steps
+    for program in (optimize(plan), plan):
+        executor = LocalExecutor(
+            sampler, adj, batches, np.random.default_rng(SEED), spgemm
+        )
+        assert (
+            _bulk_digest(executor.run(program)) == GOLDEN_DIGESTS[name]
+        ), (name, program.describe())
 
 
 def test_run_twice_is_deterministic():
     """Same seed, same process: byte-identical output (no hidden state)."""
     for name in GOLDEN_DIGESTS:
-        assert _run(name, "esc") == _run(name, "esc")
+        assert _run(name) == _run(name)
 
 
 if __name__ == "__main__":  # golden regeneration helper
@@ -160,6 +151,6 @@ if __name__ == "__main__":  # golden regeneration helper
 
     if "--regen" in sys.argv:
         for name in GOLDEN_DIGESTS:
-            print(f'    "{name}": "{_run(name, "esc")}",')
+            print(f'    "{name}": "{_run(name)}",')
     else:
         print(__doc__)

@@ -1,15 +1,20 @@
-"""Cross-backend equivalence: every registered kernel computes the same thing.
+"""The one SpGEMM against its contract and against the bodies it replaced.
 
-The KERNELS registry promises that backends are semantically
-interchangeable; these tests enforce it.  Random CSR matrices — varied
-shape and density, empty rows, explicit zeros, duplicate-producing
-products, cancellations — must give identical results (up to float
-summation order) under every registered backend, both via hypothesis
-strategies and a seeded deterministic sweep that pins the awkward shapes
-(zero rows, zero columns, hypersparse selectors).
+:func:`repro.sparse.spgemm` writes its bit contract into its docstring —
+*order*, *zeros*, *gather* — and this file holds it:
 
-The suite iterates ``KERNELS.names()`` at run time, so it automatically
-covers newly registered plugin backends.
+* bitwise (``tobytes()``), with Hypothesis on weighted operands — negative
+  weights, stored zeros and exact cancellations included — against
+  ``reference_spgemm.spgemm_reference``: every entry's partial products in
+  (a-entry, b-entry) order, summed by one ``np.add.reduceat`` run;
+* within ``CSRMatrix.equal``'s tolerance against the retired ``hash`` and
+  ``scipy`` bodies and the ``np.add.at`` scatter.  Those sum strictly left
+  to right from ``0.0`` (bitwise so, checked here), which is not the
+  kernel's association once an entry has three products; scipy also drops
+  the exact-zero entries the kernel keeps.
+
+The random operands are weighted on purpose: products of unit weights sum
+exact integers, and any order would pass.
 """
 
 from __future__ import annotations
@@ -21,21 +26,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sparse import (
-    CSRMatrix,
-    KERNELS,
-    KernelBackend,
-    default_kernel,
-    get_kernel,
-    set_default_kernel,
-    spgemm,
+from repro.sparse import CSRMatrix, get_kernel, sddmm, spgemm, spmm, sprand
+
+from reference_spgemm import (
     spgemm_hash,
-    spmm,
-    sprand,
-    use_kernel,
+    spgemm_reference,
+    spgemm_scipy,
+    spgemm_sequential,
 )
 
-KERNEL_NAMES = KERNELS.names()
+#: The kernel and the retired bodies, by the names they were selected by.
+BODIES = {"esc": spgemm, "hash": spgemm_hash, "scipy": spgemm_scipy}
+
+
+def _same_bytes(x: CSRMatrix, y: CSRMatrix) -> bool:
+    return (
+        x.shape == y.shape
+        and x.indptr.tobytes() == y.indptr.tobytes()
+        and x.indices.tobytes() == y.indices.tobytes()
+        and x.data.tobytes() == y.data.tobytes()
+    )
 
 
 @st.composite
@@ -73,51 +83,84 @@ def csr_pairs(draw, max_dim: int = 14, max_nnz: int = 60):
 
 
 @given(csr_pairs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_spgemm_matches_reference_bitwise(pair):
+    """Order and zeros: the kernel's bytes are the contract's."""
+    a, b = pair
+    out = spgemm(a, b)
+    out.check()
+    assert _same_bytes(out, spgemm_reference(a, b))
+
+
+@given(csr_pairs())
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_spgemm_backends_agree(pair):
+    """The retired bodies and the sequential scatter agree within
+    tolerance — and among themselves bitwise, once scipy's dropped zeros
+    are accounted for: they are all left-to-right sums."""
     a, b = pair
     ref = spgemm(a, b)
-    for name in KERNEL_NAMES:
-        out = KERNELS.get(name).spgemm(a, b)
+    sequential = spgemm_sequential(a, b)
+    for name, body in BODIES.items():
+        out = body(a, b)
         out.check()
         assert out.shape == ref.shape
-        assert out.equal(ref, 1e-9), f"kernel {name} diverged"
+        assert out.equal(ref, 1e-9), name
+    assert _same_bytes(spgemm_hash(a, b), sequential)
+    assert _same_bytes(spgemm_scipy(a, b), sequential.prune_zeros())
+
+
+def test_three_products_are_not_summed_left_to_right():
+    """The association clause, pinned: ``x1 + (x2 + x3)`` (first product
+    plus numpy's pairwise rest), where a left-to-right sum rounds
+    ``(1e16 + 1) + 1`` back to ``1e16``."""
+    a = CSRMatrix.from_dense(np.ones((1, 3)))
+    b = CSRMatrix.from_dense(np.array([[1e16], [1.0], [1.0]]))
+    assert spgemm(a, b).data.tolist() == [1e16 + 2.0]
+    assert spgemm_sequential(a, b).data.tolist() == [1e16]
+    assert spgemm_scipy(a, b).data.tolist() == [1e16]
+
+
+def test_scipy_drops_the_zeros_the_kernel_keeps():
+    """A cancellation and a product of stored zeros: the kernel keeps an
+    explicit ``0.0`` for each, scipy's ``csr_matmat`` stores neither."""
+    a = CSRMatrix.from_coo([0, 0, 1], [0, 1, 2], [1.0, -1.0, 0.0], (2, 3))
+    b = CSRMatrix.from_coo([0, 1, 2], [0, 0, 1], [2.0, 2.0, 5.0], (3, 2))
+    out = spgemm(a, b)
+    assert (out.indices.tolist(), out.data.tolist()) == ([0, 1], [0.0, 0.0])
+    assert spgemm_scipy(a, b).nnz == 0
+    assert out.equal(spgemm_scipy(a, b))
 
 
 @given(csr_pairs())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_spmm_backends_agree(pair):
+    """``a @ dense`` is :func:`spmm`, bit for bit, 2-D and 1-D."""
     a, _ = pair
     rng = np.random.default_rng(a.nnz)
     x = rng.standard_normal((a.shape[1], 3))
-    ref = spmm(a, x)
-    for name in KERNEL_NAMES:
-        out = KERNELS.get(name).spmm(a, x)
-        assert out.shape == ref.shape
-        assert np.allclose(out, ref, atol=1e-9), f"kernel {name} diverged"
-    # 1-D right operand round-trips through every backend too.
+    assert (a @ x).tobytes() == spmm(a, x).tobytes()
     v = rng.standard_normal(a.shape[1])
-    for name in KERNEL_NAMES:
-        assert np.allclose(KERNELS.get(name).spmm(a, v), spmm(a, v))
+    assert (a @ v).tobytes() == spmm(a, v).tobytes()
 
 
 @given(csr_pairs())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_sddmm_backends_agree(pair):
+    """:func:`sddmm` keeps the pattern and scales it by ``x @ y.T``."""
     pattern, _ = pair
     rng = np.random.default_rng(pattern.nnz + 1)
     x = rng.standard_normal((pattern.shape[0], 4))
     y = rng.standard_normal((pattern.shape[1], 4))
-    ref = KERNELS.get("esc").sddmm(pattern, x, y)
-    ref.check()
-    assert ref.nnz == pattern.nnz  # structure preserved exactly
-    for name in KERNEL_NAMES:
-        out = KERNELS.get(name).sddmm(pattern, x, y)
-        assert out.equal(ref, 1e-9), f"kernel {name} diverged"
+    out = sddmm(pattern, x, y)
+    out.check()
+    assert out.nnz == pattern.nnz  # structure preserved exactly
+    want = pattern.to_dense() * (x @ y.T)
+    assert np.allclose(out.to_dense(), want, atol=1e-9)
 
 
 class TestSeededSweep:
-    """Deterministic density/shape sweep (no hypothesis) across backends."""
+    """Deterministic density/shape sweep (no hypothesis), every body."""
 
     def test_density_sweep(self):
         rng = np.random.default_rng(12345)
@@ -126,15 +169,15 @@ class TestSeededSweep:
                 a = sprand(m, k, density, rng)
                 b = sprand(k, n, density, rng)
                 ref = spgemm(a, b)
-                for name in KERNEL_NAMES:
-                    out = KERNELS.get(name).spgemm(a, b)
+                assert _same_bytes(ref, spgemm_reference(a, b))
+                for name, body in BODIES.items():
+                    out = body(a, b)
                     out.check()
                     assert out.equal(ref, 1e-9), (name, density, (m, k, n))
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernel", list(BODIES))
     def test_zero_row_and_zero_col_products(self, kernel):
         """Degenerate shapes: (0, k) @ (k, n), (m, k) @ (k, 0), (0, 0)."""
-        k = KERNELS.get(kernel)
         ones = CSRMatrix.from_dense(np.ones((4, 3)))
         for a, b in (
             (CSRMatrix.zeros((0, 4)), CSRMatrix.from_dense(np.ones((4, 3)))),
@@ -142,33 +185,34 @@ class TestSeededSweep:
             (CSRMatrix.zeros((0, 0)), CSRMatrix.zeros((0, 0))),
             (CSRMatrix.zeros((2, 5)), CSRMatrix.zeros((5, 2))),
         ):
-            out = k.spgemm(a, b)
+            out = BODIES[kernel](a, b)
             out.check()
             assert out.shape == (a.shape[0], b.shape[1])
             assert out.nnz == 0
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernel", list(BODIES))
     def test_inner_dim_mismatch_raises(self, kernel):
         a = CSRMatrix.identity(3)
         b = CSRMatrix.identity(4)
-        with pytest.raises(ValueError):
-            KERNELS.get(kernel).spgemm(a, b)
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            BODIES[kernel](a, b)
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernel", list(BODIES))
     def test_cancellation_and_prune(self, kernel):
-        """a @ b where products cancel exactly: backends may keep an
-        explicit zero or a ~1e-17 residue; equal() must see through both,
-        and prune_zeros must restore canonical form."""
+        """a @ b where products cancel exactly: a body may keep an explicit
+        zero (esc, hash) or drop it (scipy); equal() sees through both, and
+        prune_zeros restores canonical form."""
         a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [2.0, -1.0]]))
         b = CSRMatrix.from_dense(np.array([[3.0, 1.0], [-3.0, 1.0]]))
-        out = KERNELS.get(kernel).spgemm(a, b)
+        out = BODIES[kernel](a, b)
         out.check()
         dense = a.to_dense() @ b.to_dense()
         assert np.allclose(out.to_dense(), dense)
+        assert out.nnz == (3 if kernel == "scipy" else 4)
         pruned = out.prune_zeros(1e-12)
         assert pruned.equal(CSRMatrix.from_dense(dense), 1e-9)
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("kernel", list(BODIES))
     def test_hypersparse_selector_product(self, kernel):
         """The LADIES shape: a tall hypersparse column selector."""
         rng = np.random.default_rng(7)
@@ -177,14 +221,15 @@ class TestSeededSweep:
         from repro.sparse import col_selector
 
         q_c = col_selector(sampled, 400)
-        ref = spgemm(a_r, q_c)
-        out = KERNELS.get(kernel).spgemm(a_r, q_c)
+        ref = spgemm_reference(a_r, q_c)
+        out = BODIES[kernel](a_r, q_c)
         out.check()
         assert out.equal(ref, 1e-9)
 
     def test_duplicate_heavy_product(self):
         """Indicator-row Q A: many batch vertices share neighbors, so the
-        expanded intermediate is far larger than the output."""
+        expanded intermediate is far larger than the output — and, on unit
+        weights, every body returns the same bytes."""
         from repro.graphs import rmat
         from repro.sparse import indicator_rows
 
@@ -193,24 +238,23 @@ class TestSeededSweep:
         batches = [rng.choice(adj.shape[0], 64, replace=False) for _ in range(4)]
         q = indicator_rows(batches, adj.shape[0])
         ref = spgemm(q, adj)
-        for name in KERNEL_NAMES:
-            assert KERNELS.get(name).spgemm(q, adj).equal(ref, 1e-9), name
+        assert ref.nnz < sum(adj.nnz_per_row()[q.indices])
+        for name, body in BODIES.items():
+            assert _same_bytes(body(q, adj), ref), name
 
 
 class TestHashKernelInternals:
+    """The retired hash body stays a sound oracle."""
+
     def test_hash_matches_esc_exactly_on_integers(self):
         """Integer-valued data: all summation orders are exact, so the
-        hash kernel must match ESC bit-for-bit, not just within tol."""
+        hash body must match the kernel bit for bit, not just within tol."""
         rng = np.random.default_rng(11)
         for _ in range(30):
             m, k, n = rng.integers(1, 25, 3)
             a = sprand(m, k, 0.3, rng, values="ones")
             b = sprand(k, n, 0.3, rng, values="ones")
-            ref = spgemm(a, b)
-            out = spgemm_hash(a, b)
-            assert np.array_equal(out.indptr, ref.indptr)
-            assert np.array_equal(out.indices, ref.indices)
-            assert np.array_equal(out.data, ref.data)
+            assert _same_bytes(spgemm_hash(a, b), spgemm(a, b))
 
     def test_high_collision_table(self):
         """Dense-ish product: table load approaches its 50% bound."""
@@ -221,82 +265,62 @@ class TestHashKernelInternals:
 
 
 class TestRegistryAndDispatch:
-    def test_builtin_backends_registered(self):
-        assert "esc" in KERNELS and "hash" in KERNELS
-        for name in KERNEL_NAMES:
-            assert isinstance(KERNELS.get(name), KernelBackend)
+    """What is left of kernel selection: one object, reached at call time."""
 
     def test_get_kernel_resolution(self):
-        assert get_kernel("hash").name == "hash"
-        backend = KERNELS.get("esc")
-        assert get_kernel(backend) is backend
-        assert get_kernel(None) is default_kernel()
-        with pytest.raises(KeyError):
-            get_kernel("no-such-kernel")
+        assert get_kernel("esc") is get_kernel("esc")
+        for gone in ("hash", "scipy", "compiled"):
+            with pytest.raises(ValueError, match="'esc' is the only"):
+                get_kernel(gone)
 
-    def test_use_kernel_scopes_matmul(self):
-        rng = np.random.default_rng(5)
-        a, b = sprand(10, 10, 0.4, rng), sprand(10, 10, 0.4, rng)
-        ref = spgemm(a, b)
-        assert default_kernel().name == "esc"
-        with use_kernel("hash") as k:
-            assert k.name == "hash"
-            assert default_kernel().name == "hash"
-            assert (a @ b).equal(ref, 1e-9)
-        assert default_kernel().name == "esc"
+    def test_every_product_reaches_the_kernel_at_call_time(self, monkeypatch):
+        """A wrapper set on the kernel's class after the sampler exists —
+        what the e2e tracer does — sees ``spgemm``, ``a @ b`` and every
+        product a sampler runs, local, recorded and 1.5D."""
+        from repro.comm import Communicator, ProcessGrid
+        from repro.core import LadiesSampler, SageSampler
+        from repro.distributed import (
+            RecordingSpGEMM,
+            partitioned_bulk_sampling,
+        )
+        from repro.graphs import rmat
+        from repro.partition import BlockRows
 
-    def test_use_kernel_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_kernel("hash"):
-                raise RuntimeError("boom")
-        assert default_kernel().name == "esc"
-
-    def test_set_default_kernel_validates(self):
-        with pytest.raises(KeyError):
-            set_default_kernel("typo")
-        assert default_kernel().name == "esc"
-
-    def test_custom_backend_registration(self):
-        class Doubling(KernelBackend):
-            name = "doubling"
-
-            def spgemm(self, a, b):
-                return spgemm(a, b)
-
-        KERNELS.register("doubling-test", Doubling(), description="test-only")
-        try:
-            rng = np.random.default_rng(2)
-            a, b = sprand(6, 6, 0.5, rng), sprand(6, 6, 0.5, rng)
-            with use_kernel("doubling-test"):
-                assert (a @ b).equal(spgemm(a, b), 1e-9)
-        finally:
-            KERNELS.unregister("doubling-test")
-        assert "doubling-test" not in KERNELS
-
-    def test_sampler_none_kernel_tracks_default(self):
-        """A sampler built with kernel=None follows the process default at
-        call time (no snapshot at construction); an explicit kernel pins."""
-        from repro.core import SageSampler
-
-        floating = SageSampler()  # kernel=None
-        pinned = SageSampler(kernel="esc")
-        with use_kernel("hash"):
-            assert floating._resolve_spgemm(None) == get_kernel("hash").spgemm
-            assert pinned._resolve_spgemm(None) == get_kernel("esc").spgemm
-        assert floating._resolve_spgemm(None) == get_kernel("esc").spgemm
-
-    def test_sampler_rejects_unknown_kernel(self):
-        from repro.core import SageSampler
-
-        with pytest.raises(KeyError):
-            SageSampler(kernel="no-such-kernel")
+        rng = np.random.default_rng(4)
+        adj = rmat(7, 6, rng)
+        batches = [rng.choice(adj.shape[0], 8, replace=False) for _ in range(2)]
+        samplers = (SageSampler(), LadiesSampler())
+        calls = []
+        cls = type(get_kernel("esc"))
+        real = cls.spgemm
+        monkeypatch.setattr(
+            cls, "spgemm", lambda self, a, b: calls.append(1) or real(self, a, b)
+        )
+        a, b = sprand(5, 5, 0.5, rng), sprand(5, 5, 0.5, rng)
+        spgemm(a, b)
+        a @ b
+        assert len(calls) == 2
+        for sampler in samplers:
+            for spgemm_fn in (None, RecordingSpGEMM()):
+                del calls[:]
+                sampler.sample_bulk(
+                    adj, batches, (3,), np.random.default_rng(0),
+                    spgemm_fn=spgemm_fn,
+                )
+                assert calls, (sampler.name, spgemm_fn)
+            del calls[:]
+            grid = ProcessGrid(2, 1)
+            partitioned_bulk_sampling(
+                Communicator(2), grid, sampler,
+                BlockRows.partition(adj, grid.n_rows), batches, (3,),
+            )
+            assert calls, sampler.name
 
     def test_graceful_without_scipy(self):
         """scipy is a declared requirement (``spmm`` runs on its CSR
-        kernel): its backend is always registered, and importing
-        ``repro.sparse`` without it fails at once with an error that names
-        the missing package — never a numpy fallback with other bits."""
-        assert "scipy" in KERNELS.names()
+        kernel): importing ``repro.sparse`` without it fails at once with
+        an error that names the missing package — never a numpy fallback
+        with other bits."""
         code = (
             "import sys; sys.modules['scipy'] = None\n"
             "try:\n"

@@ -244,7 +244,10 @@ class TestSamplerSpec:
         for other in (
             SamplerSpec(sampler="ladies", fanout=(4, 3)),
             SamplerSpec(sampler="sage", fanout=(4, 2)),
-            SamplerSpec(sampler="sage", fanout=(4, 3), kernel="esc"),
+            SamplerSpec(
+                sampler="sage", fanout=(4, 3),
+                overrides=(("sample_backend", "gumbel"),),
+            ),
             SamplerSpec(sampler="sage", fanout=(4, 3), for_training=False),
         ):
             assert a.digest() != other.digest()

@@ -10,7 +10,6 @@ from repro.sparse import (
     block_diag,
     col_selector,
     compact_columns,
-    hstack,
     indicator_rows,
     row_normalize,
     row_selector,
@@ -41,17 +40,6 @@ class TestStacking:
         stacked = vstack(mats)
         assert stacked.shape == (5, 5)
         stacked.check()
-
-    def test_hstack_matches_dense(self, rng):
-        mats = [sprand(4, i + 2, 0.4, rng) for i in range(3)]
-        stacked = hstack(mats)
-        ref = np.hstack([m.to_dense() for m in mats])
-        assert np.allclose(stacked.to_dense(), ref)
-        stacked.check()
-
-    def test_hstack_requires_common_rows(self, rng):
-        with pytest.raises(ValueError):
-            hstack([sprand(2, 3, 0.5, rng), sprand(3, 3, 0.5, rng)])
 
     def test_block_diag_matches_scipy(self, rng):
         import scipy.sparse as sp
@@ -141,12 +129,3 @@ class TestRandomGenerators:
     def test_sprand_ones(self, rng):
         m = sprand(10, 10, 0.2, rng, values="ones")
         assert np.all(m.data == 1.0)
-
-    def test_sprand_per_row(self, rng):
-        from repro.sparse import sprand_per_row
-
-        m = sprand_per_row(12, 20, 5, rng)
-        assert np.all(m.nnz_per_row() == 5)
-        m.check()
-        with pytest.raises(ValueError):
-            sprand_per_row(3, 4, 5, rng)

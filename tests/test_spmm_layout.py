@@ -254,19 +254,17 @@ def test_operands_not_modified(rng):
 
 
 # ---------------------------------------------------------------------- #
-# Errors: same text as before, from every backend
+# Errors: same text as before, from ``spmm`` and from ``a @ dense``
 # ---------------------------------------------------------------------- #
 def test_error_text_unchanged(rng):
-    from repro.sparse import KERNELS
-
     a = _csr(rng, [1, 2, 1], 4)
     for bad in (np.ones((5, 2)), np.ones((4, 2, 2)), np.ones(3)):
         with pytest.raises(ValueError) as want:
             _reduceat_spmm(a, bad)
-        for name in KERNELS.names():
+        for call in (spmm, CSRMatrix.__matmul__):
             with pytest.raises(ValueError) as got:
-                KERNELS.get(name).spmm(a, bad)
-            assert str(got.value) == str(want.value), name
+                call(a, bad)
+            assert str(got.value) == str(want.value), call
 
 
 # ---------------------------------------------------------------------- #

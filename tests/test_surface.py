@@ -4,11 +4,11 @@
     choices, default, nargs, required, action)`` set equals
     ``tests/cli_surface.json``, written from the parser of commit
     ``451249e`` — the last one whose flags were typed by hand.  A choice
-    list is recorded as the registry it is read from (``"@kernels"``), so
-    the snapshot does not depend on which optional backends are installed;
-    the one declared diff from ``451249e`` is that ``--router`` /
-    ``--shed-policy`` were literals equal to ``@routers`` /
-    ``@shed_policies`` and are now read from them.
+    list is recorded as the registry it is read from (``"@samplers"``), so
+    the snapshot does not depend on which plugins are loaded.  Two declared
+    diffs from ``451249e``: ``--router`` / ``--shed-policy`` were literals
+    equal to ``@routers`` / ``@shed_policies`` and are now read from them,
+    and the four ``--kernel`` flags are gone with the kernel axis.
 (b) *Copy equivalence* — a config built from flags is a copy of the one
     built from JSON: same fields, same error for the same bad value.
 (c) *Surface guard* — a public name in ``src/`` that no other ``src/``
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ALGORITHMS, DATASETS, KERNELS, SAMPLERS, RunConfig
+from repro.api import ALGORITHMS, DATASETS, SAMPLERS, RunConfig
 from repro.cli import (
     _SERVE_KNOBS,
     _STREAM_KNOBS,
@@ -53,7 +53,7 @@ def cli_surface(parser: argparse.ArgumentParser) -> dict[str, list]:
     """``{subcommand: sorted rows}``; ``""`` is the top-level parser."""
     registries = {
         "@datasets": DATASETS.names(), "@samplers": SAMPLERS.names(),
-        "@algorithms": ALGORITHMS.names(), "@kernels": KERNELS.names(),
+        "@algorithms": ALGORITHMS.names(),
         "@activations": list(ACTIVATIONS),
         "@cache_policies": list(CACHE_POLICIES),
         "@routers": list(ROUTERS), "@shed_policies": list(SHED_POLICIES),
@@ -88,7 +88,7 @@ def test_cli_surface_is_the_hand_written_parsers():
     for command in want:
         assert got[command] == want[command], command
     flags = {c: sum(bool(row[0]) for row in got[c]) for c in got}
-    assert (flags["train"], flags["serve"], flags["stream"]) == (22, 27, 21)
+    assert (flags["train"], flags["serve"], flags["stream"]) == (21, 26, 20)
 
 
 def test_every_knob_is_declared_once():
@@ -218,20 +218,16 @@ ALLOWED = {
     "save_trace": "writes the trace format `repro serve --requests` reads",
     "InferenceResult.queue_wait": "the wait shed_policy=deadline bounds; "
     "tests/test_fleet.py asserts the bound on it",
-    "set_default_kernel": "the process-default kernel CSRMatrix.__matmul__ "
-    "reads; the kernel-matrix tests switch it",
-    "use_kernel": "scoped form of set_default_kernel",
     # Deferred, not kept: nothing uses these, but deleting them deletes the
-    # 15 tier-1 tests named after them, and one PR may retire only a few.
+    # 12 tier-1 tests named after them, and one PR may retire only a few.
     "Dropout": "deferred deletion (3 tests)",
     "SGD": "deferred deletion (3 tests)",
     "chung_lu": "deferred deletion (2 tests)",
-    "hstack": "deferred deletion (2 tests)",
     "BlockRows.owner_of_row": "deferred deletion (2 tests, with owners_of_rows)",
     "BlockRows.owners_of_rows": "deferred deletion (with owner_of_row)",
     "degree_histogram": "deferred deletion (1 test)",
-    "sprand_per_row": "deferred deletion (1 test)",
-    "CSRMatrix.scale_rows": "deferred deletion (1 test)",
+    "sddmm": "deferred deletion (1 test); its only caller was the kernel "
+    "backend base class",
 }
 
 
