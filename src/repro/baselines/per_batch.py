@@ -14,6 +14,7 @@ import numpy as np
 
 from ..comm import Communicator
 from ..core import MatrixSampler, MinibatchSample, assign_round_robin
+from ..core.bulk import batch_rng
 from ..distributed import RecordingSpGEMM, charge_sampling
 from ..sparse import CSRMatrix
 
@@ -35,8 +36,6 @@ def per_batch_sampling(
     minibatches are bit-identical to the bulk path — the comparison
     isolates the per-call overhead, not sampling noise.
     """
-    from ..distributed.replicated import batch_rng
-
     owners = assign_round_robin(len(batches), comm.world_size)
     results: list[list[MinibatchSample]] = []
     with comm.phase("sampling"):

@@ -1,11 +1,10 @@
 """The sampling-plan optimizer: the passes every plan goes through.
 
 A sampler emits the four-step program of Algorithm 1 per layer;
-:func:`optimize` rewrites it before either executor
-(:class:`~repro.core.plan.LocalExecutor`,
-:class:`~repro.distributed.partitioned.PartitionedExecutor`) runs it —
-always, there is no unoptimized mode to select — without changing a single
-output bit:
+:func:`optimize` rewrites it before :class:`~repro.core.plan.LocalExecutor`
+runs it — on one device or once per process row of the 1.5D grid; always,
+there is no unoptimized mode to select — without changing a single output
+bit:
 
 * :func:`eliminate_dead_steps` — drop PROB/NORM steps whose results are
   overwritten before any step reads them.  SAMPLE steps are **never**
@@ -16,16 +15,16 @@ output bit:
   normalized *in place* (the executor owns the freshly computed product),
   skipping the full indptr/indices/data copy of a standalone NORM.
 * :func:`fuse_sample_extract` — replace adjacent ``SAMPLE, EXTRACT`` with
-  a :class:`~repro.core.plan.FusedSampleExtractStep`.  The executors keep
+  a :class:`~repro.core.plan.FusedSampleExtractStep`.  The executor keeps
   SAMPLE's selection as a mask over ``P`` whether or not the pair is fused
   (:mod:`repro.core.plan`, "Mask dataflow"), so this saves no work — it
   makes the pair one step, which the cost model counts as one launch.
 
-Executors accept optimized and unoptimized plans alike, so each pass is
-tested differentially: ``tests/test_compile_differential.py`` runs
-hundreds of random plans both ways through both executors and against the
-``Q^{l-1}``-materializing oracle in ``tests/reference_interpreter.py``,
-asserting byte-equal samples.
+The executor accepts optimized and unoptimized plans alike, so each pass
+is tested differentially: ``tests/test_compile_differential.py`` runs
+hundreds of random plans both ways, locally and on three grid shapes,
+against the ``Q^{l-1}``-materializing oracle in
+``tests/reference_interpreter.py``, asserting byte-equal samples.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ def _prob_is_dead(steps: list, i: int) -> bool:
     """PROB at ``i`` is dead iff the very next step is another PROB (every
     other step type reads something PROB wrote), with one frontier caveat:
     a ``frontier``-source PROB also records the walk frontier, which a
-    non-frontier PROB does not rewrite on the local executor — so it stays
-    live if any walk extraction could still read it."""
+    non-frontier PROB does not rewrite — so it stays live if any walk
+    extraction could still read it."""
     if i + 1 >= len(steps):
         return True  # trailing PROB: nothing reads it
     nxt = steps[i + 1]

@@ -1,4 +1,4 @@
-"""The sampling-plan IR: Algorithm 1 as *data*, run by two executors.
+"""The sampling-plan IR: Algorithm 1 as *data*, run by one interpreter.
 
 The paper's central claim is that LADIES, FastGCN, GraphSAGE (and, with one
 extra step kind, GraphSAINT) are the *same* matrix program — PROB (an
@@ -6,27 +6,19 @@ SpGEMM), NORM, SAMPLE (inverse transform sampling), EXTRACT — differing
 only in how each step is parameterized.  This module makes that claim
 operational: a :class:`MatrixSampler` *emits* a declarative
 :class:`SamplingPlan`, :func:`repro.core.compile.optimize` rewrites it
-(dead steps dropped, adjacent steps fused), and an executor runs it.  There
-are two executors, one per backend, and each runs every plan — optimized or
-as emitted:
+(dead steps dropped, adjacent steps fused), and :class:`LocalExecutor` runs
+it — optimized or as emitted.  It is the one holder of Algorithm 1's state
+and step bodies.  The 1.5D grid of Algorithm 2
+(:class:`~repro.distributed.partitioned.PartitionedExecutor`) drives one
+``LocalExecutor`` per process row and substitutes distributed SpGEMMs for
+the products of ``A``, which is why the three steps that consume such a
+product are split into a state half and a product half.
 
-* :class:`LocalExecutor` (here) — one device, serial SpGEMMs; the loop of
-  Algorithm 1.
-* :class:`~repro.distributed.partitioned.PartitionedExecutor` — the same
-  program over the 1.5D ``p/c x c`` grid of Algorithm 2, with PROB and the
-  row-extraction half of EXTRACT running as distributed SpGEMMs.
-
-Because distribution is a property of the *executor* rather than of the
+Because distribution is a property of the driver rather than of the
 sampler, any sampler that emits a plan — including registry plugins — runs
 partitioned for free, and per-phase time attribution (``probability`` /
 ``sampling`` / ``extraction``) is derived from step types via
-:func:`step_phase` instead of hand-placed phase calls.  What the executors
-share is written once, here: the step driver (:func:`run_steps`) and the
-row-local step bodies (:func:`compact_batches`, :func:`sampled_lists`,
-:func:`bipartite_layers`, :func:`walk_advance`,
-:func:`subgraph_vertex_sets`, :func:`subgraph_minibatch`).  The partitioned
-executor is "for each process row: call it, charge it" plus the 1.5D
-products.
+:func:`step_phase` instead of hand-placed phase calls.
 
 Step vocabulary (paper mapping)
 -------------------------------
@@ -64,7 +56,7 @@ reference to that ``P`` — a later PROB may replace the executor's current
 ``P`` — and every EXTRACT kind reads the selected entries straight out of
 the pair.  ``tests/reference_interpreter.py`` keeps the step-by-step
 interpreter that does materialize ``Q^{l-1}``; the differential suite
-holds both executors byte-equal to it.
+holds the executor, locally and on the grid, byte-equal to it.
 """
 
 from __future__ import annotations
@@ -95,12 +87,6 @@ __all__ = [
     "run_steps",
     "sampled_rows_from_mask",
     "compact_layer_from_mask",
-    "compact_batches",
-    "sampled_lists",
-    "bipartite_layers",
-    "walk_advance",
-    "subgraph_vertex_sets",
-    "subgraph_minibatch",
     "LocalExecutor",
 ]
 
@@ -316,7 +302,7 @@ class SamplingPlan:
 
 
 # ---------------------------------------------------------------------- #
-# The step driver (shared by both executors)
+# The step driver
 # ---------------------------------------------------------------------- #
 def run_steps(
     plan: SamplingPlan,
@@ -324,7 +310,7 @@ def run_steps(
     k: int,
     comm=None,
 ) -> None:
-    """Run ``dispatch`` over ``plan``'s steps, the one loop both executors use.
+    """Run ``dispatch`` over ``plan``'s steps, the one step loop.
 
     Each step gets a wall-domain ``plan`` span when a tracer is installed
     (the sim clock is charged by the caller per whole plan or, with a
@@ -425,127 +411,11 @@ def _lowers_compact(sampler) -> bool:
 
 
 # ---------------------------------------------------------------------- #
-# Row-local step bodies (shared by both executors)
-# ---------------------------------------------------------------------- #
-def compact_batches(
-    sampler: "MatrixSampler",
-    p: CSRMatrix,
-    sel: np.ndarray,
-    bounds: np.ndarray,
-    dsts: Sequence[np.ndarray],
-    col_rank: np.ndarray,
-) -> list[LayerSample]:
-    """EXTRACT(compact): each batch's sampled rows drop their empty columns;
-    the kept columns are its new frontier (``layer.src_ids``)."""
-    lower = _lowers_compact(sampler)
-    layers = []
-    for b, dst in enumerate(dsts):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        if lower:
-            layer = compact_layer_from_mask(
-                p, sel, lo, hi, dst,
-                include_dst=sampler.include_dst, col_rank=col_rank,
-            )
-        else:
-            layer = sampler.extract_batch_layer(
-                sampled_rows_from_mask(p, sel, lo, hi), dst
-            )
-        layers.append(layer)
-    return layers
-
-
-def sampled_lists(
-    p: CSRMatrix,
-    sel: np.ndarray,
-    dsts: Sequence[np.ndarray],
-    union_dst: bool,
-) -> list[np.ndarray]:
-    """EXTRACT(bipartite), first half: per-batch sampled vertex sets of a
-    layer-wise stage (one ``P`` row per batch), unioned with the batch's
-    destinations when the step asks for it."""
-    ends = p.indptr[: len(dsts) + 1]
-    sampled = [
-        p.indices[lo:hi][sel[lo:hi]] for lo, hi in zip(ends[:-1], ends[1:])
-    ]
-    if union_dst:
-        sampled = [np.union1d(sv, dv) for sv, dv in zip(sampled, dsts)]
-    return sampled
-
-
-def bipartite_layers(
-    sampler: "MatrixSampler",
-    adjs: Sequence[CSRMatrix],
-    sampled: Sequence[np.ndarray],
-    dsts: Sequence[np.ndarray],
-    step: ExtractStep,
-    p: CSRMatrix,
-    s: int,
-) -> list[LayerSample]:
-    """EXTRACT(bipartite), last half: wrap each batch's column-extracted
-    adjacency as a layer, importance-reweighted from row ``b`` of the
-    current ``p`` when the step debiases."""
-    layers = []
-    for b, (adj, src, dst) in enumerate(zip(adjs, sampled, dsts)):
-        layer = LayerSample(adj, src, dst)
-        if step.debias:
-            probs = np.zeros(p.shape[1])
-            cols, vals = p.row(b)
-            probs[cols] = vals
-            layer = sampler.debias_layer(layer, probs, s)
-        layers.append(layer)
-    return layers
-
-
-def walk_advance(
-    p: CSRMatrix, sel: np.ndarray, frontier: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """EXTRACT(walk): walkers with a sampled neighbor move to it, walkers
-    on isolated vertices stay in place.  Returns the new positions and
-    their per-batch views (the next destination lists)."""
-    nxt = frontier.copy()
-    moved = np.bincount(p.row_ids()[sel], minlength=p.shape[0]) > 0
-    nxt[moved] = p.indices[sel]
-    return nxt, [
-        nxt[int(bounds[b]) : int(bounds[b + 1])]
-        for b in range(len(bounds) - 1)
-    ]
-
-
-def subgraph_vertex_sets(
-    visited: Sequence[np.ndarray] | None,
-    bounds: np.ndarray | None,
-    dsts: Sequence[np.ndarray],
-    batches: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """EXTRACT(subgraph), first half: per batch, the sorted union of every
-    walk position it visited and its own roots."""
-    if visited is None:  # degenerate zero-step walk
-        visited = [np.concatenate(dsts)]
-        bounds = np.cumsum([0] + [len(d) for d in dsts])
-    verts = []
-    for b, batch in enumerate(batches):
-        lo, hi = int(bounds[b]), int(bounds[b + 1])
-        mine = np.unique(np.concatenate([stepv[lo:hi] for stepv in visited]))
-        verts.append(np.union1d(mine, batch))
-    return verts
-
-
-def subgraph_minibatch(
-    sub: CSRMatrix, verts: np.ndarray, batch: np.ndarray, n_layers: int
-) -> MinibatchSample:
-    """EXTRACT(subgraph), last half: ``n_layers`` layers over the induced
-    subgraph, the last restricted to the batch's rows."""
-    layers = [LayerSample(sub, verts, verts) for _ in range(n_layers - 1)]
-    pos = np.searchsorted(verts, batch)
-    layers.append(LayerSample(sub.extract_rows(pos), verts, batch))
-    return MinibatchSample(batch, layers)
-
-
-# ---------------------------------------------------------------------- #
-# The single-device executor
+# The executor
 # ---------------------------------------------------------------------- #
 class LocalExecutor:
-    """Run a :class:`SamplingPlan` on one device.
+    """Run a :class:`SamplingPlan` on one device — the one holder of
+    Algorithm 1's state and step bodies.
 
     Carries the executor state Algorithm 1 threads between steps: the
     per-batch frontiers, the current ``P`` with its row-to-batch
@@ -555,6 +425,17 @@ class LocalExecutor:
     whole stacked bulk, per-batch generators draw per row block — so
     fixed-seed output is bit-identical to the pre-IR implementations
     (pinned by the golden digest suite).
+
+    The three steps that consume a product of ``A`` are split into a state
+    half and the half that takes the product — :meth:`prob_q` /
+    :meth:`take_p`, :meth:`take_a_r`, :meth:`subgraph_vertices` /
+    :meth:`take_subgraphs` — so a driver that computes the products
+    elsewhere runs the same bodies:
+    :class:`~repro.distributed.partitioned.PartitionedExecutor` holds one
+    executor per process row and feeds it 1.5D products.  ``adj`` is the
+    matrix this executor's own products read (a row executor's block row,
+    which it never multiplies); ``col_rank`` is a scratch table with one
+    slot per vertex, shareable between executors that run one at a time.
     """
 
     def __init__(
@@ -564,10 +445,12 @@ class LocalExecutor:
         batches: Sequence[np.ndarray],
         rng,
         spgemm_fn: "SpGEMMFn",
+        *,
+        col_rank: np.ndarray | None = None,
     ) -> None:
         self.sampler = sampler
         self.adj = adj
-        self.n = adj.shape[0]
+        self.n = adj.shape[1]
         self.batches = [np.asarray(b, dtype=np.int64) for b in batches]
         self.k = len(self.batches)
         self.rng = rng
@@ -587,13 +470,20 @@ class LocalExecutor:
         self.frontier: np.ndarray | None = None
         self.importance: CSRMatrix | None = None
         self.visited: list[np.ndarray] | None = None
-        self._col_rank = np.empty(self.n, dtype=np.int64)
+        self._col_rank = (
+            np.empty(self.n, dtype=np.int64) if col_rank is None else col_rank
+        )
 
     # ------------------------------------------------------------------ #
     # Driver
     # ------------------------------------------------------------------ #
     def run(self, plan: SamplingPlan) -> list[MinibatchSample]:
         run_steps(plan, self._dispatch, self.k)
+        return self.samples()
+
+    def samples(self) -> list[MinibatchSample]:
+        """One sample per batch, in batch order: the subgraph a graph-wise
+        plan induced, or the collected layers outermost-first."""
         return [
             self.results[i]
             if self.results[i] is not None
@@ -605,44 +495,51 @@ class LocalExecutor:
 
     def _dispatch(self, step: Step) -> None:
         if isinstance(step, FusedSampleExtractStep):
-            self._sample(step)
-            self._extract(step.extract)
+            self.sample(step)
+            self.extract(step.extract)
         elif isinstance(step, ProbStep):
-            self._prob(step, normalize=isinstance(step, FusedProbNormStep))
+            q = self.prob_q(step)
+            if q is None and self.importance is None:
+                self.importance = self.sampler.importance_row(self.adj)
+            self.take_p(step, None if q is None else self.spgemm(q, self.adj))
         elif isinstance(step, NormStep):
             self.p = self.sampler.norm(self.p)
         elif isinstance(step, SampleStep):
-            self._sample(step)
+            self.sample(step)
         else:
-            self._extract(step)
+            self.extract(step)
 
     # ------------------------------------------------------------------ #
     # PROB (+ in-place NORM)
     # ------------------------------------------------------------------ #
-    def _prob(self, step: ProbStep, *, normalize: bool) -> None:
+    def prob_q(self, step: ProbStep) -> CSRMatrix | None:
+        """PROB's state half: set ``bounds`` (and, node-wise, the walk
+        ``frontier``) and return the ``Q`` of ``P = Q A`` — ``None`` for a
+        global PROB, whose ``P`` is the importance row stacked per batch."""
         if step.source == "frontier":
             self.frontier = np.concatenate(self.dst_lists)
             self.bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
-            q = self.sampler.make_q(self.frontier, self.n)
-            self.p = self.spgemm(q, self.adj)
-        elif step.source == "indicator":
-            self.bounds = np.arange(self.k + 1)
-            q = self.sampler.make_q(self.dst_lists, self.n)
-            self.p = self.spgemm(q, self.adj)
-        else:  # global importance: computed once, stacked per batch
-            if self.importance is None:
-                self.importance = self.sampler.importance_row(self.adj)
-            self.bounds = np.arange(self.k + 1)
-            self.p = vstack([self.importance] * self.k)
-        if normalize:
+            return self.sampler.make_q(self.frontier, self.n)
+        self.bounds = np.arange(self.k + 1)
+        if step.source == "indicator":
+            return self.sampler.make_q(self.dst_lists, self.n)
+        return None
+
+    def take_p(self, step: ProbStep, p: CSRMatrix | None) -> None:
+        """PROB's product half: ``p`` is ``Q A`` for the :meth:`prob_q`
+        ``Q``, or ``None`` to stack :attr:`importance`."""
+        if p is None:
+            p = vstack([self.importance] * self.k)
+        if isinstance(step, FusedProbNormStep):
             # Fresh product (or fresh stack of the importance row): ours
             # to overwrite.
-            self.p = self.sampler.norm_inplace(self.p)
+            p = self.sampler.norm_inplace(p)
+        self.p = p
 
     # ------------------------------------------------------------------ #
     # SAMPLE
     # ------------------------------------------------------------------ #
-    def _sample(self, step: SampleStep) -> None:
+    def sample(self, step: SampleStep) -> None:
         self.s = step.count
         self.p_sampled = self.p
         self.sel = self.sampler.sample_stacked_mask(
@@ -652,56 +549,131 @@ class LocalExecutor:
     # ------------------------------------------------------------------ #
     # EXTRACT
     # ------------------------------------------------------------------ #
-    def _extract(self, step: ExtractStep) -> None:
+    def extract(self, step: ExtractStep) -> None:
         if step.kind == "compact":
             self._extract_compact()
         elif step.kind == "bipartite":
-            self._extract_bipartite(step)
+            self.take_a_r(
+                step,
+                self.sampler.row_extract(
+                    self.adj, self.dst_lists, spgemm_fn=self.spgemm
+                ),
+            )
         elif step.kind == "walk":
             self._extract_walk()
         else:
-            self._extract_subgraph(step)
+            verts = self.subgraph_vertices()
+            self.take_subgraphs(
+                step,
+                verts,
+                [
+                    self.sampler.induced_subgraph(
+                        self.adj, v, spgemm_fn=self.spgemm
+                    )
+                    for v in verts
+                ],
+            )
+
+    def _collect(self, layers: list[LayerSample]) -> None:
+        for collected, layer in zip(self.layers_rev, layers):
+            collected.append(layer)
 
     def _extract_compact(self) -> None:
-        layers = compact_batches(
-            self.sampler, self.p_sampled, self.sel, self.bounds,
-            self.dst_lists, self._col_rank,
-        )
-        for collected, layer in zip(self.layers_rev, layers):
-            collected.append(layer)
+        """Each batch's sampled rows drop their empty columns; the kept
+        columns are its new frontier (``layer.src_ids``)."""
+        p, sel, lower = self.p_sampled, self.sel, _lowers_compact(self.sampler)
+        layers = []
+        for b, dst in enumerate(self.dst_lists):
+            lo, hi = int(self.bounds[b]), int(self.bounds[b + 1])
+            if lower:
+                layer = compact_layer_from_mask(
+                    p, sel, lo, hi, dst,
+                    include_dst=self.sampler.include_dst,
+                    col_rank=self._col_rank,
+                )
+            else:
+                layer = self.sampler.extract_batch_layer(
+                    sampled_rows_from_mask(p, sel, lo, hi), dst
+                )
+            layers.append(layer)
+        self._collect(layers)
         self.dst_lists = [layer.src_ids for layer in layers]
 
-    def _extract_bipartite(self, step: ExtractStep) -> None:
-        sampled = sampled_lists(
-            self.p_sampled, self.sel, self.dst_lists, step.union_dst
-        )
-        a_r = self.sampler.row_extract(
-            self.adj, self.dst_lists, spgemm_fn=self.spgemm
-        )
-        a_s = self.sampler.col_extract(
+    def take_a_r(self, step: ExtractStep, a_r: CSRMatrix) -> list[CSRMatrix]:
+        """Bipartite EXTRACT given the stacked row extraction
+        ``A_R = Q_R A`` of the destination lists: each batch's sampled set
+        (one ``P`` row per batch, unioned with its destinations when the
+        step asks) column-extracts its rows of ``a_r`` into a layer,
+        importance-reweighted from row ``b`` of the current ``P`` when the
+        step debiases.  Returns the column-extracted adjacencies."""
+        p, sel = self.p_sampled, self.sel
+        ends = p.indptr[: self.k + 1]
+        sampled = [
+            p.indices[lo:hi][sel[lo:hi]] for lo, hi in zip(ends[:-1], ends[1:])
+        ]
+        if step.union_dst:
+            sampled = [
+                np.union1d(sv, dv) for sv, dv in zip(sampled, self.dst_lists)
+            ]
+        adjs = self.sampler.col_extract(
             a_r, self.dst_lists, sampled, spgemm_fn=self.spgemm
         )
-        layers = bipartite_layers(
-            self.sampler, a_s, sampled, self.dst_lists, step, self.p, self.s
-        )
-        for collected, layer in zip(self.layers_rev, layers):
-            collected.append(layer)
+        layers = []
+        for b, (adj, src, dst) in enumerate(
+            zip(adjs, sampled, self.dst_lists)
+        ):
+            layer = LayerSample(adj, src, dst)
+            if step.debias:
+                probs = np.zeros(self.p.shape[1])
+                cols, vals = self.p.row(b)
+                probs[cols] = vals
+                layer = self.sampler.debias_layer(layer, probs, self.s)
+            layers.append(layer)
+        self._collect(layers)
         self.dst_lists = sampled
+        return adjs
 
     def _extract_walk(self) -> None:
+        """Walkers with a sampled neighbor move to it, walkers on isolated
+        vertices stay in place; the new positions are the next
+        destination lists."""
         if self.visited is None:
             self.visited = [self.frontier]
-        nxt, self.dst_lists = walk_advance(
-            self.p_sampled, self.sel, self.frontier, self.bounds
-        )
+        p, sel = self.p_sampled, self.sel
+        nxt = self.frontier.copy()
+        moved = np.bincount(p.row_ids()[sel], minlength=p.shape[0]) > 0
+        nxt[moved] = p.indices[sel]
         self.visited.append(nxt)
+        self.dst_lists = [
+            nxt[int(self.bounds[b]) : int(self.bounds[b + 1])]
+            for b in range(len(self.bounds) - 1)
+        ]
 
-    def _extract_subgraph(self, step: ExtractStep) -> None:
-        verts = subgraph_vertex_sets(
-            self.visited, self.bounds, self.dst_lists, self.batches
-        )
-        for i, (v, batch) in enumerate(zip(verts, self.batches)):
-            sub = self.sampler.induced_subgraph(
-                self.adj, v, spgemm_fn=self.spgemm
-            )
-            self.results[i] = subgraph_minibatch(sub, v, batch, step.n_layers)
+    def subgraph_vertices(self) -> list[np.ndarray]:
+        """Subgraph EXTRACT's state half: per batch, the sorted union of
+        every walk position it visited and its own roots."""
+        visited, bounds = self.visited, self.bounds
+        if visited is None:  # degenerate zero-step walk
+            visited = [np.concatenate(self.dst_lists)]
+            bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
+        verts = []
+        for b, batch in enumerate(self.batches):
+            lo, hi = int(bounds[b]), int(bounds[b + 1])
+            mine = np.unique(np.concatenate([v[lo:hi] for v in visited]))
+            verts.append(np.union1d(mine, batch))
+        return verts
+
+    def take_subgraphs(
+        self,
+        step: ExtractStep,
+        verts: Sequence[np.ndarray],
+        subs: Sequence[CSRMatrix],
+    ) -> None:
+        """Subgraph EXTRACT given ``A`` induced on each batch's vertex set:
+        ``n_layers`` layers over it, the last restricted to the batch's
+        rows."""
+        for i, (sub, v, batch) in enumerate(zip(subs, verts, self.batches)):
+            layers = [LayerSample(sub, v, v) for _ in range(step.n_layers - 1)]
+            pos = np.searchsorted(v, batch)
+            layers.append(LayerSample(sub.extract_rows(pos), v, batch))
+            self.results[i] = MinibatchSample(batch, layers)

@@ -18,10 +18,10 @@ step is shared (ITS, with a Gumbel backend option) and lives in
 :mod:`repro.core.its`.
 
 Execution is an executor concern, not a sampler concern:
-:meth:`MatrixSampler.sample_bulk` hands the optimized plan to the
-single-device :class:`~repro.core.plan.LocalExecutor`, while the
-partitioned driver (:mod:`repro.distributed`) runs the *same* plan with
-distributed SpGEMMs substituted for the ``Q^l A`` products — so sampler
+:meth:`MatrixSampler.sample_bulk` hands the optimized plan to
+:class:`~repro.core.plan.LocalExecutor`, and the partitioned driver
+(:mod:`repro.distributed`) runs the *same* executor once per process row,
+feeding it distributed SpGEMMs for the ``Q^l A`` products — so sampler
 semantics are defined exactly once and distributed support is a derived
 capability ("the sampler has a plan").
 """
@@ -117,7 +117,7 @@ class MatrixSampler(ABC):
         """:meth:`sample` as a boolean mask over ``p``'s nonzeros.
 
         Identical draws in identical order (the CSR build is the only
-        thing skipped) — the form the executors' EXTRACT handlers read.
+        thing skipped) — the form the executor's EXTRACT handlers read.
         """
         if s is None:
             return keep_all_mask(p)
@@ -214,10 +214,11 @@ class MatrixSampler(ABC):
 
         Returning a :class:`~repro.core.plan.SamplingPlan` is what makes a
         sampler executable — locally through :meth:`sample_bulk`, and
-        under *every* distributed executor (replicated runs the local plan
-        per rank; partitioned interprets the same plan over the 1.5D
-        grid).  The base returns ``None``: no matrix program, so only a
-        hand-written ``sample_bulk`` override could run it.
+        under *every* distributed driver (replicated runs the plan per
+        rank; partitioned runs it per process row of the 1.5D grid, with
+        distributed products).  The base returns ``None``: no matrix
+        program, so only a hand-written ``sample_bulk`` override could run
+        it.
         """
         return None
 
@@ -280,8 +281,8 @@ class MatrixSampler(ABC):
         ``rng`` is a single generator (draws consumed across the stacked
         bulk) or a sequence of one generator per batch (each batch draws
         only from its own stream — see :data:`RngSpec`).  ``spgemm_fn=None``
-        runs :func:`~repro.sparse.spgemm`; the distributed executors and
-        cost recorders pass their own wrapper.
+        runs :func:`~repro.sparse.spgemm`; cost recorders pass their own
+        wrapper.
 
         The default implementation runs :meth:`optimized_plan` (the
         emitted :meth:`plan` after :func:`repro.core.compile.optimize`,

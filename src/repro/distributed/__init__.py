@@ -9,7 +9,7 @@ from .instrument import (
     charge_sampling,
 )
 from .partitioned import PartitionedExecutor, partitioned_bulk_sampling
-from .replicated import assign_batches, batch_rng, replicated_bulk_sampling
+from .replicated import replicated_bulk_sampling
 from .spgemm_15d import spgemm_15d, stage_blocks
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "replicated_bulk_sampling",
     "partitioned_bulk_sampling",
     "PartitionedExecutor",
-    "assign_batches",
-    "batch_rng",
     "RecordingSpGEMM",
     "charge_sampling",
     "CacheStats",

@@ -2,25 +2,23 @@
 
 Both the adjacency matrix ``A`` and the stacked bulk ``Q`` are partitioned
 into ``p/c`` block rows on a ``p/c x c`` process grid, with each block row
-replicated ``c`` times.  Execution is *plan-driven*: the sampler emits the
-same declarative :class:`~repro.core.plan.SamplingPlan` the single-device
-executor runs, :func:`~repro.core.compile.optimize` rewrites it the same
-way, and :class:`PartitionedExecutor` — the one executor of this backend —
-runs each step over the grid:
+replicated ``c`` times.  Section 5.2 is Algorithm 1 with distributed
+SpGEMMs substituted for the ``Q^l A`` and row-extraction products; NORM,
+SAMPLE and the rest of EXTRACT are row-local (sections 5.2.1-5.2.3).  The
+code says the same: :class:`PartitionedExecutor` runs the plan the sampler
+emits (after :func:`~repro.core.compile.optimize`, as everywhere) by
+driving one :class:`~repro.core.plan.LocalExecutor` per batch-owning
+process row, and does only what the grid adds:
 
-* ``PROB`` steps run as the sparsity-aware 1.5D SpGEMM of Algorithm 2
-  (:func:`~repro.distributed.spgemm_15d.spgemm_15d`), or as the
-  all-reduced global importance vector for FastGCN-style samplers;
-* ``NORM`` and ``SAMPLE`` are row-local, exactly as the paper's per-step
-  analysis states (sections 5.2.1-5.2.2);
-* ``EXTRACT`` is row-local column compaction (node-wise), a distributed
-  row-extraction SpGEMM plus per-batch column extraction split across each
-  process row's ``c`` replicas (layer-wise, section 5.2.3), a row-local
-  walk advance, or a distributed subgraph induction (graph-wise).
+* the products — ``PROB`` as the sparsity-aware 1.5D SpGEMM of Algorithm 2
+  (:func:`~repro.distributed.spgemm_15d.spgemm_15d`) or the all-reduced
+  global importance row for FastGCN-style samplers, and the row-extraction
+  half of bipartite and subgraph ``EXTRACT`` as a 1.5D SpGEMM;
+* the charges — each row executor's row-local work charged to its row's
+  ranks, and per-batch column extraction split across each row's ``c``
+  replicas then all-gathered (section 5.2.3);
+* the round-robin reassembly of the samples.
 
-Everything row-local is the single-device executor's own step body
-(:mod:`repro.core.plan`), called once per process row and then charged to
-that row's ranks; what lives here is the 1.5D products and the charging.
 There is no per-algorithm code: any sampler with a plan — including
 registry plugins and GraphSAINT — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
@@ -49,26 +47,19 @@ from ..core import (
     reassemble_round_robin,
     step_phase,
 )
-from ..core.frontier import LayerSample
 from ..core.plan import (
     ExtractStep,
-    FusedProbNormStep,
     FusedSampleExtractStep,
+    LocalExecutor,
     NormStep,
     ProbStep,
     SampleStep,
     SamplingPlan,
     Step,
-    bipartite_layers,
-    compact_batches,
     run_steps,
-    sampled_lists,
-    subgraph_minibatch,
-    subgraph_vertex_sets,
-    walk_advance,
 )
 from ..partition.block1d import BlockRows
-from ..sparse import CSRMatrix, row_selector, vstack
+from ..sparse import CSRMatrix, row_normalize, row_selector, spgemm
 from .instrument import sample_norm_flops
 from .spgemm_15d import spgemm_15d
 
@@ -101,14 +92,13 @@ def _make_q_blocks(
 class PartitionedExecutor:
     """Run a :class:`~repro.core.plan.SamplingPlan` on the 1.5D grid.
 
-    Holds the per-process-row state Algorithm 2 threads between steps:
-    each row's owned batches with their destination lists and per-batch RNG
-    streams, the current probability block rows with their row-to-batch
-    bounds, the last SAMPLE's ``(P, mask)`` pair, collected layers, and
-    (for graph-wise plans) the walk history.  All matrix arithmetic is
-    exact, so output equals the local executor's for the same per-batch
-    streams.  Row-local work is the local executor's step bodies, run per
-    process row and charged to that row's ranks.
+    A grid driver over one :class:`~repro.core.plan.LocalExecutor` per
+    batch-owning process row, each holding its row's batches with their
+    per-batch RNG streams (global index) and all of Algorithm 1's state.
+    The driver feeds them the 1.5D products and charges their work to
+    their rows' ranks; it keeps the one span and phase per step.  All
+    matrix arithmetic is exact, so output equals the local executor's for
+    the same per-batch streams.
     """
 
     def __init__(
@@ -129,187 +119,126 @@ class PartitionedExecutor:
             )
         self.comm = comm
         self.grid = grid
-        self.sampler = sampler
         self.a_blocks = a_blocks
         self.n = a_blocks.n_cols
         self.n_rows = grid.n_rows
         self.sparsity_aware = sparsity_aware
-        self.batches = [np.asarray(b, dtype=np.int64) for b in batches]
-        self.owners = assign_round_robin(len(batches), grid.n_rows)
-        rows = range(self.n_rows)
-        #: Process rows that own at least one batch: the only ones with
-        #: row-local SAMPLE / EXTRACT work.
-        self.rows = [row for row in rows if self.owners[row]]
-        # Per-row frontier state and per-batch RNG streams (global index).
-        self.dst: list[list[np.ndarray]] = [
-            [self.batches[i] for i in self.owners[row]] for row in rows
-        ]
-        self.rngs = [
-            [batch_rng(seed, int(i)) for i in self.owners[row]] for row in rows
-        ]
-        self.layers_rev: list[list[list[LayerSample]]] = [
-            [[] for _ in self.owners[row]] for row in rows
-        ]
-        self.results: dict[int, MinibatchSample] = {}
-        # Step-to-step dataflow, one entry per process row.
-        self.p_blocks: list[CSRMatrix] | None = None
-        self.bounds: list[np.ndarray | None] = [None] * self.n_rows
-        self.frontier: list[np.ndarray | None] = [None] * self.n_rows
-        # What the last SAMPLE drew from and its selection masks (a later
-        # PROB replaces ``p_blocks``, not these).
-        self.p_sampled: list[CSRMatrix] | None = None
-        self.sels: list[np.ndarray | None] = [None] * self.n_rows
-        self.visited: list[list[np.ndarray] | None] = [None] * self.n_rows
+        self.k = len(batches)
+        self.owners = assign_round_robin(self.k, grid.n_rows)
+        col_rank = np.empty(self.n, dtype=np.int64)
+        #: Process row -> its executor, for the rows that own batches.
+        self.executors = {
+            row: LocalExecutor(
+                sampler, a_blocks.blocks[row],
+                [batches[i] for i in owned],
+                [batch_rng(seed, int(i)) for i in owned],
+                spgemm, col_rank=col_rank,
+            )
+            for row, owned in enumerate(self.owners)
+            if owned
+        }
         self.importance: CSRMatrix | None = None
-        self.s: int | None = None
-        self._col_rank = np.empty(self.n, dtype=np.int64)
 
-    # ------------------------------------------------------------------ #
-    # Driver
-    # ------------------------------------------------------------------ #
     def run(self, plan: SamplingPlan) -> list[MinibatchSample]:
-        run_steps(plan, self._dispatch, len(self.batches), self.comm)
-        samples_by_row = [
+        run_steps(plan, self._dispatch, self.k, self.comm)
+        return reassemble_round_robin(
             [
-                self.results[i]
-                if i in self.results
-                else MinibatchSample(
-                    self.batches[i],
-                    list(reversed(self.layers_rev[row][local])),
-                )
-                for local, i in enumerate(self.owners[row])
-            ]
-            for row in range(self.n_rows)
-        ]
-        return reassemble_round_robin(samples_by_row, len(self.batches))
+                self.executors[row].samples() if row in self.executors else []
+                for row in range(self.n_rows)
+            ],
+            self.k,
+        )
 
     def _dispatch(self, step: Step) -> None:
-        if isinstance(step, FusedSampleExtractStep):
-            self._sample(step)
-            # The driver opened this step's phase ("sampling"); Figure 7's
-            # extraction bar still gets the EXTRACT half (phases nest).
-            with self.comm.phase(step_phase(step.extract)):
-                self._extract(step.extract)
-        elif isinstance(step, ProbStep):
+        if isinstance(step, ProbStep):
             self._prob(step)
-            if isinstance(step, FusedProbNormStep):
-                # Fresh 1.5D products (or fresh stacks of the importance
-                # row): this executor owns them.
-                self.p_blocks = [
-                    self.sampler.norm_inplace(p) for p in self.p_blocks
-                ]
         elif isinstance(step, NormStep):
-            self.p_blocks = [self.sampler.norm(p) for p in self.p_blocks]
+            for ex in self.executors.values():
+                ex._dispatch(step)
         elif isinstance(step, SampleStep):
             self._sample(step)
+            if isinstance(step, FusedSampleExtractStep):
+                # The driver opened this step's phase ("sampling"); Figure
+                # 7's extraction bar still gets the EXTRACT half (phases
+                # nest).
+                with self.comm.phase(step_phase(step.extract)):
+                    self._extract(step.extract)
         else:
             self._extract(step)
 
-    def _collect(self, row: int, layers: list[LayerSample]) -> None:
-        for collected, layer in zip(self.layers_rev[row], layers):
-            collected.append(layer)
+    def _per_row(self, lists: dict) -> list:
+        """``lists[row]`` for every process row, ``[]`` for rows without
+        batches (they still take part in the 1.5D products)."""
+        return [lists.get(row, []) for row in range(self.n_rows)]
 
     # ------------------------------------------------------------------ #
     # PROB: distributed probability generation (section 5.2.1)
     # ------------------------------------------------------------------ #
     def _prob(self, step: ProbStep) -> None:
+        qs = {row: ex.prob_q(step) for row, ex in self.executors.items()}
         if step.source == "global":
-            self._prob_global()
-            return
-        q_rows: list[CSRMatrix] = []
-        self.bounds = []
-        self.frontier = []
-        for row in range(self.n_rows):
-            dsts = self.dst[row]
-            if step.source == "frontier":
-                frontier = (
-                    np.concatenate(dsts)
-                    if dsts
-                    else np.empty(0, dtype=np.int64)
-                )
-                self.frontier.append(frontier)
-                self.bounds.append(
-                    np.cumsum([0] + [len(d) for d in dsts])
-                )
-                q_rows.append(self.sampler.make_q(frontier, self.n))
-                _charge_row(
-                    self.comm, self.grid, row, nbytes=16.0 * frontier.size
-                )
-            else:  # indicator: one row per owned batch
-                self.frontier.append(np.empty(0, dtype=np.int64))
-                self.bounds.append(np.arange(len(dsts) + 1))
-                if dsts:
-                    q_rows.append(self.sampler.make_q(dsts, self.n))
-                else:
-                    q_rows.append(CSRMatrix.zeros((0, self.n)))
+            if self.importance is None:
+                self.importance = self._importance_row()
+            for ex in self.executors.values():
+                ex.importance = self.importance
+            products = dict.fromkeys(self.executors)  # take_p stacks it
+        else:
+            dsts = self._per_row(
+                {row: ex.dst_lists for row, ex in self.executors.items()}
+            )
+            for row in range(self.n_rows):
                 _charge_row(
                     self.comm, self.grid, row,
-                    nbytes=16.0 * sum(len(d) for d in dsts),
+                    nbytes=16.0 * sum(len(d) for d in dsts[row]),
                 )
-        self.p_blocks = spgemm_15d(
-            self.comm, self.grid, _make_q_blocks(q_rows, self.n),
-            self.a_blocks, sparsity_aware=self.sparsity_aware,
-        )
+            q_rows = [
+                qs.get(row, CSRMatrix.zeros((0, self.n)))
+                for row in range(self.n_rows)
+            ]
+            products = spgemm_15d(
+                self.comm, self.grid, _make_q_blocks(q_rows, self.n),
+                self.a_blocks, sparsity_aware=self.sparsity_aware,
+            )
+        for row, ex in self.executors.items():
+            ex.take_p(step, products[row])
 
-    def _prob_global(self) -> None:
+    def _importance_row(self) -> CSRMatrix:
         """FastGCN-style global importance: each block row contributes its
         local column squared sums; one all-reduce per process column
         combines them (every column holds all blocks).  Computed once and
         reused by every later global PROB step."""
-        if self.importance is None:
-            local_sq = []
-            for row in range(self.n_rows):
-                blk = self.a_blocks.blocks[row]
-                sq = np.zeros(self.n, dtype=np.float64)
-                if blk.nnz:
-                    np.add.at(sq, blk.indices, blk.data**2)
-                local_sq.append(sq)
-                _charge_row(
-                    self.comm, self.grid, row,
-                    flops=2.0 * blk.nnz, nbytes=16.0 * blk.nnz,
-                )
-            col_sq = None
-            for j in range(self.grid.c):
-                col_sq = self.comm.allreduce(
-                    local_sq, self.grid.col_ranks(j)
-                )
-            cols = np.flatnonzero(col_sq)
-            from ..sparse import row_normalize
-
-            self.importance = row_normalize(
-                CSRMatrix.from_coo(
-                    np.zeros(cols.size, dtype=np.int64), cols, col_sq[cols],
-                    (1, self.n),
-                )
-            )
-        self.p_blocks = []
-        self.bounds = []
-        self.frontier = []
+        local_sq = []
         for row in range(self.n_rows):
-            kb = len(self.dst[row])
-            self.p_blocks.append(
-                vstack([self.importance] * kb)
-                if kb
-                else CSRMatrix.zeros((0, self.n))
+            blk = self.a_blocks.blocks[row]
+            sq = np.zeros(self.n, dtype=np.float64)
+            if blk.nnz:
+                np.add.at(sq, blk.indices, blk.data**2)
+            local_sq.append(sq)
+            _charge_row(
+                self.comm, self.grid, row,
+                flops=2.0 * blk.nnz, nbytes=16.0 * blk.nnz,
             )
-            self.bounds.append(np.arange(kb + 1))
-            self.frontier.append(np.empty(0, dtype=np.int64))
+        col_sq = None
+        for j in range(self.grid.c):
+            col_sq = self.comm.allreduce(local_sq, self.grid.col_ranks(j))
+        cols = np.flatnonzero(col_sq)
+        return row_normalize(
+            CSRMatrix.from_coo(
+                np.zeros(cols.size, dtype=np.int64), cols, col_sq[cols],
+                (1, self.n),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # SAMPLE: row-local (section 5.2.2)
     # ------------------------------------------------------------------ #
     def _sample(self, step: SampleStep) -> None:
-        self.s = step.count
-        self.p_sampled = self.p_blocks
-        for row in self.rows:
-            p = self.p_blocks[row]
-            self.sels[row] = self.sampler.sample_stacked_mask(
-                p, step.count, self.rngs[row], self.bounds[row]
-            )
+        for row, ex in self.executors.items():
+            ex.sample(step)
             _charge_row(
                 self.comm, self.grid, row,
-                flops=sample_norm_flops(p, step.count),
-                nbytes=24.0 * p.nnz,
+                flops=sample_norm_flops(ex.p, step.count),
+                nbytes=24.0 * ex.p.nnz,
                 kernels=4,
             )
 
@@ -317,65 +246,68 @@ class PartitionedExecutor:
     # EXTRACT (section 5.2.3)
     # ------------------------------------------------------------------ #
     def _extract(self, step: ExtractStep) -> None:
-        if step.kind == "compact":
-            self._extract_compact()
-        elif step.kind == "bipartite":
+        if step.kind == "bipartite":
             self._extract_bipartite(step)
-        elif step.kind == "walk":
-            self._extract_walk()
-        else:
+        elif step.kind == "subgraph":
             self._extract_subgraph(step)
-
-    def _extract_compact(self) -> None:
-        """Row-local column compaction of each batch's sampled rows."""
-        for row in self.rows:
-            sel = self.sels[row]
-            layers = compact_batches(
-                self.sampler, self.p_sampled[row], sel, self.bounds[row],
-                self.dst[row], self._col_rank,
-            )
-            self._collect(row, layers)
-            self.dst[row] = [layer.src_ids for layer in layers]
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=24.0 * int(sel.sum()), kernels=2,
-            )
+        else:  # compact / walk: row-local
+            for row, ex in self.executors.items():
+                ex.extract(step)
+                touched = (
+                    24.0 * int(ex.sel.sum())
+                    if step.kind == "compact"
+                    else 16.0 * ex.visited[-1].size
+                )
+                _charge_row(
+                    self.comm, self.grid, row, nbytes=touched, kernels=2
+                )
 
     def _extract_bipartite(self, step: ExtractStep) -> None:
         """Distributed row extraction (1.5D SpGEMM) followed by per-batch
-        column extraction split across each process row's replicas
-        (section 5.2.3)."""
-        ar_blocks = self._row_extract_15d(self.dst)
-        for row in self.rows:
-            a_r, dsts = ar_blocks[row], self.dst[row]
-            sampled = sampled_lists(
-                self.p_sampled[row], self.sels[row], dsts, step.union_dst
-            )
-            adjs = self.sampler.col_extract(a_r, dsts, sampled)
-            bounds = np.cumsum([0] + [len(d) for d in dsts])
-            self._charge_split_extraction(row, a_r, bounds, adjs)
-            self._collect(
-                row,
-                bipartite_layers(
-                    self.sampler, adjs, sampled, dsts, step,
-                    self.p_blocks[row], self.s,
-                ),
-            )
-            self.dst[row] = sampled
+        column extraction split across each process row's replicas."""
+        ar_blocks = self._row_extract_15d(
+            {row: ex.dst_lists for row, ex in self.executors.items()}
+        )
+        for row, ex in self.executors.items():
+            bounds = np.cumsum([0] + [len(d) for d in ex.dst_lists])
+            adjs = ex.take_a_r(step, ar_blocks[row])
+            self._charge_split_extraction(row, ar_blocks[row], bounds, adjs)
+
+    def _extract_subgraph(self, step: ExtractStep) -> None:
+        """Distributed subgraph induction: the stacked per-batch vertex
+        sets row-extract ``A`` through the 1.5D SpGEMM, then each batch's
+        column compaction runs once per process row, split across its
+        ``c`` replicas like the layer-wise extraction."""
+        verts = {
+            row: ex.subgraph_vertices() for row, ex in self.executors.items()
+        }
+        ar_blocks = self._row_extract_15d(verts)
+        for row, ex in self.executors.items():
+            a_r = ar_blocks[row]
+            bounds = np.cumsum([0] + [len(v) for v in verts[row]])
+            subs = []
+            for b, v in enumerate(verts[row]):
+                rows = a_r.row_block(int(bounds[b]), int(bounds[b + 1]))
+                mask = np.zeros(self.n, dtype=bool)
+                mask[v] = True
+                subs.append(rows.select_columns(mask))
+            self._charge_split_extraction(row, a_r, bounds, subs)
+            ex.take_subgraphs(step, verts[row], subs)
 
     def _row_extract_15d(
-        self, vert_lists_by_row: list[list[np.ndarray]]
+        self, vert_lists: dict[int, list[np.ndarray]]
     ) -> list[CSRMatrix]:
         """``A_R = Q_R A`` over the grid: one selector row per stacked
         vertex of each process row's per-batch lists."""
-        qr_rows = []
-        for row in range(self.n_rows):
-            stacked = (
-                np.concatenate(vert_lists_by_row[row])
-                if vert_lists_by_row[row]
-                else np.empty(0, dtype=np.int64)
+        qr_rows = [
+            row_selector(
+                np.concatenate(lists)
+                if lists
+                else np.empty(0, dtype=np.int64),
+                self.n,
             )
-            qr_rows.append(row_selector(stacked, self.n))
+            for lists in self._per_row(vert_lists)
+        ]
         return spgemm_15d(
             self.comm, self.grid, _make_q_blocks(qr_rows, self.n),
             self.a_blocks, sparsity_aware=self.sparsity_aware,
@@ -415,48 +347,6 @@ class PartitionedExecutor:
             self.grid.row_ranks(row),
         )
 
-    def _extract_walk(self) -> None:
-        """Row-local walk advance."""
-        for row in self.rows:
-            frontier = self.frontier[row]
-            if self.visited[row] is None:
-                self.visited[row] = [frontier]
-            nxt, self.dst[row] = walk_advance(
-                self.p_sampled[row], self.sels[row], frontier,
-                self.bounds[row],
-            )
-            self.visited[row].append(nxt)
-            _charge_row(
-                self.comm, self.grid, row,
-                nbytes=16.0 * nxt.size, kernels=2,
-            )
-
-    def _extract_subgraph(self, step: ExtractStep) -> None:
-        """Distributed subgraph induction: the stacked per-batch vertex
-        sets row-extract ``A`` through the 1.5D SpGEMM, then each batch's
-        column compaction runs once per process row, split across its
-        ``c`` replicas like the layer-wise extraction."""
-        verts_by_row: list[list[np.ndarray]] = [[] for _ in range(self.n_rows)]
-        for row in self.rows:
-            verts_by_row[row] = subgraph_vertex_sets(
-                self.visited[row], self.bounds[row], self.dst[row],
-                [self.batches[i] for i in self.owners[row]],
-            )
-        ar_blocks = self._row_extract_15d(verts_by_row)
-        for row in self.rows:
-            verts, a_r = verts_by_row[row], ar_blocks[row]
-            bounds = np.cumsum([0] + [len(v) for v in verts])
-            subs = []
-            for b, v in enumerate(verts):
-                rows = a_r.row_block(int(bounds[b]), int(bounds[b + 1]))
-                mask = np.zeros(self.n, dtype=bool)
-                mask[v] = True
-                subs.append(rows.select_columns(mask))
-            self._charge_split_extraction(row, a_r, bounds, subs)
-            for sub, v, i in zip(subs, verts, self.owners[row]):
-                self.results[i] = subgraph_minibatch(
-                    sub, v, self.batches[i], step.n_layers
-                )
 
 def partitioned_bulk_sampling(
     comm: Communicator,

@@ -15,22 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from ..comm import Communicator
-from ..core import MatrixSampler, MinibatchSample, assign_round_robin
-
-# Shared ownership + RNG discipline (one stream per global batch index)
-# lives in repro.core.bulk; re-exported here for backward compatibility.
-from ..core.bulk import batch_rng
+from ..core import MatrixSampler, MinibatchSample, assign_round_robin, batch_rng
 from ..sparse import CSRMatrix
 from .instrument import RecordingSpGEMM, charge_sampling
 
-__all__ = ["replicated_bulk_sampling", "assign_batches", "batch_rng"]
-
-
-def assign_batches(
-    n_batches: int, world_size: int
-) -> list[list[int]]:
-    """Round-robin ownership of batch indices over ranks."""
-    return assign_round_robin(n_batches, world_size)
+__all__ = ["replicated_bulk_sampling"]
 
 
 def replicated_bulk_sampling(
@@ -52,11 +41,11 @@ def replicated_bulk_sampling(
     costs; no communication is charged because none occurs (section 5.1).
 
     Each batch's randomness is an independent stream keyed by its global
-    batch index (:func:`batch_rng`), so the sampled output is invariant to
-    the world size — the same batches yield bit-identical samples at any
-    ``p``.
+    batch index (:func:`~repro.core.bulk.batch_rng`), so the sampled
+    output is invariant to the world size — the same batches yield
+    bit-identical samples at any ``p``.
     """
-    owners = assign_batches(len(batches), comm.world_size)
+    owners = assign_round_robin(len(batches), comm.world_size)
     results: list[list[MinibatchSample]] = []
     with comm.phase("sampling"):
         for rank in range(comm.world_size):

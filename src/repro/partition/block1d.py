@@ -62,16 +62,3 @@ class BlockRows:
     @property
     def n_rows(self) -> int:
         return int(self.starts[-1])
-
-    def owner_of_row(self, row: int) -> int:
-        """Block index holding global ``row``."""
-        if not 0 <= row < self.n_rows:
-            raise IndexError(f"row {row} out of range")
-        return int(np.searchsorted(self.starts, row, side="right") - 1)
-
-    def owners_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner_of_row`."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
-            raise IndexError("row out of range")
-        return np.searchsorted(self.starts, rows, side="right") - 1

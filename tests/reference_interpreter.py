@@ -9,7 +9,8 @@ again — ``extract_batch_layer(q_next.row_block(...))`` per batch, per-batch
 ``induced_subgraph``.  It runs unoptimized plans only and shares no handler
 with the executors under ``src/``, which is what makes it a reference:
 ``tests/test_compile_differential.py`` and ``tests/test_compile.py`` hold
-both executors, on optimized and unoptimized plans, byte-equal to it.
+the executor, locally and on the 1.5D grid, on optimized and unoptimized
+plans, byte-equal to it.
 """
 
 from __future__ import annotations

@@ -282,8 +282,9 @@ def test_dse_removes_trailing_dead_norm():
 
 def test_dse_frontier_guard_keeps_prob_before_walk():
     # frontier-source PROB also records the walk frontier, which a
-    # non-frontier PROB does not rewrite: it stays live if a walk
-    # extraction can still read it.
+    # non-frontier PROB does not rewrite (locally or on the grid: one
+    # executor runs both): it stays live if a walk extraction can still
+    # read it.
     plan = SamplingPlan(
         (
             ProbStep("frontier"),

@@ -198,7 +198,7 @@ class TestReplicated:
     def test_rng_one_shot_iterator_accepted(self, small_adj, batches):
         """A generator expression of per-batch rngs must work: it is
         materialized exactly once, not drained by validation."""
-        from repro.distributed import batch_rng
+        from repro.core.bulk import batch_rng
 
         k = len(batches)
         a = SageSampler().sample_bulk(

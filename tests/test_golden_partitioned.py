@@ -190,6 +190,120 @@ def test_optimized_plan_charges_the_same_clock(name):
     assert clocks[0][("extraction", "compute")] > 0
 
 
+#: The simulated cost of one optimized partitioned bulk, recorded at commit
+#: ``473e3f8`` (the last one with a per-process-row copy of the local
+#: executor's state): per (sampler, p, c) — the (phase, kind) breakdown,
+#: every rank's clock, and the ledger's bytes sent and message count.
+#: Floats are compared with ``==``: a change in which ranks are charged,
+#: with what, or in what order per rank moves a sum in its last bit.
+PINNED_CHARGES = {
+    ('sage', 4, 2): (
+        {
+            ('extraction', 'compute'): 3.2006544051446944e-05,
+            ('probability', 'comm'): 2.0444480000000003e-05,
+            ('probability', 'compute'): 9.60541118971061e-05,
+            ('sampling', 'compute'): 6.404219678456592e-05,
+        },
+        [0.00021255373993569131, 0.00021255373993569131, 0.0002125087169131833, 0.0002125087169131833],
+        130256.0, 24,
+    ),
+    ('sage', 2, 1): (
+        {
+            ('extraction', 'compute'): 3.2006544051446944e-05,
+            ('probability', 'comm'): 2.029504e-05,
+            ('probability', 'compute'): 0.00014406658778135046,
+            ('sampling', 'compute'): 6.404219678456592e-05,
+        },
+        [0.0002924343583279742, 0.00029242909530546624],
+        29504.0, 8,
+    ),
+    ('ladies', 4, 2): (
+        {
+            ('extraction', 'comm'): 1.256688e-05,
+            ('extraction', 'compute'): 4.801091704180065e-05,
+            ('probability', 'comm'): 1.00376e-05,
+            ('probability', 'compute'): 4.8006060450160774e-05,
+            ('sampling', 'compute'): 3.200219163987138e-05,
+        },
+        [0.00015062373659163983, 0.00015062373659163983, 0.00015062339961414788, 0.00015062339961414788],
+        26912.0, 28,
+    ),
+    ('ladies', 2, 1): (
+        {
+            ('extraction', 'comm'): 1.003968e-05,
+            ('extraction', 'compute'): 8.001772347266881e-05,
+            ('probability', 'comm'): 1.003968e-05,
+            ('probability', 'compute'): 7.200801028938907e-05,
+            ('sampling', 'compute'): 3.200219163987138e-05,
+        },
+        [0.00023611252270096462, 0.00023611207511254018],
+        7936.0, 8,
+    ),
+    ('fastgcn', 4, 2): (
+        {
+            ('extraction', 'comm'): 1.2556800000000001e-05,
+            ('extraction', 'compute'): 4.801029967845659e-05,
+            ('probability', 'comm'): 5.04096e-06,
+            ('probability', 'compute'): 8.017605144694533e-06,
+            ('sampling', 'compute'): 3.201142122186495e-05,
+        },
+        [0.00010563644604501608, 0.00010563644604501608, 0.00010563773427652735, 0.00010563773427652735],
+        31568.0, 24,
+    ),
+    ('fastgcn', 2, 1): (
+        {
+            ('extraction', 'comm'): 1.003968e-05,
+            ('extraction', 'compute'): 8.001668938906752e-05,
+            ('probability', 'comm'): 5.04096e-06,
+            ('probability', 'compute'): 8.017605144694533e-06,
+            ('sampling', 'compute'): 3.201142122186495e-05,
+        },
+        [0.00015112907729903537, 0.00015112876861736333],
+        12160.0, 8,
+    ),
+    ('saint', 4, 2): (
+        {
+            ('extraction', 'comm'): 1.3032000000000002e-05,
+            ('extraction', 'compute'): 9.607114083601285e-05,
+            ('probability', 'comm'): 3.05528e-05,
+            ('probability', 'compute'): 0.0001440550276527331,
+            ('sampling', 'compute'): 9.60540655948553e-05,
+        },
+        [0.00037980247974276536, 0.00037980247974276536, 0.0003797793574276528, 0.0003797793574276528],
+        315872.0, 52,
+    ),
+    ('saint', 2, 1): (
+        {
+            ('extraction', 'comm'): 1.026144e-05,
+            ('extraction', 'compute'): 0.00012810961800643086,
+            ('probability', 'comm'): 3.0333920000000002e-05,
+            ('probability', 'compute'): 0.00021606934533762058,
+            ('sampling', 'compute'): 9.60540655948553e-05,
+        },
+        [0.0005448858809003215, 0.0005448809882958199],
+        59536.0, 16,
+    ),
+}
+
+
+@pytest.mark.parametrize("name,p,c", list(PINNED_CHARGES))
+def test_partitioned_charges_are_pinned(name, p, c):
+    """Exact simulated clock and communication volume of one partitioned
+    bulk, per sampler and grid shape."""
+    adj, batches = _graph_and_batches()
+    factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
+    fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
+    grid, comm = ProcessGrid(p, c), Communicator(p)
+    partitioned_bulk_sampling(
+        comm, grid, factory(), BlockRows.partition(adj, grid.n_rows),
+        batches, fanout, seed=DIST_SEED,
+    )
+    breakdown, clocks, sent, messages = PINNED_CHARGES[name, p, c]
+    assert comm.clock.breakdown_by_kind() == breakdown
+    assert [comm.clock.time(r) for r in range(p)] == clocks
+    assert (comm.ledger.sent(), comm.ledger.messages()) == (sent, messages)
+
+
 def test_saint_partitioned_samples_are_valid_subgraphs():
     """Structural check independent of digests: every partitioned-SAINT
     layer is the full induced adjacency on its vertex set and ends at the

@@ -7,8 +7,8 @@ a coupon-collector game ITS plays to select *every positive entry*.  A
 replaced, which survives only here, as the oracle:
 
 * byte-equality with ``fanout=(max_degree,) * L`` on every ``LayerSample``
-  array, under both executors, three grids, the ``Q^{l-1}``-materializing
-  reference interpreter and both SAMPLE backends, on graphs with empty
+  array, locally and on three grids, against the ``Q^{l-1}``-materializing
+  reference interpreter, under both SAMPLE backends, on graphs with empty
   rows, stored zero weights and isolated targets;
 * the generator is not touched, and what that does to a stream shared
   with counted layers;

@@ -421,9 +421,10 @@ class TestServingTraces:
 
 
 class TestPlanSpans:
-    """Both executors run their steps through the one driver
-    (``repro.core.plan.run_steps``): one wall-domain ``plan`` span per step
-    of the optimized program, tagged with the step's phase."""
+    """Every plan runs its steps through the one step loop
+    (``repro.core.plan.run_steps``), locally or on the grid — where the
+    driver, not its row executors, opens it: one wall-domain ``plan`` span
+    per step of the optimized program, tagged with the step's phase."""
 
     @staticmethod
     def _saint_case():

@@ -1,4 +1,4 @@
-"""Partitioning: 1D block rows, row ownership, the 1.5D feature store."""
+"""Partitioning: 1D block rows and the 1.5D feature store."""
 
 from __future__ import annotations
 
@@ -34,25 +34,6 @@ class TestBlockRows:
         br = BlockRows.partition(m, 5)
         assert br.n_blocks == 5
         assert vstack(br.blocks).equal(m)
-
-    def test_owner_lookup(self, rng):
-        m = sprand(10, 10, 0.3, rng)
-        br = BlockRows.partition(m, 3)  # sizes 4,3,3
-        assert br.owner_of_row(0) == 0
-        assert br.owner_of_row(3) == 0
-        assert br.owner_of_row(4) == 1
-        assert br.owner_of_row(9) == 2
-        with pytest.raises(IndexError):
-            br.owner_of_row(10)
-
-    def test_owners_vectorized(self, rng):
-        m = sprand(20, 20, 0.2, rng)
-        br = BlockRows.partition(m, 4)
-        rows = np.arange(20)
-        owners = br.owners_of_rows(rows)
-        assert np.array_equal(
-            owners, [br.owner_of_row(int(r)) for r in rows]
-        )
 
     def test_blocks_have_local_rows_global_cols(self, rng):
         m = sprand(12, 9, 0.3, rng)

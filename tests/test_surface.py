@@ -219,12 +219,10 @@ ALLOWED = {
     "InferenceResult.queue_wait": "the wait shed_policy=deadline bounds; "
     "tests/test_fleet.py asserts the bound on it",
     # Deferred, not kept: nothing uses these, but deleting them deletes the
-    # 12 tier-1 tests named after them, and one PR may retire only a few.
+    # 10 tier-1 tests named after them, and one PR may retire only a few.
     "Dropout": "deferred deletion (3 tests)",
     "SGD": "deferred deletion (3 tests)",
     "chung_lu": "deferred deletion (2 tests)",
-    "BlockRows.owner_of_row": "deferred deletion (2 tests, with owners_of_rows)",
-    "BlockRows.owners_of_rows": "deferred deletion (with owner_of_row)",
     "degree_histogram": "deferred deletion (1 test)",
     "sddmm": "deferred deletion (1 test); its only caller was the kernel "
     "backend base class",
