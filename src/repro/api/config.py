@@ -218,8 +218,9 @@ class RunConfig:
     # benchmarks/e2e hashes to_dict() and reads cfg.kernel, so the field
     # stays until ROADMAP item 8 retargets its tracer.
     kernel: str = _knob(
-        "esc", "the SpGEMM kernel, always 'esc' (no flag; the field is kept "
-        "so saved configs hash as before)", str,
+        "esc", "legacy name of the one SpGEMM kernel (scipy's csr_matmat), "
+        "always 'esc' (no flag; the field is kept so saved configs hash as "
+        "before)", str,
         registry=("esc",),
         note=" (the hash and scipy kernels were removed: drop the key or "
         "set it to 'esc')",

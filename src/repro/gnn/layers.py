@@ -121,8 +121,8 @@ class SAGEConv(_ConvBase):
         """Accumulate parameter gradients; return ``d(h_src)``.
 
         ``input_grad=False`` returns ``None`` and skips everything only
-        ``d(h_src)`` needs: the adjacency transpose, both ``dy @ W.T``
-        products, the transposed SpMM and the self-term scatter.
+        ``d(h_src)`` needs: both ``dy @ W.T`` products, the transposed SpMM
+        and the self-term scatter.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -133,7 +133,7 @@ class SAGEConv(_ConvBase):
             self.grads["W_self"] += h_dst.T @ dy
         if not input_grad:
             return None
-        dh_src = spmm(adj.transpose(), dy @ self.params["W_neigh"].T)
+        dh_src = spmm(adj, dy @ self.params["W_neigh"].T, transpose=True)
         if h_dst is not None:
             np.add.at(dh_src, dst_pos, dy @ self.params["W_self"].T)
         return dh_src
@@ -184,8 +184,8 @@ class GCNConv(_ConvBase):
     ) -> np.ndarray | None:
         """Accumulate parameter gradients; return ``d(h_src)``.
 
-        ``input_grad=False`` returns ``None`` and skips the adjacency
-        transpose, ``dy @ W.T`` and the transposed SpMM.
+        ``input_grad=False`` returns ``None`` and skips ``dy @ W.T`` and
+        the transposed SpMM.
         """
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -194,7 +194,7 @@ class GCNConv(_ConvBase):
         self.grads["b"] += dy.sum(axis=0)
         if not input_grad:
             return None
-        return spmm(adj.transpose(), dy @ self.params["W"].T)
+        return spmm(adj, dy @ self.params["W"].T, transpose=True)
 
     def infer(self, layer: LayerSample, h_src: np.ndarray) -> np.ndarray:
         """Stateless, row-stable forward (see :func:`stable_matmul`)."""

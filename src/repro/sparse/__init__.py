@@ -1,9 +1,10 @@
 """Sparse-matrix substrate: CSR storage, the SpGEMM and SpMM, structural ops.
 
 Everything the paper's sampling framework needs from cuSPARSE/nsparse:
-one SpGEMM (:func:`spgemm`, numpy expand-sort-compress), one SpMM
-(:func:`spmm`, scipy's compiled CSR kernel) — each with its bit contract in
-its docstring — and the selector / stacking / normalization ops around them.
+one SpGEMM (:func:`spgemm`) and one SpMM (:func:`spmm`), both scipy's
+compiled CSR kernels over zero-copy views of :class:`CSRMatrix`'s arrays and
+both under one written order rule (strict left-to-right sums from ``0.0``),
+and the selector / stacking / normalization ops around them.
 """
 
 from .csr import CSRMatrix

@@ -1,8 +1,10 @@
 """Compressed sparse row matrices built on numpy arrays.
 
 This is the sparse substrate the paper's sampling framework runs on.  The
-paper uses cuSPARSE/nsparse CSR kernels on GPU; here the same operations are
-implemented as vectorized numpy kernels.  Only CSR supports SpGEMM (matching
+paper uses cuSPARSE/nsparse CSR kernels on GPU; here the structural
+operations are vectorized numpy, and the two products (SpGEMM, SpMM) run
+scipy's compiled CSR kernels over :meth:`CSRMatrix.to_scipy`'s zero-copy
+views.  Only CSR supports SpGEMM (matching
 the constraint the paper works around in section 8.2.2), so everything
 funnels through this class.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 __all__ = ["CSRMatrix"]
 
@@ -249,12 +251,23 @@ class CSRMatrix:
         """(rows, cols, vals) triplets in row-major order."""
         return self.row_ids(), self.indices.copy(), self.data.copy()
 
-    def to_scipy(self):
-        """A ``scipy.sparse.csr_matrix`` over the same values (the operand
-        of :func:`repro.sparse.spmm.spmm`)."""
-        return csr_matrix(
-            (self.data, self.indices, self.indptr), shape=self.shape
-        )
+    def to_scipy(self, *, transpose: bool = False):
+        """A ``scipy.sparse`` view over this matrix's own int64 / int64 /
+        float64 arrays: a ``csr_matrix``, or with ``transpose=True`` the
+        ``csc_matrix`` of the transpose.
+
+        O(1): the arrays are set as attributes of an empty matrix, because
+        scipy's ``(data, indices, indptr)`` constructor — and ``.T`` —
+        re-casts int64 indices that fit int32, a copy of the whole index
+        array per call.  scipy's products take int64 operands as they are
+        and never write them, so read-only (shared-memory) arrays work.
+        """
+        if transpose:
+            view = csc_matrix((self.shape[1], self.shape[0]))
+        else:
+            view = csr_matrix(self.shape)
+        view.indptr, view.indices, view.data = self.indptr, self.indices, self.data
+        return view
 
     def copy(self) -> "CSRMatrix":
         """Deep copy."""
@@ -265,13 +278,6 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     # Structural operations
     # ------------------------------------------------------------------ #
-    def transpose(self) -> "CSRMatrix":
-        """Transposed matrix (CSR of the CSC view)."""
-        rows, cols, vals = self.to_coo()
-        return CSRMatrix.from_coo(
-            cols, rows, vals, (self.shape[1], self.shape[0]), sum_duplicates=False
-        )
-
     def extract_rows(self, rows: Iterable[int] | np.ndarray) -> "CSRMatrix":
         """Gather ``rows`` (in the given order, duplicates allowed) into a new matrix."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -317,8 +323,9 @@ class CSRMatrix:
         return np.unique(self.indices)
 
     def prune_zeros(self, tol: float = 0.0) -> "CSRMatrix":
-        """Drop stored entries with ``|value| <= tol``."""
-        keep = np.abs(self.data) > tol
+        """Drop stored entries with ``|value| <= tol`` (a NaN is kept, as
+        scipy's products keep it)."""
+        keep = ~(np.abs(self.data) <= tol)
         indptr = _indptr_from_rows(self.row_ids()[keep], self.shape[0])
         return CSRMatrix(indptr, self.indices[keep], self.data[keep], self.shape)
 

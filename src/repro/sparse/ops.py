@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, _indptr_from_rows
 
 __all__ = [
     "vstack",
@@ -83,11 +83,7 @@ def row_selector(vertices: np.ndarray, n: int) -> CSRMatrix:
     ``vertices[i]``.  Multiplying ``row_selector(v, n) @ A`` gathers the
     adjacency rows of the selected vertices, in order.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    if vertices.ndim != 1:
-        raise ValueError("vertices must be a 1-D array")
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= n):
-        raise ValueError(f"vertex id out of range [0, {n})")
+    vertices = _vertex_ids(vertices, n)
     return CSRMatrix(
         np.arange(vertices.size + 1, dtype=np.int64),
         vertices.copy(),
@@ -101,8 +97,26 @@ def col_selector(vertices: np.ndarray, n: int) -> CSRMatrix:
 
     An ``n x len(vertices)`` matrix with one 1 per column, at the row index
     of each vertex to extract; ``A_R @ col_selector(v, n)`` gathers columns.
+    It is the transpose of :func:`row_selector`, built directly: row ``u``
+    holds the positions ``i`` with ``vertices[i] == u``, ascending.
     """
-    return row_selector(vertices, n).transpose()
+    vertices = _vertex_ids(vertices, n)
+    return CSRMatrix(
+        _indptr_from_rows(vertices, n),
+        np.argsort(vertices, kind="stable"),
+        np.ones(vertices.size, dtype=np.float64),
+        (n, vertices.size),
+    )
+
+
+def _vertex_ids(vertices: np.ndarray, n: int) -> np.ndarray:
+    """``vertices`` as a 1-D int64 array of ids in ``[0, n)``."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    if vertices.ndim != 1:
+        raise ValueError("vertices must be a 1-D array")
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= n):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    return vertices
 
 
 def indicator_rows(batches: Sequence[np.ndarray], n: int) -> CSRMatrix:

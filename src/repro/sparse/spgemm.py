@@ -1,10 +1,8 @@
 """Sparse general matrix-matrix multiplication (SpGEMM): the one kernel.
 
-:func:`spgemm` is expand-sort-compress, the family of the GPU nsparse
-kernels the paper uses: every nonzero ``A[i, j]`` contributes
-``A[i, j] * B[j, :]`` to row ``i`` of the output, and
-:meth:`CSRMatrix.from_coo` orders the expanded triplets by one flat
-``row * n_cols + col`` key and sums duplicate keys.  A product whose left
+:func:`spgemm` runs scipy's compiled ``csr_matmat`` — the row-wise
+accumulator SpGEMM — on :meth:`CSRMatrix.to_scipy`'s zero-copy int64 views
+of both operands, and sorts each output row's columns.  A product whose left
 operand is a unit row selector (GraphSAGE's ``Q``, LADIES' ``Q_R``, a walk
 frontier) is a row gather of the right operand and runs as one.
 
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix, _ranges
+from .csr import CSRMatrix
 
 __all__ = ["spgemm", "get_kernel", "spgemm_flops", "required_rows"]
 
@@ -30,31 +28,28 @@ def spgemm(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     Every product in the repo — this function, ``a @ b``, the samplers,
     the cost recorder and the 1.5D SpGEMM — runs this body, and its bits
     are a contract (the golden sampler digests and every serving pin read
-    them):
+    them).  It is :func:`~repro.sparse.spmm.spmm`'s order rule:
 
-    * **Order.**  The expansion lists the partial products
-      ``a[i, j] * b[j, k]`` in (a-entry, b-entry) order: ``a``'s entries
-      row-major, each followed by its row of ``b`` in column order.  The
-      stable single-key sort keeps that order among the products of one
-      output entry, and one ``np.add.reduceat`` run sums them: the first
-      product plus numpy's pairwise sum of the rest.  Two products are a
-      left-to-right sum; three or more are not, so a strictly sequential
-      kernel (scipy's ``csr_matmat``) can differ in the last bit on
-      weighted operands.  Unit-weight products sum exact integers and
-      agree under any order.
-    * **Zeros.**  An entry whose products cancel keeps an explicit ``0.0``;
-      an entry no product reaches is absent.
+    * **Order.**  Each output entry ``(i, k)`` is the strict left-to-right
+      sum ``((0 + p1) + p2) + ...`` from ``0.0`` over its partial products
+      ``a[i, j] * b[j, k]`` in (a-entry, b-entry) order: ``a``'s entries of
+      row ``i`` in column order, each followed by its row of ``b``.
+    * **Zeros.**  An entry whose sum is exactly zero — a cancellation, or
+      products of stored zeros — is absent, as is an entry no product
+      reaches.  Columns are sorted within each row.
     * **Gather.**  When every row of ``a`` is one entry of value ``1.0``
-      the result is ``b.extract_rows(a.indices)``: ``b``'s rows bit for
-      bit, which is what the general path computes too (``1.0 * x`` is
-      ``x``), without expanding or sorting anything.
-    * **Scope.**  The bits are promised per numpy build, like
-      :func:`~repro.sparse.spmm.spmm`'s per scipy build.
+      the result is ``b.extract_rows(a.indices)`` minus ``b``'s stored
+      zeros: what the general path computes too (``0.0 + 1.0 * x`` is
+      ``x``), without the accumulator.
+    * **Scope.**  The bits are promised per build of scipy's kernel, like
+      SpMM's (a compiler that contracts ``sum + a * b`` into an FMA rounds
+      once where this one rounds twice; ``tests/test_gnn.py::_spgemm_probe``
+      names such a build).
     """
     return _KERNEL.spgemm(a, b)
 
 
-class _ESCKernel:
+class _Kernel:
     """The object the body lives on.  :func:`spgemm` and ``a @ b`` look
     :meth:`spgemm` up on the one instance at call time, so a wrapper set
     on the class — ``benchmarks/e2e/trace.py`` finds it through
@@ -68,17 +63,20 @@ class _ESCKernel:
         if a.nnz == 0 or b.nnz == 0:
             return CSRMatrix.zeros(out_shape)
         if _is_unit_row_selector(a):
-            return b.extract_rows(a.indices)
-        rows, cols, vals = _expand(a, b)
-        return CSRMatrix.from_coo(rows, cols, vals, out_shape)
+            rows = b.extract_rows(a.indices)
+            return rows.prune_zeros() if (rows.data == 0).any() else rows
+        out = a.to_scipy() @ b.to_scipy()
+        out.sort_indices()
+        return CSRMatrix(out.indptr, out.indices, out.data, out_shape)
 
 
-_KERNEL = _ESCKernel()
+_KERNEL = _Kernel()
 
 
-def get_kernel(name: str) -> _ESCKernel:
+def get_kernel(name: str) -> _Kernel:
     """The one SpGEMM kernel object, for a tracer that wraps its class.
-    ``"esc"`` is the only name (ROADMAP item 8 deletes this lookup)."""
+    ``"esc"`` is its only name — the legacy one, from when the body was
+    expand-sort-compress (ROADMAP item 8 deletes this lookup)."""
     if name != "esc":
         raise ValueError(
             f"unknown kernel {name!r}: 'esc' is the only SpGEMM kernel"
@@ -97,17 +95,6 @@ def _is_unit_row_selector(a: CSRMatrix) -> bool:
         and bool(np.all(np.diff(a.indptr) == 1))
         and bool(np.all(a.data == 1.0))
     )
-
-
-def _expand(a: CSRMatrix, b: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets of every partial product ``A[i, j] * B[j, :]``, in
-    (a-entry, b-entry) order, duplicates not yet combined."""
-    counts = b.nnz_per_row()[a.indices]  # expansion count per A nonzero
-    take = _ranges(b.indptr[a.indices], counts)
-    rows = np.repeat(a.row_ids(), counts)
-    cols = b.indices[take]
-    vals = np.repeat(a.data, counts) * b.data[take]
-    return rows, cols, vals
 
 
 def spgemm_flops(a: CSRMatrix, b: CSRMatrix) -> int:

@@ -2,7 +2,8 @@
 
 Forward propagation of a sampled minibatch is an SpMM between the sampled
 adjacency matrix and the fetched feature matrix (paper section 6.2); the
-backward pass reuses the same kernel with the transposed adjacency.
+backward pass multiplies by the transposed adjacency through the same entry
+point (``transpose=True``), without building the transpose.
 :func:`sddmm` is the companion sampled dense-dense product (per-edge score
 computation, e.g. attention logits) restricted to a sparse pattern.
 
@@ -14,7 +15,11 @@ pinned serving digests), and this is the whole contract:
 * **Order.**  Each output element ``(i, k)`` is the strict left-to-right
   sum ``((0 + a1*x1) + a2*x2) + ...`` over ``a.data[e] * dense[a.indices[e],
   k]``, ``e`` in CSR entry order of row ``i`` — what ``np.add.at`` over the
-  same products computes, bit for bit.
+  same products computes, bit for bit.  Transposed (``transpose=True``),
+  element ``(c, k)`` sums the entries ``a[r, c] * dense[r, k]`` over rows
+  ``r`` in ascending order, strictly left to right: bitwise the product
+  with ``a``'s CSR transpose.  :func:`~repro.sparse.spgemm.spgemm` sums by
+  the same rule.
 * **Independence.**  A row's result depends on no other row, and a feature
   column's on no other column: ``spmm(a.extract_rows(r), x)`` is
   ``spmm(a, x)[r]`` and ``spmm(a, x[:, cols])`` is ``spmm(a, x)[:, cols]``,
@@ -23,7 +28,8 @@ pinned serving digests), and this is the whole contract:
 * **Scope.**  Bit-identity is promised *per build of the kernel*; across
   builds (a compiler that contracts ``y + a*x`` to one FMA rounds once where
   this box rounds twice) results are ``allclose``, and the pinned digests
-  skip themselves when ``tests/test_gnn.py::_spmm_probe`` sees such a build.
+  skip themselves when ``tests/test_gnn.py::_spmm_probe`` (or
+  ``_spgemm_probe``) sees such a build.
 
 Kernels that associate differently are not drop-in replacements, however
 close numerically: numpy's segmented reduction sums a row as its first
@@ -41,13 +47,21 @@ from .csr import CSRMatrix
 __all__ = ["spmm", "sddmm", "spmm_flops"]
 
 
-def spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    """Compute ``a @ dense`` where ``dense`` is a 2-D (or 1-D) array.
+def spmm(
+    a: CSRMatrix, dense: np.ndarray, *, transpose: bool = False
+) -> np.ndarray:
+    """Compute ``a @ dense`` — or ``a.T @ dense`` with ``transpose=True`` —
+    where ``dense`` is a 2-D (or 1-D) array.
 
     The result is a fresh C-contiguous float64 array; each element is summed
     strictly left to right in CSR entry order, independently of every other
     row and feature column (see the module docstring — callers' digests
     depend on it).  No memory is held beyond the output.
+
+    ``transpose=True`` runs scipy's CSC kernel over ``a``'s own arrays (the
+    backward pass's ``A^T dy``, with no transpose built): element ``(c, k)``
+    is the strict left-to-right sum from ``0.0`` over column ``c``'s entries,
+    rows in ascending order.
     """
     dense = np.asarray(dense, dtype=np.float64)
     squeeze = dense.ndim == 1
@@ -55,9 +69,10 @@ def spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
         dense = dense[:, None]
     if dense.ndim != 2:
         raise ValueError(f"dense operand must be 1-D or 2-D, got {dense.ndim}-D")
-    if a.shape[1] != dense.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {dense.shape}")
-    out = a.to_scipy() @ dense
+    shape = a.shape[::-1] if transpose else a.shape
+    if shape[1] != dense.shape[0]:
+        raise ValueError(f"inner dimensions differ: {shape} @ {dense.shape}")
+    out = a.to_scipy(transpose=transpose) @ dense
     return out[:, 0] if squeeze else out
 
 

@@ -1,24 +1,28 @@
-"""SpGEMM oracles: the contract, executable, and the bodies it replaced.
+"""Sparse-kernel oracles: the SpGEMM contract, executable, and the bodies
+the compiled kernels replaced.
 
-``spgemm_reference`` *is* the bit contract of :func:`repro.sparse.spgemm`:
-the partial products of every output entry listed in (a-entry, b-entry)
-order by plain loops, and summed by one ``np.add.reduceat`` run — the first
-product plus numpy's pairwise sum of the rest.  ``tests/test_kernel_equivalence.py``
-holds the kernel to it with ``tobytes()`` equality.
+``spgemm_sequential`` *is* the order rule of :func:`repro.sparse.spgemm`:
+every output entry's partial products listed in (a-entry, b-entry) order by
+plain loops and summed strictly left to right from ``0.0`` (``np.add.at`` in
+order).  The kernel additionally drops exact-zero sums, so
+``tests/test_kernel_equivalence.py`` holds it with ``tobytes()`` equality to
+``spgemm_sequential(a, b).prune_zeros()``.
 
-The other three sum each entry strictly left to right from ``0.0``, which is
-another association once an entry has three or more products, so they are
-``CSRMatrix.equal(tol)`` oracles only:
+The retired bodies are ``CSRMatrix.equal(tol)`` oracles:
 
-* ``spgemm_sequential`` — the ``np.add.at`` scatter over the same ordered
-  products;
-* ``spgemm_hash`` — the retired ``hash`` backend, moved here verbatim minus
-  the selector shortcut: an open-addressing table over the flat output keys,
-  ``np.bincount`` accumulation, only the distinct keys sorted;
-* ``spgemm_scipy`` — the retired ``scipy`` backend: scipy's ``csr_matmat``,
-  which in addition *drops* every entry whose sum is exactly zero (a
-  cancellation, or products of stored zeros) where the kernel keeps an
-  explicit ``0.0``.
+* ``spgemm_esc`` — the numpy expand-sort-compress body the kernel had, moved
+  here minus the selector shortcut: ``_expand`` lists the partial products,
+  ``CSRMatrix.from_coo`` sorts them by flat key and sums each entry with one
+  ``np.add.reduceat`` run — the first product plus numpy's pairwise sum of
+  the rest, another association once an entry has three products — and it
+  keeps an explicit ``0.0`` where products cancel;
+* ``spgemm_hash`` — the retired ``hash`` backend, verbatim minus the selector
+  shortcut: an open-addressing table over the flat output keys,
+  ``np.bincount`` accumulation, only the distinct keys sorted.  A strict
+  left-to-right sum that keeps zeros: bitwise ``spgemm_sequential``.
+
+``transpose`` is the retired ``CSRMatrix.transpose``, a full ``from_coo``
+build, kept as the oracle of ``spmm(a, x, transpose=True)``.
 """
 
 from __future__ import annotations
@@ -26,16 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse import CSRMatrix
-from repro.sparse.csr import _indptr_from_rows
-from repro.sparse.spgemm import _expand
+from repro.sparse.csr import _indptr_from_rows, _ranges
 
 __all__ = [
     "ordered_products",
-    "spgemm_reference",
     "spgemm_sequential",
+    "spgemm_esc",
     "spgemm_hash",
-    "spgemm_scipy",
     "from_scipy",
+    "transpose",
 ]
 
 
@@ -59,14 +62,6 @@ def _from_entries(keys, vals, shape) -> CSRMatrix:
     )
 
 
-def spgemm_reference(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """The contract: each entry's ordered products, one ``reduceat`` run."""
-    parts = ordered_products(a, b)
-    keys = sorted(parts)
-    vals = [np.add.reduceat(np.array(parts[k]), [0])[0] for k in keys]
-    return _from_entries(keys, vals, (a.shape[0], b.shape[1]))
-
-
 def spgemm_sequential(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """Strict left-to-right sums from ``0.0``: ``np.add.at`` in order."""
     parts = ordered_products(a, b)
@@ -77,6 +72,28 @@ def spgemm_sequential(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     np.add.at(vals, np.array(order, dtype=np.int64),
               np.array([p for ps in parts.values() for p in ps]))
     return _from_entries(keys, vals, (a.shape[0], b.shape[1]))
+
+
+def _expand(a: CSRMatrix, b: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO triplets of every partial product ``A[i, j] * B[j, :]``, in
+    (a-entry, b-entry) order, duplicates not yet combined."""
+    counts = b.nnz_per_row()[a.indices]  # expansion count per A nonzero
+    take = _ranges(b.indptr[a.indices], counts)
+    rows = np.repeat(a.row_ids(), counts)
+    cols = b.indices[take]
+    vals = np.repeat(a.data, counts) * b.data[take]
+    return rows, cols, vals
+
+
+def spgemm_esc(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    """The retired expand-sort-compress body."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    out_shape = (a.shape[0], b.shape[1])
+    if a.nnz == 0 or b.nnz == 0:
+        return CSRMatrix.zeros(out_shape)
+    rows, cols, vals = _expand(a, b)
+    return CSRMatrix.from_coo(rows, cols, vals, out_shape)
 
 
 #: Fibonacci hashing multiplier (2^64 / golden ratio), the standard mixer
@@ -150,10 +167,9 @@ def from_scipy(mat) -> CSRMatrix:
     return CSRMatrix(mat.indptr, mat.indices, mat.data, mat.shape)
 
 
-def spgemm_scipy(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
-    """The retired ``scipy`` backend: scipy.sparse's compiled CSR SpGEMM."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    if a.nnz == 0 or b.nnz == 0:
-        return CSRMatrix.zeros((a.shape[0], b.shape[1]))
-    return from_scipy(a.to_scipy() @ b.to_scipy())
+def transpose(m: CSRMatrix) -> CSRMatrix:
+    """The retired ``CSRMatrix.transpose``: CSR of the transpose, built."""
+    rows, cols, vals = m.to_coo()
+    return CSRMatrix.from_coo(
+        cols, rows, vals, (m.shape[1], m.shape[0]), sum_duplicates=False
+    )

@@ -17,6 +17,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.comm import Communicator, ProcessGrid
 from repro.core import (
@@ -57,7 +58,7 @@ from reference_interpreter import (
     ReferenceInterpreter,
     reference_sample_bulk,
 )
-from reference_spgemm import spgemm_hash, spgemm_scipy
+from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
 # ``repro.sparse.spgemm`` the attribute is the function; this is the module.
 spgemm_module = importlib.import_module("repro.sparse.spgemm")
@@ -424,8 +425,8 @@ def _same_bytes(x, y):
 def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
     """A unit row selector on the left turns SpGEMM into a row gather with
     the general path's exact bytes — on duplicate and out-of-order source
-    rows, empty source rows and explicit zeros in ``b`` — and the expansion
-    is never built."""
+    rows, empty source rows and explicit zeros in ``b``, which both paths
+    drop — and scipy's product is never called."""
     adj = _graph()
     n = adj.shape[0]
     empty_rows = np.flatnonzero(adj.nnz_per_row() == 0)
@@ -446,12 +447,13 @@ def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
         want = _general_path(q, b, monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(
-                spgemm_module, "_expand",
-                lambda a, b: pytest.fail("general path ran on a selector"),
+                CSRMatrix, "to_scipy",
+                lambda self: pytest.fail("general path ran on a selector"),
             )
             got = spgemm(q, b)
         assert _same_bytes(want, got)
-        assert _same_bytes(got, b.extract_rows(rows))
+        assert _same_bytes(got, b.extract_rows(rows).prune_zeros())
+    assert spgemm(q, with_zeros).nnz < adj.extract_rows(rows).nnz
     # Selecting only empty rows gives the empty product either way.
     only_empty = SageSampler.make_q(empty_rows[:4], n)
     assert _same_bytes(
@@ -478,17 +480,44 @@ def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
         LadiesSampler.make_q(_batches(adj), n), weighted, one_empty_row,
         two_in_one_row,
     ):
-        expanded = []
-        real_expand = spgemm_module._expand
+        viewed = []
+        real_to_scipy = CSRMatrix.to_scipy
         with monkeypatch.context() as m:
             m.setattr(
-                spgemm_module, "_expand",
-                lambda a, b: expanded.append(a.nnz) or real_expand(a, b),
+                CSRMatrix, "to_scipy",
+                lambda self: viewed.append(self) or real_to_scipy(self),
             )
             out = spgemm(q, adj)
-        assert expanded == [q.nnz]
-        assert out.equal(spgemm_scipy(q, adj), 0.0)
+        assert viewed == [q, adj]
+        assert out.equal(spgemm_esc(q, adj), 0.0)
         assert _same_bytes(out, spgemm_hash(q, adj))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), n_picks=st.integers(0, 30))
+def test_one_zero_rule_for_both_spgemm_paths(seed, n_picks):
+    """Stored ``0.0`` / ``-0.0`` weights, and ``+w`` / ``-w`` entries
+    that cancel in a multi-entry row of ``Q``: the gather (GraphSAGE's unit
+    selector) and the general path (LADIES' indicator rows) both return the
+    contract's left-to-right sums with every exact zero absent."""
+    n = 24
+    rng = np.random.default_rng(seed)
+    present = rng.random((n, n)) < 0.3
+    weights = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 0.75], size=(n, n))
+    rows, cols = np.nonzero(present)
+    b = CSRMatrix(
+        np.concatenate(([0], np.cumsum(present.sum(axis=1)))), cols,
+        weights[rows, cols], (n, n),
+    )
+    q = SageSampler.make_q(rng.integers(0, n, n_picks), n)
+    q_l = LadiesSampler.make_q(
+        [rng.choice(n, 6, replace=False) for _ in range(3)], n
+    )
+    for a in (q, q_l):
+        got = spgemm(a, b)
+        got.check()
+        assert _same_bytes(got, spgemm_sequential(a, b).prune_zeros())
+        assert (got.data != 0).all()
 
 
 # --------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ import pytest
 
 from repro.sparse import CSRMatrix, sprand
 
-from reference_spgemm import from_scipy
+from reference_spgemm import from_scipy, transpose
 
 
 class TestConstruction:
@@ -66,6 +66,51 @@ class TestConstruction:
         back = from_scipy(m.to_scipy())
         assert m.equal(back)
 
+    def test_to_scipy_is_a_zero_copy_view(self, rng):
+        """Both views hold the matrix's own int64 / float64 arrays: no
+        re-cast, no copy, whatever the index range."""
+        m = sprand(20, 30, 0.1, rng)
+        for view, fmt, shape in (
+            (m.to_scipy(), "csr", (20, 30)),
+            (m.to_scipy(transpose=True), "csc", (30, 20)),
+        ):
+            assert (view.format, view.shape) == (fmt, shape)
+            for mine, theirs in zip(
+                m.buffers(), (view.indptr, view.indices, view.data)
+            ):
+                assert theirs.dtype == mine.dtype
+                assert np.shares_memory(theirs, mine)
+
+    def test_to_scipy_on_read_only_shared_memory(self, small_adj):
+        """A worker's attached adjacency (read-only shared-memory arrays)
+        is a valid operand of both products, on either side, and gives
+        the private copy's bits."""
+        from repro.parallel import SharedGraph
+        from repro.sparse import indicator_rows, spgemm, spmm
+
+        n = small_adj.shape[0]
+        q = indicator_rows([np.arange(0, 40, 3), np.arange(7, 60, 5)], n)
+        q = CSRMatrix(q.indptr, q.indices, q.data * 0.3, q.shape)
+        x = np.linspace(-1.0, 1.0, n * 3).reshape(n, 3)
+        with SharedGraph.publish(small_adj) as shared:
+            adj, handles = shared.handle.attach()
+            assert not adj.to_scipy().indices.flags.writeable
+            assert np.shares_memory(adj.to_scipy().indices, adj.indices)
+            for got, want in (
+                (spgemm(q, adj), spgemm(q, small_adj)),
+                (spgemm(adj, adj), spgemm(small_adj, small_adj)),
+            ):
+                for x1, x2 in zip(got.buffers(), want.buffers()):
+                    assert x1.tobytes() == x2.tobytes()
+            for transpose in (False, True):
+                assert (
+                    spmm(adj, x, transpose=transpose).tobytes()
+                    == spmm(small_adj, x, transpose=transpose).tobytes()
+                )
+            del adj, got, want
+            for h in handles:
+                h.close()
+
 
 class TestIntrospection:
     def test_nnz_per_row_and_row_sums(self):
@@ -99,13 +144,16 @@ class TestIntrospection:
 
 class TestStructuralOps:
     def test_transpose(self, rng):
+        """The CSC view of the transpose is the built CSR transpose."""
         m = sprand(12, 18, 0.15, rng)
-        assert np.allclose(m.transpose().to_dense(), m.to_dense().T)
-        m.transpose().check()
+        t = from_scipy(m.to_scipy(transpose=True))
+        t.check()
+        assert np.allclose(t.to_dense(), m.to_dense().T)
+        assert t.equal(transpose(m), 0.0)
 
     def test_transpose_involution(self, rng):
         m = sprand(10, 10, 0.2, rng)
-        assert m.transpose().transpose().equal(m)
+        assert transpose(transpose(m)).equal(m)
 
     def test_extract_rows_order_and_duplicates(self, rng):
         m = sprand(10, 8, 0.3, rng)
@@ -193,6 +241,8 @@ class TestStructuralOps:
         pruned = m.prune_zeros()
         assert pruned.nnz == 1
         assert pruned.to_dense()[0, 1] == 2.0
+        nan = CSRMatrix.from_coo([0, 1], [0, 1], [np.nan, 0.0], (2, 2))
+        assert nan.prune_zeros().indices.tolist() == [0]  # NaN is not zero
 
 
 class TestArithmetic:

@@ -180,29 +180,31 @@ class TestInputGrad:
     def test_model_backward_skips_layer0_propagation(
         self, conv_name, small_adj, rng, monkeypatch
     ):
-        """An L-layer backward runs L - 1 transposed SpMMs, not L."""
+        """An L-layer backward runs L - 1 transposed SpMMs, not L, and
+        builds no transpose and no COO matrix for them."""
         import repro.gnn.layers as layers_module
 
         batch = rng.choice(small_adj.shape[0], 16, replace=False)
         mb = SageSampler().sample_bulk(small_adj, [batch], (4, 3, 2), rng)[0]
         model = GNNModel(8, 16, 5, 3, rng, conv=conv_name)
         logits = model.forward(mb, rng.random((mb.input_frontier.size, 8)))
-        calls = {"spmm": 0, "transpose": 0}
-        real_spmm, real_transpose = layers_module.spmm, CSRMatrix.transpose
+        calls = {"spmm": 0, "transpose": 0, "from_coo": 0}
+        real_spmm, real_from_coo = layers_module.spmm, CSRMatrix.from_coo
 
-        def counting_spmm(a, dense):
+        def counting_spmm(a, dense, **kwargs):
             calls["spmm"] += 1
-            return real_spmm(a, dense)
+            calls["transpose"] += kwargs.get("transpose", False)
+            return real_spmm(a, dense, **kwargs)
 
-        def counting_transpose(self):
-            calls["transpose"] += 1
-            return real_transpose(self)
+        def counting_from_coo(*args, **kwargs):
+            calls["from_coo"] += 1
+            return real_from_coo(*args, **kwargs)
 
         monkeypatch.setattr(layers_module, "spmm", counting_spmm)
-        monkeypatch.setattr(CSRMatrix, "transpose", counting_transpose)
+        monkeypatch.setattr(CSRMatrix, "from_coo", counting_from_coo)
         model.zero_grad()
         assert model.backward(np.ones_like(logits)) is None
-        assert calls == {"spmm": 2, "transpose": 2}
+        assert calls == {"spmm": 2, "transpose": 2, "from_coo": 0}
         assert all(np.abs(g).sum() > 0 for g in model.gradients().values())
 
 
@@ -416,6 +418,23 @@ def _spmm_probe() -> str:
     return spmm(row, np.array([[1.0] * 9, [a] * 9])).tobytes().hex()
 
 
+#: ``_spgemm_probe()`` on the same build: ``spgemm`` runs scipy's
+#: ``csr_matmat``, whose accumulate ``sum += a * b`` an FMA-contracting
+#: build would round once.
+PINNED_SPGEMM_PROBE = "00" * 8 * 9
+
+
+def _spgemm_probe() -> str:
+    """``_spmm_probe``'s product as an SpGEMM: ``(0 + -r) + a * a`` cancels
+    to an absent entry in two roundings and leaves ``2**-60`` in one."""
+    from repro.sparse import CSRMatrix, spgemm
+
+    a = 1.0 + 2.0**-30
+    row = CSRMatrix.from_dense(np.array([[-(a * a), a]]))
+    col = CSRMatrix.from_dense(np.array([[1.0] * 9, [a] * 9]))
+    return spgemm(row, col).to_dense().tobytes().hex()
+
+
 def pinned_kernel_mismatch() -> str:
     """The probes that differ from the build the absolute pins were recorded
     on, comma-separated, or ``""``; the CI digest steps print it too."""
@@ -423,6 +442,8 @@ def pinned_kernel_mismatch() -> str:
         name
         for name, probe, pinned in (
             ("_spmm_probe (scipy's CSR kernel)", _spmm_probe, PINNED_SPMM_PROBE),
+            ("_spgemm_probe (scipy's CSR SpGEMM)", _spgemm_probe,
+             PINNED_SPGEMM_PROBE),
             ("_gemm_probe (BLAS GEMM)", _gemm_probe, PINNED_GEMM_PROBE),
         )
         if probe() != pinned
@@ -469,14 +490,19 @@ class TestTrainingBitsUnchanged:
         self, sampler, algorithm, monkeypatch
     ):
         """Portable form of the pin: the same two epochs with the reference
-        propagation — the strict left-to-right ``spmm`` oracle, input-feature
+        propagation — the strict left-to-right ``spmm`` oracle, backward's
+        transposed products through a built CSR transpose, input-feature
         gradient computed and dropped — give the same loss and weight bytes
         in this process."""
         import repro.gnn.layers as layers_module
 
+        from reference_spgemm import transpose as built_transpose
         from tests.test_spmm_layout import _left_to_right_spmm
 
         got = _train_bits(sampler, algorithm)
+
+        def reference_spmm(a, dense, *, transpose=False):
+            return _left_to_right_spmm(built_transpose(a) if transpose else a, dense)
 
         def full_backward(self, dlogits):
             g = dlogits
@@ -485,6 +511,6 @@ class TestTrainingBitsUnchanged:
                     g = self.acts[i].backward(g)
                 g = self.convs[i].backward(g)
 
-        monkeypatch.setattr(layers_module, "spmm", _left_to_right_spmm)
+        monkeypatch.setattr(layers_module, "spmm", reference_spmm)
         monkeypatch.setattr(GNNModel, "backward", full_backward)
         assert _train_bits(sampler, algorithm) == got

@@ -37,7 +37,7 @@ from repro.core.plan import LocalExecutor
 from repro.graphs import rmat
 from repro.sparse import spgemm
 
-from reference_spgemm import spgemm_hash, spgemm_scipy
+from reference_spgemm import spgemm_esc, spgemm_hash
 
 SEED = 42
 N_BATCHES = 6
@@ -105,7 +105,7 @@ def test_kernels_sample_identically(name):
     what gets sampled."""
     digests = {
         body.__name__: _run(name, body)
-        for body in (spgemm, spgemm_hash, spgemm_scipy)
+        for body in (spgemm, spgemm_esc, spgemm_hash)
     }
     assert len(set(digests.values())) == 1, digests
 

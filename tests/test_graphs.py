@@ -20,6 +20,8 @@ from repro.graphs import (
 from repro.graphs.stats import degree_histogram
 from repro.sparse import CSRMatrix
 
+from reference_spgemm import transpose
+
 
 class TestGenerators:
     def test_rmat_shape_and_validity(self, rng):
@@ -40,7 +42,7 @@ class TestGenerators:
 
     def test_rmat_undirected_is_symmetric(self, rng):
         adj = rmat(7, 4, rng, make_undirected=True)
-        assert adj.equal(adj.transpose())
+        assert adj.equal(transpose(adj))
 
     def test_rmat_validation(self, rng):
         with pytest.raises(ValueError):
@@ -60,7 +62,8 @@ class TestGenerators:
 
     def test_chung_lu_power_law(self, rng):
         adj = chung_lu(2000, 8, rng, exponent=2.2)
-        degs = np.sort(adj.nnz_per_row() + adj.transpose().nnz_per_row())[::-1]
+        in_degree = np.bincount(adj.indices, minlength=adj.shape[0])
+        degs = np.sort(adj.nnz_per_row() + in_degree)[::-1]
         assert degs[0] > 10 * max(1, degs[len(degs) // 2])  # heavy head
 
     def test_chung_lu_validation(self, rng):

@@ -17,7 +17,12 @@ replaced, which survives only here, as the oracle:
 * one emitted-and-optimized plan per ``(sampler, fanout)``;
 * a streaming server whose max in-degree grows under insertions stays
   bit-equal to ``layerwise_inference`` — the reason the old cap had to be
-  recomputed after every update.
+  recomputed after every update;
+* exact serving stays bit-equal to ``layerwise_inference`` on graphs with
+  stored ``0.0`` / ``-0.0`` weights, which SpGEMM's zero rule drops from
+  ``P`` on the gather as on the general path.  (Weights that cancel need a
+  negative entry, which keep-all SAMPLE refuses like ITS; their zero rule
+  is held at the kernel, ``tests/test_compile.py``.)
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.comm import Communicator, ProcessGrid
 from repro.core import SageSampler, batch_rng
 from repro.core.plan import SampleStep
 from repro.distributed.partitioned import PartitionedExecutor
+from repro.graphs import Graph
 from repro.partition import BlockRows
 from repro.pipeline import layerwise_inference
 from repro.serve import ServingCluster
@@ -82,6 +88,7 @@ def keep_all_cases(draw):
     present[empty] = False
     weights = rng.random((n, n)) + 0.1
     weights[rng.random((n, n)) < 0.2] = 0.0  # stored, explicit zeros
+    weights[rng.random((n, n)) < 0.05] = -0.0  # ... of either sign
     rows, cols = np.nonzero(present)
     indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1))))
     adj = CSRMatrix(indptr, cols, weights[rows, cols], (n, n))
@@ -377,3 +384,40 @@ def test_exact_serving_follows_a_growing_max_degree(
     assert int(np.argmax(graph.adj.nnz_per_row())) == second
     check(second)
     check(first)
+
+
+# --------------------------------------------------------------------- #
+# Stored zeros: absent from P on every path, invisible in the logits
+# --------------------------------------------------------------------- #
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    zeros=st.sampled_from([0.1, 0.4, 0.9]),
+    embed_budget=st.sampled_from([0.0, 65536.0]),
+)
+def test_exact_serving_equals_layerwise_inference_on_stored_zeros(
+    trained_engine, seed, zeros, embed_budget
+):
+    """The trained model over its graph's pattern with a share of the edges
+    stored as ``0.0`` or ``-0.0``: exact serving keeps the positive ones
+    (every sampled layer is a unit-weight pattern), ``layerwise_inference``
+    multiplies the zeros in, and the logits are the same bytes."""
+    engine = trained_engine
+    adj = engine.graph.adj
+    rng = np.random.default_rng(seed)
+    draw = rng.random(adj.nnz)
+    data = np.where(draw < zeros, np.where(draw < zeros / 2, -0.0, 0.0), 1.0)
+    graph = Graph(
+        name="stored-zeros",
+        adj=CSRMatrix(adj.indptr, adj.indices, data, adj.shape),
+        features=engine.graph.features,
+    )
+    reference = layerwise_inference(engine.model, graph)
+    server = ServingCluster(
+        engine.model, graph, engine.config.replace(embed_budget=embed_budget),
+        fanout=None,
+    )
+    targets = rng.choice(graph.n, 24, replace=False)
+    assert server.serve(targets).tobytes() == reference[targets].tobytes()
+    for v in targets[:4]:
+        assert server.serve(np.array([v])).tobytes() == reference[[v]].tobytes()

@@ -5,13 +5,13 @@
 
 * bitwise (``tobytes()``), with Hypothesis on weighted operands — negative
   weights, stored zeros and exact cancellations included — against
-  ``reference_spgemm.spgemm_reference``: every entry's partial products in
-  (a-entry, b-entry) order, summed by one ``np.add.reduceat`` run;
-* within ``CSRMatrix.equal``'s tolerance against the retired ``hash`` and
-  ``scipy`` bodies and the ``np.add.at`` scatter.  Those sum strictly left
-  to right from ``0.0`` (bitwise so, checked here), which is not the
-  kernel's association once an entry has three products; scipy also drops
-  the exact-zero entries the kernel keeps.
+  ``reference_spgemm.spgemm_sequential`` minus its zeros: every entry's
+  partial products in (a-entry, b-entry) order, summed strictly left to
+  right from ``0.0``, exact-zero sums absent;
+* within ``CSRMatrix.equal``'s tolerance against the retired ``esc`` and
+  ``hash`` bodies.  ``hash`` is a left-to-right sum too (bitwise so, checked
+  here) but keeps exact zeros; ``esc`` keeps them and sums an entry's third
+  and later products pairwise.
 
 The random operands are weighted on purpose: products of unit weights sum
 exact integers, and any order would pass.
@@ -28,15 +28,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSRMatrix, get_kernel, sddmm, spgemm, spmm, sprand
 
-from reference_spgemm import (
-    spgemm_hash,
-    spgemm_reference,
-    spgemm_scipy,
-    spgemm_sequential,
-)
+from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
-#: The kernel and the retired bodies, by the names they were selected by.
-BODIES = {"esc": spgemm, "hash": spgemm_hash, "scipy": spgemm_scipy}
+#: The kernel and the retired bodies, by the names they were selected by
+#: (the kernel is scipy's ``csr_matmat``).
+BODIES = {"esc": spgemm_esc, "hash": spgemm_hash, "scipy": spgemm}
 
 
 def _same_bytes(x: CSRMatrix, y: CSRMatrix) -> bool:
@@ -85,19 +81,20 @@ def csr_pairs(draw, max_dim: int = 14, max_nnz: int = 60):
 @given(csr_pairs())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_spgemm_matches_reference_bitwise(pair):
-    """Order and zeros: the kernel's bytes are the contract's."""
+    """Order and zeros: the kernel's bytes are the contract's — the
+    left-to-right sums, exact zeros dropped."""
     a, b = pair
     out = spgemm(a, b)
     out.check()
-    assert _same_bytes(out, spgemm_reference(a, b))
+    assert _same_bytes(out, spgemm_sequential(a, b).prune_zeros())
 
 
 @given(csr_pairs())
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_spgemm_backends_agree(pair):
-    """The retired bodies and the sequential scatter agree within
-    tolerance — and among themselves bitwise, once scipy's dropped zeros
-    are accounted for: they are all left-to-right sums."""
+    """The retired bodies agree with the kernel within tolerance; the
+    ``hash`` body is the sequential scatter bitwise, zeros kept, and the
+    ``esc`` body stores exactly the entries the scatter does."""
     a, b = pair
     ref = spgemm(a, b)
     sequential = spgemm_sequential(a, b)
@@ -107,29 +104,47 @@ def test_spgemm_backends_agree(pair):
         assert out.shape == ref.shape
         assert out.equal(ref, 1e-9), name
     assert _same_bytes(spgemm_hash(a, b), sequential)
-    assert _same_bytes(spgemm_scipy(a, b), sequential.prune_zeros())
+    esc = spgemm_esc(a, b)
+    assert esc.indptr.tobytes() == sequential.indptr.tobytes()
+    assert esc.indices.tobytes() == sequential.indices.tobytes()
 
 
-def test_three_products_are_not_summed_left_to_right():
-    """The association clause, pinned: ``x1 + (x2 + x3)`` (first product
-    plus numpy's pairwise rest), where a left-to-right sum rounds
-    ``(1e16 + 1) + 1`` back to ``1e16``."""
+def test_three_products_are_summed_left_to_right():
+    """The order clause, pinned: ``(1e16 + 1) + 1`` rounds back to
+    ``1e16`` left to right, where the retired ``esc`` body's first product
+    plus numpy's pairwise rest, ``1e16 + (1 + 1)``, kept the ``2``."""
     a = CSRMatrix.from_dense(np.ones((1, 3)))
     b = CSRMatrix.from_dense(np.array([[1e16], [1.0], [1.0]]))
-    assert spgemm(a, b).data.tolist() == [1e16 + 2.0]
+    assert spgemm(a, b).data.tolist() == [1e16]
     assert spgemm_sequential(a, b).data.tolist() == [1e16]
-    assert spgemm_scipy(a, b).data.tolist() == [1e16]
+    assert spgemm_esc(a, b).data.tolist() == [1e16 + 2.0]
 
 
-def test_scipy_drops_the_zeros_the_kernel_keeps():
-    """A cancellation and a product of stored zeros: the kernel keeps an
-    explicit ``0.0`` for each, scipy's ``csr_matmat`` stores neither."""
+def test_the_kernel_drops_exact_zero_sums():
+    """The zero clause: a cancellation and a product of stored zeros are
+    both absent from the kernel's output — on the general path and on the
+    gather, which drops ``b``'s stored ``0.0`` and ``-0.0`` — where the
+    retired ``esc`` body kept an explicit ``0.0`` for each."""
     a = CSRMatrix.from_coo([0, 0, 1], [0, 1, 2], [1.0, -1.0, 0.0], (2, 3))
     b = CSRMatrix.from_coo([0, 1, 2], [0, 0, 1], [2.0, 2.0, 5.0], (3, 2))
-    out = spgemm(a, b)
-    assert (out.indices.tolist(), out.data.tolist()) == ([0, 1], [0.0, 0.0])
-    assert spgemm_scipy(a, b).nnz == 0
-    assert out.equal(spgemm_scipy(a, b))
+    assert spgemm(a, b).nnz == 0
+    esc = spgemm_esc(a, b)
+    assert (esc.indices.tolist(), esc.data.tolist()) == ([0, 1], [0.0, 0.0])
+    assert esc.equal(spgemm(a, b))
+    stored = CSRMatrix(
+        np.array([0, 3, 4]), np.array([0, 1, 2, 1]),
+        np.array([0.0, 3.0, -0.0, 0.0]), (2, 3),
+    )
+    selector = CSRMatrix.identity(2)
+    gathered = spgemm(selector, stored)
+    assert (gathered.indptr.tolist(), gathered.indices.tolist()) == (
+        [0, 1, 1], [1],
+    )
+    weighted = CSRMatrix(selector.indptr, selector.indices, [1.0, 2.0], (2, 2))
+    assert spgemm(weighted, stored).indptr.tolist() == [0, 1, 1]
+    stored.data[3] = np.nan  # not a zero: both paths keep it
+    for left in (selector, weighted):
+        assert spgemm(left, stored).indptr.tolist() == [0, 1, 2]
 
 
 @given(csr_pairs())
@@ -169,7 +184,7 @@ class TestSeededSweep:
                 a = sprand(m, k, density, rng)
                 b = sprand(k, n, density, rng)
                 ref = spgemm(a, b)
-                assert _same_bytes(ref, spgemm_reference(a, b))
+                assert _same_bytes(ref, spgemm_sequential(a, b).prune_zeros())
                 for name, body in BODIES.items():
                     out = body(a, b)
                     out.check()
@@ -221,7 +236,7 @@ class TestSeededSweep:
         from repro.sparse import col_selector
 
         q_c = col_selector(sampled, 400)
-        ref = spgemm_reference(a_r, q_c)
+        ref = spgemm_sequential(a_r, q_c)
         out = BODIES[kernel](a_r, q_c)
         out.check()
         assert out.equal(ref, 1e-9)
@@ -248,12 +263,14 @@ class TestHashKernelInternals:
 
     def test_hash_matches_esc_exactly_on_integers(self):
         """Integer-valued data: all summation orders are exact, so the
-        hash body must match the kernel bit for bit, not just within tol."""
+        hash body must match the esc body and the kernel bit for bit, not
+        just within tol."""
         rng = np.random.default_rng(11)
         for _ in range(30):
             m, k, n = rng.integers(1, 25, 3)
             a = sprand(m, k, 0.3, rng, values="ones")
             b = sprand(k, n, 0.3, rng, values="ones")
+            assert _same_bytes(spgemm_hash(a, b), spgemm_esc(a, b))
             assert _same_bytes(spgemm_hash(a, b), spgemm(a, b))
 
     def test_high_collision_table(self):

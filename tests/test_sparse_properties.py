@@ -5,7 +5,17 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sparse import CSRMatrix, row_normalize, spgemm, spmm, vstack
+from repro.sparse import (
+    CSRMatrix,
+    col_selector,
+    row_normalize,
+    row_selector,
+    spgemm,
+    spmm,
+    vstack,
+)
+
+from reference_spgemm import transpose
 
 
 @st.composite
@@ -50,8 +60,25 @@ def test_from_coo_matches_dense_accumulation(args):
 @given(csr_matrices())
 @settings(max_examples=60, deadline=None)
 def test_transpose_involution(m):
-    assert m.transpose().transpose().equal(m)
-    assert np.allclose(m.transpose().to_dense(), m.to_dense().T)
+    assert transpose(transpose(m)).equal(m)
+    assert np.allclose(transpose(m).to_dense(), m.to_dense().T)
+    assert np.array_equal(m.to_scipy(transpose=True).toarray(), m.to_dense().T)
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_col_selector_is_the_row_selector_transpose(n, data):
+    """``Q_C`` built directly is bitwise the transpose it replaced, on
+    unsorted, duplicate and empty vertex lists."""
+    vertices = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), max_size=20)), dtype=np.int64
+    )
+    got = col_selector(vertices, n)
+    got.check()
+    want = transpose(row_selector(vertices, n))
+    assert got.shape == want.shape
+    for x, y in zip(got.buffers(), want.buffers()):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 @given(csr_matrices(max_dim=8), csr_matrices(max_dim=8))

@@ -9,6 +9,10 @@ training losses and the pinned serving digests are functions of these bits.
 moved to the compiled kernel, kept verbatim; it sums each row as ``first +
 numpy-pairwise(rest)``, another association, so it is held at ``allclose``.
 
+The transposed product (``spmm(a, x, transpose=True)``, scipy's CSC kernel
+over ``a``'s own arrays) is held bitwise to the row-major product with the
+built transpose it replaced in the backward pass.
+
 The two Hypothesis properties at the end are the serving contract itself: a
 row's bits do not depend on which other rows are in the product, nor a
 feature column's on which other columns are.
@@ -21,6 +25,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse import CSRMatrix, spmm
+
+from reference_spgemm import transpose
 
 #: Upper target, in float64 elements (8 MiB), for the ``(f, nnz_slab)``
 #: product temporary of ``_reduceat_spmm``.
@@ -112,6 +118,40 @@ def test_bitwise_equal_under_hypothesis(degrees, n_features, seed):
     rng = np.random.default_rng(seed)
     a = _csr(rng, degrees, 48)
     _assert_same_bits(a, rng.standard_normal((48, n_features)))
+
+
+# ---------------------------------------------------------------------- #
+# Property: the transposed product sums source rows in ascending order
+# ---------------------------------------------------------------------- #
+@settings(max_examples=80, deadline=None)
+@given(
+    degrees=st.lists(st.integers(0, 40), min_size=0, max_size=30),
+    n_features=st.integers(0, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_transposed_bitwise_equal_to_the_built_transpose(
+    degrees, n_features, seed
+):
+    """``a.T @ x`` element ``(c, k)`` is the left-to-right sum over rows
+    ``r`` of column ``c`` in ascending order: the CSR transpose's entry
+    order, so the bits of ``spmm(transpose(a), x)`` — 2-D and 1-D."""
+    rng = np.random.default_rng(seed)
+    a = _csr(rng, degrees, 48)
+    a.data[rng.random(a.nnz) < 0.1] = 0.0
+    x = rng.standard_normal((len(degrees), n_features))
+    got = spmm(a, x, transpose=True)
+    assert got.flags.c_contiguous and got.shape == (48, n_features)
+    assert got.tobytes() == spmm(transpose(a), x).tobytes()
+    assert got.tobytes() == _left_to_right_spmm(transpose(a), x).tobytes()
+    v = rng.standard_normal(len(degrees))
+    assert spmm(a, v, transpose=True).tobytes() == spmm(transpose(a), v).tobytes()
+
+
+def test_transposed_inner_dimension_is_checked(rng):
+    a = _csr(rng, [1, 2, 1], 4)
+    with pytest.raises(ValueError, match=r"inner dimensions differ: \(4, 3\)"):
+        spmm(a, np.ones((4, 2)), transpose=True)
+    assert spmm(a, np.ones((3, 2)), transpose=True).shape == (4, 2)
 
 
 # ---------------------------------------------------------------------- #
