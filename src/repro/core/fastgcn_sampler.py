@@ -24,7 +24,28 @@ from ..sparse import CSRMatrix, row_normalize
 from .ladies_sampler import LadiesSampler
 from .plan import ExtractStep, ProbStep, SampleStep, SamplingPlan
 
-__all__ = ["FastGCNSampler"]
+__all__ = ["FastGCNSampler", "squared_column_norms", "norm_distribution"]
+
+
+def squared_column_norms(adj: CSRMatrix) -> np.ndarray:
+    """``||A(:, v)||_2^2`` for every column ``v`` of ``adj``, as float64.
+
+    ``np.bincount`` with weights adds each column's squares strictly in
+    entry order from ``0.0``, one pass — what ``np.add.at`` computed, bit
+    for bit, without its per-element loop.
+    """
+    sq = np.bincount(adj.indices, weights=adj.data**2, minlength=adj.shape[1])
+    return sq.astype(np.float64, copy=False)  # no entries: bincount's int64
+
+
+def norm_distribution(col_sq: np.ndarray) -> CSRMatrix:
+    """Squared column norms as a normalized ``1 x n`` CSR row (zeros not
+    stored): FastGCN's global importance distribution."""
+    cols = np.flatnonzero(col_sq)
+    row = CSRMatrix.from_coo(
+        np.zeros(cols.size, dtype=np.int64), cols, col_sq[cols], (1, col_sq.size)
+    )
+    return row_normalize(row)
 
 
 class FastGCNSampler(LadiesSampler):
@@ -39,14 +60,7 @@ class FastGCNSampler(LadiesSampler):
         ``q(v) ∝ ||A(:, v)||_2^2``, i.e. the squared column norms; for a
         binary adjacency this is the in-degree of ``v``.
         """
-        col_sq = np.zeros(adj.shape[1], dtype=np.float64)
-        if adj.nnz:
-            np.add.at(col_sq, adj.indices, adj.data**2)
-        cols = np.flatnonzero(col_sq)
-        row = CSRMatrix.from_coo(
-            np.zeros(cols.size, dtype=np.int64), cols, col_sq[cols], (1, adj.shape[1])
-        )
-        return row_normalize(row)
+        return norm_distribution(squared_column_norms(adj))
 
     def plan(self, fanout: Sequence[int]) -> SamplingPlan:
         """Per layer: stack ``k`` copies of the global importance row (no

@@ -6,13 +6,27 @@ columns per row, exactly the SAMPLE step of the paper's Algorithm 1:
 
 1. prefix-sum each row's values,
 2. draw uniforms and binary-search them into the prefix sums,
-3. repeat on the not-yet-chosen entries until ``s`` distinct columns per
-   row are selected (or the row runs out of nonzeros).
+3. zero the entries just chosen and repeat, drawing only what each row
+   still lacks, until ``s`` distinct columns per row are selected (or the
+   row runs out of positive nonzeros).
 
 Everything is vectorized across all rows at once — one global cumulative
 sum and one batched ``searchsorted`` per round — which is the bulk-sampling
 amortization the paper exploits (many minibatches stacked into ``P`` share
 the same kernel launches).
+
+*What a round costs.*  The prefix sum is the only pass over every nonzero
+that a round repeats; the rest is state carried from round to round: the
+per-row targets are computed once (``np.diff(indptr)`` when every entry is
+positive), the live masses are ``P``'s own values in round 1 and one copy
+afterwards in which each round zeroes only its fresh picks, and the per-row
+counts grow by the fresh picks alone.  The *global* ``cumsum`` over every
+row is kept on purpose: it is what decides the bits — each uniform is
+scaled into a row's slice of that sum — so the mask and the generator state
+afterwards are a pure function of ``P``, ``s`` and the generator.
+Restricting later rounds to the rows still short of ``s`` would shorten
+the sum and change the last bits of the targets, so it needs a written
+per-row contract first; it is not done here.
 
 :func:`gumbel_topk_rows` offers an equivalent single-pass alternative
 (exponential races / Gumbel top-k), used in tests as a statistical
@@ -29,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import CSRMatrix
-from ..sparse.csr import _indptr_from_rows
+from ..sparse.csr import _masked_indptr
 
 __all__ = [
     "its_sample_rows",
@@ -70,25 +84,33 @@ def its_select_mask(
     if p.nnz == 0:
         return np.zeros(0, dtype=bool)
 
-    row_ids = p.row_ids()
-    selected = np.zeros(p.nnz, dtype=bool)
+    indptr, row_start, row_end = p.indptr, p.indptr[:-1], p.indptr[1:]
     # Target distinct picks per row: min(s, positive nonzeros in the row).
     positive = p.data > 0
-    pos_per_row = np.bincount(row_ids[positive], minlength=n_rows)
+    if positive.all():
+        pos_per_row = np.diff(indptr)
+    else:
+        pos_per_row = np.diff(_masked_indptr(indptr, positive))
     target = np.minimum(s, pos_per_row)
 
+    selected = np.zeros(p.nnz, dtype=bool)
     have = np.zeros(n_rows, dtype=np.int64)
+    live = p.data  # round 1 reads P itself; a copy before the first write
+    fresh = None  # the last round's new picks, still live in ``live``
+    cums = np.empty(p.nnz)  # every round's prefix sum, in one buffer
+    stamp = None  # scratch: which draw last landed on each entry
     for _ in range(1 if replace else _MAX_ROUNDS):
         need = target - have
         todo = np.flatnonzero(need > 0)
         if todo.size == 0:
             break
+        if fresh is not None:
+            if live is p.data:
+                live = p.data.copy()
+            live[fresh] = 0.0
         # Mass of the not-yet-selected entries, cumulated globally; row
         # boundaries are recovered through indptr so one cumsum serves all rows.
-        live = np.where(selected, 0.0, p.data)
-        cums = np.cumsum(live)
-        row_end = p.indptr[1:]
-        row_start = p.indptr[:-1]
+        np.cumsum(live, out=cums)
         base = np.where(row_start > 0, cums[row_start - 1], 0.0)
         mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
 
@@ -98,12 +120,23 @@ def its_select_mask(
         targets = base[draw_rows] + u * mass[draw_rows]
         picks = np.searchsorted(cums, targets, side="left")
         # Guard against floating-point landing exactly on a row boundary.
-        picks = np.minimum(picks, p.indptr[draw_rows + 1] - 1)
-        picks = np.maximum(picks, p.indptr[draw_rows])
-        selected[picks] = True
-        have = np.bincount(row_ids[selected], minlength=n_rows)
+        picks = np.minimum(picks, indptr[draw_rows + 1] - 1)
+        picks = np.maximum(picks, indptr[draw_rows])
         if replace:
+            selected[picks] = True
             break
+        # A draw is fresh when its entry was not selected before this round
+        # and it is the draw the stamp table kept for that entry: one per
+        # distinct new entry, whichever duplicate wrote last.
+        if stamp is None:
+            stamp = np.empty(p.nnz, dtype=np.int64)
+        draw = np.arange(picks.size)
+        stamp[picks] = draw
+        new = ~selected[picks]
+        new &= stamp[picks] == draw
+        fresh = picks[new]
+        selected[fresh] = True
+        have += np.bincount(draw_rows[new], minlength=n_rows)
     else:
         raise RuntimeError("ITS failed to converge; is P malformed?")
 
@@ -115,11 +148,9 @@ def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:
     if selected.size == 0:
         return CSRMatrix.zeros(p.shape)
     # Column order within a row follows the original CSR order (sorted).
+    indptr = _masked_indptr(p.indptr, selected)
     return CSRMatrix(
-        _indptr_from_rows(p.row_ids()[selected], p.shape[0]),
-        p.indices[selected],
-        np.ones(int(selected.sum())),
-        p.shape,
+        indptr, p.indices[selected], np.ones(int(indptr[-1])), p.shape
     )
 
 

@@ -69,6 +69,7 @@ import numpy as np
 
 from ..obs.trace import get_tracer, plan_step_name
 from ..sparse import CSRMatrix, vstack
+from ..sparse.csr import _masked_indptr
 from .frontier import LayerSample, MinibatchSample
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -344,12 +345,10 @@ def _block_selection(
     """(row pointer, columns) of the selected entries in rows [lo, hi)."""
     a, b = int(p.indptr[lo]), int(p.indptr[hi])
     block_sel = sel[a:b]
-    local_rows = np.repeat(
-        np.arange(hi - lo, dtype=np.int64), np.diff(p.indptr[lo : hi + 1])
-    )[block_sel]
-    indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-    np.cumsum(np.bincount(local_rows, minlength=hi - lo), out=indptr[1:])
-    return indptr, p.indices[a:b][block_sel]
+    return (
+        _masked_indptr(p.indptr[lo : hi + 1], block_sel),
+        p.indices[a:b][block_sel],
+    )
 
 
 def sampled_rows_from_mask(
@@ -641,7 +640,7 @@ class LocalExecutor:
             self.visited = [self.frontier]
         p, sel = self.p_sampled, self.sel
         nxt = self.frontier.copy()
-        moved = np.bincount(p.row_ids()[sel], minlength=p.shape[0]) > 0
+        moved = np.diff(_masked_indptr(p.indptr, sel)) > 0
         nxt[moved] = p.indices[sel]
         self.visited.append(nxt)
         self.dst_lists = [

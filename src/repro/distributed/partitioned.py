@@ -47,6 +47,7 @@ from ..core import (
     reassemble_round_robin,
     step_phase,
 )
+from ..core.fastgcn_sampler import norm_distribution, squared_column_norms
 from ..core.plan import (
     ExtractStep,
     FusedSampleExtractStep,
@@ -59,7 +60,7 @@ from ..core.plan import (
     run_steps,
 )
 from ..partition.block1d import BlockRows
-from ..sparse import CSRMatrix, row_normalize, row_selector, spgemm
+from ..sparse import CSRMatrix, row_selector, spgemm
 from .instrument import sample_norm_flops
 from .spgemm_15d import spgemm_15d
 
@@ -210,10 +211,7 @@ class PartitionedExecutor:
         local_sq = []
         for row in range(self.n_rows):
             blk = self.a_blocks.blocks[row]
-            sq = np.zeros(self.n, dtype=np.float64)
-            if blk.nnz:
-                np.add.at(sq, blk.indices, blk.data**2)
-            local_sq.append(sq)
+            local_sq.append(squared_column_norms(blk))
             _charge_row(
                 self.comm, self.grid, row,
                 flops=2.0 * blk.nnz, nbytes=16.0 * blk.nnz,
@@ -221,13 +219,7 @@ class PartitionedExecutor:
         col_sq = None
         for j in range(self.grid.c):
             col_sq = self.comm.allreduce(local_sq, self.grid.col_ranks(j))
-        cols = np.flatnonzero(col_sq)
-        return row_normalize(
-            CSRMatrix.from_coo(
-                np.zeros(cols.size, dtype=np.int64), cols, col_sq[cols],
-                (1, self.n),
-            )
-        )
+        return norm_distribution(col_sq)
 
     # ------------------------------------------------------------------ #
     # SAMPLE: row-local (section 5.2.2)

@@ -135,7 +135,13 @@ class SAGEConv(_ConvBase):
             return None
         dh_src = spmm(adj, dy @ self.params["W_neigh"].T, transpose=True)
         if h_dst is not None:
-            np.add.at(dh_src, dst_pos, dy @ self.params["W_self"].T)
+            d_self = dy @ self.params["W_self"].T
+            if np.bincount(dst_pos).max(initial=0) <= 1:
+                # Distinct positions (distinct dst_ids into the sorted unique
+                # src): one add per row, np.add.at's bits without its loop.
+                dh_src[dst_pos] += d_self
+            else:  # a destination listed twice gets both rows, in order
+                np.add.at(dh_src, dst_pos, d_self)
         return dh_src
 
     def infer(self, layer: LayerSample, h_src: np.ndarray) -> np.ndarray:

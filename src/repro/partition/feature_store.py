@@ -46,10 +46,6 @@ class FeatureStore:
         """Process row owning each vertex's feature row."""
         return np.searchsorted(self.starts, vertex_ids, side="right") - 1
 
-    def local_rows(self, process_row: int) -> np.ndarray:
-        """Global vertex range stored by one process row."""
-        return np.arange(self.starts[process_row], self.starts[process_row + 1])
-
     def wire_bytes(self, n_rows: int) -> float:
         """Bytes on the wire for ``n_rows`` feature rows."""
         return float(n_rows * self.n_features * self.bytes_per_value)

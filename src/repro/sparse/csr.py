@@ -312,7 +312,7 @@ class CSRMatrix:
         new_id = np.cumsum(mask, dtype=np.int64) - 1
         keep = mask[self.indices]
         return CSRMatrix(
-            _indptr_from_rows(self.row_ids()[keep], self.shape[0]),
+            _masked_indptr(self.indptr, keep),
             new_id[self.indices[keep]],
             self.data[keep],
             (self.shape[0], int(mask.sum())),
@@ -326,8 +326,12 @@ class CSRMatrix:
         """Drop stored entries with ``|value| <= tol`` (a NaN is kept, as
         scipy's products keep it)."""
         keep = ~(np.abs(self.data) <= tol)
-        indptr = _indptr_from_rows(self.row_ids()[keep], self.shape[0])
-        return CSRMatrix(indptr, self.indices[keep], self.data[keep], self.shape)
+        return CSRMatrix(
+            _masked_indptr(self.indptr, keep),
+            self.indices[keep],
+            self.data[keep],
+            self.shape,
+        )
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -376,12 +380,24 @@ def _indptr_from_rows(rows: np.ndarray, n_rows: int) -> np.ndarray:
     return indptr
 
 
+def _masked_indptr(indptr: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """CSR row pointer of the entries ``mask`` keeps.
+
+    ``indptr`` lays rows over ``mask`` (``mask[0]`` is entry ``indptr[0]``,
+    so a row block's slice of a row pointer works as it is).  A prefix count
+    of ``mask`` read at the row boundaries: no per-entry row ids.
+    """
+    kept = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=kept[1:])
+    return kept[indptr - indptr[0]]
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(start, start+count)`` for each pair, vectorized."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    out = np.repeat(starts, counts)
-    offsets = np.arange(total, dtype=np.int64)
-    offsets -= np.repeat(np.cumsum(counts) - counts, counts)
-    return out + offsets
+    # Entry j of pair i is start_i + (j - first slot of pair i): one repeat.
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(total, dtype=np.int64)
+    return out

@@ -140,33 +140,25 @@ def row_normalize(mat: CSRMatrix) -> CSRMatrix:
     Division is done directly (not via a reciprocal) so rows with subnormal
     sums normalize cleanly instead of overflowing to inf.
     """
-    sums = mat.row_sums()
-    if mat.nnz == 0:
-        return mat.copy()
-    row_sums = sums[mat.row_ids()]
-    data = np.divide(
-        mat.data, row_sums, out=np.zeros_like(mat.data), where=row_sums != 0
-    )
-    return CSRMatrix(mat.indptr.copy(), mat.indices.copy(), data, mat.shape)
+    return row_normalize_inplace(mat.copy())
 
 
 def row_normalize_inplace(mat: CSRMatrix) -> CSRMatrix:
     """:func:`row_normalize`, overwriting ``mat.data`` instead of copying.
 
-    Bit-identical values to :func:`row_normalize` (same divide, same
-    zero-sum-row handling); only the copies of ``indptr``/``indices``/
-    ``data`` are skipped.  Callers must own ``mat`` — the fused PROB+NORM
-    kernel does, since the probability product it normalizes is freshly
-    computed.
+    Bit-identical values to :func:`row_normalize` (which runs this on a
+    copy).  Callers must own ``mat`` — the fused PROB+NORM kernel does,
+    since the probability product it normalizes is freshly computed.
     """
     if mat.nnz == 0:
         return mat
-    sums = mat.row_sums()
-    row_sums = sums[mat.row_ids()]
-    nonzero = row_sums != 0
-    np.divide(mat.data, row_sums, out=mat.data, where=nonzero)
+    # One row-id expansion serves the per-row sum and its gather back.
+    rows = mat.row_ids()
+    entry_sums = np.bincount(rows, weights=mat.data, minlength=mat.shape[0])[rows]
+    nonzero = entry_sums != 0
+    np.divide(mat.data, entry_sums, out=mat.data, where=nonzero)
     if not nonzero.all():
-        # Match row_normalize's out=np.zeros_like: untouched lanes are 0.
+        # Zero-sum rows (the divide skipped them) come out all 0.0.
         mat.data[~nonzero] = 0.0
     return mat
 

@@ -1,0 +1,82 @@
+"""Oracles for the SAMPLE path's rewritten kernels: the retired bodies.
+
+* ``its_select_mask`` — the ITS body that rebuilt its state every round:
+  per-entry row ids, a ``bincount`` of the positive entries, ``live`` rebuilt
+  by ``np.where`` and the per-row counts re-counted over the whole mask.
+  :func:`repro.core.its.its_select_mask` carries that state instead and must
+  return the same mask *and* leave its generator in the same state, bitwise.
+* ``ranges`` — ``repro.sparse.csr._ranges`` in its two-``repeat`` form.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.sparse import CSRMatrix
+
+__all__ = ["its_select_mask", "ranges"]
+
+_MAX_ROUNDS = 256
+
+
+def its_select_mask(
+    p: CSRMatrix,
+    s: int,
+    rng: np.random.Generator,
+    *,
+    replace: bool = False,
+) -> np.ndarray:
+    """The retired ITS selection mask, verbatim."""
+    if s <= 0:
+        raise ValueError(f"sample count s must be positive, got {s}")
+    if np.any(p.data < 0):
+        raise ValueError("P must be non-negative to be sampled")
+    n_rows = p.shape[0]
+    if p.nnz == 0:
+        return np.zeros(0, dtype=bool)
+
+    row_ids = p.row_ids()
+    selected = np.zeros(p.nnz, dtype=bool)
+    positive = p.data > 0
+    pos_per_row = np.bincount(row_ids[positive], minlength=n_rows)
+    target = np.minimum(s, pos_per_row)
+
+    have = np.zeros(n_rows, dtype=np.int64)
+    for _ in range(1 if replace else _MAX_ROUNDS):
+        need = target - have
+        todo = np.flatnonzero(need > 0)
+        if todo.size == 0:
+            break
+        live = np.where(selected, 0.0, p.data)
+        cums = np.cumsum(live)
+        row_end = p.indptr[1:]
+        row_start = p.indptr[:-1]
+        base = np.where(row_start > 0, cums[row_start - 1], 0.0)
+        mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
+
+        counts = need[todo] if not replace else np.full(todo.size, s)
+        draw_rows = np.repeat(todo, counts)
+        u = rng.random(draw_rows.size)
+        targets = base[draw_rows] + u * mass[draw_rows]
+        picks = np.searchsorted(cums, targets, side="left")
+        picks = np.minimum(picks, p.indptr[draw_rows + 1] - 1)
+        picks = np.maximum(picks, p.indptr[draw_rows])
+        selected[picks] = True
+        have = np.bincount(row_ids[selected], minlength=n_rows)
+        if replace:
+            break
+    else:
+        raise RuntimeError("ITS failed to converge; is P malformed?")
+
+    return selected
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)``: the two-``repeat`` form."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    out = np.repeat(starts, counts)
+    offsets = np.arange(total, dtype=np.int64)
+    offsets -= np.repeat(np.cumsum(counts) - counts, counts)
+    return out + offsets

@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import LayerSample, MinibatchSample, SageSampler
 from repro.gnn import (
@@ -151,6 +152,38 @@ class TestConvGradients:
         conv.params["W_self"][...] = 99.0
         assert np.allclose(conv.forward(layer, h), out)
 
+    def test_sampled_dst_positions_are_unique(self, small_adj, rng):
+        """Every layer a SAGE bulk hands the model has distinct ``dst_pos``
+        (distinct destinations into a sorted unique frontier), so the
+        backward self term scatters with one plain add per row."""
+        from repro.gnn import SAGEConv
+
+        batches = [rng.choice(small_adj.shape[0], 12, replace=False) for _ in range(3)]
+        for mb in SageSampler().sample_bulk(small_adj, batches, (4, 3), rng):
+            for layer in mb.layers:
+                pos = SAGEConv._dst_positions(layer)
+                assert pos is not None
+                assert np.unique(pos).size == pos.size
+
+    def test_sage_gradcheck_with_a_repeated_destination(self, rng):
+        """A destination listed twice (a hand-built layer) gets both rows'
+        self-term gradient: the scatter falls back to ``np.add.at``."""
+        from repro.gnn import SAGEConv
+
+        src, dst = np.array([1, 2, 3, 4]), np.array([2, 4, 2])
+        dense = np.array([[1.0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
+        layer = LayerSample(CSRMatrix.from_dense(dense), src, dst)
+        conv = SAGEConv(4, 3, rng)
+        h = rng.random((layer.n_src, 4))
+        target = rng.random((layer.n_dst, 3))
+
+        def loss():
+            return 0.5 * np.sum((conv.forward(layer, h) - target) ** 2)
+
+        conv.zero_grad()
+        dh = conv.backward(conv.forward(layer, h) - target)
+        assert np.allclose(dh, numeric_grad(loss, h), atol=1e-5)
+
     def test_shape_validation(self, rng):
         from repro.gnn import SAGEConv
 
@@ -158,6 +191,29 @@ class TestConvGradients:
         conv = SAGEConv(4, 3, rng)
         with pytest.raises(ValueError):
             conv.forward(layer, np.ones((layer.n_src + 1, 4)))
+
+
+@given(st.integers(1, 30), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unique_scatter_is_add_at_bitwise(n_src, width, data):
+    """``x[pos] += g`` on distinct positions is ``np.add.at(x, pos, g)``,
+    bit for bit: one addition per touched row either way."""
+    pos = np.array(
+        data.draw(st.lists(st.integers(0, n_src - 1), unique=True)),
+        dtype=np.int64,
+    )
+    floats = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    x = np.array(
+        data.draw(st.lists(floats, min_size=n_src * width, max_size=n_src * width))
+    ).reshape(n_src, width)
+    g = np.array(
+        data.draw(st.lists(floats, min_size=pos.size * width, max_size=pos.size * width))
+    ).reshape(pos.size, width)
+    want = x.copy()
+    np.add.at(want, pos, g)
+    got = x.copy()
+    got[pos] += g
+    assert got.tobytes() == want.tobytes()
 
 
 class TestInputGrad:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import gumbel_topk_rows, its_flops, its_sample_rows
+from repro.core import SageSampler, gumbel_topk_rows, its_flops, its_sample_rows
+from repro.core.its import its_select_mask
 from repro.sparse import CSRMatrix, row_normalize, sprand
+
+import reference_its
 
 
 class TestBasics:
@@ -162,3 +165,98 @@ def test_property_counts_and_support(n_rows, s, seed):
     assert np.all(support[rows, cols])
     per_row_support = support.sum(axis=1)
     assert np.array_equal(q.nnz_per_row(), np.minimum(s, per_row_support))
+
+
+# ---------------------------------------------------------------------- #
+# The kernel that carries its state between rounds == the retired body
+# ---------------------------------------------------------------------- #
+#: Weights that make rounds and duplicates: exact zeros, a heavy entry
+#: beside tiny ones (the heavy one is drawn again and again), equal weights.
+_WEIGHTS = st.sampled_from([0.0, 0.0, 1e-9, 0.25, 1.0, 1.0, 3.0, 1e6]) | st.floats(
+    0, 10, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def sampling_inputs(draw, max_rows: int = 10, max_cols: int = 14):
+    """A non-negative ``P`` with explicit ``0.0`` entries and empty rows."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    indptr, indices, data = [0], [], []
+    for _ in range(n_rows):
+        cols = sorted(
+            draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols))
+        )
+        indices += cols
+        data += draw(st.lists(_WEIGHTS, min_size=len(cols), max_size=len(cols)))
+        indptr.append(len(indices))
+    p = CSRMatrix(np.array(indptr), np.array(indices), np.array(data), (n_rows, n_cols))
+    p.check()
+    # s from 1 to past the longest row: near the degree means many rounds.
+    s = draw(st.integers(1, n_cols + 2))
+    return p, s
+
+
+def _run(select, p, s, seed, **kw):
+    """(mask bytes or the error's type, the generator state afterwards)."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = select(p, s, rng, **kw).tobytes()
+    except RuntimeError as err:  # no progress: both must give up alike
+        out = type(err)
+    return out, rng.bit_generator.state
+
+
+@given(sampling_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_carried_state_matches_the_retired_body(args, replace, seed):
+    """Same mask, bitwise, and the same generator state afterwards."""
+    p, s = args
+    before = p.data.copy()
+    p.data.flags.writeable = False  # P is read, never written (shm operands)
+    got = _run(its_select_mask, p, s, seed, replace=replace)
+    assert got == _run(reference_its.its_select_mask, p, s, seed, replace=replace)
+    assert p.data.tobytes() == before.tobytes()
+
+
+@given(sampling_inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_batch_blocks_match_the_retired_body(args, data):
+    """``sample_stacked_mask`` with one generator per row block: each block
+    is the retired body on that block, under its own stream."""
+    p, s = args
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, p.shape[0]), max_size=3))
+    )
+    bounds = np.array([0, *cuts, p.shape[0]])
+    seeds = data.draw(
+        st.lists(
+            st.integers(0, 2**32 - 1),
+            min_size=len(bounds) - 1, max_size=len(bounds) - 1,
+        )
+    )
+    blocks = [
+        p.row_block(int(bounds[i]), int(bounds[i + 1]))
+        for i in range(len(seeds))
+    ]
+    want = [_run(reference_its.its_select_mask, b, s, x) for b, x in zip(blocks, seeds)]
+    rngs = [np.random.default_rng(x) for x in seeds]
+    if any(mask is RuntimeError for mask, _ in want):
+        with pytest.raises(RuntimeError):
+            SageSampler().sample_stacked_mask(p, s, rngs, bounds)
+        return
+    got = SageSampler().sample_stacked_mask(p, s, rngs, bounds)
+    assert got.tobytes() == b"".join(mask for mask, _ in want)
+    assert [g.bit_generator.state for g in rngs] == [state for _, state in want]
+
+
+def test_duplicate_heavy_rows_take_many_rounds():
+    """One heavy entry beside tiny ones: the rounds re-draw it many times
+    and the carried counts must still land on exactly ``s`` per row."""
+    w = np.array([[1e6] + [1e-3] * 9] * 4)
+    p = CSRMatrix.from_dense(w)
+    for seed in range(5):
+        got = _run(its_select_mask, p, 9, seed)
+        assert got == _run(reference_its.its_select_mask, p, 9, seed)
+        mask = np.frombuffer(got[0], dtype=bool)
+        assert np.array_equal(np.diff(np.r_[0, np.cumsum(mask)][p.indptr]), [9] * 4)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     FastGCNSampler,
@@ -12,6 +13,7 @@ from repro.core import (
     MinibatchSample,
     SageSampler,
 )
+from repro.core.fastgcn_sampler import squared_column_norms
 from repro.sparse import CSRMatrix, indicator_rows, row_selector, spgemm
 
 
@@ -209,6 +211,27 @@ class TestFastGCNSampler:
         expected = (dense**2).sum(axis=0)
         expected = expected / expected.sum()
         assert np.allclose(imp, expected)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9),
+                st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-170]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_squared_column_norms_are_add_at_bitwise(self, entries):
+        """``bincount(weights=)`` adds in entry order from 0.0, as the
+        ``np.add.at`` it replaced did: same bits, any order of columns."""
+        cols = np.array([c for c, _ in entries], dtype=np.int64)
+        vals = np.array([v for _, v in entries], dtype=np.float64)
+        want = np.zeros(10)
+        np.add.at(want, cols, vals**2)
+        adj = CSRMatrix(np.array([0, cols.size]), cols, vals, (1, 10))
+        got = squared_column_norms(adj)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_extraction_completeness(self, small_adj, batches, rng):
         out = FastGCNSampler().sample_bulk(small_adj, batches, (16,), rng)

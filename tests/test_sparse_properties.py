@@ -14,7 +14,9 @@ from repro.sparse import (
     spmm,
     vstack,
 )
+from repro.sparse.csr import _indptr_from_rows, _masked_indptr, _ranges
 
+import reference_its
 from reference_spgemm import transpose
 
 
@@ -150,3 +152,51 @@ def test_add_commutes(m):
     right = other.add(m).to_dense()
     assert np.allclose(left, right)
     assert np.allclose(left, 0.5 * m.to_dense())
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=12)
+)
+@settings(max_examples=100, deadline=None)
+def test_ranges_is_the_two_repeat_form(pairs):
+    """``_ranges`` with one ``repeat`` is bitwise its two-``repeat`` form."""
+    starts = np.array([s for s, _ in pairs], dtype=np.int64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    got, want = _ranges(starts, counts), reference_its.ranges(starts, counts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(csr_matrices(max_dim=10), st.data())
+@settings(max_examples=100, deadline=None)
+def test_extract_rows_is_the_two_repeat_gather(m, data):
+    """The selector-gather's row copy, on repeated and reordered rows."""
+    rows = np.array(
+        data.draw(st.lists(st.integers(0, m.shape[0] - 1), max_size=15)),
+        dtype=np.int64,
+    )
+    got = m.extract_rows(rows)
+    got.check()
+    starts, counts = m.indptr[rows], m.indptr[rows + 1] - m.indptr[rows]
+    take = reference_its.ranges(starts, counts)
+    assert got.indices.tobytes() == m.indices[take].tobytes()
+    assert got.data.tobytes() == m.data[take].tobytes()
+
+
+@given(csr_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_masked_indptr_is_the_row_id_count(m, data):
+    """The prefix-count row pointer equals the row-id ``bincount`` one, on
+    the whole matrix and on a row block's slice of its ``indptr``."""
+    mask = np.array(
+        data.draw(st.lists(st.booleans(), min_size=m.nnz, max_size=m.nnz)),
+        dtype=bool,
+    )
+    want = _indptr_from_rows(m.row_ids()[mask], m.shape[0])
+    assert _masked_indptr(m.indptr, mask).tobytes() == want.tobytes()
+    lo = data.draw(st.integers(0, m.shape[0]))
+    hi = data.draw(st.integers(lo, m.shape[0]))
+    a, b = m.indptr[lo], m.indptr[hi]
+    block = m.row_block(lo, hi)
+    want = _indptr_from_rows(block.row_ids()[mask[a:b]], hi - lo)
+    got = _masked_indptr(m.indptr[lo : hi + 1], mask[a:b])
+    assert got.tobytes() == want.tobytes()
