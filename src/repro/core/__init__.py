@@ -10,20 +10,12 @@ from .bulk import (
     chunk_bulks,
     reassemble_round_robin,
 )
-from .compile import (
-    eliminate_dead_steps,
-    fuse_prob_norm,
-    fuse_sample_extract,
-    optimize,
-)
 from .fastgcn_sampler import FastGCNSampler
 from .frontier import LayerSample, MinibatchSample
-from .its import gumbel_topk_rows, its_flops, its_sample_rows
+from .its import its_flops, its_sample_rows
 from .ladies_sampler import LadiesSampler
 from .plan import (
     ExtractStep,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -51,14 +43,7 @@ __all__ = [
     "ExtractStep",
     "step_phase",
     "LocalExecutor",
-    "FusedProbNormStep",
-    "FusedSampleExtractStep",
-    "eliminate_dead_steps",
-    "fuse_prob_norm",
-    "fuse_sample_extract",
-    "optimize",
     "its_sample_rows",
-    "gumbel_topk_rows",
     "its_flops",
     "chunk_bulks",
     "assign_round_robin",

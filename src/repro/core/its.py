@@ -28,7 +28,7 @@ Restricting later rounds to the rows still short of ``s`` would shorten
 the sum and change the last bits of the targets, so it needs a written
 per-row contract first; it is not done here.
 
-:func:`gumbel_topk_rows` offers an equivalent single-pass alternative
+:func:`gumbel_select_mask` offers an equivalent single-pass alternative
 (exponential races / Gumbel top-k), used in tests as a statistical
 cross-check and available as an optional sampler backend.
 
@@ -49,8 +49,6 @@ __all__ = [
     "its_sample_rows",
     "its_select_mask",
     "keep_all_mask",
-    "keep_all_rows",
-    "gumbel_topk_rows",
     "gumbel_select_mask",
     "its_flops",
 ]
@@ -70,7 +68,7 @@ def its_select_mask(
     Draws exactly the same uniforms in the same order as
     :func:`its_sample_rows` (which is this function plus a CSR build), so
     the two are interchangeable under a fixed seed.  The mask form is what
-    the fused SAMPLE+EXTRACT kernels consume — extraction reads the
+    the executor's EXTRACT handlers consume — extraction reads the
     selected entries straight out of ``p`` without materializing the
     intermediate ``Q^{l-1}`` CSR.
 
@@ -166,11 +164,6 @@ def keep_all_mask(p: CSRMatrix) -> np.ndarray:
     return p.data > 0
 
 
-def keep_all_rows(p: CSRMatrix) -> CSRMatrix:
-    """:func:`keep_all_mask` as the binary sampled ``Q^{l-1}``."""
-    return _mask_to_csr(p, keep_all_mask(p))
-
-
 def its_sample_rows(
     p: CSRMatrix,
     s: int,
@@ -193,10 +186,13 @@ def its_sample_rows(
 def gumbel_select_mask(
     p: CSRMatrix, s: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Gumbel top-k selection as a boolean mask over ``p``'s nonzeros.
+    """Weighted sampling without replacement via the Gumbel top-k trick, as
+    a boolean mask over ``p``'s nonzeros.
 
-    Same draws in the same order as :func:`gumbel_topk_rows`; see
-    :func:`its_select_mask` for the mask contract.
+    Draws the same distribution as sequential ITS without replacement, in a
+    single vectorized pass: each nonzero gets the key ``log(w) + Gumbel``;
+    the ``s`` largest keys per row win.  See :func:`its_select_mask` for the
+    mask contract.
     """
     if s <= 0:
         raise ValueError(f"sample count s must be positive, got {s}")
@@ -215,18 +211,6 @@ def gumbel_select_mask(
     pos = np.arange(p.nnz, dtype=np.int64)
     ranks[order] = pos - np.repeat(starts, np.diff(p.indptr))
     return (ranks < s) & (p.data > 0)
-
-
-def gumbel_topk_rows(
-    p: CSRMatrix, s: int, rng: np.random.Generator
-) -> CSRMatrix:
-    """Weighted sampling without replacement via the Gumbel top-k trick.
-
-    Draws the same distribution as sequential ITS without replacement, in a
-    single vectorized pass: each nonzero gets the key ``log(w) + Gumbel``;
-    the ``s`` largest keys per row win.
-    """
-    return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
 
 
 def its_flops(p: CSRMatrix, s: int | None) -> int:

@@ -109,7 +109,8 @@ class LadiesSampler(MatrixSampler):
         return row_normalize(squared)
 
     def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """Fused-NORM variant: square + normalize without the copies.
+        """In-place NORM, what executors run: square + normalize without
+        the copies.
 
         ``np.power(x, 2)`` is exactly what ``x**2`` computes, so the data
         values match :meth:`norm` bit for bit.

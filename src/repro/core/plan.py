@@ -5,10 +5,10 @@ extra step kind, GraphSAINT) are the *same* matrix program — PROB (an
 SpGEMM), NORM, SAMPLE (inverse transform sampling), EXTRACT — differing
 only in how each step is parameterized.  This module makes that claim
 operational: a :class:`MatrixSampler` *emits* a declarative
-:class:`SamplingPlan`, :func:`repro.core.compile.optimize` rewrites it
-(dead steps dropped, adjacent steps fused), and :class:`LocalExecutor` runs
-it — optimized or as emitted.  It is the one holder of Algorithm 1's state
-and step bodies.  The 1.5D grid of Algorithm 2
+:class:`SamplingPlan` of those four step types, and :class:`LocalExecutor`
+runs it as emitted — there is no optimizer between the two.  The executor
+is the one holder of Algorithm 1's state and step bodies.  The 1.5D grid of
+Algorithm 2
 (:class:`~repro.distributed.partitioned.PartitionedExecutor`) drives one
 ``LocalExecutor`` per process row and substitutes distributed SpGEMMs for
 the products of ``A``, which is why the three steps that consume such a
@@ -29,7 +29,11 @@ Step vocabulary (paper mapping)
     or ``"global"`` (a batch-independent importance row from A's column
     norms — FastGCN; no per-layer SpGEMM).
 ``NormStep``
-    ``P = NORM(P)`` — the sampler's row-local normalization.
+    ``P = NORM(P)`` — the sampler's row-local normalization, always run in
+    place (:meth:`~repro.core.sampler_base.MatrixSampler.norm_inplace`):
+    the ``P`` an executor holds is always its own — a fresh product, a
+    fresh stack of the importance row, or what an earlier in-place NORM
+    left — and nothing reads the values a NORM overwrites.
 ``SampleStep``
     ``SAMPLE(P, count | all)`` — ITS/Gumbel, ``count`` draws per row; or,
     with ``count=None``, *keep every positive entry* of the row: the
@@ -41,11 +45,6 @@ Step vocabulary (paper mapping)
     column extraction, section 4.2.4), ``"walk"`` (advance random-walk
     positions — GraphSAINT's inner step), or ``"subgraph"`` (induce ``A``
     on the visited set and emit all layers — GraphSAINT's EXTRACT).
-``FusedProbNormStep`` / ``FusedSampleExtractStep``
-    What :func:`~repro.core.compile.optimize` makes of an adjacent
-    ``PROB, NORM`` / ``SAMPLE, EXTRACT`` pair: one step (one kernel launch
-    in the cost model) that an executor runs as the composition of the two
-    plain handlers, normalizing the fresh product in place.
 
 Mask dataflow
 -------------
@@ -54,8 +53,10 @@ boolean mask over the nonzeros of the ``P`` it drew from
 (:meth:`~repro.core.sampler_base.MatrixSampler.sample_stacked_mask`) and a
 reference to that ``P`` — a later PROB may replace the executor's current
 ``P`` — and every EXTRACT kind reads the selected entries straight out of
-the pair.  ``tests/reference_interpreter.py`` keeps the step-by-step
-interpreter that does materialize ``Q^{l-1}``; the differential suite
+the pair: its ``indices`` and the mask, never its ``data``, so a NORM
+between SAMPLE and EXTRACT may normalize that ``P`` in place.
+``tests/reference_interpreter.py`` keeps the step-by-step interpreter that
+does materialize ``Q^{l-1}`` (and copies on NORM); the differential suite
 holds the executor, locally and on the grid, byte-equal to it.
 """
 
@@ -80,8 +81,6 @@ __all__ = [
     "NormStep",
     "SampleStep",
     "ExtractStep",
-    "FusedProbNormStep",
-    "FusedSampleExtractStep",
     "Step",
     "SamplingPlan",
     "step_phase",
@@ -172,60 +171,11 @@ class ExtractStep:
             raise ValueError("subgraph extraction needs n_layers >= 1")
 
 
-@dataclass(frozen=True)
-class FusedProbNormStep(ProbStep):
-    """``PROB`` immediately followed by ``NORM``, as one step.
-
-    The executor normalizes the probability product in place (it owns the
-    freshly computed matrix), producing the values of the copying ``norm``
-    without the copy.  Subclassing :class:`ProbStep` keeps plan validation
-    and :func:`step_phase` working unchanged: the whole step is attributed
-    to the ``probability`` phase.
-    """
-
-    display_name = "PROB+NORM"
-
-
-@dataclass(frozen=True)
-class FusedSampleExtractStep(SampleStep):
-    """``SAMPLE`` immediately followed by a non-subgraph ``EXTRACT``.
-
-    Runs as SAMPLE then ``extract``; the step as a whole belongs to the
-    ``sampling`` phase (via the :class:`SampleStep` base), and an executor
-    that charges a clock attributes the EXTRACT half to ``extraction``.
-    """
-
-    extract: ExtractStep
-
-    display_name = "SAMPLE+EXTRACT"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.extract, ExtractStep):
-            raise TypeError(f"extract must be an ExtractStep, got {self.extract!r}")
-        if self.extract.kind == "subgraph":
-            raise ValueError(
-                "subgraph extraction reads the walk history, not the "
-                "sampled entries — it cannot fuse with SAMPLE"
-            )
-
-    def describe_args(self) -> list[str]:
-        return super().describe_args() + self.extract.describe_args()
-
-
-Step = Union[
-    ProbStep,
-    NormStep,
-    SampleStep,
-    ExtractStep,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
-]
+Step = Union[ProbStep, NormStep, SampleStep, ExtractStep]
 
 
 def step_phase(step: Step) -> str:
-    """The Figure-7 phase a step's work is attributed to, by step type
-    (a fused step counts as its first half)."""
+    """The Figure-7 phase a step's work is attributed to, by step type."""
     if isinstance(step, ProbStep):
         return "probability"
     if isinstance(step, (NormStep, SampleStep)):
@@ -291,9 +241,8 @@ class SamplingPlan:
     def describe(self) -> str:
         """One line per step: ``phase  STEP(args)`` — for docs and debug.
 
-        Fused steps (from :func:`repro.core.compile.optimize`) render under
-        their own display names (``PROB+NORM``, ``SAMPLE+EXTRACT``) so an
-        optimized program shows its fusions.
+        A plan runs as emitted, so this is exactly what executes: four
+        lines per layer for the node- and layer-wise samplers.
         """
         return "\n".join(
             f"{step_phase(step):<12} {plan_step_name(step)}"
@@ -493,23 +442,20 @@ class LocalExecutor:
         ]
 
     def _dispatch(self, step: Step) -> None:
-        if isinstance(step, FusedSampleExtractStep):
-            self.sample(step)
-            self.extract(step.extract)
-        elif isinstance(step, ProbStep):
+        if isinstance(step, ProbStep):
             q = self.prob_q(step)
             if q is None and self.importance is None:
                 self.importance = self.sampler.importance_row(self.adj)
-            self.take_p(step, None if q is None else self.spgemm(q, self.adj))
+            self.take_p(None if q is None else self.spgemm(q, self.adj))
         elif isinstance(step, NormStep):
-            self.p = self.sampler.norm(self.p)
+            self.p = self.sampler.norm_inplace(self.p)
         elif isinstance(step, SampleStep):
             self.sample(step)
         else:
             self.extract(step)
 
     # ------------------------------------------------------------------ #
-    # PROB (+ in-place NORM)
+    # PROB
     # ------------------------------------------------------------------ #
     def prob_q(self, step: ProbStep) -> CSRMatrix | None:
         """PROB's state half: set ``bounds`` (and, node-wise, the walk
@@ -524,16 +470,11 @@ class LocalExecutor:
             return self.sampler.make_q(self.dst_lists, self.n)
         return None
 
-    def take_p(self, step: ProbStep, p: CSRMatrix | None) -> None:
-        """PROB's product half: ``p`` is ``Q A`` for the :meth:`prob_q`
-        ``Q``, or ``None`` to stack :attr:`importance`."""
-        if p is None:
-            p = vstack([self.importance] * self.k)
-        if isinstance(step, FusedProbNormStep):
-            # Fresh product (or fresh stack of the importance row): ours
-            # to overwrite.
-            p = self.sampler.norm_inplace(p)
-        self.p = p
+    def take_p(self, p: CSRMatrix | None) -> None:
+        """PROB's product half: ``p`` is a fresh ``Q A`` for the
+        :meth:`prob_q` ``Q``, or ``None`` to stack :attr:`importance` —
+        either way a matrix this executor owns, which NORM overwrites."""
+        self.p = vstack([self.importance] * self.k) if p is None else p
 
     # ------------------------------------------------------------------ #
     # SAMPLE

@@ -68,7 +68,8 @@ class SageSampler(MatrixSampler):
         return row_normalize(p)
 
     def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """Fused-NORM variant: same divide, no copy (see MatrixSampler)."""
+        """In-place NORM, what executors run: same divide, no copy (see
+        MatrixSampler)."""
         return row_normalize_inplace(p)
 
     def extract_batch_layer(

@@ -18,7 +18,7 @@ step is shared (ITS, with a Gumbel backend option) and lives in
 :mod:`repro.core.its`.
 
 Execution is an executor concern, not a sampler concern:
-:meth:`MatrixSampler.sample_bulk` hands the optimized plan to
+:meth:`MatrixSampler.sample_bulk` hands the emitted plan to
 :class:`~repro.core.plan.LocalExecutor`, and the partitioned driver
 (:mod:`repro.distributed`) runs the *same* executor once per process row,
 feeding it distributed SpGEMMs for the ``Q^l A`` products — so sampler
@@ -33,17 +33,10 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ..sparse import CSRMatrix, spgemm, vstack
-from .compile import optimize
+from ..sparse import CSRMatrix, spgemm
 from .frontier import MinibatchSample
-from .its import (
-    gumbel_select_mask,
-    gumbel_topk_rows,
-    its_sample_rows,
-    its_select_mask,
-    keep_all_mask,
-    keep_all_rows,
-)
+from .its import gumbel_select_mask, its_select_mask, keep_all_mask
+from .its import its_sample_rows  # benchmarks/e2e/trace.py wraps it by this name
 from .plan import LocalExecutor, SamplingPlan
 
 __all__ = ["MatrixSampler", "SpGEMMFn", "RngSpec"]
@@ -76,8 +69,15 @@ class MatrixSampler(ABC):
         if sample_backend not in ("its", "gumbel"):
             raise ValueError(f"unknown sample backend {sample_backend!r}")
         self.sample_backend = sample_backend
-        # fanout tuple -> optimized plan; see optimized_plan().
+        # fanout tuple -> emitted plan; see emitted_plan().
         self._plans: dict[tuple, SamplingPlan | None] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # An in-place NORM is written against one ``norm``: a subclass that
+        # overrides ``norm`` alone must not run the parent's in-place twin.
+        if "norm" in vars(cls) and "norm_inplace" not in vars(cls):
+            cls.norm_inplace = MatrixSampler.norm_inplace
 
     # ------------------------------------------------------------------ #
     # Algorithm-1 pieces
@@ -87,37 +87,27 @@ class MatrixSampler(ABC):
         """NORM(P): turn the raw ``Q A`` product into per-row distributions."""
 
     def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """NORM(P) overwriting ``p`` — what a fused PROB+NORM step runs.
+        """NORM(P) overwriting ``p`` — what every executor's NORM step runs.
 
-        Called only on probability matrices the executor freshly computed
-        (and therefore owns).  Must produce bit-identical values to
-        :meth:`norm`; the base delegates to it (copying), so overriding is
-        a pure optimization samplers opt into.
+        ``p`` is always the executor's own: a fresh ``Q A`` product, a
+        fresh stack of the importance row, or an earlier in-place NORM's
+        result.  Must produce bit-identical values to :meth:`norm`; the base
+        delegates to it (copying), so overriding is a pure optimization
+        samplers opt into — and a subclass that overrides :meth:`norm`
+        without overriding this method gets the copying base back.
         """
         return self.norm(p)
-
-    def sample(
-        self, p: CSRMatrix, s: int | None, rng: np.random.Generator
-    ) -> CSRMatrix:
-        """SAMPLE(P, s): ``min(s, nnz)`` distinct columns per row of ``p``.
-
-        ``s=None`` keeps every positive entry — what either backend selects
-        at any ``s`` at or above the largest row — without drawing: ``rng``
-        is not touched.
-        """
-        if s is None:
-            return keep_all_rows(p)
-        if self.sample_backend == "gumbel":
-            return gumbel_topk_rows(p, s, rng)
-        return its_sample_rows(p, s, rng)
 
     def sample_mask(
         self, p: CSRMatrix, s: int | None, rng: np.random.Generator
     ) -> np.ndarray:
-        """:meth:`sample` as a boolean mask over ``p``'s nonzeros.
+        """SAMPLE(P, s) as a boolean mask over ``p``'s nonzeros:
+        ``min(s, nnz)`` distinct columns per row.
 
-        Identical draws in identical order (the CSR build is the only
-        thing skipped) — the form the executor's EXTRACT handlers read.
+        ``s=None`` keeps every positive entry — what either backend selects
+        at any ``s`` at or above the largest row — without drawing: ``rng``
+        is not touched.  The mask is the form the executor's EXTRACT
+        handlers read (``Q^{l-1}`` is never built).
         """
         if s is None:
             return keep_all_mask(p)
@@ -145,36 +135,6 @@ class MatrixSampler(ABC):
             raise TypeError("per-batch rngs must be numpy Generators")
         return rngs
 
-    def sample_stacked(
-        self,
-        p: CSRMatrix,
-        s: int,
-        rng: RngSpec,
-        bounds: Sequence[int] | np.ndarray,
-    ) -> CSRMatrix:
-        """SAMPLE on a stacked ``P`` whose row blocks belong to batches.
-
-        With a single generator this is exactly :meth:`sample` (one stream
-        consumed across the whole stack).  With per-batch generators
-        (a list from :meth:`_normalize_rng`) each block
-        ``bounds[i]:bounds[i+1]`` is sampled from its own stream, so a
-        batch's draws do not depend on what else happens to be stacked with
-        it.  Rows are independent under ITS/Gumbel, so the distribution is
-        identical either way.
-        """
-        if isinstance(rng, np.random.Generator):
-            return self.sample(p, s, rng)
-        if len(rng) != len(bounds) - 1:
-            raise ValueError(
-                f"need one rng per row block: got {len(rng)} for "
-                f"{len(bounds) - 1} blocks"
-            )
-        parts = [
-            self.sample(p.row_block(int(bounds[i]), int(bounds[i + 1])), s, g)
-            for i, g in enumerate(rng)
-        ]
-        return vstack(parts)
-
     def sample_stacked_mask(
         self,
         p: CSRMatrix,
@@ -182,12 +142,18 @@ class MatrixSampler(ABC):
         rng: RngSpec,
         bounds: Sequence[int] | np.ndarray,
     ) -> np.ndarray:
-        """:meth:`sample_stacked` as a mask over ``p``'s nonzeros.
+        """SAMPLE on a stacked ``P`` whose row blocks belong to batches, as
+        a mask over ``p``'s nonzeros.
 
-        Per-batch generators sample each zero-copy row block separately
-        (consuming each stream exactly as :meth:`sample_stacked` does) and
-        the block masks concatenate back into ``p``'s global nonzero
-        order, since the blocks tile ``p``'s nnz contiguously.
+        With a single generator this is exactly :meth:`sample_mask` (one
+        stream consumed across the whole stack).  With per-batch generators
+        (a list from :meth:`_normalize_rng`) each zero-copy row block
+        ``bounds[i]:bounds[i+1]`` is sampled from its own stream, so a
+        batch's draws do not depend on what else happens to be stacked with
+        it, and the block masks concatenate back into ``p``'s global
+        nonzero order, since the blocks tile ``p``'s nnz contiguously.
+        Rows are independent under ITS/Gumbel, so the distribution is
+        identical either way.
         """
         if isinstance(rng, np.random.Generator):
             return self.sample_mask(p, s, rng)
@@ -234,17 +200,17 @@ class MatrixSampler(ABC):
                     f"mode: sampler 'sage')"
                 )
 
-    def optimized_plan(
+    def emitted_plan(
         self, fanout: Sequence[int | None]
     ) -> SamplingPlan | None:
-        """:func:`~repro.core.compile.optimize` of :meth:`plan`, built once
-        per distinct fanout and kept on the sampler.
+        """:meth:`plan` for ``fanout``, emitted once per distinct fanout and
+        kept on the sampler — the program every executor runs as is.
 
         The program a fanout emits cannot change over a sampler's life
         (plans depend on construction-time attributes only), so the
-        emission, its dataflow validation and the optimizer passes are paid
-        on first use — by :meth:`sample_bulk` or by anything that only
-        wants to count the steps that will run.
+        emission and its dataflow validation are paid on first use — by
+        :meth:`sample_bulk` or by anything that only wants to count the
+        steps that will run.
         """
         key = tuple(fanout)
         try:
@@ -253,8 +219,6 @@ class MatrixSampler(ABC):
             program = self.plan(
                 tuple(None if s is None else int(s) for s in key)
             )
-            if program is not None:
-                program = optimize(program)
             self._plans[key] = program
             return program
 
@@ -284,14 +248,14 @@ class MatrixSampler(ABC):
         runs :func:`~repro.sparse.spgemm`; cost recorders pass their own
         wrapper.
 
-        The default implementation runs :meth:`optimized_plan` (the
-        emitted :meth:`plan` after :func:`repro.core.compile.optimize`,
-        memoized per fanout) on the single-device
-        :class:`~repro.core.plan.LocalExecutor`; samplers without a plan
-        must override this method instead.
+        The default implementation runs :meth:`emitted_plan` (the emitted
+        :meth:`plan`, memoized per fanout) as is on the single-device
+        :class:`~repro.core.plan.LocalExecutor`, whose NORM normalizes the
+        probability product in place (:meth:`norm_inplace`); samplers
+        without a plan must override this method instead.
         """
         self._validate(adj, batches, fanout)
-        program = self.optimized_plan(fanout)
+        program = self.emitted_plan(fanout)
         if program is None:
             raise TypeError(
                 f"{type(self).__name__} emits no sampling plan; implement "

@@ -5,10 +5,9 @@ into ``p/c`` block rows on a ``p/c x c`` process grid, with each block row
 replicated ``c`` times.  Section 5.2 is Algorithm 1 with distributed
 SpGEMMs substituted for the ``Q^l A`` and row-extraction products; NORM,
 SAMPLE and the rest of EXTRACT are row-local (sections 5.2.1-5.2.3).  The
-code says the same: :class:`PartitionedExecutor` runs the plan the sampler
-emits (after :func:`~repro.core.compile.optimize`, as everywhere) by
-driving one :class:`~repro.core.plan.LocalExecutor` per batch-owning
-process row, and does only what the grid adds:
+code says the same: :class:`PartitionedExecutor` runs the plan as the
+sampler emits it by driving one :class:`~repro.core.plan.LocalExecutor`
+per batch-owning process row, and does only what the grid adds:
 
 * the products — ``PROB`` as the sparsity-aware 1.5D SpGEMM of Algorithm 2
   (:func:`~repro.distributed.spgemm_15d.spgemm_15d`) or the all-reduced
@@ -23,8 +22,9 @@ There is no per-algorithm code: any sampler with a plan — including
 registry plugins and GraphSAINT — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
 ``sampling`` / ``extraction``), derived from the step types via
-:func:`~repro.core.plan.step_phase`; a fused ``SAMPLE+EXTRACT`` step
-charges its second half to ``extraction``.
+:func:`~repro.core.plan.step_phase`.  NORM is charged with its SAMPLE
+(:func:`~repro.distributed.instrument.sample_norm_flops`), so the row
+executors' in-place NORM adds no charge of its own.
 
 Randomness is one independent stream per minibatch, keyed by the *global*
 batch index (:func:`~repro.core.bulk.batch_rng`) — the same discipline the
@@ -45,12 +45,10 @@ from ..core import (
     assign_round_robin,
     batch_rng,
     reassemble_round_robin,
-    step_phase,
 )
 from ..core.fastgcn_sampler import norm_distribution, squared_column_norms
 from ..core.plan import (
     ExtractStep,
-    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -158,12 +156,6 @@ class PartitionedExecutor:
                 ex._dispatch(step)
         elif isinstance(step, SampleStep):
             self._sample(step)
-            if isinstance(step, FusedSampleExtractStep):
-                # The driver opened this step's phase ("sampling"); Figure
-                # 7's extraction bar still gets the EXTRACT half (phases
-                # nest).
-                with self.comm.phase(step_phase(step.extract)):
-                    self._extract(step.extract)
         else:
             self._extract(step)
 
@@ -201,7 +193,7 @@ class PartitionedExecutor:
                 self.a_blocks, sparsity_aware=self.sparsity_aware,
             )
         for row, ex in self.executors.items():
-            ex.take_p(step, products[row])
+            ex.take_p(products[row])
 
     def _importance_row(self) -> CSRMatrix:
         """FastGCN-style global importance: each block row contributes its
@@ -363,7 +355,7 @@ def partitioned_bulk_sampling(
     registry plugins alike); a sampler without a plan raises ``TypeError``
     because there is nothing to distribute.
     """
-    plan_fn = getattr(sampler, "optimized_plan", None)
+    plan_fn = getattr(sampler, "emitted_plan", None)
     plan = plan_fn(fanout) if callable(plan_fn) else None
     if plan is None:
         raise TypeError(

@@ -1,7 +1,7 @@
 """Graph dataset substrate: containers, generators and paper stand-ins."""
 
 from .datasets import PAPER_DATASETS, DatasetSpec, dataset_names, load_dataset
-from .generators import chung_lu, erdos_renyi, planted_partition, rmat
+from .generators import erdos_renyi, planted_partition, rmat
 from .graph import Graph
 from .io import load_graph, save_graph
 from .stats import GraphStats, summarize, table3_rows
@@ -12,7 +12,6 @@ __all__ = [
     "load_graph",
     "rmat",
     "erdos_renyi",
-    "chung_lu",
     "planted_partition",
     "DatasetSpec",
     "PAPER_DATASETS",

@@ -2,8 +2,8 @@
 
 These stand in for the paper's datasets (OGB Products/Papers100M, HipMCL
 Protein).  R-MAT reproduces the skewed degree
-distributions of real web/citation graphs, Chung-Lu gives direct control of
-the degree-law exponent, Erdos-Renyi provides a flat control, and the
+distributions of real web/citation graphs, Erdos-Renyi provides a flat
+control, and the
 planted-partition generator produces learnable community structure for the
 accuracy experiments (paper section 8.1.3).
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 
-__all__ = ["rmat", "erdos_renyi", "chung_lu", "planted_partition"]
+__all__ = ["rmat", "erdos_renyi", "planted_partition"]
 
 
 def _dedupe_and_build(
@@ -77,31 +77,6 @@ def erdos_renyi(
     rows = rng.integers(0, n, size=m)
     cols = rng.integers(0, n, size=m)
     return _dedupe_and_build(rows, cols, n)
-
-
-def chung_lu(
-    n: int,
-    avg_degree: float,
-    rng: np.random.Generator,
-    *,
-    exponent: float = 2.5,
-) -> CSRMatrix:
-    """Power-law graph: vertex weights ``w_i ~ i^{-1/(exponent-1)}``.
-
-    Edges are drawn with endpoint probabilities proportional to the weights,
-    giving an expected degree sequence following the power law.
-    """
-    if exponent <= 1:
-        raise ValueError("exponent must exceed 1")
-    if n <= 0 or avg_degree <= 0:
-        raise ValueError("n and avg_degree must be positive")
-    weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))
-    probs = weights / weights.sum()
-    m = int(round(n * avg_degree))
-    rows = rng.choice(n, size=m, p=probs)
-    cols = rng.choice(n, size=m, p=probs)
-    perm = rng.permutation(n)
-    return _dedupe_and_build(perm[rows], perm[cols], n)
 
 
 def planted_partition(

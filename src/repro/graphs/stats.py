@@ -1,10 +1,8 @@
-"""Dataset statistics: the Table 3 summary and degree-distribution probes."""
+"""Dataset statistics: the Table 3 summary."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .datasets import PAPER_DATASETS
 from .graph import Graph
@@ -66,16 +64,3 @@ def table3_rows(batch_size: int = 1024) -> list[dict[str, object]]:
             }
         )
     return rows
-
-
-def degree_histogram(graph: Graph, bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Log-spaced degree histogram (counts, bin_edges) for skew inspection."""
-    degs = graph.out_degrees()
-    degs = degs[degs > 0]
-    if degs.size == 0:
-        return np.zeros(bins, dtype=np.int64), np.arange(bins + 1, dtype=np.float64)
-    edges = np.unique(
-        np.logspace(0, np.log10(degs.max() + 1), bins + 1).astype(np.int64)
-    )
-    counts, edges = np.histogram(degs, bins=edges)
-    return counts, edges

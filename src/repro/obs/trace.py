@@ -250,11 +250,9 @@ def maybe_span(name: str, **kwargs) -> Iterator[Span | None]:
 
 
 def plan_step_name(step) -> str:
-    """Display name of a plan step: ``PROB``, ``SAMPLE+EXTRACT``, ..."""
-    return getattr(
-        step, "display_name",
-        type(step).__name__.removesuffix("Step").upper(),
-    )
+    """Display name of a plan step, from its type: ``PROB``, ``NORM``,
+    ``SAMPLE`` or ``EXTRACT``."""
+    return type(step).__name__.removesuffix("Step").upper()
 
 
 # ------------------------------------------------------------------ #

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
+from ..core.plan import ExtractStep, NormStep, ProbStep, SampleStep, SamplingPlan
 from ..core.sage_sampler import SageSampler
 from ..gnn.model import GNNModel
 from ..graphs import Graph
@@ -41,7 +42,35 @@ from ..sparse import spmm_flops
 from .cache import EmbeddingCache, ServeStats
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
 
-__all__ = ["Replica"]
+__all__ = ["Replica", "kernel_launches"]
+
+
+def kernel_launches(plan: SamplingPlan) -> int:
+    """Kernel launches the serving cost model charges for one run of
+    ``plan``: one per pass over a probability matrix.
+
+    * a PROB launches its product; a NORM right after it normalizes that
+      product in place, in the same pass;
+    * a SAMPLE launches its draw; an EXTRACT right after it reads the
+      selection mask, in the same pass;
+    * every other step is a launch of its own: a NORM that does not follow
+      a PROB, an EXTRACT that does not follow a SAMPLE, and a ``subgraph``
+      EXTRACT (it reads the walk history, not the mask).
+
+    That is 2 per layer for the node- and layer-wise samplers and
+    ``2 * walk_length + 1`` for SAINT.
+    """
+    launches, prev = 0, None
+    for step in plan.steps:
+        rides = (isinstance(step, NormStep) and isinstance(prev, ProbStep)) or (
+            isinstance(step, ExtractStep)
+            and step.kind != "subgraph"
+            and isinstance(prev, SampleStep)
+        )
+        if not rides:
+            launches += 1
+        prev = step
+    return launches
 
 
 def _conv_in_dim(conv) -> int:
@@ -223,15 +252,14 @@ class Replica:
     def _charge_sampling(self, layers) -> None:
         """One plan execution: fixed kernel launches + size-scaled work.
 
-        The kernel count is the step count of the program that runs — the
-        optimized plan (2 steps per layer for the node-wise program, once
-        PROB+NORM and SAMPLE+EXTRACT are fused) — *not* the number of
-        coalesced requests: that independence is the micro-batching
-        amortization.
+        The kernel count is :func:`kernel_launches` of the emitted plan (2
+        per layer for the node-wise program; 4 per layer for a sampler
+        without a plan) — *not* the number of coalesced requests: that
+        independence is the micro-batching amortization.
         """
-        program = self.sampler.optimized_plan(self.fanout[: len(layers)])
+        program = self.sampler.emitted_plan(self.fanout[: len(layers)])
         kernels = (
-            len(program.steps) if program is not None else 4 * len(layers)
+            kernel_launches(program) if program is not None else 4 * len(layers)
         )
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])

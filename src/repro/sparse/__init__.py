@@ -20,7 +20,7 @@ from .ops import (
 )
 from .random_matrix import sprand
 from .spgemm import get_kernel, required_rows, spgemm, spgemm_flops
-from .spmm import sddmm, spmm, spmm_flops
+from .spmm import spmm, spmm_flops
 
 __all__ = [
     "CSRMatrix",
@@ -29,7 +29,6 @@ __all__ = [
     "spgemm_flops",
     "required_rows",
     "spmm",
-    "sddmm",
     "spmm_flops",
     "vstack",
     "block_diag",

@@ -199,12 +199,6 @@ class CSRMatrix:
         """Stored entries in each row, length ``shape[0]``."""
         return np.diff(self.indptr)
 
-    def row_sums(self) -> np.ndarray:
-        """Sum of values in each row."""
-        return np.bincount(
-            self.row_ids(), weights=self.data, minlength=self.shape[0]
-        )
-
     def row_ids(self) -> np.ndarray:
         """Row index of every stored entry (COO expansion of ``indptr``)."""
         return np.repeat(np.arange(self.shape[0], dtype=np.int64), self.nnz_per_row())

@@ -147,8 +147,8 @@ def row_normalize_inplace(mat: CSRMatrix) -> CSRMatrix:
     """:func:`row_normalize`, overwriting ``mat.data`` instead of copying.
 
     Bit-identical values to :func:`row_normalize` (which runs this on a
-    copy).  Callers must own ``mat`` — the fused PROB+NORM kernel does,
-    since the probability product it normalizes is freshly computed.
+    copy).  Callers must own ``mat`` — a plan executor's NORM step does,
+    since the probability matrix it holds is always one it computed.
     """
     if mat.nnz == 0:
         return mat

@@ -1,11 +1,9 @@
-"""Sparse-times-dense multiplication (SpMM), SDDMM, and flop accounting.
+"""Sparse-times-dense multiplication (SpMM) and its flop accounting.
 
 Forward propagation of a sampled minibatch is an SpMM between the sampled
 adjacency matrix and the fetched feature matrix (paper section 6.2); the
 backward pass multiplies by the transposed adjacency through the same entry
 point (``transpose=True``), without building the transpose.
-:func:`sddmm` is the companion sampled dense-dense product (per-edge score
-computation, e.g. attention logits) restricted to a sparse pattern.
 
 :func:`spmm` is the one SpMM every caller shares — ``a @ dense`` and
 ``gnn.layers`` — and it runs on ``scipy.sparse``'s compiled CSR kernel.
@@ -44,7 +42,7 @@ import numpy as np
 
 from .csr import CSRMatrix
 
-__all__ = ["spmm", "sddmm", "spmm_flops"]
+__all__ = ["spmm", "spmm_flops"]
 
 
 def spmm(
@@ -74,39 +72,6 @@ def spmm(
         raise ValueError(f"inner dimensions differ: {shape} @ {dense.shape}")
     out = a.to_scipy(transpose=transpose) @ dense
     return out[:, 0] if squeeze else out
-
-
-def sddmm(pattern: CSRMatrix, x: np.ndarray, y: np.ndarray) -> CSRMatrix:
-    """Sampled dense-dense matmul: ``out[i, j] = pattern[i, j] * <x[i], y[j]>``
-    for every stored ``(i, j)`` of ``pattern``.
-
-    ``x`` is ``(m, f)`` and ``y`` is ``(n, f)`` for an ``(m, n)`` pattern —
-    both operands row-major, as in per-edge attention scoring.  The output
-    shares the pattern's structure exactly (explicit zeros included).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ValueError(
-            f"operands must be 2-D with matching feature dims, got "
-            f"{x.shape} and {y.shape}"
-        )
-    if x.shape[0] != pattern.shape[0] or y.shape[0] != pattern.shape[1]:
-        raise ValueError(
-            f"pattern {pattern.shape} needs x with {pattern.shape[0]} rows "
-            f"and y with {pattern.shape[1]} rows, got {x.shape} and {y.shape}"
-        )
-    if pattern.nnz == 0:
-        return pattern.copy()
-    dots = np.einsum(
-        "ij,ij->i", x[pattern.row_ids()], y[pattern.indices]
-    )
-    return CSRMatrix(
-        pattern.indptr.copy(),
-        pattern.indices.copy(),
-        pattern.data * dots,
-        pattern.shape,
-    )
 
 
 def spmm_flops(a: CSRMatrix, n_features: int) -> int:

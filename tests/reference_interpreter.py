@@ -1,16 +1,22 @@
-"""The test oracle: the step-by-step, ``Q^{l-1}``-materializing interpreter.
+"""The test oracles: the step-by-step, ``Q^{l-1}``-materializing
+interpreter, the CSR-building SAMPLE it runs, and the dead-step analysis.
 
-This is the single-device plan interpreter as it stood before the executors
-moved to mask dataflow (``repro.core.plan.LocalExecutor`` at commit
-4102b0c, body moved here verbatim minus its tracing hook): NORM copies the
-whole probability matrix, SAMPLE builds the sampled ``Q^{l-1}`` as a CSR
-matrix (``sample_stacked``), and every EXTRACT tears that matrix apart
-again — ``extract_batch_layer(q_next.row_block(...))`` per batch, per-batch
-``induced_subgraph``.  It runs unoptimized plans only and shares no handler
-with the executors under ``src/``, which is what makes it a reference:
+:class:`ReferenceInterpreter` is the single-device plan interpreter as it
+stood before the executors moved to mask dataflow
+(``repro.core.plan.LocalExecutor`` at commit 4102b0c, body moved here
+verbatim minus its tracing hook): NORM copies the whole probability matrix,
+SAMPLE builds the sampled ``Q^{l-1}`` as a CSR matrix (:func:`sample_stacked`,
+the ``MatrixSampler`` method of that name until the executors stopped
+calling it), and every EXTRACT tears that matrix apart again —
+``extract_batch_layer(q_next.row_block(...))`` per batch, per-batch
+``induced_subgraph``.  It shares no handler with the executors under
+``src/``, which is what makes it a reference:
 ``tests/test_compile_differential.py`` and ``tests/test_compile.py`` hold
-the executor, locally and on the 1.5D grid, on optimized and unoptimized
-plans, byte-equal to it.
+the executor, locally and on the 1.5D grid, byte-equal to it.
+
+:func:`eliminate_dead_steps` is the optimizer pass that ran over every plan
+before plans ran as emitted; it stays as the definition of a dead step, so
+the tests can hold every shipped sampler's plan free of them.
 """
 
 from __future__ import annotations
@@ -26,10 +32,14 @@ from repro.core import (
     SageSampler,
 )
 from repro.core.frontier import LayerSample, MinibatchSample
+from repro.core.its import (
+    _mask_to_csr,
+    gumbel_select_mask,
+    its_sample_rows,
+    keep_all_mask,
+)
 from repro.core.plan import (
     ExtractStep,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
     NormStep,
     ProbStep,
     SampleStep,
@@ -46,12 +56,132 @@ from repro.sparse import (
     vstack,
 )
 
-__all__ = ["ReferenceInterpreter", "reference_sample_bulk", "PlanSampler"]
+__all__ = [
+    "ReferenceInterpreter",
+    "reference_sample_bulk",
+    "PlanSampler",
+    "sample",
+    "sample_stacked",
+    "keep_all_rows",
+    "gumbel_topk_rows",
+    "eliminate_dead_steps",
+]
 
 
+# --------------------------------------------------------------------- #
+# The CSR-building SAMPLE
+# --------------------------------------------------------------------- #
+def keep_all_rows(p: CSRMatrix) -> CSRMatrix:
+    """``keep_all_mask`` as the binary sampled ``Q^{l-1}``."""
+    return _mask_to_csr(p, keep_all_mask(p))
+
+
+def gumbel_topk_rows(
+    p: CSRMatrix, s: int, rng: np.random.Generator
+) -> CSRMatrix:
+    """``gumbel_select_mask`` as the binary sampled ``Q^{l-1}``."""
+    return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
+
+
+def sample(
+    sampler, p: CSRMatrix, s: int | None, rng: np.random.Generator
+) -> CSRMatrix:
+    """SAMPLE(P, s) as ``sampler``'s backend draws it: ``min(s, nnz)``
+    distinct columns per row of ``p``, or every positive entry for
+    ``s=None`` (no draw)."""
+    if s is None:
+        return keep_all_rows(p)
+    if sampler.sample_backend == "gumbel":
+        return gumbel_topk_rows(p, s, rng)
+    return its_sample_rows(p, s, rng)
+
+
+def sample_stacked(sampler, p: CSRMatrix, s, rng, bounds) -> CSRMatrix:
+    """SAMPLE on a stacked ``P`` whose row blocks belong to batches: one
+    generator consumed across the stack, or one per block."""
+    if isinstance(rng, np.random.Generator):
+        return sample(sampler, p, s, rng)
+    if len(rng) != len(bounds) - 1:
+        raise ValueError(
+            f"need one rng per row block: got {len(rng)} for "
+            f"{len(bounds) - 1} blocks"
+        )
+    parts = [
+        sample(sampler, p.row_block(int(bounds[i]), int(bounds[i + 1])), s, g)
+        for i, g in enumerate(rng)
+    ]
+    return vstack(parts)
+
+
+# --------------------------------------------------------------------- #
+# Dead steps
+# --------------------------------------------------------------------- #
+def _norm_is_dead(steps: list, i: int) -> bool:
+    """NORM at ``i`` is dead iff ``P`` is overwritten before anything reads
+    it.  Readers of ``P``: NORM, SAMPLE, and debiased bipartite EXTRACT."""
+    for step in steps[i + 1 :]:
+        if isinstance(step, ProbStep):
+            return True
+        if isinstance(step, (NormStep, SampleStep)):
+            return False
+        if isinstance(step, ExtractStep):
+            if step.kind == "bipartite" and step.debias:
+                return False
+    return True  # nothing after reads P
+
+
+def _prob_is_dead(steps: list, i: int) -> bool:
+    """PROB at ``i`` is dead iff the very next step is another PROB (every
+    other step type reads something PROB wrote), with one frontier caveat:
+    a ``frontier``-source PROB also records the walk frontier, which a
+    non-frontier PROB does not rewrite — so it stays live if any walk
+    extraction could still read it."""
+    if i + 1 >= len(steps):
+        return True  # trailing PROB: nothing reads it
+    nxt = steps[i + 1]
+    if not isinstance(nxt, ProbStep):
+        return False
+    if steps[i].source == "frontier" and nxt.source != "frontier":
+        if any(
+            isinstance(s, ExtractStep) and s.kind == "walk"
+            for s in steps[i + 1 :]
+        ):
+            return False
+    return True
+
+
+def eliminate_dead_steps(plan: SamplingPlan) -> SamplingPlan:
+    """Drop PROB/NORM steps whose output is overwritten before being read.
+
+    SAMPLE steps are never dead — they consume RNG draws, and eliminating
+    one would shift every later draw.  EXTRACT steps always produce
+    observable output.  Runs to a fixpoint; a plan that reduces to nothing
+    is returned unchanged (plans must be non-empty).
+    """
+    steps = list(plan.steps)
+    changed = True
+    while changed:
+        changed = False
+        for i, step in enumerate(steps):
+            if isinstance(step, NormStep) and _norm_is_dead(steps, i):
+                del steps[i]
+                changed = True
+                break
+            if isinstance(step, ProbStep) and _prob_is_dead(steps, i):
+                del steps[i]
+                changed = True
+                break
+    if not steps:
+        return plan
+    return SamplingPlan(tuple(steps))
+
+
+# --------------------------------------------------------------------- #
+# The interpreter
+# --------------------------------------------------------------------- #
 def reference_sample_bulk(sampler, adj, batches, fanout, rng):
     """``sampler.sample_bulk`` as the oracle runs it: the emitted plan,
-    unoptimized, through :class:`ReferenceInterpreter`."""
+    through :class:`ReferenceInterpreter`."""
     sampler._validate(adj, batches, fanout)
     plan = sampler.plan(tuple(None if s is None else int(s) for s in fanout))
     rng = sampler._normalize_rng(rng, len(batches))
@@ -116,8 +246,8 @@ class PlanSampler(MatrixSampler):
 
 
 class ReferenceInterpreter:
-    """Interpret an *unoptimized* :class:`SamplingPlan` on one device,
-    materializing every intermediate.
+    """Interpret a :class:`SamplingPlan` on one device, materializing every
+    intermediate.
 
     Carries the executor state Algorithm 1 threads between steps: the
     per-batch frontiers, the current ``P`` / sampled ``Q`` pair with its
@@ -170,8 +300,6 @@ class ReferenceInterpreter:
         ]
 
     def _dispatch(self, step) -> None:
-        if isinstance(step, (FusedProbNormStep, FusedSampleExtractStep)):
-            raise TypeError("the oracle interprets unoptimized plans only")
         if isinstance(step, ProbStep):
             self._prob(step)
         elif isinstance(step, NormStep):
@@ -205,8 +333,8 @@ class ReferenceInterpreter:
     # ------------------------------------------------------------------ #
     def _sample(self, step: SampleStep) -> None:
         self.s = step.count
-        self.q_next = self.sampler.sample_stacked(
-            self.p, step.count, self.rng, self.bounds
+        self.q_next = sample_stacked(
+            self.sampler, self.p, step.count, self.rng, self.bounds
         )
 
     # ------------------------------------------------------------------ #

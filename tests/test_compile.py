@@ -1,14 +1,17 @@
-"""Unit tests for the sampling-plan optimizer (:mod:`repro.core.compile`)
-and the mask dataflow of the executors (:mod:`repro.core.plan`).
+"""Unit tests for how a plan runs (:mod:`repro.core.plan`): as emitted,
+four step types, NORM in place, SAMPLE's selection as a mask.
 
-Each optimizer pass is tested in isolation for legality — what it may and
-may not rewrite — plus the fused-step rendering of ``describe()``, the
-probability cache's keying/reuse behaviour, the in-place NORM variants'
-bit-equality with their copying counterparts, the unit-selector row
-gather inside the SpGEMM, and named plans (two EXTRACTs off one
-SAMPLE, a PROB between SAMPLE and EXTRACT) against the oracle in
-``reference_interpreter.py``.  The fuzzed surface lives in the golden
-suites and ``test_compile_differential.py``.
+Covered here: the dead-step analysis that keeps every shipped plan free of
+dead steps (the retired pass, kept as an oracle in
+``reference_interpreter.py``); the serving launch rule, where ``PROB,
+NORM`` and ``SAMPLE, EXTRACT`` share a launch (the fusions the plan no
+longer spells out, pinned to the fused programs' step counts); the
+``describe()`` rendering; the in-place NORM — bit-equal to the copying one,
+never a copy, safe wherever a plan puts it; the unit-selector row gather
+inside the SpGEMM; and named plans (two EXTRACTs off one SAMPLE, a PROB
+between SAMPLE and EXTRACT, NORMs that do not follow a PROB) against the
+oracle.  The fuzzed surface lives in the golden suites and
+``test_compile_differential.py``.
 """
 
 from __future__ import annotations
@@ -27,16 +30,8 @@ from repro.core import (
     SageSampler,
     batch_rng,
 )
-from repro.core.compile import (
-    eliminate_dead_steps,
-    fuse_prob_norm,
-    fuse_sample_extract,
-    optimize,
-)
 from repro.core.plan import (
     ExtractStep,
-    FusedProbNormStep,
-    FusedSampleExtractStep,
     LocalExecutor,
     NormStep,
     ProbStep,
@@ -51,12 +46,16 @@ from repro.distributed.partitioned import (
 )
 from repro.graphs import rmat
 from repro.partition import BlockRows
+from repro.serve.replica import kernel_launches
 from repro.sparse import CSRMatrix, spgemm
 
+from examples.custom_sampler import DegreeBiasedSampler
 from reference_interpreter import (
     PlanSampler,
     ReferenceInterpreter,
+    eliminate_dead_steps,
     reference_sample_bulk,
+    sample,
 )
 from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
@@ -118,52 +117,64 @@ def test_compiled_is_an_unknown_kernel_everywhere(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# fuse_prob_norm
+# PROB, NORM: two steps, one launch
 # --------------------------------------------------------------------- #
 def test_fuse_prob_norm_on_sage_plan():
+    """The plan spells out NORM; the launch rule charges it with the
+    product it normalizes in place."""
     plan = SageSampler().plan((5, 3))
-    fused = fuse_prob_norm(plan)
-    assert len(fused.steps) == len(plan.steps) - 2
-    assert isinstance(fused.steps[0], FusedProbNormStep)
-    assert fused.steps[0].source == "frontier"
-    # Fused PROB+NORM is attributed wholly to the probability phase.
-    assert step_phase(fused.steps[0]) == "probability"
+    assert [type(s) for s in plan.steps] == [
+        ProbStep, NormStep, SampleStep, ExtractStep,
+    ] * 2
+    assert step_phase(plan.steps[0]) == "probability"
+    assert kernel_launches(plan) == 4  # PROB+NORM, SAMPLE+EXTRACT per layer
+    no_norm = SamplingPlan(
+        tuple(s for s in plan.steps if type(s) is not NormStep)
+    )
+    assert kernel_launches(no_norm) == kernel_launches(plan)
 
 
 def test_fuse_prob_norm_skips_non_adjacent():
+    """Only a NORM right after its PROB shares the product's launch."""
     plan = SamplingPlan(
         (ProbStep("frontier"), SampleStep(4), ExtractStep("compact"))
     )
-    assert fuse_prob_norm(plan).steps == plan.steps
-
-
-def test_fuse_prob_norm_does_not_refuse_fused_input():
-    plan = fuse_prob_norm(SageSampler().plan((5,)))
-    # Idempotent: a FusedProbNormStep is not a plain ProbStep.
-    assert fuse_prob_norm(plan).steps == plan.steps
+    assert kernel_launches(plan) == 2
+    late_norm = SamplingPlan(
+        (
+            ProbStep("indicator"), SampleStep(4), NormStep(),
+            ExtractStep("bipartite", debias=True),
+        )
+    )
+    # NORM after SAMPLE is its own pass, and the EXTRACT no longer
+    # follows the SAMPLE whose mask it reads.
+    assert kernel_launches(late_norm) == 4
 
 
 # --------------------------------------------------------------------- #
-# fuse_sample_extract
+# SAMPLE, EXTRACT: two steps, one launch
 # --------------------------------------------------------------------- #
 def test_fuse_sample_extract_on_ladies_plan():
     plan = LadiesSampler().plan((16,))
-    fused = fuse_sample_extract(plan)
-    kinds = [type(s).__name__ for s in fused.steps]
-    assert "FusedSampleExtractStep" in kinds
-    fse = next(
-        s for s in fused.steps if isinstance(s, FusedSampleExtractStep)
-    )
-    assert fse.count == 16
-    assert fse.extract.kind == "bipartite"
-    assert step_phase(fse) == "sampling"
+    sample_step, extract = plan.steps[2:]
+    assert sample_step.count == 16 and extract.kind == "bipartite"
+    assert step_phase(sample_step) == "sampling"
+    assert step_phase(extract) == "extraction"
+    assert kernel_launches(plan) == 2
 
 
 def test_fuse_sample_extract_rejects_subgraph():
-    with pytest.raises(ValueError, match="subgraph"):
-        FusedSampleExtractStep(3, ExtractStep("subgraph", n_layers=2))
-    # The pass never fuses SAMPLE with a subgraph EXTRACT either.
-    plan = SamplingPlan(
+    """A subgraph EXTRACT reads the walk history, not the sample: it is a
+    launch of its own even right after a SAMPLE."""
+    right_after = SamplingPlan(
+        (
+            ProbStep("frontier"),
+            SampleStep(1),
+            ExtractStep("subgraph", n_layers=2),
+        )
+    )
+    assert kernel_launches(right_after) == 3
+    after_walk = SamplingPlan(
         (
             ProbStep("frontier"),
             SampleStep(1),
@@ -171,15 +182,13 @@ def test_fuse_sample_extract_rejects_subgraph():
             ExtractStep("subgraph", n_layers=2),
         )
     )
-    fused = fuse_sample_extract(plan)
-    assert isinstance(fused.steps[-1], ExtractStep)
-    assert fused.steps[-1].kind == "subgraph"
+    assert kernel_launches(after_walk) == 3
 
 
 def test_fuse_sample_extract_fuses_first_of_two_extracts():
-    # Two EXTRACTs share one SAMPLE: the first fuses, the second stays a
-    # plain EXTRACT reading the (P, mask) pair the fused step leaves
-    # (executed against the oracle in test_double_extract_after_one_sample).
+    # Two EXTRACTs share one SAMPLE: the first rides its launch, the second
+    # reads the (P, mask) pair left behind in a launch of its own (executed
+    # against the oracle in test_double_extract_after_one_sample).
     plan = SamplingPlan(
         (
             ProbStep("frontier"),
@@ -189,14 +198,11 @@ def test_fuse_sample_extract_fuses_first_of_two_extracts():
             ExtractStep("compact"),
         )
     )
-    fused = fuse_sample_extract(plan)
-    assert [type(s) for s in fused.steps] == [
-        ProbStep, NormStep, FusedSampleExtractStep, ExtractStep,
-    ]
+    assert kernel_launches(plan) == 3
 
 
 def test_fuse_sample_extract_allows_q_rewrite_between():
-    # Two SAMPLE, EXTRACT pairs in a row both fuse.
+    # Two SAMPLE, EXTRACT pairs in a row each share a launch.
     plan = SamplingPlan(
         (
             ProbStep("frontier"),
@@ -207,20 +213,60 @@ def test_fuse_sample_extract_allows_q_rewrite_between():
             ExtractStep("compact"),
         )
     )
-    fused = fuse_sample_extract(plan)
-    assert isinstance(fused.steps[1], FusedSampleExtractStep)
-    assert isinstance(fused.steps[3], FusedSampleExtractStep)
+    assert kernel_launches(plan) == 4
 
 
 def test_fastgcn_plan_has_no_norm_to_fuse():
     plan = FastGCNSampler().plan((8,))
-    opt = optimize(plan)
-    assert type(opt.steps[0]) is ProbStep
-    assert isinstance(opt.steps[1], FusedSampleExtractStep)
+    assert [type(s) for s in plan.steps] == [ProbStep, SampleStep, ExtractStep]
+    assert kernel_launches(plan) == 2
+
+
+#: Launches per (sampler, fanout) serving runs: the step counts of the
+#: programs the retired PROB+NORM / SAMPLE+EXTRACT fusions made of these
+#: plans at commit ``dcb2fd6``.  The serving clock charges these, so a
+#: moved count moves every simulated serving latency.
+FUSED_STEP_COUNTS = {
+    ("sage", (None,)): 2,
+    ("sage", (None, None)): 4,
+    ("sage", (None, None, None)): 6,
+    ("sage", (4, 3)): 4,
+    ("sage", (5, 3)): 4,
+    ("sage", (10, 5)): 4,
+    ("sage", (15, 10, 5)): 6,
+    ("ladies", (32,)): 2,
+    ("ladies", (4, 3)): 4,
+    ("ladies", (64, 64, 64)): 6,
+    ("ladies-debias", (16, 16)): 4,
+    ("fastgcn", (32,)): 2,
+    ("fastgcn", (4, 3)): 4,
+    ("saint-1", (3, 3)): 3,
+    ("saint", (4, 3)): 7,
+    ("saint", (4,)): 7,
+    ("degree-biased", (10, 5)): 4,
+}
+
+_LAUNCH_SAMPLERS = {
+    "sage": lambda: SageSampler(include_dst=True),
+    "ladies": lambda: LadiesSampler(include_dst=True),
+    "ladies-debias": lambda: LadiesSampler(debias=True),
+    "fastgcn": lambda: FastGCNSampler(include_dst=True),
+    "saint-1": lambda: GraphSaintRWSampler(walk_length=1),
+    "saint": lambda: GraphSaintRWSampler(walk_length=3),
+    "degree-biased": lambda: DegreeBiasedSampler(np.ones(8)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,fanout", list(FUSED_STEP_COUNTS), ids=lambda v: str(v)
+)
+def test_launch_count_is_pinned(name, fanout):
+    plan = _LAUNCH_SAMPLERS[name]().emitted_plan(fanout)
+    assert kernel_launches(plan) == FUSED_STEP_COUNTS[name, fanout]
 
 
 # --------------------------------------------------------------------- #
-# eliminate_dead_steps
+# Dead steps (the retired pass, as the oracle of what a dead step is)
 # --------------------------------------------------------------------- #
 def test_dse_removes_overwritten_prob_and_norm():
     plan = SamplingPlan(
@@ -324,35 +370,56 @@ def test_dse_fixpoint_cascades():
 
 
 def test_dse_preserves_stock_plans():
-    for sampler, fanout in [
-        (SageSampler(), (5, 3)),
-        (LadiesSampler(), (16,)),
-        (FastGCNSampler(), (16,)),
-        (GraphSaintRWSampler(walk_length=3), (3, 3)),
+    """Plans run as emitted, so a dead step in a shipped sampler's plan
+    would be paid on every bulk: every built-in (each flag that changes its
+    plan) and the example plugin emit none."""
+    for sampler, fanouts in [
+        (SageSampler(), [(5, 3), (None, None)]),
+        (SageSampler(include_dst=False), [(5,)]),
+        (LadiesSampler(), [(16,), (8, 8)]),
+        (LadiesSampler(debias=True), [(16, 16)]),
+        (LadiesSampler(include_dst=True), [(16,)]),
+        (FastGCNSampler(), [(16,), (8, 8)]),
+        (GraphSaintRWSampler(walk_length=3), [(3, 3)]),
+        (DegreeBiasedSampler(np.ones(8)), [(10, 5)]),
     ]:
-        plan = sampler.plan(fanout)
-        assert eliminate_dead_steps(plan).steps == plan.steps
+        for fanout in fanouts:
+            plan = sampler.plan(fanout)
+            assert eliminate_dead_steps(plan).steps == plan.steps, (
+                f"{type(sampler).__name__}.plan({fanout}) emits a dead step "
+                f"(its output is overwritten before any step reads it); "
+                f"drop it from that sampler's plan():\n{plan.describe()}"
+            )
 
 
 # --------------------------------------------------------------------- #
 # describe() rendering
 # --------------------------------------------------------------------- #
-def test_describe_renders_fusions():
-    text = optimize(SageSampler().plan((5, 3))).describe()
+def test_describe_renders_four_steps_per_layer():
+    text = SageSampler().plan((5, 3)).describe()
     assert text.splitlines() == [
-        "probability  PROB+NORM(frontier)",
-        "sampling     SAMPLE+EXTRACT(s=5, compact)",
-        "probability  PROB+NORM(frontier)",
-        "sampling     SAMPLE+EXTRACT(s=3, compact)",
+        "probability  PROB(frontier)",
+        "sampling     NORM()",
+        "sampling     SAMPLE(s=5)",
+        "extraction   EXTRACT(compact)",
+        "probability  PROB(frontier)",
+        "sampling     NORM()",
+        "sampling     SAMPLE(s=3)",
+        "extraction   EXTRACT(compact)",
     ]
 
 
 def test_describe_saint_keeps_subgraph_interpreted():
-    text = optimize(GraphSaintRWSampler(walk_length=2).plan((4,))).describe()
-    lines = text.splitlines()
-    assert lines[0] == "probability  PROB+NORM(frontier)"
-    assert lines[1] == "sampling     SAMPLE+EXTRACT(s=1, walk)"
+    plan = GraphSaintRWSampler(walk_length=2).plan((4,))
+    lines = plan.describe().splitlines()
+    assert lines[:4] == [
+        "probability  PROB(frontier)",
+        "sampling     NORM()",
+        "sampling     SAMPLE(s=1)",
+        "extraction   EXTRACT(walk)",
+    ]
     assert lines[-1] == "extraction   EXTRACT(subgraph, n_layers=1)"
+    assert kernel_launches(plan) == 2 * 2 + 1  # the subgraph is its own
 
 
 # --------------------------------------------------------------------- #
@@ -376,6 +443,86 @@ def test_norm_inplace_matches_norm(sampler):
     assert np.array_equal(expected.data, got.data)
 
 
+def test_overriding_norm_alone_drops_the_inherited_inplace_norm():
+    """An in-place NORM belongs to the ``norm`` it was written with: the
+    example plugin overrides GraphSAGE's ``norm`` only, and its weighting
+    must be what runs (it once ran GraphSAGE's in-place divide instead)."""
+    adj = _graph()
+    degrees = adj.nnz_per_row()
+    biased = DegreeBiasedSampler(degrees)
+    p = spgemm(SageSampler.make_q(np.arange(40), adj.shape[0]), adj)
+    want = biased.norm(p)
+    assert biased.norm_inplace(p.copy()).equal(want, 0.0)
+    assert not SageSampler().norm(p).equal(want, 1e-12)
+    batches = _batches(adj, k=2)
+    got = biased.sample_bulk(adj, batches, (4,), np.random.default_rng(1))
+    _layers_equal(
+        reference_sample_bulk(
+            biased, adj, batches, (4,), np.random.default_rng(1)
+        ),
+        got,
+    )
+
+
+def _record_norms(executor, seen: list) -> None:
+    """Make ``executor`` append, after each NORM it runs, whether its ``P``
+    is still the very matrix the NORM was handed."""
+    dispatch = executor._dispatch
+
+    def spy(step):
+        before = executor.p
+        dispatch(step)
+        if isinstance(step, NormStep):
+            seen.append(executor.p is before)
+
+    executor._dispatch = spy
+
+
+NORM_CASES = {
+    "sage": (lambda: SageSampler(), (5, 3)),
+    "ladies-debias": (lambda: LadiesSampler(debias=True), (16, 8)),
+    "norm-after-sample": (
+        lambda: PlanSampler(
+            [
+                ProbStep("indicator"), SampleStep(6), NormStep(),
+                ExtractStep("bipartite", debias=True),
+            ],
+            norm_mode="ladies",
+        ),
+        (1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NORM_CASES))
+def test_norm_never_copies(name):
+    """``P`` after NORM is the matrix PROB produced — in the local executor
+    and in every grid row's executor — so a NORM that dispatched to the
+    copying ``norm`` fails here."""
+    factory, fanout = NORM_CASES[name]
+    sampler = factory()
+    plan = sampler.emitted_plan(fanout)
+    adj = _graph(seed=5)
+    batches = _batches(adj, k=4)
+    seen: list[bool] = []
+    local = LocalExecutor(
+        sampler, adj, batches, [batch_rng(3, i) for i in range(4)], spgemm
+    )
+    _record_norms(local, seen)
+    local.run(plan)
+    grid = ProcessGrid(4, 2)
+    part = PartitionedExecutor(
+        Communicator(4), grid, sampler,
+        BlockRows.partition(adj, grid.n_rows), batches, 3,
+    )
+    for executor in part.executors.values():
+        _record_norms(executor, seen)
+    part.run(plan)
+    norms = sum(isinstance(s, NormStep) for s in plan.steps)
+    assert len(seen) == norms * (1 + len(part.executors)) > 0
+    assert all(seen)
+
+
 # --------------------------------------------------------------------- #
 # Mask kernels
 # --------------------------------------------------------------------- #
@@ -389,7 +536,7 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
         sampler = SageSampler(include_dst=include_dst)
         p = sampler.norm(spgemm(sampler.make_q(dst, adj.shape[0]), adj))
         sel = sampler.sample_mask(p, 3, np.random.default_rng(5))
-        q_next = sampler.sample(p, 3, np.random.default_rng(5))
+        q_next = sample(sampler, p, 3, np.random.default_rng(5))
         want = sampler.extract_batch_layer(q_next, dst)
         got = compact_layer_from_mask(
             p, sel, 0, p.shape[0], dst, include_dst=include_dst,
@@ -524,8 +671,7 @@ def test_one_zero_rule_for_both_spgemm_paths(seed, n_picks):
 # Named plans against the oracle
 # --------------------------------------------------------------------- #
 def _assert_executors_match_oracle(sampler, adj, batches, seed=11):
-    """Oracle == LocalExecutor and PartitionedExecutor, each on the
-    optimized plan and on the plan as emitted."""
+    """Oracle == LocalExecutor and PartitionedExecutor on a (4, 2) grid."""
     plan = sampler.plan((1,))
     k = len(batches)
     grid = ProcessGrid(4, 2)
@@ -533,32 +679,30 @@ def _assert_executors_match_oracle(sampler, adj, batches, seed=11):
     want = ReferenceInterpreter(
         sampler, adj, batches, [batch_rng(seed, i) for i in range(k)], spgemm,
     ).run(plan)
-    for program in (optimize(plan), plan):
-        local = LocalExecutor(
-            sampler, adj, batches,
-            [batch_rng(seed, i) for i in range(k)], spgemm,
-        ).run(program)
-        _layers_equal(want, local)
-        part = PartitionedExecutor(
-            Communicator(4), grid, sampler, blocks, batches, seed,
-        ).run(program)
-        _layers_equal(want, part)
+    local = LocalExecutor(
+        sampler, adj, batches, [batch_rng(seed, i) for i in range(k)], spgemm,
+    ).run(plan)
+    _layers_equal(want, local)
+    part = PartitionedExecutor(
+        Communicator(4), grid, sampler, blocks, batches, seed,
+    ).run(plan)
+    _layers_equal(want, part)
 
 
 def test_double_extract_after_one_sample():
-    """Two walk advances read one SAMPLE: the first fuses with it, the
-    second reads the (P, mask) pair it left behind.  (Two *compact*
-    extractions off one SAMPLE are not a meaningful program: the second
-    would pair new destinations with old row bounds.)"""
+    """Two walk advances read one SAMPLE: the second reads the (P, mask)
+    pair the first left behind.  (Two *compact* extractions off one SAMPLE
+    are not a meaningful program: the second would pair new destinations
+    with old row bounds.)"""
     steps = [
         ProbStep("frontier"), NormStep(), SampleStep(1),
         ExtractStep("walk"), ExtractStep("walk"),
         ExtractStep("subgraph", n_layers=2),
     ]
     sampler = PlanSampler(steps, include_dst=True)
-    fused = optimize(sampler.plan((1,)))
-    assert isinstance(fused.steps[1], FusedSampleExtractStep)
-    assert type(fused.steps[2]) is ExtractStep
+    # The first advance rides SAMPLE's launch; the second and the
+    # subgraph are launches of their own.
+    assert kernel_launches(sampler.plan((1,))) == 4
     adj = _graph(seed=5)
     _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
 
@@ -573,7 +717,42 @@ def test_prob_between_sample_and_extract(debias):
         ProbStep("global"), ExtractStep("bipartite", debias=debias),
     ]
     sampler = PlanSampler(steps, norm_mode="ladies")
-    assert optimize(sampler.plan((1,))).steps[-2:] == tuple(steps[-2:])
+    adj = _graph(seed=5)
+    _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
+
+
+@pytest.mark.parametrize(
+    "steps,norm_mode",
+    [
+        (
+            [
+                ProbStep("indicator"), SampleStep(6), NormStep(),
+                ExtractStep("bipartite", debias=True),
+            ],
+            "ladies",
+        ),
+        (
+            [
+                ProbStep("frontier"), NormStep(), NormStep(), SampleStep(3),
+                ExtractStep("compact"),
+            ],
+            "sage",
+        ),
+        (
+            [
+                ProbStep("indicator"), NormStep(), NormStep(), SampleStep(6),
+                ExtractStep("bipartite", debias=True),
+            ],
+            "ladies",
+        ),
+    ],
+    ids=["norm-after-sample-debias", "norm-twice", "ladies-norm-twice"],
+)
+def test_norm_not_after_prob_matches_oracle(steps, norm_mode):
+    """NORM normalizes in place wherever a plan puts it: after SAMPLE (the
+    mask and EXTRACT read only ``P``'s structure, debiasing reads the
+    normalized values) or on its own output (LADIES squares twice)."""
+    sampler = PlanSampler(steps, norm_mode=norm_mode)
     adj = _graph(seed=5)
     _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
 

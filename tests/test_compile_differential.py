@@ -7,12 +7,12 @@ unioning, keep-all ``SAMPLE(all)`` node-wise stages (exact serving's
 program, alone or mixed with counted stages), both NORM styles and both
 sample backends — and executes each one on a random graph.  Every plan
 runs through the ``Q^{l-1}``-materializing oracle (:mod:`reference_interpreter`), through
-:class:`~repro.core.plan.LocalExecutor` on the optimized plan *and* on the
-plan as emitted (executors accept both, so the optimizer passes are
-themselves under differential test), and through
-:class:`~repro.distributed.partitioned.PartitionedExecutor` the same two
-ways on three grid shapes — and every run must produce **byte-identical**
-samples.
+:class:`~repro.core.plan.LocalExecutor` (the product path,
+``sample_bulk``, which runs the plan as emitted with NORM in place), and
+through :class:`~repro.distributed.partitioned.PartitionedExecutor` on
+three grid shapes — and every run must produce **byte-identical** samples.
+The dead steps stay in: the executors run them, in place, as the sampler
+emitted them.
 
 The plans are run by a :class:`~reference_interpreter.PlanSampler` assembled from the real
 samplers' own primitives (GraphSAGE compaction, LADIES row/column
@@ -33,10 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.comm import Communicator, ProcessGrid
 from repro.core import SageSampler, batch_rng
-from repro.core.compile import optimize
 from repro.core.plan import (
     ExtractStep,
-    LocalExecutor,
     NormStep,
     ProbStep,
     SampleStep,
@@ -70,8 +68,8 @@ class FuzzSamplerCustomExtract(PlanSampler):
 # --------------------------------------------------------------------- #
 def _stage_steps(stage, draw_dead):
     """One plan stage: PROB [+NORM] + SAMPLE + EXTRACT, with optional dead
-    PROB/NORM prefixes (overwritten before any read — DSE fodder that the
-    interpreter must execute neutrally)."""
+    PROB/NORM prefixes (overwritten before any read — steps every executor
+    must run neutrally)."""
     kind = stage["kind"]
     steps = []
     if draw_dead:
@@ -87,8 +85,8 @@ def _stage_steps(stage, draw_dead):
             steps.append(NormStep())
         steps += [SampleStep(1), ExtractStep("walk")]
         if stage["double_extract"]:
-            # A second walk advance off the same SAMPLE: the first fuses,
-            # the second reads the (P, mask) pair the fused step left.
+            # A second walk advance off the same SAMPLE reads the (P, mask)
+            # pair the first left behind.
             steps.append(ExtractStep("walk"))
     else:  # "layer" (indicator source) or "global"
         source = "indicator" if kind == "layer" else "global"
@@ -214,8 +212,7 @@ def _rng_for(case):
 
 
 # --------------------------------------------------------------------- #
-# Local differential: oracle == LocalExecutor(optimized) == LocalExecutor
-# (as emitted), on every generated plan
+# Local differential: oracle == LocalExecutor, on every generated plan
 # --------------------------------------------------------------------- #
 @settings(max_examples=150, deadline=None)
 @given(case=fuzz_cases())
@@ -230,22 +227,16 @@ def test_local_compiled_matches_interpreted(case):
                 sampler, adj, batches, _rng_for(case), spgemm
             ).run(plan)
         ),
-        # sample_bulk is the product path: optimize(plan) on LocalExecutor.
-        "optimized": _digest(
+        "local": _digest(
             sampler.sample_bulk(adj, batches, (1,), _rng_for(case))
-        ),
-        "as-emitted": _digest(
-            LocalExecutor(
-                sampler, adj, batches, _rng_for(case), spgemm
-            ).run(plan)
         ),
     }
     assert len(set(digests.values())) == 1, digests
 
 
 # --------------------------------------------------------------------- #
-# Partitioned differential: the 1.5D executor, on the optimized plan and
-# on the plan as emitted, matches the oracle fed the same per-batch streams
+# Partitioned differential: the 1.5D executor matches the oracle fed the
+# same per-batch streams
 # --------------------------------------------------------------------- #
 @settings(max_examples=60, deadline=None)
 @given(case=fuzz_cases(), grid_shape=st.sampled_from([(1, 1), (4, 1), (4, 2)]))
@@ -264,11 +255,11 @@ def test_partitioned_compiled_matches_interpreted(case, grid_shape):
                 [batch_rng(case["seed"], i) for i in range(case["k"])],
                 spgemm,
             ).run(plan)
-        )
+        ),
+        "partitioned": _digest(
+            PartitionedExecutor(
+                Communicator(p), grid, sampler, blocks, batches, case["seed"],
+            ).run(plan)
+        ),
     }
-    for label, program in (("optimized", optimize(plan)), ("as-emitted", plan)):
-        executor = PartitionedExecutor(
-            Communicator(p), grid, sampler, blocks, batches, case["seed"],
-        )
-        digests[label] = _digest(executor.run(program))
     assert len(set(digests.values())) == 1, digests

@@ -113,10 +113,9 @@ class TestConstruction:
 
 
 class TestIntrospection:
-    def test_nnz_per_row_and_row_sums(self):
+    def test_nnz_per_row(self):
         m = CSRMatrix.from_dense([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
         assert np.array_equal(m.nnz_per_row(), [2, 0, 2])
-        assert np.allclose(m.row_sums(), [3.0, 0.0, 7.0])
 
     def test_row_access(self):
         m = CSRMatrix.from_dense([[0.0, 5.0], [6.0, 0.0]])

@@ -8,7 +8,6 @@ import pytest
 from repro.graphs import (
     Graph,
     PAPER_DATASETS,
-    chung_lu,
     dataset_names,
     erdos_renyi,
     load_dataset,
@@ -17,7 +16,6 @@ from repro.graphs import (
     summarize,
     table3_rows,
 )
-from repro.graphs.stats import degree_histogram
 from repro.sparse import CSRMatrix
 
 from reference_spgemm import transpose
@@ -59,16 +57,6 @@ class TestGenerators:
     def test_erdos_renyi_validation(self, rng):
         with pytest.raises(ValueError):
             erdos_renyi(0, 5, rng)
-
-    def test_chung_lu_power_law(self, rng):
-        adj = chung_lu(2000, 8, rng, exponent=2.2)
-        in_degree = np.bincount(adj.indices, minlength=adj.shape[0])
-        degs = np.sort(adj.nnz_per_row() + in_degree)[::-1]
-        assert degs[0] > 10 * max(1, degs[len(degs) // 2])  # heavy head
-
-    def test_chung_lu_validation(self, rng):
-        with pytest.raises(ValueError):
-            chung_lu(100, 5, rng, exponent=1.0)
 
     def test_planted_partition_homophily(self, rng):
         adj, labels = planted_partition(1000, 4, 20, rng, intra_fraction=0.9)
@@ -201,8 +189,3 @@ class TestStats:
         assert len(rows) == 3
         papers = next(r for r in rows if r["name"] == "papers")
         assert papers["vertices"] == 111_059_956
-
-    def test_degree_histogram(self):
-        g = load_dataset("products", scale=0.1, seed=0)
-        counts, edges = degree_histogram(g)
-        assert counts.sum() == (g.out_degrees() > 0).sum()

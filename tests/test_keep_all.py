@@ -14,7 +14,7 @@ replaced, which survives only here, as the oracle:
   with counted layers;
 * the samplers that cannot keep all refuse by name; ``RunConfig.fanout``
   stays integers-only;
-* one emitted-and-optimized plan per ``(sampler, fanout)``;
+* one emitted plan per ``(sampler, fanout)``;
 * a streaming server whose max in-degree grows under insertions stays
   bit-equal to ``layerwise_inference`` — the reason the old cap had to be
   recomputed after every update;
@@ -117,7 +117,7 @@ def _partitioned(sampler, adj, batches, fanout, seed, p, c):
         Communicator(p), grid, sampler,
         BlockRows.partition(adj, grid.n_rows), batches, seed,
     )
-    return executor.run(sampler.optimized_plan(fanout))
+    return executor.run(sampler.emitted_plan(fanout))
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,12 +211,16 @@ def test_keep_all_refuses_negative_weights():
 
 
 def test_describe_prints_s_all():
-    plan = SageSampler().optimized_plan((None, 4))
+    plan = SageSampler().emitted_plan((None, 4))
     assert plan.describe().splitlines() == [
-        "probability  PROB+NORM(frontier)",
-        "sampling     SAMPLE+EXTRACT(s=all, compact)",
-        "probability  PROB+NORM(frontier)",
-        "sampling     SAMPLE+EXTRACT(s=4, compact)",
+        "probability  PROB(frontier)",
+        "sampling     NORM()",
+        "sampling     SAMPLE(s=all)",
+        "extraction   EXTRACT(compact)",
+        "probability  PROB(frontier)",
+        "sampling     NORM()",
+        "sampling     SAMPLE(s=4)",
+        "extraction   EXTRACT(compact)",
     ]
     assert SampleStep(None).describe_args() == ["s=all"]
     with pytest.raises(ValueError, match="positive"):
@@ -256,7 +260,7 @@ def test_sample_bulk_still_rejects_nonpositive_counts(small_adj):
 
 
 # --------------------------------------------------------------------- #
-# One optimized plan per (sampler, fanout)
+# One emitted plan per (sampler, fanout)
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def trained_engine() -> Engine:
@@ -310,12 +314,12 @@ def test_plan_memo_is_per_instance_and_survives_pickling(small_adj):
     ]
     assert with_dst._plans is not without._plans
     assert _arrays(runs[0]) != _arrays(runs[1])  # dst joined one frontier only
-    assert with_dst.optimized_plan((None,)) is with_dst.optimized_plan([None])
+    assert with_dst.emitted_plan((None,)) is with_dst.emitted_plan([None])
     # A sampler shipped to a worker process carries its memo and serves
     # (worker-built samplers start cold: tests/test_parallel.py holds the
     # pool bit-identical to serial either way).
     shipped = pickle.loads(pickle.dumps(with_dst))
-    assert shipped.optimized_plan((None,)) == with_dst.optimized_plan((None,))
+    assert shipped.emitted_plan((None,)) == with_dst.emitted_plan((None,))
     again = shipped.sample_bulk(
         small_adj, batches, (None,), np.random.default_rng(1)
     )

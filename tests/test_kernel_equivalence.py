@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sparse import CSRMatrix, get_kernel, sddmm, spgemm, spmm, sprand
+from repro.sparse import CSRMatrix, get_kernel, spgemm, spmm, sprand
 
 from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
@@ -157,21 +157,6 @@ def test_spmm_backends_agree(pair):
     assert (a @ x).tobytes() == spmm(a, x).tobytes()
     v = rng.standard_normal(a.shape[1])
     assert (a @ v).tobytes() == spmm(a, v).tobytes()
-
-
-@given(csr_pairs())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_sddmm_backends_agree(pair):
-    """:func:`sddmm` keeps the pattern and scales it by ``x @ y.T``."""
-    pattern, _ = pair
-    rng = np.random.default_rng(pattern.nnz + 1)
-    x = rng.standard_normal((pattern.shape[0], 4))
-    y = rng.standard_normal((pattern.shape[1], 4))
-    out = sddmm(pattern, x, y)
-    out.check()
-    assert out.nnz == pattern.nnz  # structure preserved exactly
-    want = pattern.to_dense() * (x @ y.T)
-    assert np.allclose(out.to_dense(), want, atol=1e-9)
 
 
 class TestSeededSweep:

@@ -91,7 +91,7 @@ class TestNormalizeAndCompact:
     def test_row_normalize_rows_sum_to_one(self, rng):
         m = sprand(10, 10, 0.4, rng)
         normed = row_normalize(m)
-        sums = normed.row_sums()
+        sums = normed.to_dense().sum(axis=1)
         nonzero = m.nnz_per_row() > 0
         assert np.allclose(sums[nonzero], 1.0)
         assert np.allclose(sums[~nonzero], 0.0)

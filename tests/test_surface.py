@@ -205,10 +205,9 @@ ALLOWED = {
     "owned_segment_names": "the shared-memory leak check of tests/test_parallel.py",
     "per_batch_sampling": "the paper's per-batch baseline; reserved for the "
     "bulk-k claim of ROADMAP item 1",
-    "MatrixSampler.sample_stacked": "the materializing SAMPLE that "
-    "tests/reference_interpreter.py (oracle of the 210 differential plans) runs",
-    "SamplingPlan.describe": "a plan's printable form; the optimizer and "
-    "keep-all tests pin plans by it",
+    "SamplingPlan.describe": "a plan's printable form (four lines per layer "
+    "of what runs, since plans run as emitted); the plan and keep-all tests "
+    "pin plans by it",
     "ExecutionBackend": "the Protocol that states the backend plug-in contract",
     "Registry.unregister": "undoes a registration in a process-global "
     "registry (plugin reloads, test clean-up)",
@@ -219,20 +218,19 @@ ALLOWED = {
     "InferenceResult.queue_wait": "the wait shed_policy=deadline bounds; "
     "tests/test_fleet.py asserts the bound on it",
     # Deferred, not kept: nothing uses these, but deleting them deletes the
-    # 10 tier-1 tests named after them, and one PR may retire only a few.
+    # 6 tier-1 tests named after them, and one PR may retire only a few.
     "Dropout": "deferred deletion (3 tests)",
     "SGD": "deferred deletion (3 tests)",
-    "chung_lu": "deferred deletion (2 tests)",
-    "degree_histogram": "deferred deletion (1 test)",
-    "sddmm": "deferred deletion (1 test); its only caller was the kernel "
-    "backend base class",
 }
 
 
-def _uses(tree: ast.Module, *, imports: bool = True) -> set[str]:
-    """Every name a module *uses*: loads, attribute accesses, imports and
-    the words of its string constants (getattr / patch-table keys) — not
-    what it defines, its docstrings or its ``__all__``."""
+def _uses(
+    tree: ast.Module, *, imports: bool = True
+) -> tuple[set[str], set[str]]:
+    """What a module *uses*, as ``(names, attributes)``: bare loads and
+    imports, then attribute accesses and the words of its string constants
+    (getattr / patch-table keys) — not what it defines, its docstrings or
+    its ``__all__``."""
     skip = {
         id(c) for n in ast.walk(tree)
         if (isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant))
@@ -240,28 +238,35 @@ def _uses(tree: ast.Module, *, imports: bool = True) -> set[str]:
             and any(getattr(t, "id", "") == "__all__" for t in n.targets))
         for c in ast.walk(n)
     }
-    used: set[str] = set()
+    names: set[str] = set()
+    attributes: set[str] = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
-            used.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            used.add(n.attr)
+            attributes.add(n.attr)
         elif isinstance(n, ast.alias) and imports:
-            used.add(n.name)
+            names.add(n.name)
         elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
               and id(n) not in skip):
-            used.update(re.findall(r"\w+", n.value))
-    return used
+            attributes.update(re.findall(r"\w+", n.value))
+    return names, attributes
 
 
 def unused_public_names() -> set[str]:
-    used: set[str] = set()
+    """Public module-level functions and classes no other code names, and
+    public methods no other code reaches through an attribute (or a getattr
+    string): a local variable that shares a method's name is not a call."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     modules = {}
     for top in ("src", "benchmarks", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             # A package __init__ re-exports: its imports are not uses.
-            used |= _uses(tree, imports=path.name != "__init__.py")
+            n, a = _uses(tree, imports=path.name != "__init__.py")
+            names |= n
+            attributes |= a
             if top == "src" and path.name != "__init__.py":
                 modules[path] = tree
     unused = set()
@@ -269,15 +274,17 @@ def unused_public_names() -> set[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            members = [(node.name, node)] + [
-                (f"{node.name}.{m.name}", m) for m in getattr(node, "body", [])
-                if isinstance(node, ast.ClassDef) and isinstance(m, ast.FunctionDef)
-            ]
-            unused |= {
-                qual for qual, m in members
-                if not m.name.startswith("_") and not node.name.startswith("_")
-                and m.name not in used
-            }
+            if node.name.startswith("_"):
+                continue
+            if node.name not in names | attributes:
+                unused.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                unused |= {
+                    f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not m.name.startswith("_")
+                    and m.name not in attributes
+                }
     return unused
 
 
