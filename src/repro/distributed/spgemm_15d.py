@@ -16,7 +16,16 @@ Two communication schemes for moving ``A_k`` down its process column:
   (the simpler Koanantakool et al. scheme; ablation A).
 
 The simulated communicator charges alpha-beta time and logs volumes; the
-matrix arithmetic is exact, so the result equals the serial SpGEMM.
+host does only the arithmetic Algorithm 2 defines.  Its reduction order is
+the contract: within rank ``(i, j)`` the stage products are summed in stage
+order, then the all-reduce sums ranks ``j = 0 .. c-1`` of the process row
+left to right, each step one two-operand :meth:`CSRMatrix.add` (a rank with
+one stage passes its product through; one with none passes
+``CSRMatrix.zeros``).  The result therefore equals the serial SpGEMM up to
+the association of each entry's sum — bitwise whenever every entry's
+products fall in one stage of one rank, as a unit selector's do — which is
+why ``tests/test_distributed.py`` compares general operands with
+:meth:`CSRMatrix.equal`.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import numpy as np
 from ..comm import Communicator, ProcessGrid
 from ..partition.block1d import BlockRows
 from ..sparse import CSRMatrix, required_rows, spgemm, spgemm_flops
+from ..sparse.csr import _masked_indptr
 
 __all__ = ["spgemm_15d", "stage_blocks"]
 
@@ -67,28 +77,17 @@ def spgemm_15d(
         raise ValueError("Q's columns must match A's rows")
 
     n_rows = grid.n_rows
-    n_out_cols = a_blocks.n_cols
-    partial: list[list[CSRMatrix]] = [
-        [
-            CSRMatrix.zeros((q_blocks.blocks[i].shape[0], n_out_cols))
-            for _ in range(grid.c)
-        ]
-        for i in range(n_rows)
-    ]
+    q_split = [_column_blocks(q, a_blocks.starts) for q in q_blocks.blocks]
+    # Rank (i, j)'s stage products, summed in stage order.
+    partial: list[list[CSRMatrix | None]] = [[None] * grid.c for _ in range(n_rows)]
 
     for j in range(grid.c):
         col = grid.col_ranks(j)
         for k in stage_blocks(grid, j):
-            lo, hi = int(a_blocks.starts[k]), int(a_blocks.starts[k + 1])
             a_k = a_blocks.blocks[k]
-            # Each rank in the column slices Q_ik out of its Q_i.
-            q_iks: list[CSRMatrix] = []
-            for i in range(n_rows):
-                mask = np.zeros(q_blocks.n_cols, dtype=bool)
-                mask[lo:hi] = True
-                q_ik = q_blocks.blocks[i].select_columns(mask)
+            q_iks = [q_split[i][k] for i in range(n_rows)]
+            for i, q_ik in enumerate(q_iks):
                 comm.compute(grid.rank(i, j), nbytes=16 * q_ik.nnz, kernels=1)
-                q_iks.append(q_ik)
 
             if sparsity_aware:
                 # Algorithm 2 lines 4-11: gather needed column ids onto the
@@ -103,17 +102,17 @@ def spgemm_15d(
                     kernels=len(row_data),
                 )
                 comm.scatterv(row_data, col, root_pos=k)
-                locals_ = []
-                for i in range(n_rows):
-                    col_mask = np.zeros(hi - lo, dtype=bool)
-                    col_mask[needed[i]] = True
-                    locals_.append((q_iks[i].select_columns(col_mask), row_data[i]))
+                # Column c of Q_ik reads row searchsorted(needed, c) of its data.
+                locals_ = [
+                    (CSRMatrix(q.indptr, np.searchsorted(ids, q.indices), q.data,
+                               (q.shape[0], ids.size)), rows)
+                    for q, ids, rows in zip(q_iks, needed, row_data)
+                ]
             else:
                 comm.bcast(a_k, col, root_pos=k)
                 locals_ = [(q_ik, a_k) for q_ik in q_iks]
 
-            for i in range(n_rows):
-                q_local, a_hat = locals_[i]
+            for i, (q_local, a_hat) in enumerate(locals_):
                 if q_local.nnz == 0 or a_hat.nnz == 0:
                     continue
                 comm.compute(
@@ -122,10 +121,28 @@ def spgemm_15d(
                     nbytes=24 * (q_local.nnz + a_hat.nnz),
                     kernels=2,
                 )
-                partial[i][j] = partial[i][j].add(spgemm(q_local, a_hat))
+                prod, acc = spgemm(q_local, a_hat), partial[i][j]
+                partial[i][j] = prod if acc is None else acc.add(prod)
 
     p_blocks: list[CSRMatrix] = []
-    for i in range(n_rows):
-        p_i = comm.allreduce(partial[i], grid.row_ranks(i))
-        p_blocks.append(p_i)
+    for i, q in enumerate(q_blocks.blocks):
+        zero = CSRMatrix.zeros((q.shape[0], a_blocks.n_cols))
+        partials = [zero if m is None else m for m in partial[i]]
+        p_blocks.append(comm.allreduce(partials, grid.row_ranks(i)))
     return p_blocks
+
+
+def _column_blocks(q: CSRMatrix, starts: np.ndarray) -> list[CSRMatrix]:
+    """``q`` cut at the column boundaries ``starts`` (A's block-row starts):
+    block ``k`` holds the entries with columns in ``[starts[k],
+    starts[k+1])``, renumbered from 0.  One ``searchsorted`` labels every
+    entry with its block; no column-wide mask is built."""
+    block = np.searchsorted(starts, q.indices, side="right") - 1
+    out = []
+    for k, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        keep = block == k
+        out.append(CSRMatrix(
+            _masked_indptr(q.indptr, keep), q.indices[keep] - lo, q.data[keep],
+            (q.shape[0], int(hi - lo)),
+        ))
+    return out

@@ -60,10 +60,9 @@ class CSRMatrix:
         """Build from COO triplets, canonicalizing to sorted, duplicate-free CSR.
 
         Entries are ordered by the single flat key ``row * n_cols + col``.
-        Input already in row-major order (a row-selector product, a
-        ``to_coo`` round trip) is detected with one linear pass and not
-        sorted at all; anything else takes one stable argsort, which merges
-        concatenated sorted runs (``a.add(b)``, the sparse all-reduce) in
+        Input already in row-major order (a ``to_coo`` round trip) is
+        detected with one linear pass and not sorted at all; anything else
+        takes one stable argsort, which merges concatenated sorted runs in
         near-linear time.  Duplicates of one ``(row, col)`` keep their input
         order and are summed by one ``np.add.reduceat`` run: the first value
         plus numpy's pairwise sum of the rest (left to right for two, not
@@ -339,13 +338,19 @@ class CSRMatrix:
         return spmm(self, np.asarray(other))
 
     def add(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Element-wise sum with another matrix of the same shape."""
+        """Element-wise sum with another matrix of the same shape.
+
+        scipy's compiled merge of two canonical CSR matrices
+        (``csr_plus_csr``) over :meth:`to_scipy`'s views: one linear pass.
+        An entry both hold is ``self``'s value plus ``other``'s, rounded
+        once; an entry one holds is its value.  An entry whose sum is
+        exactly zero — a cancellation, or a stored ``0.0`` / ``-0.0`` — is
+        absent, as in :func:`~repro.sparse.spgemm`; NaN and ±inf stay.
+        """
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        rows = np.concatenate([self.row_ids(), other.row_ids()])
-        cols = np.concatenate([self.indices, other.indices])
-        vals = np.concatenate([self.data, other.data])
-        return CSRMatrix.from_coo(rows, cols, vals, self.shape)
+        out = self.to_scipy() + other.to_scipy()
+        return CSRMatrix(out.indptr, out.indices, out.data, self.shape)
 
     def equal(self, other: "CSRMatrix", tol: float = 1e-12) -> bool:
         """Structural + numeric equality after pruning entries at ``tol``.

@@ -3,8 +3,9 @@
 :func:`spgemm` runs scipy's compiled ``csr_matmat`` — the row-wise
 accumulator SpGEMM — on :meth:`CSRMatrix.to_scipy`'s zero-copy int64 views
 of both operands, and sorts each output row's columns.  A product whose left
-operand is a unit row selector (GraphSAGE's ``Q``, LADIES' ``Q_R``, a walk
-frontier) is a row gather of the right operand and runs as one.
+operand has at most one ``1.0`` per row (GraphSAGE's ``Q``, LADIES' ``Q_R``,
+a walk frontier, and their 1.5D stage slices) is a row gather of the right
+operand and runs as one.
 
 Besides the kernel the module exposes :func:`spgemm_flops` (the
 multiply-add count the simulated cost model charges) and
@@ -37,10 +38,12 @@ def spgemm(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     * **Zeros.**  An entry whose sum is exactly zero — a cancellation, or
       products of stored zeros — is absent, as is an entry no product
       reaches.  Columns are sorted within each row.
-    * **Gather.**  When every row of ``a`` is one entry of value ``1.0``
-      the result is ``b.extract_rows(a.indices)`` minus ``b``'s stored
-      zeros: what the general path computes too (``0.0 + 1.0 * x`` is
-      ``x``), without the accumulator.
+    * **Gather.**  When every row of ``a`` holds at most one entry and each
+      is ``1.0`` — a unit row selector, or one with empty rows, like a 1.5D
+      stage's slice of one — output row ``i`` is ``b``'s row ``j`` for
+      ``a``'s entry ``(i, j)`` and empty for an empty row, minus ``b``'s
+      stored zeros: what the general path computes too (``0.0 + 1.0 * x``
+      is ``x``), without the accumulator.
     * **Scope.**  The bits are promised per build of scipy's kernel, like
       SpMM's (a compiler that contracts ``sum + a * b`` into an FMA rounds
       once where this one rounds twice; ``tests/test_gnn.py::_spgemm_probe``
@@ -62,8 +65,9 @@ class _Kernel:
         out_shape = (a.shape[0], b.shape[1])
         if a.nnz == 0 or b.nnz == 0:
             return CSRMatrix.zeros(out_shape)
-        if _is_unit_row_selector(a):
+        if _is_row_gather(a):
             rows = b.extract_rows(a.indices)
+            rows = CSRMatrix(rows.indptr[a.indptr], rows.indices, rows.data, out_shape)
             return rows.prune_zeros() if (rows.data == 0).any() else rows
         out = a.to_scipy() @ b.to_scipy()
         out.sort_indices()
@@ -84,15 +88,16 @@ def get_kernel(name: str) -> _Kernel:
     return _KERNEL
 
 
-def _is_unit_row_selector(a: CSRMatrix) -> bool:
-    """True iff every row of ``a`` holds exactly one entry of value 1.0.
+def _is_row_gather(a: CSRMatrix) -> bool:
+    """True iff every row of ``a`` holds at most one entry, and each entry
+    is ``1.0``.
 
-    The test is O(rows of ``a``) and only reached when ``a`` has as many
-    entries as rows.
+    The test is O(rows of ``a``) and only reached when ``a`` has no more
+    entries than rows.
     """
     return (
-        a.nnz == a.shape[0]
-        and bool(np.all(np.diff(a.indptr) == 1))
+        a.nnz <= a.shape[0]
+        and bool(np.all(np.diff(a.indptr) <= 1))
         and bool(np.all(a.data == 1.0))
     )
 

@@ -554,9 +554,9 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
 # The unit-selector row gather inside spgemm
 # --------------------------------------------------------------------- #
 def _general_path(a, b, monkeypatch):
-    """``spgemm(a, b)`` with the selector shortcut switched off."""
+    """``spgemm(a, b)`` with the row-gather shortcut switched off."""
     with monkeypatch.context() as m:
-        m.setattr(spgemm_module, "_is_unit_row_selector", lambda a: False)
+        m.setattr(spgemm_module, "_is_row_gather", lambda a: False)
         return spgemm(a, b)
 
 
@@ -609,9 +609,10 @@ def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
 
 
 def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
-    """Indicator rows (multi-entry), weighted selectors and selectors with
-    an empty row must take the general path — the gather is only exact
-    for unit single-entry rows."""
+    """Indicator rows (multi-entry), weighted selectors and two entries in
+    one row must take the general path — the gather is only exact for rows
+    of at most one unit entry.  A selector with an empty row is such a
+    matrix (a 1.5D stage's slice of ``Q``) and gathers."""
     adj = _graph()
     n = adj.shape[0]
     q_sel = SageSampler.make_q(np.arange(10), n)
@@ -623,9 +624,17 @@ def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
     two_in_one_row = CSRMatrix(
         np.array([0, 2, 2]), np.array([3, 5]), np.ones(2), (2, n)
     )
+    want = _general_path(one_empty_row, adj, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(
+            CSRMatrix, "to_scipy",
+            lambda self: pytest.fail("general path ran on a row gather"),
+        )
+        got = spgemm(one_empty_row, adj)
+    assert _same_bytes(got, want)
+    assert got.nnz_per_row()[-1] == 0
     for q in (
-        LadiesSampler.make_q(_batches(adj), n), weighted, one_empty_row,
-        two_in_one_row,
+        LadiesSampler.make_q(_batches(adj), n), weighted, two_in_one_row,
     ):
         viewed = []
         real_to_scipy = CSRMatrix.to_scipy
@@ -638,6 +647,44 @@ def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
         assert viewed == [q, adj]
         assert out.equal(spgemm_esc(q, adj), 0.0)
         assert _same_bytes(out, spgemm_hash(q, adj))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(1, 30),
+    empty=st.floats(0.0, 1.0),
+)
+def test_row_gather_matches_forced_general_path(seed, n_rows, empty):
+    """Rows of at most one ``1.0`` on the left — empty rows included —
+    gather bitwise what scipy's product computes, sorted: whatever ``b``
+    stores (``0.0`` and ``-0.0`` drop, NaN and ±inf stay)."""
+    n = 20
+    rng = np.random.default_rng(seed)
+    present = rng.random((n, n)) < 0.3
+    weights = rng.choice(
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 0.75, 1e-300],
+        size=(n, n),
+    )
+    rows, cols = np.nonzero(present)
+    b = CSRMatrix(
+        np.concatenate(([0], np.cumsum(present.sum(axis=1)))), cols,
+        weights[rows, cols], (n, n),
+    )
+    has_entry = rng.random(n_rows) >= empty
+    a = CSRMatrix(
+        np.concatenate(([0], np.cumsum(has_entry))),
+        rng.integers(0, n, int(has_entry.sum())),
+        np.ones(int(has_entry.sum())), (n_rows, n),
+    )
+    assert spgemm_module._is_row_gather(a)
+    forced = a.to_scipy() @ b.to_scipy()
+    forced.sort_indices()
+    want = CSRMatrix(forced.indptr, forced.indices, forced.data, (n_rows, n))
+    got = spgemm(a, b)
+    got.check()
+    assert _same_bytes(got, want)
+    assert not (got.data == 0).any()
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
-"""``CSRMatrix.from_coo`` against the two-key lexsort it replaced.
+"""``CSRMatrix.from_coo`` against the two-key lexsort it replaced, and
+``CSRMatrix.add`` (scipy's merge) against a ``from_coo`` build of the sum.
 
 ``_lexsort_from_coo`` below is the previous body of ``from_coo``, kept
 verbatim as the oracle.  The single-key canonicalizer must reproduce it
@@ -139,8 +140,8 @@ def test_reverse_sorted_input_matches_oracle(args):
        st.integers(1, 10), st.integers(1, 10))
 @settings(max_examples=80, deadline=None)
 def test_concatenated_canonical_runs_match_oracle(parts, n_rows, n_cols):
-    """Two to four canonical matrices laid end to end — the input shape of
-    ``a.add(b)`` and of the sparse all-reduce."""
+    """Two to four canonical matrices laid end to end: sorted runs for the
+    stable argsort to merge."""
     shape = (n_rows, n_cols)
     runs = [
         CSRMatrix.from_coo(r % n_rows, c % n_cols, v, shape).to_coo()
@@ -153,12 +154,50 @@ def test_concatenated_canonical_runs_match_oracle(parts, n_rows, n_cols):
 @given(triplets(max_dim=10), triplets(max_dim=10), triplets(max_dim=10))
 @settings(max_examples=60, deadline=None)
 def test_chained_add_matches_oracle(ta, tb, tc):
+    """``CSRMatrix.add`` is scipy's merge, not a ``from_coo`` build: the
+    same sums (``self``'s value first, one rounding) with exact zeros
+    absent."""
     shape = ta[3]
     a, b, c = (
         CSRMatrix.from_coo(r % shape[0], cl % shape[1], v, shape)
         for r, cl, v, _ in (ta, tb, tc)
     )
-    assert_identical(a.add(b).add(c), _oracle_add(_oracle_add(a, b), c))
+    got = a.add(b).add(c)
+    got.check()
+    assert_identical(got, _oracle_add(_oracle_add(a, b), c).prune_zeros())
+
+
+class TestAddZeroRule:
+    """An entry whose sum is exactly zero is absent; NaN and ±inf stay."""
+
+    def _m(self, vals):
+        return CSRMatrix([0, 2, 4], [0, 3, 1, 2], vals, (2, 4))
+
+    def test_cancellation_is_empty(self):
+        m = self._m([1.5, -2.0, 3.0, 1e-300])
+        neg = CSRMatrix(m.indptr, m.indices, -m.data, m.shape)
+        out = m.add(neg)
+        assert out.nnz == 0
+        assert out.indptr.tolist() == [0, 0, 0]
+
+    def test_stored_zeros_drop(self):
+        m = self._m([0.0, 2.0, -0.0, 4.0])
+        out = m.add(CSRMatrix.zeros(m.shape))
+        assert out.data.tolist() == [2.0, 4.0]
+        assert out.indices.tolist() == [3, 2]
+        assert out.indptr.tolist() == [0, 1, 2]
+
+    def test_nan_and_inf_stay(self):
+        m = self._m([np.nan, np.inf, -np.inf, 1.0])
+        out = m.add(CSRMatrix.zeros(m.shape))
+        assert out.nnz == 4
+        assert np.isnan(out.data[0])
+        assert out.data[1:].tolist() == [np.inf, -np.inf, 1.0]
+        # inf + -inf is NaN, not zero: it stays too.
+        both = m.add(self._m([1.0, -np.inf, 2.0, -1.0]))
+        assert np.isnan(both.data[:2]).all()
+        assert both.data[2:].tolist() == [-np.inf]
+        assert both.indptr.tolist() == [0, 2, 3]
 
 
 @given(triplets())

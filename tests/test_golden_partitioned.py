@@ -118,11 +118,13 @@ def test_matches_pre_refactor_implementation(name):
 @pytest.mark.parametrize(
     "name", [n for n in PRE_REFACTOR_DIGESTS]
 )
-@pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (2, 1)])
+@pytest.mark.parametrize("p,c", [(4, 1), (4, 2), (2, 1), (8, 2)])
 def test_compiled_matches_pre_refactor_digests(name, p, c):
     """The emitted plan on the grid reproduces the pre-refactor digests bit
     for bit at every grid shape — how the plan is executed (fused once,
-    four steps with NORM in place now) never changes output."""
+    four steps with NORM in place now) never changes output.  (8, 2) is
+    the shape where a rank sums two stage products *and* the all-reduce
+    sums two ranks."""
     assert _run_partitioned(name, p, c) == PRE_REFACTOR_DIGESTS[name]
 
 
