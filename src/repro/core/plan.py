@@ -329,16 +329,26 @@ def compact_layer_from_mask(
     """GraphSAGE extraction for one batch: selection mask -> compacted layer.
 
     Produces exactly what ``SageSampler.extract_batch_layer`` makes of the
-    batch's ``Q^{l-1}`` rows.  ``col_rank`` is a caller-owned scratch table
-    with one slot per column of ``p``: the kept columns' slots receive
-    their new ids and every selected entry is renumbered by one lookup, so
-    a batch costs O(selected entries) whatever ``n`` is.  Slots of columns
-    this batch did not keep hold garbage and are never read.
+    batch's ``Q^{l-1}`` rows.  The frontier ``src`` is the sorted set of
+    selected columns (plus ``dst_ids`` under ``include_dst``), found by
+    marking them in a fresh boolean table with one slot per column of ``p``
+    and reading the marks back with ``flatnonzero``: sorted, distinct and
+    int64, bitwise what ``np.unique`` of the same ids returns, with no
+    hashing and no sort.  That costs O(n) bits (a zeroed allocation) plus
+    O(selected entries); it beats the hash-and-sort ``np.unique`` even at
+    ``n = 2^20`` with 10^5 entries, so there is no size switch.
+    ``col_rank`` is a caller-owned scratch table with one slot per column
+    of ``p``: the kept columns' slots receive their new ids and every
+    selected entry is renumbered by one lookup.  Slots of columns this
+    batch did not keep hold garbage and are never read.
     """
     indptr, cols = _block_selection(p, sel, lo, hi)
-    # One sort serves both the frontier and the renumbering: ``src`` is the
-    # sorted union, so a kept column's new id is its position in it.
-    src = np.unique(np.concatenate((cols, dst_ids)) if include_dst else cols)
+    marks = np.zeros(p.shape[1], dtype=bool)
+    marks[cols] = True
+    if include_dst:
+        marks[dst_ids] = True
+    # ``src`` is sorted, so a kept column's new id is its position in it.
+    src = np.flatnonzero(marks)
     col_rank[src] = np.arange(src.size)
     adj = CSRMatrix(
         indptr, col_rank[cols], np.ones(cols.size), (hi - lo, int(src.size))

@@ -92,9 +92,15 @@ class ServeStats:
 class EmbeddingCache:
     """An exact, byte-budgeted cache of ``h^{L-1}`` rows.
 
-    ``budget_bytes`` buys ``budget_bytes // (8 * row_dim)`` rows (fp64, the
-    representation width the numpy model computes in).  ``n`` is the vertex
-    count, used for the frequency counters.
+    ``budget_bytes`` buys ``capacity_rows = budget_bytes // (8 * row_dim)``
+    rows (fp64, the representation width the numpy model computes in),
+    capped at ``n``, the vertex count.  The rows live in one
+    ``(capacity_rows, row_dim)`` slab allocated at construction —
+    ``capacity_rows * row_dim * 8`` bytes, never more than the budget — in
+    the layout of :class:`~repro.partition.cache.CachedFeatureStore`: a
+    per-vertex slot table ``_slot`` (``-1`` when absent) beside a per-slot
+    owner table ``_owner`` (``-1`` when free).  :meth:`lookup` returns
+    copies gathered from the slab, never views of it.
     """
 
     def __init__(self, n: int, row_dim: int, *, budget_bytes: float) -> None:
@@ -108,16 +114,17 @@ class EmbeddingCache:
         self.capacity_rows = min(n, int(budget_bytes // self.row_bytes))
         self.stats = ServeStats()
         self._counts = np.zeros(n, dtype=np.int64)
-        self._cached = np.zeros(n, dtype=bool)
-        self._rows: dict[int, np.ndarray] = {}
+        self._slot = np.full(n, -1, dtype=np.int64)
+        self._owner = np.full(self.capacity_rows, -1, dtype=np.int64)
+        self._slab = np.empty((self.capacity_rows, row_dim))
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return int(np.count_nonzero(self._owner >= 0))
 
     @property
     def cached_ids(self) -> np.ndarray:
         """Sorted vertex ids currently cached."""
-        return np.sort(np.fromiter(self._rows, dtype=np.int64, count=len(self._rows)))
+        return np.flatnonzero(self._slot >= 0)
 
     def lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split ``ids`` into (hit mask, gathered hit rows).
@@ -127,13 +134,10 @@ class EmbeddingCache:
         """
         ids = np.asarray(ids, dtype=np.int64)
         np.add.at(self._counts, ids, 1)
-        mask = self._cached[ids]
-        n_hits = int(mask.sum())
-        rows = (
-            np.stack([self._rows[int(v)] for v in ids[mask]])
-            if n_hits
-            else np.empty((0, self.row_dim))
-        )
+        slots = self._slot[ids]
+        mask = slots >= 0
+        rows = self._slab[slots[mask]]
+        n_hits = rows.shape[0]
         self.stats.requests += ids.size
         self.stats.hits += n_hits
         self.stats.misses += ids.size - n_hits
@@ -145,25 +149,42 @@ class EmbeddingCache:
         The retained set after an insert is the top ``capacity_rows``
         vertices of ``cached + offered`` ranked by observed request count
         (ties to the lower vertex id), mirroring the feature cache's LFU
-        refresh — deterministic for a deterministic request stream.
+        refresh — deterministic for a deterministic request stream.  A
+        resident id's row is overwritten in place.  ``ids`` must be
+        distinct (``ValueError`` otherwise).  Every offered row counts in
+        ``stats.inserts``; every row the ranking drops, an offered one
+        included, counts in ``stats.evictions``.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size != rows.shape[0]:
             raise ValueError("need exactly one row per id")
+        ordered = np.sort(ids)
+        dup = ordered[1:][ordered[1:] == ordered[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate vertex id {int(dup[0])} in one insert")
         if self.capacity_rows == 0 or ids.size == 0:
             return
-        for v, row in zip(ids, rows):
-            self._rows[int(v)] = row.copy()
-            self.stats.inserts += 1
-        self._cached[ids] = True
-        overflow = len(self._rows) - self.capacity_rows
-        if overflow > 0:
-            cached = self.cached_ids
-            order = np.lexsort((cached, -self._counts[cached]))
-            for v in cached[order][self.capacity_rows :]:
-                del self._rows[int(v)]
-                self._cached[v] = False
-                self.stats.evictions += 1
+        self.stats.inserts += ids.size
+        slots = self._slot[ids]
+        resident = slots >= 0
+        self._slab[slots[resident]] = rows[resident]
+        ids, rows = ids[~resident], rows[~resident]
+        if len(self) + ids.size > self.capacity_rows:
+            held = self._owner[self._owner >= 0]
+            pool = np.concatenate((held, ids))
+            order = np.lexsort((pool, -self._counts[pool]))
+            losers = pool[order[self.capacity_rows :]]
+            self.stats.evictions += losers.size
+            lost = self._slot[losers]
+            self._owner[lost[lost >= 0]] = -1
+            self._slot[losers] = -1
+            won = order[: self.capacity_rows]
+            fresh = won[won >= held.size] - held.size
+            ids, rows = ids[fresh], rows[fresh]
+        free = np.flatnonzero(self._owner < 0)[: ids.size]
+        self._owner[free] = ids
+        self._slot[ids] = free
+        self._slab[free] = rows
 
     def invalidate(self, ids: np.ndarray) -> int:
         """Drop cached rows for ``ids``; returns how many were resident.
@@ -177,15 +198,14 @@ class EmbeddingCache:
         ids = np.unique(np.asarray(ids, dtype=np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= self.n):
             raise IndexError(f"vertex id out of range [0, {self.n})")
-        resident = ids[self._cached[ids]]
-        for v in resident:
-            del self._rows[int(v)]
-        self._cached[resident] = False
+        resident = ids[self._slot[ids] >= 0]
+        self._owner[self._slot[resident]] = -1
+        self._slot[resident] = -1
         self.stats.invalidations += int(resident.size)
         return int(resident.size)
 
     def clear(self) -> None:
         """Drop every cached row (required after any weight update)."""
-        self._rows.clear()
-        self._cached[:] = False
+        self._slot[:] = -1
+        self._owner[:] = -1
         self._counts[:] = 0

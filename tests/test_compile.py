@@ -7,8 +7,10 @@ dead steps (the retired pass, kept as an oracle in
 NORM`` and ``SAMPLE, EXTRACT`` share a launch (the fusions the plan no
 longer spells out, pinned to the fused programs' step counts); the
 ``describe()`` rendering; the in-place NORM — bit-equal to the copying one,
-never a copy, safe wherever a plan puts it; the unit-selector row gather
-inside the SpGEMM; and named plans (two EXTRACTs off one SAMPLE, a PROB
+never a copy, safe wherever a plan puts it; EXTRACT's mark-table frontier
+compaction, bitwise the retired ``np.unique`` body (kept here as an
+oracle) and never calling it; the unit-selector row gather inside the
+SpGEMM; and named plans (two EXTRACTs off one SAMPLE, a PROB
 between SAMPLE and EXTRACT, NORMs that do not follow a PROB) against the
 oracle.  The fuzzed surface lives in the golden suites and
 ``test_compile_differential.py``.
@@ -37,9 +39,11 @@ from repro.core.plan import (
     ProbStep,
     SampleStep,
     SamplingPlan,
+    _block_selection,
     compact_layer_from_mask,
     step_phase,
 )
+from repro.core.frontier import LayerSample
 from repro.distributed.partitioned import (
     PartitionedExecutor,
     partitioned_bulk_sampling,
@@ -548,6 +552,115 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
         assert np.array_equal(want.adj.data, got.adj.data)
         assert np.array_equal(want.src_ids, got.src_ids)
         assert np.array_equal(want.dst_ids, got.dst_ids)
+
+
+def unique_compact_layer_from_mask(
+    p, sel, lo, hi, dst_ids, *, include_dst, col_rank
+):
+    """The pre-mark-table ``compact_layer_from_mask`` (oracle; do not
+    optimize): the frontier is ``np.unique`` of the selected columns."""
+    indptr, cols = _block_selection(p, sel, lo, hi)
+    # One sort serves both the frontier and the renumbering: ``src`` is the
+    # sorted union, so a kept column's new id is its position in it.
+    src = np.unique(np.concatenate((cols, dst_ids)) if include_dst else cols)
+    col_rank[src] = np.arange(src.size)
+    adj = CSRMatrix(
+        indptr, col_rank[cols], np.ones(cols.size), (hi - lo, int(src.size))
+    )
+    return LayerSample(adj, src, dst_ids)
+
+
+@st.composite
+def _compaction_cases(draw):
+    """``(p, sel, lo, hi, dst_ids, include_dst)``: random or single-column
+    ``p`` (every selected column the same), random / empty / full
+    selections, any ``[lo, hi)`` block, and ``dst_ids`` drawn at random,
+    from outside the block's selected columns or from inside them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows, n = draw(st.integers(1, 10)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        dense = rng.random((rows, n)) * (rng.random((rows, n)) < 0.3)
+    else:
+        dense = np.zeros((rows, n))
+        dense[rng.random(rows) < 0.8, rng.integers(n)] = 0.5
+    p = CSRMatrix.from_dense(dense)
+    sel = {
+        "random": rng.random(p.nnz) < 0.5,
+        "empty": np.zeros(p.nnz, dtype=bool),
+        "full": np.ones(p.nnz, dtype=bool),
+    }[draw(st.sampled_from(["random", "empty", "full"]))]
+    lo = draw(st.integers(0, rows))
+    hi = draw(st.integers(lo, rows))
+    picked = np.unique(_block_selection(p, sel, lo, hi)[1])
+    pool = {
+        "random": np.arange(n),
+        "disjoint": np.setdiff1d(np.arange(n), picked),
+        "selected": picked,
+    }[draw(st.sampled_from(["random", "disjoint", "selected"]))]
+    if pool.size == 0:
+        pool = np.arange(n)
+    # One destination per block row, as ``LayerSample`` requires.
+    dst_ids = rng.choice(pool, hi - lo, replace=pool.size < hi - lo)
+    return p, sel, lo, hi, dst_ids.astype(np.int64), draw(st.booleans())
+
+
+def _compact(fn, p, sel, lo, hi, dst_ids, include_dst):
+    return fn(p, sel, lo, hi, dst_ids, include_dst=include_dst,
+              col_rank=np.full(p.shape[1], -7, dtype=np.int64))
+
+
+def _assert_same_layer(got, want):
+    """``src_ids`` in values and dtype, the renumbered block by bytes."""
+    assert got.src_ids.dtype == want.src_ids.dtype == np.int64
+    assert got.src_ids.tobytes() == want.src_ids.tobytes()
+    assert _same_bytes(got.adj, want.adj)
+    assert got.dst_ids.tobytes() == want.dst_ids.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_compaction_cases())
+def test_mark_table_compaction_matches_unique_oracle(case):
+    """The mark-table frontier is bitwise the retired ``np.unique`` one."""
+    _assert_same_layer(
+        _compact(compact_layer_from_mask, *case),
+        _compact(unique_compact_layer_from_mask, *case),
+    )
+
+
+def test_mark_table_compaction_middle_block():
+    """A ``[lo, hi)`` block in the middle of a stacked ``P``, with ``dst_ids``
+    outside, among and on both sides of the block's selected columns."""
+    rng = np.random.default_rng(4)
+    p = CSRMatrix.from_dense(rng.random((9, 12)) * (rng.random((9, 12)) < 0.4))
+    sel = rng.random(p.nnz) < 0.6
+    picked = np.unique(_block_selection(p, sel, 3, 6)[1])
+    outside = np.setdiff1d(np.arange(12), picked)
+    assert picked.size >= 3 and outside.size >= 3
+    mixed = np.array([outside[0], picked[-1], outside[1]])
+    for dst_ids in (outside[:3], picked[::-1][:3], mixed):
+        for include_dst in (True, False):
+            case = (p, sel, 3, 6, dst_ids, include_dst)
+            _assert_same_layer(
+                _compact(compact_layer_from_mask, *case),
+                _compact(unique_compact_layer_from_mask, *case),
+            )
+
+
+def test_compaction_does_not_call_unique(monkeypatch):
+    """EXTRACT's frontier is read off a mark table: no hash set, no sort."""
+    adj = _graph()
+    dst = np.arange(20, dtype=np.int64)
+    p = SageSampler().norm(spgemm(SageSampler.make_q(dst, adj.shape[0]), adj))
+    sel = SageSampler().sample_mask(p, 3, np.random.default_rng(5))
+    cases = [(p, sel, 0, p.shape[0], dst, flag) for flag in (True, False)]
+    want = [_compact(unique_compact_layer_from_mask, *case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    for case, w in zip(cases, want):
+        _assert_same_layer(_compact(compact_layer_from_mask, *case), w)
 
 
 # --------------------------------------------------------------------- #

@@ -196,6 +196,23 @@ class TestEmbeddingCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 1
 
+    def test_duplicate_ids_in_one_insert_raise(self):
+        cache = EmbeddingCache(10, 2, budget_bytes=1e6)
+        cache.insert(np.array([1]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="duplicate vertex id 7"):
+            cache.insert(np.array([3, 7, 1, 7]), np.ones((4, 2)))
+        assert cache.cached_ids.tolist() == [1]
+        assert cache.stats.inserts == 1
+
+    def test_slab_within_budget_and_lookup_copies(self):
+        cache = EmbeddingCache(10, 3, budget_bytes=4 * 8 * 3 + 17)
+        assert cache._slab.shape == (4, 3) and cache._slab.nbytes <= 4 * 8 * 3 + 17
+        cache.insert(np.array([2]), np.full((1, 3), 0.25))
+        _, got = cache.lookup(np.array([2]))
+        got[:] = -1.0
+        _, again = cache.lookup(np.array([2]))
+        assert np.array_equal(again, np.full((1, 3), 0.25))
+
     def test_zero_budget_caches_nothing(self):
         cache = EmbeddingCache(10, 2, budget_bytes=0)
         cache.insert(np.array([1]), np.zeros((1, 2)))
