@@ -139,7 +139,7 @@ class Dropout:
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
+        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype)
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

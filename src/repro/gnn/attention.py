@@ -35,10 +35,10 @@ def _segment_softmax(
     n_rows = indptr.shape[0] - 1
     rows = _row_ids(indptr)
     # Stabilize per row: subtract the row max.
-    row_max = np.full(n_rows, -np.inf)
+    row_max = np.full(n_rows, -np.inf, scores.dtype)
     np.maximum.at(row_max, rows, scores)
     shifted = np.exp(scores - row_max[rows])
-    row_sum = np.zeros(n_rows)
+    row_sum = np.zeros(n_rows, scores.dtype)
     np.add.at(row_sum, rows, shifted)
     return shifted / row_sum[rows]
 
@@ -59,7 +59,7 @@ class GATConv(_ConvBase):
             "W": glorot((in_dim, out_dim), rng),
             "a_src": glorot((out_dim, 1), rng)[:, 0],
             "a_dst": glorot((out_dim, 1), rng)[:, 0],
-            "b": np.zeros(out_dim),
+            "b": np.zeros(out_dim, np.float32),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache: tuple | None = None
@@ -85,7 +85,7 @@ class GATConv(_ConvBase):
         leaky = np.where(raw > 0, raw, _LEAK * raw)
         alpha = _segment_softmax(leaky, adj.indptr)
         # Aggregate alpha-weighted source transforms per destination row.
-        out = np.zeros((layer.n_dst, z.shape[1]))
+        out = np.zeros((layer.n_dst, z.shape[1]), z.dtype)
         np.add.at(out, rows, alpha[:, None] * z[cols])
         self._cache = (layer, h_src, z, rows, cols, raw, alpha, dst_pos)
         return out + self.params["b"]
@@ -118,7 +118,7 @@ class GATConv(_ConvBase):
         raw = s_dst[dst_pos][rows] + s_src[cols]
         leaky = np.where(raw > 0, raw, _LEAK * raw)
         alpha = _segment_softmax(leaky, adj.indptr)
-        out = np.zeros((layer.n_dst, z.shape[1]))
+        out = np.zeros((layer.n_dst, z.shape[1]), z.dtype)
         np.add.at(out, rows, alpha[:, None] * z[cols])
         return out + self.params["b"]
 
@@ -140,15 +140,15 @@ class GATConv(_ConvBase):
         dalpha = np.einsum("ef,ef->e", dy[rows], z[cols])
         # Softmax backward within each row segment.
         weighted = alpha * dalpha
-        row_sums = np.zeros(layer.n_dst)
+        row_sums = np.zeros(layer.n_dst, weighted.dtype)
         np.add.at(row_sums, rows, weighted)
         dscore = alpha * (dalpha - row_sums[rows])
         # Leaky ReLU backward.
         draw = np.where(raw > 0, dscore, _LEAK * dscore)
         # raw = s_dst[dst_pos][row] + s_src[col]
-        ds_src = np.zeros(n_src)
+        ds_src = np.zeros(n_src, draw.dtype)
         np.add.at(ds_src, cols, draw)
-        ds_dst = np.zeros(n_src)
+        ds_dst = np.zeros(n_src, draw.dtype)
         np.add.at(ds_dst, dst_pos[rows], draw)
         # z gradients: from aggregation term and from both score terms.
         dz = np.zeros_like(z)

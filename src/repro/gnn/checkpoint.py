@@ -20,7 +20,13 @@ def save_model(model: GNNModel, path: str | Path) -> Path:
 
 
 def load_model_into(model: GNNModel, path: str | Path) -> GNNModel:
-    """Load a checkpoint into an architecture-matching ``model`` in place."""
+    """Load a checkpoint into an architecture-matching ``model`` in place.
+
+    Values take the model's width: a float64 checkpoint (every one written
+    before the model went float32) loads rounded once to float32, and a
+    float32 one loads bit for bit.  A non-floating array is refused with a
+    ``ValueError`` naming the parameter.
+    """
     own = model.parameters()
     with np.load(path, allow_pickle=False) as data:
         stored = {k.replace("__", "."): data[k] for k in data.files}
@@ -28,6 +34,10 @@ def load_model_into(model: GNNModel, path: str | Path) -> GNNModel:
         missing = set(own) ^ set(stored)
         raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
     for name, value in stored.items():
+        if not np.issubdtype(value.dtype, np.floating):
+            raise ValueError(
+                f"checkpoint parameter {name} is {value.dtype}, not floating point"
+            )
         if own[name].shape != value.shape:
             raise ValueError(
                 f"shape mismatch for {name}: model {own[name].shape} "

@@ -21,9 +21,9 @@ _ROWS = 32
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
+    """Glorot/Xavier uniform initialization, in the model's float32."""
     limit = np.sqrt(6.0 / sum(shape))
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -41,12 +41,15 @@ def stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
       zero-padded to a full block.
     * **Independence.**  ``stable_matmul(x[r], w)`` is
       ``stable_matmul(x, w)[r]`` bitwise for any index array ``r``.
+    * **Width.**  The blocks are padded in ``np.result_type(x, w)``, the
+      width ``x @ w`` computes in: float32 (``sgemm``) for the model's
+      float32 operands, float64 if either operand is float64.
     * **Scope.**  The bits are identical per BLAS build and CPU kernel, and
       ``allclose`` across them; the pinned digests skip themselves when
       ``tests/test_gnn.py::_gemm_probe`` sees another.
     """
     m, k = x.shape
-    blocks = np.zeros((-(-m // _ROWS), _ROWS, k))
+    blocks = np.zeros((-(-m // _ROWS), _ROWS, k), np.result_type(x, w))
     blocks.reshape(-1, k)[:m] = x
     return (blocks @ w).reshape(-1, w.shape[1])[:m]
 
@@ -95,7 +98,7 @@ class SAGEConv(_ConvBase):
         self.params = {
             "W_self": glorot((in_dim, out_dim), rng),
             "W_neigh": glorot((in_dim, out_dim), rng),
-            "b": np.zeros(out_dim),
+            "b": np.zeros(out_dim, np.float32),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache: tuple | None = None
@@ -170,7 +173,7 @@ class GCNConv(_ConvBase):
     ) -> None:
         self.params = {
             "W": glorot((in_dim, out_dim), rng),
-            "b": np.zeros(out_dim),
+            "b": np.zeros(out_dim, np.float32),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._cache: tuple | None = None

@@ -72,6 +72,12 @@ class GNNModel:
             for k, v in conv.params.items()
         }
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The width the model computes in: its parameters' result type
+        (float32 as constructed)."""
+        return np.result_type(*self.parameters().values())
+
     def gradients(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every gradient accumulator."""
         return {

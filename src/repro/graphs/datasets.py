@@ -113,7 +113,9 @@ def load_dataset(
         features = centroids[labels] + 0.5 * rng.standard_normal((n, spec.features))
     else:
         features = rng.standard_normal((n, spec.features))
-    features = features.astype(np.float64)
+    # The model's one width: features, weights, activations and gradients
+    # are float32, as the paper's PyG training runs them (section 8.1.3).
+    features = features.astype(np.float32)
 
     perm = rng.permutation(n)
     n_train = max(1, int(round(spec.train_fraction * n)))

@@ -22,17 +22,12 @@ __all__ = ["FeatureStore"]
 class FeatureStore:
     """Features partitioned 1.5D over a process grid."""
 
-    def __init__(
-        self, features: np.ndarray, grid: ProcessGrid, *, bytes_per_value: int = 4
-    ) -> None:
+    def __init__(self, features: np.ndarray, grid: ProcessGrid) -> None:
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         self.features = features
         self.grid = grid
         self.starts = split_rows(features.shape[0], grid.n_rows)
-        # The paper stores fp32 features; our arrays are float64, so sizes
-        # on the simulated wire are scaled to the configured width.
-        self.bytes_per_value = bytes_per_value
 
     @property
     def n(self) -> int:
@@ -47,8 +42,8 @@ class FeatureStore:
         return np.searchsorted(self.starts, vertex_ids, side="right") - 1
 
     def wire_bytes(self, n_rows: int) -> float:
-        """Bytes on the wire for ``n_rows`` feature rows."""
-        return float(n_rows * self.n_features * self.bytes_per_value)
+        """Bytes on the wire for ``n_rows`` feature rows: their ``nbytes``."""
+        return float(n_rows * self.n_features * self.features.itemsize)
 
     # ------------------------------------------------------------------ #
     # The all-to-allv fetch
@@ -86,23 +81,19 @@ class FeatureStore:
                     req[pos][o] = sorted_ids[bounds[o] : bounds[o + 1]]
             got_req = comm.alltoallv(req, ranks)
             # Responses: owner o answers with the requested feature rows.
-            # Payload size on the wire follows the configured value width.
-            resp: list[list[object]] = [[None] * g for _ in range(g)]
-            for o in range(g):
-                for pos in range(g):
-                    ids = got_req[o][pos]
-                    rows = self.features[ids]
-                    # Scale the advertised size: simulated fp32 on the wire.
-                    resp[o][pos] = _SizedArray(rows, self.wire_bytes(len(ids)))
+            resp = [
+                [self.features[got_req[o][pos]] for pos in range(g)]
+                for o in range(g)
+            ]
             got_resp = comm.alltoallv(resp, ranks)
             for pos, r in enumerate(ranks):
                 ids = np.asarray(needed_by_rank[r], dtype=np.int64)
-                # The returned block follows the stored dtype: an fp32 store
-                # must not come back silently upcast to float64.
+                # The returned block keeps the stored width (float32 for the
+                # library's features): no silent upcast.
                 out = np.empty(
                     (len(ids), self.n_features), dtype=self.features.dtype
                 )
-                chunks = [got_resp[pos][o].array for o in range(g)]
+                chunks = [got_resp[pos][o] for o in range(g)]
                 stacked = (
                     np.concatenate(chunks, axis=0)
                     if chunks
@@ -112,11 +103,3 @@ class FeatureStore:
                 out[orders[pos]] = stacked
                 results[r] = out
         return results  # type: ignore[return-value]
-
-
-class _SizedArray:
-    """An ndarray payload whose wire size is overridden (fp32 simulation)."""
-
-    def __init__(self, array: np.ndarray, nbytes: float) -> None:
-        self.array = array
-        self.nbytes = nbytes

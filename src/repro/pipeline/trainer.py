@@ -101,8 +101,8 @@ class TrainingPipeline:
             + [config.hidden] * (len(config.fanout) - 1)
             + [n_classes]
         )
-        self._param_bytes = 4.0 * sum(
-            v.size for v in self.model.parameters().values()
+        self._param_bytes = float(
+            sum(v.nbytes for v in self.model.parameters().values())
         )
 
     def close(self) -> None:

@@ -92,31 +92,35 @@ class ServeStats:
 class EmbeddingCache:
     """An exact, byte-budgeted cache of ``h^{L-1}`` rows.
 
-    ``budget_bytes`` buys ``capacity_rows = budget_bytes // (8 * row_dim)``
-    rows (fp64, the representation width the numpy model computes in),
-    capped at ``n``, the vertex count.  The rows live in one
-    ``(capacity_rows, row_dim)`` slab allocated at construction —
-    ``capacity_rows * row_dim * 8`` bytes, never more than the budget — in
-    the layout of :class:`~repro.partition.cache.CachedFeatureStore`: a
+    ``budget_bytes`` buys ``capacity_rows = budget_bytes // row_bytes`` rows,
+    capped at ``n``, the vertex count; ``row_bytes`` is ``row_dim`` values
+    of ``dtype``, the width the model computes ``h^{L-1}`` in (float32 for
+    the library's models).  The rows live in one
+    ``(capacity_rows, row_dim)`` slab of that width allocated at
+    construction — ``capacity_rows * row_bytes`` bytes, never more than the
+    budget — in the layout of
+    :class:`~repro.partition.cache.CachedFeatureStore`: a
     per-vertex slot table ``_slot`` (``-1`` when absent) beside a per-slot
     owner table ``_owner`` (``-1`` when free).  :meth:`lookup` returns
     copies gathered from the slab, never views of it.
     """
 
-    def __init__(self, n: int, row_dim: int, *, budget_bytes: float) -> None:
+    def __init__(
+        self, n: int, row_dim: int, *, budget_bytes: float, dtype=np.float32
+    ) -> None:
         if n <= 0 or row_dim <= 0:
             raise ValueError("n and row_dim must be positive")
         if budget_bytes < 0:
             raise ValueError("embedding budget must be non-negative bytes")
         self.n = n
         self.row_dim = row_dim
-        self.row_bytes = 8 * row_dim
+        self.row_bytes = np.dtype(dtype).itemsize * row_dim
         self.capacity_rows = min(n, int(budget_bytes // self.row_bytes))
         self.stats = ServeStats()
         self._counts = np.zeros(n, dtype=np.int64)
         self._slot = np.full(n, -1, dtype=np.int64)
         self._owner = np.full(self.capacity_rows, -1, dtype=np.int64)
-        self._slab = np.empty((self.capacity_rows, row_dim))
+        self._slab = np.empty((self.capacity_rows, row_dim), dtype)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._owner >= 0))

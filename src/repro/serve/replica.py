@@ -121,6 +121,9 @@ class Replica:
         self._dims = [_conv_in_dim(c) for c in model.convs] + [
             _conv_out_dim(model.convs[-1])
         ]
+        # The width activations come out in (numpy's propagation over the
+        # features and the parameters): float32 for the library's models.
+        self._width = np.result_type(graph.features.dtype, model.dtype)
         if self.exact:
             # Exactness needs the node-wise full-expansion plan: every dst
             # keeps its whole neighborhood and joins its own frontier.
@@ -145,7 +148,8 @@ class Replica:
         self.cache: EmbeddingCache | None = None
         if self.exact and n_layers > 1 and config.embed_budget > 0:
             self.cache = EmbeddingCache(
-                graph.n, self._dims[-2], budget_bytes=config.embed_budget
+                graph.n, self._dims[-2], budget_bytes=config.embed_budget,
+                dtype=self._width,
             )
         # Shed/hit counters: share the cache's ServeStats when there is a
         # cache (one counter object per replica), otherwise a private one.
@@ -275,7 +279,9 @@ class Replica:
         for layer, f_in, f_out in zip(layers, dims[:-1], dims[1:]):
             flops += spmm_flops(layer.adj, f_in)
             flops += 2.0 * layer.n_dst * f_in * f_out
-            nbytes += 8.0 * (layer.n_src * f_in + layer.n_dst * f_out)
+            nbytes += self._width.itemsize * (
+                layer.n_src * f_in + layer.n_dst * f_out
+            )
         self.clock.advance(
             0,
             self.cost.compute(flops=flops, nbytes=nbytes, kernels=2 * len(layers)),
@@ -332,7 +338,7 @@ class Replica:
                     ),
                     "compute",
                 )
-        h_frontier = np.empty((frontier.size, self._dims[-2]))
+        h_frontier = np.empty((frontier.size, self._dims[-2]), self._width)
         misses = frontier[~mask]
         if misses.size:
             with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):

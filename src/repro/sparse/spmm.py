@@ -23,6 +23,12 @@ pinned serving digests), and this is the whole contract:
   ``spmm(a, x)[r]`` and ``spmm(a, x[:, cols])`` is ``spmm(a, x)[:, cols]``,
   bitwise.  Exact serving, the embedding cache, workers-0-vs-N and
   fleet-shape invariance rest on this.
+* **Width.**  A float32 dense operand — the model's one width — runs
+  scipy's float32 kernel: ``a``'s float64 values are rounded once to
+  float32 and every product and partial sum above is a float32 operation,
+  in the same order.  Any other dense operand runs in float64.  ``a``
+  itself stays float64 (sampling needs the headroom), so a row-normalized
+  adjacency is normalized in float64 before that one rounding.
 * **Scope.**  Bit-identity is promised *per build of the kernel*; across
   builds (a compiler that contracts ``y + a*x`` to one FMA rounds once where
   this box rounds twice) results are ``allclose``, and the pinned digests
@@ -51,17 +57,21 @@ def spmm(
     """Compute ``a @ dense`` — or ``a.T @ dense`` with ``transpose=True`` —
     where ``dense`` is a 2-D (or 1-D) array.
 
-    The result is a fresh C-contiguous float64 array; each element is summed
+    The result is a fresh C-contiguous array in ``dense``'s width — float32
+    for a float32 operand, float64 for any other; each element is summed
     strictly left to right in CSR entry order, independently of every other
     row and feature column (see the module docstring — callers' digests
-    depend on it).  No memory is held beyond the output.
+    depend on it).  No memory is held beyond the output and, for a float32
+    operand, ``a``'s values rounded to float32.
 
     ``transpose=True`` runs scipy's CSC kernel over ``a``'s own arrays (the
     backward pass's ``A^T dy``, with no transpose built): element ``(c, k)``
     is the strict left-to-right sum from ``0.0`` over column ``c``'s entries,
     rows in ascending order.
     """
-    dense = np.asarray(dense, dtype=np.float64)
+    dense = np.asarray(dense)
+    width = np.float32 if dense.dtype == np.float32 else np.float64
+    dense = dense.astype(width, copy=False)
     squeeze = dense.ndim == 1
     if squeeze:
         dense = dense[:, None]
@@ -70,7 +80,9 @@ def spmm(
     shape = a.shape[::-1] if transpose else a.shape
     if shape[1] != dense.shape[0]:
         raise ValueError(f"inner dimensions differ: {shape} @ {dense.shape}")
-    out = a.to_scipy(transpose=transpose) @ dense
+    view = a.to_scipy(transpose=transpose)
+    view.data = view.data.astype(width, copy=False)
+    out = view @ dense
     return out[:, 0] if squeeze else out
 
 

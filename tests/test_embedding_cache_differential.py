@@ -13,8 +13,13 @@ duplicate-id inserts (refused, state unchanged) and ``clear``.  After
   field equal the oracle's;
 * ``len(cache) <= capacity_rows``, and the slot and owner tables agree;
 * inside the lookup rule, the hit masks are equal, the rows equal by
-  bytes, and every hit row is the row last inserted for that vertex — an
-  invalidated row is never returned until it is re-inserted.
+  bytes and of the cache's width, and every hit row is the row last
+  inserted for that vertex — an invalidated row is never returned until it
+  is re-inserted.
+
+Each capacity runs at the model's float32; two also run at float64.  The
+oracle counts 8-byte rows, so it is given the budget of the same number of
+rows at its width.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.serve import EmbeddingCache
 
 class CacheMachine(RuleBasedStateMachine):
     capacity: int | None = None  # None: room for every vertex and more
+    dtype = np.dtype(np.float32)
 
     @initialize(
         n=st.integers(4, 14),
@@ -48,10 +54,11 @@ class CacheMachine(RuleBasedStateMachine):
     )
     def build(self, n, dim, spare, partial):
         rows = n + spare if self.capacity is None else self.capacity
-        budget = 8 * dim * rows + partial
+        row_bytes = self.dtype.itemsize * dim
+        budget = row_bytes * rows + partial % row_bytes
         self.n, self.dim = n, dim
-        self.new = EmbeddingCache(n, dim, budget_bytes=budget)
-        self.ref = ReferenceEmbeddingCache(n, dim, budget_bytes=budget)
+        self.new = EmbeddingCache(n, dim, budget_bytes=budget, dtype=self.dtype)
+        self.ref = ReferenceEmbeddingCache(n, dim, budget_bytes=8 * dim * rows)
         assert self.new.capacity_rows == self.ref.capacity_rows == min(n, rows)
         self.latest: dict[int, bytes] = {}  # the row last inserted per id
         self.dropped: set[int] = set()  # invalidated, not re-inserted since
@@ -65,6 +72,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     def _insert(self, ids: list[int], seed: int) -> None:
         rows = np.random.default_rng(seed).standard_normal((len(ids), self.dim))
+        rows = rows.astype(self.dtype)
         ids = np.array(ids, dtype=np.int64)
         self.new.insert(ids, rows)
         self.ref.insert(ids, rows)
@@ -83,7 +91,7 @@ class CacheMachine(RuleBasedStateMachine):
         mask, rows = self.new.lookup(ids)
         want_mask, want_rows = self.ref.lookup(ids)
         assert mask.dtype == want_mask.dtype and mask.tolist() == want_mask.tolist()
-        assert rows.shape == want_rows.shape and rows.dtype == want_rows.dtype
+        assert rows.shape == want_rows.shape and rows.dtype == self.dtype
         assert rows.tobytes() == want_rows.tobytes()
         for v, row in zip(ids[mask].tolist(), rows):
             assert v not in self.dropped
@@ -159,9 +167,9 @@ class CacheMachine(RuleBasedStateMachine):
         assert np.count_nonzero(self.new._owner >= 0) == ids.size
 
 
-def _at_capacity(capacity: int | None):
+def _at_capacity(capacity: int | None, dtype=np.float32):
     machine = type(f"CacheMachineCap{capacity}", (CacheMachine,),
-                   {"capacity": capacity})
+                   {"capacity": capacity, "dtype": np.dtype(dtype)})
     case = machine.TestCase
     case.settings = settings(
         max_examples=25, stateful_step_count=25, deadline=None, derandomize=True
@@ -173,3 +181,5 @@ TestCapacity0 = _at_capacity(0)
 TestCapacity1 = _at_capacity(1)
 TestCapacity3 = _at_capacity(3)
 TestCapacityAll = _at_capacity(None)
+TestCapacity3Float64 = _at_capacity(3, np.float64)
+TestCapacityAllFloat64 = _at_capacity(None, np.float64)

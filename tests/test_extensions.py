@@ -12,6 +12,8 @@ from repro.graphs import load_dataset, load_graph, save_graph
 from repro.pipeline import layerwise_inference
 from repro.sparse import CSRMatrix, spmm
 
+from tests.test_gnn import widen
+
 
 class TestGraphSaintRW:
     """The third sampler taxonomy (graph-wise), built on Algorithm-1 pieces."""
@@ -209,11 +211,24 @@ class TestLayerwiseInference:
         assert np.array_equal(one, default)
 
     def test_gat_model_parity(self, labeled_graph, rng):
-        """Attention models go through the same schedule exactly."""
+        """Attention models go through the same schedule exactly.
+
+        Training's plain ``@`` and inference's ``stable_matmul`` associate
+        differently, so the two agree to the width's precision: the
+        ``allclose`` runs on a float64-widened model.  At the model's
+        float32, layer-wise inference stays float32 and bit-stable across
+        batch sizes."""
         model = GNNModel(
             labeled_graph.n_features, 8, labeled_graph.n_classes, 2, rng,
             conv="gat",
         )
+        narrow = layerwise_inference(model, labeled_graph, batch_size=97)
+        assert narrow.dtype == np.float32
+        assert narrow.tobytes() == layerwise_inference(
+            model, labeled_graph, batch_size=513
+        ).tobytes()
+        for conv in model.convs:
+            widen(conv)
         full = model.forward(
             full_graph_sample(labeled_graph.adj, 2), labeled_graph.features
         )

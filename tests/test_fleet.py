@@ -74,10 +74,11 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 # fixture config on Engine.serving()'s default server.  First pinned before
 # the Replica/Router/Cluster split (f066470b…, the ``reduceat`` SpMM's
 # bits), re-recorded when ``spmm`` moved to scipy's left-to-right CSR
-# kernel (303057a6…) and when ``stable_matmul`` moved to fixed-shape BLAS
-# GEMMs; the refactors in between moved code, never floats.
+# kernel (303057a6…), when ``stable_matmul`` moved to fixed-shape BLAS
+# GEMMs (721e934e…) and when the model moved to float32; the refactors in
+# between moved code, never floats.
 GOLDEN_SERVE_DIGEST = (
-    "721e934e2458208b9fa44fe5b69bad825984eaa06410a89fb2402f00b760b18f"
+    "e4bd0e1aac161a41484d3f7c1fb3108b4022e59a9c7b21463f6bcca114cdc7ce"
 )
 
 

@@ -10,13 +10,13 @@ from repro.core.frontier import LayerSample
 from repro.gnn import GATConv, GNNModel, load_model_into, save_model
 from repro.sparse import CSRMatrix
 
-from tests.test_gnn import check_input_grad_false, make_layer, numeric_grad
+from tests.test_gnn import check_input_grad_false, make_layer, numeric_grad, widen
 
 
 class TestGATGradients:
     def test_gradcheck_all_parameters(self, rng):
         layer = make_layer(rng, include_dst=True)
-        conv = GATConv(4, 3, rng)
+        conv = widen(GATConv(4, 3, rng))
         h = rng.random((layer.n_src, 4))
         target = rng.random((layer.n_dst, 3))
 

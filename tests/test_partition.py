@@ -120,8 +120,14 @@ class TestFeatureStore:
         assert store.owner_row(np.array([0, 31, 32, 63])).tolist() == [0, 0, 1, 1]
 
     def test_wire_bytes_uses_fp32(self):
-        comm, grid, feats, store = self._setup(4, 2)
-        assert store.wire_bytes(10) == 10 * 8 * 4
+        """Wire bytes are the rows' real ``nbytes``: 4 per value for the
+        float32 features the library builds, 8 for a float64 store."""
+        comm, grid, feats, _ = self._setup(4, 2)
+        store = FeatureStore(feats.astype(np.float32), grid)
+        assert store.wire_bytes(10) == 10 * 8 * 4 == store.features[:10].nbytes
+        assert FeatureStore(feats, grid).wire_bytes(10) == 10 * 8 * 8
+        got = store.fetch(comm, [np.arange(5)] * 4)
+        assert all(g.dtype == np.float32 for g in got)
 
     def test_validation(self, rng):
         comm = Communicator(4)

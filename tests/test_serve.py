@@ -173,20 +173,23 @@ class TestEmbeddingCache:
             EmbeddingCache(10, 4, budget_bytes=-1)
 
     def test_capacity_from_budget(self):
-        cache = EmbeddingCache(100, 4, budget_bytes=3 * 8 * 4)
-        assert cache.capacity_rows == 3
+        cache = EmbeddingCache(100, 4, budget_bytes=3 * 4 * 4)
+        assert cache.capacity_rows == 3 and cache.row_bytes == 4 * 4
+        # The budget buys rows of the model's width: float64 rows halve it.
+        wide = EmbeddingCache(100, 4, budget_bytes=3 * 4 * 4, dtype=np.float64)
+        assert wide.capacity_rows == 1 and wide._slab.dtype == np.float64
 
     def test_exact_rows_roundtrip(self):
         cache = EmbeddingCache(10, 3, budget_bytes=1e6)
-        rows = np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0
+        rows = np.arange(6, dtype=np.float32).reshape(2, 3) / 7.0
         cache.insert(np.array([4, 7]), rows)
         mask, got = cache.lookup(np.array([4, 5, 7]))
         assert mask.tolist() == [True, False, True]
-        assert np.array_equal(got, rows)
+        assert got.dtype == np.float32 and got.tobytes() == rows.tobytes()
         assert cache.stats.hits == 2 and cache.stats.misses == 1
 
     def test_lfu_eviction_keeps_hot_rows(self):
-        cache = EmbeddingCache(10, 2, budget_bytes=2 * 8 * 2)  # 2 rows
+        cache = EmbeddingCache(10, 2, budget_bytes=2 * 4 * 2)  # 2 rows
         for _ in range(3):
             cache.lookup(np.array([1]))  # vertex 1 is hot
         cache.lookup(np.array([2, 3]))
@@ -205,8 +208,8 @@ class TestEmbeddingCache:
         assert cache.stats.inserts == 1
 
     def test_slab_within_budget_and_lookup_copies(self):
-        cache = EmbeddingCache(10, 3, budget_bytes=4 * 8 * 3 + 17)
-        assert cache._slab.shape == (4, 3) and cache._slab.nbytes <= 4 * 8 * 3 + 17
+        cache = EmbeddingCache(10, 3, budget_bytes=4 * 4 * 3 + 11)
+        assert cache._slab.shape == (4, 3) and cache._slab.nbytes <= 4 * 4 * 3 + 11
         cache.insert(np.array([2]), np.full((1, 3), 0.25))
         _, got = cache.lookup(np.array([2]))
         got[:] = -1.0

@@ -15,7 +15,13 @@ built transpose it replaced in the backward pass.
 
 The two Hypothesis properties at the end are the serving contract itself: a
 row's bits do not depend on which other rows are in the product, nor a
-feature column's on which other columns are.
+feature column's on which other columns are — in float64 and in the
+model's float32.
+
+A float32 dense operand runs in float32 (``a``'s values rounded once):
+``_left_to_right_spmm`` follows that width rule, and ``_float32_loop_spmm``
+states the float32 contract a second time as a plain Python loop, plain and
+transposed.
 """
 
 from __future__ import annotations
@@ -34,13 +40,19 @@ _SLAB_ELEMS = 1 << 20
 
 
 def _left_to_right_spmm(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
-    """The summation-order contract, executable (oracle; do not optimize)."""
-    dense = np.asarray(dense, dtype=np.float64)
+    """The summation-order contract, executable (oracle; do not optimize).
+
+    In ``dense``'s width: float32 for a float32 operand (``a``'s values
+    rounded once), float64 for any other."""
+    dense = np.asarray(dense)
+    width = np.float32 if dense.dtype == np.float32 else np.float64
+    dense = dense.astype(width, copy=False)
     squeeze = dense.ndim == 1
     if squeeze:
         dense = dense[:, None]
-    out = np.zeros((a.shape[0], dense.shape[1]), dtype=np.float64)
-    np.add.at(out, a.row_ids(), a.data[:, None] * dense[a.indices])
+    out = np.zeros((a.shape[0], dense.shape[1]), dtype=width)
+    vals = a.data.astype(width)
+    np.add.at(out, a.row_ids(), vals[:, None] * dense[a.indices])
     return out[:, 0] if squeeze else out
 
 
@@ -94,14 +106,31 @@ def _csr(rng, degrees, n_cols, data=None) -> CSRMatrix:
     return CSRMatrix(indptr, indices, data, (degrees.size, n_cols))
 
 
+def _float32_loop_spmm(
+    a: CSRMatrix, dense: np.ndarray, *, transpose: bool = False
+) -> np.ndarray:
+    """The float32 contract as a loop over entries (oracle; do not optimize):
+    every product and partial sum is one float32 rounding, each output row
+    summed from ``+0.0`` in CSR entry order — for the transpose, over the
+    rows of a column in ascending order."""
+    vals = a.data.astype(np.float32)
+    rows, cols = a.row_ids(), a.indices
+    if transpose:
+        rows, cols = cols, rows
+    out = np.zeros((a.shape[1] if transpose else a.shape[0], dense.shape[1]),
+                   np.float32)
+    for e in np.argsort(rows, kind="stable"):
+        out[rows[e]] = out[rows[e]] + vals[e] * dense[cols[e]]
+    return out
+
+
 def _assert_same_bits(a: CSRMatrix, dense: np.ndarray) -> np.ndarray:
     got, want = spmm(a, dense), _left_to_right_spmm(a, dense)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    # Another association of at most a few thousand float64 terms.
-    np.testing.assert_allclose(
-        got, _reduceat_spmm(a, dense), rtol=1e-10, atol=1e-10
-    )
+    # Another association of at most a few thousand terms, in got's width.
+    tol = 1e-4 if got.dtype == np.float32 else 1e-10
+    np.testing.assert_allclose(got, _reduceat_spmm(a, dense), rtol=tol, atol=tol)
     return got
 
 
@@ -145,6 +174,37 @@ def test_transposed_bitwise_equal_to_the_built_transpose(
     assert got.tobytes() == _left_to_right_spmm(transpose(a), x).tobytes()
     v = rng.standard_normal(len(degrees))
     assert spmm(a, v, transpose=True).tobytes() == spmm(transpose(a), v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degrees=st.lists(st.integers(0, 40), min_size=0, max_size=30),
+    n_features=st.integers(0, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_float32_operand_sums_in_float32(degrees, n_features, seed):
+    """A float32 operand stays float32: plain and transposed, every element
+    is the strict left-to-right float32 sum of the loop oracle."""
+    rng = np.random.default_rng(seed)
+    a = _csr(rng, degrees, 48)
+    x = rng.standard_normal((48, n_features)).astype(np.float32)
+    got = spmm(a, x)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.tobytes() == _float32_loop_spmm(a, x).tobytes()
+    y = rng.standard_normal((len(degrees), n_features)).astype(np.float32)
+    got_t = spmm(a, y, transpose=True)
+    assert got_t.dtype == np.float32 and got_t.shape == (48, n_features)
+    assert got_t.tobytes() == _float32_loop_spmm(a, y, transpose=True).tobytes()
+
+
+def test_float32_rounds_the_values_once():
+    """``a``'s float64 values are rounded to float32 once, before the
+    product: not the float64 product rounded afterwards."""
+    value = 1.0 + 2.0**-24 + 2.0**-30  # rounds up to 1 + 2**-23 in float32
+    got = spmm(CSRMatrix.from_dense(np.array([[value]])),
+               np.array([[3.0]], np.float32))[0, 0]
+    assert got == np.float32(value) * np.float32(3.0) == 3.0 + 2.0**-21
+    assert np.float32(value * 3.0) == 3.0 + 2.0**-22
 
 
 def test_transposed_inner_dimension_is_checked(rng):
@@ -314,6 +374,7 @@ _operands = dict(
     degrees=st.lists(st.integers(0, 40), min_size=1, max_size=30),
     n_features=st.integers(1, 40),
     seed=st.integers(0, 2**16),
+    dtype=st.sampled_from([np.float64, np.float32]),
     data=st.data(),
 )
 
@@ -321,13 +382,13 @@ _operands = dict(
 @settings(max_examples=60, deadline=None)
 @given(**_operands)
 def test_a_rows_bits_do_not_depend_on_the_other_rows(
-    degrees, n_features, seed, data
+    degrees, n_features, seed, dtype, data
 ):
     """What exact serving and the embedding cache rest on: a vertex served
     alone, in a micro-batch or by ``layerwise_inference`` gets the same row."""
     rng = np.random.default_rng(seed)
     a = _csr(rng, degrees, 48)
-    x = rng.standard_normal((48, n_features))
+    x = rng.standard_normal((48, n_features)).astype(dtype)
     rows = data.draw(st.lists(st.integers(0, len(degrees) - 1), max_size=12))
     got = spmm(a.extract_rows(rows), x)
     assert got.tobytes() == spmm(a, x)[rows].tobytes()
@@ -336,13 +397,13 @@ def test_a_rows_bits_do_not_depend_on_the_other_rows(
 @settings(max_examples=60, deadline=None)
 @given(**_operands)
 def test_a_columns_bits_do_not_depend_on_the_other_columns(
-    degrees, n_features, seed, data
+    degrees, n_features, seed, dtype, data
 ):
     """No lane of the kernel's vectorized ``y += a * x`` may round
     differently from its scalar tail."""
     rng = np.random.default_rng(seed)
     a = _csr(rng, degrees, 48)
-    x = rng.standard_normal((48, n_features))
+    x = rng.standard_normal((48, n_features)).astype(dtype)
     cols = data.draw(st.lists(st.integers(0, n_features - 1), max_size=12))
     got = spmm(a, x[:, cols])
     assert got.tobytes() == spmm(a, x)[:, cols].tobytes()

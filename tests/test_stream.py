@@ -493,7 +493,7 @@ class TestEmbeddingCacheInvalidate:
         assert mask.tolist() == [True, False]
 
     def test_invalidations_counted_separately_from_evictions(self):
-        cache = EmbeddingCache(10, 2, budget_bytes=2 * 8 * 2)  # 2 rows
+        cache = EmbeddingCache(10, 2, budget_bytes=2 * 4 * 2)  # 2 rows
         cache.insert(np.array([1, 2]), np.zeros((2, 2)))
         cache.insert(np.array([3]), np.ones((1, 2)))  # capacity eviction
         assert cache.stats.evictions == 1
@@ -615,12 +615,13 @@ def _churn_workload(engine: Engine, *, n_requests=32, update_ratio=0.5,
 
 # Digest of the 32-request / 0.5-ratio / seed-0 streaming run below
 # (re-recorded from 20fbc1ad… when ``spmm`` moved to scipy's left-to-right
-# CSR kernel, and from 34ed807f… when ``stable_matmul`` moved to fixed-shape
-# BLAS GEMMs).  The serving stack is bit-exact and row-stable, so on one
-# build of those kernels an unexplained change means updates, sampling or
-# inference drifted.
+# CSR kernel, from 34ed807f… when ``stable_matmul`` moved to fixed-shape
+# BLAS GEMMs, and from 351ccdd3… when the model moved to float32).  The
+# serving stack is bit-exact and row-stable, so on one build of those
+# kernels an unexplained change means updates, sampling or inference
+# drifted.
 GOLDEN_STREAM_DIGEST = (
-    "351ccdd327c0e9d7cc8bb8233638e2d35705bc00b441aa848ae2589c8b35375f"
+    "566b9ec406510ed2b1d70eec10e2c57c8e3cd29f3865abab91ba889676b321fc"
 )
 
 
