@@ -66,7 +66,6 @@ class FastGCNSampler(LadiesSampler):
         """Per layer: stack ``k`` copies of the global importance row (no
         per-layer SpGEMM, no NORM — the row is already a distribution),
         SAMPLE, then LADIES-style bipartite extraction."""
-        self._require_counts(fanout)  # s is the layer's vertex budget
         steps: list = []
         for s in fanout:
             steps += [

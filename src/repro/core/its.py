@@ -25,17 +25,20 @@ row is kept on purpose: it is what decides the bits — each uniform is
 scaled into a row's slice of that sum — so the mask and the generator state
 afterwards are a pure function of ``P``, ``s`` and the generator.
 Restricting later rounds to the rows still short of ``s`` would shorten
-the sum and change the last bits of the targets, so it needs a written
-per-row contract first; it is not done here.
+the sum and change the last bits of the targets: the contract below
+allows it with one re-record of the pins, but it is not done here.
 
-:func:`gumbel_select_mask` offers an equivalent single-pass alternative
-(exponential races / Gumbel top-k), used in tests as a statistical
-cross-check and available as an optional sampler backend.
-
-:func:`keep_all_mask` is the degenerate SAMPLE both reduce to once ``s``
-reaches the largest row: every positive entry, selected without a draw.
-Exact serving asks for it by name (a ``None`` fanout position) instead of
-making ITS win a coupon-collector game whose outcome is known.
+*The contract.*  Per row, the selected set is distributed as successive
+sampling without replacement: draw an entry with probability proportional
+to its weight, set it aside, renormalize over the rest, repeat until
+``min(s, positive entries)`` are chosen — Plackett–Luce, the law Gumbel
+top-``s`` also draws.  Entries of weight ``0.0`` are never chosen, and a
+row with at most ``s`` positive entries keeps them all.  Rows are
+independent given the generator they draw from.  The distribution is the
+promise across code versions; the bits (mask and generator state) are
+promised per (code version, seed), and a change that moves them re-records
+the pins once.  ``tests/test_its.py`` holds the distribution to an exact
+subset-probability oracle.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from ..sparse.csr import _masked_indptr
 __all__ = [
     "its_sample_rows",
     "its_select_mask",
-    "keep_all_mask",
-    "gumbel_select_mask",
     "its_flops",
 ]
 
@@ -152,18 +153,6 @@ def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:
     )
 
 
-def keep_all_mask(p: CSRMatrix) -> np.ndarray:
-    """SAMPLE(P, all): every positive entry of every row, as a mask.
-
-    What :func:`its_select_mask` and :func:`gumbel_select_mask` select at
-    any ``s`` at or above the largest row's positive count — the outcome
-    is known beforehand, so nothing is drawn and no generator is touched.
-    """
-    if np.any(p.data < 0):
-        raise ValueError("P must be non-negative to be sampled")
-    return p.data > 0
-
-
 def its_sample_rows(
     p: CSRMatrix,
     s: int,
@@ -183,44 +172,11 @@ def its_sample_rows(
     return _mask_to_csr(p, its_select_mask(p, s, rng, replace=replace))
 
 
-def gumbel_select_mask(
-    p: CSRMatrix, s: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Weighted sampling without replacement via the Gumbel top-k trick, as
-    a boolean mask over ``p``'s nonzeros.
-
-    Draws the same distribution as sequential ITS without replacement, in a
-    single vectorized pass: each nonzero gets the key ``log(w) + Gumbel``;
-    the ``s`` largest keys per row win.  See :func:`its_select_mask` for the
-    mask contract.
-    """
-    if s <= 0:
-        raise ValueError(f"sample count s must be positive, got {s}")
-    if np.any(p.data < 0):
-        raise ValueError("P must be non-negative to be sampled")
-    if p.nnz == 0:
-        return np.zeros(0, dtype=bool)
-    row_ids = p.row_ids()
-    with np.errstate(divide="ignore"):
-        keys = np.log(p.data) + rng.gumbel(size=p.nnz)
-    keys[p.data == 0] = -np.inf
-    # Rank entries within each row by descending key: sort by (row, -key).
-    order = np.lexsort((-keys, row_ids))
-    ranks = np.empty(p.nnz, dtype=np.int64)
-    starts = p.indptr[:-1]
-    pos = np.arange(p.nnz, dtype=np.int64)
-    ranks[order] = pos - np.repeat(starts, np.diff(p.indptr))
-    return (ranks < s) & (p.data > 0)
-
-
-def its_flops(p: CSRMatrix, s: int | None) -> int:
+def its_flops(p: CSRMatrix, s: int) -> int:
     """Operation count of ITS on ``p``: prefix sum + s binary searches/row.
 
     The paper argues (section 2.3) the prefix sum is a negligible cost; this
     estimate feeds the simulated compute model so that claim is measurable.
-    A keep-all SAMPLE (``s=None``) searches nothing: one pass over ``p``.
     """
-    if s is None:
-        return int(p.nnz)
     searches = p.shape[0] * s * max(1, int(np.log2(max(2, p.nnz))))
     return int(p.nnz + searches)

@@ -59,9 +59,8 @@ class LadiesSampler(MatrixSampler):
         include_dst: bool = False,
         split_col_extract: bool = True,
         debias: bool = False,
-        sample_backend: str = "its",
     ) -> None:
-        super().__init__(sample_backend)
+        super().__init__()
         if debias and include_dst:
             raise ValueError(
                 "debias needs pure LADIES samples: destinations unioned "
@@ -184,7 +183,6 @@ class LadiesSampler(MatrixSampler):
     # Plan emission: the layer-wise Algorithm-1 program
     # ------------------------------------------------------------------ #
     def plan(self, fanout: Sequence[int]) -> SamplingPlan:
-        self._require_counts(fanout)  # debias and the budget read s
         steps: list = []
         for s in fanout:
             steps += [

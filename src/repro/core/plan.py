@@ -35,10 +35,8 @@ Step vocabulary (paper mapping)
     fresh stack of the importance row, or what an earlier in-place NORM
     left — and nothing reads the values a NORM overwrites.
 ``SampleStep``
-    ``SAMPLE(P, count | all)`` — ITS/Gumbel, ``count`` draws per row; or,
-    with ``count=None``, *keep every positive entry* of the row: the
-    outcome of any count at or above the row's degree, taken without a
-    draw (exact serving's whole-neighbourhood expansion).
+    ``SAMPLE(P, count)`` — inverse transform sampling of ``count``
+    distinct columns per row (:mod:`repro.core.its`).
 ``ExtractStep``
     ``A^l = EXTRACT(...)``: ``"compact"`` (per-batch column compaction,
     section 4.1.3), ``"bipartite"`` (row-extraction SpGEMM + per-batch
@@ -121,17 +119,18 @@ class NormStep:
 
 @dataclass(frozen=True)
 class SampleStep:
-    """SAMPLE: draw ``count`` distinct columns per row of ``P`` — or, with
-    ``count=None``, keep every positive entry (no draw, no RNG use)."""
+    """SAMPLE: draw ``count`` distinct columns per row of ``P``."""
 
-    count: int | None
+    count: int
 
     def __post_init__(self) -> None:
-        if self.count is not None and self.count <= 0:
-            raise ValueError(f"SAMPLE count must be positive, got {self.count}")
+        if self.count is None or self.count <= 0:
+            raise ValueError(
+                f"SAMPLE count must be a positive integer, got {self.count!r}"
+            )
 
     def describe_args(self) -> list[str]:
-        return ["s=all" if self.count is None else f"s={self.count}"]
+        return [f"s={self.count}"]
 
 
 @dataclass(frozen=True)
@@ -190,8 +189,8 @@ class SamplingPlan:
     """A sampler's whole bulk computation as a linear program of steps.
 
     Plans are emitted for a *concrete* fanout (``SampleStep.count`` values
-    are literal — an integer, or ``None`` for keep-all), so one plan fully
-    describes one bulk call and can be interpreted by any executor.
+    are literal integers), so one plan fully describes one bulk call and
+    can be interpreted by any executor.
     Construction validates basic dataflow:
     SAMPLE needs a preceding PROB, and every EXTRACT needs a preceding
     SAMPLE (except ``"subgraph"``, which reads the walk history).

@@ -11,9 +11,9 @@ Bulk sampling of ``k`` minibatches stacks the per-batch frontiers vertically
 (Equation 1); all matrix steps are oblivious to the stacking.  The whole
 algorithm is emitted as a sampling plan — per layer ``PROB(frontier) ->
 NORM -> SAMPLE(s) -> EXTRACT(compact)`` — and interpreted by the executors
-in :mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.  A
-``None`` fanout position emits ``SAMPLE(all)``: the layer keeps each
-vertex's whole neighbourhood, which is what exact serving runs.
+in :mod:`repro.core.plan` and :mod:`repro.distributed.partitioned`.
+Exact serving keeps each vertex's whole neighbourhood without sampling:
+:func:`repro.serve.replica.neighborhood_sample`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,8 @@ class SageSampler(MatrixSampler):
 
     name = "graphsage"
 
-    def __init__(
-        self,
-        *,
-        include_dst: bool = True,
-        sample_backend: str = "its",
-    ) -> None:
-        super().__init__(sample_backend)
+    def __init__(self, *, include_dst: bool = True) -> None:
+        super().__init__()
         self.include_dst = include_dst
 
     # ------------------------------------------------------------------ #
@@ -102,13 +97,13 @@ class SageSampler(MatrixSampler):
     # ------------------------------------------------------------------ #
     # Plan emission: the node-wise Algorithm-1 program
     # ------------------------------------------------------------------ #
-    def plan(self, fanout: Sequence[int | None]) -> SamplingPlan:
+    def plan(self, fanout: Sequence[int]) -> SamplingPlan:
         steps: list = []
         for s in fanout:
             steps += [
                 ProbStep("frontier"),
                 NormStep(),
-                SampleStep(None if s is None else int(s)),
+                SampleStep(int(s)),
                 ExtractStep("compact"),
             ]
         return SamplingPlan(tuple(steps))

@@ -50,10 +50,8 @@ class GraphSaintRWSampler(SageSampler):
 
     name = "graphsaint-rw"
 
-    def __init__(
-        self, *, walk_length: int = 3, sample_backend: str = "its"
-    ) -> None:
-        super().__init__(include_dst=True, sample_backend=sample_backend)
+    def __init__(self, *, walk_length: int = 3) -> None:
+        super().__init__(include_dst=True)
         if walk_length <= 0:
             raise ValueError("walk_length must be positive")
         self.walk_length = walk_length
@@ -78,7 +76,6 @@ class GraphSaintRWSampler(SageSampler):
         """``walk_length`` GraphSAGE-with-``s=1`` stages advancing every
         root's walk position, then one subgraph induction emitting all
         ``len(fanout)`` layers (fanout values are only the GNN depth)."""
-        self._require_counts(fanout)  # walks take one step, never "all"
         steps: list = []
         for _ in range(self.walk_length):
             steps += [

@@ -14,8 +14,8 @@ SpGEMM output into per-row distributions, and what ``EXTRACT`` keeps.  The
 that program as a declarative :class:`~repro.core.plan.SamplingPlan` (four
 step types — PROB / NORM / SAMPLE / EXTRACT) via :meth:`MatrixSampler.plan`
 and implements the row-local primitives the steps reference.  The SAMPLE
-step is shared (ITS, with a Gumbel backend option) and lives in
-:mod:`repro.core.its`.
+step is shared — inverse transform sampling of a positive count per row —
+and lives in :mod:`repro.core.its`.
 
 Execution is an executor concern, not a sampler concern:
 :meth:`MatrixSampler.sample_bulk` hands the emitted plan to
@@ -35,8 +35,8 @@ import numpy as np
 
 from ..sparse import CSRMatrix, spgemm
 from .frontier import MinibatchSample
-from .its import gumbel_select_mask, its_select_mask, keep_all_mask
-from .its import its_sample_rows  # benchmarks/e2e/trace.py wraps it by this name
+# benchmarks/e2e/trace.py wraps both by these names, here.
+from .its import its_sample_rows, its_select_mask
 from .plan import LocalExecutor, SamplingPlan
 
 __all__ = ["MatrixSampler", "SpGEMMFn", "RngSpec"]
@@ -57,18 +57,14 @@ RngSpec = Union[np.random.Generator, Sequence[np.random.Generator]]
 class MatrixSampler(ABC):
     """Base class for matrix-expressible sampling algorithms.
 
-    ``sample_backend`` selects the SAMPLE implementation: ``"its"`` (the
-    paper's inverse transform sampling) or ``"gumbel"`` (equivalent
-    distribution, single pass).  The sampler's own products run
-    :func:`~repro.sparse.spgemm` unless a caller hands in a wrapper.
+    SAMPLE is the paper's inverse transform sampling
+    (:func:`~repro.core.its.its_select_mask`).  The sampler's own products
+    run :func:`~repro.sparse.spgemm` unless a caller hands in a wrapper.
     """
 
     name: str = "abstract"
 
-    def __init__(self, sample_backend: str = "its") -> None:
-        if sample_backend not in ("its", "gumbel"):
-            raise ValueError(f"unknown sample backend {sample_backend!r}")
-        self.sample_backend = sample_backend
+    def __init__(self) -> None:
         # fanout tuple -> emitted plan; see emitted_plan().
         self._plans: dict[tuple, SamplingPlan | None] = {}
 
@@ -99,20 +95,14 @@ class MatrixSampler(ABC):
         return self.norm(p)
 
     def sample_mask(
-        self, p: CSRMatrix, s: int | None, rng: np.random.Generator
+        self, p: CSRMatrix, s: int, rng: np.random.Generator
     ) -> np.ndarray:
         """SAMPLE(P, s) as a boolean mask over ``p``'s nonzeros:
         ``min(s, nnz)`` distinct columns per row.
 
-        ``s=None`` keeps every positive entry — what either backend selects
-        at any ``s`` at or above the largest row — without drawing: ``rng``
-        is not touched.  The mask is the form the executor's EXTRACT
-        handlers read (``Q^{l-1}`` is never built).
+        The mask is the form the executor's EXTRACT handlers read
+        (``Q^{l-1}`` is never built).
         """
-        if s is None:
-            return keep_all_mask(p)
-        if self.sample_backend == "gumbel":
-            return gumbel_select_mask(p, s, rng)
         return its_select_mask(p, s, rng)
 
     @staticmethod
@@ -152,8 +142,8 @@ class MatrixSampler(ABC):
         batch's draws do not depend on what else happens to be stacked with
         it, and the block masks concatenate back into ``p``'s global
         nonzero order, since the blocks tile ``p``'s nnz contiguously.
-        Rows are independent under ITS/Gumbel, so the distribution is
-        identical either way.
+        Rows are independent under ITS, so the distribution is identical
+        either way.
         """
         if isinstance(rng, np.random.Generator):
             return self.sample_mask(p, s, rng)
@@ -175,7 +165,7 @@ class MatrixSampler(ABC):
     # ------------------------------------------------------------------ #
     # Plan emission + whole-algorithm entry point (single device)
     # ------------------------------------------------------------------ #
-    def plan(self, fanout: Sequence[int | None]) -> SamplingPlan | None:
+    def plan(self, fanout: Sequence[int]) -> SamplingPlan | None:
         """Emit this sampler's declarative program for a concrete fanout.
 
         Returning a :class:`~repro.core.plan.SamplingPlan` is what makes a
@@ -188,21 +178,7 @@ class MatrixSampler(ABC):
         """
         return None
 
-    def _require_counts(self, fanout: Sequence[int | None]) -> None:
-        """Refuse a keep-all (``None``) fanout position, for samplers whose
-        EXTRACT reads the sample count."""
-        for i, s in enumerate(fanout):
-            if s is None:
-                raise ValueError(
-                    f"sampler {self.name!r} cannot keep every neighbour "
-                    f"(fanout[{i}] is None): its EXTRACT reads the sample "
-                    f"count — use an integer count (keep-all is a node-wise "
-                    f"mode: sampler 'sage')"
-                )
-
-    def emitted_plan(
-        self, fanout: Sequence[int | None]
-    ) -> SamplingPlan | None:
+    def emitted_plan(self, fanout: Sequence[int]) -> SamplingPlan | None:
         """:meth:`plan` for ``fanout``, emitted once per distinct fanout and
         kept on the sampler — the program every executor runs as is.
 
@@ -216,9 +192,7 @@ class MatrixSampler(ABC):
         try:
             return self._plans[key]
         except KeyError:
-            program = self.plan(
-                tuple(None if s is None else int(s) for s in key)
-            )
+            program = self.plan(tuple(int(s) for s in key))
             self._plans[key] = program
             return program
 
@@ -226,7 +200,7 @@ class MatrixSampler(ABC):
         self,
         adj: CSRMatrix,
         batches: Sequence[np.ndarray],
-        fanout: Sequence[int | None],
+        fanout: Sequence[int],
         rng: RngSpec,
         *,
         spgemm_fn: SpGEMMFn | None = None,
@@ -234,19 +208,13 @@ class MatrixSampler(ABC):
         """Sample ``len(batches)`` minibatches in one bulk pass.
 
         ``fanout[0]`` is the sample count for the layer adjacent to the
-        batch (the paper's layer ``L``) and ``fanout[-1]`` the furthest.
-        Each entry is a positive integer (draw that many distinct
-        neighbours per row) or ``None`` (keep every positive entry of the
-        row; node-wise samplers only).  A keep-all position draws nothing,
-        so with one generator shared across layers it *shortens the
-        stream*: ``(None, 3)`` gives its second layer other uniforms than
-        ``(max_degree, 3)`` does, although the first layers are equal.
-        Returns one :class:`MinibatchSample` per input batch, in order.
-        ``rng`` is a single generator (draws consumed across the stacked
-        bulk) or a sequence of one generator per batch (each batch draws
-        only from its own stream — see :data:`RngSpec`).  ``spgemm_fn=None``
-        runs :func:`~repro.sparse.spgemm`; cost recorders pass their own
-        wrapper.
+        batch (the paper's layer ``L``) and ``fanout[-1]`` the furthest;
+        each entry is a positive integer.  Returns one
+        :class:`MinibatchSample` per input batch, in order.  ``rng`` is a
+        single generator (draws consumed across the stacked bulk) or a
+        sequence of one generator per batch (each batch draws only from its
+        own stream — see :data:`RngSpec`).  ``spgemm_fn=None`` runs
+        :func:`~repro.sparse.spgemm`; cost recorders pass their own wrapper.
 
         The default implementation runs :meth:`emitted_plan` (the emitted
         :meth:`plan`, memoized per fanout) as is on the single-device
@@ -273,7 +241,7 @@ class MatrixSampler(ABC):
     def _validate(
         adj: CSRMatrix,
         batches: Sequence[np.ndarray],
-        fanout: Sequence[int | None],
+        fanout: Sequence[int],
     ) -> int:
         if adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
@@ -281,11 +249,14 @@ class MatrixSampler(ABC):
             raise ValueError("need at least one batch")
         if not fanout:
             raise ValueError("need at least one layer fanout")
-        if any(s is not None and s <= 0 for s in fanout):
+        if any(s is None for s in fanout):
             raise ValueError(
-                f"fanout entries must be positive (or None: keep every "
-                f"neighbour), got {fanout}"
+                f"fanout {tuple(fanout)} has a None entry: a sampler draws a "
+                f"positive count per layer — serve whole neighbourhoods with "
+                f"Engine.serving(fanout=None)"
             )
+        if any(s <= 0 for s in fanout):
+            raise ValueError(f"fanout entries must be positive, got {fanout}")
         n = adj.shape[0]
         for b in batches:
             b = np.asarray(b)

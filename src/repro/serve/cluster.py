@@ -38,8 +38,8 @@ requests share it.  The moving parts:
   all of it on simulated time, so scaling decisions replay identically.
 
 **Modes.** *Exact* (default, ``fanout=None``): every hop keeps the full
-neighborhood — a keep-all ``SAMPLE(all)`` per layer, which draws nothing
-and needs no degree bound — so served logits are **bit-identical** to
+neighborhood — a row gather of ``A``, which draws nothing and needs no
+degree bound — so served logits are **bit-identical** to
 :func:`~repro.pipeline.layerwise_inference` and *which* replica serves a
 request never changes its bits — routing, shedding, scaling and the
 :class:`~repro.serve.cache.EmbeddingCache` (``embed_budget``) only move

@@ -17,12 +17,13 @@ replicas through three verbs —
   replica invalidates *its own* cache contents, which is what makes
   fleet-wide update broadcast cheap).
 
-Exactness is a per-replica property: in exact mode (``fanout=None``) every
-layer's SAMPLE is *keep-all* (``SAMPLE(all)``: every positive entry of the
-row, nothing drawn), so the logits a replica serves are bit-identical to
-layer-wise inference whatever the graph's degrees become under updates,
-and do not depend on which replica served the request — any router policy
-in front of a fleet of replicas preserves the repo's signature contract.
+Exactness is a per-replica property: in exact mode (``fanout=None``) a
+replica samples nothing — it gathers each hop's whole neighbourhood
+(:func:`neighborhood_sample`: a row gather of ``A`` plus a column
+compaction) — so the logits it serves are bit-identical to layer-wise
+inference whatever the graph's degrees become under updates, and do not
+depend on which replica served the request — any router policy in front of
+a fleet of replicas preserves the repo's signature contract.
 """
 
 from __future__ import annotations
@@ -33,12 +34,19 @@ import numpy as np
 
 from ..comm.clock import SimClock
 from ..comm.cost_model import CostModel, payload_nbytes
-from ..core.plan import ExtractStep, NormStep, ProbStep, SampleStep, SamplingPlan
-from ..core.sage_sampler import SageSampler
+from ..core.frontier import MinibatchSample
+from ..core.plan import (
+    ExtractStep,
+    NormStep,
+    ProbStep,
+    SampleStep,
+    SamplingPlan,
+    compact_layer_from_mask,
+)
 from ..gnn.model import GNNModel
 from ..graphs import Graph
 from ..obs.trace import get_tracer, maybe_span
-from ..sparse import spmm_flops
+from ..sparse import CSRMatrix, spmm_flops
 from .cache import EmbeddingCache, ServeStats
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
 
@@ -73,6 +81,40 @@ def kernel_launches(plan: SamplingPlan) -> int:
     return launches
 
 
+def neighborhood_sample(
+    adj: CSRMatrix, targets: np.ndarray, n_layers: int
+) -> MinibatchSample:
+    """The whole ``n_layers``-hop neighbourhood of ``targets``, as layers.
+
+    Each hop gathers its destinations' rows of ``adj`` and compacts their
+    positive entries' columns, with the destinations themselves joined to
+    the source frontier: ``A[dst][:, unique(neighbours ∪ dst)]`` as a
+    unit-weight pattern, the frontier of the next hop.  Stored ``0.0`` /
+    ``-0.0`` weights are not edges.  This is what SAMPLE selects at any
+    count at or above the largest row's positive entries, so it is bitwise
+    the node-wise plan at that count (``tests/test_keep_all.py``) without a
+    draw or a product.  A target outside ``adj`` or a negative weight on a
+    gathered row is a ``ValueError``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    n = adj.shape[0]
+    if targets.min() < 0 or targets.max() >= n:
+        raise ValueError(f"batch vertex out of range [0, {n})")
+    col_rank = np.empty(adj.shape[1], dtype=np.int64)
+    layers, dst = [], targets
+    for _ in range(n_layers):
+        rows = adj.extract_rows(dst)
+        if np.any(rows.data < 0):
+            raise ValueError("A must be non-negative to be served exactly")
+        layer = compact_layer_from_mask(
+            rows, rows.data > 0, 0, dst.size, dst,
+            include_dst=True, col_rank=col_rank,
+        )
+        layers.append(layer)
+        dst = layer.src_ids
+    return MinibatchSample(targets, layers[::-1])
+
+
 def _conv_in_dim(conv) -> int:
     for key in ("W", "W_neigh"):
         if key in conv.params:
@@ -88,14 +130,15 @@ def _conv_out_dim(conv) -> int:
 
 
 class Replica:
-    """One serving unit: sampler + caches + clock, no control loop.
+    """One serving unit: neighbourhood gather or sampler + caches + clock,
+    no control loop.
 
     ``config`` supplies the serving knobs (``serve_batch_size``,
     ``serve_max_wait``, ``embed_budget``), the machine model and the seed.
-    ``fanout=None`` selects the exact full-neighborhood
-    mode (held as ``self.fanout = (None,) * n_layers``, the keep-all plan);
-    a tuple of per-layer counts selects sampled serving through the
-    configured sampler (its length must match the model depth).  ``rid``
+    ``fanout=None`` selects the exact full-neighborhood mode, which holds
+    no sampler and no fanout (:func:`neighborhood_sample`); a tuple of
+    per-layer counts selects sampled serving through the configured sampler
+    (its length must match the model depth).  ``rid``
     names the replica inside a fleet (0 for a single server).
     """
 
@@ -125,10 +168,7 @@ class Replica:
         # features and the parameters): float32 for the library's models.
         self._width = np.result_type(graph.features.dtype, model.dtype)
         if self.exact:
-            # Exactness needs the node-wise full-expansion plan: every dst
-            # keeps its whole neighborhood and joins its own frontier.
-            self.fanout: tuple[int | None, ...] = (None,) * n_layers
-            self.sampler = SageSampler(include_dst=True)
+            self.fanout = self.sampler = None
         else:
             fanout = tuple(int(s) for s in fanout)
             if len(fanout) != n_layers:
@@ -249,22 +289,24 @@ class Replica:
     # ------------------------------------------------------------------ #
     # Cost accounting helpers
     # ------------------------------------------------------------------ #
-    def _sample_bulk(self, batches, fanout, rng):
-        """The replica's one bulk-sampling call site."""
-        return self.sampler.sample_bulk(self.graph.adj, batches, fanout, rng)
-
     def _charge_sampling(self, layers) -> None:
-        """One plan execution: fixed kernel launches + size-scaled work.
+        """One neighbourhood build: fixed kernel launches + size-scaled work.
 
-        The kernel count is :func:`kernel_launches` of the emitted plan (2
-        per layer for the node-wise program; 4 per layer for a sampler
-        without a plan) — *not* the number of coalesced requests: that
+        Exact mode launches 2 kernels per hop (the row gather and the
+        column compaction); sampled mode launches :func:`kernel_launches`
+        of the emitted plan (4 per layer for a sampler without a plan).
+        Either count is *not* the number of coalesced requests: that
         independence is the micro-batching amortization.
         """
-        program = self.sampler.emitted_plan(self.fanout[: len(layers)])
-        kernels = (
-            kernel_launches(program) if program is not None else 4 * len(layers)
-        )
+        if self.exact:
+            kernels = 2 * len(layers)
+        else:
+            program = self.sampler.emitted_plan(self.fanout[: len(layers)])
+            kernels = (
+                kernel_launches(program)
+                if program is not None
+                else 4 * len(layers)
+            )
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])
         self.clock.advance(
@@ -307,7 +349,12 @@ class Replica:
         n_layers = model.n_layers
         if self.cache is None:
             with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-                sample = self._sample_bulk([targets], self.fanout, rng)[0]
+                if self.exact:
+                    sample = neighborhood_sample(graph.adj, targets, n_layers)
+                else:
+                    sample = self.sampler.sample_bulk(
+                        graph.adj, [targets], self.fanout, rng
+                    )[0]
                 self._charge_sampling(sample.layers)
             with maybe_span("propagation", cat="serve"), self.clock.phase(
                 "propagation"
@@ -316,10 +363,11 @@ class Replica:
                 logits = self._infer_chain(sample.layers, h, 0)
                 self._charge_forward(sample.layers, self._dims)
             return logits
-        # Cached path: the final hop is sampled for the whole frontier, but
-        # the deep (L-1)-layer expansion only runs for cache *misses*.
+        # Cached (always exact) path: the final hop is gathered for the whole
+        # frontier, but the deep (L-1)-layer expansion only runs for cache
+        # *misses*.
         with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-            outer = self._sample_bulk([targets], self.fanout[-1:], rng)[0]
+            outer = neighborhood_sample(graph.adj, targets, 1)
             self._charge_sampling(outer.layers)
         layer_last = outer.layers[0]
         frontier = layer_last.src_ids
@@ -342,9 +390,7 @@ class Replica:
         misses = frontier[~mask]
         if misses.size:
             with maybe_span("sampling", cat="serve"), self.clock.phase("sampling"):
-                inner = self._sample_bulk(
-                    [misses], self.fanout[: n_layers - 1], rng
-                )[0]
+                inner = neighborhood_sample(graph.adj, misses, n_layers - 1)
                 self._charge_sampling(inner.layers)
             with maybe_span("propagation", cat="serve"), self.clock.phase(
                 "propagation"
@@ -373,8 +419,8 @@ class Replica:
 
         The per-batch RNG stream is keyed by ``(seed, batch_index)`` only —
         not the replica id — so sampled logits depend on the global
-        dispatch order alone.  In exact mode every SAMPLE is keep-all and
-        the stream is never drawn from, so replicas sharing it cannot
+        dispatch order alone.  In exact mode nothing is sampled and the
+        stream is never drawn from, so replicas sharing it cannot
         correlate.
         """
         targets = np.unique(np.concatenate([r.vertices for r in batch]))

@@ -32,12 +32,7 @@ from repro.core import (
     SageSampler,
 )
 from repro.core.frontier import LayerSample, MinibatchSample
-from repro.core.its import (
-    _mask_to_csr,
-    gumbel_select_mask,
-    its_sample_rows,
-    keep_all_mask,
-)
+from repro.core.its import its_sample_rows
 from repro.core.plan import (
     ExtractStep,
     NormStep,
@@ -60,10 +55,7 @@ __all__ = [
     "ReferenceInterpreter",
     "reference_sample_bulk",
     "PlanSampler",
-    "sample",
     "sample_stacked",
-    "keep_all_rows",
-    "gumbel_topk_rows",
     "eliminate_dead_steps",
 ]
 
@@ -71,43 +63,18 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # The CSR-building SAMPLE
 # --------------------------------------------------------------------- #
-def keep_all_rows(p: CSRMatrix) -> CSRMatrix:
-    """``keep_all_mask`` as the binary sampled ``Q^{l-1}``."""
-    return _mask_to_csr(p, keep_all_mask(p))
-
-
-def gumbel_topk_rows(
-    p: CSRMatrix, s: int, rng: np.random.Generator
-) -> CSRMatrix:
-    """``gumbel_select_mask`` as the binary sampled ``Q^{l-1}``."""
-    return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
-
-
-def sample(
-    sampler, p: CSRMatrix, s: int | None, rng: np.random.Generator
-) -> CSRMatrix:
-    """SAMPLE(P, s) as ``sampler``'s backend draws it: ``min(s, nnz)``
-    distinct columns per row of ``p``, or every positive entry for
-    ``s=None`` (no draw)."""
-    if s is None:
-        return keep_all_rows(p)
-    if sampler.sample_backend == "gumbel":
-        return gumbel_topk_rows(p, s, rng)
-    return its_sample_rows(p, s, rng)
-
-
-def sample_stacked(sampler, p: CSRMatrix, s, rng, bounds) -> CSRMatrix:
+def sample_stacked(p: CSRMatrix, s: int, rng, bounds) -> CSRMatrix:
     """SAMPLE on a stacked ``P`` whose row blocks belong to batches: one
     generator consumed across the stack, or one per block."""
     if isinstance(rng, np.random.Generator):
-        return sample(sampler, p, s, rng)
+        return its_sample_rows(p, s, rng)
     if len(rng) != len(bounds) - 1:
         raise ValueError(
             f"need one rng per row block: got {len(rng)} for "
             f"{len(bounds) - 1} blocks"
         )
     parts = [
-        sample(sampler, p.row_block(int(bounds[i]), int(bounds[i + 1])), s, g)
+        its_sample_rows(p.row_block(int(bounds[i]), int(bounds[i + 1])), s, g)
         for i, g in enumerate(rng)
     ]
     return vstack(parts)
@@ -183,7 +150,7 @@ def reference_sample_bulk(sampler, adj, batches, fanout, rng):
     """``sampler.sample_bulk`` as the oracle runs it: the emitted plan,
     through :class:`ReferenceInterpreter`."""
     sampler._validate(adj, batches, fanout)
-    plan = sampler.plan(tuple(None if s is None else int(s) for s in fanout))
+    plan = sampler.plan(tuple(int(s) for s in fanout))
     rng = sampler._normalize_rng(rng, len(batches))
     return ReferenceInterpreter(sampler, adj, batches, rng, spgemm).run(plan)
 
@@ -206,9 +173,8 @@ class PlanSampler(MatrixSampler):
         *,
         norm_mode="sage",
         include_dst=False,
-        sample_backend="its",
     ):
-        super().__init__(sample_backend)
+        super().__init__()
         self._steps = tuple(steps)
         self.norm_mode = norm_mode
         self.include_dst = include_dst
@@ -334,7 +300,7 @@ class ReferenceInterpreter:
     def _sample(self, step: SampleStep) -> None:
         self.s = step.count
         self.q_next = sample_stacked(
-            self.sampler, self.p, step.count, self.rng, self.bounds
+            self.p, step.count, self.rng, self.bounds
         )
 
     # ------------------------------------------------------------------ #

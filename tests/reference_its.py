@@ -5,6 +5,10 @@
   by ``np.where`` and the per-row counts re-counted over the whole mask.
   :func:`repro.core.its.its_select_mask` carries that state instead and must
   return the same mask *and* leave its generator in the same state, bitwise.
+* ``gumbel_select_mask`` — a second implementation of SAMPLE's
+  distribution, in one pass: Gumbel top-``s`` (exponential races).  It
+  shares no step with ITS, so ``tests/test_its.py`` holds both to the same
+  exact subset-probability oracle.
 * ``ranges`` — ``repro.sparse.csr._ranges`` in its two-``repeat`` form.
 """
 
@@ -14,7 +18,7 @@ import numpy as np
 
 from repro.sparse import CSRMatrix
 
-__all__ = ["its_select_mask", "ranges"]
+__all__ = ["its_select_mask", "gumbel_select_mask", "ranges"]
 
 _MAX_ROUNDS = 256
 
@@ -69,6 +73,35 @@ def its_select_mask(
         raise RuntimeError("ITS failed to converge; is P malformed?")
 
     return selected
+
+
+def gumbel_select_mask(
+    p: CSRMatrix, s: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Weighted sampling without replacement via the Gumbel top-k trick, as
+    a boolean mask over ``p``'s nonzeros.
+
+    Each nonzero gets the key ``log(w) + Gumbel``; the ``s`` largest keys
+    per row win — the same law as successive sampling without replacement
+    (Plackett–Luce), drawn in a single vectorized pass.
+    """
+    if s <= 0:
+        raise ValueError(f"sample count s must be positive, got {s}")
+    if np.any(p.data < 0):
+        raise ValueError("P must be non-negative to be sampled")
+    if p.nnz == 0:
+        return np.zeros(0, dtype=bool)
+    row_ids = p.row_ids()
+    with np.errstate(divide="ignore"):
+        keys = np.log(p.data) + rng.gumbel(size=p.nnz)
+    keys[p.data == 0] = -np.inf
+    # Rank entries within each row by descending key: sort by (row, -key).
+    order = np.lexsort((-keys, row_ids))
+    ranks = np.empty(p.nnz, dtype=np.int64)
+    starts = p.indptr[:-1]
+    pos = np.arange(p.nnz, dtype=np.int64)
+    ranks[order] = pos - np.repeat(starts, np.diff(p.indptr))
+    return (ranks < s) & (p.data > 0)
 
 
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

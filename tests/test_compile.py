@@ -44,6 +44,7 @@ from repro.core.plan import (
     step_phase,
 )
 from repro.core.frontier import LayerSample
+from repro.core.its import its_sample_rows
 from repro.distributed.partitioned import (
     PartitionedExecutor,
     partitioned_bulk_sampling,
@@ -59,7 +60,6 @@ from reference_interpreter import (
     ReferenceInterpreter,
     eliminate_dead_steps,
     reference_sample_bulk,
-    sample,
 )
 from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
@@ -229,7 +229,9 @@ def test_fastgcn_plan_has_no_norm_to_fuse():
 #: Launches per (sampler, fanout) serving runs: the step counts of the
 #: programs the retired PROB+NORM / SAMPLE+EXTRACT fusions made of these
 #: plans at commit ``dcb2fd6``.  The serving clock charges these, so a
-#: moved count moves every simulated serving latency.
+#: moved count moves every simulated serving latency.  A ``None`` fanout is
+#: exact serving, which runs no plan: its cells pin the gather's launches
+#: (row gather + compaction per hop), the count its keep-all plan had.
 FUSED_STEP_COUNTS = {
     ("sage", (None,)): 2,
     ("sage", (None, None)): 4,
@@ -265,8 +267,37 @@ _LAUNCH_SAMPLERS = {
     "name,fanout", list(FUSED_STEP_COUNTS), ids=lambda v: str(v)
 )
 def test_launch_count_is_pinned(name, fanout):
-    plan = _LAUNCH_SAMPLERS[name]().emitted_plan(fanout)
-    assert kernel_launches(plan) == FUSED_STEP_COUNTS[name, fanout]
+    if None in fanout:
+        launches = _exact_serving_launches(len(fanout))
+    else:
+        plan = _LAUNCH_SAMPLERS[name]().emitted_plan(fanout)
+        launches = kernel_launches(plan)
+    assert launches == FUSED_STEP_COUNTS[name, fanout]
+
+
+def _exact_serving_launches(n_layers: int) -> int:
+    """The kernel launches an exact replica charges for one uncached
+    neighbourhood build of an ``n_layers``-deep model."""
+    from repro.api import RunConfig
+    from repro.gnn import GNNModel
+    from repro.graphs import Graph
+    from repro.serve.replica import Replica
+
+    adj = _graph()
+    rng = np.random.default_rng(0)
+    graph = Graph("launches", adj, features=rng.random((adj.shape[0], 4)))
+    model = GNNModel(4, 4, 3, n_layers, rng)
+    replica = Replica(model, graph, RunConfig(embed_budget=0.0))
+    charged = []
+    compute = replica.cost.compute
+
+    def record(**work):
+        charged.append(work["kernels"])
+        return compute(**work)
+
+    replica.cost.compute = record
+    replica.logits_for(np.arange(5), rng)
+    return charged[0]  # sampling is charged first, in one call
 
 
 # --------------------------------------------------------------------- #
@@ -378,7 +409,7 @@ def test_dse_preserves_stock_plans():
     would be paid on every bulk: every built-in (each flag that changes its
     plan) and the example plugin emit none."""
     for sampler, fanouts in [
-        (SageSampler(), [(5, 3), (None, None)]),
+        (SageSampler(), [(5, 3)]),
         (SageSampler(include_dst=False), [(5,)]),
         (LadiesSampler(), [(16,), (8, 8)]),
         (LadiesSampler(debias=True), [(16, 16)]),
@@ -540,7 +571,7 @@ def test_compact_layer_from_mask_matches_extract_batch_layer():
         sampler = SageSampler(include_dst=include_dst)
         p = sampler.norm(spgemm(sampler.make_q(dst, adj.shape[0]), adj))
         sel = sampler.sample_mask(p, 3, np.random.default_rng(5))
-        q_next = sample(sampler, p, 3, np.random.default_rng(5))
+        q_next = its_sample_rows(p, 3, np.random.default_rng(5))
         want = sampler.extract_batch_layer(q_next, dst)
         got = compact_layer_from_mask(
             p, sel, 0, p.shape[0], dst, include_dst=include_dst,

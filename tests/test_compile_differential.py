@@ -3,9 +3,7 @@
 Hypothesis generates random *valid* sampling plans — stage-structured
 mixes of node-wise, layer-wise, global and random-walk stages with dead
 steps injected, double extractions off one SAMPLE, debiasing, destination
-unioning, keep-all ``SAMPLE(all)`` node-wise stages (exact serving's
-program, alone or mixed with counted stages), both NORM styles and both
-sample backends — and executes each one on a random graph.  Every plan
+unioning and both NORM styles — and executes each one on a random graph.  Every plan
 runs through the ``Q^{l-1}``-materializing oracle (:mod:`reference_interpreter`), through
 :class:`~repro.core.plan.LocalExecutor` (the product path,
 ``sample_bulk``, which runs the plan as emitted with NORM in place), and
@@ -128,8 +126,6 @@ def fuzz_cases(draw):
         if kind == "walk":
             double = draw(st.booleans())
         count = draw(st.integers(1, 4))
-        if kind == "node" and draw(st.booleans()):
-            count = None  # the keep-all family: SAMPLE(all), no draw
         stages.append(
             {
                 "kind": kind,
@@ -159,7 +155,6 @@ def fuzz_cases(draw):
         "seed": seed,
         "norm_mode": draw(st.sampled_from(["sage", "ladies"])),
         "include_dst": draw(st.booleans()),
-        "sample_backend": draw(st.sampled_from(["its", "gumbel"])),
         "custom_extract": draw(st.booleans()),
         "per_batch_rng": draw(st.booleans()),
         "n": n,
@@ -184,7 +179,6 @@ def _make_sampler(case):
         case["steps"],
         norm_mode=case["norm_mode"],
         include_dst=case["include_dst"],
-        sample_backend=case["sample_backend"],
     )
 
 

@@ -1,17 +1,35 @@
-"""Inverse transform sampling: correctness, statistics, edge cases."""
+"""Inverse transform sampling: correctness, the distribution contract, edge
+cases.
+
+SAMPLE's contract (``repro.core.its``) is a distribution: per row, the
+selected set follows successive sampling without replacement.
+:func:`subset_probabilities` enumerates that law exactly for one short row;
+``TestStatistics`` draws ``DRAWS`` seeded copies of a row in one call and
+holds every subset's count to it within an exact binomial bound.  ITS and
+the one-pass Gumbel top-``s`` (``reference_its.gumbel_select_mask``) answer
+to the same oracle, and a sampler with the wrong law must fail it.
+"""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 from repro.core import SageSampler, its_flops, its_sample_rows
-from repro.core.its import its_select_mask
+from repro.core.its import _mask_to_csr, its_select_mask
 from repro.sparse import CSRMatrix, row_normalize, sprand
 
 import reference_its
-from reference_interpreter import gumbel_topk_rows
+from reference_its import gumbel_select_mask
+
+
+def gumbel_topk_rows(p, s, rng):
+    """Gumbel top-``s`` as the binary sampled ``Q^{l-1}``."""
+    return _mask_to_csr(p, gumbel_select_mask(p, s, rng))
 
 
 class TestBasics:
@@ -71,58 +89,151 @@ class TestBasics:
         assert its_flops(p, 8) > its_flops(p, 2)
 
 
+# ---------------------------------------------------------------------- #
+# The distribution contract, against an exact oracle
+# ---------------------------------------------------------------------- #
+#: Seeded copies of a row drawn per comparison.
+DRAWS = 20_000
+#: Family-wise false-alarm rate of one comparison (all the subsets of one
+#: row and count): a correct sampler fails a fresh seed this rarely.  The
+#: bound is Bonferroni over the subsets, two-sided, with exact binomial
+#: tails; with ~30 comparisons in this file the whole suite false-alarms
+#: with probability below 1e-4 per change of seed.
+FALSE_ALARM = 1e-6
+
+#: Rows of at most 6 entries: uniform, skewed, with stored zeros, heavy
+#: against light, and shorter than the largest count.
+ROWS = {
+    "uniform": [1.0] * 6,
+    "weighted": [0.1, 0.2, 0.3, 0.4],
+    "halves": [0.5, 0.25, 0.25],
+    "skewed": [0.6, 0.3, 0.1],
+    "zeros": [0.0, 2.0, 1.0, 0.0, 5.0, 0.5],
+    "heavy": [50.0, 1.0, 1.0, 2.0, 1.0],
+    "digits": [3.0, 1.0, 4.0, 1.0, 5.0, 9.0],
+    "short": [2.0, 1.0],
+}
+COUNTS = (1, 2, 3)
+
+
+def subset_probabilities(weights, s: int) -> np.ndarray:
+    """The exact law of one row's selected set, indexed by subset bitmask
+    (bit ``i`` = entry ``i``): the sum, over every order the set can be
+    drawn in, of successive sampling's ``prod w_i / (W - drawn so far)``.
+    Zero-weight entries are never drawn; a row with at most ``s`` positive
+    entries keeps all of them with probability 1."""
+    w = np.asarray(weights, dtype=np.float64)
+    positive = np.flatnonzero(w > 0)
+    probs = np.zeros(2**w.size)
+    for order in itertools.permutations(positive, min(s, positive.size)):
+        pr, left = 1.0, w.sum()
+        for i in order:
+            pr *= w[i] / left
+            left -= w[i]
+        probs[sum(1 << int(i) for i in order)] += pr
+    return probs
+
+
+def _tiled(rows: list, copies: int) -> CSRMatrix:
+    """``rows`` repeated ``copies`` times, as one CSR matrix whose stored
+    entries (zeros included) are every weight of every copy, in order."""
+    data = np.tile(np.concatenate([np.asarray(r, float) for r in rows]), copies)
+    lengths = np.tile([len(r) for r in rows], copies)
+    indices = np.concatenate([np.arange(n) for n in lengths])
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    width = max(len(r) for r in rows)
+    return CSRMatrix(indptr, indices, data, (lengths.size, width))
+
+
+def _codes(mask: np.ndarray, width: int) -> np.ndarray:
+    """Per row of a tiled single-row draw: its selected set as a bitmask."""
+    return mask.reshape(-1, width) @ (1 << np.arange(width))
+
+
+def _outside_bound(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Cells whose count falls outside the two-sided exact binomial bound
+    at :data:`FALSE_ALARM`, Bonferroni-split over the cells."""
+    n = int(counts.sum())
+    tail = np.minimum(binom.cdf(counts, n, probs), binom.sf(counts - 1, n, probs))
+    return np.flatnonzero(2 * tail < FALSE_ALARM / probs.size)
+
+
+def off_law(select, weights, s: int, seed: int) -> np.ndarray:
+    """Subsets whose seeded frequency under ``select`` contradicts the
+    exact law (empty when the sampler keeps the contract)."""
+    p = _tiled([weights], DRAWS)
+    mask = select(p, s, np.random.default_rng(seed))
+    probs = subset_probabilities(weights, s)
+    counts = np.bincount(_codes(mask, len(weights)), minlength=probs.size)
+    return _outside_bound(counts, probs)
+
+
+def _weight_proportional_keys(p, s, rng):
+    """A plausible wrong SAMPLE: top-``s`` of ``w * U`` keys (``U^(1/w)``
+    would be right).  Exists so the oracle is shown to reject something."""
+    keys = p.data * rng.random(p.nnz)
+    rows = p.row_ids()
+    order = np.lexsort((-keys, rows))
+    ranks = np.empty(p.nnz, dtype=np.int64)
+    ranks[order] = np.arange(p.nnz) - np.repeat(p.indptr[:-1], np.diff(p.indptr))
+    return (ranks < s) & (p.data > 0)
+
+
 class TestStatistics:
+    def test_oracle_is_a_law_and_matches_the_closed_form(self):
+        for w in ROWS.values():
+            for s in COUNTS:
+                probs = subset_probabilities(w, s)
+                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        # s = 2: P({i, j}) = p_i p_j (1 / (1 - p_i) + 1 / (1 - p_j)).
+        p = np.array(ROWS["weighted"])
+        probs = subset_probabilities(p, 2)
+        for i, j in itertools.combinations(range(p.size), 2):
+            want = p[i] * p[j] * (1 / (1 - p[i]) + 1 / (1 - p[j]))
+            assert probs[(1 << i) | (1 << j)] == pytest.approx(want, rel=1e-12)
+
     def test_uniform_row_frequencies(self):
-        """Sampling 1 of n uniform entries must be ~uniform over trials."""
-        rng = np.random.default_rng(0)
-        n = 8
-        p = CSRMatrix.from_dense(np.full((1, n), 1.0 / n))
-        counts = np.zeros(n)
-        trials = 4000
-        for _ in range(trials):
-            q = its_sample_rows(p, 1, rng)
-            counts[q.row(0)[0][0]] += 1
-        expected = trials / n
-        # Chi-square-ish sanity: within 5 sigma of the binomial std.
-        sigma = np.sqrt(trials * (1 / n) * (1 - 1 / n))
-        assert np.all(np.abs(counts - expected) < 5 * sigma)
+        """Every s-subset of a uniform row is equally likely."""
+        for s in COUNTS:
+            assert off_law(its_select_mask, ROWS["uniform"], s, seed=s).size == 0
 
     def test_weighted_frequencies(self):
-        """Draw frequencies must track the weights."""
-        rng = np.random.default_rng(1)
-        weights = np.array([[0.1, 0.2, 0.3, 0.4]])
-        p = CSRMatrix.from_dense(weights)
-        counts = np.zeros(4)
-        trials = 6000
-        for _ in range(trials):
-            q = its_sample_rows(p, 1, rng)
-            counts[q.row(0)[0][0]] += 1
-        freq = counts / trials
-        assert np.all(np.abs(freq - weights[0]) < 0.03)
+        """Every subset of a weighted row, at every count, follows
+        successive sampling without replacement."""
+        for row, s in itertools.product(sorted(set(ROWS) - {"uniform"}), COUNTS):
+            off = off_law(its_select_mask, ROWS[row], s, seed=10 + s)
+            assert off.size == 0, (row, s, off)
 
     def test_many_rows_single_pass_matches_marginals(self):
-        """The vectorized multi-row path draws the same marginals."""
-        rng = np.random.default_rng(2)
-        trials = 3000
-        w = np.array([0.5, 0.25, 0.25])
-        p = CSRMatrix.from_dense(np.tile(w, (trials, 1)))
-        q = its_sample_rows(p, 1, rng)
-        freq = np.bincount(q.indices, minlength=3) / trials
-        assert np.all(np.abs(freq - w) < 0.04)
+        """Rows drawn in one call are independent: two different rows
+        interleaved in one ``P`` follow the product of their laws."""
+        a, b = ROWS["skewed"], ROWS["digits"]
+        for s in COUNTS:
+            p = _tiled([a, b], DRAWS)
+            mask = its_select_mask(p, s, np.random.default_rng(20 + s))
+            pairs = mask.reshape(DRAWS, len(a) + len(b))
+            joint = (
+                _codes(pairs[:, : len(a)], len(a)) << len(b)
+            ) + _codes(pairs[:, len(a) :], len(b))
+            probs = np.outer(
+                subset_probabilities(a, s), subset_probabilities(b, s)
+            ).ravel()
+            counts = np.bincount(joint, minlength=probs.size)
+            assert _outside_bound(counts, probs).size == 0
 
     def test_gumbel_matches_its_marginals(self):
-        """Gumbel top-k and ITS draw indistinguishable 1-of-n marginals."""
-        rng1, rng2 = np.random.default_rng(3), np.random.default_rng(4)
-        trials = 4000
-        w = np.array([0.6, 0.3, 0.1])
-        p = CSRMatrix.from_dense(np.tile(w, (trials, 1)))
-        f_its = np.bincount(
-            its_sample_rows(p, 1, rng1).indices, minlength=3
-        ) / trials
-        f_gum = np.bincount(
-            gumbel_topk_rows(p, 1, rng2).indices, minlength=3
-        ) / trials
-        assert np.all(np.abs(f_its - f_gum) < 0.05)
+        """Gumbel top-``s`` — a second implementation sharing no step with
+        ITS — answers to the same oracle."""
+        for row, s in itertools.product(sorted(ROWS), COUNTS):
+            off = off_law(gumbel_select_mask, ROWS[row], s, seed=30 + s)
+            assert off.size == 0, (row, s, off)
+
+    def test_the_oracle_rejects_the_wrong_law(self):
+        """Top-``s`` by ``w * U`` keeps zero weights out and draws the right
+        set sizes, but not the right law: the bound must see it."""
+        assert off_law(
+            _weight_proportional_keys, ROWS["weighted"], 2, seed=40
+        ).size > 0
 
     def test_without_replacement_distinctness(self, rng):
         p = row_normalize(sprand(100, 50, 0.4, rng))

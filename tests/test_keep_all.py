@@ -1,28 +1,28 @@
-"""Keep-all SAMPLE: ``None`` in a fanout position == ITS at max degree.
+"""Exact serving's neighbourhood gather, held to SAMPLE at full count.
 
-Exact serving used to be "sample with ``s`` = the graph's max in-degree":
-a coupon-collector game ITS plays to select *every positive entry*.  A
-``None`` fanout position now says that directly — ``SAMPLE(all)`` returns
-``P.data > 0`` without a draw — and this file holds it to the thing it
-replaced, which survives only here, as the oracle:
+Exact serving builds each hop as a row gather of ``A`` plus a column
+compaction (:func:`repro.serve.replica.neighborhood_sample`).  Before that
+it ran GraphSAGE's plan with a keep-all SAMPLE, and before *that* with
+``s`` = the graph's largest positive row count: ITS at that count selects
+every positive entry, so it is the definition the gather answers to.  This
+file holds:
 
-* byte-equality with ``fanout=(max_degree,) * L`` on every ``LayerSample``
-  array, locally and on three grids, against the ``Q^{l-1}``-materializing
-  reference interpreter, under both SAMPLE backends, on graphs with empty
-  rows, stored zero weights and isolated targets;
-* the generator is not touched, and what that does to a stream shared
-  with counted layers;
-* the samplers that cannot keep all refuse by name; ``RunConfig.fanout``
-  stays integers-only;
-* one emitted plan per ``(sampler, fanout)``;
+* byte-equality of every ``LayerSample`` array with
+  ``SageSampler(include_dst=True)`` at that count — the product path
+  (``sample_bulk``, one generator or one per batch) and the
+  ``Q^{l-1}``-materializing reference interpreter — on graphs with empty
+  rows, stored zero weights and isolated targets, at 1–3 hops; each
+  layer's edges are exactly its destinations' positive entries;
+* the gather's refusals (a negative weight, a target outside the graph)
+  and the plan IR's (a ``None`` count is no SAMPLE: samplers and
+  ``SampleStep`` refuse it, naming the serving mode that keeps every
+  neighbour); ``RunConfig.fanout`` stays integers-only;
+* one emitted plan per ``(sampler, fanout)``, and none for exact serving;
 * a streaming server whose max in-degree grows under insertions stays
   bit-equal to ``layerwise_inference`` — the reason the old cap had to be
   recomputed after every update;
 * exact serving stays bit-equal to ``layerwise_inference`` on graphs with
-  stored ``0.0`` / ``-0.0`` weights, which SpGEMM's zero rule drops from
-  ``P`` on the gather as on the general path.  (Weights that cancel need a
-  negative entry, which keep-all SAMPLE refuses like ITS; their zero rule
-  is held at the kernel, ``tests/test_compile.py``.)
+  stored ``0.0`` / ``-0.0`` weights, which are not edges.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Engine, RunConfig
 from repro.api.registries import make_sampler
-from repro.comm import Communicator, ProcessGrid
 from repro.core import SageSampler, batch_rng
 from repro.core.plan import SampleStep
-from repro.distributed.partitioned import PartitionedExecutor
 from repro.graphs import Graph
-from repro.partition import BlockRows
 from repro.pipeline import layerwise_inference
 from repro.serve import ServingCluster
+from repro.serve.replica import neighborhood_sample
 from repro.sparse import CSRMatrix
 from repro.stream import EdgeBatch, StreamingGraph
 
@@ -74,7 +72,7 @@ def _arrays(samples) -> list[bytes]:
 
 
 # --------------------------------------------------------------------- #
-# Equivalence with ITS / Gumbel at max degree
+# The gather == SAMPLE at the largest positive row count
 # --------------------------------------------------------------------- #
 @st.composite
 def keep_all_cases(draw):
@@ -105,142 +103,90 @@ def keep_all_cases(draw):
         "adj": adj,
         "batches": batches,
         "n_layers": draw(st.integers(1, 3)),
-        "include_dst": draw(st.booleans()),
-        "backend": draw(st.sampled_from(["its", "gumbel"])),
         "seed": draw(st.integers(0, 2**16)),
     }
 
 
-def _partitioned(sampler, adj, batches, fanout, seed, p, c):
-    grid = ProcessGrid(p, c)
-    executor = PartitionedExecutor(
-        Communicator(p), grid, sampler,
-        BlockRows.partition(adj, grid.n_rows), batches, seed,
-    )
-    return executor.run(sampler.emitted_plan(fanout))
+def _positive_per_row(adj) -> np.ndarray:
+    return np.bincount(adj.row_ids()[adj.data > 0], minlength=adj.shape[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=keep_all_cases())
 def test_keep_all_equals_sampling_at_max_degree(case):
     adj, batches, seed = case["adj"], case["batches"], case["seed"]
-    sampler = SageSampler(
-        include_dst=case["include_dst"], sample_backend=case["backend"]
-    )
-    max_degree = max(1, int(adj.nnz_per_row().max()))
-    runs = {}
-    for label, s in (("all", None), ("max", max_degree)):
-        fanout = (s,) * case["n_layers"]
-        per_batch = lambda: [batch_rng(seed, i) for i in range(len(batches))]
-        runs[label, "local"] = sampler.sample_bulk(
+    positive = _positive_per_row(adj)
+    fanout = (max(1, int(positive.max())),) * case["n_layers"]
+    sampler = SageSampler(include_dst=True)
+    per_batch = lambda: [batch_rng(seed, i) for i in range(len(batches))]
+    gathered = [neighborhood_sample(adj, b, case["n_layers"]) for b in batches]
+    want = _arrays(gathered)
+    for label, samples in {
+        "local": sampler.sample_bulk(
             adj, batches, fanout, np.random.default_rng(seed)
-        )
-        runs[label, "local-per-batch"] = sampler.sample_bulk(
-            adj, batches, fanout, per_batch()
-        )
-        runs[label, "oracle"] = reference_sample_bulk(
+        ),
+        "local-per-batch": sampler.sample_bulk(adj, batches, fanout, per_batch()),
+        "oracle": reference_sample_bulk(
             sampler, adj, batches, fanout, per_batch()
-        )
-        for p, c in ((1, 1), (4, 2)):
-            runs[label, f"partitioned{p}x{c}"] = _partitioned(
-                sampler, adj, batches, fanout, seed, p, c
-            )
-    want = _arrays(runs["max", "local"])
-    for key, samples in runs.items():
-        assert _arrays(samples) == want, key
-    # Keep-all really kept all: a layer's edges are its destinations'
-    # positive entries, no more (stored zeros) and no fewer.
-    positive = np.bincount(
-        adj.row_ids()[adj.data > 0], minlength=adj.shape[0]
-    )
-    for mb in runs["all", "local"]:
+        ),
+    }.items():
+        assert _arrays(samples) == want, label
+    # The gather kept exactly the positive entries: a layer's edges are its
+    # destinations' positive entries, no more (stored zeros), no fewer.
+    for mb in gathered:
         for layer in mb.layers:
             assert np.array_equal(
                 np.diff(layer.adj.indptr), positive[layer.dst_ids]
             )
 
 
-@pytest.mark.parametrize("backend", ["its", "gumbel"])
-def test_keep_all_does_not_touch_the_generator(small_adj, backend):
-    sampler = SageSampler(sample_backend=backend)
-    batches = [np.arange(0, 40, 3), np.arange(100, 130, 2)]
-    rng = np.random.default_rng(5)
-    before = copy.deepcopy(rng.bit_generator.state)
-    sampler.sample_bulk(small_adj, batches, (None, None), rng)
-    assert rng.bit_generator.state == before
-    sampler.sample_bulk(small_adj, batches, (2,), rng)
-    assert rng.bit_generator.state != before  # a counted layer does draw
-
-
-def test_keep_all_position_shortens_a_shared_stream(small_adj):
-    """One generator across layers: ``(None, 3)`` and ``(max_degree, 3)``
-    agree on the batch-adjacent layer (both keep all), but the keep-all
-    layer consumed no uniforms, so the second layer draws others."""
-    sampler = SageSampler()
-    batches = [np.arange(0, 64, 2)]
-    max_degree = int(small_adj.nnz_per_row().max())
-    (kept,) = sampler.sample_bulk(
-        small_adj, batches, (None, 3), np.random.default_rng(9)
-    )
-    (capped,) = sampler.sample_bulk(
-        small_adj, batches, (max_degree, 3), np.random.default_rng(9)
-    )
-    # layers[-1] is fanout[0]'s layer (adjacent to the batch).
-    assert _layer_arrays(kept.layers[-1]) == _layer_arrays(capped.layers[-1])
-    assert np.array_equal(kept.layers[0].dst_ids, capped.layers[0].dst_ids)
-    assert _layer_arrays(kept.layers[0]) != _layer_arrays(capped.layers[0])
-    # ... and it is the stream position, nothing else: replaying the
-    # second layer alone from a fresh generator gives keep-all's draws.
-    (alone,) = sampler.sample_bulk(
-        small_adj, [kept.layers[0].dst_ids], (3,), np.random.default_rng(9)
-    )
-    assert _layer_arrays(alone.layers[0]) == _layer_arrays(kept.layers[0])
-
-
 def test_keep_all_refuses_negative_weights():
-    """Same refusal as ITS: a negative entry of P is an error, not an
-    edge silently dropped from an "exact" neighbourhood."""
+    """Same refusal as ITS: a negative weight is an error, not an edge
+    silently dropped from an "exact" neighbourhood."""
     adj = CSRMatrix.from_dense(
         np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     )
-    for fanout in ((None,), (3,)):
-        with pytest.raises(ValueError, match="non-negative"):
-            SageSampler().sample_bulk(
-                adj, [np.array([0, 1])], fanout, np.random.default_rng(0)
-            )
+    with pytest.raises(ValueError, match="non-negative"):
+        neighborhood_sample(adj, np.array([0, 1]), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        SageSampler().sample_bulk(
+            adj, [np.array([0, 1])], (3,), np.random.default_rng(0)
+        )
+    # A negative weight the gather never reaches is not its business.
+    assert neighborhood_sample(adj, np.array([2]), 1).layers[0].adj.nnz == 1
 
 
-def test_describe_prints_s_all():
-    plan = SageSampler().emitted_plan((None, 4))
-    assert plan.describe().splitlines() == [
-        "probability  PROB(frontier)",
-        "sampling     NORM()",
-        "sampling     SAMPLE(s=all)",
-        "extraction   EXTRACT(compact)",
-        "probability  PROB(frontier)",
-        "sampling     NORM()",
-        "sampling     SAMPLE(s=4)",
-        "extraction   EXTRACT(compact)",
-    ]
-    assert SampleStep(None).describe_args() == ["s=all"]
-    with pytest.raises(ValueError, match="positive"):
-        SampleStep(0)
+@pytest.mark.parametrize("target", [-1, 3])
+def test_gather_refuses_a_target_outside_the_graph(target):
+    adj = CSRMatrix.from_dense(np.eye(3))
+    with pytest.raises(ValueError, match="out of range"):
+        neighborhood_sample(adj, np.array([0, target]), 2)
 
 
 # --------------------------------------------------------------------- #
 # Refusals
 # --------------------------------------------------------------------- #
+def _refuses_none(sampler, adj, fanout) -> None:
+    with pytest.raises(ValueError) as err:
+        sampler.sample_bulk(adj, [np.arange(8)], fanout, np.random.default_rng(0))
+    message = str(err.value)
+    assert "None" in message
+    assert "Engine.serving(fanout=None)" in message
+
+
 @pytest.mark.parametrize("name", ["ladies", "fastgcn", "saint"])
 def test_layerwise_and_walk_samplers_refuse_keep_all(small_adj, name):
-    sampler = make_sampler(name)
-    with pytest.raises(ValueError) as err:
-        sampler.sample_bulk(
-            small_adj, [np.arange(8)], (4, None), np.random.default_rng(0)
-        )
-    message = str(err.value)
-    assert repr(sampler.name) in message
-    assert "fanout[1]" in message
-    assert "use an integer count" in message
+    _refuses_none(make_sampler(name), small_adj, (4, None))
+
+
+def test_sample_counts_are_positive_integers(small_adj):
+    """Keeping every neighbour is the serving mode, not a SAMPLE count."""
+    _refuses_none(SageSampler(), small_adj, (None,))
+    with pytest.raises(ValueError, match="positive integer, got None"):
+        SampleStep(None)
+    with pytest.raises(ValueError, match="positive"):
+        SampleStep(0)
+    assert SampleStep(4).describe_args() == ["s=4"]
 
 
 @pytest.mark.parametrize("fanout", [(5, None), [None], (3, 0), [4, -1]])
@@ -253,14 +199,15 @@ def test_runconfig_fanout_stays_positive_integers(fanout):
 
 
 def test_sample_bulk_still_rejects_nonpositive_counts(small_adj):
-    with pytest.raises(ValueError, match="positive"):
-        SageSampler().sample_bulk(
-            small_adj, [np.arange(4)], (None, 0), np.random.default_rng(0)
-        )
+    for fanout in ((3, 0), [4, -1]):
+        with pytest.raises(ValueError, match="must be positive"):
+            SageSampler().sample_bulk(
+                small_adj, [np.arange(4)], fanout, np.random.default_rng(0)
+            )
 
 
 # --------------------------------------------------------------------- #
-# One emitted plan per (sampler, fanout)
+# One emitted plan per (sampler, fanout); none for exact serving
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def trained_engine() -> Engine:
@@ -277,8 +224,8 @@ def trained_engine() -> Engine:
 @pytest.mark.parametrize(
     "embed_budget, fanout, tuples",
     [
-        (65536.0, None, {(None,)}),  # cached path: outer + miss frontier
-        (0.0, None, {(None, None)}),
+        (65536.0, None, set()),  # exact, cached or not: gathers, no plan
+        (0.0, None, set()),
         (0.0, (4, 3), {(4, 3)}),
     ],
     ids=["exact-cached", "exact", "sampled"],
@@ -309,19 +256,19 @@ def test_plan_memo_is_per_instance_and_survives_pickling(small_adj):
     without = SageSampler(include_dst=False)
     batches = [np.arange(0, 30, 2)]
     runs = [
-        s.sample_bulk(small_adj, batches, (None,), np.random.default_rng(1))
+        s.sample_bulk(small_adj, batches, (3,), np.random.default_rng(1))
         for s in (with_dst, without)
     ]
     assert with_dst._plans is not without._plans
     assert _arrays(runs[0]) != _arrays(runs[1])  # dst joined one frontier only
-    assert with_dst.emitted_plan((None,)) is with_dst.emitted_plan([None])
+    assert with_dst.emitted_plan((3,)) is with_dst.emitted_plan([3])
     # A sampler shipped to a worker process carries its memo and serves
     # (worker-built samplers start cold: tests/test_parallel.py holds the
     # pool bit-identical to serial either way).
     shipped = pickle.loads(pickle.dumps(with_dst))
-    assert shipped.emitted_plan((None,)) == with_dst.emitted_plan((None,))
+    assert shipped.emitted_plan((3,)) == with_dst.emitted_plan((3,))
     again = shipped.sample_bulk(
-        small_adj, batches, (None,), np.random.default_rng(1)
+        small_adj, batches, (3,), np.random.default_rng(1)
     )
     assert _arrays(again) == _arrays(runs[0])
 
@@ -404,7 +351,7 @@ def test_exact_serving_equals_layerwise_inference_on_stored_zeros(
 ):
     """The trained model over its graph's pattern with a share of the edges
     stored as ``0.0`` or ``-0.0``: exact serving keeps the positive ones
-    (every sampled layer is a unit-weight pattern), ``layerwise_inference``
+    (every gathered layer is a unit-weight pattern), ``layerwise_inference``
     multiplies the zeros in, and the logits are the same bytes."""
     engine = trained_engine
     adj = engine.graph.adj

@@ -246,7 +246,7 @@ class TestSamplerSpec:
             SamplerSpec(sampler="sage", fanout=(4, 2)),
             SamplerSpec(
                 sampler="sage", fanout=(4, 3),
-                overrides=(("sample_backend", "gumbel"),),
+                overrides=(("include_dst", False),),
             ),
             SamplerSpec(sampler="sage", fanout=(4, 3), for_training=False),
         ):

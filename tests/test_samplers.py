@@ -136,12 +136,27 @@ class TestSageSampler:
             sampler.sample_bulk(small_adj, [np.array([10**6])], (4,), rng)
 
     def test_gumbel_backend(self, small_adj, batches, rng):
-        out = SageSampler(sample_backend="gumbel").sample_bulk(
+        """SAMPLE has no backend knob; a sampler that wants another
+        implementation of the same law overrides ``sample_mask``, and the
+        executor runs it (here: Gumbel top-``s``, from the tests)."""
+        from reference_its import gumbel_select_mask
+
+        class GumbelSage(SageSampler):
+            def sample_mask(self, p, s, rng):
+                return gumbel_select_mask(p, s, rng)
+
+        with pytest.raises(TypeError):
+            SageSampler(sample_backend="gumbel")
+        out = GumbelSage(include_dst=False).sample_bulk(
             small_adj, batches, (4,), rng
         )
         assert len(out) == len(batches)
-        with pytest.raises(ValueError):
-            SageSampler(sample_backend="nope")
+        degree = small_adj.nnz_per_row()
+        for mb, batch in zip(out, batches):
+            layer = mb.layers[0]
+            assert np.array_equal(
+                np.diff(layer.adj.indptr), np.minimum(4, degree[batch])
+            )
 
 
 class TestLadiesSampler:

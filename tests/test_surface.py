@@ -15,6 +15,8 @@
     module, benchmark or example uses is on the allow-list below (with its
     reason) or the test fails.
 (d) *One knob table* — the README's block is ``repro.cli.knob_table()``.
+(e) *The e2e harness's patch table* — every name ``benchmarks/e2e/trace.py``
+    wraps from outside ``src/`` still resolves, and unwraps.
 """
 
 from __future__ import annotations
@@ -206,8 +208,8 @@ ALLOWED = {
     "per_batch_sampling": "the paper's per-batch baseline; reserved for the "
     "bulk-k claim of ROADMAP item 1",
     "SamplingPlan.describe": "a plan's printable form (four lines per layer "
-    "of what runs, since plans run as emitted); the plan and keep-all tests "
-    "pin plans by it",
+    "of what runs, since plans run as emitted); the plan tests pin plans by "
+    "it",
     "ExecutionBackend": "the Protocol that states the backend plug-in contract",
     "Registry.unregister": "undoes a registration in a process-global "
     "registry (plugin reloads, test clean-up)",
@@ -305,3 +307,41 @@ def test_readme_knob_table_is_generated(capsys):
     assert main(["info"]) == 0
     assert knob_table() in capsys.readouterr().out
     assert len(knob_table().splitlines()) == 2 + len(FIELDS)
+
+
+# ---------------------------------------------------------------------- #
+# (e) The e2e harness's patch table
+# ---------------------------------------------------------------------- #
+def test_e2e_harness_patch_table_resolves():
+    """The benchmark's traced pass wraps names in ``src/`` from outside
+    (``its_select_mask`` on ``sampler_base``, the SpGEMM kernel object, a
+    replica's verbs, the streaming graph's ``apply``): renaming one must
+    fail here, in tier-1, not first in a benchmark run."""
+    import numpy as np
+
+    import repro.core.its as its
+    import repro.core.sampler_base as sampler_base
+    from benchmarks.e2e import trace
+    from repro.gnn import GNNModel
+    from repro.graphs import Graph, rmat
+    from repro.serve import ServingCluster
+    from repro.stream import StreamingGraph
+
+    rng = np.random.default_rng(0)
+    adj = rmat(7, 4, rng)
+    graph = Graph("harness", adj, features=rng.random((adj.shape[0], 4)))
+    cfg = RunConfig(stream_updates=True, embed_budget=4096.0)
+    server = ServingCluster(
+        GNNModel(4, 4, 3, 2, rng), graph, cfg, stream=StreamingGraph(graph)
+    )
+    tracer = trace.Tracer()
+    try:
+        trace.instrument_shared(tracer, cfg.kernel)
+        trace.instrument_server(tracer, server)
+        server.serve(np.arange(6))
+        assert {"serve.logits_for", "sparse.spmm"} <= set(tracer.table())
+    finally:
+        tracer.unwrap_all()
+    assert not tracer._patches
+    assert sampler_base.its_select_mask is its.its_select_mask
+    assert "logits_for" not in vars(server.replicas[0])
