@@ -1,6 +1,10 @@
 """Package metadata.  ``numpy`` and ``scipy`` are hard requirements:
-``repro.sparse.spmm`` runs on ``scipy.sparse``'s compiled CSR kernel and
-there is no numpy fallback (it would be a second set of bits)."""
+``repro.sparse.spmm`` and ``repro.sparse.spgemm`` run on ``scipy.sparse``'s
+compiled CSR kernels, and ``CSRMatrix``'s row gather, element-wise add and
+NORM's row sums call three of its compiled routines
+(``scipy.sparse._sparsetools``: ``csr_row_index``, ``csr_plus_csr``,
+``csr_matvec``) directly.  There is no numpy fallback (it would be a second
+set of bits)."""
 
 from setuptools import find_packages, setup
 

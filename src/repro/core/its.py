@@ -16,9 +16,11 @@ amortization the paper exploits (many minibatches stacked into ``P`` share
 the same kernel launches).
 
 *What a round costs.*  The prefix sum is the only pass over every nonzero
-that a round repeats; the rest is state carried from round to round: the
-per-row targets are computed once (``np.diff(indptr)`` when every entry is
-positive), the live masses are ``P``'s own values in round 1 and one copy
+that a round repeats; the rest is state carried from round to round: one
+``min`` over ``P``'s values checks the signs, the per-row targets are
+computed once (``np.diff(indptr)`` when that minimum is positive, else a
+binary search of the row boundaries in the positive entries' positions),
+the live masses are ``P``'s own values in round 1 and one copy
 afterwards in which each round zeroes only its fresh picks, and the per-row
 counts grow by the fresh picks alone.  The *global* ``cumsum`` over every
 row is kept on purpose: it is what decides the bits — each uniform is
@@ -77,19 +79,21 @@ def its_select_mask(
     """
     if s <= 0:
         raise ValueError(f"sample count s must be positive, got {s}")
-    if np.any(p.data < 0):
-        raise ValueError("P must be non-negative to be sampled")
     n_rows = p.shape[0]
     if p.nnz == 0:
         return np.zeros(0, dtype=bool)
+    # One reduction answers both sign questions; a NaN minimum hides any
+    # negative entry, so only then is the data compared entry by entry.
+    lowest = p.data.min()
+    if lowest < 0 or (np.isnan(lowest) and np.any(p.data < 0)):
+        raise ValueError("P must be non-negative to be sampled")
 
     indptr, row_start, row_end = p.indptr, p.indptr[:-1], p.indptr[1:]
     # Target distinct picks per row: min(s, positive nonzeros in the row).
-    positive = p.data > 0
-    if positive.all():
+    if lowest > 0:
         pos_per_row = np.diff(indptr)
     else:
-        pos_per_row = np.diff(_masked_indptr(indptr, positive))
+        pos_per_row = np.diff(_masked_indptr(indptr, p.data > 0))
     target = np.minimum(s, pos_per_row)
 
     selected = np.zeros(p.nnz, dtype=bool)

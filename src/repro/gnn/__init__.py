@@ -3,7 +3,6 @@ explicit numpy forward/backward passes (stand-in for PyTorch/PyG)."""
 
 from .activations import (
     ACTIVATIONS,
-    Dropout,
     Identity,
     LeakyReLU,
     ReLU,
@@ -16,7 +15,7 @@ from .layers import GCNConv, SAGEConv, glorot
 from .loss import softmax, softmax_cross_entropy
 from .metrics import accuracy
 from .model import GNNModel, full_graph_sample, propagation_flops
-from .optim import SGD, Adam
+from .optim import Adam
 
 __all__ = [
     "ACTIVATIONS",
@@ -25,7 +24,6 @@ __all__ = [
     "Tanh",
     "Identity",
     "make_activation",
-    "Dropout",
     "SAGEConv",
     "GCNConv",
     "GATConv",
@@ -38,6 +36,5 @@ __all__ = [
     "GNNModel",
     "full_graph_sample",
     "propagation_flops",
-    "SGD",
     "Adam",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Identity",
-    "Dropout",
     "make_activation",
 ]
 
@@ -123,26 +122,3 @@ def make_activation(name: str):
         )
     return cls()
 
-
-class Dropout:
-    """Inverted dropout: scales kept units by ``1/(1-p)`` during training."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        if not training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype)
-        return x * self._mask
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask

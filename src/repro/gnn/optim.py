@@ -4,38 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self, lr: float, *, momentum: float = 0.0, weight_decay: float = 0.0
-    ) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[str, np.ndarray] = {}
-
-    def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-    ) -> None:
-        """Update ``params`` in place from ``grads`` (matching keys)."""
-        for name, p in params.items():
-            g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            if self.momentum:
-                v = self._velocity.setdefault(name, np.zeros_like(p))
-                v *= self.momentum
-                v += g
-                g = v
-            p -= self.lr * g
+__all__ = ["Adam"]
 
 
 class Adam:

@@ -176,14 +176,23 @@ class EmbeddingCache:
         if len(self) + ids.size > self.capacity_rows:
             held = self._owner[self._owner >= 0]
             pool = np.concatenate((held, ids))
-            order = np.lexsort((pool, -self._counts[pool]))
-            losers = pool[order[self.capacity_rows :]]
+            # One unique int64 rank per vertex, larger ranks higher: count
+            # first, then the lower id.  Selecting the losers by it yields
+            # the set a full sort would, without sorting the whole pool.
+            counts = self._counts[pool]
+            assert counts.max() < np.iinfo(np.int64).max // self.n, "rank key overflow"
+            key = counts * self.n + (self.n - 1 - pool)
+            n_lost = pool.size - self.capacity_rows
+            split = np.argpartition(key, n_lost - 1)
+            losers = pool[split[:n_lost]]
             self.stats.evictions += losers.size
             lost = self._slot[losers]
             self._owner[lost[lost >= 0]] = -1
             self._slot[losers] = -1
-            won = order[: self.capacity_rows]
-            fresh = won[won >= held.size] - held.size
+            won = split[n_lost:]
+            fresh = won[won >= held.size]
+            # Fresh winners take free slots in rank order, highest first.
+            fresh = fresh[np.argsort(-key[fresh])] - held.size
             ids, rows = ids[fresh], rows[fresh]
         free = np.flatnonzero(self._owner < 0)[: ids.size]
         self._owner[free] = ids

@@ -1,12 +1,25 @@
 """Compressed sparse row matrices built on numpy arrays.
 
 This is the sparse substrate the paper's sampling framework runs on.  The
-paper uses cuSPARSE/nsparse CSR kernels on GPU; here the structural
-operations are vectorized numpy, and the two products (SpGEMM, SpMM) run
-scipy's compiled CSR kernels over :meth:`CSRMatrix.to_scipy`'s zero-copy
-views.  Only CSR supports SpGEMM (matching
-the constraint the paper works around in section 8.2.2), so everything
-funnels through this class.
+paper uses cuSPARSE/nsparse CSR kernels on GPU; here the two products
+(SpGEMM, SpMM) run scipy's compiled CSR kernels over
+:meth:`CSRMatrix.to_scipy`'s zero-copy views, and the per-entry work of
+three structural operations runs in scipy's compiled CSR routines, called
+directly on this class's own int64 / float64 arrays:
+``_sparsetools.csr_row_index`` (the row gather of
+:meth:`CSRMatrix.extract_rows`), ``csr_plus_csr`` (:meth:`CSRMatrix.add`)
+and ``csr_matvec`` (the row sums of :func:`~repro.sparse.ops.row_normalize`).
+They are called directly because the public entry points cost more than
+they save: ``csr_matrix.__getitem__`` and ``+`` downcast the indices to
+int32 (a copy of the whole index array, and another to cast back), and
+``to_scipy() @ ones`` builds a matrix per call.  Every output is a fresh
+C-contiguous int64 / float64 buffer: the routines dispatch on the
+operands' dtypes and write only into buffers of exactly those dtypes.  A
+row copy does no arithmetic, ``x * 1.0`` is exact, and ``csr_plus_csr`` is
+the kernel scipy's ``+`` runs, so none of them moves a bit.  The other
+structural operations are vectorized numpy.  Only CSR supports SpGEMM
+(matching the constraint the paper works around in section 8.2.2), so
+everything funnels through this class.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import _sparsetools, csc_matrix, csr_matrix
 
 __all__ = ["CSRMatrix"]
 
@@ -272,18 +285,26 @@ class CSRMatrix:
     # Structural operations
     # ------------------------------------------------------------------ #
     def extract_rows(self, rows: Iterable[int] | np.ndarray) -> "CSRMatrix":
-        """Gather ``rows`` (in the given order, duplicates allowed) into a new matrix."""
+        """Gather ``rows`` (in the given order, duplicates allowed) into a new matrix.
+
+        The copy itself is scipy's compiled ``csr_row_index``: no per-entry
+        take-list.  The result never aliases this matrix's arrays.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
             raise IndexError("row index out of range")
         # Lengths of the asked-for rows only: O(len(rows)), not a diff over
         # the whole matrix's indptr.
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        take = _ranges(starts, counts)
+        counts = self.indptr[rows + 1] - self.indptr[rows]
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return CSRMatrix(indptr, self.indices[take], self.data[take], (rows.size, self.shape[1]))
+        nnz = int(indptr[-1])
+        indices = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz, dtype=np.float64)
+        _sparsetools.csr_row_index(
+            rows.size, rows, self.indptr, self.indices, self.data, indices, data
+        )
+        return CSRMatrix(indptr, indices, data, (rows.size, self.shape[1]))
 
     def row_block(self, start: int, stop: int) -> "CSRMatrix":
         """Contiguous block of rows ``[start, stop)`` (zero-copy on indices/data)."""
@@ -341,16 +362,28 @@ class CSRMatrix:
         """Element-wise sum with another matrix of the same shape.
 
         scipy's compiled merge of two canonical CSR matrices
-        (``csr_plus_csr``) over :meth:`to_scipy`'s views: one linear pass.
-        An entry both hold is ``self``'s value plus ``other``'s, rounded
-        once; an entry one holds is its value.  An entry whose sum is
-        exactly zero — a cancellation, or a stored ``0.0`` / ``-0.0`` — is
-        absent, as in :func:`~repro.sparse.spgemm`; NaN and ±inf stay.
+        (``csr_plus_csr``, the kernel scipy's ``+`` runs), called on the
+        operands' own arrays into int64 / float64 buffers of
+        ``nnz(self) + nnz(other)`` entries and trimmed: one linear pass, no
+        int32 round trip.  An entry both hold is ``self``'s value plus
+        ``other``'s, rounded once; an entry one holds is its value.  An
+        entry whose sum is exactly zero — a cancellation, or a stored
+        ``0.0`` / ``-0.0`` — is absent, as in :func:`~repro.sparse.spgemm`;
+        NaN and ±inf stay.
         """
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        out = self.to_scipy() + other.to_scipy()
-        return CSRMatrix(out.indptr, out.indices, out.data, self.shape)
+        n_rows, n_cols = self.shape
+        cap = self.nnz + other.nnz
+        indptr = np.empty(n_rows + 1, dtype=np.int64)
+        indices = np.empty(cap, dtype=np.int64)
+        data = np.empty(cap, dtype=np.float64)
+        _sparsetools.csr_plus_csr(
+            n_rows, n_cols, self.indptr, self.indices, self.data,
+            other.indptr, other.indices, other.data, indptr, indices, data,
+        )
+        nnz = int(indptr[-1])
+        return CSRMatrix(indptr, indices[:nnz], data[:nnz], self.shape)
 
     def equal(self, other: "CSRMatrix", tol: float = 1e-12) -> bool:
         """Structural + numeric equality after pruning entries at ``tol``.
@@ -383,20 +416,9 @@ def _masked_indptr(indptr: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """CSR row pointer of the entries ``mask`` keeps.
 
     ``indptr`` lays rows over ``mask`` (``mask[0]`` is entry ``indptr[0]``,
-    so a row block's slice of a row pointer works as it is).  A prefix count
-    of ``mask`` read at the row boundaries: no per-entry row ids.
+    so a row block's slice of a row pointer works as it is).  Each boundary
+    is the number of kept entries before it, found by a binary search in
+    the kept positions: no per-entry row ids, no prefix count over every
+    entry.
     """
-    kept = np.zeros(mask.size + 1, dtype=np.int64)
-    np.cumsum(mask, out=kept[1:])
-    return kept[indptr - indptr[0]]
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(start, start+count)`` for each pair, vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Entry j of pair i is start_i + (j - first slot of pair i): one repeat.
-    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    out += np.arange(total, dtype=np.int64)
-    return out
+    return np.searchsorted(np.flatnonzero(mask), indptr - indptr[0])

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .csr import CSRMatrix, _indptr_from_rows
 
@@ -152,9 +153,17 @@ def row_normalize_inplace(mat: CSRMatrix) -> CSRMatrix:
     """
     if mat.nnz == 0:
         return mat
-    # One row-id expansion serves the per-row sum and its gather back.
-    rows = mat.row_ids()
-    entry_sums = np.bincount(rows, weights=mat.data, minlength=mat.shape[0])[rows]
+    # Row sums by scipy's compiled CSR mat-vec against ones: each row summed
+    # left to right from 0.0, as ``np.bincount`` over the row ids sums it
+    # (``x * 1.0`` is exact, and fused ``sum + x * 1.0`` rounds the same),
+    # so the bits match the bincount without building a row id per entry.
+    n_rows, n_cols = mat.shape
+    sums = np.zeros(n_rows, dtype=np.float64)
+    _sparsetools.csr_matvec(
+        n_rows, n_cols, mat.indptr, mat.indices, mat.data,
+        np.ones(n_cols, dtype=np.float64), sums,
+    )
+    entry_sums = np.repeat(sums, np.diff(mat.indptr))
     nonzero = entry_sums != 0
     np.divide(mat.data, entry_sums, out=mat.data, where=nonzero)
     if not nonzero.all():

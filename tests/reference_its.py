@@ -9,7 +9,8 @@
   distribution, in one pass: Gumbel top-``s`` (exponential races).  It
   shares no step with ITS, so ``tests/test_its.py`` holds both to the same
   exact subset-probability oracle.
-* ``ranges`` — ``repro.sparse.csr._ranges`` in its two-``repeat`` form.
+* ``ranges`` — the retired ``repro.sparse.csr._ranges``
+  (``reference_sparse.ranges``) in its two-``repeat`` form.
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse import CSRMatrix
-from repro.sparse.csr import _indptr_from_rows, _ranges
+from repro.sparse.csr import _indptr_from_rows
+
+from reference_sparse import ranges
 
 __all__ = [
     "ordered_products",
@@ -78,7 +80,7 @@ def _expand(a: CSRMatrix, b: CSRMatrix) -> tuple[np.ndarray, np.ndarray, np.ndar
     """COO triplets of every partial product ``A[i, j] * B[j, :]``, in
     (a-entry, b-entry) order, duplicates not yet combined."""
     counts = b.nnz_per_row()[a.indices]  # expansion count per A nonzero
-    take = _ranges(b.indptr[a.indices], counts)
+    take = ranges(b.indptr[a.indices], counts)
     rows = np.repeat(a.row_ids(), counts)
     cols = b.indices[take]
     vals = np.repeat(a.data, counts) * b.data[take]

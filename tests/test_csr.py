@@ -163,8 +163,9 @@ class TestStructuralOps:
 
     def test_extract_rows_out_of_range(self, rng):
         m = sprand(5, 5, 0.2, rng)
-        with pytest.raises(IndexError):
-            m.extract_rows([5])
+        for rows in ([5], [-1], [0, 5]):
+            with pytest.raises(IndexError, match="row index out of range"):
+                m.extract_rows(rows)
 
     def test_extract_rows_never_scans_the_whole_indptr(self, rng, monkeypatch):
         """A gather costs O(len(rows)): it must not take ``nnz_per_row()``

@@ -183,3 +183,31 @@ TestCapacity3 = _at_capacity(3)
 TestCapacityAll = _at_capacity(None)
 TestCapacity3Float64 = _at_capacity(3, np.float64)
 TestCapacityAllFloat64 = _at_capacity(None, np.float64)
+
+
+def test_ranking_tie_at_the_capacity_boundary():
+    """Equal counts straddle the last retained rank: the lower id wins, as
+    in the oracle, and the fresh winners take the freed slots in rank
+    order, highest first, whatever order they were offered in."""
+    n, dim, capacity = 10, 2, 3
+    new = EmbeddingCache(n, dim, budget_bytes=4 * dim * capacity)
+    ref = ReferenceEmbeddingCache(n, dim, budget_bytes=8 * dim * capacity)
+    seen = np.array([8, 8, 8, 5, 5, 1, 2, 4, 7], dtype=np.int64)
+    for v in (8, 7, 6):  # slots 0, 1, 2 in insertion order, no eviction
+        row = np.full((1, dim), v, dtype=np.float32)
+        for cache in (new, ref):
+            cache.insert(np.array([v]), row)
+    for cache in (new, ref):
+        cache.lookup(seen)
+    # Counts 8: 3, 5: 2, then 1, 2, 4 and resident 7 tie at 1 for the last
+    # place (1 wins), and resident 6 has none.
+    offered = np.array([1, 5, 4, 2], dtype=np.int64)
+    rows = np.repeat(offered[:, None], dim, axis=1).astype(np.float32)
+    new.insert(offered, rows)
+    ref.insert(offered, rows)
+    assert new.cached_ids.tolist() == ref.cached_ids.tolist() == [1, 5, 8]
+    assert dataclasses.asdict(new.stats) == dataclasses.asdict(ref.stats)
+    assert new.stats.evictions == 4
+    assert new._owner.tolist() == [8, 5, 1]
+    mask, got = new.lookup(np.array([1, 5, 8]))
+    assert mask.all() and got[:, 0].tolist() == [1.0, 5.0, 8.0]

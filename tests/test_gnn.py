@@ -11,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core import LayerSample, MinibatchSample, SageSampler
 from repro.gnn import (
     Adam,
-    Dropout,
     GCNConv,
     GNNModel,
     ReLU,
-    SGD,
     accuracy,
     full_graph_sample,
     glorot,
@@ -93,26 +91,6 @@ class TestActivations:
         assert np.allclose(r.backward(np.ones_like(x)), [[0, 1], [0, 0]])
         with pytest.raises(RuntimeError):
             ReLU().backward(x)
-
-    def test_dropout_training_vs_eval(self, rng):
-        d = Dropout(0.5, rng)
-        x = np.ones((100, 10))
-        out = d.forward(x, training=True)
-        kept = out > 0
-        assert 0.2 < kept.mean() < 0.8
-        assert np.allclose(out[kept], 2.0)  # inverted scaling
-        assert np.allclose(d.forward(x, training=False), x)
-
-    def test_dropout_backward_uses_mask(self, rng):
-        d = Dropout(0.3, rng)
-        x = np.ones((50, 4))
-        out = d.forward(x)
-        back = d.backward(np.ones_like(x))
-        assert np.allclose(back, out)
-
-    def test_dropout_validation(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
 
 
 class TestConvGradients:
@@ -312,27 +290,6 @@ class TestLossAndMetrics:
 
 
 class TestOptimizers:
-    def test_sgd_plain_step(self):
-        opt = SGD(lr=0.1)
-        params = {"w": np.array([1.0, 2.0])}
-        opt.step(params, {"w": np.array([1.0, 1.0])})
-        assert np.allclose(params["w"], [0.9, 1.9])
-
-    def test_sgd_momentum_accumulates(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = {"w": np.array([0.0])}
-        g = {"w": np.array([1.0])}
-        opt.step(params, g)
-        first = params["w"].copy()
-        opt.step(params, g)
-        assert (first - params["w"]) > -first  # second step larger
-
-    def test_sgd_validation(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0.0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
-
     def test_adam_converges_on_quadratic(self):
         opt = Adam(lr=0.1)
         params = {"w": np.array([5.0])}

@@ -14,9 +14,10 @@ from repro.sparse import (
     spmm,
     vstack,
 )
-from repro.sparse.csr import _indptr_from_rows, _masked_indptr, _ranges
+from repro.sparse.csr import _indptr_from_rows, _masked_indptr
 
 import reference_its
+import reference_sparse
 from reference_spgemm import transpose
 
 
@@ -159,10 +160,12 @@ def test_add_commutes(m):
 )
 @settings(max_examples=100, deadline=None)
 def test_ranges_is_the_two_repeat_form(pairs):
-    """``_ranges`` with one ``repeat`` is bitwise its two-``repeat`` form."""
+    """The retired ``_ranges`` (one ``repeat``, the oracle of the compiled
+    row gather) is bitwise its two-``repeat`` form."""
     starts = np.array([s for s, _ in pairs], dtype=np.int64)
     counts = np.array([c for _, c in pairs], dtype=np.int64)
-    got, want = _ranges(starts, counts), reference_its.ranges(starts, counts)
+    got = reference_sparse.ranges(starts, counts)
+    want = reference_its.ranges(starts, counts)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -185,18 +188,26 @@ def test_extract_rows_is_the_two_repeat_gather(m, data):
 @given(csr_matrices(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_masked_indptr_is_the_row_id_count(m, data):
-    """The prefix-count row pointer equals the row-id ``bincount`` one, on
-    the whole matrix and on a row block's slice of its ``indptr``."""
-    mask = np.array(
-        data.draw(st.lists(st.booleans(), min_size=m.nnz, max_size=m.nnz)),
-        dtype=bool,
-    )
-    want = _indptr_from_rows(m.row_ids()[mask], m.shape[0])
-    assert _masked_indptr(m.indptr, mask).tobytes() == want.tobytes()
+    """The row pointer of the kept entries equals the row-id ``bincount``
+    one and the retired prefix count, byte for byte, on the whole matrix
+    and on a row block's slice of its ``indptr`` (which starts past 0),
+    for random, all-false and all-true masks."""
+    fill = data.draw(st.sampled_from(["random", "none", "all"]))
+    if fill == "random":
+        mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=m.nnz, max_size=m.nnz)),
+            dtype=bool,
+        )
+    else:
+        mask = np.full(m.nnz, fill == "all")
     lo = data.draw(st.integers(0, m.shape[0]))
     hi = data.draw(st.integers(lo, m.shape[0]))
     a, b = m.indptr[lo], m.indptr[hi]
-    block = m.row_block(lo, hi)
-    want = _indptr_from_rows(block.row_ids()[mask[a:b]], hi - lo)
-    got = _masked_indptr(m.indptr[lo : hi + 1], mask[a:b])
-    assert got.tobytes() == want.tobytes()
+    for indptr, sub, rows in (
+        (m.indptr, mask, m),
+        (m.indptr[lo : hi + 1], mask[a:b], m.row_block(lo, hi)),
+    ):
+        got = _masked_indptr(indptr, sub)
+        want = _indptr_from_rows(rows.row_ids()[sub], rows.shape[0])
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_sparse.masked_indptr(indptr, sub).tobytes()

@@ -219,10 +219,6 @@ ALLOWED = {
     "save_trace": "writes the trace format `repro serve --requests` reads",
     "InferenceResult.queue_wait": "the wait shed_policy=deadline bounds; "
     "tests/test_fleet.py asserts the bound on it",
-    # Deferred, not kept: nothing uses these, but deleting them deletes the
-    # 6 tier-1 tests named after them, and one PR may retire only a few.
-    "Dropout": "deferred deletion (3 tests)",
-    "SGD": "deferred deletion (3 tests)",
 }
 
 
