@@ -13,6 +13,7 @@ from repro.gnn import (
     Adam,
     GCNConv,
     GNNModel,
+    LeakyReLU,
     ReLU,
     accuracy,
     full_graph_sample,
@@ -91,6 +92,39 @@ class TestActivations:
         assert np.allclose(r.backward(np.ones_like(x)), [[0, 1], [0, 0]])
         with pytest.raises(RuntimeError):
             ReLU().backward(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_selects_are_np_where_bit_for_bit(self, dtype):
+        """Every ReLU / Leaky ReLU entry point selects on bit patterns; each
+        returns ``np.where``'s bytes and dtype — NaN (with a payload and a
+        sign), ``±0.0``, ``±inf`` and subnormals included — on a contiguous
+        and a strided operand."""
+        rng = np.random.default_rng(5)
+        special = np.array(
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45,
+             np.finfo(dtype).tiny, -np.finfo(dtype).max, 3.0, -2.5],
+            dtype=dtype,
+        )
+        special.view(f"i{special.itemsize}")[1] += 1  # a payload
+        grid = rng.standard_normal((9, 24)).astype(dtype)
+        grid.flat[: special.size * 3 : 3] = special
+        slope = LeakyReLU.slope
+        for x in (grid, grid[:, ::3], grid.T):
+            dy = x[::-1] * dtype(0.5)
+            mask = x > 0
+            relu, leaky = ReLU(), LeakyReLU()
+            cases = [
+                (ReLU.apply(x), np.where(mask, x, 0.0)),
+                (relu.forward(x), np.where(mask, x, 0.0)),
+                (relu.backward(dy), np.where(mask, dy, 0.0)),
+                (LeakyReLU.apply(x), np.where(mask, x, slope * x)),
+                (leaky.forward(x), np.where(mask, x, slope * x)),
+                (leaky.backward(dy), np.where(mask, dy, slope * dy)),
+            ]
+            for got, want in cases:
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestConvGradients:
