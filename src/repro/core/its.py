@@ -4,31 +4,43 @@ Each row of ``P`` is an unnormalized probability distribution over its
 stored nonzeros; :func:`its_sample_rows` draws up to ``s`` *distinct*
 columns per row, exactly the SAMPLE step of the paper's Algorithm 1:
 
-1. prefix-sum each row's values,
-2. draw uniforms and binary-search them into the prefix sums,
-3. zero the entries just chosen and repeat, drawing only what each row
-   still lacks, until ``s`` distinct columns per row are selected (or the
-   row runs out of positive nonzeros).
+1. a row with at most ``s`` positive entries keeps them all, with no draws;
+2. prefix-sum every row's values, once;
+3. draw each short row's shortfall as uniforms binary-searched into its
+   slice of those sums, and keep the distinct picks not selected before;
+   repeat for up to :data:`_REJECT_ROUNDS` rounds, always against the
+   round-1 sums;
+4. a row still short after that finishes on its own entries: zero the
+   entries it holds, prefix-sum what is left, draw what it lacks, repeat
+   until ``s`` distinct columns are selected.
 
 Everything is vectorized across all rows at once — one global cumulative
-sum and one batched ``searchsorted`` per round — which is the bulk-sampling
+sum, then one batched ``searchsorted`` per round — which is the bulk-sampling
 amortization the paper exploits (many minibatches stacked into ``P`` share
 the same kernel launches).
 
-*What a round costs.*  The prefix sum is the only pass over every nonzero
-that a round repeats; the rest is state carried from round to round: one
-``min`` over ``P``'s values checks the signs, the per-row targets are
-computed once (``np.diff(indptr)`` when that minimum is positive, else a
-binary search of the row boundaries in the positive entries' positions),
-the live masses are ``P``'s own values in round 1 and one copy
-afterwards in which each round zeroes only its fresh picks, and the per-row
-counts grow by the fresh picks alone.  The *global* ``cumsum`` over every
-row is kept on purpose: it is what decides the bits — each uniform is
-scaled into a row's slice of that sum — so the mask and the generator state
-afterwards are a pure function of ``P``, ``s`` and the generator.
-Restricting later rounds to the rows still short of ``s`` would shorten
-the sum and change the last bits of the targets: the contract below
-allows it with one re-record of the pins, but it is not done here.
+*Why the rounds are exact.*  Redrawing against the round-1 sums makes a
+row's draws one i.i.d. stream from its weights.  A round of ``need`` draws
+adds at most ``need`` new entries, so no round overshoots, and the selected
+set is the first ``min(s, positive entries)`` distinct values of that
+stream: successive sampling without replacement.  Given the set selected so
+far, successive sampling goes on as successive sampling over the remaining
+entries, which is what step 4's zeroed weights draw, so a row may switch
+paths at any round boundary.  Step 4 exists for the rows rejection serves
+badly — one heavy entry beside light ones, where every redraw of the heavy
+entry is wasted — and :data:`_MAX_ROUNDS` is its backstop.
+
+*What a round costs.*  Round 1 is the only one that passes over every
+stored entry of ``P``: one ``min`` over the values checks the signs, the
+positive count per row is ``np.diff(indptr)`` when that minimum is positive
+(else a binary search of the row boundaries in the positive entries'
+positions), the taken-whole rows are marked in the mask, and the prefix
+sum is taken.  A rejection round costs what its draws cost: the uniforms,
+their binary searches and a sort of the picks, which finds repeats because
+picks are clamped into their own rows and so stay grouped by row.  Step 4
+gathers the stragglers' entries once and repeats its prefix sum over those
+alone.  ``P``'s values are never copied whole or written, so read-only
+shared-memory operands work as they are.
 
 *The contract.*  Per row, the selected set is distributed as successive
 sampling without replacement: draw an entry with probability proportional
@@ -56,7 +68,8 @@ __all__ = [
     "its_flops",
 ]
 
-_MAX_ROUNDS = 256  # termination backstop; each round makes progress
+_MAX_ROUNDS = 256  # termination backstop of step 4; each round makes progress
+_REJECT_ROUNDS = 3  # step 3's rounds against the round-1 prefix sums
 
 
 def its_select_mask(
@@ -75,75 +88,116 @@ def its_select_mask(
     selected entries straight out of ``p`` without materializing the
     intermediate ``Q^{l-1}`` CSR.
 
-    An empty ``p`` consumes no randomness and returns an empty mask.
+    An empty ``p`` consumes no randomness and returns an empty mask, and
+    so does a ``p`` whose every row keeps all its positive entries.
     """
     if s <= 0:
         raise ValueError(f"sample count s must be positive, got {s}")
-    n_rows = p.shape[0]
     if p.nnz == 0:
         return np.zeros(0, dtype=bool)
+    data, indptr = p.data, p.indptr
     # One reduction answers both sign questions; a NaN minimum hides any
     # negative entry, so only then is the data compared entry by entry.
-    lowest = p.data.min()
-    if lowest < 0 or (np.isnan(lowest) and np.any(p.data < 0)):
+    lowest = data.min()
+    if lowest < 0 or (np.isnan(lowest) and np.any(data < 0)):
         raise ValueError("P must be non-negative to be sampled")
 
-    indptr, row_start, row_end = p.indptr, p.indptr[:-1], p.indptr[1:]
-    # Target distinct picks per row: min(s, positive nonzeros in the row).
+    lengths = np.diff(indptr)
     if lowest > 0:
-        pos_per_row = np.diff(indptr)
+        positive, pos_per_row = None, lengths
     else:
-        pos_per_row = np.diff(_masked_indptr(indptr, p.data > 0))
-    target = np.minimum(s, pos_per_row)
+        positive = data > 0
+        pos_per_row = np.diff(_masked_indptr(indptr, positive))
+    if replace:
+        rows = np.flatnonzero(pos_per_row)
+    else:
+        # Step 1: a row with at most s positive entries keeps them all.
+        whole = pos_per_row <= s
+        selected = np.repeat(whole, lengths)
+        if positive is not None:
+            selected &= positive
+        rows = np.flatnonzero(~whole)
+        if rows.size == 0:
+            return selected
 
-    selected = np.zeros(p.nnz, dtype=bool)
-    have = np.zeros(n_rows, dtype=np.int64)
-    live = p.data  # round 1 reads P itself; a copy before the first write
-    fresh = None  # the last round's new picks, still live in ``live``
-    cums = np.empty(p.nnz)  # every round's prefix sum, in one buffer
-    stamp = None  # scratch: which draw last landed on each entry
-    for _ in range(1 if replace else _MAX_ROUNDS):
-        need = target - have
-        todo = np.flatnonzero(need > 0)
-        if todo.size == 0:
-            break
-        if fresh is not None:
-            if live is p.data:
-                live = p.data.copy()
-            live[fresh] = 0.0
-        # Mass of the not-yet-selected entries, cumulated globally; row
-        # boundaries are recovered through indptr so one cumsum serves all rows.
-        np.cumsum(live, out=cums)
-        base = np.where(row_start > 0, cums[row_start - 1], 0.0)
-        mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
+    # Step 2: one prefix sum; each row reads its slice through indptr.
+    cums = np.cumsum(data)
+    lo, hi = indptr[rows], indptr[rows + 1]
+    if replace:  # one round of s draws per row; duplicates collapse
+        picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
+        selected = np.zeros(p.nnz, dtype=bool)
+        selected[picks] = True
+        return selected
 
-        counts = need[todo] if not replace else np.full(todo.size, s)
-        draw_rows = np.repeat(todo, counts)
-        u = rng.random(draw_rows.size)
-        targets = base[draw_rows] + u * mass[draw_rows]
-        picks = np.searchsorted(cums, targets, side="left")
-        # Guard against floating-point landing exactly on a row boundary.
-        picks = np.minimum(picks, indptr[draw_rows + 1] - 1)
-        picks = np.maximum(picks, indptr[draw_rows])
-        if replace:
-            selected[picks] = True
+    # Step 3: redraw each shortfall against the round-1 sums.
+    have = np.zeros(rows.size, dtype=np.int64)
+    for _ in range(_REJECT_ROUNDS):
+        need = s - have
+        if not need.any():
+            return selected
+        picks, owner = _draw(cums, lo, hi, need, rng)
+        new = _first_new(picks, selected)
+        selected[picks[new]] = True
+        have += np.bincount(owner[new], minlength=rows.size)
+
+    # Step 4: the rows still short finish on their own entries.
+    short = np.flatnonzero(have < s)
+    if short.size:
+        _zeroing_rounds(data, selected, lo[short], hi[short], s - have[short], rng)
+    return selected
+
+
+def _draw(cums, lo, hi, need, rng):
+    """``need[i]`` i.i.d. ITS draws into row ``i``'s slice ``[lo[i], hi[i])``
+    of the prefix sums ``cums``: uniforms scaled into the slice's mass and
+    binary-searched.
+
+    Returns the picks sorted and the row of each: a pick is clamped into its
+    own row and the rows' slices ascend, so sorting keeps every row's picks
+    in the row's place, grouped, and repeats adjacent.
+    """
+    base = np.where(lo > 0, cums[lo - 1], 0.0)
+    mass = cums[hi - 1] - base
+    owner = np.repeat(np.arange(need.size), need)
+    u = rng.random(owner.size)
+    picks = np.searchsorted(cums, base[owner] + u * mass[owner], side="left")
+    # Guard against floating-point landing exactly on a row boundary.
+    np.minimum(picks, hi[owner] - 1, out=picks)
+    np.maximum(picks, lo[owner], out=picks)
+    picks.sort()
+    return picks, owner
+
+
+def _first_new(picks, selected):
+    """Which sorted picks are new: the first of each run of repeats, when
+    its entry is not selected yet."""
+    new = ~selected[picks]
+    new[1:] &= picks[1:] != picks[:-1]
+    return new
+
+
+def _zeroing_rounds(data, selected, lo, hi, need, rng):
+    """Select ``need[i]`` more entries of the row ``data[lo[i]:hi[i]]`` into
+    ``selected``, on the rows' own entries: each round zeroes the selected
+    ones, prefix-sums the rest and draws the shortfall."""
+    width = hi - lo
+    ptr = np.concatenate(([0], np.cumsum(width)))
+    at = np.repeat(lo - ptr[:-1], width) + np.arange(ptr[-1])
+    taken = selected[at]
+    live = data[at]
+    fresh = taken
+    for _ in range(_MAX_ROUNDS):
+        if not need.any():
             break
-        # A draw is fresh when its entry was not selected before this round
-        # and it is the draw the stamp table kept for that entry: one per
-        # distinct new entry, whichever duplicate wrote last.
-        if stamp is None:
-            stamp = np.empty(p.nnz, dtype=np.int64)
-        draw = np.arange(picks.size)
-        stamp[picks] = draw
-        new = ~selected[picks]
-        new &= stamp[picks] == draw
+        live[fresh] = 0.0
+        picks, owner = _draw(np.cumsum(live), ptr[:-1], ptr[1:], need, rng)
+        new = _first_new(picks, taken)
         fresh = picks[new]
-        selected[fresh] = True
-        have += np.bincount(draw_rows[new], minlength=n_rows)
+        taken[fresh] = True
+        need -= np.bincount(owner[new], minlength=need.size)
     else:
         raise RuntimeError("ITS failed to converge; is P malformed?")
-
-    return selected
+    selected[at[taken]] = True
 
 
 def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:

@@ -2,9 +2,17 @@
 
 * ``its_select_mask`` — the ITS body that rebuilt its state every round:
   per-entry row ids, a ``bincount`` of the positive entries, ``live`` rebuilt
-  by ``np.where`` and the per-row counts re-counted over the whole mask.
-  :func:`repro.core.its.its_select_mask` carries that state instead and must
-  return the same mask *and* leave its generator in the same state, bitwise.
+  by ``np.where`` and the per-row counts re-counted over the whole mask.  Its
+  three sign passes are the oracle of :func:`repro.core.its.its_select_mask`'s
+  one ``min`` (``tests/test_sparse_substrate.py``).
+* ``zeroing_select_mask`` — the body that replaced it and carried that state
+  from round to round instead: every round zeroes the entries just picked
+  and re-sums *every* stored entry of ``P`` into one global prefix sum.
+  :func:`repro.core.its.its_select_mask` now sums once and rejects repeats,
+  so its bits differ by design; it keeps the selected counts, the
+  ``replace=True`` round bit for bit, and — with the rejection rounds
+  switched off on a ``P`` whose every row draws — this body's mask and
+  generator state bit for bit, which is what holds its zeroing path.
 * ``gumbel_select_mask`` — a second implementation of SAMPLE's
   distribution, in one pass: Gumbel top-``s`` (exponential races).  It
   shares no step with ITS, so ``tests/test_its.py`` holds both to the same
@@ -18,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse import CSRMatrix
+from repro.sparse.csr import _masked_indptr
 
-__all__ = ["its_select_mask", "gumbel_select_mask", "ranges"]
+__all__ = ["its_select_mask", "zeroing_select_mask", "gumbel_select_mask", "ranges"]
 
 _MAX_ROUNDS = 256
 
@@ -74,6 +83,84 @@ def its_select_mask(
         raise RuntimeError("ITS failed to converge; is P malformed?")
 
     return selected
+
+
+def zeroing_select_mask(
+    p: CSRMatrix,
+    s: int,
+    rng: np.random.Generator,
+    *,
+    replace: bool = False,
+) -> np.ndarray:
+    """The retired ITS selection mask: every round re-sums every entry."""
+    if s <= 0:
+        raise ValueError(f"sample count s must be positive, got {s}")
+    n_rows = p.shape[0]
+    if p.nnz == 0:
+        return np.zeros(0, dtype=bool)
+    # One reduction answers both sign questions; a NaN minimum hides any
+    # negative entry, so only then is the data compared entry by entry.
+    lowest = p.data.min()
+    if lowest < 0 or (np.isnan(lowest) and np.any(p.data < 0)):
+        raise ValueError("P must be non-negative to be sampled")
+
+    indptr, row_start, row_end = p.indptr, p.indptr[:-1], p.indptr[1:]
+    # Target distinct picks per row: min(s, positive nonzeros in the row).
+    if lowest > 0:
+        pos_per_row = np.diff(indptr)
+    else:
+        pos_per_row = np.diff(_masked_indptr(indptr, p.data > 0))
+    target = np.minimum(s, pos_per_row)
+
+    selected = np.zeros(p.nnz, dtype=bool)
+    have = np.zeros(n_rows, dtype=np.int64)
+    live = p.data  # round 1 reads P itself; a copy before the first write
+    fresh = None  # the last round's new picks, still live in ``live``
+    cums = np.empty(p.nnz)  # every round's prefix sum, in one buffer
+    stamp = None  # scratch: which draw last landed on each entry
+    for _ in range(1 if replace else _MAX_ROUNDS):
+        need = target - have
+        todo = np.flatnonzero(need > 0)
+        if todo.size == 0:
+            break
+        if fresh is not None:
+            if live is p.data:
+                live = p.data.copy()
+            live[fresh] = 0.0
+        # Mass of the not-yet-selected entries, cumulated globally; row
+        # boundaries are recovered through indptr so one cumsum serves all rows.
+        np.cumsum(live, out=cums)
+        base = np.where(row_start > 0, cums[row_start - 1], 0.0)
+        mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
+
+        counts = need[todo] if not replace else np.full(todo.size, s)
+        draw_rows = np.repeat(todo, counts)
+        u = rng.random(draw_rows.size)
+        targets = base[draw_rows] + u * mass[draw_rows]
+        picks = np.searchsorted(cums, targets, side="left")
+        # Guard against floating-point landing exactly on a row boundary.
+        picks = np.minimum(picks, indptr[draw_rows + 1] - 1)
+        picks = np.maximum(picks, indptr[draw_rows])
+        if replace:
+            selected[picks] = True
+            break
+        # A draw is fresh when its entry was not selected before this round
+        # and it is the draw the stamp table kept for that entry: one per
+        # distinct new entry, whichever duplicate wrote last.
+        if stamp is None:
+            stamp = np.empty(p.nnz, dtype=np.int64)
+        draw = np.arange(picks.size)
+        stamp[picks] = draw
+        new = ~selected[picks]
+        new &= stamp[picks] == draw
+        fresh = picks[new]
+        selected[fresh] = True
+        have += np.bincount(draw_rows[new], minlength=n_rows)
+    else:
+        raise RuntimeError("ITS failed to converge; is P malformed?")
+
+    return selected
+
 
 
 def gumbel_select_mask(

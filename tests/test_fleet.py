@@ -75,10 +75,11 @@ def _request(rid: int, vertex: int, arrival: float = 0.0) -> InferenceRequest:
 # the Replica/Router/Cluster split (f066470b…, the ``reduceat`` SpMM's
 # bits), re-recorded when ``spmm`` moved to scipy's left-to-right CSR
 # kernel (303057a6…), when ``stable_matmul`` moved to fixed-shape BLAS
-# GEMMs (721e934e…) and when the model moved to float32; the refactors in
+# GEMMs (721e934e…), when the model moved to float32 (e4bd0e1a…) and when
+# SAMPLE moved to one prefix sum with rejection rounds; the refactors in
 # between moved code, never floats.
 GOLDEN_SERVE_DIGEST = (
-    "e4bd0e1aac161a41484d3f7c1fb3108b4022e59a9c7b21463f6bcca114cdc7ce"
+    "9a1726cdc9acd14c0c1c42cde20a2c401b883bac60b5ba6bae47119cc1dbdfea"
 )
 
 

@@ -416,24 +416,26 @@ class TestModel:
 # ---------------------------------------------------------------------- #
 #: (sampler, algorithm) -> (loss bytes of epochs 0 and 1, parameter digest),
 #: recorded with ``_train_bits`` below when the model moved to float32
-#: (features, weights, activations and gradients); the previous pins were
-#: the float64 model's.
+#: (features, weights, activations and gradients), and re-recorded when
+#: SAMPLE moved to one prefix sum with rejection rounds (the float32 pins
+#: were sage-replicated 000000301e721040…, sage-partitioned 00000010e00f1140…,
+#: ladies-replicated 555555655cca0540…, ladies-partitioned 000000dc200e0640…).
 PARENT_TRAINING_BITS = {
     ("sage", "replicated"): (
-        ["000000301e721040", "abaaaa9ae4780540"],
-        "ae9158867c7c84591dd4db01cd0e1d4c94e929804fd9a19e1a3382dba69b9162",
+        ["5555551d59211040", "00000010e80b0540"],
+        "bace8bc8b62962a6d21c38b712ab038e72f3c57e46f01a44a17995a7a6aa293a",
     ),
     ("sage", "partitioned"): (
-        ["00000010e00f1140", "00000014a1d60840"],
-        "ddb84f4e1c1c7343411b14e080493983a7a97ed8d97c517abd734eb5f3a2f047",
+        ["0000002095b91040", "0000002c04520840"],
+        "16602d63e5b75eb4d7eac06b9d78b8af80d7168d2b0632b6c5a60cd8395f0f97",
     ),
     ("ladies", "replicated"): (
-        ["555555655cca0540", "abaaaaca8b0a0440"],
-        "b1fc69a0f2c4ee4f2db9bfd5d65672afcee92cd7dfde7ddae85cefc0fcfdc201",
+        ["555555b5abca0540", "abaaaafa07f60340"],
+        "65944f5d6cf07bb37bd8735b2cc6aee98632685a772af7c4aace9024bd081578",
     ),
     ("ladies", "partitioned"): (
-        ["000000dc200e0640", "00000018559f0440"],
-        "777be7bf932d6988799698b8e5570cc9e89dcd8094af99f464fb0f466414f5e3",
+        ["0000006c72130640", "000000f42b920440"],
+        "fd6ac1039c14dbbba36a88a374aaa26fd7cb2afa0e155f2aa8bb04b6a695599d",
     ),
 }
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from repro.core import SageSampler, its_flops, its_sample_rows
+from repro.core import SageSampler, its, its_flops, its_sample_rows
 from repro.core.its import _mask_to_csr, its_select_mask
 from repro.sparse import CSRMatrix, row_normalize, sprand
 
@@ -114,6 +114,10 @@ ROWS = {
     "short": [2.0, 1.0],
 }
 COUNTS = (1, 2, 3)
+#: A heavy entry beside light ones: certain to reach the zeroing path.
+HEAVY = [1e6] + [1e-3] * 5
+#: One entry holding ``1 - ε`` of the mass.
+DOMINANT = [1.0 - 4e-12, 1e-12, 2e-12, 1e-12]
 
 
 def subset_probabilities(weights, s: int) -> np.ndarray:
@@ -242,6 +246,46 @@ class TestStatistics:
             cols, _ = q.row(i)
             assert len(np.unique(cols)) == len(cols)
 
+    def test_rows_that_reach_the_zeroing_path(self, monkeypatch):
+        """One heavy entry beside light ones: every redraw of the heavy entry
+        is a repeat, so the rows are still short after the rejection rounds
+        and finish on the zeroing path, which answers to the same oracle."""
+        stragglers = []
+        zeroing = its._zeroing_rounds
+
+        def spy(data, selected, lo, hi, need, rng):
+            stragglers.append(lo.size)
+            zeroing(data, selected, lo, hi, need, rng)
+
+        monkeypatch.setattr(its, "_zeroing_rounds", spy)
+        for s in (2, 3, 5):
+            stragglers.clear()
+            off = off_law(its_select_mask, HEAVY, s, seed=50 + s)
+            assert off.size == 0, (s, off)
+            assert stragglers and stragglers[0] > 0.99 * DRAWS
+
+    def test_a_dominant_entry_terminates_and_obeys_the_law(self):
+        """A row holding ``1 - ε`` of its mass, ``s ≥ 2``: rejection alone
+        would redraw the dominant entry ~``1/ε`` times per light pick."""
+        for s in (2, 3):
+            off = off_law(its_select_mask, DOMINANT, s, seed=60 + s)
+            assert off.size == 0, (s, off)
+
+    def test_rows_within_s_keep_their_positive_entries(self):
+        """A row with exactly ``s`` positive entries and one with fewer, zeros
+        interleaved, keep exactly their positive entries; the row drawing
+        beside them keeps its law."""
+        exact, fewer = [0.5, 0.0, 2.0, 1.0], [0.0, 2.0, 0.0, 1.0, 0.0]
+        drawing = ROWS["digits"]
+        s = 3
+        p = _tiled([exact, fewer, drawing], DRAWS)
+        mask = its_select_mask(p, s, np.random.default_rng(70)).reshape(DRAWS, -1)
+        kept = np.array(exact + fewer) > 0
+        assert np.array_equal(mask[:, : kept.size], np.tile(kept, (DRAWS, 1)))
+        codes = _codes(mask[:, kept.size :], len(drawing))
+        probs = subset_probabilities(drawing, s)
+        assert _outside_bound(np.bincount(codes, minlength=probs.size), probs).size == 0
+
 
 class TestGumbel:
     def test_exact_counts(self, rng):
@@ -280,13 +324,14 @@ def test_property_counts_and_support(n_rows, s, seed):
 
 
 # ---------------------------------------------------------------------- #
-# The kernel that carries its state between rounds == the retired body
+# The one-prefix-sum kernel against the zeroing body it replaced
 # ---------------------------------------------------------------------- #
 #: Weights that make rounds and duplicates: exact zeros, a heavy entry
 #: beside tiny ones (the heavy one is drawn again and again), equal weights.
 _WEIGHTS = st.sampled_from([0.0, 0.0, 1e-9, 0.25, 1.0, 1.0, 3.0, 1e6]) | st.floats(
     0, 10, allow_nan=False, allow_infinity=False
 )
+_POSITIVE = st.sampled_from([1e-9, 0.25, 1.0, 1.0, 3.0, 1e6]) | st.floats(1e-3, 10)
 
 
 @st.composite
@@ -309,6 +354,29 @@ def sampling_inputs(draw, max_rows: int = 10, max_cols: int = 14):
     return p, s
 
 
+@st.composite
+def drawing_inputs(draw, max_rows: int = 8):
+    """``(P, s)`` where every row has more than ``s`` positive entries (and
+    up to two stored zeros among them): no row is taken whole."""
+    s = draw(st.integers(1, 4))
+    n_cols = s + 12
+    indptr, indices, data = [0], [], []
+    for _ in range(draw(st.integers(1, max_rows))):
+        weights = draw(st.lists(_POSITIVE, min_size=s + 1, max_size=n_cols - 2))
+        weights = draw(st.permutations(weights + [0.0] * draw(st.integers(0, 2))))
+        cols = st.lists(
+            st.integers(0, n_cols - 1), unique=True,
+            min_size=len(weights), max_size=len(weights),
+        )
+        indices += sorted(draw(cols))
+        data += weights
+        indptr.append(len(indices))
+    shape = (len(indptr) - 1, n_cols)
+    p = CSRMatrix(np.array(indptr), np.array(indices), np.array(data), shape)
+    p.check()
+    return p, s
+
+
 def _run(select, p, s, seed, **kw):
     """(mask bytes or the error's type, the generator state afterwards)."""
     rng = np.random.default_rng(seed)
@@ -319,23 +387,64 @@ def _run(select, p, s, seed, **kw):
     return out, rng.bit_generator.state
 
 
+def _row_counts(mask: bytes, p: CSRMatrix) -> np.ndarray:
+    return np.diff(np.r_[0, np.cumsum(np.frombuffer(mask, dtype=bool))][p.indptr])
+
+
+def _holds_to_the_zeroing_body(p, s, seed):
+    """What still holds against the zeroing body, whose bits differ by
+    design: the same seed gives the same mask and generator state; the body
+    never fails where the zeroing body selects, and then selects the same
+    count per row.  (Where the zeroing body fails — its one global sum can
+    round a light row's entries away behind heavy rows — the new body may
+    still select; see ``test_the_zeroing_path_sums_the_short_rows_alone``.)
+    Returns the body's outcome."""
+    got = _run(its_select_mask, p, s, seed)
+    assert _run(its_select_mask, p, s, seed) == got
+    want, _ = _run(reference_its.zeroing_select_mask, p, s, seed)
+    if want is not RuntimeError:
+        assert got[0] is not RuntimeError
+        assert np.array_equal(_row_counts(got[0], p), _row_counts(want, p))
+    return got
+
+
 @given(sampling_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_carried_state_matches_the_retired_body(args, replace, seed):
-    """Same mask, bitwise, and the same generator state afterwards."""
+    """Without replacement: the counts and outcomes of the zeroing body
+    (:func:`_holds_to_the_zeroing_body`).  With replacement the single round
+    is unchanged: the same mask, bitwise, and the same generator state."""
     p, s = args
     before = p.data.copy()
     p.data.flags.writeable = False  # P is read, never written (shm operands)
-    got = _run(its_select_mask, p, s, seed, replace=replace)
-    assert got == _run(reference_its.its_select_mask, p, s, seed, replace=replace)
+    if replace:
+        got = _run(its_select_mask, p, s, seed, replace=True)
+        assert got == _run(reference_its.zeroing_select_mask, p, s, seed, replace=True)
+    else:
+        _holds_to_the_zeroing_body(p, s, seed)
     assert p.data.tobytes() == before.tobytes()
+
+
+@given(drawing_inputs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_the_zeroing_path_is_the_retired_body(args, seed):
+    """With the rejection rounds switched off and every row drawing, every
+    row finishes on the zeroing path over the whole of ``P``: that is the
+    zeroing body, so the mask and the generator state are its own, bitwise
+    (failures included)."""
+    p, s = args
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(its, "_REJECT_ROUNDS", 0)
+        got = _run(its_select_mask, p, s, seed)
+    assert got == _run(reference_its.zeroing_select_mask, p, s, seed)
 
 
 @given(sampling_inputs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_per_batch_blocks_match_the_retired_body(args, data):
     """``sample_stacked_mask`` with one generator per row block: each block
-    is the retired body on that block, under its own stream."""
+    is a separate call on that block, under its own stream, and holds to
+    the zeroing body on that block."""
     p, s = args
     cuts = sorted(
         data.draw(st.lists(st.integers(0, p.shape[0]), max_size=3))
@@ -351,7 +460,7 @@ def test_per_batch_blocks_match_the_retired_body(args, data):
         p.row_block(int(bounds[i]), int(bounds[i + 1]))
         for i in range(len(seeds))
     ]
-    want = [_run(reference_its.its_select_mask, b, s, x) for b, x in zip(blocks, seeds)]
+    want = [_holds_to_the_zeroing_body(b, s, x) for b, x in zip(blocks, seeds)]
     rngs = [np.random.default_rng(x) for x in seeds]
     if any(mask is RuntimeError for mask, _ in want):
         with pytest.raises(RuntimeError):
@@ -363,12 +472,52 @@ def test_per_batch_blocks_match_the_retired_body(args, data):
 
 
 def test_duplicate_heavy_rows_take_many_rounds():
-    """One heavy entry beside tiny ones: the rounds re-draw it many times
-    and the carried counts must still land on exactly ``s`` per row."""
+    """One heavy entry beside tiny ones: the rejection rounds redraw it
+    again and again, and the rows must still land on exactly ``s`` each."""
     w = np.array([[1e6] + [1e-3] * 9] * 4)
     p = CSRMatrix.from_dense(w)
     for seed in range(5):
-        got = _run(its_select_mask, p, 9, seed)
-        assert got == _run(reference_its.its_select_mask, p, 9, seed)
-        mask = np.frombuffer(got[0], dtype=bool)
-        assert np.array_equal(np.diff(np.r_[0, np.cumsum(mask)][p.indptr]), [9] * 4)
+        mask, _ = _holds_to_the_zeroing_body(p, 9, seed)
+        assert np.array_equal(_row_counts(mask, p), [9] * 4)
+
+
+def test_rows_within_s_draw_nothing():
+    """Rows with at most ``s`` positive entries keep them with no draws: a
+    ``P`` made only of such rows leaves the generator untouched."""
+    p = _tiled([[0.5, 0.0, 2.0, 1.0], [0.0, 2.0, 0.0, 1.0, 0.0], [0.0]], 3)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert its_select_mask(p, 3, rng).tobytes() == (p.data > 0).tobytes()
+    assert rng.bit_generator.state == state
+
+
+def test_the_zeroing_path_sums_the_short_rows_alone():
+    """Behind eight entries of weight 1, the zeroing body's global sum
+    rounds ``5e-324`` away, so once row 1's weight-1 entry is taken the row
+    has no mass left to draw from and the body gives up.  The new body
+    finishes row 1 on a sum of the short rows' entries alone."""
+    p = CSRMatrix(
+        np.array([0, 8, 11]),
+        np.r_[np.arange(8), [0, 1, 2]],
+        np.r_[[1.0] * 8, [1.0, 5e-324, 5e-324]],
+        (2, 8),
+    )
+    for seed in range(3):
+        assert _run(reference_its.zeroing_select_mask, p, 2, seed)[0] is RuntimeError
+        mask, _ = _run(its_select_mask, p, 2, seed)
+        assert np.array_equal(_row_counts(mask, p), [2, 2])
+
+
+@np.errstate(invalid="ignore")
+def test_picks_stay_in_their_rows_behind_an_infinite_weight():
+    """Behind an infinite weight a row's prefix sums are ``inf`` and its mass
+    is ``inf - inf``: its draws search for NaN, which lands past the end of
+    ``P``.  Every pick is clamped into its own row, so each row still
+    selects ``s`` of its own entries."""
+    p = CSRMatrix(
+        np.array([0, 2, 5]), np.array([0, 1, 0, 1, 2]),
+        np.array([1.0, np.inf, 1.0, 1.0, 1.0]), (2, 3),
+    )
+    for seed in range(3):
+        mask = its_select_mask(p, 1, np.random.default_rng(seed))
+        assert np.array_equal(_row_counts(mask.tobytes(), p), [1, 1])

@@ -197,15 +197,27 @@ _sign_values = st.sampled_from([0.0, -0.0, 1.0, 0.25, 5e-324, -1.0, np.nan, np.i
 @np.errstate(invalid="ignore")
 def test_its_sign_checks_are_the_retired_ones(p, s, seed):
     """One ``min`` replaces the three sign passes: a negative entry raises
-    (also beside a NaN), and otherwise the mask and the generator state
-    after it are the retired body's, bitwise — or both raise alike."""
+    (also beside a NaN) the retired body's ``ValueError``, message and all,
+    and nothing else does.  Past the checks the bits differ by design; where
+    the retired body selects, the new one selects too, the same count per
+    row.  (The retired body's one global prefix sum also gives up on some
+    inputs the new one samples: NaN and ``inf`` poison every later row's
+    sums there, and ``5e-324`` vanishes behind ``1.0``.)"""
 
     def outcome(body):
         rng = np.random.default_rng(seed)
         try:
-            mask = body(p, s, rng)
+            return body(p, s, rng)
         except (ValueError, RuntimeError) as err:
             return type(err), str(err)
-        return mask.tobytes(), rng.bit_generator.state
 
-    assert outcome(its_select_mask) == outcome(reference_its.its_select_mask)
+    got = outcome(its_select_mask)
+    want = outcome(reference_its.its_select_mask)
+    if isinstance(want, tuple) and want[0] is ValueError:
+        assert got == want
+        return
+    assert not (isinstance(got, tuple) and got[0] is ValueError), got
+    if not isinstance(want, tuple):
+        assert not isinstance(got, tuple), got
+        counts = [np.diff(np.r_[0, np.cumsum(m)][p.indptr]) for m in (got, want)]
+        assert np.array_equal(*counts)

@@ -616,12 +616,13 @@ def _churn_workload(engine: Engine, *, n_requests=32, update_ratio=0.5,
 # Digest of the 32-request / 0.5-ratio / seed-0 streaming run below
 # (re-recorded from 20fbc1ad… when ``spmm`` moved to scipy's left-to-right
 # CSR kernel, from 34ed807f… when ``stable_matmul`` moved to fixed-shape
-# BLAS GEMMs, and from 351ccdd3… when the model moved to float32).  The
+# BLAS GEMMs, from 351ccdd3… when the model moved to float32, and from
+# 566b9ec4… when SAMPLE moved to one prefix sum with rejection rounds).  The
 # serving stack is bit-exact and row-stable, so on one build of those
 # kernels an unexplained change means updates, sampling or inference
 # drifted.
 GOLDEN_STREAM_DIGEST = (
-    "566b9ec406510ed2b1d70eec10e2c57c8e3cd29f3865abab91ba889676b321fc"
+    "c459b91ba0d072907967ee1830adf08ce7db1297f40a93c8bc12c7a0e0fd19d7"
 )
 
 
