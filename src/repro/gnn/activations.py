@@ -11,13 +11,12 @@ Every activation exposes two entry points:
 :data:`ACTIVATIONS` is the name -> class table the model constructor and
 ``RunConfig.activation`` resolve through.
 
-ReLU and Leaky ReLU pick between two candidates per element with a boolean
-mask.  ``np.where`` branches on that mask, which on a random sign pattern
-costs a branch mispredict per element; :func:`_keep` and :func:`_choose`
-make the same choice on the values' bit patterns instead (an all-ones or
-all-zeros integer per element, ANDed in), so the result is ``np.where``'s
-bit for bit — NaN, ``±0.0`` and ``±inf`` included — at a fraction of the
-time.
+ReLU keeps or zeroes each element by a boolean mask.  ``np.where`` branches
+on that mask, which on a random sign pattern costs a branch mispredict per
+element; :func:`_keep` makes the same choice on the values' bit patterns
+instead (an all-ones or all-zeros integer per element, ANDed in), so the
+result is ``np.where``'s bit for bit — NaN, ``±0.0`` and ``±inf`` included —
+at a fraction of the time.
 """
 
 from __future__ import annotations
@@ -46,19 +45,6 @@ def _keep(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.negative(out, out=out)
     np.bitwise_and(out, _bits(x), out=out)
     return out.view(x.dtype)
-
-
-def _choose(mask: np.ndarray, x: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """``np.where(mask, x, other)`` for float arrays of one dtype, bit for
-    bit, written into ``other`` (which the caller owns):
-    ``x ^ ((x ^ other) & ~-mask)``."""
-    drop = mask.astype(_bits(x).dtype)
-    np.subtract(drop, 1, out=drop)  # all ones where the mask is False
-    out = _bits(other)
-    np.bitwise_xor(out, _bits(x), out=out)
-    np.bitwise_and(out, drop, out=out)
-    np.bitwise_xor(out, _bits(x), out=out)
-    return other
 
 
 class ReLU:
@@ -91,16 +77,16 @@ class LeakyReLU:
 
     @classmethod
     def apply(cls, x: np.ndarray) -> np.ndarray:
-        return _choose(x > 0, x, cls.slope * x)
+        return np.where(x > 0, x, cls.slope * x)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return _choose(self._mask, x, self.slope * x)
+        return np.where(self._mask, x, self.slope * x)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return _choose(self._mask, dy, self.slope * dy)
+        return np.where(self._mask, dy, self.slope * dy)
 
 
 class Tanh:

@@ -13,7 +13,6 @@ from repro.gnn import (
     Adam,
     GCNConv,
     GNNModel,
-    LeakyReLU,
     ReLU,
     accuracy,
     full_graph_sample,
@@ -95,10 +94,10 @@ class TestActivations:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_masked_selects_are_np_where_bit_for_bit(self, dtype):
-        """Every ReLU / Leaky ReLU entry point selects on bit patterns; each
-        returns ``np.where``'s bytes and dtype — NaN (with a payload and a
-        sign), ``±0.0``, ``±inf`` and subnormals included — on a contiguous
-        and a strided operand."""
+        """Every ReLU entry point selects on bit patterns; each returns
+        ``np.where``'s bytes and dtype — NaN (with a payload and a sign),
+        ``±0.0``, ``±inf`` and subnormals included — on a contiguous and a
+        strided operand."""
         rng = np.random.default_rng(5)
         special = np.array(
             [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45,
@@ -108,18 +107,14 @@ class TestActivations:
         special.view(f"i{special.itemsize}")[1] += 1  # a payload
         grid = rng.standard_normal((9, 24)).astype(dtype)
         grid.flat[: special.size * 3 : 3] = special
-        slope = LeakyReLU.slope
         for x in (grid, grid[:, ::3], grid.T):
             dy = x[::-1] * dtype(0.5)
             mask = x > 0
-            relu, leaky = ReLU(), LeakyReLU()
+            relu = ReLU()
             cases = [
                 (ReLU.apply(x), np.where(mask, x, 0.0)),
                 (relu.forward(x), np.where(mask, x, 0.0)),
                 (relu.backward(dy), np.where(mask, dy, 0.0)),
-                (LeakyReLU.apply(x), np.where(mask, x, slope * x)),
-                (leaky.forward(x), np.where(mask, x, slope * x)),
-                (leaky.backward(dy), np.where(mask, dy, slope * dy)),
             ]
             for got, want in cases:
                 assert got.dtype == want.dtype == dtype

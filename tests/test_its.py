@@ -391,6 +391,16 @@ def _row_counts(mask: bytes, p: CSRMatrix) -> np.ndarray:
     return np.diff(np.r_[0, np.cumsum(np.frombuffer(mask, dtype=bool))][p.indptr])
 
 
+def _keeps_min_s_positive(mask: bytes, p: CSRMatrix, s: int) -> None:
+    """Checked against ``P`` itself: only positive entries are selected,
+    ``min(s, positive entries)`` of them per row."""
+    chosen = np.frombuffer(mask, dtype=bool)
+    positive = p.data > 0
+    assert not np.any(chosen & ~positive)
+    want = np.minimum(s, _row_counts(positive.tobytes(), p))
+    assert np.array_equal(_row_counts(mask, p), want)
+
+
 def _holds_to_the_zeroing_body(p, s, seed):
     """What still holds against the zeroing body, whose bits differ by
     design: the same seed gives the same mask and generator state; the body
@@ -398,13 +408,17 @@ def _holds_to_the_zeroing_body(p, s, seed):
     count per row.  (Where the zeroing body fails — its one global sum can
     round a light row's entries away behind heavy rows — the new body may
     still select; see ``test_the_zeroing_path_sums_the_short_rows_alone``.)
-    Returns the body's outcome."""
+    Whatever either body does, a mask the new body returns on finite
+    weights keeps ``min(s, positive)`` positive entries per row.  Returns
+    the body's outcome."""
     got = _run(its_select_mask, p, s, seed)
     assert _run(its_select_mask, p, s, seed) == got
     want, _ = _run(reference_its.zeroing_select_mask, p, s, seed)
     if want is not RuntimeError:
         assert got[0] is not RuntimeError
         assert np.array_equal(_row_counts(got[0], p), _row_counts(want, p))
+    if got[0] is not RuntimeError and np.all(np.isfinite(p.data)):
+        _keeps_min_s_positive(got[0], p, s)
     return got
 
 

@@ -202,7 +202,9 @@ def test_its_sign_checks_are_the_retired_ones(p, s, seed):
     the retired body selects, the new one selects too, the same count per
     row.  (The retired body's one global prefix sum also gives up on some
     inputs the new one samples: NaN and ``inf`` poison every later row's
-    sums there, and ``5e-324`` vanishes behind ``1.0``.)"""
+    sums there, and ``5e-324`` vanishes behind ``1.0``.)  Whichever body
+    gives up, a mask the new one returns on finite weights selects only
+    positive entries, ``min(s, positive)`` per row."""
 
     def outcome(body):
         rng = np.random.default_rng(seed)
@@ -217,7 +219,13 @@ def test_its_sign_checks_are_the_retired_ones(p, s, seed):
         assert got == want
         return
     assert not (isinstance(got, tuple) and got[0] is ValueError), got
+    def counts(m):
+        return np.diff(np.r_[0, np.cumsum(m)][p.indptr])
+
     if not isinstance(want, tuple):
         assert not isinstance(got, tuple), got
-        counts = [np.diff(np.r_[0, np.cumsum(m)][p.indptr]) for m in (got, want)]
-        assert np.array_equal(*counts)
+        assert np.array_equal(counts(got), counts(want))
+    if not isinstance(got, tuple) and np.all(np.isfinite(p.data)):
+        positive = p.data > 0
+        assert not np.any(got & ~positive)
+        assert np.array_equal(counts(got), np.minimum(s, counts(positive)))
