@@ -70,14 +70,14 @@ def main() -> None:
     with WorkerPool(WORKERS, shared) as pool:
         shared.release()  # the pool holds its own reference now
         t0 = time.perf_counter()
-        samples, totals = pool.sample_bulk(
+        samples, work = pool.sample_bulk(
             spec, batches, list(range(len(batches))), seed=0
         )
         elapsed = time.perf_counter() - t0
     assert digest(samples) == digest(serial)
     print(f"pool({WORKERS}) bulk of {len(batches)} batches in "
           f"{elapsed * 1e3:.1f} ms — digest {digest(samples)} matches "
-          f"serial bit for bit ({totals['kernels']:.0f} kernel calls)\n")
+          f"serial bit for bit ({work.kernels} kernel calls)\n")
 
     # -- 3: training through the parallel backend ----------------------- #
     base = dict(

@@ -20,9 +20,9 @@ import numpy as np
 
 from ..core import MinibatchSample
 from ..distributed import (
-    RecordingSpGEMM,
     charge_sampling,
     partitioned_bulk_sampling,
+    record_sampling,
     replicated_bulk_sampling,
 )
 from ..partition import BlockRows
@@ -69,12 +69,11 @@ class SingleDeviceBackend:
     ) -> list[list[MinibatchSample]]:
         comm, cfg = pipeline.comm, pipeline.config
         with comm.phase("sampling"):
-            recorder = RecordingSpGEMM()
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-            samples = pipeline.sampler.sample_bulk(
-                pipeline.graph.adj, bulk, cfg.fanout, rng, spgemm_fn=recorder
+            samples, work = record_sampling(
+                pipeline.sampler, pipeline.graph.adj, bulk, cfg.fanout, rng
             )
-            charge_sampling(comm, 0, recorder, tuple(cfg.fanout))
+            charge_sampling(comm, 0, work, len(cfg.fanout))
         return [samples]
 
 

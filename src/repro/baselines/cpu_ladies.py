@@ -17,8 +17,7 @@ import numpy as np
 from ..comm import Communicator
 from ..config import MachineConfig, PERLMUTTER_LIKE
 from ..core import LadiesSampler, MinibatchSample
-from ..distributed import RecordingSpGEMM
-from ..distributed.instrument import sample_norm_flops
+from ..distributed import record_sampling
 from ..graphs import Graph
 
 __all__ = ["CpuLadiesResult", "reference_cpu_ladies"]
@@ -57,16 +56,12 @@ def reference_cpu_ladies(
     fanout = tuple([s] * layers)
     with comm.phase("cpu_sampling"):
         for batch in batches:
-            recorder = RecordingSpGEMM()
-            out.extend(
-                sampler.sample_bulk(
-                    graph.adj, [batch], fanout, rng, spgemm_fn=recorder
-                )
+            samples, work = record_sampling(
+                sampler, graph.adj, [batch], fanout, rng
             )
-            extra = sum(sample_norm_flops(p, s) for p in recorder.outputs)
-            comm.host_compute(
-                0, flops=recorder.flops + extra, nbytes=recorder.nbytes
-            )
+            out.extend(samples)
+            # Uniform fanout: the recorded NORM + SAMPLE flops are at s.
+            comm.host_compute(0, flops=work.flops, nbytes=work.spgemm_nbytes)
             comm.clock.advance(0, _PER_BATCH_OVERHEAD_S, "compute")
     return CpuLadiesResult(
         seconds=comm.clock.elapsed(), n_batches=len(batches), samples=out

@@ -15,7 +15,7 @@ import numpy as np
 from ..comm import Communicator
 from ..core import MatrixSampler, MinibatchSample, assign_round_robin
 from ..core.bulk import batch_rng
-from ..distributed import RecordingSpGEMM, charge_sampling
+from ..distributed import charge_sampling, record_sampling
 from ..sparse import CSRMatrix
 
 __all__ = ["per_batch_sampling"]
@@ -42,14 +42,11 @@ def per_batch_sampling(
         for rank in range(comm.world_size):
             mine: list[MinibatchSample] = []
             for i in owners[rank]:
-                recorder = RecordingSpGEMM()
-                mine.extend(
-                    sampler.sample_bulk(
-                        adj, [batches[i]], fanout, [batch_rng(seed, int(i))],
-                        spgemm_fn=recorder,
-                    )
+                samples, work = record_sampling(
+                    sampler, adj, [batches[i]], fanout, [batch_rng(seed, int(i))]
                 )
-                charge_sampling(comm, rank, recorder, tuple(fanout))
+                charge_sampling(comm, rank, work, len(fanout))
+                mine.extend(samples)
             results.append(mine)
         comm.clock.barrier()
     return results

@@ -27,7 +27,7 @@ import numpy as np
 from ..comm import Communicator, ProcessGrid, Unscaled
 from ..config import MachineConfig, PERLMUTTER_LIKE
 from ..core import MinibatchSample, SageSampler, assign_round_robin
-from ..distributed import RecordingSpGEMM, charge_sampling
+from ..distributed import charge_sampling, record_sampling
 from ..graphs import Graph
 from ..partition import FeatureStore
 from ..pipeline.stats import EpochStats
@@ -93,17 +93,16 @@ class QuiverBaseline:
                 mine: list[MinibatchSample] = []
                 rng = np.random.default_rng(np.random.SeedSequence([seed, rank]))
                 for i in owners[rank]:
-                    recorder = RecordingSpGEMM()
-                    out = self.sampler.sample_bulk(
-                        self.graph.adj, [batches[i]], cfg.fanout, rng,
-                        spgemm_fn=recorder,
+                    out, work = record_sampling(
+                        self.sampler, self.graph.adj, [batches[i]],
+                        cfg.fanout, rng,
                     )
-                    charge_sampling(self.comm, rank, recorder, cfg.fanout)
+                    charge_sampling(self.comm, rank, work, len(cfg.fanout))
                     if cfg.mode == "uva":
                         # Topology reads traverse the host link; most of the
                         # traffic overlaps with the sampling kernels.
                         self.comm.host_transfer(
-                            rank, (1.0 - cfg.uva_overlap) * recorder.nbytes
+                            rank, (1.0 - cfg.uva_overlap) * work.spgemm_nbytes
                         )
                     mine.extend(out)
                 per_rank.append(mine)

@@ -12,11 +12,11 @@ row.  EXTRACT keeps *every* edge between the previous layer and the sampled
 set: a row-extraction SpGEMM ``A_R = Q_R A`` followed by a column-extraction
 SpGEMM ``A_S = A_R Q_C``.
 
-Bulk sampling stacks the per-batch indicator rows; bulk column extraction
-is block-diagonal (section 4.2.4) and — because a CSR representation of the
-hypersparse stacked ``Q_C`` is memory-hostile (section 8.2.2) — is executed
-as a sequence of per-batch SpGEMMs by default, with the literal block-
-diagonal single SpGEMM available for cross-checking.
+Bulk sampling stacks the per-batch indicator rows.  Bulk column extraction
+is block-diagonal in the paper (section 4.2.4), but a CSR representation of
+the hypersparse stacked ``Q_C`` is memory-hostile (section 8.2.2), so it
+runs as one SpGEMM per batch, ``A_Ri Q_Ci``.  The literal block-diagonal
+single SpGEMM is the tests' oracle for this split path.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from ..sparse import (
     CSRMatrix,
-    block_diag,
     col_selector,
     indicator_rows,
     row_normalize,
@@ -46,9 +45,7 @@ class LadiesSampler(MatrixSampler):
     """LADIES expressed in the matrix framework.
 
     ``include_dst`` unions the destination (batch) vertices into the sampled
-    layer so models can keep a self term.  ``split_col_extract`` executes
-    bulk column extraction as per-batch SpGEMMs (the paper's memory
-    workaround); set it False to run the single block-diagonal SpGEMM.
+    layer so models can keep a self term.
     """
 
     name = "ladies"
@@ -57,7 +54,6 @@ class LadiesSampler(MatrixSampler):
         self,
         *,
         include_dst: bool = False,
-        split_col_extract: bool = True,
         debias: bool = False,
     ) -> None:
         super().__init__()
@@ -67,7 +63,6 @@ class LadiesSampler(MatrixSampler):
                 "into the layer have no inclusion probability"
             )
         self.include_dst = include_dst
-        self.split_col_extract = split_col_extract
         self.debias = debias
 
     @staticmethod
@@ -144,39 +139,10 @@ class LadiesSampler(MatrixSampler):
         """
         bounds = np.cumsum([0] + [len(d) for d in dst_lists])
         n = a_r.shape[1]
-        if self.split_col_extract:
-            out = []
-            for i, sampled in enumerate(sampled_lists):
-                block = a_r.row_block(int(bounds[i]), int(bounds[i + 1]))
-                out.append(spgemm_fn(block, col_selector(sampled, n)))
-            return out
-        # Literal section-4.2.4 construction: block-diagonal A_R times the
-        # stacked Q_C in one SpGEMM.  The stacked Q_C is (k n x s): batch
-        # i's sampled vertex j sits at row i*n + v_j, column j, so every
-        # batch's sample shares the column space 0..s-1.  Memory-hungry
-        # (the hypersparse kn-row CSR the paper calls out) but kept for
-        # cross-checking the split path.
-        blocks = [
-            a_r.row_block(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(dst_lists))
-        ]
-        s_max = max(len(s) for s in sampled_lists)
-        qc_rows = np.concatenate(
-            [np.asarray(s, dtype=np.int64) + i * n for i, s in enumerate(sampled_lists)]
-        )
-        qc_cols = np.concatenate(
-            [np.arange(len(s), dtype=np.int64) for s in sampled_lists]
-        )
-        q_c = CSRMatrix.from_coo(
-            qc_rows, qc_cols, None, (len(dst_lists) * n, s_max)
-        )
-        a_s = spgemm_fn(block_diag(blocks), q_c)
         out = []
         for i, sampled in enumerate(sampled_lists):
-            rows = a_s.row_block(int(bounds[i]), int(bounds[i + 1]))
-            mask = np.zeros(s_max, dtype=bool)
-            mask[: len(sampled)] = True
-            out.append(rows.select_columns(mask))
+            block = a_r.row_block(int(bounds[i]), int(bounds[i + 1]))
+            out.append(spgemm_fn(block, col_selector(sampled, n)))
         return out
 
     # ------------------------------------------------------------------ #

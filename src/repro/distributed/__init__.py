@@ -2,12 +2,7 @@
 Graph Partitioned with the 1.5D sparsity-aware SpGEMM (section 5.2)."""
 
 from .analysis import ProbCostInputs, predict_prob_costs
-from .instrument import (
-    KERNELS_PER_LAYER,
-    CacheStats,
-    RecordingSpGEMM,
-    charge_sampling,
-)
+from .instrument import charge_sampling, record_sampling
 from .partitioned import PartitionedExecutor, partitioned_bulk_sampling
 from .replicated import replicated_bulk_sampling
 from .spgemm_15d import spgemm_15d, stage_blocks
@@ -18,10 +13,8 @@ __all__ = [
     "replicated_bulk_sampling",
     "partitioned_bulk_sampling",
     "PartitionedExecutor",
-    "RecordingSpGEMM",
+    "record_sampling",
     "charge_sampling",
-    "CacheStats",
-    "KERNELS_PER_LAYER",
     "ProbCostInputs",
     "predict_prob_costs",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from ..comm import Communicator
 from ..core import MatrixSampler, MinibatchSample, assign_round_robin, batch_rng
 from ..sparse import CSRMatrix
-from .instrument import RecordingSpGEMM, charge_sampling
+from .instrument import charge_sampling, record_sampling
 
 __all__ = ["replicated_bulk_sampling"]
 
@@ -53,12 +53,9 @@ def replicated_bulk_sampling(
             if not mine:
                 results.append([])
                 continue
-            recorder = RecordingSpGEMM()
             rngs = [batch_rng(seed, int(i)) for i in owners[rank]]
-            samples = sampler.sample_bulk(
-                adj, mine, fanout, rngs, spgemm_fn=recorder
-            )
-            charge_sampling(comm, rank, recorder, tuple(fanout))
+            samples, work = record_sampling(sampler, adj, mine, fanout, rngs)
+            charge_sampling(comm, rank, work, len(fanout))
             results.append(samples)
         comm.clock.barrier()
     return results

@@ -21,11 +21,13 @@ Two invariants make it safe to swap in:
   failure to support shared memory raises an actionable error then, not
   at import time.
 
-Simulated time is still charged (summed worker cost totals), so epoch
-reports remain comparable; note the totals legitimately differ from the
-one-stack serial numbers because splitting a bulk into per-worker stacks
-re-pays per-call kernel launches — the bulk-amortization effect the
-paper measures, now visible across real processes.
+Simulated time is still charged — the workers' recorded work, summed and
+billed to rank 0 as one call — so epoch reports remain comparable.  The
+charge can still differ from the one-stack serial number because each
+worker's stack issues its own SpGEMMs: the recorded SpGEMM launches
+repeat per worker, and the per-product terms (row-pointer bytes, SAMPLE's
+search depth) follow the smaller stacks.  The fixed per-layer launches
+and the per-call overhead are billed once per bulk, not per worker.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core import MinibatchSample
-from ..distributed import replicated_bulk_sampling
-from ..distributed.instrument import CALL_OVERHEAD_S, KERNELS_PER_LAYER
+from ..distributed import charge_sampling, replicated_bulk_sampling
 from ..obs.trace import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,21 +97,14 @@ class ParallelBackend:
             )
         with comm.phase("sampling"):
             # Wall-domain: the pool round-trip is real elapsed time the
-            # simulated clock cannot see (it charges modeled totals below).
+            # simulated clock cannot see (it charges the modeled work below).
             with maybe_span(
                 "pool.sample_bulk", cat="pool", domain="wall", track="pool",
                 args={"batches": len(bulk), "workers": len(self.pool)},
             ):
-                samples, totals = self.pool.sample_bulk(
+                samples, work = self.pool.sample_bulk(
                     self.spec, list(bulk), list(range(len(bulk))), seed
                 )
-            comm.compute(
-                0,
-                flops=totals["flops"],
-                nbytes=totals["nbytes"],
-                kernels=int(totals["kernels"])
-                + KERNELS_PER_LAYER * len(cfg.fanout),
-            )
-            comm.clock.advance(0, CALL_OVERHEAD_S, "compute")
+            charge_sampling(comm, 0, work, len(cfg.fanout))
             comm.clock.barrier()
         return [samples]

@@ -5,8 +5,8 @@ exactly once at startup, builds each sampler the first time its spec
 digest appears, and from then on receives only small
 ``(spec_digest, batch_indices, seed)`` messages per task — no graph
 bytes, no sampler state, no plan objects cross the pipe on the hot path.
-Results (the sampled minibatches plus compact cost totals) come back the
-same pipe.
+Results (the sampled minibatches plus their recorded sampling work) come
+back the same pipe.
 
 Bit-identity with serial execution is free, not engineered here: every
 minibatch draws from its own RNG stream keyed by *global* batch index
@@ -33,10 +33,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..core.bulk import assign_round_robin, batch_rng, reassemble_round_robin
+from ..distributed.instrument import SamplingWork, record_sampling
 from ..obs.trace import Tracer, get_tracer, maybe_span, set_tracer
 from .shm import SharedFeatures, SharedGraph, ensure_parallel_support
 
-__all__ = ["SamplerSpec", "WorkerPool", "WorkerError", "sampling_cost_totals"]
+__all__ = ["SamplerSpec", "WorkerPool", "WorkerError"]
 
 
 class WorkerError(RuntimeError):
@@ -93,22 +94,6 @@ class SamplerSpec:
         )
 
 
-def sampling_cost_totals(recorder, fanout: Sequence[int]) -> dict[str, float]:
-    """Collapse one worker's :class:`RecordingSpGEMM` into the additive
-    totals :func:`repro.distributed.instrument.charge_sampling` would
-    charge — computed worker-side so intermediate matrices never cross
-    the pipe."""
-    from ..distributed.instrument import sample_norm_flops
-
-    s_mean = int(np.mean(list(fanout))) if len(fanout) else 1
-    return {
-        "flops": recorder.flops
-        + sum(sample_norm_flops(p, s_mean) for p in recorder.outputs),
-        "nbytes": recorder.nbytes + sum(24.0 * p.nnz for p in recorder.outputs),
-        "kernels": float(recorder.kernels),
-    }
-
-
 # ---------------------------------------------------------------------- #
 # Worker side
 # ---------------------------------------------------------------------- #
@@ -131,8 +116,6 @@ def _worker_main(
     # kill workers mid-send, or the parent's cleanup path sees EOFErrors
     # instead of its own KeyboardInterrupt.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    from ..distributed.instrument import RecordingSpGEMM
 
     if trace and get_tracer() is None:
         # REPRO_TRACE in the environment already installed one at import
@@ -169,16 +152,14 @@ def _worker_main(
                 sampler = samplers.get(digest)
                 if sampler is None:  # owner never pre-registered; build now
                     sampler = samplers[digest] = spec.build(adj)
-                recorder = RecordingSpGEMM()
                 rngs = [batch_rng(seed, int(i)) for i in indices]
                 with maybe_span(
                     "sample_bulk", cat="pool", domain="wall", track=track,
                     args={"batches": len(batches)},
                 ):
-                    samples = sampler.sample_bulk(
-                        adj, batches, spec.fanout, rngs, spgemm_fn=recorder
+                    result = record_sampling(
+                        sampler, adj, batches, spec.fanout, rngs
                     )
-                result = (samples, sampling_cost_totals(recorder, spec.fanout))
             elif kind == "call":
                 func, payload = msg[2], msg[3]
                 with maybe_span(
@@ -326,9 +307,10 @@ class WorkerPool:
         global_indices: Sequence[int],
         seed: int,
     ):
-        """Execute one bulk batch-parallel; returns ``(samples, totals)``
+        """Execute one bulk batch-parallel; returns ``(samples, work)``
         with ``samples`` in input batch order (bit-identical to serial)
-        and ``totals`` the summed sampling cost dict."""
+        and ``work`` the workers'
+        :class:`~repro.distributed.instrument.SamplingWork`, summed."""
         if len(batches) != len(global_indices):
             raise ValueError("need one global index per batch")
         self._sync_graph()
@@ -347,13 +329,12 @@ class WorkerPool:
             ))
             inflight.append((worker, tid))
         per_owner: list[list] = []
-        totals = {"flops": 0.0, "nbytes": 0.0, "kernels": 0.0}
+        work = SamplingWork()
         for worker, tid in inflight:
-            samples, cost = self._recv(worker, tid)
+            samples, mine = self._recv(worker, tid)
             per_owner.append(samples)
-            for key in totals:
-                totals[key] += cost[key]
-        return reassemble_round_robin(per_owner, len(batches)), totals
+            work += mine
+        return reassemble_round_robin(per_owner, len(batches)), work
 
     def run(self, func: Callable, payloads: Sequence[Any]) -> list[Any]:
         """Fan ``func(adj, features, payload)`` out over the pool, one call

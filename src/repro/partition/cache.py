@@ -23,8 +23,7 @@ Two replication policies are provided:
 Both policies return bit-identical feature rows to the uncached path —
 the cache holds exact copies and features are static during training — so
 loss/accuracy trajectories never depend on the budget.  Hit/miss/volume
-counters live in :class:`CacheStats` (re-exported through
-:mod:`repro.distributed.instrument` next to the other cost recorders).
+counters live in :class:`CacheStats`.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ and the selector / stacking / normalization ops around them.
 
 from .csr import CSRMatrix
 from .ops import (
-    block_diag,
     col_selector,
     compact_columns,
     indicator_rows,
@@ -31,7 +30,6 @@ __all__ = [
     "spmm",
     "spmm_flops",
     "vstack",
-    "block_diag",
     "row_selector",
     "col_selector",
     "indicator_rows",

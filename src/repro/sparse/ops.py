@@ -4,8 +4,6 @@ These are the building blocks of the paper's matrix constructions:
 
 * :func:`vstack` — Equation 1's vertical stacking of per-minibatch
   ``Q`` / ``P`` / ``A^l`` matrices into one bulk matrix.
-* :func:`block_diag` — the block-diagonal expansion of the stacked ``A_R``
-  used by LADIES bulk column extraction (section 4.2.4).
 * :func:`row_selector` / :func:`col_selector` / :func:`indicator_rows` —
   the ``Q``, ``Q_R`` and ``Q_C`` extraction-matrix constructions.
 * :func:`row_normalize` — the NORM step of Algorithm 1.
@@ -24,7 +22,6 @@ from .csr import CSRMatrix, _indptr_from_rows
 
 __all__ = [
     "vstack",
-    "block_diag",
     "row_selector",
     "col_selector",
     "indicator_rows",
@@ -51,29 +48,6 @@ def vstack(mats: Sequence[CSRMatrix]) -> CSRMatrix:
         np.concatenate([m.indices for m in mats]),
         np.concatenate([m.data for m in mats]),
         (sum(m.shape[0] for m in mats), n_cols),
-    )
-
-
-def block_diag(mats: Sequence[CSRMatrix]) -> CSRMatrix:
-    """Place matrices along the diagonal of an otherwise-zero matrix."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    row_off = np.cumsum([0] + [m.shape[0] for m in mats])
-    col_off = np.cumsum([0] + [m.shape[1] for m in mats])
-    indptr_parts = [mats[0].indptr]
-    nnz_off = mats[0].nnz
-    for m in mats[1:]:
-        indptr_parts.append(m.indptr[1:] + nnz_off)
-        nnz_off += m.nnz
-    indices = np.concatenate(
-        [m.indices + off for m, off in zip(mats, col_off[:-1])]
-    )
-    data = np.concatenate([m.data for m in mats])
-    return CSRMatrix(
-        np.concatenate(indptr_parts),
-        indices,
-        data,
-        (int(row_off[-1]), int(col_off[-1])),
     )
 
 

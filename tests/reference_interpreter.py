@@ -17,6 +17,11 @@ the executor, locally and on the 1.5D grid, byte-equal to it.
 :func:`eliminate_dead_steps` is the optimizer pass that ran over every plan
 before plans ran as emitted; it stays as the definition of a dead step, so
 the tests can hold every shipped sampler's plan free of them.
+
+:func:`blockdiag_col_extract` is LADIES' bulk column extraction as section
+4.2.4 writes it — one SpGEMM of the block-diagonal ``A_R`` (:func:`block_diag`)
+with the stacked ``Q_C`` — the oracle of the per-batch SpGEMMs
+``LadiesSampler.col_extract`` runs.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ __all__ = [
     "PlanSampler",
     "sample_stacked",
     "eliminate_dead_steps",
+    "block_diag",
+    "blockdiag_col_extract",
 ]
 
 
@@ -78,6 +85,72 @@ def sample_stacked(p: CSRMatrix, s: int, rng, bounds) -> CSRMatrix:
         for i, g in enumerate(rng)
     ]
     return vstack(parts)
+
+
+# --------------------------------------------------------------------- #
+# The block-diagonal LADIES column extraction
+# --------------------------------------------------------------------- #
+def block_diag(mats: Sequence[CSRMatrix]) -> CSRMatrix:
+    """Place matrices along the diagonal of an otherwise-zero matrix."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    row_off = np.cumsum([0] + [m.shape[0] for m in mats])
+    col_off = np.cumsum([0] + [m.shape[1] for m in mats])
+    indptr_parts = [mats[0].indptr]
+    nnz_off = mats[0].nnz
+    for m in mats[1:]:
+        indptr_parts.append(m.indptr[1:] + nnz_off)
+        nnz_off += m.nnz
+    indices = np.concatenate(
+        [m.indices + off for m, off in zip(mats, col_off[:-1])]
+    )
+    data = np.concatenate([m.data for m in mats])
+    return CSRMatrix(
+        np.concatenate(indptr_parts),
+        indices,
+        data,
+        (int(row_off[-1]), int(col_off[-1])),
+    )
+
+
+def blockdiag_col_extract(
+    a_r: CSRMatrix,
+    dst_lists: Sequence[np.ndarray],
+    sampled_lists: Sequence[np.ndarray],
+) -> list[CSRMatrix]:
+    """Literal section-4.2.4 construction: block-diagonal ``A_R`` times the
+    stacked ``Q_C`` in one SpGEMM.
+
+    The stacked ``Q_C`` is ``(k n x s_max)``: batch ``i``'s sampled vertex
+    ``j`` sits at row ``i*n + v_j``, column ``j``, so every batch's sample
+    shares the column space ``0..s_max-1``; batch ``i`` keeps its first
+    ``s_i`` columns.  Memory-hungry (the hypersparse ``kn``-row CSR the
+    paper calls out), which is why ``src/`` runs one SpGEMM per batch.
+    """
+    bounds = np.cumsum([0] + [len(d) for d in dst_lists])
+    n = a_r.shape[1]
+    blocks = [
+        a_r.row_block(int(bounds[i]), int(bounds[i + 1]))
+        for i in range(len(dst_lists))
+    ]
+    s_max = max(len(s) for s in sampled_lists)
+    qc_rows = np.concatenate(
+        [np.asarray(s, dtype=np.int64) + i * n for i, s in enumerate(sampled_lists)]
+    )
+    qc_cols = np.concatenate(
+        [np.arange(len(s), dtype=np.int64) for s in sampled_lists]
+    )
+    q_c = CSRMatrix.from_coo(
+        qc_rows, qc_cols, None, (len(dst_lists) * n, s_max)
+    )
+    a_s = spgemm(block_diag(blocks), q_c)
+    out = []
+    for i, sampled in enumerate(sampled_lists):
+        rows = a_s.row_block(int(bounds[i]), int(bounds[i + 1]))
+        mask = np.zeros(s_max, dtype=bool)
+        mask[: len(sampled)] = True
+        out.append(rows.select_columns(mask))
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -178,7 +251,6 @@ class PlanSampler(MatrixSampler):
         self._steps = tuple(steps)
         self.norm_mode = norm_mode
         self.include_dst = include_dst
-        self.split_col_extract = True
 
     @staticmethod
     def make_q(arg, n):

@@ -10,16 +10,17 @@ from repro.comm import Communicator, ProcessGrid
 from repro.core import FastGCNSampler, LadiesSampler, SageSampler
 from repro.distributed import (
     ProbCostInputs,
-    RecordingSpGEMM,
     partitioned_bulk_sampling,
     predict_prob_costs,
+    record_sampling,
     replicated_bulk_sampling,
     spgemm_15d,
     stage_blocks,
 )
 from repro.baselines import per_batch_sampling
 from repro.partition import BlockRows
-from repro.sparse import spgemm, sprand, vstack
+from repro.core.its import its_flops
+from repro.sparse import spgemm, spgemm_flops, sprand, vstack
 
 
 class TestSpgemm15D:
@@ -325,15 +326,39 @@ class TestPartitioned:
 
 
 class TestInstrumentAndAnalysis:
-    def test_recording_spgemm_counts(self, rng):
-        rec = RecordingSpGEMM()
-        a = sprand(10, 10, 0.3, rng)
-        b = sprand(10, 10, 0.3, rng)
-        out = rec(a, b)
-        assert out.equal(spgemm(a, b))
-        assert rec.kernels == 2
-        assert rec.flops > 0
-        assert len(rec.outputs) == 1
+    def test_recording_spgemm_counts(self, small_adj, batches):
+        """record_sampling's work is the per-product rule written out: the
+        SpGEMM's expansion and bytes, two launches, and NORM + SAMPLE plus
+        24 bytes an entry on each product at the mean fanout."""
+        for sampler, fanout in ((SageSampler(), (4, 3)), (LadiesSampler(), (16, 8))):
+            seen = []
+
+            def spy(a, b):
+                out = spgemm(a, b)
+                seen.append((a, b, out))
+                return out
+
+            plain = sampler.sample_bulk(
+                small_adj, batches, fanout, np.random.default_rng(3), spgemm_fn=spy
+            )
+            samples, work = record_sampling(
+                sampler, small_adj, batches, fanout, np.random.default_rng(3)
+            )
+            for x, y in zip(plain, samples):
+                for lx, ly in zip(x.layers, y.layers):
+                    assert lx.adj.equal(ly.adj)
+            s_mean = int(np.mean(fanout))
+            spgemm_bytes = sum(
+                24.0 * (a.nnz + spgemm_flops(a, b)) + 8.0 * (a.shape[0] + b.shape[0])
+                for a, b, _ in seen
+            )
+            assert work.kernels == 2 * len(seen) > 0
+            assert work.flops == sum(
+                2.0 * spgemm_flops(a, b) + 2.0 * p.nnz + its_flops(p, s_mean)
+                for a, b, p in seen
+            )
+            assert work.spgemm_nbytes == spgemm_bytes
+            assert work.nbytes == spgemm_bytes + sum(24.0 * p.nnz for *_, p in seen)
 
     def test_prob_cost_prediction_shapes(self):
         """T_prob scales with the harmonic mean of p/c and c (section 5.2.1):

@@ -279,11 +279,13 @@ class TestRegistryAndDispatch:
         """A wrapper set on the kernel's class after the sampler exists —
         what the e2e tracer does — sees ``spgemm``, ``a @ b`` and every
         product a sampler runs, local, recorded and 1.5D."""
+        from functools import partial
+
         from repro.comm import Communicator, ProcessGrid
         from repro.core import LadiesSampler, SageSampler
         from repro.distributed import (
-            RecordingSpGEMM,
             partitioned_bulk_sampling,
+            record_sampling,
         )
         from repro.graphs import rmat
         from repro.partition import BlockRows
@@ -303,13 +305,10 @@ class TestRegistryAndDispatch:
         a @ b
         assert len(calls) == 2
         for sampler in samplers:
-            for spgemm_fn in (None, RecordingSpGEMM()):
+            for run in (sampler.sample_bulk, partial(record_sampling, sampler)):
                 del calls[:]
-                sampler.sample_bulk(
-                    adj, batches, (3,), np.random.default_rng(0),
-                    spgemm_fn=spgemm_fn,
-                )
-                assert calls, (sampler.name, spgemm_fn)
+                run(adj, batches, (3,), np.random.default_rng(0))
+                assert calls, (sampler.name, run)
             del calls[:]
             grid = ProcessGrid(2, 1)
             partitioned_bulk_sampling(

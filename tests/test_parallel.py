@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.bulk import batch_rng
+from repro.core.bulk import assign_round_robin, batch_rng
+from repro.distributed.instrument import SamplingWork, record_sampling
 from repro.graphs import Graph, rmat
 from repro.parallel import (
     SamplerSpec,
@@ -274,11 +275,34 @@ class TestWorkerPool:
             SamplerSpec(sampler="ladies", fanout=(32,), for_training=False),
         ):
             reference = _digest(_serial(spec, adj, pool_batches, seed=3))
-            samples, totals = pool.sample_bulk(
+            samples, work = pool.sample_bulk(
                 spec, pool_batches, list(range(len(pool_batches))), 3
             )
             assert _digest(samples) == reference
-            assert totals["flops"] > 0 and totals["kernels"] > 0
+            assert work.flops > 0 and work.kernels > 0
+
+    def test_workers_bill_with_the_serial_rule(self, shared_pool, pool_batches):
+        """The pool's summed work is exactly what serial record_sampling
+        records on each worker's round-robin share of the bulk."""
+        adj, pool = shared_pool
+        for spec in (
+            SamplerSpec(sampler="sage", fanout=(4, 3), for_training=False),
+            SamplerSpec(sampler="ladies", fanout=(32,), for_training=False),
+        ):
+            _, work = pool.sample_bulk(
+                spec, pool_batches, list(range(len(pool_batches))), 5
+            )
+            sampler = spec.build(adj)
+            expected = SamplingWork()
+            shares = assign_round_robin(len(pool_batches), len(pool))
+            assert len(shares) == 2
+            for share in shares:
+                _, mine = record_sampling(
+                    sampler, adj, [pool_batches[i] for i in share],
+                    spec.fanout, [batch_rng(5, int(i)) for i in share],
+                )
+                expected += mine
+            assert work == expected
 
     def test_global_indices_key_the_streams(self, shared_pool, pool_batches):
         """Sampling a *slice* of the bulk with its original global indices

@@ -14,7 +14,9 @@ from repro.core import (
     SageSampler,
 )
 from repro.core.fastgcn_sampler import squared_column_norms
-from repro.sparse import CSRMatrix, indicator_rows, row_selector, spgemm
+from repro.sparse import CSRMatrix, indicator_rows, row_selector, spgemm, sprand
+
+from reference_interpreter import block_diag, blockdiag_col_extract
 
 
 class TestPaperWorkedExample:
@@ -195,15 +197,39 @@ class TestLadiesSampler:
         p = sampler.norm(spgemm(q, adj)).to_dense()
         assert np.allclose(p[0], [0, 0, 4 / 5, 1 / 5])
 
-    def test_split_and_blockdiag_col_extract_agree(self, small_adj, batches):
-        a = LadiesSampler(split_col_extract=True).sample_bulk(
-            small_adj, batches, (16,), np.random.default_rng(7)
+    def test_split_and_blockdiag_col_extract_agree(self, small_adj, rng):
+        """The per-batch SpGEMMs ``A_Ri Q_Ci`` equal section 4.2.4's single
+        block-diagonal SpGEMM on every layer of a two-layer bulk whose
+        batches sample layers of unequal width ``s_i``."""
+        widths = []
+
+        class Checked(LadiesSampler):
+            def col_extract(self, a_r, dst_lists, sampled_lists, **kw):
+                split = super().col_extract(a_r, dst_lists, sampled_lists, **kw)
+                literal = blockdiag_col_extract(a_r, dst_lists, sampled_lists)
+                assert len(split) == len(literal)
+                for x, y in zip(split, literal):
+                    assert x.equal(y)
+                widths.append([len(v) for v in sampled_lists])
+                return split
+
+        n = small_adj.shape[0]
+        batches = [rng.choice(n, b, replace=False) for b in (4, 16, 32, 64)]
+        Checked(include_dst=True).sample_bulk(
+            small_adj, batches, (16, 8), np.random.default_rng(7)
         )
-        b = LadiesSampler(split_col_extract=False).sample_bulk(
-            small_adj, batches, (16,), np.random.default_rng(7)
-        )
-        for x, y in zip(a, b):
-            assert x.layers[0].adj.equal(y.layers[0].adj)
+        assert len(widths) == 2
+        assert all(len(set(w)) > 1 for w in widths), widths
+
+    def test_block_diag_matches_scipy(self, rng):
+        """The oracle's block-diagonal expansion, against scipy's."""
+        import scipy.sparse as sp
+
+        mats = [sprand(3, 4, 0.4, rng), sprand(2, 2, 0.6, rng), sprand(4, 1, 0.5, rng)]
+        ours = block_diag(mats)
+        ref = sp.block_diag([m.to_scipy() for m in mats]).toarray()
+        assert np.allclose(ours.to_dense(), ref)
+        ours.check()
 
     def test_multilayer_chaining(self, small_adj, batches, rng):
         out = LadiesSampler().sample_bulk(small_adj, batches, (16, 8), rng)

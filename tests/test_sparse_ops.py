@@ -1,4 +1,4 @@
-"""Structural sparse operations: stacking, block-diagonal, selectors, NORM."""
+"""Structural sparse operations: stacking, selectors, NORM."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.sparse import (
     CSRMatrix,
-    block_diag,
     col_selector,
     compact_columns,
     indicator_rows,
@@ -40,15 +39,6 @@ class TestStacking:
         stacked = vstack(mats)
         assert stacked.shape == (5, 5)
         stacked.check()
-
-    def test_block_diag_matches_scipy(self, rng):
-        import scipy.sparse as sp
-
-        mats = [sprand(3, 4, 0.4, rng), sprand(2, 2, 0.6, rng), sprand(4, 1, 0.5, rng)]
-        ours = block_diag(mats)
-        ref = sp.block_diag([m.to_scipy() for m in mats]).toarray()
-        assert np.allclose(ours.to_dense(), ref)
-        ours.check()
 
     def test_vstack_then_slice_roundtrip(self, rng):
         mats = [sprand(3, 6, 0.4, rng) for _ in range(4)]

@@ -17,6 +17,9 @@
 (d) *One knob table* — the README's block is ``repro.cli.knob_table()``.
 (e) *The e2e harness's patch table* — every name ``benchmarks/e2e/trace.py``
     wraps from outside ``src/`` still resolves, and unwraps.
+(f) *One sampling bill* — the launch and overhead constants, and a
+    ``sample_bulk(..., spgemm_fn=...)`` recording call, live only in
+    ``distributed/instrument.py``.
 """
 
 from __future__ import annotations
@@ -341,3 +344,42 @@ def test_e2e_harness_patch_table_resolves():
     assert not tracer._patches
     assert sampler_base.its_select_mask is its.its_select_mask
     assert "logits_for" not in vars(server.replicas[0])
+
+
+# ---------------------------------------------------------------------- #
+# (f) One sampling bill
+# ---------------------------------------------------------------------- #
+def _billing_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """Where a module names the sampling-bill constants or records a bulk
+    through ``sample_bulk(..., spgemm_fn=...)`` itself."""
+    sites = []
+    for n in ast.walk(tree):
+        name = (getattr(n, "id", None) or getattr(n, "attr", None)
+                or getattr(n, "name", None))
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias)) and name in (
+            "KERNELS_PER_LAYER", "CALL_OVERHEAD_S"
+        ):
+            sites.append((n.lineno, name))
+        elif isinstance(n, ast.Call) and any(
+            k.arg == "spgemm_fn" for k in n.keywords
+        ) and "sample_bulk" in (
+            getattr(n.func, "attr", None), getattr(n.func, "id", None)
+        ):
+            sites.append((n.lineno, "sample_bulk(..., spgemm_fn=...)"))
+    return sites
+
+
+def test_sampling_is_recorded_and_billed_in_one_module():
+    """A driver that samples locally calls ``record_sampling`` and
+    ``charge_sampling``; a fourth copy of the rule fails here."""
+    home = ROOT / "src/repro/distributed/instrument.py"
+    found = {
+        str(path.relative_to(ROOT)): sites
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (sites := _billing_sites(ast.parse(path.read_text())))
+    }
+    assert {what for _, what in found.pop(str(home.relative_to(ROOT)))} == {
+        "KERNELS_PER_LAYER", "CALL_OVERHEAD_S",
+        "sample_bulk(..., spgemm_fn=...)",
+    }
+    assert found == {}
