@@ -45,9 +45,10 @@ class Graph:
             raise ValueError("one feature row per vertex required")
         if self.labels is not None and self.labels.shape[0] != self.n:
             raise ValueError("one label per vertex required")
-        for idx in (self.train_idx, self.val_idx, self.test_idx):
+        for split in ("train_idx", "val_idx", "test_idx"):
+            idx = getattr(self, split)
             if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-                raise ValueError("split index out of range")
+                raise ValueError(f"{split} holds a vertex id outside [0, {self.n})")
 
     @property
     def n(self) -> int:

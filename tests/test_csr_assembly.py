@@ -2,11 +2,12 @@
 ``CSRMatrix.add`` (scipy's merge) against a ``from_coo`` build of the sum.
 
 ``_lexsort_from_coo`` below is the previous body of ``from_coo``, kept
-verbatim as the oracle.  The single-key canonicalizer must reproduce it
-array for array — ``indptr`` and ``indices`` equal, ``data`` equal *bitwise*
+verbatim as the oracle.  The canonicalizer must reproduce it array for
+array — ``indptr`` and ``indices`` equal, ``data`` equal *bitwise*
 (duplicates are summed left to right in input order on both sides, so not
 even the last bit may move) — whichever of its paths an input takes:
-presorted (no sort), unsorted (one stable argsort), duplicate-free (no
+presorted (no sort), unsorted over a small index space (two counting
+passes), unsorted over a large one (one stable argsort), duplicate-free (no
 ``reduceat``), or the int64-overflow fallback.
 """
 
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graphs import generators
 from repro.sparse import CSRMatrix, spgemm
+from repro.sparse import csr as csr_module
 
 from reference_spgemm import transpose
 
@@ -258,13 +261,84 @@ class TestEdgeCases:
         rows = np.array([0, 0, 1], dtype=np.int64)
         cols = np.array([1, 2, 0], dtype=np.int64)
         vals = np.array([1.0, 2.0, 3.0])
-        for shape in ((2, 3), HUGE):
-            m = CSRMatrix.from_coo(rows, cols, vals, shape)  # presorted
-            for out in m.buffers():
-                for arr in (rows, cols, vals):
-                    assert not np.shares_memory(out, arr)
-            m.data[:] = 0.0
-            assert vals.tolist() == [1.0, 2.0, 3.0]
+        # Presorted, and reversed: on (2, 3) (2 + 3 <= 2 * 3) the reversed
+        # input takes the counting passes.
+        for order in (slice(None), slice(None, None, -1)):
+            for shape in ((2, 3), HUGE):
+                m = CSRMatrix.from_coo(rows[order], cols[order], vals[order], shape)
+                for out in m.buffers():
+                    for arr in (rows, cols, vals):
+                        assert not np.shares_memory(out, arr)
+                m.data[:] = 0.0
+                assert vals.tolist() == [1.0, 2.0, 3.0]
+
+
+class TestCountingPath:
+    """Unsorted input with ``n_rows + n_cols <= 2 * nnz`` is bucketed by two
+    counting passes (``coo_tocsr`` by column, ``csr_tocsc`` by row); every
+    other input keeps the flat-key paths."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        for name in ("coo_tocsr", "csr_tocsc"):
+            routine = getattr(csr_module._sparsetools, name)
+
+            def spy(*args, _name=name, _routine=routine):
+                calls.append(_name)
+                return _routine(*args)
+
+            monkeypatch.setattr(csr_module._sparsetools, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("vals", [None, "wide"])
+    @pytest.mark.parametrize("n_cols, counted", [(12, True), (13, False)])
+    def test_shape_boundary(self, passes, vals, n_cols, counted):
+        # 10 entries: 8 + 12 == 2 * nnz counts, 8 + 13 does not.
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 4, 10)  # duplicates guaranteed
+        cols = rng.integers(0, 3, 10)
+        assert not np.all(np.diff(rows * n_cols + cols) >= 0)
+        if vals == "wide":
+            vals = rng.standard_normal(10) * 2.0 ** rng.integers(-30, 30, 10)
+        got = assert_matches_oracle(rows, cols, vals, (8, n_cols))
+        got.check()
+        assert got.nnz < 10
+        assert passes == (["coo_tocsr", "csr_tocsc"] if counted else [])
+
+    def test_presorted_input_is_not_bucketed(self, passes):
+        rows, cols, vals, shape = _row_major(
+            np.array([3, 0, 1, 0]), np.array([1, 2, 0, 2]), np.arange(4.0), (4, 3)
+        )
+        assert_matches_oracle(rows, cols, vals, shape)
+        assert passes == []
+
+    @pytest.mark.parametrize("vals", [None, "wide"])
+    def test_planted_partition_edge_list(self, monkeypatch, passes, vals):
+        """The 843k-entry edge list of ``load_dataset("products", scale=2.0,
+        with_labels=True)``, as the generator hands it to ``from_coo``."""
+        edges = []
+
+        class Recorder:
+            @staticmethod
+            def from_coo(rows, cols, vals, shape):
+                edges.append((rows, cols, shape))
+                return CSRMatrix.zeros(shape)
+
+        monkeypatch.setattr(generators, "CSRMatrix", Recorder)
+        generators.planted_partition(
+            8192, 16, 51.5, np.random.default_rng(503), intra_fraction=0.85
+        )
+        (rows, cols, shape), = edges
+        assert rows.size > 840_000
+        if vals == "wide":
+            rng = np.random.default_rng(509)
+            vals = rng.standard_normal(rows.size) * 2.0 ** rng.integers(
+                -40, 40, rows.size
+            )
+        got = assert_matches_oracle(rows, cols, vals, shape)
+        assert got.nnz < rows.size  # the edge list has duplicate edges
+        assert passes == ["coo_tocsr", "csr_tocsc"]
 
 
 class TestRangeChecksRunOnEveryPath:

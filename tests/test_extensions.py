@@ -304,3 +304,51 @@ class TestGraphIO:
         )
         with pytest.raises(ValueError):
             load_graph(path)
+
+
+class TestLoadGraphValidates:
+    """A corrupted file fails in ``load_graph``, naming the file and what
+    is broken, not later inside a kernel."""
+
+    def _corrupt(self, tmp_path, graph, **replace):
+        path = save_graph(graph, tmp_path / "g.npz")
+        with np.load(path) as f:
+            arrays = {key: f[key] for key in f.files}
+        arrays.update(replace)
+        np.savez(path, **arrays)
+        return path
+
+    def test_unsorted_row(self, tmp_path, labeled_graph):
+        adj = labeled_graph.adj
+        row = int(np.argmax(adj.nnz_per_row()))
+        lo, hi = adj.indptr[row], adj.indptr[row + 1]
+        indices = adj.indices.copy()
+        indices[lo:hi] = indices[lo:hi][::-1]
+        path = self._corrupt(tmp_path, labeled_graph, indices=indices)
+        with pytest.raises(ValueError, match="strictly increasing") as err:
+            load_graph(path)
+        assert str(path) in str(err.value)
+
+    def test_truncated_indptr(self, tmp_path, labeled_graph):
+        path = self._corrupt(
+            tmp_path, labeled_graph, indptr=labeled_graph.adj.indptr[:-7]
+        )
+        with pytest.raises(ValueError, match="indptr length") as err:
+            load_graph(path)
+        assert str(path) in str(err.value)
+
+    def test_out_of_range_test_idx(self, tmp_path, labeled_graph):
+        test_idx = labeled_graph.test_idx.copy()
+        test_idx[-1] = labeled_graph.n
+        path = self._corrupt(tmp_path, labeled_graph, test_idx=test_idx)
+        with pytest.raises(ValueError, match=r"test_idx .*outside \[0, ") as err:
+            load_graph(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key", ["features", "labels"])
+    def test_one_row_per_vertex(self, tmp_path, labeled_graph, key):
+        short = getattr(labeled_graph, key)[:-1]
+        path = self._corrupt(tmp_path, labeled_graph, **{key: short})
+        with pytest.raises(ValueError, match="per vertex") as err:
+            load_graph(path)
+        assert str(path) in str(err.value)
