@@ -2,7 +2,7 @@
 
 Puts the supporting pieces together the way a downstream user would:
 
-1. train a GAT model with the distributed pipeline (simulated 4-GPU run)
+1. train a GraphSAGE model with the distributed pipeline (simulated 4-GPU run)
    through the :class:`repro.api.Engine` facade,
 2. checkpoint the parameters to disk,
 3. reload into a fresh model and evaluate with layer-wise minibatched

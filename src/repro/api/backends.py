@@ -102,7 +102,7 @@ class PartitionedBackend:
 
     Plan-driven: the sampler's :meth:`~repro.core.MatrixSampler.plan` is
     interpreted over the grid, so every plan-emitting sampler — node-wise,
-    layer-wise, graph-wise, or a registry plugin — runs here without
+    layer-wise, or a registry plugin — runs here without
     backend changes.
     """
 

@@ -47,7 +47,6 @@ from typing import Any
 
 from ..core import (
     FastGCNSampler,
-    GraphSaintRWSampler,
     LadiesSampler,
     MatrixSampler,
     SageSampler,
@@ -81,10 +80,9 @@ DATASETS = Registry("dataset")
 # ---------------------------------------------------------------------- #
 # Built-in samplers
 # ---------------------------------------------------------------------- #
-# No ``algorithms`` metadata on the built-ins: all four emit sampling
-# plans, so partitioned support is derived — including graph-wise SAINT,
-# whose walk products and subgraph induction distribute through the same
-# plan interpreter as everything else.
+# No ``algorithms`` metadata on the built-ins: all three emit sampling
+# plans, so partitioned support is derived — their products distribute
+# through the one plan interpreter.
 SAMPLERS.register(
     "sage",
     SageSampler,
@@ -111,15 +109,6 @@ SAMPLERS.register(
     capabilities=("sample", "train"),
     default_fanout=(64,),
     family="layer-wise",
-)
-SAMPLERS.register(
-    "saint",
-    GraphSaintRWSampler,
-    default_conv="gcn",
-    pipeline_kwargs={},
-    capabilities=("sample", "train"),
-    default_fanout=(3, 3),
-    family="graph-wise",
 )
 
 

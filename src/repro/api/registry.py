@@ -51,7 +51,8 @@ class RegistryKeyError(KeyError):
 class CapabilityError(ValueError):
     """A known implementation was asked to do something its registry
     metadata says it cannot (e.g. a sampling-only sampler in the training
-    pipeline, or SAINT under the partitioned execution algorithm)."""
+    pipeline, or a factory plugin that declares no partitioned support
+    under the partitioned execution algorithm)."""
 
 
 @dataclass(frozen=True)

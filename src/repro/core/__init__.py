@@ -24,7 +24,6 @@ from .plan import (
     step_phase,
 )
 from .sage_sampler import SageSampler
-from .saint_sampler import GraphSaintRWSampler
 from .sampler_base import MatrixSampler, SpGEMMFn
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SageSampler",
     "LadiesSampler",
     "FastGCNSampler",
-    "GraphSaintRWSampler",
     "LayerSample",
     "MinibatchSample",
     "SamplingPlan",

@@ -1,17 +1,17 @@
 """The sampling-plan IR: Algorithm 1 as *data*, run by one interpreter.
 
-The paper's central claim is that LADIES, FastGCN, GraphSAGE (and, with one
-extra step kind, GraphSAINT) are the *same* matrix program — PROB (an
-SpGEMM), NORM, SAMPLE (inverse transform sampling), EXTRACT — differing
-only in how each step is parameterized.  This module makes that claim
-operational: a :class:`MatrixSampler` *emits* a declarative
-:class:`SamplingPlan` of those four step types, and :class:`LocalExecutor`
-runs it as emitted — there is no optimizer between the two.  The executor
-is the one holder of Algorithm 1's state and step bodies.  The 1.5D grid of
-Algorithm 2
+The paper's central claim is that one matrix program — PROB (an SpGEMM),
+NORM, SAMPLE (inverse transform sampling), EXTRACT — covers several
+samplers, each with its own choice of ``Q``: GraphSAGE (node-wise) and
+LADIES and FastGCN (layer-wise) differ only in how each step is
+parameterized.  This module makes that claim operational: a
+:class:`MatrixSampler` *emits* a declarative :class:`SamplingPlan` of those
+four step types, and :class:`LocalExecutor` runs it as emitted — there is
+no optimizer between the two.  The executor is the one holder of
+Algorithm 1's state and step bodies.  The 1.5D grid of Algorithm 2
 (:class:`~repro.distributed.partitioned.PartitionedExecutor`) drives one
 ``LocalExecutor`` per process row and substitutes distributed SpGEMMs for
-the products of ``A``, which is why the three steps that consume such a
+the products of ``A``, which is why the two steps that consume such a
 product are split into a state half and a product half.
 
 Because distribution is a property of the driver rather than of the
@@ -39,10 +39,8 @@ Step vocabulary (paper mapping)
     distinct columns per row (:mod:`repro.core.its`).
 ``ExtractStep``
     ``A^l = EXTRACT(...)``: ``"compact"`` (per-batch column compaction,
-    section 4.1.3), ``"bipartite"`` (row-extraction SpGEMM + per-batch
-    column extraction, section 4.2.4), ``"walk"`` (advance random-walk
-    positions — GraphSAINT's inner step), or ``"subgraph"`` (induce ``A``
-    on the visited set and emit all layers — GraphSAINT's EXTRACT).
+    section 4.1.3, node-wise) or ``"bipartite"`` (row-extraction SpGEMM +
+    per-batch column extraction, section 4.2.4, layer-wise).
 
 Mask dataflow
 -------------
@@ -50,7 +48,7 @@ SAMPLE never builds the paper's ``Q^{l-1}`` as a matrix.  It leaves a
 boolean mask over the nonzeros of the ``P`` it drew from
 (:meth:`~repro.core.sampler_base.MatrixSampler.sample_stacked_mask`) and a
 reference to that ``P`` — a later PROB may replace the executor's current
-``P`` — and every EXTRACT kind reads the selected entries straight out of
+``P`` — and both EXTRACT kinds read the selected entries straight out of
 the pair: its ``indices`` and the mask, never its ``data``, so a NORM
 between SAMPLE and EXTRACT may normalize that ``P`` in place.
 ``tests/reference_interpreter.py`` keeps the step-by-step interpreter that
@@ -89,7 +87,7 @@ __all__ = [
 ]
 
 _PROB_SOURCES = ("frontier", "indicator", "global")
-_EXTRACT_KINDS = ("compact", "bipartite", "walk", "subgraph")
+_EXTRACT_KINDS = ("compact", "bipartite")
 
 
 @dataclass(frozen=True)
@@ -139,14 +137,12 @@ class ExtractStep:
 
     ``union_dst`` unions each batch's destination vertices into its sampled
     set (the root-term trick); ``debias`` importance-reweights the layer
-    (pure LADIES only); ``n_layers`` is the GNN depth a ``"subgraph"``
-    extraction emits.
+    (pure LADIES only).
     """
 
     kind: str = "compact"
     union_dst: bool = False
     debias: bool = False
-    n_layers: int | None = None
 
     def describe_args(self) -> list[str]:
         args = [self.kind]
@@ -154,8 +150,6 @@ class ExtractStep:
             args.append("union_dst")
         if self.debias:
             args.append("debias")
-        if self.n_layers is not None:
-            args.append(f"n_layers={self.n_layers}")
         return args
 
     def __post_init__(self) -> None:
@@ -164,10 +158,6 @@ class ExtractStep:
                 f"unknown EXTRACT kind {self.kind!r}; "
                 f"expected one of {_EXTRACT_KINDS}"
             )
-        if self.kind == "subgraph" and (
-            self.n_layers is None or self.n_layers <= 0
-        ):
-            raise ValueError("subgraph extraction needs n_layers >= 1")
 
 
 Step = Union[ProbStep, NormStep, SampleStep, ExtractStep]
@@ -193,7 +183,7 @@ class SamplingPlan:
     can be interpreted by any executor.
     Construction validates basic dataflow:
     SAMPLE needs a preceding PROB, and every EXTRACT needs a preceding
-    SAMPLE (except ``"subgraph"``, which reads the walk history).
+    SAMPLE.
     """
 
     steps: tuple[Step, ...]
@@ -213,7 +203,7 @@ class SamplingPlan:
                     raise ValueError("SAMPLE before any PROB step")
                 have_q = True
             elif isinstance(step, ExtractStep):
-                if step.kind != "subgraph" and not have_q:
+                if not have_q:
                     raise ValueError(
                         f"EXTRACT {step.kind!r} before any SAMPLE step"
                     )
@@ -241,7 +231,7 @@ class SamplingPlan:
         """One line per step: ``phase  STEP(args)`` — for docs and debug.
 
         A plan runs as emitted, so this is exactly what executes: four
-        lines per layer for the node- and layer-wise samplers.
+        lines per layer.
         """
         return "\n".join(
             f"{step_phase(step):<12} {plan_step_name(step)}"
@@ -376,18 +366,16 @@ class LocalExecutor:
 
     Carries the executor state Algorithm 1 threads between steps: the
     per-batch frontiers, the current ``P`` with its row-to-batch
-    ``bounds``, the last SAMPLE's ``(P, mask)`` pair, the collected layers,
-    and (for graph-wise plans) the walk history.  RNG handling matches the
-    historical loops exactly — a single generator is consumed across the
-    whole stacked bulk, per-batch generators draw per row block — so
-    fixed-seed output is bit-identical to the pre-IR implementations
-    (pinned by the golden digest suite).
+    ``bounds``, the last SAMPLE's ``(P, mask)`` pair and the collected
+    layers.  RNG handling matches the historical loops exactly — a single
+    generator is consumed across the whole stacked bulk, per-batch
+    generators draw per row block — so fixed-seed output is bit-identical
+    to the pre-IR implementations (pinned by the golden digest suite).
 
-    The three steps that consume a product of ``A`` are split into a state
+    The two steps that consume a product of ``A`` are split into a state
     half and the half that takes the product — :meth:`prob_q` /
-    :meth:`take_p`, :meth:`take_a_r`, :meth:`subgraph_vertices` /
-    :meth:`take_subgraphs` — so a driver that computes the products
-    elsewhere runs the same bodies:
+    :meth:`take_p` and :meth:`take_a_r` — so a driver that computes the
+    products elsewhere runs the same bodies:
     :class:`~repro.distributed.partitioned.PartitionedExecutor` holds one
     executor per process row and feeds it 1.5D products.  ``adj`` is the
     matrix this executor's own products read (a row executor's block row,
@@ -415,7 +403,6 @@ class LocalExecutor:
         # Frontier state: per-batch destination lists, batch-outward layers.
         self.dst_lists: list[np.ndarray] = [b for b in self.batches]
         self.layers_rev: list[list[LayerSample]] = [[] for _ in range(self.k)]
-        self.results: list[MinibatchSample | None] = [None] * self.k
         # Step-to-step dataflow.
         self.p: CSRMatrix | None = None
         self.bounds: np.ndarray | None = None
@@ -424,9 +411,7 @@ class LocalExecutor:
         # matrix's nonzeros (a later PROB replaces ``p``, not these).
         self.p_sampled: CSRMatrix | None = None
         self.sel: np.ndarray | None = None
-        self.frontier: np.ndarray | None = None
         self.importance: CSRMatrix | None = None
-        self.visited: list[np.ndarray] | None = None
         self._col_rank = (
             np.empty(self.n, dtype=np.int64) if col_rank is None else col_rank
         )
@@ -439,15 +424,11 @@ class LocalExecutor:
         return self.samples()
 
     def samples(self) -> list[MinibatchSample]:
-        """One sample per batch, in batch order: the subgraph a graph-wise
-        plan induced, or the collected layers outermost-first."""
+        """One sample per batch, in batch order, its layers
+        outermost-first."""
         return [
-            self.results[i]
-            if self.results[i] is not None
-            else MinibatchSample(
-                self.batches[i], list(reversed(self.layers_rev[i]))
-            )
-            for i in range(self.k)
+            MinibatchSample(batch, list(reversed(layers)))
+            for batch, layers in zip(self.batches, self.layers_rev)
         ]
 
     def _dispatch(self, step: Step) -> None:
@@ -467,13 +448,12 @@ class LocalExecutor:
     # PROB
     # ------------------------------------------------------------------ #
     def prob_q(self, step: ProbStep) -> CSRMatrix | None:
-        """PROB's state half: set ``bounds`` (and, node-wise, the walk
-        ``frontier``) and return the ``Q`` of ``P = Q A`` — ``None`` for a
-        global PROB, whose ``P`` is the importance row stacked per batch."""
+        """PROB's state half: set ``bounds`` and return the ``Q`` of
+        ``P = Q A`` — ``None`` for a global PROB, whose ``P`` is the
+        importance row stacked per batch."""
         if step.source == "frontier":
-            self.frontier = np.concatenate(self.dst_lists)
             self.bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
-            return self.sampler.make_q(self.frontier, self.n)
+            return self.sampler.make_q(np.concatenate(self.dst_lists), self.n)
         self.bounds = np.arange(self.k + 1)
         if step.source == "indicator":
             return self.sampler.make_q(self.dst_lists, self.n)
@@ -501,26 +481,12 @@ class LocalExecutor:
     def extract(self, step: ExtractStep) -> None:
         if step.kind == "compact":
             self._extract_compact()
-        elif step.kind == "bipartite":
+        else:
             self.take_a_r(
                 step,
                 self.sampler.row_extract(
                     self.adj, self.dst_lists, spgemm_fn=self.spgemm
                 ),
-            )
-        elif step.kind == "walk":
-            self._extract_walk()
-        else:
-            verts = self.subgraph_vertices()
-            self.take_subgraphs(
-                step,
-                verts,
-                [
-                    self.sampler.induced_subgraph(
-                        self.adj, v, spgemm_fn=self.spgemm
-                    )
-                    for v in verts
-                ],
             )
 
     def _collect(self, layers: list[LayerSample]) -> None:
@@ -581,48 +547,3 @@ class LocalExecutor:
         self._collect(layers)
         self.dst_lists = sampled
         return adjs
-
-    def _extract_walk(self) -> None:
-        """Walkers with a sampled neighbor move to it, walkers on isolated
-        vertices stay in place; the new positions are the next
-        destination lists."""
-        if self.visited is None:
-            self.visited = [self.frontier]
-        p, sel = self.p_sampled, self.sel
-        nxt = self.frontier.copy()
-        moved = np.diff(_masked_indptr(p.indptr, sel)) > 0
-        nxt[moved] = p.indices[sel]
-        self.visited.append(nxt)
-        self.dst_lists = [
-            nxt[int(self.bounds[b]) : int(self.bounds[b + 1])]
-            for b in range(len(self.bounds) - 1)
-        ]
-
-    def subgraph_vertices(self) -> list[np.ndarray]:
-        """Subgraph EXTRACT's state half: per batch, the sorted union of
-        every walk position it visited and its own roots."""
-        visited, bounds = self.visited, self.bounds
-        if visited is None:  # degenerate zero-step walk
-            visited = [np.concatenate(self.dst_lists)]
-            bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
-        verts = []
-        for b, batch in enumerate(self.batches):
-            lo, hi = int(bounds[b]), int(bounds[b + 1])
-            mine = np.unique(np.concatenate([v[lo:hi] for v in visited]))
-            verts.append(np.union1d(mine, batch))
-        return verts
-
-    def take_subgraphs(
-        self,
-        step: ExtractStep,
-        verts: Sequence[np.ndarray],
-        subs: Sequence[CSRMatrix],
-    ) -> None:
-        """Subgraph EXTRACT given ``A`` induced on each batch's vertex set:
-        ``n_layers`` layers over it, the last restricted to the batch's
-        rows."""
-        for i, (sub, v, batch) in enumerate(zip(subs, verts, self.batches)):
-            layers = [LayerSample(sub, v, v) for _ in range(step.n_layers - 1)]
-            pos = np.searchsorted(v, batch)
-            layers.append(LayerSample(sub.extract_rows(pos), v, batch))
-            self.results[i] = MinibatchSample(batch, layers)

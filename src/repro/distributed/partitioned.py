@@ -12,14 +12,14 @@ per batch-owning process row, and does only what the grid adds:
 * the products — ``PROB`` as the sparsity-aware 1.5D SpGEMM of Algorithm 2
   (:func:`~repro.distributed.spgemm_15d.spgemm_15d`) or the all-reduced
   global importance row for FastGCN-style samplers, and the row-extraction
-  half of bipartite and subgraph ``EXTRACT`` as a 1.5D SpGEMM;
+  half of bipartite ``EXTRACT`` as a 1.5D SpGEMM;
 * the charges — each row executor's row-local work charged to its row's
   ranks, and per-batch column extraction split across each row's ``c``
   replicas then all-gathered (section 5.2.3);
 * the round-robin reassembly of the samples.
 
 There is no per-algorithm code: any sampler with a plan — including
-registry plugins and GraphSAINT — runs partitioned.  Per-phase simulated
+registry plugins — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
 ``sampling`` / ``extraction``), derived from the step types via
 :func:`~repro.core.plan.step_phase`.  NORM is charged with its SAMPLE
@@ -232,57 +232,19 @@ class PartitionedExecutor:
     def _extract(self, step: ExtractStep) -> None:
         if step.kind == "bipartite":
             self._extract_bipartite(step)
-        elif step.kind == "subgraph":
-            self._extract_subgraph(step)
-        else:  # compact / walk: row-local
+        else:  # compact: row-local
             for row, ex in self.executors.items():
                 ex.extract(step)
-                touched = (
-                    24.0 * int(ex.sel.sum())
-                    if step.kind == "compact"
-                    else 16.0 * ex.visited[-1].size
-                )
                 _charge_row(
-                    self.comm, self.grid, row, nbytes=touched, kernels=2
+                    self.comm, self.grid, row,
+                    nbytes=24.0 * int(ex.sel.sum()), kernels=2,
                 )
 
     def _extract_bipartite(self, step: ExtractStep) -> None:
-        """Distributed row extraction (1.5D SpGEMM) followed by per-batch
-        column extraction split across each process row's replicas."""
-        ar_blocks = self._row_extract_15d(
-            {row: ex.dst_lists for row, ex in self.executors.items()}
-        )
-        for row, ex in self.executors.items():
-            bounds = np.cumsum([0] + [len(d) for d in ex.dst_lists])
-            adjs = ex.take_a_r(step, ar_blocks[row])
-            self._charge_split_extraction(row, ar_blocks[row], bounds, adjs)
-
-    def _extract_subgraph(self, step: ExtractStep) -> None:
-        """Distributed subgraph induction: the stacked per-batch vertex
-        sets row-extract ``A`` through the 1.5D SpGEMM, then each batch's
-        column compaction runs once per process row, split across its
-        ``c`` replicas like the layer-wise extraction."""
-        verts = {
-            row: ex.subgraph_vertices() for row, ex in self.executors.items()
-        }
-        ar_blocks = self._row_extract_15d(verts)
-        for row, ex in self.executors.items():
-            a_r = ar_blocks[row]
-            bounds = np.cumsum([0] + [len(v) for v in verts[row]])
-            subs = []
-            for b, v in enumerate(verts[row]):
-                rows = a_r.row_block(int(bounds[b]), int(bounds[b + 1]))
-                mask = np.zeros(self.n, dtype=bool)
-                mask[v] = True
-                subs.append(rows.select_columns(mask))
-            self._charge_split_extraction(row, a_r, bounds, subs)
-            ex.take_subgraphs(step, verts[row], subs)
-
-    def _row_extract_15d(
-        self, vert_lists: dict[int, list[np.ndarray]]
-    ) -> list[CSRMatrix]:
-        """``A_R = Q_R A`` over the grid: one selector row per stacked
-        vertex of each process row's per-batch lists."""
+        """Distributed row extraction ``A_R = Q_R A`` (1.5D SpGEMM, one
+        selector row per stacked destination of each process row) followed
+        by per-batch column extraction split across each process row's
+        replicas."""
         qr_rows = [
             row_selector(
                 np.concatenate(lists)
@@ -290,12 +252,18 @@ class PartitionedExecutor:
                 else np.empty(0, dtype=np.int64),
                 self.n,
             )
-            for lists in self._per_row(vert_lists)
+            for lists in self._per_row(
+                {row: ex.dst_lists for row, ex in self.executors.items()}
+            )
         ]
-        return spgemm_15d(
+        ar_blocks = spgemm_15d(
             self.comm, self.grid, _make_q_blocks(qr_rows, self.n),
             self.a_blocks, sparsity_aware=self.sparsity_aware,
         )
+        for row, ex in self.executors.items():
+            bounds = np.cumsum([0] + [len(d) for d in ex.dst_lists])
+            adjs = ex.take_a_r(step, ar_blocks[row])
+            self._charge_split_extraction(row, ar_blocks[row], bounds, adjs)
 
     def _charge_split_extraction(
         self,

@@ -1,15 +1,7 @@
 """Neural-network substrate: layers, losses, optimizers and GNN models with
 explicit numpy forward/backward passes (stand-in for PyTorch/PyG)."""
 
-from .activations import (
-    ACTIVATIONS,
-    Identity,
-    LeakyReLU,
-    ReLU,
-    Tanh,
-    make_activation,
-)
-from .attention import GATConv
+from .activations import ACTIVATIONS, Identity, ReLU, make_activation
 from .checkpoint import load_model_into, save_model
 from .layers import GCNConv, SAGEConv, glorot
 from .loss import softmax, softmax_cross_entropy
@@ -20,13 +12,10 @@ from .optim import Adam
 __all__ = [
     "ACTIVATIONS",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
     "Identity",
     "make_activation",
     "SAGEConv",
     "GCNConv",
-    "GATConv",
     "save_model",
     "load_model_into",
     "glorot",

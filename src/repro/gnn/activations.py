@@ -26,8 +26,6 @@ import numpy as np
 __all__ = [
     "ACTIVATIONS",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
     "Identity",
     "make_activation",
 ]
@@ -67,48 +65,6 @@ class ReLU:
         return _keep(self._mask, dy)
 
 
-class LeakyReLU:
-    """Leaky ReLU with a fixed negative slope."""
-
-    slope = 0.01
-
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    @classmethod
-    def apply(cls, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, cls.slope * x)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return np.where(self._mask, dy, self.slope * dy)
-
-
-class Tanh:
-    """Hyperbolic tangent; caches the output for the backward pass."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    @staticmethod
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return dy * (1.0 - self._out * self._out)
-
-
 class Identity:
     """No-op activation (a purely linear stack between convolutions)."""
 
@@ -127,8 +83,6 @@ class Identity:
 #: ``RunConfig.activation``).
 ACTIVATIONS: dict[str, type] = {
     "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "tanh": Tanh,
     "identity": Identity,
 }
 

@@ -13,14 +13,13 @@ import numpy as np
 from ..core.frontier import LayerSample, MinibatchSample
 from ..sparse import CSRMatrix, spmm_flops
 from .activations import make_activation
-from .attention import GATConv
 from .layers import GCNConv, SAGEConv
 
 __all__ = ["GNNModel", "CONVS", "full_graph_sample", "propagation_flops"]
 
 #: Convolution layer classes by ``conv`` name (what ``RunConfig.conv`` and
 #: a sampler's ``default_conv`` metadata must be a key of).
-CONVS: dict[str, type] = {"sage": SAGEConv, "gcn": GCNConv, "gat": GATConv}
+CONVS: dict[str, type] = {"sage": SAGEConv, "gcn": GCNConv}
 
 
 class GNNModel:
@@ -29,8 +28,7 @@ class GNNModel:
     ``conv="sage"`` builds SAGEConv layers (self + neighbor terms, for
     node-wise samples that include destinations in the frontier);
     ``conv="gcn"`` builds GCNConv layers (aggregation only, suitable for
-    layer-wise LADIES/FastGCN samples); ``conv="gat"`` builds single-head
-    graph-attention layers (needs destinations in the frontier).
+    layer-wise LADIES/FastGCN samples).
     ``activation`` names the inter-layer nonlinearity
     (:data:`repro.gnn.ACTIVATIONS`); inference paths read the configured
     instances from :attr:`acts` instead of assuming ReLU.

@@ -12,8 +12,8 @@ This module implements that schedule on top of the same
 properties are load-bearing (and tested):
 
 * it applies the model's *configured* inter-layer activation
-  (``model.acts``) rather than assuming ReLU, so tanh/leaky-relu/identity
-  models get exact full-graph inference too;
+  (``model.acts``) rather than assuming ReLU, so an ``identity`` model
+  gets exact full-graph inference too;
 * it runs through the convolutions' row-stable ``infer`` path, whose dense
   transforms are fixed-shape 32-row BLAS GEMMs
   (:func:`~repro.gnn.layers.stable_matmul`), so the output is bit-identical

@@ -62,18 +62,14 @@ def kernel_launches(plan: SamplingPlan) -> int:
     * a SAMPLE launches its draw; an EXTRACT right after it reads the
       selection mask, in the same pass;
     * every other step is a launch of its own: a NORM that does not follow
-      a PROB, an EXTRACT that does not follow a SAMPLE, and a ``subgraph``
-      EXTRACT (it reads the walk history, not the mask).
+      a PROB and an EXTRACT that does not follow a SAMPLE.
 
-    That is 2 per layer for the node- and layer-wise samplers and
-    ``2 * walk_length + 1`` for SAINT.
+    That is 2 per layer for the built-in samplers.
     """
     launches, prev = 0, None
     for step in plan.steps:
         rides = (isinstance(step, NormStep) and isinstance(prev, ProbStep)) or (
-            isinstance(step, ExtractStep)
-            and step.kind != "subgraph"
-            and isinstance(prev, SampleStep)
+            isinstance(step, ExtractStep) and isinstance(prev, SampleStep)
         )
         if not rides:
             launches += 1

@@ -3,9 +3,9 @@
 :func:`spgemm` runs scipy's compiled ``csr_matmat`` — the row-wise
 accumulator SpGEMM — on :meth:`CSRMatrix.to_scipy`'s zero-copy int64 views
 of both operands, and sorts each output row's columns.  A product whose left
-operand has at most one ``1.0`` per row (GraphSAGE's ``Q``, LADIES' ``Q_R``,
-a walk frontier, and their 1.5D stage slices) is a row gather of the right
-operand and runs as one.
+operand has at most one ``1.0`` per row (GraphSAGE's ``Q``, LADIES' ``Q_R``
+and their 1.5D stage slices) is a row gather of the right operand and runs
+as one.
 
 Besides the kernel the module exposes :func:`spgemm_flops` (the
 multiply-add count the simulated cost model charges) and

@@ -4,12 +4,13 @@ interpreter, the CSR-building SAMPLE it runs, and the dead-step analysis.
 :class:`ReferenceInterpreter` is the single-device plan interpreter as it
 stood before the executors moved to mask dataflow
 (``repro.core.plan.LocalExecutor`` at commit 4102b0c, body moved here
-verbatim minus its tracing hook): NORM copies the whole probability matrix,
+verbatim minus its tracing hook and, since, the random-walk EXTRACT kinds
+the executors no longer have): NORM copies the whole probability matrix,
 SAMPLE builds the sampled ``Q^{l-1}`` as a CSR matrix (:func:`sample_stacked`,
 the ``MatrixSampler`` method of that name until the executors stopped
 calling it), and every EXTRACT tears that matrix apart again —
-``extract_batch_layer(q_next.row_block(...))`` per batch, per-batch
-``induced_subgraph``.  It shares no handler with the executors under
+``extract_batch_layer(q_next.row_block(...))`` per batch, ``q_next.row(i)``
+per layer-wise batch.  It shares no handler with the executors under
 ``src/``, which is what makes it a reference:
 ``tests/test_compile_differential.py`` and ``tests/test_compile.py`` hold
 the executor, locally and on the 1.5D grid, byte-equal to it.
@@ -30,12 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import (
-    FastGCNSampler,
-    GraphSaintRWSampler,
-    LadiesSampler,
-    SageSampler,
-)
+from repro.core import FastGCNSampler, LadiesSampler, SageSampler
 from repro.core.frontier import LayerSample, MinibatchSample
 from repro.core.its import its_sample_rows
 from repro.core.plan import (
@@ -172,22 +168,8 @@ def _norm_is_dead(steps: list, i: int) -> bool:
 
 def _prob_is_dead(steps: list, i: int) -> bool:
     """PROB at ``i`` is dead iff the very next step is another PROB (every
-    other step type reads something PROB wrote), with one frontier caveat:
-    a ``frontier``-source PROB also records the walk frontier, which a
-    non-frontier PROB does not rewrite — so it stays live if any walk
-    extraction could still read it."""
-    if i + 1 >= len(steps):
-        return True  # trailing PROB: nothing reads it
-    nxt = steps[i + 1]
-    if not isinstance(nxt, ProbStep):
-        return False
-    if steps[i].source == "frontier" and nxt.source != "frontier":
-        if any(
-            isinstance(s, ExtractStep) and s.kind == "walk"
-            for s in steps[i + 1 :]
-        ):
-            return False
-    return True
+    other step type reads something PROB wrote)."""
+    return i + 1 >= len(steps) or isinstance(steps[i + 1], ProbStep)
 
 
 def eliminate_dead_steps(plan: SamplingPlan) -> SamplingPlan:
@@ -277,7 +259,6 @@ class PlanSampler(MatrixSampler):
     col_extract = LadiesSampler.col_extract
     debias_layer = staticmethod(LadiesSampler.debias_layer)
     importance_row = staticmethod(FastGCNSampler.importance_row)
-    induced_subgraph = GraphSaintRWSampler.induced_subgraph
 
     def plan(self, fanout):
         return SamplingPlan(self._steps)
@@ -289,8 +270,8 @@ class ReferenceInterpreter:
 
     Carries the executor state Algorithm 1 threads between steps: the
     per-batch frontiers, the current ``P`` / sampled ``Q`` pair with its
-    row-to-batch ``bounds``, the collected layers, and (for graph-wise
-    plans) the walk history.  A single generator is consumed across the
+    row-to-batch ``bounds`` and the collected layers.  A single generator
+    is consumed across the
     whole stacked bulk, per-batch generators draw per row block.
     """
 
@@ -312,15 +293,12 @@ class ReferenceInterpreter:
         # Frontier state: per-batch destination lists, batch-outward layers.
         self.dst_lists: list[np.ndarray] = [b for b in self.batches]
         self.layers_rev: list[list[LayerSample]] = [[] for _ in range(self.k)]
-        self.results: list[MinibatchSample | None] = [None] * self.k
         # Step-to-step dataflow.
         self.p: CSRMatrix | None = None
         self.q_next: CSRMatrix | None = None
         self.bounds: np.ndarray | None = None
         self.s: int | None = None
-        self.frontier: np.ndarray | None = None
         self.importance: CSRMatrix | None = None
-        self.visited: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Driver
@@ -329,11 +307,7 @@ class ReferenceInterpreter:
         for step in plan.steps:
             self._dispatch(step)
         return [
-            self.results[i]
-            if self.results[i] is not None
-            else MinibatchSample(
-                self.batches[i], list(reversed(self.layers_rev[i]))
-            )
+            MinibatchSample(self.batches[i], list(reversed(self.layers_rev[i])))
             for i in range(self.k)
         ]
 
@@ -352,9 +326,8 @@ class ReferenceInterpreter:
     # ------------------------------------------------------------------ #
     def _prob(self, step: ProbStep) -> None:
         if step.source == "frontier":
-            self.frontier = np.concatenate(self.dst_lists)
             self.bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
-            q = self.sampler.make_q(self.frontier, self.n)
+            q = self.sampler.make_q(np.concatenate(self.dst_lists), self.n)
             self.p = self.spgemm(q, self.adj)
         elif step.source == "indicator":
             self.bounds = np.arange(self.k + 1)
@@ -381,12 +354,8 @@ class ReferenceInterpreter:
     def _extract(self, step: ExtractStep) -> None:
         if step.kind == "compact":
             self._extract_compact()
-        elif step.kind == "bipartite":
-            self._extract_bipartite(step)
-        elif step.kind == "walk":
-            self._extract_walk()
         else:
-            self._extract_subgraph(step)
+            self._extract_bipartite(step)
 
     def _extract_compact(self) -> None:
         new_dsts: list[np.ndarray] = []
@@ -420,37 +389,3 @@ class ReferenceInterpreter:
                 layer = self.sampler.debias_layer(layer, probs, self.s)
             self.layers_rev[i].append(layer)
         self.dst_lists = sampled
-
-    def _extract_walk(self) -> None:
-        if self.visited is None:
-            self.visited = [self.frontier]
-        nxt = self.frontier.copy()
-        picked = np.flatnonzero(self.q_next.nnz_per_row() > 0)
-        nxt[picked] = self.q_next.indices
-        self.visited.append(nxt)
-        self.dst_lists = [
-            nxt[int(self.bounds[i]) : int(self.bounds[i + 1])]
-            for i in range(self.k)
-        ]
-
-    def _extract_subgraph(self, step: ExtractStep) -> None:
-        if self.visited is None:  # degenerate zero-step walk
-            self.visited = [np.concatenate(self.dst_lists)]
-            self.bounds = np.cumsum([0] + [len(d) for d in self.dst_lists])
-        for i in range(self.k):
-            batch = self.batches[i]
-            lo, hi = int(self.bounds[i]), int(self.bounds[i + 1])
-            mine = np.unique(
-                np.concatenate([stepv[lo:hi] for stepv in self.visited])
-            )
-            verts = np.union1d(mine, batch)
-            sub = self.sampler.induced_subgraph(
-                self.adj, verts, spgemm_fn=self.spgemm
-            )
-            layers = [
-                LayerSample(sub, verts, verts)
-                for _ in range(step.n_layers - 1)
-            ]
-            pos = np.searchsorted(verts, batch)
-            layers.append(LayerSample(sub.extract_rows(pos), verts, batch))
-            self.results[i] = MinibatchSample(batch, layers)

@@ -74,7 +74,7 @@ class TestRegistry:
 
 class TestBuiltinRegistries:
     def test_builtin_samplers_present(self):
-        assert {"sage", "ladies", "fastgcn", "saint"} <= set(SAMPLERS.names())
+        assert {"sage", "ladies", "fastgcn"} <= set(SAMPLERS.names())
 
     def test_builtin_algorithms_present(self):
         assert {"single", "replicated", "partitioned"} <= set(ALGORITHMS.names())
@@ -168,21 +168,38 @@ class TestRunConfig:
     def test_resolved_conv_from_registry(self):
         assert RunConfig(sampler="sage").resolved_conv() == "sage"
         assert RunConfig(sampler="ladies", fanout=(8,)).resolved_conv() == "gcn"
-        assert RunConfig(conv="gat", fanout=(4, 2)).resolved_conv() == "gat"
+        assert RunConfig(
+            sampler="ladies", conv="sage", fanout=(8,)
+        ).resolved_conv() == "sage"
+
+    @pytest.mark.parametrize(
+        "field,value,known",
+        [
+            ("conv", "gat", ["sage", "gcn"]),
+            ("sampler", "saint", ["fastgcn", "ladies", "sage"]),
+            ("activation", "tanh", ["relu", "identity"]),
+        ],
+        ids=["conv-gat", "sampler-saint", "activation-tanh"],
+    )
+    def test_removed_values_are_refused_naming_the_rest(
+        self, field, value, known
+    ):
+        """The attention conv, the random-walk sampler and the unused
+        activations are gone; the registry error names what remains."""
+        with pytest.raises(ValueError) as err:
+            RunConfig(**{field: value})
+        head, _, names = str(err.value).partition("; known ")
+        assert head == f"unknown {field} {value!r}"
+        listed = names.split(": ", 1)[1].split(", ")  # plugins may add more
+        assert set(known) <= set(listed) and value not in listed
 
 
 class TestCapabilities:
-    def test_saint_trains_under_replicated(self, labeled_graph):
-        cfg = RunConfig(
-            p=2, sampler="saint", fanout=(2, 2), batch_size=32, hidden=16,
-        )
-        stats = TrainingPipeline(labeled_graph, cfg).train_epoch()
-        assert stats.loss is not None and np.isfinite(stats.loss)
-
-    def test_saint_accepted_under_partitioned(self):
-        """SAINT emits a sampling plan, so partitioned support is derived —
-        the config layer must accept the combination."""
-        cfg = RunConfig(p=4, c=2, sampler="saint", algorithm="partitioned",
+    @pytest.mark.parametrize("sampler", ["sage", "ladies", "fastgcn"])
+    def test_builtin_accepted_under_partitioned(self, sampler):
+        """Every built-in emits a sampling plan, so partitioned support is
+        derived — the config layer must accept the combination."""
+        cfg = RunConfig(p=4, c=2, sampler=sampler, algorithm="partitioned",
                         fanout=(2, 2))
         assert cfg.algorithm == "partitioned"
 

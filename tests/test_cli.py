@@ -26,11 +26,11 @@ class TestParser:
             )
 
     def test_registry_drives_choices(self):
-        # saint is registered trainable, so the train command accepts it.
+        # fastgcn is registered trainable, so the train command accepts it.
         args = build_parser().parse_args(
-            ["train", "products", "--sampler", "saint"]
+            ["train", "products", "--sampler", "fastgcn"]
         )
-        assert args.sampler == "saint"
+        assert args.sampler == "fastgcn"
 
     def test_train_defaults_resolve(self):
         args = build_parser().parse_args(["train", "products"])
@@ -108,7 +108,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "perlmutter-like" in out
         assert "TF/s" in out
-        assert "samplers:" in out and "saint" in out
+        assert "samplers:" in out and "fastgcn" in out
 
     def test_generate_roundtrip(self, tmp_path, capsys):
         out_path = tmp_path / "g.npz"
@@ -122,7 +122,7 @@ class TestCommands:
         assert g.n > 0 and g.n_features == 100
         assert "vertices" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("sampler", ["sage", "ladies", "fastgcn", "saint"])
+    @pytest.mark.parametrize("sampler", ["sage", "ladies", "fastgcn"])
     def test_sample_all_samplers(self, sampler, capsys):
         code = main(
             [
@@ -172,16 +172,15 @@ class TestCommands:
         assert "cache hit-rate" in out
         assert "overlap saved" in out
 
-    def test_train_saint_first_class(self, capsys):
-        code = main(
-            [
-                "train", "products", "--sampler", "saint", "--scale", "0.1",
-                "--epochs", "1", "--p", "2", "--batch-size", "16",
-                "--fanout", "2,2",
-            ]
-        )
-        assert code == 0
-        assert "test accuracy" in capsys.readouterr().out
+    def test_train_refuses_removed_sampler(self, capsys):
+        """The random-walk sampler is gone: argparse refuses it, exit 2,
+        naming the samplers that remain."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "products", "--sampler", "saint"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'saint'" in err
+        assert all(name in err for name in ("fastgcn", "ladies", "sage"))
 
     def test_train_respects_fanout_flag(self, capsys):
         code = main(

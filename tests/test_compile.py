@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.comm import Communicator, ProcessGrid
 from repro.core import (
     FastGCNSampler,
-    GraphSaintRWSampler,
     LadiesSampler,
     SageSampler,
     batch_rng,
@@ -167,28 +166,6 @@ def test_fuse_sample_extract_on_ladies_plan():
     assert kernel_launches(plan) == 2
 
 
-def test_fuse_sample_extract_rejects_subgraph():
-    """A subgraph EXTRACT reads the walk history, not the sample: it is a
-    launch of its own even right after a SAMPLE."""
-    right_after = SamplingPlan(
-        (
-            ProbStep("frontier"),
-            SampleStep(1),
-            ExtractStep("subgraph", n_layers=2),
-        )
-    )
-    assert kernel_launches(right_after) == 3
-    after_walk = SamplingPlan(
-        (
-            ProbStep("frontier"),
-            SampleStep(1),
-            ExtractStep("walk"),
-            ExtractStep("subgraph", n_layers=2),
-        )
-    )
-    assert kernel_launches(after_walk) == 3
-
-
 def test_fuse_sample_extract_fuses_first_of_two_extracts():
     # Two EXTRACTs share one SAMPLE: the first rides its launch, the second
     # reads the (P, mask) pair left behind in a launch of its own (executed
@@ -246,9 +223,6 @@ FUSED_STEP_COUNTS = {
     ("ladies-debias", (16, 16)): 4,
     ("fastgcn", (32,)): 2,
     ("fastgcn", (4, 3)): 4,
-    ("saint-1", (3, 3)): 3,
-    ("saint", (4, 3)): 7,
-    ("saint", (4,)): 7,
     ("degree-biased", (10, 5)): 4,
 }
 
@@ -257,8 +231,6 @@ _LAUNCH_SAMPLERS = {
     "ladies": lambda: LadiesSampler(include_dst=True),
     "ladies-debias": lambda: LadiesSampler(debias=True),
     "fastgcn": lambda: FastGCNSampler(include_dst=True),
-    "saint-1": lambda: GraphSaintRWSampler(walk_length=1),
-    "saint": lambda: GraphSaintRWSampler(walk_length=3),
     "degree-biased": lambda: DegreeBiasedSampler(np.ones(8)),
 }
 
@@ -362,22 +334,10 @@ def test_dse_removes_trailing_dead_norm():
     assert not isinstance(out.steps[-1], NormStep)
 
 
-def test_dse_frontier_guard_keeps_prob_before_walk():
-    # frontier-source PROB also records the walk frontier, which a
-    # non-frontier PROB does not rewrite (locally or on the grid: one
-    # executor runs both): it stays live if a walk extraction can still
-    # read it.
+def test_dse_removes_prob_overwritten_by_another_source():
+    # A frontier-source PROB followed by an indicator-source one: the
+    # second overwrites P and the bounds, and nothing reads the first.
     plan = SamplingPlan(
-        (
-            ProbStep("frontier"),
-            ProbStep("indicator"),
-            SampleStep(1),
-            ExtractStep("walk"),
-        )
-    )
-    assert eliminate_dead_steps(plan).steps == plan.steps
-    # Without a walk reader the first PROB really is dead.
-    no_walk = SamplingPlan(
         (
             ProbStep("frontier"),
             ProbStep("indicator"),
@@ -385,7 +345,7 @@ def test_dse_frontier_guard_keeps_prob_before_walk():
             ExtractStep("bipartite"),
         )
     )
-    assert len(eliminate_dead_steps(no_walk).steps) == 3
+    assert eliminate_dead_steps(plan).steps == plan.steps[1:]
 
 
 def test_dse_fixpoint_cascades():
@@ -415,7 +375,6 @@ def test_dse_preserves_stock_plans():
         (LadiesSampler(debias=True), [(16, 16)]),
         (LadiesSampler(include_dst=True), [(16,)]),
         (FastGCNSampler(), [(16,), (8, 8)]),
-        (GraphSaintRWSampler(walk_length=3), [(3, 3)]),
         (DegreeBiasedSampler(np.ones(8)), [(10, 5)]),
     ]:
         for fanout in fanouts:
@@ -442,19 +401,6 @@ def test_describe_renders_four_steps_per_layer():
         "sampling     SAMPLE(s=3)",
         "extraction   EXTRACT(compact)",
     ]
-
-
-def test_describe_saint_keeps_subgraph_interpreted():
-    plan = GraphSaintRWSampler(walk_length=2).plan((4,))
-    lines = plan.describe().splitlines()
-    assert lines[:4] == [
-        "probability  PROB(frontier)",
-        "sampling     NORM()",
-        "sampling     SAMPLE(s=1)",
-        "extraction   EXTRACT(walk)",
-    ]
-    assert lines[-1] == "extraction   EXTRACT(subgraph, n_layers=1)"
-    assert kernel_launches(plan) == 2 * 2 + 1  # the subgraph is its own
 
 
 # --------------------------------------------------------------------- #
@@ -881,19 +827,20 @@ def _assert_executors_match_oracle(sampler, adj, batches, seed=11):
 
 
 def test_double_extract_after_one_sample():
-    """Two walk advances read one SAMPLE: the second reads the (P, mask)
-    pair the first left behind.  (Two *compact* extractions off one SAMPLE
-    are not a meaningful program: the second would pair new destinations
-    with old row bounds.)"""
+    """Two bipartite extractions read one SAMPLE: the second reads the
+    (P, mask) pair the first left behind, and debiases from the same P — a
+    second layer over the same sampled set.  (Two *compact* extractions
+    off one SAMPLE are not a meaningful program: the second would pair new
+    destinations with old row bounds.)"""
     steps = [
-        ProbStep("frontier"), NormStep(), SampleStep(1),
-        ExtractStep("walk"), ExtractStep("walk"),
-        ExtractStep("subgraph", n_layers=2),
+        ProbStep("indicator"), NormStep(), SampleStep(6),
+        ExtractStep("bipartite", debias=True),
+        ExtractStep("bipartite", debias=True),
     ]
-    sampler = PlanSampler(steps, include_dst=True)
-    # The first advance rides SAMPLE's launch; the second and the
-    # subgraph are launches of their own.
-    assert kernel_launches(sampler.plan((1,))) == 4
+    sampler = PlanSampler(steps, norm_mode="ladies")
+    # The first extraction rides SAMPLE's launch; the second is a launch
+    # of its own.
+    assert kernel_launches(sampler.plan((1,))) == 3
     adj = _graph(seed=5)
     _assert_executors_match_oracle(sampler, adj, _batches(adj, k=4))
 
@@ -961,11 +908,10 @@ def test_norm_not_after_prob_matches_oracle(steps, norm_mode):
         (lambda: LadiesSampler(debias=True), (16,)),
         (lambda: LadiesSampler(include_dst=True), (16,)),
         (lambda: FastGCNSampler(), (16,)),
-        (lambda: GraphSaintRWSampler(walk_length=3), (3, 3)),
     ],
     ids=[
         "sage", "sage-nodst", "ladies", "ladies-debias", "ladies-dst",
-        "fastgcn", "saint",
+        "fastgcn",
     ],
 )
 def test_compiled_local_matches_interpreted(factory, fanout):

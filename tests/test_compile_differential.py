@@ -1,9 +1,9 @@
 """Differential plan-fuzzing: the executors == the oracle, always.
 
 Hypothesis generates random *valid* sampling plans — stage-structured
-mixes of node-wise, layer-wise, global and random-walk stages with dead
-steps injected, double extractions off one SAMPLE, debiasing, destination
-unioning and both NORM styles — and executes each one on a random graph.  Every plan
+mixes of node-wise, layer-wise and global stages with dead steps injected,
+double extractions off one SAMPLE, debiasing, destination unioning and
+both NORM styles — and executes each one on a random graph.  Every plan
 runs through the ``Q^{l-1}``-materializing oracle (:mod:`reference_interpreter`), through
 :class:`~repro.core.plan.LocalExecutor` (the product path,
 ``sample_bulk``, which runs the plan as emitted with NORM in place), and
@@ -14,8 +14,8 @@ emitted them.
 
 The plans are run by a :class:`~reference_interpreter.PlanSampler` assembled from the real
 samplers' own primitives (GraphSAGE compaction, LADIES row/column
-extraction and debiasing, FastGCN's importance row, SAINT's subgraph
-induction), so every generated plan exercises production extraction code
+extraction and debiasing, FastGCN's importance row), so every generated
+plan exercises production extraction code
 — the fuzz surface is the *plan space*, not toy kernels.
 """
 
@@ -77,28 +77,18 @@ def _stage_steps(stage, draw_dead):
         if stage["norm"]:
             steps.append(NormStep())
         steps += [SampleStep(stage["count"]), ExtractStep("compact")]
-    elif kind == "walk":
-        steps.append(ProbStep("frontier"))
-        if stage["norm"]:
-            steps.append(NormStep())
-        steps += [SampleStep(1), ExtractStep("walk")]
-        if stage["double_extract"]:
-            # A second walk advance off the same SAMPLE reads the (P, mask)
-            # pair the first left behind.
-            steps.append(ExtractStep("walk"))
     else:  # "layer" (indicator source) or "global"
         source = "indicator" if kind == "layer" else "global"
         steps.append(ProbStep(source))
         if stage["norm"]:
             steps.append(NormStep())
         steps.append(SampleStep(stage["count"]))
-        steps.append(
-            ExtractStep(
-                "bipartite",
-                union_dst=stage["union_dst"],
-                debias=stage["debias"],
-            )
+        extract = ExtractStep(
+            "bipartite", union_dst=stage["union_dst"], debias=stage["debias"]
         )
+        # A second extraction off the same SAMPLE reads the (P, mask) pair
+        # the first left behind: one more layer over the same sampled set.
+        steps += [extract] * (2 if stage["double_extract"] else 1)
     return steps
 
 
@@ -109,21 +99,16 @@ def fuzz_cases(draw):
     k = draw(st.integers(1, 3))
     batch_size = draw(st.integers(2, 6))
     seed = draw(st.integers(0, 2**16))
-    family = draw(st.sampled_from(["layered", "walk"]))
     n_stages = draw(st.integers(1, 3))
     stages = []
     for _ in range(n_stages):
-        if family == "walk":
-            kind = "walk"
-        else:
-            kind = draw(st.sampled_from(["node", "layer", "global"]))
+        kind = draw(st.sampled_from(["node", "layer", "global"]))
         norm = draw(st.booleans())
         union_dst = debias = double = False
         if kind in ("layer", "global"):
             union_dst = draw(st.booleans())
             if norm and not union_dst:
                 debias = draw(st.booleans())
-        if kind == "walk":
             double = draw(st.booleans())
         count = draw(st.integers(1, 4))
         stages.append(
@@ -143,10 +128,6 @@ def fuzz_cases(draw):
     steps = []
     for stage in stages:
         steps += _stage_steps(stage, stage["dead"])
-    if family == "walk":
-        steps.append(
-            ExtractStep("subgraph", n_layers=draw(st.integers(1, 2)))
-        )
     return {
         "graph_idx": graph_idx,
         "steps": steps,

@@ -1,78 +1,22 @@
-"""Extension features beyond the paper's core: graph-wise sampling,
-debiased LADIES, layer-wise inference, graph serialization."""
+"""Extension features beyond the paper's core: debiased LADIES,
+layer-wise inference, graph and checkpoint serialization."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import GraphSaintRWSampler, LadiesSampler
-from repro.gnn import GNNModel, full_graph_sample
+from repro.core import LadiesSampler
+from repro.gnn import (
+    ACTIVATIONS,
+    GNNModel,
+    full_graph_sample,
+    load_model_into,
+    save_model,
+)
 from repro.graphs import load_dataset, load_graph, save_graph
 from repro.pipeline import layerwise_inference
 from repro.sparse import CSRMatrix, spmm
-
-from tests.test_gnn import widen
-
-
-class TestGraphSaintRW:
-    """The third sampler taxonomy (graph-wise), built on Algorithm-1 pieces."""
-
-    def test_subgraph_is_induced(self, small_adj, batches, rng):
-        sampler = GraphSaintRWSampler(walk_length=3)
-        out = sampler.sample_bulk(small_adj, batches[:3], (2, 2), rng)
-        dense = small_adj.to_dense()
-        for mb in out:
-            layer = mb.layers[0]
-            # The subgraph layer contains EVERY edge among visited vertices.
-            sub = dense[np.ix_(layer.dst_ids, layer.src_ids)]
-            assert np.allclose(layer.adj.to_dense(), sub)
-
-    def test_batch_vertices_in_subgraph(self, small_adj, batches, rng):
-        out = GraphSaintRWSampler(walk_length=2).sample_bulk(
-            small_adj, batches[:3], (2,), rng
-        )
-        for mb in out:
-            assert np.all(np.isin(mb.batch, mb.layers[0].src_ids))
-            assert np.array_equal(mb.layers[-1].dst_ids, mb.batch)
-
-    def test_walk_reaches_beyond_roots(self, small_adj, rng):
-        batch = np.arange(8)
-        out = GraphSaintRWSampler(walk_length=4).sample_bulk(
-            small_adj, [batch], (2,), rng
-        )
-        # With degree-8+ vertices and 4 steps, walks must leave the roots.
-        assert out[0].layers[0].n_src > len(batch)
-
-    def test_longer_walks_visit_more(self, small_adj, rng):
-        batch = np.arange(16)
-        sizes = []
-        for length in (1, 8):
-            out = GraphSaintRWSampler(walk_length=length).sample_bulk(
-                small_adj, [batch], (2,), np.random.default_rng(0)
-            )
-            sizes.append(out[0].layers[0].n_src)
-        assert sizes[1] > sizes[0]
-
-    def test_model_trains_on_subgraph(self, small_adj, rng):
-        out = GraphSaintRWSampler(walk_length=3).sample_bulk(
-            small_adj, [np.arange(16)], (2, 2), rng
-        )
-        mb = out[0]
-        model = GNNModel(8, 16, 3, 2, rng, conv="gcn")
-        logits = model.forward(mb, rng.random((mb.input_frontier.size, 8)))
-        assert logits.shape == (16, 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GraphSaintRWSampler(walk_length=0)
-
-    def test_isolated_roots_stay_in_place(self, rng):
-        adj = CSRMatrix.zeros((10, 10))
-        out = GraphSaintRWSampler(walk_length=2).sample_bulk(
-            adj, [np.array([3, 7])], (2,), rng
-        )
-        assert np.array_equal(out[0].layers[0].src_ids, [3, 7])
 
 
 class TestDebiasedLadies:
@@ -157,6 +101,29 @@ class TestDebiasedLadies:
             LadiesSampler.debias_layer(layer, np.zeros(10), 3)
 
 
+class _Tanh:
+    """Test-only activation; inference paths call only ``apply``."""
+
+    apply = staticmethod(np.tanh)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+
+class _LeakyReLU:
+    """Test-only activation with a fixed 0.01 negative slope."""
+
+    @staticmethod
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, 0.01 * x)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+
+_TEST_ACTIVATIONS = {"tanh": _Tanh, "leaky_relu": _LeakyReLU}
+
+
 class TestLayerwiseInference:
     def test_matches_full_forward(self, labeled_graph, rng):
         model = GNNModel(
@@ -210,39 +177,19 @@ class TestLayerwiseInference:
         default = layerwise_inference(model, small, batch_size=4096)
         assert np.array_equal(one, default)
 
-    def test_gat_model_parity(self, labeled_graph, rng):
-        """Attention models go through the same schedule exactly.
-
-        Training's plain ``@`` and inference's ``stable_matmul`` associate
-        differently, so the two agree to the width's precision: the
-        ``allclose`` runs on a float64-widened model.  At the model's
-        float32, layer-wise inference stays float32 and bit-stable across
-        batch sizes."""
-        model = GNNModel(
-            labeled_graph.n_features, 8, labeled_graph.n_classes, 2, rng,
-            conv="gat",
-        )
-        narrow = layerwise_inference(model, labeled_graph, batch_size=97)
-        assert narrow.dtype == np.float32
-        assert narrow.tobytes() == layerwise_inference(
-            model, labeled_graph, batch_size=513
-        ).tobytes()
-        for conv in model.convs:
-            widen(conv)
-        full = model.forward(
-            full_graph_sample(labeled_graph.adj, 2), labeled_graph.features
-        )
-        fast = layerwise_inference(model, labeled_graph, batch_size=97)
-        assert np.allclose(full, fast)
-        assert np.array_equal(
-            fast, layerwise_inference(model, labeled_graph, batch_size=513)
-        )
-
     @pytest.mark.parametrize("activation", ["tanh", "leaky_relu", "identity"])
-    def test_non_relu_activation_is_exact(self, labeled_graph, rng, activation):
+    def test_non_relu_activation_is_exact(
+        self, labeled_graph, rng, activation, monkeypatch
+    ):
         """The configured activation is applied between layers — non-ReLU
         models match their own single-shot forward (the historical code
-        hard-coded ReLU here)."""
+        hard-coded ReLU here).  ``tanh`` and ``leaky_relu`` are registered
+        for this test only, so it also covers activations the library does
+        not ship."""
+        if activation in _TEST_ACTIVATIONS:
+            monkeypatch.setitem(
+                ACTIVATIONS, activation, _TEST_ACTIVATIONS[activation]
+            )
         model = GNNModel(
             labeled_graph.n_features, 8, labeled_graph.n_classes, 3, rng,
             activation=activation,
@@ -352,3 +299,63 @@ class TestLoadGraphValidates:
         with pytest.raises(ValueError, match="per vertex") as err:
             load_graph(path)
         assert str(path) in str(err.value)
+
+
+class TestCheckpointErrors:
+    """A checkpoint that does not fit fails in ``load_model_into`` with a
+    ``ValueError`` naming the file, not deep inside numpy or zipfile."""
+
+    @staticmethod
+    def _sage():
+        return GNNModel(5, 6, 3, 2, np.random.default_rng(0), conv="sage")
+
+    def test_architecture_mismatch_rejected(self, tmp_path, rng):
+        path = save_model(GNNModel(6, 8, 3, 2, rng), tmp_path / "model.npz")
+        for wrong in (GNNModel(6, 8, 3, 3, rng), GNNModel(6, 16, 3, 2, rng)):
+            with pytest.raises(ValueError) as err:
+                load_model_into(wrong, path)
+            assert str(path) in str(err.value)
+
+    def test_other_conv_names_missing_and_unexpected(self, tmp_path):
+        """A two-layer attention-conv checkpoint (``W``, ``a_src``,
+        ``a_dst``, ``b`` per layer) loaded into a SAGE model."""
+        rng = np.random.default_rng(1)
+        arrays = {}
+        for i, (fan_in, fan_out) in enumerate([(5, 6), (6, 3)]):
+            arrays[f"conv{i}__W"] = rng.random((fan_in, fan_out))
+            for name in ("a_src", "a_dst", "b"):
+                arrays[f"conv{i}__{name}"] = rng.random(fan_out)
+        path = tmp_path / "attention.npz"
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_model_into(self._sage(), path)
+        message = str(err.value)
+        assert str(path) in message
+        missing, unexpected = message.split("unexpected")
+        assert "missing" in missing
+        assert "conv0.W_neigh" in missing and "conv1.W_self" in missing
+        assert "conv0.a_src" not in missing and "conv0.a_src" in unexpected
+        assert "conv0.W_self" not in unexpected
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_truncated_or_corrupt_file(self, tmp_path, damage):
+        """Half the file (no zip directory left), or eight flipped bytes
+        inside the first compressed member (zlib fails on reading it)."""
+        path = save_model(self._sage(), tmp_path / "model.npz")
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            raw = raw[: len(raw) // 2]
+        else:
+            raw[100:108] = bytes(b ^ 0xFF for b in raw[100:108])
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated or corrupt") as err:
+            load_model_into(self._sage(), path)
+        assert str(path) in str(err.value)
+
+    def test_text_file(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_text("not a checkpoint\n")
+        with pytest.raises(ValueError, match="not a .npz archive") as err:
+            load_model_into(self._sage(), path)
+        assert str(path) in str(err.value)
+        assert "pickled" not in str(err.value)

@@ -13,8 +13,7 @@ properties are pinned:
    own stream and its frontier evolution is batch-local.
 3. **Executor parity** — partitioned output equals single-rank replicated
    output and the ``Q^{l-1}``-materializing oracle's, for every
-   plan-emitting sampler *including SAINT*, whose partitioned support is
-   new and entirely derived from its plan.
+   plan-emitting sampler.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ import numpy as np
 import pytest
 
 from repro.comm import Communicator, ProcessGrid
-from repro.core import (
-    FastGCNSampler,
-    GraphSaintRWSampler,
-    LadiesSampler,
-    SageSampler,
-    batch_rng,
-)
+from repro.core import FastGCNSampler, LadiesSampler, SageSampler, batch_rng
 from repro.distributed import (
     PartitionedExecutor,
     partitioned_bulk_sampling,
@@ -51,12 +44,10 @@ SAMPLER_CASES = [
     ("sage", lambda: SageSampler(include_dst=True), (5, 3)),
     ("ladies", lambda: LadiesSampler(include_dst=True), (32,)),
     ("fastgcn", lambda: FastGCNSampler(include_dst=True), (32,)),
-    ("saint", lambda: GraphSaintRWSampler(walk_length=3), (3, 3)),
 ]
 
 #: Digests recorded by running the PRE-refactor hand-coded partitioned
 #: implementations (commit 01a2a91) at p=4, c=1, seed=7 on this workload.
-#: SAINT has no entry: it could not run partitioned before this refactor.
 #: Re-recorded, every grid agreeing, when SAMPLE moved to one prefix sum
 #: with rejection rounds (sage was 650fcd38…, ladies e33f57ce…, fastgcn
 #: 2fb93928…).
@@ -135,8 +126,7 @@ def test_compiled_matches_pre_refactor_digests(name, p, c):
 def test_compiled_matches_interpreted_partitioned(name):
     """On the 1.5D grid the executor samples what the ``Q^{l-1}``-
     materializing oracle (``reference_interpreter.py``) samples from the
-    same per-batch streams, for all four samplers (SAINT has no
-    pre-refactor digest, so this parity is what pins it)."""
+    same per-batch streams, for every sampler."""
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
@@ -162,8 +152,7 @@ def test_invariant_across_world_size(name):
 @pytest.mark.parametrize("name", [c[0] for c in SAMPLER_CASES])
 def test_parity_with_single_rank_replicated(name):
     """Partitioned output == single-rank sampling output, per batch, for
-    every plan-emitting sampler (SAINT included: satellite acceptance for
-    its new derived partitioned support)."""
+    every plan-emitting sampler."""
     adj, batches = _graph_and_batches()
     factory = dict((n, f) for n, f, _ in SAMPLER_CASES)[name]
     fanout = dict((n, fo) for n, _, fo in SAMPLER_CASES)[name]
@@ -276,28 +265,6 @@ PINNED_CHARGES = {
         [0.00015112901556270099, 0.00015112878405144694],
         12160.0, 8,
     ),
-    ('saint', 4, 2): (
-        {
-            ('extraction', 'comm'): 1.3018560000000002e-05,
-            ('extraction', 'compute'): 9.606923729903538e-05,
-            ('probability', 'comm'): 3.055472e-05,
-            ('probability', 'compute'): 0.0001440556347266881,
-            ('sampling', 'compute'): 9.60539575562701e-05,
-        },
-        [0.00037978918173633427, 0.00037978918173633427, 0.00037977114186495175, 0.00037977114186495175],
-        306488.0, 52,
-    ),
-    ('saint', 2, 1): (
-        {
-            ('extraction', 'comm'): 1.026352e-05,
-            ('extraction', 'compute'): 0.00012810639742765273,
-            ('probability', 'comm'): 3.0317280000000004e-05,
-            ('probability', 'compute'): 0.00021606936077170417,
-            ('sampling', 'compute'): 9.60539575562701e-05,
-        },
-        [0.0005448651163987138, 0.0005448611652733117],
-        58080.0, 16,
-    ),
 }
 
 
@@ -317,42 +284,6 @@ def test_partitioned_charges_are_pinned(name, p, c):
     assert comm.clock.breakdown_by_kind() == breakdown
     assert [comm.clock.time(r) for r in range(p)] == clocks
     assert (comm.ledger.sent(), comm.ledger.messages()) == (sent, messages)
-
-
-def test_saint_partitioned_samples_are_valid_subgraphs():
-    """Structural check independent of digests: every partitioned-SAINT
-    layer is the full induced adjacency on its vertex set and ends at the
-    batch."""
-    adj, batches = _graph_and_batches()
-    grid = ProcessGrid(4, 2)
-    blocks = BlockRows.partition(adj, grid.n_rows)
-    samples, _ = partitioned_bulk_sampling(
-        Communicator(4), grid, GraphSaintRWSampler(walk_length=3), blocks,
-        batches, (3, 3), seed=DIST_SEED,
-    )
-    dense = adj.to_dense()
-    for mb in samples:
-        layer = mb.layers[0]
-        sub = dense[np.ix_(layer.dst_ids, layer.src_ids)]
-        assert np.allclose(layer.adj.to_dense(), sub)
-        assert np.all(np.isin(mb.batch, layer.src_ids))
-        assert np.array_equal(mb.layers[-1].dst_ids, mb.batch)
-
-
-def test_saint_partitioned_charges_all_three_phases():
-    """Phase attribution is derived from step types: a graph-wise plan
-    still lands work in probability, sampling and extraction."""
-    adj, batches = _graph_and_batches()
-    comm = Communicator(4)
-    grid = ProcessGrid(4, 2)
-    blocks = BlockRows.partition(adj, grid.n_rows)
-    partitioned_bulk_sampling(
-        comm, grid, GraphSaintRWSampler(walk_length=2), blocks, batches,
-        (2, 2), seed=0,
-    )
-    bd = comm.clock.breakdown()
-    assert {"probability", "sampling", "extraction"} <= set(bd)
-    assert all(v > 0 for v in bd.values())
 
 
 if __name__ == "__main__":  # golden regeneration helper

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig
+from repro.gnn import SAGEConv
 from repro.pipeline import EpochStats, TrainingPipeline
 
 
@@ -75,13 +76,16 @@ class TestTrainerRobustness:
             losses.append(TrainingPipeline(labeled_graph, cfg).train_epoch(0).loss)
         assert losses[0] != losses[1]
 
-    def test_gat_conv_override(self, labeled_graph):
+    def test_conv_override(self, labeled_graph):
+        """An explicit ``conv`` beats the sampler's registry default (GCN
+        for LADIES)."""
         cfg = RunConfig(
-            p=2, c=1, fanout=(4,), batch_size=32, hidden=8, conv="gat",
-            lr=0.01,
+            p=2, c=1, sampler="ladies", fanout=(16,), batch_size=32,
+            hidden=8, conv="sage", lr=0.01,
         )
-        stats = TrainingPipeline(labeled_graph, cfg).train_epoch()
-        assert stats.loss is not None
+        pipe = TrainingPipeline(labeled_graph, cfg)
+        assert all(isinstance(c, SAGEConv) for c in pipe.model.convs)
+        assert pipe.train_epoch().loss is not None
 
     def test_stats_row_roundtrip(self):
         s = EpochStats(

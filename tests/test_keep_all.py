@@ -174,8 +174,8 @@ def _refuses_none(sampler, adj, fanout) -> None:
     assert "Engine.serving(fanout=None)" in message
 
 
-@pytest.mark.parametrize("name", ["ladies", "fastgcn", "saint"])
-def test_layerwise_and_walk_samplers_refuse_keep_all(small_adj, name):
+@pytest.mark.parametrize("name", ["ladies", "fastgcn"])
+def test_layerwise_samplers_refuse_keep_all(small_adj, name):
     _refuses_none(make_sampler(name), small_adj, (4, None))
 
 

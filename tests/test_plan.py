@@ -15,7 +15,6 @@ import pytest
 from repro.core import (
     ExtractStep,
     FastGCNSampler,
-    GraphSaintRWSampler,
     LadiesSampler,
     MatrixSampler,
     NormStep,
@@ -39,10 +38,6 @@ class TestStepValidation:
     def test_extract_kind_checked(self):
         with pytest.raises(ValueError, match="EXTRACT kind"):
             ExtractStep("teleport")
-
-    def test_subgraph_needs_depth(self):
-        with pytest.raises(ValueError, match="n_layers"):
-            ExtractStep("subgraph")
 
     def test_steps_are_frozen(self):
         step = SampleStep(4)
@@ -118,19 +113,6 @@ class TestEmittedPrograms:
         assert not any(isinstance(s, NormStep) for s in plan.steps)
         probs = [s for s in plan.steps if isinstance(s, ProbStep)]
         assert all(s.source == "global" for s in probs)
-
-    def test_saint_program(self):
-        plan = GraphSaintRWSampler(walk_length=4).plan((3, 3))
-        walks = [
-            s for s in plan.steps
-            if isinstance(s, ExtractStep) and s.kind == "walk"
-        ]
-        assert len(walks) == 4
-        counts = [s.count for s in plan.steps if isinstance(s, SampleStep)]
-        assert counts == [1] * 4  # one neighbor per walker per step
-        last = plan.steps[-1]
-        assert isinstance(last, ExtractStep) and last.kind == "subgraph"
-        assert last.n_layers == 2
 
     def test_describe_is_readable(self):
         text = SageSampler().plan((4,)).describe()

@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    FastGCNSampler,
-    GraphSaintRWSampler,
-    LadiesSampler,
-    SageSampler,
-)
+from repro.core import FastGCNSampler, LadiesSampler, SageSampler
 from repro.graphs import erdos_renyi
 
 
@@ -99,26 +94,6 @@ def test_fastgcn_invariants(case, s):
             assert np.all(indeg[layer.src_ids] > 0)
         sub = dense[np.ix_(layer.dst_ids, layer.src_ids)]
         assert np.allclose(layer.adj.to_dense(), sub)
-
-
-@given(sampling_cases(), st.integers(1, 5))
-@settings(max_examples=30, deadline=None)
-def test_saint_invariants(case, walk_length):
-    adj, batches, seed = case
-    rng = np.random.default_rng(seed + 4)
-    out = GraphSaintRWSampler(walk_length=walk_length).sample_bulk(
-        adj, batches, (2, 2), rng
-    )
-    dense = adj.to_dense()
-    for mb, batch in zip(out, batches):
-        batch = np.asarray(batch)
-        verts = mb.layers[0].src_ids
-        assert np.all(np.isin(batch, verts))
-        # Induced subgraph completeness on the shared frontier.
-        layer = mb.layers[0]
-        sub = dense[np.ix_(layer.dst_ids, layer.src_ids)]
-        assert np.allclose(layer.adj.to_dense(), sub)
-        assert np.array_equal(mb.layers[-1].dst_ids, batch)
 
 
 @given(sampling_cases())

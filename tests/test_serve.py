@@ -349,7 +349,7 @@ class TestServingExactness:
         cfg = RunConfig(
             dataset="products", scale=0.1, train_split=0.5, p=1, c=1,
             algorithm="single", sampler="sage", fanout=(4, 3),
-            batch_size=16, hidden=16, epochs=1, seed=0, activation="tanh",
+            batch_size=16, hidden=16, epochs=1, seed=0, activation="identity",
         )
         engine = Engine(cfg)
         engine.train(1)
@@ -434,13 +434,13 @@ class TestWiring:
     def test_runconfig_serving_fields_roundtrip(self):
         cfg = RunConfig(
             serve_batch_size=4, serve_max_wait=0.002, embed_budget=1e5,
-            activation="tanh",
+            activation="identity",
         )
         again = RunConfig.from_dict(cfg.to_dict())
         assert again.serve_batch_size == 4
         assert again.serve_max_wait == 0.002
         assert again.embed_budget == 1e5
-        assert again.activation == "tanh"
+        assert again.activation == "identity"
 
     def test_engine_serving_constructor(self, trained_engine):
         server = trained_engine.serving()
@@ -501,9 +501,9 @@ class TestWiring:
         from repro.cli import _resolve_train_config, build_parser
 
         args = build_parser().parse_args(
-            ["train", "products", "--activation", "tanh"]
+            ["train", "products", "--activation", "identity"]
         )
-        assert _resolve_train_config(args).activation == "tanh"
+        assert _resolve_train_config(args).activation == "identity"
 
     def test_process_reports_per_run_counters(self, trained_engine):
         """A reused server reports each run's own breakdown and stats."""

@@ -113,7 +113,9 @@ def _legal(f: dataclasses.Field):
     """One legal non-default value for a knob: ``(flag text, value)``."""
     m = f.metadata
     if "registry" in m:
-        name = "partitioned" if f.name == "algorithm" else list(m["registry"])[-1]
+        name = "partitioned" if f.name == "algorithm" else next(
+            k for k in reversed(list(m["registry"])) if k != f.default
+        )
         return name, name
     if m["type"] is tuple:
         return "7,4", (7, 4)
