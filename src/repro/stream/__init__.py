@@ -3,9 +3,11 @@
 Production graphs mutate under traffic; everything else in this repo
 assumes a frozen CSR.  This package bridges the two:
 
-* :class:`DeltaCSR` — edge insertions/deletions spliced, one vectorized
-  pass per batch, into a fresh canonical frozen view over a frozen base,
-  with a sorted-array delta log and threshold-triggered compaction.
+* :class:`DeltaCSR` — edge insertions/deletions applied, one vectorized
+  pass per batch over the touched rows, to a canonical frozen view held
+  as an anchor CSR plus a patch of the changed rows (whole arrays built
+  on demand), with a sorted-array delta log and threshold-triggered
+  compaction.
 * :class:`StreamingGraph` — a :class:`~repro.graphs.Graph` wrapper that
   refreshes ``graph.adj`` on every update, so samplers / executors /
   inference transparently run on the current graph.

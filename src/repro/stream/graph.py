@@ -21,7 +21,7 @@ import numpy as np
 
 from ..graphs import Graph
 from ..sparse import CSRMatrix
-from .delta import DeltaCSR, EdgeBatch, UpdateResult
+from .delta import DeltaCSR, EdgeBatch, UpdateResult, _isin_sorted, _union, _unique
 
 __all__ = ["StreamingGraph", "StreamStats", "dirty_closure"]
 
@@ -37,8 +37,11 @@ def dirty_closure(
     most ``hops`` forward edges.  This walks that reverse reachability on
     the *post-update* adjacency: ``hops = L - 2`` covers a cache of
     ``h^{L-1}`` rows (a vertex whose own row changed is always included).
+    Depth 0 reads nothing of ``adj``; each hop reads its whole ``indices``
+    (on a streaming view, the pattern alone is built).  The sets are kept
+    sorted and merged by search, not by numpy's hashing set operations.
     """
-    out = np.unique(np.asarray(dirty_rows, dtype=np.int64))
+    out = _unique(np.asarray(dirty_rows, dtype=np.int64))
     if out.size == 0:
         return out
     frontier = out
@@ -51,9 +54,9 @@ def dirty_closure(
             break
         if row_ids is None:
             row_ids = adj.row_ids()
-        preds = np.unique(row_ids[mask])
-        frontier = np.setdiff1d(preds, out, assume_unique=True)
-        out = np.union1d(out, frontier)
+        preds = _unique(row_ids[mask])
+        frontier = preds[~_isin_sorted(preds, out)]
+        out = _union(out, frontier)
     return out
 
 

@@ -8,18 +8,27 @@ absent edges, re-inserts at the same value, overwrites (alone and beside
 inserts in one batch), restores of the base value, deletes of present
 and of missing edges, batches with duplicates inside, ``strict`` deletes
 that succeed and that fail, ``compact`` and ``maybe_compact`` at a tiny
-threshold.  After **every** rule:
+threshold.  A view after a batch is an anchor plus a patch whose canonical
+arrays are built only when read, so every batch draws which reader comes
+next: the servers' row reads (``extract_rows`` of a drawn row list, with
+repeats and in any order, plus ``nnz`` and ``nnz_per_row``, held to the
+oracle while the view stays unbuilt, so the next batch lands on a patch) or
+a whole-matrix reader (the canonical arrays, byte for byte against the
+oracle's).  After **every** rule, through the read path alone (nothing here
+builds a view):
 
-* ``view()``'s three arrays equal the oracle's *byte for byte* (the value
-  pool holds ``0.0`` and ``-0.0``) and a ``from_coo`` rebuild of the model;
-* the view equals ``rebuild_from_log`` — the base COO filtered through the
+* ``indptr`` and every row as ``extract_rows`` serves it equal the
+  oracle's *byte for byte* (the value pool holds ``0.0`` and ``-0.0``) and,
+  by value, a ``from_coo`` rebuild of the model;
+* they equal ``rebuild_from_log`` — the base COO filtered through the
   *log* and re-canonicalized by ``from_coo``, the parity check
   ``DeltaCSR.compact()`` ran on every call until it moved here;
 * ``pending``, ``compaction_limit``, ``dirty_row_ids`` and ``compactions``
   equal the oracle's (every ``UpdateResult`` field is compared inside the
   rule that produced it);
-* a ``tobytes()`` snapshot of every view handed out so far is unchanged —
-  the frozen-view rule replicas and checkers rely on.
+* what every view handed out so far serves — and, once built, its
+  canonical arrays — is unchanged: the frozen-view rule replicas and
+  checkers rely on.
 """
 
 from __future__ import annotations
@@ -75,6 +84,27 @@ def _bytes(adj: CSRMatrix) -> tuple[bytes, bytes, bytes]:
     return adj.indptr.tobytes(), adj.indices.tobytes(), adj.data.tobytes()
 
 
+def _served(adj: CSRMatrix) -> tuple[bytes, bytes, bytes]:
+    """``_bytes`` through the read path: ``indptr`` and every row gathered
+    by ``extract_rows``, which builds nothing on a streaming view."""
+    rows = adj.extract_rows(np.arange(adj.shape[0]))
+    return adj.indptr.tobytes(), rows.indices.tobytes(), rows.data.tobytes()
+
+
+def _same(adj: CSRMatrix, model: CSRMatrix) -> bool:
+    """Equal to the model's edge set, zeros of either sign alike."""
+    return (
+        np.array_equal(adj.indptr, model.indptr)
+        and np.array_equal(adj.indices, model.indices)
+        and np.array_equal(adj.data, model.data)
+    )
+
+
+def _built(adj: CSRMatrix) -> bool:
+    """Whether ``adj`` holds its canonical arrays (a plain CSR always does)."""
+    return getattr(adj, "built", True)
+
+
 class DeltaMachine(RuleBasedStateMachine):
     @initialize(
         n=st.integers(6, 40),
@@ -88,9 +118,8 @@ class DeltaMachine(RuleBasedStateMachine):
         mask = rng.random((n, n)) < density
         mask[rng.integers(0, n)] = False  # always at least one empty row
         self.n = n
-        # A unit-weight base with unit inserts stays on the overlay's shared
-        # run of ones (views hold no ``data`` of their own) until ``overwrite``
-        # leaves it.
+        # A unit-weight base stays unit-weight under unit inserts until
+        # ``overwrite`` writes the first other value.
         self.values = [1.0] if unit else VALUES
         self.edges = {
             (int(u), int(v)): self.values[int(rng.integers(len(self.values)))]
@@ -116,7 +145,7 @@ class DeltaMachine(RuleBasedStateMachine):
             (u, v) for u in range(self.n) for v in range(self.n)
         } - self.edges.keys()
 
-    def _apply(self, batch: EdgeBatch, *, strict: bool = False):
+    def _apply(self, data, batch: EdgeBatch, *, strict: bool = False):
         got = self.new.apply(batch, strict=strict)
         want = self.ref.apply(batch, strict=strict)
         assert got.dirty_rows.dtype == want.dirty_rows.dtype
@@ -130,22 +159,43 @@ class DeltaMachine(RuleBasedStateMachine):
                 self.edges.pop((u, v), None)
             elif self.edges.get((u, v)) != w:
                 self.edges[(u, v)] = w
+        self._read(data)
         return got
 
-    def _insert(self, src, dst, vals):
-        return self._apply(EdgeBatch(src, dst, "insert", np.array(vals, dtype=float)))
+    def _read(self, data):
+        """The drawn reader of the view the batch left: row reads that keep
+        it unbuilt, or the whole-matrix arrays that build it."""
+        view, want = self.new.view(), self.ref.view()
+        if data.draw(st.booleans(), label="build the view"):
+            assert _bytes(view) == _bytes(want)
+            assert _built(view)
+            return
+        built = _built(view)
+        rows = data.draw(
+            st.lists(st.integers(0, self.n - 1), max_size=2 * self.n), label="rows"
+        )
+        got = view.extract_rows(rows)
+        assert _bytes(got) == _bytes(want.extract_rows(rows))
+        assert _same(got, _csr(self.edges, self.n).extract_rows(rows))
+        assert view.nnz == want.nnz
+        assert np.array_equal(view.nnz_per_row(), want.nnz_per_row())
+        assert _built(view) == built  # row reads build nothing
+
+    def _insert(self, data, src, dst, vals):
+        batch = EdgeBatch(src, dst, "insert", np.array(vals, dtype=float))
+        return self._apply(data, batch)
 
     # -- rules ----------------------------------------------------------- #
     @rule(data=st.data())
     def insert_absent(self, data):
         src, dst = self._pairs(data, self._absent())
-        assert self._insert(src, dst, self._values(data, len(src))).applied >= 1
+        assert self._insert(data, src, dst, self._values(data, len(src))).applied >= 1
 
     @precondition(lambda self: self.edges)
     @rule(data=st.data())
     def insert_present_same_value(self, data):
         src, dst = self._pairs(data, self.edges)
-        res = self._insert(src, dst, [self.edges[e] for e in zip(src, dst)])
+        res = self._insert(data, src, dst, [self.edges[e] for e in zip(src, dst)])
         assert res.applied == 0 and res.dirty_rows.size == 0
 
     @precondition(lambda self: self.edges)
@@ -153,7 +203,7 @@ class DeltaMachine(RuleBasedStateMachine):
     def overwrite(self, data):
         src, dst = self._pairs(data, self.edges)
         vals = [3.0 if self.edges[e] != 3.0 else 4.0 for e in zip(src, dst)]
-        assert self._insert(src, dst, vals).applied >= 1
+        assert self._insert(data, src, dst, vals).applied >= 1
 
     @precondition(lambda self: self.edges)
     @rule(data=st.data())
@@ -162,7 +212,7 @@ class DeltaMachine(RuleBasedStateMachine):
         overwritten slot moves right by the inserts that land before it."""
         new, old = self._pairs(data, self._absent()), self._pairs(data, self.edges)
         src, dst = new[0] + old[0], new[1] + old[1]
-        assert self._insert(src, dst, [5.0] * len(src)).applied >= len(set(zip(*new)))
+        assert self._insert(data, src, dst, [5.0] * len(src)).applied >= len(set(zip(*new)))
 
     @precondition(lambda self: self.new.base.nnz)
     @rule(data=st.data())
@@ -181,7 +231,7 @@ class DeltaMachine(RuleBasedStateMachine):
             )
         )
         vals = vals[picks]
-        self._insert(rows[picks], cols[picks], np.where(vals == 0, -vals, vals))
+        self._insert(data, rows[picks], cols[picks], np.where(vals == 0, -vals, vals))
 
     @precondition(lambda self: self.edges)
     @rule(data=st.data(), strict=st.booleans())
@@ -189,13 +239,13 @@ class DeltaMachine(RuleBasedStateMachine):
         src, dst = self._pairs(data, self.edges)
         if strict:  # a strict delete that succeeds names every edge once
             src, dst = map(list, zip(*dict.fromkeys(zip(src, dst))))
-        res = self._apply(EdgeBatch(src, dst, "delete"), strict=strict)
+        res = self._apply(data, EdgeBatch(src, dst, "delete"), strict=strict)
         assert res.applied == len(set(zip(src, dst)))
 
     @rule(data=st.data())
     def delete_missing(self, data):
         src, dst = self._pairs(data, self._absent())
-        res = self._apply(EdgeBatch(src, dst, "delete"))
+        res = self._apply(data, EdgeBatch(src, dst, "delete"))
         assert res.applied == 0 and res.skipped == len(src)
 
     @rule(data=st.data(), op=st.sampled_from(["insert", "delete"]))
@@ -211,9 +261,9 @@ class DeltaMachine(RuleBasedStateMachine):
         picked = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8))
         src, dst = [u for u, _ in picked], [v for _, v in picked]
         if op == "delete":
-            self._apply(EdgeBatch(src, dst, "delete"))
+            self._apply(data, EdgeBatch(src, dst, "delete"))
         else:
-            self._insert(src, dst, self._values(data, len(src)))
+            self._insert(data, src, dst, self._values(data, len(src)))
 
     @rule(data=st.data())
     def failing_strict_delete(self, data):
@@ -250,12 +300,10 @@ class DeltaMachine(RuleBasedStateMachine):
     def overlays_agree(self):
         new, ref = self.new, self.ref
         view = new.view()
-        assert _bytes(view) == _bytes(ref.view())
-        model = _csr(self.edges, self.n)
-        assert np.array_equal(view.indptr, model.indptr)
-        assert np.array_equal(view.indices, model.indices)
-        assert np.array_equal(view.data, model.data)
-        assert _bytes(view) == _bytes(rebuild_from_log(new))
+        served = _served(view)
+        assert served == _bytes(ref.view())
+        assert served == _bytes(rebuild_from_log(new))
+        assert _same(view.extract_rows(np.arange(self.n)), _csr(self.edges, self.n))
         assert new.pending == ref.pending
         assert new.compaction_limit == ref.compaction_limit
         assert new.dirty_row_ids.dtype == ref.dirty_row_ids.dtype
@@ -267,9 +315,11 @@ class DeltaMachine(RuleBasedStateMachine):
     @invariant()
     def returned_views_are_frozen(self):
         if self.snapshots[-1][0] is not self.new.view():
-            self.snapshots.append((self.new.view(), _bytes(self.new.view())))
+            self.snapshots.append((self.new.view(), _served(self.new.view())))
         for adj, frozen in self.snapshots:
-            assert _bytes(adj) == frozen
+            assert _served(adj) == frozen
+            if _built(adj):
+                assert _bytes(adj) == frozen
 
 
 TestDeltaDifferential = DeltaMachine.TestCase

@@ -4,16 +4,21 @@ protocol, and update-interleaved serving parity (with pinned digests)."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine, RunConfig
 from repro.comm import Communicator, ProcessGrid
 from repro.graphs import Graph, rmat
+from repro.obs import Tracer, set_tracer
 from repro.partition import CachedFeatureStore, FeatureStore
 from repro.pipeline import layerwise_inference
 from repro.serve import (
@@ -30,7 +35,8 @@ from repro.stream import (
     UpdateStream,
     dirty_closure,
 )
-from test_delta_differential import _bytes, rebuild_from_log
+from repro.stream.delta import _isin_sorted, _union, _unique
+from test_delta_differential import _bytes, _served, rebuild_from_log
 from test_gnn import skip_unless_pinned_kernels
 
 
@@ -252,43 +258,74 @@ class TestDeltaCSR:
         d.compact()
         assert (u, v) in _edge_set(d.base)
 
-    def test_unit_weight_views_share_one_run_of_ones(self):
-        """Deletes and unit inserts on a unit-weight graph copy ``indices``
-        only: every view's ``data`` is a read-only slice of one shared run
-        of ones.  The first non-unit value leaves the shared run for good."""
-        base = _from_edge_dict({(u, (u + k) % 12): 1.0 for u in range(12)
-                                for k in (1, 2, 5)}, (12, 12))
+    def test_a_batch_copies_the_patch_not_the_graph(self):
+        """A view after a batch is the anchor plus a patch: it shares the
+        anchor's arrays, its patch holds exactly the rows dirtied since the
+        anchor was set, ``apply`` allocates O(patch + n) — well under one
+        copy of ``indices`` of this ~100k-entry graph — and every view
+        handed out stays byte-frozen, built or not."""
+        n, degree = 2048, 48
+        rng = np.random.default_rng(0)
+        rows = np.repeat(np.arange(n), degree)
+        cols = (rows + rng.integers(1, n, rows.size)) % n
+        base = CSRMatrix.from_coo(rows, cols, None, (n, n))
+        base_bytes = _bytes(base)
         d = DeltaCSR(base)
-        d.delete_edges([0, 3], [1, 5])
-        first = d.view()
-        assert first.nnz == base.nnz - 2 and (first.data == 1.0).all()
-        assert np.shares_memory(first.data, base.data)
-        assert not first.data.flags.writeable and base.data.flags.writeable
-        # Outgrowing the base's run allocates one longer run, once.
-        d.insert_edges([0, 3, 7, 8], [1, 5, 3, 0])
-        grown = d.view()
-        assert grown.nnz == base.nnz + 2 and (grown.data == 1.0).all()
-        d.insert_edges([9], [0])
-        assert np.shares_memory(d.view().data, grown.data)
-        assert not np.shares_memory(grown.data, base.data)
-        assert first.data.tobytes() == np.ones(first.nnz).tobytes()  # frozen
-        d.compact()
-        d.delete_edges([9], [0])
-        assert np.shares_memory(d.view().data, grown.data)
-        # A weighted insert: fresh, owned, writable ``data`` from here on.
-        d.insert_edges([9], [0], vals=np.array([2.5]))
-        weighted = d.view()
-        assert weighted.data.flags.owndata and weighted.data.flags.writeable
-        assert _edge_set(weighted)[(9, 0)] == 2.5
-        d.delete_edges([9], [0])
-        assert d.view().data.flags.owndata
-        want = _from_edge_dict(_edge_set(grown), (12, 12))
-        assert d.view().data.tobytes() == want.data.tobytes()
-        assert d.view().indices.tobytes() == want.indices.tobytes()
+        handed = []
+        for k in range(8):
+            if k % 2:  # delete each row's first edge
+                src = rng.integers(0, n, 16)
+                first = d.view().extract_rows(src)
+                batch = EdgeBatch(src, first.indices[first.indptr[:-1]], "delete")
+            else:
+                batch = EdgeBatch(rng.integers(0, n, 16), rng.integers(0, n, 16))
+            tracemalloc.start()
+            d.apply(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            view = d.view()
+            assert view.anchor is base and not view.built
+            assert sorted(view.patch_rows.tolist()) == d.dirty_row_ids.tolist()
+            assert view.patch.nnz == view.nnz_per_row()[d.dirty_row_ids].sum()
+            assert peak <= 32 * view.patch.nnz + 64 * n + 65536
+            assert peak < 8 * base.nnz // 2
+            handed.append((view, _served(view)))
+        for view, frozen in handed:
+            assert _served(view) == frozen
+        want = _from_edge_dict(_edge_set(d.view()), (n, n))
+        assert _bytes(d.view()) == _bytes(want)
+        for view, frozen in handed:  # now built: the same bytes
+            assert _bytes(view) == frozen and view.built
+        assert _bytes(base) == base_bytes  # the anchor was never written
+
+    def test_materialize_span_names_the_reader(self):
+        """A view's one-time build of each canonical array is a
+        ``materialize`` span inside the reader that asked for it, carrying
+        the patch size; a second read builds nothing."""
+        d = DeltaCSR(_small_base())
+        d.insert_edges([0, 3], [5, 7])
+        view = d.view()
+        patch_nnz = view.patch.nnz
+        tracer = Tracer()
+        prior = set_tracer(tracer)
+        try:
+            with tracer.span("reader"):
+                view.check()
+            view.to_coo()
+        finally:
+            set_tracer(prior)
+        reader = next(s for s in tracer.spans if s.name == "reader")
+        built = [s for s in tracer.spans if s.name == "materialize"]
+        assert [s.args for s in built] == [
+            {"array": "indices", "patch_nnz": patch_nnz},
+            {"array": "data", "patch_nnz": patch_nnz},
+        ]
+        assert all(reader.start <= s.start <= s.end <= reader.end for s in built)
 
     def test_update_cost_does_not_grow_with_history(self):
-        """64 sixteen-edge batches, compaction off: an update costs a copy
-        of the CSR arrays whatever came before it (the dict overlay
+        """64 sixteen-edge batches, compaction off: an update costs at most
+        one copy of the CSR arrays whatever came before it — the patch it
+        re-gathers is folded before it outgrows that (the dict overlay
         re-merged every row dirtied so far: last 8 / first 8 was > 10x).
         The counters and every simulated charge are pinned from that
         overlay, which is what keeps the SimClock baselines still."""
@@ -328,6 +365,28 @@ class TestDeltaCSR:
         ).hexdigest() == (
             "ba32011de579a9809c2645791992ef73f013e7211d293bdf8fd136c998e947ca"
         )
+
+
+class TestSortedSetOps:
+    """The write path's sorted merges return what numpy's set operations
+    do — the same sorted, duplicate-free int64 arrays — without hashing."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-60, 60), max_size=40),
+        st.lists(st.integers(-60, 60), max_size=40),
+    )
+    def test_match_numpy(self, xs, ys):
+        x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        a, b = np.unique(x), np.unique(y)
+        for got, want in (
+            (_unique(x), a),
+            (_union(a, b), np.union1d(a, b)),
+            (a[~_isin_sorted(a, b)], np.setdiff1d(a, b, assume_unique=True)),
+            (_isin_sorted(x, b), np.isin(x, b)),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestDirtyClosure:
@@ -693,6 +752,49 @@ class TestStreamingServing:
         assert np.array_equal(first.logits, ref_before[[v]])
         assert np.array_equal(second.logits, ref_after[[v]])
         assert not np.array_equal(first.logits, second.logits)
+
+    def test_second_streaming_server_anchors_on_canonical_arrays(
+        self, trained_engine
+    ):
+        """Two streaming servers in turn on one engine: the second wraps the
+        adjacency the first left behind — a view — and anchors on its
+        canonical arrays instead of nesting one patch in another; its row
+        reads, ``rebuild_from_scratch`` and served logits follow the edge
+        model."""
+        engine = Engine(trained_engine.config, graph=copy.copy(trained_engine.graph))
+        engine._pipeline = trained_engine.pipeline  # reuse trained weights
+        shape, verts = engine.graph.adj.shape, engine.graph.test_idx[:32]
+        edges = _edge_set(engine.graph.adj)
+        rng = np.random.default_rng(7)
+        left = None
+        for _ in range(2):
+            server = engine.serving(stream=True, fleet=False)
+            base = server.stream.delta.base
+            assert type(base) is CSRMatrix
+            if left is not None:  # the first server's view, built for it
+                assert left.built and base.indices is left.indices
+            for k in range(6):
+                if k % 2:
+                    gone = list(edges)[:: max(1, len(edges) // 8)][:8]
+                    src, dst = map(np.array, zip(*gone))
+                    server.apply_update(EdgeBatch(src, dst, "delete"))
+                    for e in gone:
+                        del edges[e]
+                else:
+                    src, dst = rng.integers(0, shape[0], (2, 8))
+                    server.apply_update(EdgeBatch(src, dst, "insert"))
+                    edges.update({(int(u), int(v)): 1.0 for u, v in zip(src, dst)})
+            left = engine.graph.adj
+            assert left.anchor is base and not left.built
+            want = _from_edge_dict(edges, shape)
+            assert _bytes(left.extract_rows(verts)) == _bytes(want.extract_rows(verts))
+            served = server.serve(verts)
+            assert not left.built  # exact serving reads rows only
+            reference = layerwise_inference(
+                engine.model, dataclasses.replace(engine.graph, adj=want)
+            )
+            assert np.array_equal(served, reference[verts])
+        assert _bytes(server.stream.rebuild_from_scratch().adj) == _bytes(want)
 
     def test_update_workload_on_frozen_engine_raises(self, trained_engine):
         server = trained_engine.serving()  # stream_updates defaults off
