@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import LadiesSampler, SageSampler, its_sample_rows
+from repro.core import LadiesSampler, SageSampler, its, its_sample_rows
 from repro.graphs import rmat
 from repro.sparse import (
     CSRMatrix,
@@ -92,16 +92,33 @@ def test_spmm_kernel(benchmark, shape):
     assert out.shape == (a.shape[0], n_features)
 
 
-def test_its_kernel(benchmark, medium_adj):
+@pytest.mark.parametrize("weights", ["unit", "weighted"])
+def test_its_kernel(benchmark, medium_adj, weights, monkeypatch):
+    """SAMPLE on a GraphSAGE ``P``: NORM of unit weights makes every row even
+    (the uniform path: an index per draw), NORM of random weights does not
+    (the prefix-sum path)."""
     rng = np.random.default_rng(4)
+    adj = medium_adj
+    if weights == "weighted":
+        adj = CSRMatrix(
+            adj.indptr, adj.indices, rng.uniform(0.5, 1.5, adj.nnz), adj.shape
+        )
     q = SageSampler.make_q(
-        rng.choice(medium_adj.shape[0], 2048, replace=False),
-        medium_adj.shape[0],
+        rng.choice(adj.shape[0], 2048, replace=False), adj.shape[0]
     )
-    p = row_normalize(spgemm(q, medium_adj))
+    p = row_normalize(spgemm(q, adj))
+    paths = set()
+    check = its._uniform_rows
 
+    def spy(*args):
+        answer = check(*args)
+        paths.add(answer)
+        return answer
+
+    monkeypatch.setattr(its, "_uniform_rows", spy)
     out = benchmark(its_sample_rows, p, 10, rng)
-    assert out.nnz > 0
+    assert paths == {weights == "unit"}
+    assert np.array_equal(out.nnz_per_row(), np.minimum(10, p.nnz_per_row()))
 
 
 def test_bulk_sage_sampling(benchmark, medium_adj, medium_batches):

@@ -1,10 +1,9 @@
 """Package metadata.  ``numpy`` and ``scipy`` are hard requirements:
-``repro.sparse.spmm`` and ``repro.sparse.spgemm`` run on ``scipy.sparse``'s
-compiled CSR kernels, and ``CSRMatrix``'s row gather, element-wise add and
-NORM's row sums call three of its compiled routines
-(``scipy.sparse._sparsetools``: ``csr_row_index``, ``csr_plus_csr``,
-``csr_matvec``) directly.  There is no numpy fallback (it would be a second
-set of bits)."""
+``repro.sparse.spgemm`` runs on ``scipy.sparse``'s compiled CSR kernels, and
+``repro.sparse.spmm``, ``CSRMatrix``'s build, row gather and element-wise
+add and NORM's row sums call its compiled routines
+(``scipy.sparse._sparsetools``) directly.  There is no numpy fallback (it
+would be a second set of bits)."""
 
 from setuptools import find_packages, setup
 

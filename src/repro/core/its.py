@@ -5,11 +5,15 @@ stored nonzeros; :func:`its_sample_rows` draws up to ``s`` *distinct*
 columns per row, exactly the SAMPLE step of the paper's Algorithm 1:
 
 1. a row with at most ``s`` positive entries keeps them all, with no draws;
-2. prefix-sum every row's values, once;
+2. prefix-sum every row's values, once — unless every row left to draw
+   holds one positive, finite weight (GraphSAGE's NORM of a graph with
+   equal edge weights) that such a sum would resolve, where no sum is
+   needed;
 3. draw each short row's shortfall as uniforms binary-searched into its
-   slice of those sums, and keep the distinct picks not selected before;
-   repeat for up to :data:`_REJECT_ROUNDS` rounds, always against the
-   round-1 sums;
+   slice of those sums — on even rows, a uniform ``u`` picks the row's
+   entry ``floor(u * width)`` directly — and keep the distinct picks not
+   selected before; repeat for up to :data:`_REJECT_ROUNDS` rounds, always
+   against the round-1 sums;
 4. a row still short after that finishes on its own entries: zero the
    entries it holds, prefix-sum what is left, draw what it lacks, repeat
    until ``s`` distinct columns are selected.
@@ -17,7 +21,14 @@ columns per row, exactly the SAMPLE step of the paper's Algorithm 1:
 Everything is vectorized across all rows at once — one global cumulative
 sum, then one batched ``searchsorted`` per round — which is the bulk-sampling
 amortization the paper exploits (many minibatches stacked into ``P`` share
-the same kernel launches).
+the same kernel launches).  The even-row draw is the search's answer
+without the search: the ``k``-th entry of an even row holds the mass
+``[k, k + 1) / width``, so both paths pick the same entry from the same
+uniform, unless rounding in the prefix sums moves a draw across an entry
+boundary — rare enough that no pinned digest moved when the path came in.
+Rows too light for the sum to resolve (:data:`_RESOLVED`) are where the
+two part ways, so they keep the prefix path.  Which path runs is read off
+``P``'s values; there is no knob.
 
 *Why the rounds are exact.*  Redrawing against the round-1 sums makes a
 row's draws one i.i.d. stream from its weights.  A round of ``need`` draws
@@ -34,10 +45,15 @@ entry is wasted — and :data:`_MAX_ROUNDS` is its backstop.
 stored entry of ``P``: one ``min`` over the values checks the signs, the
 positive count per row is ``np.diff(indptr)`` when that minimum is positive
 (else a binary search of the row boundaries in the positive entries'
-positions), the taken-whole rows are marked in the mask, and the prefix
-sum is taken.  A rejection round costs what its draws cost: the uniforms,
-their binary searches and a sort of the picks, which finds repeats because
-picks are clamped into their own rows and so stay grouped by row.  Step 4
+positions), the taken-whole rows are marked in the mask, and either the
+prefix sum is taken or the rows are found even.  That check compares the
+drawing rows' first and last entries, then each entry with the one before
+it in spans that grow eightfold, so an uneven ``P`` is turned away in its
+first span; an even one is then summed once for :data:`_RESOLVED`.  It
+allocates bools, never a float array of ``P``'s size.  A rejection round
+costs what its draws cost: the uniforms, their binary searches (or, on
+even rows, one multiply each) and a sort of the picks, which finds repeats
+because picks lie in their own rows and so stay grouped by row.  Step 4
 gathers the stragglers' entries once and repeats its prefix sum over those
 alone.  ``P``'s values are never copied whole or written, so read-only
 shared-memory operands work as they are.
@@ -70,6 +86,13 @@ __all__ = [
 
 _MAX_ROUNDS = 256  # termination backstop of step 4; each round makes progress
 _REJECT_ROUNDS = 3  # step 3's rounds against the round-1 prefix sums
+_FIRST_SPAN = 1024  # entries of P the uniformity check compares first
+#: The least weight of an even row, as a share of ``P``'s total, for which
+#: the uniform path is taken: one prefix sum over ``P`` resolves such a
+#: row's entries to 20-odd bits, so both paths pick the same entry.
+#: Lighter rows are rounded away in the sum, where the paths part ways, and
+#: keep the prefix path's bits.
+_RESOLVED = 2.0**-30
 
 
 def its_select_mask(
@@ -120,9 +143,13 @@ def its_select_mask(
         if rows.size == 0:
             return selected
 
-    # Step 2: one prefix sum; each row reads its slice through indptr.
-    cums = np.cumsum(data)
+    # Step 2: one prefix sum; each row reads its slice through indptr.  Rows
+    # of equal weights need none: a draw is an index into the row.
     lo, hi = indptr[rows], indptr[rows + 1]
+    uniform = positive is None and _uniform_rows(
+        data, lo, hi, None if replace else selected
+    )
+    cums = None if uniform else np.cumsum(data)
     if replace:  # one round of s draws per row; duplicates collapse
         picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
         selected = np.zeros(p.nnz, dtype=bool)
@@ -147,23 +174,62 @@ def its_select_mask(
     return selected
 
 
-def _draw(cums, lo, hi, need, rng):
-    """``need[i]`` i.i.d. ITS draws into row ``i``'s slice ``[lo[i], hi[i])``
-    of the prefix sums ``cums``: uniforms scaled into the slice's mass and
-    binary-searched.
+def _uniform_rows(data, lo, hi, exempt):
+    """Whether every row slice ``data[lo[i]:hi[i]]`` holds one finite value,
+    none lighter than :data:`_RESOLVED` of ``P``'s total.
 
-    Returns the picks sorted and the row of each: a pick is clamped into its
-    own row and the rows' slices ascend, so sorting keeps every row's picks
-    in the row's place, grouped, and repeats adjacent.
+    ``exempt`` masks the entries of the rows between the slices (rows taken
+    whole), whose values do not matter; ``None`` when there are none.  The
+    rows' first and last entries are compared first, which turns most
+    uneven ``P`` away at once.  Then each entry is compared with the one
+    before it, over spans that grow eightfold, so an uneven ``P`` stops at
+    its first uneven span and an even one costs a few bool-sized passes.
     """
-    base = np.where(lo > 0, cums[lo - 1], 0.0)
-    mass = cums[hi - 1] - base
+    heads = data[lo]
+    if not (heads == data[hi - 1]).all() or not np.isfinite(heads).all():
+        return False
+    at, end, span = lo[0], hi[-1], _FIRST_SPAN
+    while at + 1 < end:
+        stop = min(at + span, end)
+        # differs[j]: entry ``at + 1 + j`` differs from the one before it.
+        differs = data[at + 1 : stop] != data[at : stop - 1]
+        if exempt is not None:  # differs and not exempt
+            np.greater(differs, exempt[at + 1 : stop], out=differs)
+        starts = lo[np.searchsorted(lo, at + 1) : np.searchsorted(lo, stop)]
+        differs[starts - (at + 1)] = False  # a row's first entry
+        if differs.any():
+            return False
+        at, span = stop - 1, 8 * span
+    return heads.min() >= _RESOLVED * data.sum()
+
+
+def _draw(cums, lo, hi, need, rng):
+    """``need[i]`` i.i.d. ITS draws into row ``i``'s slice ``[lo[i], hi[i])``:
+    uniforms scaled into the slice's mass and binary-searched in the prefix
+    sums ``cums`` — or, with ``cums=None`` (rows of equal weights), scaled
+    into the slice's width and truncated to an index.
+
+    Both send ``u`` to the entry ``k`` of an even row with
+    ``k <= u * width < k + 1`` (the search up to rounding in ``cums``).
+    ``u < 1`` keeps ``u * width`` below ``width`` after rounding, so the
+    index needs no clamp.
+
+    Returns the picks sorted and the row of each: a pick lies in its own
+    row and the rows' slices ascend, so sorting keeps every row's picks in
+    the row's place, grouped, and repeats adjacent.
+    """
     owner = np.repeat(np.arange(need.size), need)
     u = rng.random(owner.size)
-    picks = np.searchsorted(cums, base[owner] + u * mass[owner], side="left")
-    # Guard against floating-point landing exactly on a row boundary.
-    np.minimum(picks, hi[owner] - 1, out=picks)
-    np.maximum(picks, lo[owner], out=picks)
+    if cums is None:
+        picks = (u * (hi - lo)[owner]).astype(np.int64)
+        picks += lo[owner]
+    else:
+        base = np.where(lo > 0, cums[lo - 1], 0.0)
+        mass = cums[hi - 1] - base
+        picks = np.searchsorted(cums, base[owner] + u * mass[owner], side="left")
+        # Guard against floating-point landing exactly on a row boundary.
+        np.minimum(picks, hi[owner] - 1, out=picks)
+        np.maximum(picks, lo[owner], out=picks)
     picks.sort()
     return picks, owner
 
@@ -235,6 +301,9 @@ def its_flops(p: CSRMatrix, s: int) -> int:
 
     The paper argues (section 2.3) the prefix sum is a negligible cost; this
     estimate feeds the simulated compute model so that claim is measurable.
+    It bills the prefix-sum path on every ``P``: on even rows the host
+    takes no sum and searches nothing (:func:`its_select_mask`), a
+    deviation the simulated clock does not model.
     """
     searches = p.shape[0] * s * max(1, int(np.log2(max(2, p.nnz))))
     return int(p.nnz + searches)

@@ -2,8 +2,8 @@
 
 Everything the paper's sampling framework needs from cuSPARSE/nsparse:
 one SpGEMM (:func:`spgemm`) and one SpMM (:func:`spmm`), both scipy's
-compiled CSR kernels over zero-copy views of :class:`CSRMatrix`'s arrays and
-both under one written order rule (strict left-to-right sums from ``0.0``),
+compiled CSR kernels run on :class:`CSRMatrix`'s own arrays, with no copy,
+and both under one written order rule (strict left-to-right sums from ``0.0``),
 and the selector / stacking / normalization ops around them.
 """
 

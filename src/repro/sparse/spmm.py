@@ -6,7 +6,10 @@ backward pass multiplies by the transposed adjacency through the same entry
 point (``transpose=True``), without building the transpose.
 
 :func:`spmm` is the one SpMM every caller shares — ``a @ dense`` and
-``gnn.layers`` — and it runs on ``scipy.sparse``'s compiled CSR kernel.
+``gnn.layers`` — and it calls ``scipy.sparse``'s compiled kernels on the
+matrix's own arrays: ``_sparsetools.csr_matvecs`` (``csc_matvecs`` for the
+transpose, the mat-vecs for one dense column), the kernels ``csr_matrix @
+dense`` runs, with no scipy matrix built per call.
 Its *bits* are part of the repo's contract (golden training losses, the
 pinned serving digests), and this is the whole contract:
 
@@ -45,6 +48,7 @@ reassociating to ``A (H W)`` changes every product.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .csr import CSRMatrix
 
@@ -80,9 +84,21 @@ def spmm(
     shape = a.shape[::-1] if transpose else a.shape
     if shape[1] != dense.shape[0]:
         raise ValueError(f"inner dimensions differ: {shape} @ {dense.shape}")
-    view = a.to_scipy(transpose=transpose)
-    view.data = view.data.astype(width, copy=False)
-    out = view @ dense
+    # The kernels ``csr_matrix @ dense`` (``csc_matrix`` for the transpose)
+    # runs, called on ``a``'s own arrays: one column takes the mat-vec, more
+    # take the multi-vector kernel, each adding into a zeroed output.
+    n_rows, n_cols = shape
+    k = dense.shape[1]
+    data = a.data.astype(width, copy=False)
+    out = np.zeros((n_rows, k), dtype=width)
+    if k == 1:
+        kernel = _sparsetools.csc_matvec if transpose else _sparsetools.csr_matvec
+        kernel(n_rows, n_cols, a.indptr, a.indices, data, dense.ravel(), out.ravel())
+    else:
+        kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+        kernel(
+            n_rows, n_cols, k, a.indptr, a.indices, data, dense.ravel(), out.ravel()
+        )
     return out[:, 0] if squeeze else out
 
 

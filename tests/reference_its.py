@@ -13,6 +13,13 @@
   ``replace=True`` round bit for bit, and — with the rejection rounds
   switched off on a ``P`` whose every row draws — this body's mask and
   generator state bit for bit, which is what holds its zeroing path.
+* ``prefix_select_mask`` — the body that replaced that one: one prefix
+  sum of ``P``, rejection rounds against it, then the zeroing path for the
+  rows still short.  It is still :func:`repro.core.its.its_select_mask`'s
+  path for every ``P`` whose drawing rows are not each of one value; on
+  rows of equal weights the kernel draws an index instead of searching
+  the sums, and this body is the byte-for-byte oracle of that path
+  (``tests/test_its.py``).
 * ``gumbel_select_mask`` — a second implementation of SAMPLE's
   distribution, in one pass: Gumbel top-``s`` (exponential races).  It
   shares no step with ITS, so ``tests/test_its.py`` holds both to the same
@@ -28,9 +35,16 @@ import numpy as np
 from repro.sparse import CSRMatrix
 from repro.sparse.csr import _masked_indptr
 
-__all__ = ["its_select_mask", "zeroing_select_mask", "gumbel_select_mask", "ranges"]
+__all__ = [
+    "its_select_mask",
+    "zeroing_select_mask",
+    "prefix_select_mask",
+    "gumbel_select_mask",
+    "ranges",
+]
 
 _MAX_ROUNDS = 256
+_REJECT_ROUNDS = 3
 
 
 def its_select_mask(
@@ -161,6 +175,122 @@ def zeroing_select_mask(
 
     return selected
 
+
+def prefix_select_mask(
+    p: CSRMatrix,
+    s: int,
+    rng: np.random.Generator,
+    *,
+    replace: bool = False,
+) -> np.ndarray:
+    """The retired one-prefix-sum ITS selection mask, verbatim."""
+    if s <= 0:
+        raise ValueError(f"sample count s must be positive, got {s}")
+    if p.nnz == 0:
+        return np.zeros(0, dtype=bool)
+    data, indptr = p.data, p.indptr
+    # One reduction answers both sign questions; a NaN minimum hides any
+    # negative entry, so only then is the data compared entry by entry.
+    lowest = data.min()
+    if lowest < 0 or (np.isnan(lowest) and np.any(data < 0)):
+        raise ValueError("P must be non-negative to be sampled")
+
+    lengths = np.diff(indptr)
+    if lowest > 0:
+        positive, pos_per_row = None, lengths
+    else:
+        positive = data > 0
+        pos_per_row = np.diff(_masked_indptr(indptr, positive))
+    if replace:
+        rows = np.flatnonzero(pos_per_row)
+    else:
+        # Step 1: a row with at most s positive entries keeps them all.
+        whole = pos_per_row <= s
+        selected = np.repeat(whole, lengths)
+        if positive is not None:
+            selected &= positive
+        rows = np.flatnonzero(~whole)
+        if rows.size == 0:
+            return selected
+
+    # Step 2: one prefix sum; each row reads its slice through indptr.
+    cums = np.cumsum(data)
+    lo, hi = indptr[rows], indptr[rows + 1]
+    if replace:  # one round of s draws per row; duplicates collapse
+        picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
+        selected = np.zeros(p.nnz, dtype=bool)
+        selected[picks] = True
+        return selected
+
+    # Step 3: redraw each shortfall against the round-1 sums.
+    have = np.zeros(rows.size, dtype=np.int64)
+    for _ in range(_REJECT_ROUNDS):
+        need = s - have
+        if not need.any():
+            return selected
+        picks, owner = _draw(cums, lo, hi, need, rng)
+        new = _first_new(picks, selected)
+        selected[picks[new]] = True
+        have += np.bincount(owner[new], minlength=rows.size)
+
+    # Step 4: the rows still short finish on their own entries.
+    short = np.flatnonzero(have < s)
+    if short.size:
+        _zeroing_rounds(data, selected, lo[short], hi[short], s - have[short], rng)
+    return selected
+
+
+def _draw(cums, lo, hi, need, rng):
+    """``need[i]`` i.i.d. ITS draws into row ``i``'s slice ``[lo[i], hi[i])``
+    of the prefix sums ``cums``: uniforms scaled into the slice's mass and
+    binary-searched.
+
+    Returns the picks sorted and the row of each: a pick is clamped into its
+    own row and the rows' slices ascend, so sorting keeps every row's picks
+    in the row's place, grouped, and repeats adjacent.
+    """
+    base = np.where(lo > 0, cums[lo - 1], 0.0)
+    mass = cums[hi - 1] - base
+    owner = np.repeat(np.arange(need.size), need)
+    u = rng.random(owner.size)
+    picks = np.searchsorted(cums, base[owner] + u * mass[owner], side="left")
+    # Guard against floating-point landing exactly on a row boundary.
+    np.minimum(picks, hi[owner] - 1, out=picks)
+    np.maximum(picks, lo[owner], out=picks)
+    picks.sort()
+    return picks, owner
+
+
+def _first_new(picks, selected):
+    """Which sorted picks are new: the first of each run of repeats, when
+    its entry is not selected yet."""
+    new = ~selected[picks]
+    new[1:] &= picks[1:] != picks[:-1]
+    return new
+
+
+def _zeroing_rounds(data, selected, lo, hi, need, rng):
+    """Select ``need[i]`` more entries of the row ``data[lo[i]:hi[i]]`` into
+    ``selected``, on the rows' own entries: each round zeroes the selected
+    ones, prefix-sums the rest and draws the shortfall."""
+    width = hi - lo
+    ptr = np.concatenate(([0], np.cumsum(width)))
+    at = np.repeat(lo - ptr[:-1], width) + np.arange(ptr[-1])
+    taken = selected[at]
+    live = data[at]
+    fresh = taken
+    for _ in range(_MAX_ROUNDS):
+        if not need.any():
+            break
+        live[fresh] = 0.0
+        picks, owner = _draw(np.cumsum(live), ptr[:-1], ptr[1:], need, rng)
+        new = _first_new(picks, taken)
+        fresh = picks[new]
+        taken[fresh] = True
+        need -= np.bincount(owner[new], minlength=need.size)
+    else:
+        raise RuntimeError("ITS failed to converge; is P malformed?")
+    selected[at[taken]] = True
 
 
 def gumbel_select_mask(

@@ -12,7 +12,9 @@ to the same oracle, and a sampler with the wrong law must fail it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +114,8 @@ ROWS = {
     "heavy": [50.0, 1.0, 1.0, 2.0, 1.0],
     "digits": [3.0, 1.0, 4.0, 1.0, 5.0, 9.0],
     "short": [2.0, 1.0],
+    "even": [0.5] * 5,
+    "single": [2.0],
 }
 COUNTS = (1, 2, 3)
 #: A heavy entry beside light ones: certain to reach the zeroing path.
@@ -172,6 +176,50 @@ def off_law(select, weights, s: int, seed: int) -> np.ndarray:
     return _outside_bound(counts, probs)
 
 
+@contextlib.contextmanager
+def _paths():
+    """What :func:`its._uniform_rows` answers inside the block, one answer
+    per SAMPLE call that asked: ``True`` is the uniform path."""
+    seen = []
+    check = its._uniform_rows
+
+    def spy(*args):
+        seen.append(check(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(its, "_uniform_rows", spy)
+        yield seen
+
+
+@contextlib.contextmanager
+def _stragglers():
+    """How many rows each call of step 4 finishes, inside the block."""
+    seen = []
+    zeroing = its._zeroing_rounds
+
+    def spy(data, selected, lo, hi, need, rng):
+        seen.append(lo.size)
+        zeroing(data, selected, lo, hi, need, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(its, "_zeroing_rounds", spy)
+        yield seen
+
+
+def _pair_off_law(a, b, s: int, seed: int) -> np.ndarray:
+    """Cells where rows ``a`` and ``b``, drawn interleaved in one call,
+    contradict the product of their exact laws (empty when they keep it)."""
+    p = _tiled([a, b], DRAWS)
+    mask = its_select_mask(p, s, np.random.default_rng(seed))
+    pairs = mask.reshape(DRAWS, len(a) + len(b))
+    joint = (_codes(pairs[:, : len(a)], len(a)) << len(b)) + _codes(
+        pairs[:, len(a) :], len(b)
+    )
+    probs = np.outer(subset_probabilities(a, s), subset_probabilities(b, s)).ravel()
+    return _outside_bound(np.bincount(joint, minlength=probs.size), probs)
+
+
 def _weight_proportional_keys(p, s, rng):
     """A plausible wrong SAMPLE: top-``s`` of ``w * U`` keys (``U^(1/w)``
     would be right).  Exists so the oracle is shown to reject something."""
@@ -198,8 +246,29 @@ class TestStatistics:
 
     def test_uniform_row_frequencies(self):
         """Every s-subset of a uniform row is equally likely."""
-        for s in COUNTS:
-            assert off_law(its_select_mask, ROWS["uniform"], s, seed=s).size == 0
+        with _paths() as seen:
+            for s in COUNTS:
+                assert off_law(its_select_mask, ROWS["uniform"], s, seed=s).size == 0
+        assert seen == [True] * len(COUNTS)
+
+    def test_even_rows_reach_the_zeroing_path_and_keep_the_law(self):
+        """``s`` one or two short of an even row's width: the uniform path's
+        rejection rounds leave rows short, and step 4 finishes them under
+        the same law."""
+        with _paths() as seen, _stragglers() as stragglers:
+            for s in (4, 5):
+                stragglers.clear()
+                off = off_law(its_select_mask, ROWS["uniform"], s, seed=80 + s)
+                assert off.size == 0, (s, off)
+                assert stragglers and stragglers[0] > 0
+        assert seen == [True, True]
+
+    def test_even_rows_of_different_weights_in_one_pass(self):
+        """Even rows of different widths and weights drawn in one call, on
+        the uniform path, follow the product of their laws."""
+        with _paths() as seen:
+            assert _pair_off_law(ROWS["even"], [1 / 3] * 4, 2, seed=90).size == 0
+        assert seen == [True]
 
     def test_weighted_frequencies(self):
         """Every subset of a weighted row, at every count, follows
@@ -211,19 +280,9 @@ class TestStatistics:
     def test_many_rows_single_pass_matches_marginals(self):
         """Rows drawn in one call are independent: two different rows
         interleaved in one ``P`` follow the product of their laws."""
-        a, b = ROWS["skewed"], ROWS["digits"]
         for s in COUNTS:
-            p = _tiled([a, b], DRAWS)
-            mask = its_select_mask(p, s, np.random.default_rng(20 + s))
-            pairs = mask.reshape(DRAWS, len(a) + len(b))
-            joint = (
-                _codes(pairs[:, : len(a)], len(a)) << len(b)
-            ) + _codes(pairs[:, len(a) :], len(b))
-            probs = np.outer(
-                subset_probabilities(a, s), subset_probabilities(b, s)
-            ).ravel()
-            counts = np.bincount(joint, minlength=probs.size)
-            assert _outside_bound(counts, probs).size == 0
+            off = _pair_off_law(ROWS["skewed"], ROWS["digits"], s, seed=20 + s)
+            assert off.size == 0
 
     def test_gumbel_matches_its_marginals(self):
         """Gumbel top-``s`` — a second implementation sharing no step with
@@ -246,23 +305,16 @@ class TestStatistics:
             cols, _ = q.row(i)
             assert len(np.unique(cols)) == len(cols)
 
-    def test_rows_that_reach_the_zeroing_path(self, monkeypatch):
+    def test_rows_that_reach_the_zeroing_path(self):
         """One heavy entry beside light ones: every redraw of the heavy entry
         is a repeat, so the rows are still short after the rejection rounds
         and finish on the zeroing path, which answers to the same oracle."""
-        stragglers = []
-        zeroing = its._zeroing_rounds
-
-        def spy(data, selected, lo, hi, need, rng):
-            stragglers.append(lo.size)
-            zeroing(data, selected, lo, hi, need, rng)
-
-        monkeypatch.setattr(its, "_zeroing_rounds", spy)
-        for s in (2, 3, 5):
-            stragglers.clear()
-            off = off_law(its_select_mask, HEAVY, s, seed=50 + s)
-            assert off.size == 0, (s, off)
-            assert stragglers and stragglers[0] > 0.99 * DRAWS
+        with _stragglers() as stragglers:
+            for s in (2, 3, 5):
+                stragglers.clear()
+                off = off_law(its_select_mask, HEAVY, s, seed=50 + s)
+                assert off.size == 0, (s, off)
+                assert stragglers and stragglers[0] > 0.99 * DRAWS
 
     def test_a_dominant_entry_terminates_and_obeys_the_law(self):
         """A row holding ``1 - ε`` of its mass, ``s ≥ 2``: rejection alone
@@ -453,16 +505,9 @@ def test_the_zeroing_path_is_the_retired_body(args, seed):
     assert got == _run(reference_its.zeroing_select_mask, p, s, seed)
 
 
-@given(sampling_inputs(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_per_batch_blocks_match_the_retired_body(args, data):
-    """``sample_stacked_mask`` with one generator per row block: each block
-    is a separate call on that block, under its own stream, and holds to
-    the zeroing body on that block."""
-    p, s = args
-    cuts = sorted(
-        data.draw(st.lists(st.integers(0, p.shape[0]), max_size=3))
-    )
+def _block_seeds(p, data):
+    """Row-block bounds of ``p`` and one seed per block."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, p.shape[0]), max_size=3)))
     bounds = np.array([0, *cuts, p.shape[0]])
     seeds = data.draw(
         st.lists(
@@ -470,6 +515,17 @@ def test_per_batch_blocks_match_the_retired_body(args, data):
             min_size=len(bounds) - 1, max_size=len(bounds) - 1,
         )
     )
+    return bounds, seeds
+
+
+@given(sampling_inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_per_batch_blocks_match_the_retired_body(args, data):
+    """``sample_stacked_mask`` with one generator per row block: each block
+    is a separate call on that block, under its own stream, and holds to
+    the zeroing body on that block."""
+    p, s = args
+    bounds, seeds = _block_seeds(p, data)
     blocks = [
         p.row_block(int(bounds[i]), int(bounds[i + 1]))
         for i in range(len(seeds))
@@ -535,3 +591,142 @@ def test_picks_stay_in_their_rows_behind_an_infinite_weight():
     for seed in range(3):
         mask = its_select_mask(p, 1, np.random.default_rng(seed))
         assert np.array_equal(_row_counts(mask.tobytes(), p), [1, 1])
+
+
+# ---------------------------------------------------------------------- #
+# The uniform path against the one-prefix-sum body
+# ---------------------------------------------------------------------- #
+#: One row's weight on an even row: unit, NORM of a row of weight 0.5 or of
+#: degree 3 or 7, and a weight above one.
+_EVEN = st.sampled_from([1.0, 0.5, 0.25, 1 / 3, 1 / 7, 3.0])
+
+
+@st.composite
+def even_inputs(draw, max_rows: int = 10, max_cols: int = 14):
+    """A ``P`` whose every row holds one weight of its own, with empty rows,
+    single-entry rows and rows at or below ``s``."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    indptr, indices, data = [0], [], []
+    for _ in range(n_rows):
+        cols = sorted(
+            draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=n_cols))
+        )
+        indices += cols
+        data += [draw(_EVEN)] * len(cols)
+        indptr.append(len(indices))
+    p = CSRMatrix(np.array(indptr), np.array(indices, dtype=np.int64),
+                  np.array(data, dtype=np.float64), (n_rows, n_cols))
+    p.check()
+    return p, draw(st.integers(1, n_cols + 2))
+
+
+@given(even_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_the_uniform_path_is_the_prefix_body(args, replace, seed):
+    """On even rows, drawing an index is the prefix-sum body's binary
+    search: the same mask and generator state, bitwise, with and without
+    replacement."""
+    p, s = args
+    p.data.flags.writeable = False
+    with _paths() as seen:
+        got = _run(its_select_mask, p, s, seed, replace=replace)
+    assert all(seen)
+    assert got == _run(reference_its.prefix_select_mask, p, s, seed, replace=replace)
+
+
+@given(even_inputs(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_uniform_blocks_are_the_prefix_body(args, data):
+    """``sample_stacked_mask`` with one generator per row block: each block
+    of even rows draws what the prefix-sum body draws on that block."""
+    p, s = args
+    bounds, seeds = _block_seeds(p, data)
+    want = [
+        _run(reference_its.prefix_select_mask, p.row_block(int(a), int(b)), s, x)
+        for a, b, x in zip(bounds[:-1], bounds[1:], seeds)
+    ]
+    rngs = [np.random.default_rng(x) for x in seeds]
+    with _paths() as seen:
+        got = SageSampler().sample_stacked_mask(p, s, rngs, bounds)
+    assert all(seen)
+    assert got.tobytes() == b"".join(mask for mask, _ in want)
+    assert [g.bit_generator.state for g in rngs] == [state for _, state in want]
+
+
+def _with_row(p: CSRMatrix, at: int, values) -> CSRMatrix:
+    """``p`` with a row of ``values`` (in columns ``0, 1, ...``) inserted
+    before row ``at``."""
+    rows = [p.row(i) for i in range(p.shape[0])]
+    rows.insert(at, (np.arange(len(values)), np.asarray(values, dtype=np.float64)))
+    lengths = [len(cols) for cols, _ in rows]
+    return CSRMatrix(
+        np.concatenate(([0], np.cumsum(lengths))).astype(np.int64),
+        np.concatenate([cols for cols, _ in rows]).astype(np.int64),
+        np.concatenate([vals for _, vals in rows]).astype(np.float64),
+        (len(rows), max(p.shape[1], len(values))),
+    )
+
+
+@given(even_inputs(), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_one_uneven_row_keeps_the_prefix_path(args, data, replace, seed):
+    """Even rows plus one drawing row that holds a second weight: the
+    check turns the ``P`` away and the prefix-sum body runs, bitwise."""
+    p, s = args
+    weight = data.draw(_EVEN)
+    values = [weight] * (s + 1)
+    values[data.draw(st.integers(0, s))] = 2 * weight
+    p = _with_row(p, data.draw(st.integers(0, p.shape[0])), values)
+    with _paths() as seen:
+        got = _run(its_select_mask, p, s, seed, replace=replace)
+    assert seen == [False]
+    assert got == _run(reference_its.prefix_select_mask, p, s, seed, replace=replace)
+
+
+def test_rows_too_light_for_the_sums_keep_the_prefix_path():
+    """An even row whose weight the one prefix sum rounds away behind a
+    heavier row: there the prefix path always draws the row's first entry,
+    and the uniform path would not, so the check says no and the bits stay
+    the prefix body's."""
+    p = _tiled([[1e-9], [1.175494351e-38] * 2], 1)
+    for replace, seed in itertools.product((False, True), range(3)):
+        with _paths() as seen:
+            got = _run(its_select_mask, p, 1, seed, replace=replace)
+        assert seen == [False]
+        assert got == _run(
+            reference_its.prefix_select_mask, p, 1, seed, replace=replace
+        )
+
+
+def test_even_rows_on_the_zeroing_path_are_the_prefix_body():
+    """``s`` one short of the widths: rows still short after the rejection
+    rounds finish on step 4, as the prefix-sum body finishes them."""
+    p = _tiled([[0.5] * 6, [1 / 7] * 7], 300)
+    for seed in range(3):
+        with _paths() as seen, _stragglers() as stragglers:
+            got = _run(its_select_mask, p, 5, seed)
+        assert seen == [True] and stragglers[0] > 0
+        assert got == _run(reference_its.prefix_select_mask, p, 5, seed)
+
+
+def test_the_uniform_path_allocates_nothing_the_size_of_p():
+    """Even rows take no prefix sum: SAMPLE allocates less than one float64
+    array of ``P``'s size, which the ``cumsum`` of a weighted ``P`` of the
+    same shape alone reaches."""
+    rng = np.random.default_rng(0)
+    widths = rng.integers(50, 150, 2000)
+    indptr = np.concatenate(([0], np.cumsum(widths)))
+    indices = np.concatenate([np.arange(w) for w in widths])
+    even = CSRMatrix(indptr, indices, np.repeat(1.0 / widths, widths), (2000, 150))
+    weighted = CSRMatrix(indptr, indices, rng.uniform(0.5, 1.5, indptr[-1]), (2000, 150))
+
+    def peak(p):
+        tracemalloc.start()
+        try:
+            its_select_mask(p, 3, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(even) < 8 * even.nnz <= peak(weighted)
