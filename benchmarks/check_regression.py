@@ -22,10 +22,9 @@ stay within ``--tolerance`` of the baseline; params must match exactly
 (excluding ``--ignore-params`` keys) or the artifacts are declared
 incomparable — a different invocation proves nothing about perf.
 
-Artifacts carrying an environment fingerprint (``env`` key — wall-clock
-benches like ``bench_parallel`` attach one) must additionally match on it,
-because wall-clock numbers are machine-specific; ``--ignore-env`` skips
-that check for cross-machine *ratio* gating (speedups, hit rates).
+Artifacts carrying an environment fingerprint (``env`` key, which a
+wall-clock bench attaches) must additionally match on it, because
+wall-clock numbers are machine-specific.
 
 Exit codes: 0 ok, 1 regression, 2 usage/schema error, 3 params mismatch,
 4 environment mismatch.  When several kinds of failure occur across the
@@ -78,7 +77,6 @@ def _check_one(
         baseline = load_bench_artifact(baseline_path)
         regressions = compare_artifacts(
             baseline, fresh, tolerance=args.tolerance, ignore_params=ignore,
-            ignore_env=args.ignore_env,
         )
     except ParamsMismatch as exc:
         print(f"error: {bench_name}: {exc}", file=sys.stderr)
@@ -126,9 +124,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ignore-params", default="", metavar="K1,K2",
                         help="comma-separated param keys excluded from the "
                         "comparability check")
-    parser.add_argument("--ignore-env", action="store_true",
-                        help="skip the environment-fingerprint match (gate "
-                        "machine-independent ratios across machines)")
     args = parser.parse_args(argv)
 
     if args.baseline is not None and len(args.fresh) > 1:

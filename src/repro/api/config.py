@@ -67,6 +67,7 @@ _BOUNDS = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    "zero": lambda v: v == 0,
 }
 
 #: The abstract numeric type a declared ``type`` accepts: an ``int`` is
@@ -297,13 +298,13 @@ class RunConfig:
         0.01, "simulated seconds per autoscaler evaluation window", float,
         bound="positive", metavar="SECONDS",
     )
-    # -- real multi-core execution (repro.parallel) ----------------------- #
+    # benchmarks/e2e hashes to_dict(), so the field stays until that hash
+    # changes anyway, together with ``kernel`` (ROADMAP item 0).
     workers: int = _knob(
-        0, "shared-memory worker processes (0 = serial / in-process): bulk "
-        "sampling under train, where > 0 implies --algorithm parallel "
-        "unless given; one replica per worker under serve/stream, which "
-        "needs an open-loop trace and no autoscaler", int,
-        bound="non-negative",
+        0, "legacy worker-process count, always 0 (no flag; the field is "
+        "kept so saved configs hash as before)", int, bound="zero",
+        note=" (the shared-memory worker pool was removed: drop the key or "
+        "set it to 0)",
     )
 
     def __post_init__(self) -> None:
@@ -321,12 +322,6 @@ class RunConfig:
         if self.algorithm == "single" and self.p != 1:
             raise ValueError(
                 f"algorithm 'single' requires p=1, got p={self.p}"
-            )
-        if self.algorithm == "parallel" and self.p != 1:
-            raise ValueError(
-                f"algorithm 'parallel' requires p=1, got p={self.p}: it "
-                f"parallelizes over real worker processes (workers=N), not "
-                f"simulated ranks — use algorithm='replicated' to sweep p"
             )
         if self.autoscale_min > self.autoscale_max:
             raise ValueError(
@@ -378,11 +373,25 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "RunConfig":
-        """Load from a JSON file path or a JSON string."""
+        """Load from a JSON file path or a JSON string.
+
+        Text that is not JSON, or JSON that is not an object, raises
+        ``ValueError`` naming the file.
+        """
         text = str(source)
+        where = "RunConfig JSON text"
         if not text.lstrip().startswith("{"):
+            where = f"config {source}"
             text = Path(source).read_text()
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"{where} must hold a JSON object of RunConfig fields"
+            )
+        return cls.from_dict(data)
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (re-validated)."""

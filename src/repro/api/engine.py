@@ -177,21 +177,6 @@ class Engine:
         what ``train_epoch(epoch)`` would have returned."""
         return self.pipeline.stream_bulks(epoch)
 
-    def close(self) -> None:
-        """Release backend resources — with ``algorithm="parallel"`` this
-        shuts the worker pool down and frees its shared-memory segments.
-        Idempotent, and a no-op when no pipeline was ever built; the pool
-        also cleans itself up at garbage collection / interpreter exit,
-        so calling this is only needed for prompt teardown."""
-        if self._pipeline is not None:
-            self._pipeline.close()
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Online serving
     # ------------------------------------------------------------------ #
@@ -206,10 +191,10 @@ class Engine:
 
         Returns a :class:`~repro.serve.ServingCluster` shaped by the
         config's fleet knobs (``replicas``, ``router``, ``shed_*``,
-        ``slo_p99``/``autoscale_*``, ``workers``); the defaults describe a
-        single server — one ``direct`` replica.  ``fleet=False`` forces
-        exactly that whatever the config says (no admission control, no
-        autoscaler, ``workers=0``); ``True``/``None`` mean "as configured".
+        ``slo_p99``/``autoscale_*``); the defaults describe a single
+        server — one ``direct`` replica.  ``fleet=False`` forces exactly
+        that whatever the config says (no admission control, no
+        autoscaler); ``True``/``None`` mean "as configured".
 
         ``fanout=None`` (default) serves exact full-neighborhood logits —
         bit-identical to :func:`~repro.pipeline.layerwise_inference` — and
@@ -235,7 +220,7 @@ class Engine:
         if fleet is False:
             cfg = cfg.replace(
                 replicas=1, router="direct", shed_policy="none",
-                slo_p99=0.0, workers=0,
+                slo_p99=0.0,
             )
         if stream is None:
             stream = cfg.stream_updates

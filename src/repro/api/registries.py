@@ -53,7 +53,6 @@ from ..core import (
 )
 from ..graphs import Graph, load_dataset
 from ..graphs.datasets import PAPER_DATASETS
-from ..parallel import ParallelBackend
 from .backends import PartitionedBackend, ReplicatedBackend, SingleDeviceBackend
 from .registry import CapabilityError, Registry
 
@@ -127,14 +126,6 @@ ALGORITHMS.register(
     "partitioned", PartitionedBackend, scalable=True,
     description="Graph Partitioned (section 5.2): 1.5D sparsity-aware SpGEMM",
 )
-# Not "scalable" in the simulated-rank sense: it parallelizes over real
-# worker processes (RunConfig.workers), so p stays 1 and sweeping simulated
-# world sizes over it is meaningless.
-ALGORITHMS.register(
-    "parallel", ParallelBackend, scalable=False,
-    description="real multi-core bulk sampling: shared-memory worker pool "
-    "(workers=N; workers=0 runs serial, bit-identical)",
-)
 
 
 # ---------------------------------------------------------------------- #
@@ -204,10 +195,8 @@ def sampler_algorithms(sampler: str) -> tuple[str, ...]:
     """Execution algorithms a registered sampler supports.
 
     Explicit ``algorithms`` metadata wins; otherwise support is derived:
-    ``single``, ``replicated`` and ``parallel`` always work (all three run
-    the sampler's own ``sample_bulk`` — ``parallel`` just does it on real
-    worker processes with the same per-batch RNG discipline as
-    ``replicated``), and ``partitioned`` is available iff the sampler
+    ``single`` and ``replicated`` always work (both run the sampler's own
+    ``sample_bulk``), and ``partitioned`` is available iff the sampler
     emits a plan — distribution is a property of the plan, not of any
     per-sampler distributed code.
     """
@@ -215,7 +204,7 @@ def sampler_algorithms(sampler: str) -> tuple[str, ...]:
     explicit = entry.meta("algorithms", None)
     if explicit is not None:
         return tuple(explicit)
-    derived = ("single", "replicated", "parallel")
+    derived = ("single", "replicated")
     if _emits_plan(entry.obj):
         derived += ("partitioned",)
     return derived

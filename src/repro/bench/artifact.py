@@ -22,13 +22,12 @@ understand rather than silently misreading a trajectory point.
 
 *Simulated* artifacts deliberately carry no timestamps or host info —
 simulated metrics are deterministic, and a byte-stable file makes
-regressions show up as a git diff.  *Wall-clock* artifacts (e.g. the
-multi-core ``bench_parallel``) are machine-dependent, so they attach an
-optional ``"env"`` key (:func:`env_fingerprint`: cpu count,
-python/numpy versions, platform) and the regression gate refuses to
-compare artifacts from different environments unless told to
-(``--ignore-env``) — a speedup measured on 16 cores says nothing about a
-1-core box, and that incomparability must fail loudly, not drift by.
+regressions show up as a git diff.  *Wall-clock* artifacts are
+machine-dependent, so they attach an optional ``"env"`` key
+(:func:`env_fingerprint`: cpu count, python/numpy versions, platform) and
+the regression gate refuses to compare artifacts from different
+environments — a speedup measured on 16 cores says nothing about a 1-core
+box, and that incomparability must fail loudly, not drift by.
 """
 
 from __future__ import annotations
@@ -68,29 +67,24 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def env_fingerprint(*, workers: int | None = None) -> dict[str, Any]:
+def env_fingerprint() -> dict[str, Any]:
     """The environment facts that make wall-clock numbers comparable.
 
     Attach this (via ``bench_artifact(..., env=...)``) to any benchmark
     whose metrics depend on the machine: core count, interpreter and numpy
-    versions, platform.  ``workers`` records how many worker processes the
-    run actually used when that is an environment choice rather than a
-    swept parameter.
+    versions, platform.
     """
     import os
     import platform
 
     import numpy
 
-    env: dict[str, Any] = {
+    return {
         "cpu_count": int(os.cpu_count() or 1),
         "python": platform.python_version(),
         "numpy": str(numpy.__version__),
         "platform": f"{platform.system()}-{platform.machine()}",
     }
-    if workers is not None:
-        env["workers"] = int(workers)
-    return env
 
 
 def bench_artifact(

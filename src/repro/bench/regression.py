@@ -52,9 +52,7 @@ class ParamsMismatch(ValueError):
 class EnvMismatch(ValueError):
     """Fresh and baseline artifacts carry different environment
     fingerprints (``env`` key) — wall-clock numbers measured on different
-    machines prove nothing about each other.  Pass ``ignore_env=True``
-    (CLI ``--ignore-env``) to compare anyway, e.g. to gate speedup
-    *ratios* across machines."""
+    machines prove nothing about each other."""
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,16 @@ def compare_artifacts(
     *,
     tolerance: float = 0.05,
     ignore_params: tuple[str, ...] = (),
-    ignore_env: bool = False,
 ) -> list[Regression]:
     """Diff two artifact payloads; returns the list of regressions.
 
     Raises :class:`ValueError` when the artifacts are for different
     benches, :class:`ParamsMismatch` when their params differ (keys in
     ``ignore_params`` are excused), :class:`EnvMismatch` when either
-    carries an environment fingerprint and they disagree (unless
-    ``ignore_env``), and flags a baseline metric that vanished from the
-    fresh run as a regression-shaped failure too — silently dropping a
-    gated metric must not pass the gate.
+    carries an environment fingerprint and they disagree, and flags a
+    baseline metric that vanished from the fresh run as a
+    regression-shaped failure too — silently dropping a gated metric must
+    not pass the gate.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
@@ -113,24 +110,22 @@ def compare_artifacts(
             f"cannot compare different benches: baseline is "
             f"{baseline.get('bench')!r}, fresh is {fresh.get('bench')!r}"
         )
-    if not ignore_env:
-        base_env = baseline.get("env")
-        fresh_env = fresh.get("env")
-        if base_env != fresh_env:
-            keys = sorted(
-                k
-                for k in set(base_env or {}) | set(fresh_env or {})
-                if (base_env or {}).get(k) != (fresh_env or {}).get(k)
-            ) or ["env"]
-            raise EnvMismatch(
-                f"artifacts come from different environments (differ on "
-                f"{', '.join(keys)}: baseline "
-                f"{ {k: (base_env or {}).get(k) for k in keys} } vs fresh "
-                f"{ {k: (fresh_env or {}).get(k) for k in keys} }); "
-                f"wall-clock numbers are machine-specific — regenerate the "
-                f"baseline on this machine or pass ignore_env to gate "
-                f"ratios only"
-            )
+    base_env = baseline.get("env")
+    fresh_env = fresh.get("env")
+    if base_env != fresh_env:
+        keys = sorted(
+            k
+            for k in set(base_env or {}) | set(fresh_env or {})
+            if (base_env or {}).get(k) != (fresh_env or {}).get(k)
+        ) or ["env"]
+        raise EnvMismatch(
+            f"artifacts come from different environments (differ on "
+            f"{', '.join(keys)}: baseline "
+            f"{ {k: (base_env or {}).get(k) for k in keys} } vs fresh "
+            f"{ {k: (fresh_env or {}).get(k) for k in keys} }); "
+            f"wall-clock numbers are machine-specific — regenerate the "
+            f"baseline on this machine"
+        )
     base_params = {
         k: v for k, v in baseline.get("params", {}).items()
         if k not in ignore_params

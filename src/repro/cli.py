@@ -49,13 +49,13 @@ _SERVE_DEFAULTS = {**_CLI_DEFAULTS, "epochs": 1}
 #: The RunConfig fields each subcommand exposes as ``--kebab-name`` flags
 #: (see :func:`add_config_flags`); every other flag it has is not a knob.
 _TRAIN_KNOBS = (
-    "scale", "epochs", "p", "c", "k", "workers", "algorithm", "sampler",
+    "scale", "epochs", "p", "c", "k", "algorithm", "sampler",
     "fanout", "train_split", "batch_size", "hidden", "lr", "seed",
     "activation", "cache_budget", "cache_policy", "overlap",
 )
 _SERVING_KNOBS = (
     "scale", "epochs", "sampler", "fanout", "batch_size", "hidden",
-    "seed", "serve_batch_size", "serve_max_wait", "embed_budget", "workers",
+    "seed", "serve_batch_size", "serve_max_wait", "embed_budget",
 )
 _SERVE_KNOBS = _SERVING_KNOBS + (
     "activation", "replicas", "router", "shed_policy", "shed_queue_depth",
@@ -180,9 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flags override --config; without --config unset flags "
         "use the defaults shown (dataset defaults to 'products'). Giving "
         "--c > 1 without --algorithm selects the partitioned algorithm, "
-        "the only one a replication group is meaningful for; --workers > 0 "
-        "without --algorithm/--p selects the parallel algorithm (real "
-        "worker processes instead of simulated ranks).",
+        "the only one a replication group is meaningful for.",
     )
 
     srv = _add_run_parser(
@@ -402,18 +400,6 @@ def _resolve_train_config(args):
     # instead of failing the grid validation downstream.
     if overrides.get("c", 1) > 1 and "algorithm" not in overrides:
         settings["algorithm"] = "partitioned"
-    # Worker processes parallelize over real cores, not simulated ranks,
-    # so `train --workers N` without --algorithm/--p selects the parallel
-    # backend at p=1.  serve/stream keep their training defaults: there
-    # --workers drives the serving fleet, not the training backend.
-    if (
-        args.command == "train"
-        and overrides.get("workers", 0) > 0
-        and "algorithm" not in overrides
-        and "p" not in overrides
-    ):
-        settings["algorithm"] = "parallel"
-        settings["p"] = 1
     settings.update(overrides)
     if settings["fanout"] is _PER_SAMPLER:
         settings["fanout"] = SAMPLERS.spec(
@@ -435,33 +421,29 @@ def _cmd_train(args) -> int:
         engine.pipeline  # resolve registries/capabilities before training
     except (ValueError, KeyError, FileNotFoundError) as exc:
         return _user_error(exc)
-    try:
-        epoch_times = []
-        for epoch in range(cfg.epochs):
-            stats = engine.train_epoch(epoch)
-            epoch_times.append(stats.epoch_seconds)
-            loss_txt = (
-                f"loss {stats.loss:.4f}" if stats.loss is not None
-                else "loss n/a"
-            )
-            line = (f"epoch {epoch}: {loss_txt}  "
-                    f"sim-time {stats.epoch_seconds:.5f}s "
-                    f"(sampling {stats.sampling:.5f} / "
-                    f"fetch {stats.feature_fetch:.5f}"
-                    f" / prop {stats.propagation:.5f})")
-            if stats.pipelined_total is not None:
-                line += f" overlap saved {stats.overlap_saved:.5f}s"
-            if stats.fetch_hit_rate is not None:
-                line += f" cache hit-rate {stats.fetch_hit_rate:.2%}"
-            print(line)
-        if len(epoch_times) > 1:
-            from repro.bench.reporting import format_latency_summary
+    epoch_times = []
+    for epoch in range(cfg.epochs):
+        stats = engine.train_epoch(epoch)
+        epoch_times.append(stats.epoch_seconds)
+        loss_txt = (
+            f"loss {stats.loss:.4f}" if stats.loss is not None
+            else "loss n/a"
+        )
+        line = (f"epoch {epoch}: {loss_txt}  "
+                f"sim-time {stats.epoch_seconds:.5f}s "
+                f"(sampling {stats.sampling:.5f} / "
+                f"fetch {stats.feature_fetch:.5f}"
+                f" / prop {stats.propagation:.5f})")
+        if stats.pipelined_total is not None:
+            line += f" overlap saved {stats.overlap_saved:.5f}s"
+        if stats.fetch_hit_rate is not None:
+            line += f" cache hit-rate {stats.fetch_hit_rate:.2%}"
+        print(line)
+    if len(epoch_times) > 1:
+        from repro.bench.reporting import format_latency_summary
 
-            print(format_latency_summary(epoch_times,
-                                         label="sim-time summary"))
-        print(f"test accuracy: {engine.evaluate('test'):.3f}")
-    finally:
-        engine.close()  # shut down worker pools (--workers) promptly
+        print(format_latency_summary(epoch_times, label="sim-time summary"))
+    print(f"test accuracy: {engine.evaluate('test'):.3f}")
     _finish_obs(args)
     return 0
 
@@ -483,7 +465,7 @@ def _cmd_serving(args) -> int:
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
-        # the effective replica/router/worker config.
+        # the effective replica/router config.
         line = (f"dataset {cfg.dataset} (scale {cfg.scale}): sampler "
                 f"{cfg.sampler}, serve_batch_size={cfg.serve_batch_size}, "
                 f"serve_max_wait={cfg.serve_max_wait}, "
@@ -492,7 +474,7 @@ def _cmd_serving(args) -> int:
             line += f", compaction_threshold={cfg.compaction_threshold}"
         print(line)
         line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
-                f"shed_policy {cfg.shed_policy}, workers {cfg.workers}")
+                f"shed_policy {cfg.shed_policy}")
         if cfg.slo_p99 > 0:
             line += (f", autoscaling to p99<={cfg.slo_p99:g}s in "
                      f"[{cfg.autoscale_min}, {cfg.autoscale_max}]")

@@ -56,7 +56,7 @@ even rows, one multiply each) and a sort of the picks, which finds repeats
 because picks lie in their own rows and so stay grouped by row.  Step 4
 gathers the stragglers' entries once and repeats its prefix sum over those
 alone.  ``P``'s values are never copied whole or written, so read-only
-shared-memory operands work as they are.
+operands work as they are.
 
 *The contract.*  Per row, the selected set is distributed as successive
 sampling without replacement: draw an entry with probability proportional

@@ -2,8 +2,8 @@
 
 The Graph Replicated algorithm runs the whole bulk-sampling loop locally on
 each rank (no communication, section 5.1), and so do the single-device
-backend, the worker pool, and the per-batch baselines (Quiver, the serial
-CPU LADIES reference).  All of them cost their sampling with one pair:
+backend and the per-batch baselines (Quiver, the serial CPU LADIES
+reference).  All of them cost their sampling with one pair:
 
 * :func:`record_sampling` runs ``sample_bulk`` with a private SpGEMM hook
   and, as each product is computed, adds its terms to a
@@ -14,12 +14,10 @@ CPU LADIES reference).  All of them cost their sampling with one pair:
   device clock, adding the fixed per-layer launches and the per-call
   driver overhead.
 
-Because ``SamplingWork`` adds, work recorded in several places (the pool's
-workers, each on its share of one bulk) bills as one call.  Kernel-launch
-accounting is where bulk amortization shows up: one bulk call issues a
-fixed number of kernels per layer regardless of how many minibatches are
-stacked, while per-batch sampling pays them, and ``CALL_OVERHEAD_S``, once
-per batch (sections 4, 8.1.1).
+Kernel-launch accounting is where bulk amortization shows up: one bulk
+call issues a fixed number of kernels per layer regardless of how many
+minibatches are stacked, while per-batch sampling pays them, and
+``CALL_OVERHEAD_S``, once per batch (sections 4, 8.1.1).
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ load directly:
 
 Determinism: events are ordered by ``(track, seq)`` and serialized with
 sorted keys and fixed separators, so a sim-domain-only export
-(``domain="sim"``) of a deterministic run is **byte-identical** across
-worker counts — the property ``tests/test_obs.py`` pins at workers 0
-vs 4.
+(``domain="sim"``) of a deterministic run is **byte-identical** from
+run to run.
 
 :func:`validate_chrome_trace` is the schema check CI runs on exported
 files: shape errors come back as strings instead of exceptions so a

@@ -1,8 +1,8 @@
 """Human summaries of exported traces (the ``repro trace`` subcommand).
 
 Works off the exported Chrome trace JSON — not live tracer state — so any
-trace file (including one merged from workers, or produced by an earlier
-run) can be explained after the fact.  Three views:
+trace file (including one produced by an earlier run) can be explained
+after the fact.  Three views:
 
 * **top spans by self-time** — per span name, the time spent in that span
   *excluding* nested spans on the same thread, which is what actually

@@ -2,27 +2,21 @@
 
 One :class:`Tracer` collects :class:`Span` records from every layer of the
 repo — serving replicas, the fleet router, plan executors, the training
-pipeline, worker pools — onto named *tracks* (one per replica / worker /
-control plane).  Two time domains coexist:
+pipeline — onto named *tracks* (one per replica / control plane).  Two
+time domains coexist:
 
 * **sim** — the span's start/end are simulated seconds read off a
   :class:`~repro.comm.clock.SimClock` (plus an *offset* that maps the
   clock's run-local time onto the workload timeline).  Sim spans are a
   pure function of the run's seed and config, so their export is
-  byte-identical across worker counts (pinned in ``tests/test_obs.py``).
+  byte-identical from run to run.
 * **wall** — real ``perf_counter`` timestamps, for work the simulated
-  clock cannot see (individual plan steps, pool task round-trips).
+  clock cannot see (individual plan steps).
 
 Nested ``span()`` calls inherit the enclosing span's track, clock and
 offset, so instrumentation deep in the executors needs no plumbing: a
 replica opens a sim span for the micro-batch and everything recorded
 inside lands on that replica's track and timeline.
-
-The tracer is process-safe by *shipping*, not sharing: a
-:class:`~repro.parallel.pool.WorkerPool` worker installs its own tracer,
-drains it after every task, and the owner absorbs the spans —
-:class:`Span` is plain data, and per-track sequence numbers are assigned
-worker-side so the merged trace is independent of reply arrival order.
 
 Tracing off is a no-op: every instrumentation site starts with a
 ``get_tracer() is None`` check and touches no RNG either way, so golden
@@ -38,7 +32,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Span",
@@ -84,7 +78,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans onto per-track sequences; nestable, shippable.
+    """Collects spans onto per-track sequences; nestable.
 
     ``maxlen`` bounds the buffer (oldest spans drop first) — used by the
     ``REPRO_TRACE`` environment mode so an arbitrarily long run cannot
@@ -200,7 +194,7 @@ class Tracer:
         )
 
     # -------------------------------------------------------------- #
-    # Readout / shipping
+    # Readout
     # -------------------------------------------------------------- #
     @property
     def spans(self) -> list[Span]:
@@ -209,28 +203,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-    def drain(self) -> list[Span]:
-        """Remove and return every recorded span (sequence counters keep
-        running, so a drained tracer's later spans still sort after)."""
-        out = list(self._spans)
-        self._spans.clear()
-        return out
-
-    def absorb(self, spans: Iterable[Span]) -> None:
-        """Merge spans shipped from another process's tracer.
-
-        Worker-assigned ``seq`` values are preserved — workers own whole
-        tracks (one replica's timeline, one worker's task lane), so their
-        numbering *is* the track's program order.  Local counters advance
-        past absorbed values so a later local span on the same track
-        cannot collide.
-        """
-        for sp in spans:
-            self._spans.append(sp)
-            nxt = sp.seq + 1
-            if nxt > self._seq.get(sp.track, 0):
-                self._seq[sp.track] = nxt
 
 
 @contextmanager

@@ -105,14 +105,6 @@ class TrainingPipeline:
             sum(v.nbytes for v in self.model.parameters().values())
         )
 
-    def close(self) -> None:
-        """Release backend resources (the parallel backend's worker pool
-        and shared-memory segments).  Idempotent; simulated backends hold
-        nothing and make this a no-op."""
-        close = getattr(self.backend, "close", None)
-        if close is not None:
-            close()
-
     # ------------------------------------------------------------------ #
     # Sampling step
     # ------------------------------------------------------------------ #

@@ -72,8 +72,7 @@ class AdmissionController:
         if dropped:
             tracer = get_tracer()
             if tracer is not None:
-                # Shed events land on the shedding replica's track (it runs
-                # replica-side, so parallel workers record it identically).
+                # Shed events land on the shedding replica's track.
                 kept_set = {r.rid for r in kept}
                 rid = getattr(replica, "rid", 0)
                 for r in batch:

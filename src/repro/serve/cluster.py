@@ -20,11 +20,10 @@ requests share it.  The moving parts:
   (queue-depth at submit, deadline at dispatch) — sheds are counted per
   replica and surfaced in the report;
 * every :class:`~repro.serve.replica.Replica` owns its compute, caches,
-  clock, batcher and queue; :func:`_serve_loop` — the one dispatch →
-  update-preempt → serve → ``on_complete`` loop, also what each worker of
-  the parallel path (:mod:`repro.parallel.fleet`) runs over its one
-  replica — repeatedly picks the earliest dispatch across live replicas,
-  so the fleet timeline is a deterministic merge of per-replica timelines;
+  clock, batcher and queue; :meth:`ServingCluster._serve_loop` — the one
+  dispatch → update-preempt → serve → ``on_complete`` loop — repeatedly
+  picks the earliest dispatch across live replicas, so the fleet timeline
+  is a deterministic merge of per-replica timelines;
 * streaming updates (a workload with ``updates()``, or
   :meth:`ServingCluster.apply_update` directly) broadcast: the delta-log
   merge happens once on the shared :class:`~repro.stream.StreamingGraph`,
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,11 +129,11 @@ class ServingCluster:
     ``replicas`` (initial fleet size), ``router`` (policy name),
     ``shed_policy``/``shed_queue_depth``/``shed_deadline``, the autoscaler
     bounds ``slo_p99``/``autoscale_min``/``autoscale_max``/
-    ``autoscale_interval`` (``slo_p99=0`` disables autoscaling) and
-    ``workers``.  The defaults are a single server.  ``fanout=None``
-    serves exact logits; a per-layer tuple serves sampled ones.  ``stream``
-    is the :class:`~repro.stream.StreamingGraph` to serve over when the
-    graph takes edge updates.
+    ``autoscale_interval`` (``slo_p99=0`` disables autoscaling).  The
+    defaults are a single server.  ``fanout=None`` serves exact logits; a
+    per-layer tuple serves sampled ones.  ``stream`` is the
+    :class:`~repro.stream.StreamingGraph` to serve over when the graph
+    takes edge updates.
     """
 
     def __init__(
@@ -223,7 +222,15 @@ class ServingCluster:
                 "StreamingGraph (Engine.serving with stream_updates=True) "
                 "to apply edge updates"
             )
-        return _apply_update(self.stream, self.replicas, batch, at)
+        result = self.stream.apply(batch)
+        arrival = batch.at if at is None else at
+        slowest = 0.0
+        for rep in self.replicas:
+            start = max(rep.free, arrival)
+            spent = rep.absorb_update(result, at=start)
+            rep.free = start + spent
+            slowest = max(slowest, spent)
+        return slowest
 
     def _autoscale_step(self, window: list[InferenceResult], now: float) -> None:
         """One autoscaler evaluation: maybe add or retire a replica."""
@@ -312,29 +319,10 @@ class ServingCluster:
         :mod:`repro.serve.workload`), and optionally ``updates() ->
         [EdgeBatch]`` (:class:`~repro.stream.UpdateStream`).  Each call
         reports only its own run.  Deterministic end to end: every decision
-        of :func:`_serve_loop` is a function of simulated times and ids.
-
-        With ``config.workers > 0`` the same run executes on real cores:
-        each replica's timeline runs in its own worker process over
-        shared-memory graph views (:mod:`repro.parallel.fleet`), with the
-        merge order — and therefore every digest — unchanged.
+        of :meth:`_serve_loop` is a function of simulated times and ids.
         """
-        if self.config.workers > 0:
-            from ..parallel.fleet import process_parallel
-
-            return process_parallel(self, workload, self.config.workers)
         updates = self._begin(workload)
-
-        def on_complete(result: InferenceResult) -> None:
-            for req in workload.on_complete(result):
-                self._submit(req)
-
-        results, batches, trace = _serve_loop(
-            self.replicas, self.admission, updates, self.apply_update,
-            on_complete,
-            interval=self.autoscaler.interval if self.autoscaler else math.inf,
-            rescale=self._autoscale_step,
-        )
+        results, batches, trace = self._serve_loop(workload, updates)
         return self._report(results, batches, updates, trace)
 
     def _report(self, results, batches, updates, trace) -> ServeReport:
@@ -378,97 +366,78 @@ class ServingCluster:
                 ).set(rep.served)
         return report
 
+    def _serve_loop(
+        self, workload, updates: Sequence
+    ) -> tuple[list[InferenceResult], int, list[tuple[float, int]]]:
+        """Drain the replicas' queues: dispatch -> update-preempt -> serve.
 
-# ---------------------------------------------------------------------- #
-# The control loop
-# ---------------------------------------------------------------------- #
-def _apply_update(stream, replicas, batch, at: float | None = None) -> float:
-    """Merge ``batch`` once on the shared graph, absorb it on every replica
-    (see :meth:`ServingCluster.apply_update`)."""
-    result = stream.apply(batch)
-    arrival = batch.at if at is None else at
-    slowest = 0.0
-    for rep in replicas:
-        start = max(rep.free, arrival)
-        spent = rep.absorb_update(result, at=start)
-        rep.free = start + spent
-        slowest = max(slowest, spent)
-    return slowest
+        Every live replica's batcher proposes its next dispatch; the earliest
+        ``(time, rid)`` wins and the other candidates go back to the front of
+        their queues (each taken batch is its queue's oldest pending work, so
+        push-back preserves order).  An update whose arrival precedes the
+        winning dispatch is applied first — the replicas are busy for its
+        simulated duration and the decision is re-taken afterwards (more
+        arrivals may have joined the batch); once requests drain, the remaining
+        updates apply in order.  Likewise an autoscaler evaluation due by then
+        (:meth:`_autoscale_step` every ``autoscaler.interval`` seconds; it
+        may grow or shrink :attr:`replicas` in place) runs first.  The
+        winner's batch passes the deadline filter, is served, and
+        ``workload.on_complete`` sees each result — the hook through which
+        closed-loop clients submit their next request.
 
-
-def _serve_loop(
-    replicas: list[Replica],
-    admission: AdmissionController,
-    updates: Sequence,
-    apply_update: Callable[[object], float],
-    on_complete: Callable[[InferenceResult], None],
-    *,
-    interval: float = math.inf,
-    rescale: Callable[[list[InferenceResult], float], None] | None = None,
-) -> tuple[list[InferenceResult], int, list[tuple[float, int]]]:
-    """Drain the replicas' queues: dispatch -> update-preempt -> serve.
-
-    Every live replica's batcher proposes its next dispatch; the earliest
-    ``(time, rid)`` wins and the other candidates go back to the front of
-    their queues (each taken batch is its queue's oldest pending work, so
-    push-back preserves order).  An update whose arrival precedes the
-    winning dispatch is applied first — the replicas are busy for its
-    simulated duration and the decision is re-taken afterwards (more
-    arrivals may have joined the batch); once requests drain, the remaining
-    updates apply in order.  Likewise an autoscaler evaluation due by then
-    (``rescale(window, now)`` every ``interval`` seconds; it may grow or
-    shrink ``replicas`` in place) runs first.  The winner's batch passes
-    the deadline filter, is served, and ``on_complete`` sees each result —
-    the hook through which closed-loop clients submit their next request.
-
-    Returns the results in dispatch order, the micro-batch count and the
-    ``[(sim_time, n_replicas)]`` trace.
-    """
-    results: list[InferenceResult] = []
-    window: list[InferenceResult] = []
-    trace = [(0.0, len(replicas))]
-    next_eval = interval
-    batch_index = 0
-    next_update = 0
-    while True:
-        candidates = []
-        for rep in replicas:
-            dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
-            if dispatch is not None:
-                candidates.append((dispatch[0], rep, dispatch[1]))
-        if not candidates and next_update == len(updates):
-            break
-        t, rep, batch = min(
-            candidates, key=lambda c: (c[0], c[1].rid),
-            default=(math.inf, None, None),
-        )
-        update_due = next_update < len(updates) and updates[next_update].at <= t
-        rescale_due = not update_due and t >= next_eval
-        winner = None if update_due or rescale_due else rep
-        for _, other, other_batch in candidates:
-            if other is not winner:
-                other.queue.pending = other_batch + other.queue.pending
-        if update_due:
-            apply_update(updates[next_update])
-            next_update += 1
-            continue
-        if rescale_due:
-            rescale(window, next_eval)
-            trace.append((next_eval, len(replicas)))
-            window = []
-            next_eval += interval
-            continue
-        batch = admission.filter_batch(rep, batch, t)
-        if not batch:
-            continue
-        batch_results = rep.serve_batch(batch, t, batch_index)
-        rep.free = batch_results[0].completed
-        rep.batches += 1
-        rep.served += len(batch_results)
-        results.extend(batch_results)
-        if interval < math.inf:
-            window.extend(batch_results)
-        for result in batch_results:
-            on_complete(result)
-        batch_index += 1
-    return results, batch_index, trace
+        Returns the results in dispatch order, the micro-batch count and the
+        ``[(sim_time, n_replicas)]`` trace.
+        """
+        replicas = self.replicas
+        interval = self.autoscaler.interval if self.autoscaler else math.inf
+        results: list[InferenceResult] = []
+        window: list[InferenceResult] = []
+        trace = [(0.0, len(replicas))]
+        next_eval = interval
+        batch_index = 0
+        next_update = 0
+        while True:
+            candidates = []
+            for rep in replicas:
+                dispatch = rep.batcher.next_dispatch(rep.queue, rep.free)
+                if dispatch is not None:
+                    candidates.append((dispatch[0], rep, dispatch[1]))
+            if not candidates and next_update == len(updates):
+                break
+            t, rep, batch = min(
+                candidates, key=lambda c: (c[0], c[1].rid),
+                default=(math.inf, None, None),
+            )
+            update_due = (
+                next_update < len(updates) and updates[next_update].at <= t
+            )
+            rescale_due = not update_due and t >= next_eval
+            winner = None if update_due or rescale_due else rep
+            for _, other, other_batch in candidates:
+                if other is not winner:
+                    other.queue.pending = other_batch + other.queue.pending
+            if update_due:
+                self.apply_update(updates[next_update])
+                next_update += 1
+                continue
+            if rescale_due:
+                self._autoscale_step(window, next_eval)
+                trace.append((next_eval, len(replicas)))
+                window = []
+                next_eval += interval
+                continue
+            batch = self.admission.filter_batch(rep, batch, t)
+            if not batch:
+                continue
+            batch_results = rep.serve_batch(batch, t, batch_index)
+            rep.free = batch_results[0].completed
+            rep.batches += 1
+            rep.served += len(batch_results)
+            results.extend(batch_results)
+            if interval < math.inf:
+                window.extend(batch_results)
+            for result in batch_results:
+                for req in workload.on_complete(result):
+                    self._submit(req)
+            batch_index += 1
+        return results, batch_index, trace

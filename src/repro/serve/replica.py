@@ -431,9 +431,8 @@ class Replica:
             # The batch span (and every phase span nested in logits_for)
             # lives on this replica's track, with the replica-local clock
             # mapped onto the workload timeline at the dispatch instant.
-            # Args hold request rids only — nothing worker- or
-            # batch-index-local — so a parallel run's spans are identical
-            # to a serial run's.
+            # Args hold request rids only — nothing batch-index-local — so
+            # a request's spans do not depend on how it was batched.
             track = f"replica{self.rid}"
             with tracer.span(
                 "serve_batch",

@@ -46,8 +46,11 @@ class InferenceRequest:
         if v.ndim != 1 or v.size == 0:
             raise ValueError("a request needs a non-empty 1-D vertex array")
         object.__setattr__(self, "vertices", v)
-        if self.arrival < 0:
-            raise ValueError(f"arrival time must be non-negative, got {self.arrival}")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0):
+            raise ValueError(
+                f"arrival time must be finite and non-negative, got "
+                f"{self.arrival}"
+            )
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,6 @@ __all__ = ["TraceWorkload", "ClosedLoopWorkload", "load_trace", "save_trace"]
 class TraceWorkload:
     """Open-loop workload: requests arrive per the trace, come what may."""
 
-    #: Open-loop workloads submit everything up front and never react to
-    #: completions — the property that lets the parallel fleet run each
-    #: replica's timeline in its own process (:mod:`repro.parallel.fleet`).
-    open_loop = True
-
     def __init__(self, requests: Sequence[InferenceRequest]) -> None:
         self.requests = list(requests)
 
@@ -77,10 +72,6 @@ class TraceWorkload:
 
 class ClosedLoopWorkload:
     """Closed-loop load generator: one outstanding request per client."""
-
-    #: Closed-loop clients issue requests from completions, coupling the
-    #: fleet's replica timelines — the parallel fleet path refuses this.
-    open_loop = False
 
     def __init__(
         self,
@@ -130,23 +121,57 @@ class ClosedLoopWorkload:
         return [self._make(result.completed + self.think_time)]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_trace(path: str | Path) -> TraceWorkload:
     """Read a JSON trace: a list of ``{"arrival": t, "vertices": [...]}``
-    objects (or ``{"requests": [...]}`` wrapping the same list)."""
-    data = json.loads(Path(path).read_text())
+    objects (or ``{"requests": [...]}`` wrapping the same list).
+
+    A malformed file raises ``ValueError`` naming the path and, for a bad
+    request, its position and what is wrong with it: vertex ids and
+    ``rid`` must be JSON integers (``1.7`` or ``true`` is refused, not
+    rounded), ``arrival`` a finite non-negative number.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"trace {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("requests")
     if not isinstance(data, list) or not data:
         raise ValueError(f"trace {path} holds no requests")
     requests = []
     for i, entry in enumerate(data):
-        requests.append(
-            InferenceRequest(
-                rid=int(entry.get("rid", i)),
-                vertices=np.asarray(entry["vertices"], dtype=np.int64),
-                arrival=float(entry.get("arrival", 0.0)),
+        where = f"trace {path}: request {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is {entry!r}, not a JSON object")
+        if "vertices" not in entry:
+            raise ValueError(f'{where} has no "vertices" list')
+        vertices, rid = entry["vertices"], entry.get("rid", i)
+        if not isinstance(vertices, list) or not all(map(_is_int, vertices)):
+            raise ValueError(
+                f"{where}: vertices must be a list of integer vertex ids, "
+                f"got {vertices!r}"
             )
-        )
+        if not _is_int(rid):
+            raise ValueError(f"{where}: rid must be an integer, got {rid!r}")
+        arrival = entry.get("arrival", 0.0)
+        if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
+            raise ValueError(
+                f"{where}: arrival must be a number, got {arrival!r}"
+            )
+        try:
+            requests.append(
+                InferenceRequest(
+                    rid=rid,
+                    vertices=np.asarray(vertices, dtype=np.int64),
+                    arrival=float(arrival),
+                )
+            )
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return TraceWorkload(requests)
 
 

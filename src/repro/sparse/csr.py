@@ -262,35 +262,15 @@ class CSRMatrix:
         return cls(np.arange(n + 1, dtype=np.int64), idx, np.ones(n), (n, n))
 
     # ------------------------------------------------------------------ #
-    # Buffer export (zero-copy shared-memory publication)
+    # Buffer export
     # ------------------------------------------------------------------ #
     def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three CSR arrays ``(indptr, indices, data)``, by reference.
 
-        The constructor normalizes to contiguous int64/int64/float64, so
-        these are directly publishable into shared memory; mutating them
-        mutates the matrix.
+        The constructor normalizes to contiguous int64/int64/float64;
+        mutating them mutates the matrix.
         """
         return self.indptr, self.indices, self.data
-
-    @classmethod
-    def from_buffers(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "CSRMatrix":
-        """Rebuild from :meth:`buffers` output without copying.
-
-        Arrays that are already contiguous with the canonical dtypes
-        (int64/int64/float64) — e.g. views over an attached shared-memory
-        segment — pass through ``np.ascontiguousarray`` untouched, so the
-        matrix aliases the caller's buffers (read-only views stay
-        read-only).  No invariant checking happens here; callers exporting
-        untrusted buffers should :meth:`check`.
-        """
-        return cls(indptr, indices, data, shape)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -359,7 +339,7 @@ class CSRMatrix:
         scipy's ``(data, indices, indptr)`` constructor — and ``.T`` —
         re-casts int64 indices that fit int32, a copy of the whole index
         array per call.  scipy's products take int64 operands as they are
-        and never write them, so read-only (shared-memory) arrays work.
+        and never write them, so read-only arrays work.
         """
         if transpose:
             view = csc_matrix((self.shape[1], self.shape[0]))

@@ -24,8 +24,8 @@ pinned serving digests), and this is the whole contract:
 * **Independence.**  A row's result depends on no other row, and a feature
   column's on no other column: ``spmm(a.extract_rows(r), x)`` is
   ``spmm(a, x)[r]`` and ``spmm(a, x[:, cols])`` is ``spmm(a, x)[:, cols]``,
-  bitwise.  Exact serving, the embedding cache, workers-0-vs-N and
-  fleet-shape invariance rest on this.
+  bitwise.  Exact serving, the embedding cache and fleet-shape invariance
+  rest on this.
 * **Width.**  A float32 dense operand — the model's one width — runs
   scipy's float32 kernel: ``a``'s float64 values are rounded once to
   float32 and every product and partial sum above is a float32 operation,

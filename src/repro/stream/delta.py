@@ -26,12 +26,12 @@ Three invariants make the overlay safe to put under the sampling stack:
   patch holds it.  The canonical ``indices`` and ``data`` are built on
   first access, each on its own and at most once per view, inside a
   ``materialize`` span: for the readers of the whole matrix (LADIES'
-  indicator PROB, ``to_coo``, ``check``, compaction, shared-memory
-  publication).  A pattern-only reader builds ``indices`` alone.
+  indicator PROB, ``to_coo``, ``check``, compaction).  A pattern-only
+  reader builds ``indices`` alone.
 * **Frozen views.**  A returned view is never written again — its
   ``indptr``, anchor and patch are fresh or shared with earlier views, and
-  a batch's changes land in the *next* view's patch — so replicas,
-  shared-memory publishers and checkers may keep references to old views.
+  a batch's changes land in the *next* view's patch — so replicas and
+  checkers may keep references to old views.
 * **Compaction parity.**  The view a :meth:`DeltaCSR.compact` promotes to
   the new base equals, array for array, the matrix re-derived through the
   independent :meth:`CSRMatrix.from_coo` path (the base COO filtered

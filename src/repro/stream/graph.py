@@ -108,11 +108,6 @@ class StreamingGraph:
     auto_compact: bool = True
     delta: DeltaCSR = field(init=False)
     stats: StreamStats = field(default_factory=StreamStats)
-    #: Called with the fresh base adjacency after every compaction.  The
-    #: shared-memory layer registers a re-publication here
-    #: (:meth:`repro.parallel.shm.SharedGraph.track`) so worker pools see
-    #: the compacted CSR instead of an ever-growing delta view.
-    compaction_hooks: list = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self.delta = DeltaCSR(
@@ -147,8 +142,6 @@ class StreamingGraph:
             result.pending = 0
             self.graph.adj = self.delta.base
             compacted_nnz = self.graph.adj.nnz
-            for hook in self.compaction_hooks:
-                hook(self.graph.adj)
         # What the simulated clock charges: log absorb + a re-merge of every
         # row dirtied since the last compaction (the cost *model* predates
         # the array-native overlay, which splices only the batch; kept so
@@ -170,8 +163,6 @@ class StreamingGraph:
         """Force a compaction now."""
         self.graph.adj = self.delta.compact()
         self.stats.compactions = self.delta.compactions
-        for hook in self.compaction_hooks:
-            hook(self.graph.adj)
         return self.graph.adj
 
     def rebuild_from_scratch(self) -> Graph:

@@ -41,12 +41,6 @@ class UpdateStream:
         self.edge_batches = sorted(updates, key=lambda b: b.at)
 
     # -- the request-workload protocol (delegated) ---------------------- #
-    @property
-    def open_loop(self) -> bool:
-        """Whether the wrapped request source is open-loop (the parallel
-        fleet path keys off this; default-closed for unknown sources)."""
-        return bool(getattr(self.requests, "open_loop", False))
-
     def initial(self) -> list[InferenceRequest]:
         return self.requests.initial()
 

@@ -193,6 +193,34 @@ class TestRunConfig:
         listed = names.split(": ", 1)[1].split(", ")  # plugins may add more
         assert set(known) <= set(listed) and value not in listed
 
+    def test_workers_is_refused_naming_the_removal(self, tmp_path):
+        """The worker pool and the parallel algorithm are gone; the field
+        stays at its one legal value so saved configs hash as before."""
+        path = tmp_path / "run.json"
+        path.write_text('{"workers": 2}')
+        for build in (lambda: RunConfig(workers=2),
+                      lambda: RunConfig.from_json(path)):
+            with pytest.raises(ValueError, match="worker pool was removed"):
+                build()
+        assert RunConfig().to_dict()["workers"] == 0
+        assert "parallel" not in ALGORITHMS.names()
+
+    @pytest.mark.parametrize("text, says", [
+        ("[1]", "must hold a JSON object of RunConfig fields"),
+        ("3", "must hold a JSON object of RunConfig fields"),
+        ("null", "must hold a JSON object of RunConfig fields"),
+        ('{"p": 2,', "is not valid JSON"),
+        ("", "is not valid JSON"),
+    ], ids=["array", "number", "null", "truncated", "empty"])
+    def test_from_json_names_the_file_and_the_fault(
+        self, text, says, tmp_path
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            RunConfig.from_json(path)
+        assert str(err.value).startswith(f"config {path} {says}")
+
 
 class TestCapabilities:
     @pytest.mark.parametrize("sampler", ["sage", "ladies", "fastgcn"])

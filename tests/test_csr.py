@@ -81,35 +81,33 @@ class TestConstruction:
                 assert theirs.dtype == mine.dtype
                 assert np.shares_memory(theirs, mine)
 
-    def test_to_scipy_on_read_only_shared_memory(self, small_adj):
-        """A worker's attached adjacency (read-only shared-memory arrays)
-        is a valid operand of both products, on either side, and gives
-        the private copy's bits."""
-        from repro.parallel import SharedGraph
+    def test_to_scipy_on_read_only_operands(self, small_adj):
+        """An adjacency over read-only arrays is a valid operand of both
+        products, on either side, and gives the writable original's
+        bits."""
         from repro.sparse import indicator_rows, spgemm, spmm
 
         n = small_adj.shape[0]
         q = indicator_rows([np.arange(0, 40, 3), np.arange(7, 60, 5)], n)
         q = CSRMatrix(q.indptr, q.indices, q.data * 0.3, q.shape)
         x = np.linspace(-1.0, 1.0, n * 3).reshape(n, 3)
-        with SharedGraph.publish(small_adj) as shared:
-            adj, handles = shared.handle.attach()
-            assert not adj.to_scipy().indices.flags.writeable
-            assert np.shares_memory(adj.to_scipy().indices, adj.indices)
-            for got, want in (
-                (spgemm(q, adj), spgemm(q, small_adj)),
-                (spgemm(adj, adj), spgemm(small_adj, small_adj)),
-            ):
-                for x1, x2 in zip(got.buffers(), want.buffers()):
-                    assert x1.tobytes() == x2.tobytes()
-            for transpose in (False, True):
-                assert (
-                    spmm(adj, x, transpose=transpose).tobytes()
-                    == spmm(small_adj, x, transpose=transpose).tobytes()
-                )
-            del adj, got, want
-            for h in handles:
-                h.close()
+        frozen = [buf.copy() for buf in small_adj.buffers()]
+        for buf in frozen:
+            buf.setflags(write=False)
+        adj = CSRMatrix(*frozen, small_adj.shape)
+        assert not adj.to_scipy().indices.flags.writeable
+        assert np.shares_memory(adj.to_scipy().indices, adj.indices)
+        for got, want in (
+            (spgemm(q, adj), spgemm(q, small_adj)),
+            (spgemm(adj, adj), spgemm(small_adj, small_adj)),
+        ):
+            for x1, x2 in zip(got.buffers(), want.buffers()):
+                assert x1.tobytes() == x2.tobytes()
+        for transpose in (False, True):
+            assert (
+                spmm(adj, x, transpose=transpose).tobytes()
+                == spmm(small_adj, x, transpose=transpose).tobytes()
+            )
 
 
 class TestIntrospection:

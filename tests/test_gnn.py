@@ -544,12 +544,12 @@ def _train_bits(sampler: str, algorithm: str):
         fanout=(10, 5, 3) if sampler == "sage" else (48, 48),
         batch_size=32, hidden=24, seed=0,
     )
-    with Engine(cfg) as eng:
-        losses = [eng.train_epoch(e).loss for e in range(2)]
-        h = hashlib.sha256()
-        for name, v in sorted(eng.model.parameters().items()):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(v).tobytes())
+    eng = Engine(cfg)
+    losses = [eng.train_epoch(e).loss for e in range(2)]
+    h = hashlib.sha256()
+    for name, v in sorted(eng.model.parameters().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(v).tobytes())
     return [np.float64(x).tobytes().hex() for x in losses], h.hexdigest()
 
 

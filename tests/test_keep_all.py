@@ -262,9 +262,7 @@ def test_plan_memo_is_per_instance_and_survives_pickling(small_adj):
     assert with_dst._plans is not without._plans
     assert _arrays(runs[0]) != _arrays(runs[1])  # dst joined one frontier only
     assert with_dst.emitted_plan((3,)) is with_dst.emitted_plan([3])
-    # A sampler shipped to a worker process carries its memo and serves
-    # (worker-built samplers start cold: tests/test_parallel.py holds the
-    # pool bit-identical to serial either way).
+    # A pickled sampler carries its memo and serves the same bits.
     shipped = pickle.loads(pickle.dumps(with_dst))
     assert shipped.emitted_plan((3,)) == with_dst.emitted_plan((3,))
     again = shipped.sample_bulk(

@@ -31,15 +31,8 @@ from repro.obs import (
     validate_chrome_trace_file,
     write_chrome_trace,
 )
-from repro.parallel import parallel_support_error
 from repro.serve import ServingCluster, TraceWorkload
 from test_gnn import skip_unless_pinned_kernels
-
-needs_parallel = pytest.mark.skipif(
-    parallel_support_error() is not None,
-    reason=f"no shared-memory support here: {parallel_support_error()}",
-)
-
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
@@ -119,24 +112,6 @@ class TestTracer:
         tracer.instant("c", t=0.0, track="x")
         seqs = {(s.track, s.name): s.seq for s in tracer.spans}
         assert seqs == {("x", "a"): 0, ("y", "b"): 0, ("x", "c"): 1}
-
-    def test_drain_keeps_counters_running(self):
-        tracer = Tracer()
-        tracer.instant("a", t=0.0, track="x")
-        drained = tracer.drain()
-        assert len(drained) == 1 and len(tracer) == 0
-        tracer.instant("b", t=1.0, track="x")
-        assert tracer.spans[0].seq == 1
-
-    def test_absorb_preserves_foreign_seqs_and_bumps_local(self):
-        worker = Tracer()
-        worker.instant("w0", t=0.0, track="replica0")
-        worker.instant("w1", t=1.0, track="replica0")
-        owner = Tracer()
-        owner.absorb(worker.drain())
-        owner.instant("later", t=2.0, track="replica0")
-        seqs = [s.seq for s in owner.spans]
-        assert seqs == [0, 1, 2]
 
     def test_ring_buffer_drops_oldest(self):
         tracer = Tracer(maxlen=2)
@@ -330,11 +305,9 @@ class TestChromeExport:
 # ------------------------------------------------------------------ #
 # Serving integration: flight recorder + no-perturbation guarantees
 # ------------------------------------------------------------------ #
-def _serve(engine: Engine, *, workers: int = 0, replicas: int = 3,
-           n_requests: int = 24):
+def _serve(engine: Engine, *, replicas: int = 3, n_requests: int = 24):
     cfg = engine.config.replace(
-        replicas=replicas, router="round_robin", workers=workers,
-        serve_batch_size=4,
+        replicas=replicas, router="round_robin", serve_batch_size=4,
     )
     graph = copy.copy(engine.graph)
     cluster = ServingCluster(engine.model, graph, cfg)
@@ -485,32 +458,6 @@ class TestPlanSpans:
         assert got == self._expected(sampler, (3, 3))
 
 
-@needs_parallel
-class TestWorkerTraceParity:
-    def test_sim_trace_byte_identical_workers_0_vs_4(self, trained_engine):
-        exports = {}
-        for workers in (0, 4):
-            tracer = Tracer()
-            set_tracer(tracer)
-            report = _serve(trained_engine, workers=workers)
-            exports[workers] = chrome_trace_json(tracer.spans, domain="sim")
-            set_tracer(None)
-            assert report.n_requests == 24
-        assert exports[0] == exports[4]
-
-    def test_worker_spans_ship_back_on_wall_tracks(self, trained_engine):
-        tracer = Tracer()
-        set_tracer(tracer)
-        _serve(trained_engine, workers=2)
-        # The pool's task round-trips are wall-domain and excluded from
-        # the deterministic export, but they must be present in the full
-        # trace (proof the workers shipped their spans home).
-        wall_tracks = {
-            s.track for s in tracer.spans if s.domain == "wall"
-        }
-        assert any(t.startswith("worker") for t in wall_tracks)
-
-
 # ------------------------------------------------------------------ #
 # CLI: --trace / --metrics / the trace subcommand
 # ------------------------------------------------------------------ #
@@ -552,38 +499,6 @@ class TestCli:
             "logits digest: d7dfa1f1cdf46c1aba9307f6520a8daa64c9"
             "74bc516cbf8a7d34db336ccdf6c5" in stdout
         )
-
-    @needs_parallel
-    def test_serve_trace_through_worker_fleet(self, tmp_path, capsys):
-        """The acceptance invocation: a routed fleet through worker
-        processes produces one trace holding router, replica, plan-step,
-        and worker-side spans that share the request trace ids."""
-        out = tmp_path / "fleet.json"
-        argv = self._serve_argv(tmp_path, [
-            "--workers", "2", "--replicas", "2", "--router", "round_robin",
-            "--trace", str(out),
-        ])
-        from repro.cli import main
-
-        assert main(argv) == 0
-        assert validate_chrome_trace_file(out) == []
-        events = json.loads(out.read_text())["traceEvents"]
-        names = {e["name"] for e in events}
-        assert {"route", "serve_batch", "sampling", "request"} <= names
-        cats = {e.get("cat") for e in events}
-        assert "plan" in cats  # worker-side plan-step spans shipped home
-        tracks = {
-            e["args"]["name"] for e in events if e["name"] == "thread_name"
-        }
-        assert "router" in tracks
-        assert {"replica0", "replica1"} <= tracks
-        assert any(t.startswith("worker") for t in tracks)
-        routed = {
-            e["args"]["req"] for e in events
-            if e["name"] == "route" and e["ph"] == "i"
-        }
-        flown = {e["id"] for e in events if e["ph"] == "b"}
-        assert routed == flown == set(range(6))
 
     def test_trace_subcommand_summarizes(self, tmp_path, capsys):
         path = write_chrome_trace(tmp_path / "t.json", _sample_spans())

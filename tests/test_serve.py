@@ -54,6 +54,13 @@ class TestRequestTypes:
         with pytest.raises(ValueError):
             InferenceRequest(rid=0, vertices=np.array([[1, 2]]))
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), -1.0])
+    def test_arrival_must_be_finite_and_non_negative(self, arrival):
+        """A NaN arrival used to pass and crash the micro-batcher later
+        with an IndexError."""
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            InferenceRequest(rid=0, vertices=np.array([1]), arrival=arrival)
+
     def test_vertices_coerced_to_int64(self):
         req = InferenceRequest(rid=0, vertices=np.array([3.0, 1.0]))
         assert req.vertices.dtype == np.int64
@@ -244,6 +251,34 @@ class TestWorkloads:
         path.write_text("[]")
         with pytest.raises(ValueError):
             load_trace(path)
+
+    @pytest.mark.parametrize("text, says", [
+        ('[{"vertices": [1.7]}]', "request 0: vertices must be a list of "
+         "integer vertex ids, got [1.7]"),
+        ('[{"vertices": [true]}]', "request 0: vertices must be a list of "
+         "integer vertex ids, got [True]"),
+        ('[{"vertices": 4}]', "request 0: vertices must be a list"),
+        ('[{"vertices": [1]}, 7]', "request 1 is 7, not a JSON object"),
+        ('[{"arrival": 0.5}]', 'request 0 has no "vertices" list'),
+        ('[{"vertices": [1], "rid": 1.5}]', "request 0: rid must be an "
+         "integer, got 1.5"),
+        ('[{"vertices": [1], "arrival": "soon"}]', "request 0: arrival must "
+         "be a number, got 'soon'"),
+        ('[{"vertices": [1], "arrival": NaN}]', "request 0: arrival time "
+         "must be finite and non-negative, got nan"),
+        ('[{"vertices": []}]', "request 0: a request needs a non-empty"),
+        ('[{"vertices": [1]', "is not valid JSON"),
+    ], ids=["float-id", "bool-id", "scalar", "non-object", "no-vertices",
+            "float-rid", "string-arrival", "nan-arrival", "no-ids",
+            "syntax"])
+    def test_load_trace_names_the_file_and_the_entry(self, tmp_path, text,
+                                                     says):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"trace {path}")
+        assert says in str(err.value)
 
     def test_synthetic_trace_deterministic(self):
         pool = np.arange(50)

@@ -14,14 +14,12 @@ Sampled-mode and timing equivalence are pinned nowhere else directly.
 from __future__ import annotations
 
 import copy
-import pickle
 
 import numpy as np
 import pytest
 
 from reference_serving_loop import reference_process
 from repro.api import Engine, RunConfig
-from repro.comm.clock import SimClock
 from repro.serve import ClosedLoopWorkload, ServingCluster, TraceWorkload
 from repro.stream import EdgeBatch, StreamingGraph, UpdateStream
 
@@ -148,7 +146,7 @@ class TestApplyUpdate:
 
 def test_serving_fleet_false_is_one_direct_replica(trained_engine):
     cfg = trained_engine.config.replace(
-        replicas=4, router="consistent_hash", workers=2,
+        replicas=4, router="consistent_hash",
         shed_policy="queue", slo_p99=1e-3,
     )
     engine = Engine(cfg, graph=trained_engine.graph)
@@ -157,25 +155,8 @@ def test_serving_fleet_false_is_one_direct_replica(trained_engine):
     assert server.router.name == "direct"
     assert server.admission.policy == "none"
     assert server.autoscaler is None
-    assert server.config.workers == 0
     for fleet in (None, True):  # as configured
         server = engine.serving(fleet=fleet)
         assert len(server.replicas) == 4
         assert server.router.name == "consistent_hash"
-        assert server.autoscaler is not None and server.config.workers == 2
-
-
-def test_simclock_pickles():
-    """The parallel fleet ships each worker replica's clock home as is."""
-    clock = SimClock(3)
-    with clock.phase("sampling"):
-        clock.advance(0, 1.5)
-        clock.advance(2, 0.25, "comm")
-    with clock.phase("propagation"):
-        clock.advance(1, 2.0)
-    clock.barrier([0, 1])
-    again = pickle.loads(pickle.dumps(clock))
-    assert again.breakdown_by_kind() == clock.breakdown_by_kind()
-    assert [again.time(r) for r in range(3)] == [clock.time(r) for r in range(3)]
-    again.advance(1, 1.0)  # still a working clock, and a separate one
-    assert again.time(1) == clock.time(1) + 1.0
+        assert server.autoscaler is not None

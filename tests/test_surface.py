@@ -5,10 +5,11 @@
     ``tests/cli_surface.json``, written from the parser of commit
     ``451249e`` — the last one whose flags were typed by hand.  A choice
     list is recorded as the registry it is read from (``"@samplers"``), so
-    the snapshot does not depend on which plugins are loaded.  Two declared
-    diffs from ``451249e``: ``--router`` / ``--shed-policy`` were literals
-    equal to ``@routers`` / ``@shed_policies`` and are now read from them,
-    and the four ``--kernel`` flags are gone with the kernel axis.
+    the snapshot does not depend on which plugins are loaded.  Three
+    declared diffs from ``451249e``: ``--router`` / ``--shed-policy`` were
+    literals equal to ``@routers`` / ``@shed_policies`` and are now read
+    from them, the four ``--kernel`` flags are gone with the kernel axis,
+    and the three ``--workers`` flags are gone with the worker pool.
 (b) *Copy equivalence* — a config built from flags is a copy of the one
     built from JSON: same fields, same error for the same bad value.
 (c) *Surface guard* — a public name in ``src/`` that no other ``src/``
@@ -93,7 +94,7 @@ def test_cli_surface_is_the_hand_written_parsers():
     for command in want:
         assert got[command] == want[command], command
     flags = {c: sum(bool(row[0]) for row in got[c]) for c in got}
-    assert (flags["train"], flags["serve"], flags["stream"]) == (21, 26, 20)
+    assert (flags["train"], flags["serve"], flags["stream"]) == (20, 25, 19)
 
 
 def test_every_knob_is_declared_once():
@@ -209,7 +210,8 @@ def test_benchmark_and_example_configs_still_construct():
 ALLOWED = {
     "CSRMatrix.to_dense": "the tests' dense oracle (with from_dense: 122 uses)",
     "CSRMatrix.from_dense": "the tests' dense oracle (with to_dense)",
-    "owned_segment_names": "the shared-memory leak check of tests/test_parallel.py",
+    "CSRMatrix.buffers": "the tests' byte-for-byte comparison of a matrix's "
+    "three arrays (7 uses)",
     "per_batch_sampling": "the paper's per-batch baseline; reserved for the "
     "bulk-k claim of ROADMAP item 1",
     "SamplingPlan.describe": "a plan's printable form (four lines per layer "
