@@ -18,9 +18,10 @@ Run as a script (also wired into the CI bench smoke step)::
     PYTHONPATH=src python benchmarks/bench_feature_cache.py \
         --scale 0.2 --budgets 0,32000,128000 --policy lfu
 
-Like the other ``bench_*`` scripts it writes a schema-versioned
-``BENCH_feature_cache.json`` trajectory point (disable with
-``--json none``).
+The script prints its table and headline metrics and writes no files.
+:func:`run_sweep` returns ``(rows, metrics)``; ``tests/test_model_pins.py``
+pins the default profile's metrics exactly (they are SimClock figures, so
+they are deterministic).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import argparse
 import sys
 
 from repro.api import Engine, RunConfig
-from repro.bench import write_bench_artifact
 
 #: (sampler key, fanout) for the two partitioned benchmark pipelines.
 SWEEP_SAMPLERS = (("ladies", (16,)), ("sage", (4, 2)))
@@ -55,7 +55,7 @@ def run_epoch(cfg: RunConfig) -> dict[str, object]:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description="Cache budget vs feature-fetch volume and epoch time"
     )
@@ -71,27 +71,23 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("degree", "lfu"))
     parser.add_argument("--budgets", default="0,32000,128000",
                         help="comma-separated per-rank cache budgets (bytes)")
-    parser.add_argument("--gate", action="store_true",
-                        help="pinned regression-gate profile (fixed small "
-                        "sweep): writes BENCH_feature_cache_gate.json for "
-                        "check_regression.py; metrics are simulated, so "
-                        "the artifact is machine-independent")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="artifact path (default benchmarks/results/"
-                        "BENCH_feature_cache.json); 'none' disables")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    if args.gate:
-        args.scale, args.budgets = 0.1, "0,32000,128000"
-        args.p, args.c, args.k, args.policy = 4, 2, 2, "degree"
-        args.batch_size, args.epochs = 16, 1
 
+def run_sweep(args, failures: list[str]):
+    """Budget sweep on both partitioned pipelines.
+
+    Returns ``(rows, metrics)``: one row per (sampler, budget), and per
+    sampler the fetch-volume reduction, hit rate and overlap saving at the
+    largest budget, relative to the uncached baseline.  Broken claims are
+    appended to ``failures``.
+    """
     budgets = [float(x) for x in args.budgets.split(",")]
     if budgets[0] != 0.0:
         budgets.insert(0, 0.0)  # always measure the uncached baseline
 
     rows = []
-    failures = []
+    metrics = {}
     for sampler, fanout in SWEEP_SAMPLERS:
         base = dict(
             dataset=args.dataset, scale=args.scale, p=args.p, c=args.c,
@@ -124,6 +120,21 @@ def main(argv: list[str] | None = None) -> int:
             row["pipelined_s"] < sweep[0]["serial_s"] for row in sweep
         ):
             failures.append(f"{sampler}: overlap saved no time")
+        top = sweep[-1]
+        metrics[f"fetch_reduction_{sampler}"] = (
+            1.0 - top["fetch_bytes"] / baseline["fetch_bytes"]
+        )
+        metrics[f"hit_rate_{sampler}"] = top["hit_rate"]
+        metrics[f"overlap_saving_{sampler}"] = (
+            1.0 - top["pipelined_s"] / top["serial_s"]
+        )
+    return rows, metrics
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    failures: list[str] = []
+    rows, metrics = run_sweep(args, failures)
 
     header = (f"{'sampler':<8} {'budget':>8} {'policy':>7} {'hit%':>6} "
               f"{'fetch MB':>9} {'fill MB':>8} {'fetch_s':>9} "
@@ -138,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['fill_bytes'] / 1e6:>8.3f} {row['fetch_s']:>9.5f} "
               f"{row['serial_s']:>9.5f} {row['pipelined_s']:>11.5f} "
               f"{row['loss']:>9.4f}")
+    for name, value in metrics.items():
+        print(f"{name}: {value}")
 
     if failures:
         for f in failures:
@@ -145,34 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("ok: volume decreases with budget, losses bit-identical, "
           "overlap never slower")
-    if args.json != "none":
-        # Headline per sampler: fetch-volume reduction and hit rate at the
-        # largest budget, relative to the uncached baseline.  All metrics
-        # are simulated/deterministic, so the artifact is byte-stable.
-        metrics = {}
-        for sampler, _ in SWEEP_SAMPLERS:
-            sweep = [r for r in rows if r["sampler"] == sampler]
-            base, top = sweep[0], sweep[-1]
-            metrics[f"fetch_reduction_{sampler}"] = (
-                1.0 - top["fetch_bytes"] / base["fetch_bytes"]
-            )
-            metrics[f"hit_rate_{sampler}"] = top["hit_rate"]
-            metrics[f"overlap_saving_{sampler}"] = (
-                1.0 - top["pipelined_s"] / top["serial_s"]
-            )
-        path = write_bench_artifact(
-            "feature_cache_gate" if args.gate else "feature_cache",
-            params={
-                "dataset": args.dataset, "scale": args.scale,
-                "p": args.p, "c": args.c, "k": args.k,
-                "batch_size": args.batch_size, "epochs": args.epochs,
-                "policy": args.policy, "budgets": budgets,
-            },
-            metrics=metrics,
-            rows=rows,
-            path=args.json,
-        )
-        print(f"wrote {path}")
     return 0
 
 

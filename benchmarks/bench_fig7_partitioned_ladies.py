@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import reference_cpu_ladies
-from repro.bench import format_table, write_bench_artifact
+from repro.bench import format_table
 from repro.comm import Communicator, ProcessGrid
 from repro.core import LadiesSampler
 from repro.distributed import partitioned_bulk_sampling
@@ -81,20 +81,9 @@ def test_fig7_ladies(dataset, benchmark, record_result):
     assert by_p[64]["total"] < cpu
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Script mode: run both dataset sweeps and write the
-    ``BENCH_fig7_ladies.json`` trajectory point (simulated seconds)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Figure 7 partitioned LADIES breakdown sweep"
-    )
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="artifact path (default benchmarks/results/"
-                        "BENCH_fig7_ladies.json); 'none' disables")
-    args = parser.parse_args(argv)
-
-    all_rows, metrics = [], {}
+def main() -> int:
+    """Script mode: print both dataset sweeps and their headline ratios
+    (simulated seconds)."""
     for dataset in ("protein", "papers"):
         g, batches, scale = partitioned_graph(dataset)
         rows, cpu = sweep_rows(g, batches, scale)
@@ -103,20 +92,8 @@ def main(argv: list[str] | None = None) -> int:
             "LADIES breakdown vs serial CPU reference (sim s)"
         ))
         by_p = {r["p"]: r for r in rows}
-        metrics[f"scaling_16_to_64_{dataset}"] = (
-            by_p[16]["total"] / by_p[64]["total"]
-        )
-        metrics[f"crossover_margin_p64_{dataset}"] = cpu / by_p[64]["total"]
-        all_rows.extend({"dataset": dataset, **r} for r in rows)
-    if args.json != "none":
-        path = write_bench_artifact(
-            "fig7_ladies",
-            params={"width": WIDTH, "sweep": list(SWEEP)},
-            metrics=metrics,
-            rows=all_rows,
-            path=args.json,
-        )
-        print(f"wrote {path}")
+        print(f"scaling 16 -> 64: {by_p[16]['total'] / by_p[64]['total']:.4g}x, "
+              f"crossover margin at p=64: {cpu / by_p[64]['total']:.4g}x")
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import format_table, write_bench_artifact
+from repro.bench import format_table
 from repro.comm import Communicator, ProcessGrid
 from repro.core import SageSampler
 from repro.distributed import partitioned_bulk_sampling
@@ -97,21 +97,9 @@ def test_fig7_sage(dataset, benchmark, record_result):
     assert by_p[64]["comp"] < by_p[16]["comp"]
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Script mode: run both dataset sweeps and write the
-    ``BENCH_fig7_sage.json`` trajectory point (simulated seconds, so the
-    artifact is deterministic and byte-stable across hosts)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Figure 7 partitioned SAGE breakdown sweep"
-    )
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="artifact path (default benchmarks/results/"
-                        "BENCH_fig7_sage.json); 'none' disables")
-    args = parser.parse_args(argv)
-
-    all_rows, metrics = [], {}
+def main() -> int:
+    """Script mode: print both dataset sweeps and their headline ratios
+    (simulated seconds, so they are deterministic across hosts)."""
     for dataset in SWEEP:
         g, batches, scale = partitioned_graph(dataset)
         rows = sweep_rows(dataset, g, batches, scale)
@@ -120,24 +108,9 @@ def main(argv: list[str] | None = None) -> int:
             "breakdown (sim s)"
         ))
         by_p = {r["p"]: r for r in rows}
-        metrics[f"scaling_16_to_64_{dataset}"] = (
-            by_p[16]["total"] / by_p[64]["total"]
-        )
-        metrics[f"prob_share_p16_{dataset}"] = (
-            by_p[16]["probability"] / by_p[16]["total"]
-        )
-        all_rows.extend({"dataset": dataset, **r} for r in rows)
-    if args.json != "none":
-        path = write_bench_artifact(
-            "fig7_sage",
-            params={"fanout": FANOUT, "n_batches": N_BATCHES,
-                    "batch_size": BATCH,
-                    "sweep": {d: list(s) for d, s in SWEEP.items()}},
-            metrics=metrics,
-            rows=all_rows,
-            path=args.json,
-        )
-        print(f"wrote {path}")
+        print(f"scaling 16 -> 64: {by_p[16]['total'] / by_p[64]['total']:.4g}x, "
+              f"probability share at p=16: "
+              f"{by_p[16]['probability'] / by_p[16]['total']:.4g}")
     return 0
 
 

@@ -18,7 +18,7 @@ The script *asserts* the serving subsystem's contract as it runs:
 * the run is deterministic: repeating a point reproduces the same logits
   digest.
 
-**Fleet sweep** (``BENCH_serving_fleet.json``): the same closed-loop load
+**Fleet sweep** (``--replicas``): the same closed-loop load
 at fleet scale — replica count x router policy through the same server
 class — asserting every fleet configuration
 serves the *same* logits digest (exactness is replica-invariant), that a
@@ -30,6 +30,11 @@ Run as a script (also wired into the CI serving smoke jobs)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke --replicas 4
+
+The script prints its tables and headline metrics and writes no files.
+:func:`run_sweep` and :func:`run_fleet_sweep` return ``(rows, metrics)``;
+``tests/test_model_pins.py`` pins the ``--smoke --replicas 4`` profile's
+metrics exactly (they are SimClock figures, so they are deterministic).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ import sys
 import numpy as np
 
 from repro.api import Engine, RunConfig
-from repro.bench import write_bench_artifact
 from repro.bench.reporting import format_table
 from repro.pipeline import layerwise_inference
 from repro.serve import ClosedLoopWorkload, ServingCluster
@@ -95,7 +99,7 @@ def run_fleet_point(
 def run_fleet_sweep(engine: Engine, args, failures: list[str]):
     """Replica-count x router sweep + the autoscale scenario.
 
-    Returns ``(rows, metrics)`` for the BENCH_serving_fleet artifact.
+    Returns ``(rows, metrics)``; broken claims are appended to ``failures``.
     """
     replica_counts = sorted(
         {int(x) for x in args.replicas.split(",")} | {1}
@@ -242,7 +246,8 @@ def run_trace_overhead(engine: Engine, args, failures: list[str]) -> float:
     return ratio
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line, with ``--smoke``'s sizes applied."""
     parser = argparse.ArgumentParser(
         description="Offered load vs serving latency/throughput"
     )
@@ -259,14 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI (fewer points and requests)")
-    parser.add_argument("--gate", action="store_true",
-                        help="pinned regression-gate profile (the smoke "
-                        "sweep under fixed params): writes BENCH_serving_"
-                        "gate.json for check_regression.py; metrics are "
-                        "simulated, so the artifact is machine-independent")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="artifact path (default benchmarks/results/"
-                        "BENCH_serving.json); 'none' disables")
     parser.add_argument("--replicas", default=None, metavar="N,N,...",
                         help="fleet sizes for the replica x router sweep "
                         "(1 is always included as the baseline); omit to "
@@ -286,10 +283,6 @@ def main(argv: list[str] | None = None) -> int:
                         dest="autoscale_interval", metavar="SECONDS",
                         help="autoscaler window for the scenario, "
                         "default 5e-4")
-    parser.add_argument("--fleet-json", default=None, metavar="PATH",
-                        dest="fleet_json",
-                        help="fleet artifact path (default benchmarks/"
-                        "results/BENCH_serving_fleet.json); 'none' disables")
     parser.add_argument("--trace-overhead", action="store_true",
                         dest="trace_overhead",
                         help="run only the observability overhead gate: "
@@ -305,14 +298,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed traced/untraced wall-time overhead, "
                         "default 0.02 (2%%)")
     args = parser.parse_args(argv)
-
-    if args.gate:
-        args.smoke = True
     if args.smoke:
         args.clients, args.requests = "1,8", 48
         args.fleet_clients = min(args.fleet_clients, 64)
         args.fleet_requests = min(args.fleet_requests, 256)
+    return args
 
+
+def train_engine(args) -> Engine:
+    """The model every sweep point serves, trained for ``args.epochs``."""
     cfg = RunConfig(
         dataset=args.dataset, scale=args.scale, train_split=0.5,
         sampler="sage", fanout=tuple(int(x) for x in args.fanout.split(",")),
@@ -321,22 +315,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     engine = Engine(cfg)
     engine.train(cfg.epochs)
+    return engine
+
+
+def run_sweep(engine: Engine, args, failures: list[str]):
+    """Clients x serving mode on one server.
+
+    Returns ``(rows, metrics)``: the table, and the peak-load throughputs
+    with and without micro-batching and their ratio.  Broken claims are
+    appended to ``failures``.
+    """
     reference = layerwise_inference(engine.model, engine.graph)
-
-    if args.trace_overhead:
-        failures: list[str] = []
-        run_trace_overhead(engine, args, failures)
-        if failures:
-            for f in failures:
-                print(f"error: {f}", file=sys.stderr)
-            return 1
-        print("ok: tracing overhead within budget, digest unperturbed")
-        return 0
-
+    client_counts = [int(x) for x in args.clients.split(",")]
     rows = []
-    failures = []
     throughput: dict[tuple[int, int], float] = {}
-    for clients in (int(x) for x in args.clients.split(",")):
+    for clients in client_counts:
         for batch_size, budget in (
             (1, 0.0),
             (8, 0.0),
@@ -378,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
                     **report.row(),
                 }
             )
-    for clients in (int(x) for x in args.clients.split(",")):
+    for clients in client_counts:
         if clients < 8:
             continue
         if throughput[(clients, 8)] <= throughput[(clients, 1)]:
@@ -387,17 +380,36 @@ def main(argv: list[str] | None = None) -> int:
                 f"{throughput[(clients, 8)]:.0f} req/s not strictly above "
                 f"per-request {throughput[(clients, 1)]:.0f} req/s"
             )
+    peak = max(client_counts)
+    metrics = {
+        "peak_req_per_s_microbatch": throughput[(peak, 8)],
+        "peak_req_per_s_per_request": throughput[(peak, 1)],
+        "microbatch_speedup": throughput[(peak, 8)] / throughput[(peak, 1)],
+    }
+    return rows, metrics
 
-    peak = max(int(x) for x in args.clients.split(","))
 
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    engine = train_engine(args)
+
+    if args.trace_overhead:
+        failures: list[str] = []
+        run_trace_overhead(engine, args, failures)
+        if failures:
+            for f in failures:
+                print(f"error: {f}", file=sys.stderr)
+            return 1
+        print("ok: tracing overhead within budget, digest unperturbed")
+        return 0
+
+    failures = []
+    rows, metrics = run_sweep(engine, args, failures)
     print(format_table(
         rows,
         title=f"serving sweep: {args.dataset} scale={args.scale} "
         f"fanout={args.fanout} requests/point={args.requests}",
     ))
-
-    fleet_rows: list[dict] = []
-    fleet_metrics: dict[str, float] = {}
     if args.replicas is not None:
         fleet_rows, fleet_metrics = run_fleet_sweep(engine, args, failures)
         print(format_table(
@@ -406,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
             f"requests/point={args.fleet_requests} "
             f"autoscale slo_p99={args.slo_p99:g}",
         ))
+        metrics.update(fleet_metrics)
+    for name, value in metrics.items():
+        print(f"{name}: {value}")
 
     if failures:
         for f in failures:
@@ -416,54 +431,9 @@ def main(argv: list[str] | None = None) -> int:
           "digests deterministic")
     if args.replicas is not None:
         print(f"ok: fleet digest replica-invariant, best routed fleet "
-              f"{fleet_metrics['fleet_speedup_vs_single']:.2f}x the single "
+              f"{metrics['fleet_speedup_vs_single']:.2f}x the single "
               f"replica, autoscaler converged at "
-              f"{int(fleet_metrics['autoscale_final_replicas'])} replicas")
-    if args.json != "none":
-        client_counts = [int(x) for x in args.clients.split(",")]
-        metrics = {
-            "peak_req_per_s_microbatch": throughput[(peak, 8)],
-            "peak_req_per_s_per_request": throughput[(peak, 1)],
-            "microbatch_speedup": throughput[(peak, 8)]
-            / throughput[(peak, 1)],
-        }
-        path = write_bench_artifact(
-            "serving_gate" if args.gate else "serving",
-            params={
-                "dataset": args.dataset, "scale": args.scale,
-                "fanout": args.fanout, "hidden": args.hidden,
-                "epochs": args.epochs, "clients": client_counts,
-                "requests": args.requests,
-                "embed_budget": args.embed_budget, "seed": args.seed,
-                "smoke": bool(args.smoke),
-            },
-            metrics=metrics,
-            rows=rows,
-            path=args.json,
-        )
-        print(f"wrote {path}")
-    if args.replicas is not None and args.fleet_json != "none":
-        path = write_bench_artifact(
-            "serving_fleet",
-            params={
-                "dataset": args.dataset, "scale": args.scale,
-                "fanout": args.fanout, "hidden": args.hidden,
-                "epochs": args.epochs, "seed": args.seed,
-                "smoke": bool(args.smoke),
-                "replicas": sorted(
-                    {int(x) for x in args.replicas.split(",")} | {1}
-                ),
-                "fleet_clients": args.fleet_clients,
-                "fleet_requests": args.fleet_requests,
-                "embed_budget": args.embed_budget,
-                "slo_p99": args.slo_p99,
-                "autoscale_interval": args.autoscale_interval,
-            },
-            metrics=fleet_metrics,
-            rows=fleet_rows,
-            path=args.fleet_json,
-        )
-        print(f"wrote {path}")
+              f"{int(metrics['autoscale_final_replicas'])} replicas")
     return 0
 
 

@@ -27,6 +27,11 @@ Run as a script (also wired into the CI streaming-parity job)::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py
     PYTHONPATH=src python benchmarks/bench_streaming.py --smoke
+
+The script prints its tables and headline metrics and writes no files.
+:func:`run_sweep` returns ``(rows, metrics)``; ``tests/test_model_pins.py``
+pins the ``--smoke`` profile's metrics exactly (they are SimClock figures,
+so they are deterministic).
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import sys
 import numpy as np
 
 from repro.api import Engine, RunConfig
-from repro.bench import write_bench_artifact
 from repro.bench.reporting import format_table
 from repro.pipeline import layerwise_inference
 from repro.serve import ServingCluster
@@ -98,7 +102,8 @@ def check_parity(server, engine, *, n_verts: int = 64) -> str | None:
     return None
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line, with ``--smoke``'s sizes applied."""
     parser = argparse.ArgumentParser(
         description="Edge churn vs serving throughput/latency/parity"
     )
@@ -121,21 +126,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sweep for CI (fewer points and requests)")
-    parser.add_argument("--gate", action="store_true",
-                        help="pinned regression-gate profile (the smoke "
-                        "sweep under fixed params): writes BENCH_streaming_"
-                        "gate.json for check_regression.py; metrics are "
-                        "simulated, so the artifact is machine-independent")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="artifact path (default benchmarks/results/"
-                        "BENCH_streaming.json); 'none' disables")
     args = parser.parse_args(argv)
-
-    if args.gate:
-        args.smoke = True
     if args.smoke:
         args.requests, args.ratios, args.thresholds = 48, "0,0.5", "0.005"
+    return args
 
+
+def train_engine(args) -> Engine:
+    """The model every sweep point serves, trained for ``args.epochs``."""
     cfg = RunConfig(
         dataset=args.dataset, scale=args.scale, train_split=0.5,
         sampler="sage", fanout=tuple(int(x) for x in args.fanout.split(",")),
@@ -144,11 +142,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     engine = Engine(cfg)
     engine.train(cfg.epochs)
+    return engine
 
+
+def run_sweep(engine: Engine, args, failures: list[str]):
+    """Update ratio x serving mode, then compaction thresholds at the
+    highest ratio.
+
+    Returns ``(rows, metrics)``: both tables' rows, and the peak-churn
+    throughputs with and without micro-batching, their ratio, the
+    micro-batched throughput kept under churn and whether every point's
+    post-churn logits matched a from-scratch rebuild.  Broken claims are
+    appended to ``failures``.
+    """
     ratios = [float(x) for x in args.ratios.split(",")]
     thresholds = [float(x) for x in args.thresholds.split(",")]
     rows = []
-    failures = []
+    parity = True
     throughput: dict[tuple[float, int], float] = {}
 
     # -- sweep 1: update:request ratio x serving mode -------------------- #
@@ -168,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             throughput[key] = max(throughput.get(key, 0.0), report.throughput)
             err = check_parity(server, engine)
             if err:
+                parity = False
                 failures.append(
                     f"ratio={ratio:g} batch={batch_size} budget={budget:g}: {err}"
                 )
@@ -210,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     # -- sweep 2: compaction threshold at the highest ratio -------------- #
-    threshold_rows = []
     for threshold in thresholds:
         server, report = run_point(
             engine, n_requests=args.requests, update_ratio=peak,
@@ -220,8 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         err = check_parity(server, engine)
         if err:
+            parity = False
             failures.append(f"threshold={threshold:g}: {err}")
-        threshold_rows.append(
+        rows.append(
             {
                 "threshold": threshold,
                 "update_ratio": peak,
@@ -230,16 +241,39 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
 
+    metrics = {
+        "peak_req_per_s_microbatch": throughput[(peak, 8)],
+        "peak_req_per_s_per_request": throughput[(peak, 1)],
+        "churn_microbatch_speedup": throughput[(peak, 8)]
+        / throughput[(peak, 1)],
+        "parity": parity,
+    }
+    if (0.0, 8) in throughput and throughput[(peak, 8)] > 0:
+        metrics["churn_throughput_retention"] = (
+            throughput[(peak, 8)] / throughput[(0.0, 8)]
+        )
+    return rows, metrics
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    engine = train_engine(args)
+    failures: list[str] = []
+    rows, metrics = run_sweep(engine, args, failures)
+    compaction = [r for r in rows if "pending_after" in r]
     print(format_table(
-        rows,
+        [r for r in rows if "pending_after" not in r],
         title=f"streaming sweep: {args.dataset} scale={args.scale} "
         f"requests/point={args.requests} (exact serving under churn)",
     ))
     print()
     print(format_table(
-        threshold_rows,
-        title=f"compaction-threshold sweep at update_ratio={peak:g}",
+        compaction,
+        title="compaction-threshold sweep at update_ratio="
+        f"{compaction[0]['update_ratio']:g}",
     ))
+    for name, value in metrics.items():
+        print(f"{name}: {value}")
     if failures:
         for f in failures:
             print(f"error: {f}", file=sys.stderr)
@@ -247,34 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     print("ok: micro-batching beats per-request serving under churn, "
           "post-compaction served logits bit-identical to a from-scratch "
           "rebuild, digests deterministic")
-    if args.json != "none":
-        metrics = {
-            "peak_req_per_s_microbatch": throughput[(peak, 8)],
-            "peak_req_per_s_per_request": throughput[(peak, 1)],
-            "churn_microbatch_speedup": throughput[(peak, 8)]
-            / throughput[(peak, 1)],
-            "parity": True,
-        }
-        if (0.0, 8) in throughput and throughput[(peak, 8)] > 0:
-            metrics["churn_throughput_retention"] = (
-                throughput[(peak, 8)] / throughput[(0.0, 8)]
-            )
-        path = write_bench_artifact(
-            "streaming_gate" if args.gate else "streaming",
-            params={
-                "dataset": args.dataset, "scale": args.scale,
-                "fanout": args.fanout, "hidden": args.hidden,
-                "epochs": args.epochs, "requests": args.requests,
-                "ratios": ratios, "thresholds": thresholds,
-                "embed_budget": args.embed_budget,
-                "interarrival": args.interarrival, "seed": args.seed,
-                "smoke": bool(args.smoke),
-            },
-            metrics=metrics,
-            rows=rows + threshold_rows,
-            path=args.json,
-        )
-        print(f"wrote {path}")
     return 0
 
 

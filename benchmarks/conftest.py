@@ -1,12 +1,15 @@
 """Shared infrastructure for the paper-figure benchmarks.
 
-Every ``bench_*`` file regenerates one of the paper's tables or figures:
-it runs the simulated pipeline over the paper's parameter sweep, prints the
-same rows/series the paper reports (also written to ``benchmarks/results/``)
-and asserts the figure's qualitative shape.  Wall-clock micro-benchmarks of
-the one SpGEMM, the SpMM, ITS and bulk sampling (pytest-benchmark, no
-backend axis) live in ``bench_kernels.py``; end-to-end wall-clock numbers
-come from ``e2e/run.py``.
+Every figure ``bench_*`` file regenerates one of the paper's tables or
+figures: it runs the simulated pipeline over the paper's parameter sweep,
+prints the same rows/series the paper reports (``record_result`` also
+writes them as text under ``benchmarks/results/``, which git ignores) and
+asserts the figure's qualitative shape.  The serving, streaming and
+feature-cache scripts are plain scripts, not pytest modules; their SimClock
+figures are pinned exactly by ``tests/test_model_pins.py``.  Wall-clock
+micro-benchmarks of the one SpGEMM, the SpMM, ITS and bulk sampling
+(pytest-benchmark, no backend axis) live in ``bench_kernels.py``;
+end-to-end wall-clock numbers come from ``e2e/run.py``.
 
 Figure sweeps run once inside ``benchmark.pedantic(rounds=1)`` so that
 ``--benchmark-only`` executes them while reporting their (single-shot)

@@ -217,7 +217,7 @@ class RunConfig:
         dict, "extra keyword arguments for the dataset loader", dict
     )
     # benchmarks/e2e hashes to_dict() and reads cfg.kernel, so the field
-    # stays until ROADMAP item 8 retargets its tracer.
+    # stays until ROADMAP item 0 retargets its tracer.
     kernel: str = _knob(
         "esc", "legacy name of the one SpGEMM kernel (scipy's csr_matmat), "
         "always 'esc' (no flag; the field is kept so saved configs hash as "

@@ -1,23 +1,8 @@
-"""Benchmark harness: sim-scale workloads, ASCII figure reporting, and the
-schema-versioned ``BENCH_<name>.json`` perf-trajectory artifacts."""
+"""Benchmark harness: sim-scale workloads and ASCII figure reporting."""
 
-from .artifact import (
-    BENCH_SCHEMA_VERSION,
-    bench_artifact,
-    default_artifact_path,
-    env_fingerprint,
-    load_bench_artifact,
-    write_bench_artifact,
-)
 from .harness import SIM_WORKLOADS, BenchWorkload, load_bench_graph, run_pipeline_epoch
-from .regression import (
-    EnvMismatch,
-    ParamsMismatch,
-    Regression,
-    compare_artifacts,
-    metric_direction,
-)
 from .reporting import (
+    env_fingerprint,
     format_latency_summary,
     format_series,
     format_stacked_bars,
@@ -37,15 +22,5 @@ __all__ = [
     "percentiles",
     "latency_summary",
     "format_latency_summary",
-    "BENCH_SCHEMA_VERSION",
-    "bench_artifact",
-    "default_artifact_path",
     "env_fingerprint",
-    "load_bench_artifact",
-    "write_bench_artifact",
-    "Regression",
-    "ParamsMismatch",
-    "EnvMismatch",
-    "metric_direction",
-    "compare_artifacts",
 ]

@@ -1,7 +1,9 @@
 """ASCII reporting helpers for the benchmark harness.
 
 Benchmarks print the same rows/series the paper's tables and figures show;
-these helpers render them readably in test output.
+these helpers render them readably in test output.  A wall-clock report
+also carries :func:`env_fingerprint`, the facts that make its numbers
+comparable.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "percentiles",
     "latency_summary",
     "format_latency_summary",
+    "env_fingerprint",
 ]
 
 
@@ -142,6 +145,20 @@ def format_latency_summary(
         f"p99 {s['p99']:.5g}{unit}  mean {s['mean']:.5g}{unit}  "
         f"max {s['max']:.5g}{unit}  (n={s['n']})"
     )
+
+
+def env_fingerprint() -> dict[str, object]:
+    """The environment facts that make wall-clock numbers comparable: core
+    count, interpreter and numpy versions, platform."""
+    import os
+    import platform
+
+    return {
+        "cpu_count": int(os.cpu_count() or 1),
+        "python": platform.python_version(),
+        "numpy": str(np.__version__),
+        "platform": f"{platform.system()}-{platform.machine()}",
+    }
 
 
 def _fmt(v: object) -> str:

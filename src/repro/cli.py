@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setup_obs(args) -> None:
     """Install the tracer / metrics registry the flags ask for (before
-    any engine or worker-pool construction, so pools inherit tracing)."""
+    the engine is built, so its construction and training are traced)."""
     from repro.obs import MetricsRegistry, Tracer, set_registry, set_tracer
     from repro.obs.trace import get_tracer
 
@@ -462,6 +462,12 @@ def _cmd_serving(args) -> int:
         cfg = _resolve_train_config(args)
         if streaming:
             cfg = cfg.replace(stream_updates=True)
+        # A trace file is read and checked before anything is built or
+        # trained, so a malformed one fails in milliseconds.
+        trace = (
+            load_trace(args.requests)
+            if not streaming and args.requests is not None else None
+        )
         _setup_obs(args)
         engine = Engine(cfg)
         # One consolidated banner up front: the dataset/serving knobs plus
@@ -492,14 +498,14 @@ def _cmd_serving(args) -> int:
                 delete_fraction=args.delete_fraction, seed=cfg.seed,
                 interarrival=1e-4,
             )
-        elif args.requests is not None:
-            workload = load_trace(args.requests)
+        elif trace is not None:
+            workload = trace
         else:
             workload = TraceWorkload.synthetic(
                 args.synthetic, pool, seed=cfg.seed, interarrival=1e-4
             )
-        # Serving validates request vertices against the graph lazily, so
-        # a malformed trace surfaces here — still a user error, not a bug.
+        # Serving checks request vertices against the graph lazily, so an
+        # out-of-range vertex surfaces here — still a user error, not a bug.
         report = server.process(workload)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         return _user_error(exc)

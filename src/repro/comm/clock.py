@@ -60,8 +60,7 @@ class SimClock:
         self._slot((self.current_phase, kind))[rank] += dt
 
     def _slot(self, key: tuple[str, str]) -> list[float]:
-        """Per-rank seconds of one (phase, kind), created on first use (a
-        plain dict, so a clock pickles across a worker pipe)."""
+        """Per-rank seconds of one (phase, kind), created on first use."""
         slot = self._phase_time.get(key)
         if slot is None:
             slot = self._phase_time[key] = [0.0] * self.world_size

@@ -215,9 +215,7 @@ class SamplingPlan:
 
     def digest(self) -> str:
         """Stable content hash of the program (steps are frozen dataclasses
-        with value reprs).  Worker pools key warm per-process sampler state
-        by this digest so the hot-path task message carries 16 bytes, not
-        a pickled plan; two plans share a digest iff they would execute
+        with value reprs): two plans share a digest iff they would execute
         identically."""
         import hashlib
 

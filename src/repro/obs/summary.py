@@ -9,7 +9,7 @@ after the fact.  Three views:
   ranks optimization targets (a parent that merely contains an expensive
   child should not outrank it);
 * **per-category breakdown** — total span time by ``cat`` (``serve``,
-  ``plan``, ``update``, ``pool``, ...), split by time domain;
+  ``plan``, ``update``, ...), split by time domain;
 * **slowest requests** — the flight recorder's async windows ranked by
   duration, naming the exemplar request ids to go look at.
 """

@@ -2,7 +2,7 @@
 
 from .inference import layerwise_inference
 from .memory import MemoryModel, choose_c_k, quiver_fits
-from .schedule import overlap_saving, overlapped_makespan
+from .schedule import overlapped_makespan
 from .stats import BulkStats, EpochStats
 from .trainer import TrainingPipeline
 
@@ -15,5 +15,4 @@ __all__ = [
     "choose_c_k",
     "quiver_fits",
     "overlapped_makespan",
-    "overlap_saving",
 ]

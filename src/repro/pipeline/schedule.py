@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["overlapped_makespan", "overlap_saving"]
+__all__ = ["overlapped_makespan"]
 
 
 def overlapped_makespan(
@@ -54,11 +54,3 @@ def overlapped_makespan(
         train_done = max(prep_done, train_done_prev) + t_k
         train_done_prev2, train_done_prev = train_done_prev, train_done
     return train_done_prev
-
-
-def overlap_saving(
-    prep: Sequence[float], train: Sequence[float]
-) -> float:
-    """Simulated seconds the double-buffered schedule saves over the
-    serial (sum-charged) bulk-synchronous loop."""
-    return sum(prep) + sum(train) - overlapped_makespan(prep, train)

@@ -61,8 +61,8 @@ class ServeStats:
             setattr(self, f.name, f.default)
 
     def add(self, other: "ServeStats") -> None:
-        """Accumulate ``other``'s counters into this one (fleet totals;
-        a pool worker's counters merged back onto the parent's replica)."""
+        """Accumulate ``other``'s counters into this one (a fleet's totals
+        over its replicas)."""
         for f in dataclasses.fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 

@@ -57,7 +57,7 @@ class _Kernel:
     :meth:`spgemm` up on the one instance at call time, so a wrapper set
     on the class — ``benchmarks/e2e/trace.py`` finds it through
     :func:`get_kernel` — sees every product.  Kept only for that tracer
-    (ROADMAP item 8 retargets it and deletes this class)."""
+    (ROADMAP item 0 retargets it and deletes this class)."""
 
     def spgemm(self, a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
         if a.shape[1] != b.shape[0]:
@@ -80,7 +80,7 @@ _KERNEL = _Kernel()
 def get_kernel(name: str) -> _Kernel:
     """The one SpGEMM kernel object, for a tracer that wraps its class.
     ``"esc"`` is its only name — the legacy one, from when the body was
-    expand-sort-compress (ROADMAP item 8 deletes this lookup)."""
+    expand-sort-compress (ROADMAP item 0 deletes this lookup)."""
     if name != "esc":
         raise ValueError(
             f"unknown kernel {name!r}: 'esc' is the only SpGEMM kernel"

@@ -145,8 +145,9 @@ class StreamingGraph:
         # What the simulated clock charges: log absorb + a re-merge of every
         # row dirtied since the last compaction (the cost *model* predates
         # the array-native overlay, which splices only the batch; kept so
-        # the SimClock baselines stay put — ROADMAP item 5), plus (rarely)
-        # the full canonicalizing compaction.
+        # the streaming model pins in tests/test_model_pins.py stay put —
+        # ROADMAP item 7(2)), plus (rarely) the full canonicalizing
+        # compaction.
         result.sim_cost = {
             "batch_edges": float(batch.n_edges),
             "merged_nnz": float(merged_nnz),

@@ -1,4 +1,5 @@
-"""Benchmark tooling: ASCII reporting, harness workloads, config objects."""
+"""Benchmark tooling: ASCII reporting, harness workloads, config objects
+and the environment fingerprint."""
 
 from __future__ import annotations
 
@@ -168,426 +169,6 @@ class TestConfigObjects:
             m.node_of(-1)
 
 
-class TestBenchArtifacts:
-    def test_write_load_roundtrip(self, tmp_path):
-        from repro.bench import (
-            BENCH_SCHEMA_VERSION,
-            load_bench_artifact,
-            write_bench_artifact,
-        )
-
-        path = write_bench_artifact(
-            "demo",
-            params={"scale": 0.1, "fanout": (4, 3)},
-            metrics={"req_per_s": np.float64(123.456)},
-            rows=[{"clients": np.int64(8), "p50_ms": 0.25}],
-            path=tmp_path / "BENCH_demo.json",
-        )
-        data = load_bench_artifact(path)
-        assert data["schema_version"] == BENCH_SCHEMA_VERSION
-        assert data["bench"] == "demo"
-        assert data["params"]["fanout"] == [4, 3]
-        assert data["metrics"]["req_per_s"] == pytest.approx(123.456)
-        assert data["rows"][0]["clients"] == 8
-        # numpy scalars must have become plain JSON types
-        assert isinstance(data["rows"][0]["clients"], int)
-
-    def test_writes_are_byte_stable(self, tmp_path):
-        from repro.bench import write_bench_artifact
-
-        kwargs = dict(
-            params={"b": 2, "a": 1}, metrics={"m": 1.0}, rows=[],
-        )
-        p1 = write_bench_artifact("stable", path=tmp_path / "one.json", **kwargs)
-        p2 = write_bench_artifact("stable", path=tmp_path / "two.json", **kwargs)
-        assert p1.read_text() == p2.read_text()
-
-    def test_refuses_unknown_schema_version(self, tmp_path):
-        import json
-
-        from repro.bench import load_bench_artifact
-
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({
-            "schema_version": 999, "bench": "x", "params": {},
-            "metrics": {}, "rows": [],
-        }))
-        with pytest.raises(ValueError, match="schema_version"):
-            load_bench_artifact(path)
-
-    def test_refuses_missing_keys(self, tmp_path):
-        import json
-
-        from repro.bench import BENCH_SCHEMA_VERSION, load_bench_artifact
-
-        path = tmp_path / "BENCH_y.json"
-        path.write_text(json.dumps({
-            "schema_version": BENCH_SCHEMA_VERSION, "bench": "y",
-        }))
-        with pytest.raises(ValueError, match="params"):
-            load_bench_artifact(path)
-
-    def test_name_validation_and_default_path(self):
-        from repro.bench import bench_artifact, default_artifact_path
-
-        with pytest.raises(ValueError):
-            bench_artifact("has space")
-        with pytest.raises(ValueError):
-            bench_artifact("")
-        path = default_artifact_path("serving")
-        assert path.name == "BENCH_serving.json"
-        assert path.parent.name == "results"
-
-    def test_committed_artifacts_load(self):
-        """The trajectory points committed under benchmarks/results/ must
-        stay readable by the current schema."""
-        from pathlib import Path
-
-        from repro.bench import default_artifact_path, load_bench_artifact
-
-        results = default_artifact_path("x").parent
-        committed = sorted(Path(results).glob("BENCH_*.json"))
-        assert committed, "no committed benchmark artifacts found"
-        for path in committed:
-            data = load_bench_artifact(path)
-            assert data["bench"]
-
-
-def _artifact(metrics, params=None, bench="demo"):
-    return {
-        "bench": bench,
-        "params": params if params is not None else {"scale": 0.1},
-        "metrics": metrics,
-        "rows": [],
-    }
-
-
-class TestMetricDirection:
-    def test_classification(self):
-        from repro.bench import metric_direction
-
-        assert metric_direction("serve_req_per_s") == "higher"
-        assert metric_direction("fleet_speedup_vs_single") == "higher"
-        assert metric_direction("cache_hit_rate") == "higher"
-        assert metric_direction("p99_ms") == "lower"
-        assert metric_direction("makespan") == "lower"
-        assert metric_direction("update_latency") == "lower"
-        assert metric_direction("autoscale_final_replicas") is None
-
-    def test_higher_better_fragments_win_ties(self):
-        from repro.bench import metric_direction
-
-        # "p99" alone is lower-better, but a speedup derived from it is a
-        # ratio where up is good — first-match-wins keeps that sane.
-        assert metric_direction("p99_speedup") == "higher"
-
-
-class TestCompareArtifacts:
-    def test_identical_artifacts_pass(self):
-        from repro.bench import compare_artifacts
-
-        a = _artifact({"req_per_s": 100.0, "p99_ms": 2.0})
-        assert compare_artifacts(a, a) == []
-
-    def test_throughput_drop_is_a_regression(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"req_per_s": 100.0})
-        fresh = _artifact({"req_per_s": 90.0})
-        regs = compare_artifacts(base, fresh, tolerance=0.05)
-        assert len(regs) == 1
-        assert regs[0].metric == "req_per_s"
-        assert "dropped" in str(regs[0])
-
-    def test_latency_rise_is_a_regression(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"p99_ms": 2.0})
-        fresh = _artifact({"p99_ms": 2.5})
-        regs = compare_artifacts(base, fresh, tolerance=0.05)
-        assert len(regs) == 1 and "rose" in str(regs[0])
-
-    def test_drift_within_tolerance_passes(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"req_per_s": 100.0, "p99_ms": 2.0})
-        fresh = _artifact({"req_per_s": 96.0, "p99_ms": 2.08})
-        assert compare_artifacts(base, fresh, tolerance=0.05) == []
-
-    def test_improvements_never_flagged(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"req_per_s": 100.0, "p99_ms": 2.0})
-        fresh = _artifact({"req_per_s": 500.0, "p99_ms": 0.1})
-        assert compare_artifacts(base, fresh) == []
-
-    def test_informational_metrics_ignored(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"final_replicas": 4})
-        fresh = _artifact({"final_replicas": 1})
-        assert compare_artifacts(base, fresh) == []
-
-    def test_missing_gated_metric_fails(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"req_per_s": 100.0})
-        fresh = _artifact({})
-        regs = compare_artifacts(base, fresh)
-        assert len(regs) == 1 and "missing" in regs[0].metric
-
-    def test_different_bench_rejected(self):
-        from repro.bench import compare_artifacts
-
-        with pytest.raises(ValueError, match="different benches"):
-            compare_artifacts(
-                _artifact({}, bench="a"), _artifact({}, bench="b")
-            )
-
-    def test_params_mismatch_raises_and_names_keys(self):
-        from repro.bench import ParamsMismatch, compare_artifacts
-
-        base = _artifact({}, params={"clients": 64, "scale": 0.1})
-        fresh = _artifact({}, params={"clients": 128, "scale": 0.1})
-        with pytest.raises(ParamsMismatch, match="clients"):
-            compare_artifacts(base, fresh)
-
-    def test_ignore_params_excuses_the_mismatch(self):
-        from repro.bench import compare_artifacts
-
-        base = _artifact({"req_per_s": 10.0}, params={"clients": 64})
-        fresh = _artifact({"req_per_s": 10.0}, params={"clients": 128})
-        assert compare_artifacts(base, fresh, ignore_params=("clients",)) == []
-
-    def test_negative_tolerance_rejected(self):
-        from repro.bench import compare_artifacts
-
-        with pytest.raises(ValueError):
-            compare_artifacts(_artifact({}), _artifact({}), tolerance=-0.1)
-
-    def test_compare_artifact_files(self, tmp_path):
-        from repro.bench import (
-            compare_artifacts,
-            load_bench_artifact,
-            write_bench_artifact,
-        )
-
-        base = write_bench_artifact(
-            "demo", params={"s": 1}, metrics={"req_per_s": 100.0},
-            rows=[], path=tmp_path / "base.json",
-        )
-        fresh = write_bench_artifact(
-            "demo", params={"s": 1}, metrics={"req_per_s": 50.0},
-            rows=[], path=tmp_path / "fresh.json",
-        )
-        regressions = compare_artifacts(
-            load_bench_artifact(base), load_bench_artifact(fresh)
-        )
-        assert len(regressions) == 1
-
-
-class TestCheckRegressionCLI:
-    """Exit-code contract of benchmarks/check_regression.py (the CI gate)."""
-
-    @pytest.fixture()
-    def gate(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = (
-            Path(__file__).parent.parent / "benchmarks" / "check_regression.py"
-        )
-        spec = importlib.util.spec_from_file_location("check_regression", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def _write(self, tmp_path, name, metrics, params=None):
-        from repro.bench import write_bench_artifact
-
-        return write_bench_artifact(
-            "gatedemo", params=params or {"s": 1}, metrics=metrics,
-            rows=[], path=tmp_path / name,
-        )
-
-    def test_exit_0_on_clean_run(self, tmp_path, gate, capsys):
-        base = self._write(tmp_path, "base.json", {"req_per_s": 100.0})
-        fresh = self._write(tmp_path, "fresh.json", {"req_per_s": 101.0})
-        rc = gate.main([str(fresh), "--baseline", str(base)])
-        assert rc == 0
-        assert "no out-of-tolerance" in capsys.readouterr().out
-
-    def test_exit_1_on_regression(self, tmp_path, gate, capsys):
-        base = self._write(tmp_path, "base.json", {"req_per_s": 100.0})
-        fresh = self._write(tmp_path, "fresh.json", {"req_per_s": 50.0})
-        rc = gate.main([str(fresh), "--baseline", str(base)])
-        assert rc == 1
-        assert "regression:" in capsys.readouterr().err
-
-    def test_exit_2_on_missing_baseline(self, tmp_path, gate, capsys):
-        fresh = self._write(tmp_path, "fresh.json", {"req_per_s": 1.0})
-        rc = gate.main(
-            [str(fresh), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert rc == 2
-        assert "no committed baseline" in capsys.readouterr().err
-
-    def test_exit_2_on_unreadable_fresh(self, tmp_path, gate):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert gate.main([str(bad)]) == 2
-
-    def test_exit_3_on_params_mismatch(self, tmp_path, gate, capsys):
-        base = self._write(
-            tmp_path, "base.json", {"req_per_s": 1.0}, params={"s": 1}
-        )
-        fresh = self._write(
-            tmp_path, "fresh.json", {"req_per_s": 1.0}, params={"s": 2}
-        )
-        rc = gate.main([str(fresh), "--baseline", str(base)])
-        assert rc == 3
-        assert "not comparable" in capsys.readouterr().err
-
-    def test_ignore_params_flag(self, tmp_path, gate):
-        base = self._write(
-            tmp_path, "base.json", {"req_per_s": 1.0}, params={"s": 1}
-        )
-        fresh = self._write(
-            tmp_path, "fresh.json", {"req_per_s": 1.0}, params={"s": 2}
-        )
-        rc = gate.main(
-            [str(fresh), "--baseline", str(base), "--ignore-params", "s"]
-        )
-        assert rc == 0
-
-    def test_tolerance_flag_widens_the_gate(self, tmp_path, gate):
-        base = self._write(tmp_path, "base.json", {"req_per_s": 100.0})
-        fresh = self._write(tmp_path, "fresh.json", {"req_per_s": 80.0})
-        assert gate.main([str(fresh), "--baseline", str(base)]) == 1
-        assert gate.main(
-            [str(fresh), "--baseline", str(base), "--tolerance", "0.3"]
-        ) == 0
-
-    def _write_bench(self, tmp_path, bench, name, metrics, params=None):
-        from repro.bench import write_bench_artifact
-
-        return write_bench_artifact(
-            bench, params=params or {"s": 1}, metrics=metrics,
-            rows=[], path=tmp_path / name,
-        )
-
-    @pytest.fixture()
-    def local_baselines(self, tmp_path, gate, monkeypatch):
-        """Route default baseline lookup into tmp_path so multi-artifact
-        runs (which resolve baselines by bench name) stay hermetic."""
-        monkeypatch.setattr(
-            gate, "default_artifact_path",
-            lambda bench: tmp_path / f"BENCH_{bench}.json",
-        )
-        return tmp_path
-
-    def test_multiple_artifacts_report_all_regressions(
-        self, gate, local_baselines, capsys
-    ):
-        tmp = local_baselines
-        self._write_bench(tmp, "alpha", "BENCH_alpha.json",
-                          {"req_per_s": 100.0, "p99_ms": 1.0})
-        self._write_bench(tmp, "beta", "BENCH_beta.json",
-                          {"req_per_s": 100.0})
-        f1 = self._write_bench(tmp, "alpha", "fresh_alpha.json",
-                               {"req_per_s": 50.0, "p99_ms": 9.0})
-        f2 = self._write_bench(tmp, "beta", "fresh_beta.json",
-                               {"req_per_s": 10.0})
-        rc = gate.main([str(f1), str(f2)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        # Every regressed metric of every family is reported, and the
-        # exit-1 summary names them all.
-        assert "regression: alpha: req_per_s" in err
-        assert "regression: alpha: p99_ms" in err
-        assert "regression: beta: req_per_s" in err
-        assert ("3 regressed metric(s): alpha:p99_ms, alpha:req_per_s, "
-                "beta:req_per_s" in err)
-
-    def test_regressions_outrank_params_mismatch(
-        self, gate, local_baselines, capsys
-    ):
-        tmp = local_baselines
-        self._write_bench(tmp, "alpha", "BENCH_alpha.json",
-                          {"req_per_s": 100.0})
-        self._write_bench(tmp, "beta", "BENCH_beta.json",
-                          {"req_per_s": 100.0}, params={"s": 1})
-        f1 = self._write_bench(tmp, "alpha", "fresh_alpha.json",
-                               {"req_per_s": 50.0})
-        f2 = self._write_bench(tmp, "beta", "fresh_beta.json",
-                               {"req_per_s": 100.0}, params={"s": 2})
-        assert gate.main([str(f1), str(f2)]) == 1
-        err = capsys.readouterr().err
-        assert "regression: alpha: req_per_s" in err
-        assert "not comparable" in err  # still reported, just outranked
-
-    def test_params_mismatch_alone_still_exits_3(
-        self, gate, local_baselines
-    ):
-        tmp = local_baselines
-        self._write_bench(tmp, "beta", "BENCH_beta.json",
-                          {"req_per_s": 100.0}, params={"s": 1})
-        ok = self._write_bench(tmp, "alpha", "BENCH_alpha.json",
-                               {"req_per_s": 100.0})
-        f1 = self._write_bench(tmp, "alpha", "fresh_alpha.json",
-                               {"req_per_s": 100.0})
-        f2 = self._write_bench(tmp, "beta", "fresh_beta.json",
-                               {"req_per_s": 100.0}, params={"s": 2})
-        assert ok is not None
-        assert gate.main([str(f1), str(f2)]) == 3
-
-    def test_baseline_flag_rejected_with_multiple_fresh(
-        self, tmp_path, gate, capsys
-    ):
-        base = self._write(tmp_path, "base.json", {"req_per_s": 100.0})
-        f1 = self._write(tmp_path, "f1.json", {"req_per_s": 100.0})
-        f2 = self._write(tmp_path, "f2.json", {"req_per_s": 100.0})
-        rc = gate.main(
-            [str(f1), str(f2), "--baseline", str(base)]
-        )
-        assert rc == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_committed_fleet_artifact_gates_itself(self, gate):
-        """The committed BENCH_serving_fleet.json must pass its own gate —
-        the invariant the CI serving-fleet job relies on."""
-        from repro.bench import default_artifact_path
-
-        path = default_artifact_path("serving_fleet")
-        assert path.exists()
-        assert gate.main([str(path)]) == 0
-
-    def test_committed_gate_artifacts_gate_themselves(self, gate):
-        """Every committed *_gate baseline must pass its own gate,
-        mirroring the CI regression-gates job."""
-        from repro.bench import default_artifact_path
-
-        for name in ("serving_gate", "streaming_gate", "feature_cache_gate"):
-            path = default_artifact_path(name)
-            assert path.exists(), f"missing committed baseline {path}"
-            assert gate.main([str(path)]) == 0
-
-    def test_exit_4_on_env_mismatch(self, tmp_path, gate, capsys):
-        from repro.bench import write_bench_artifact
-
-        base = write_bench_artifact(
-            "gatedemo", params={"s": 1}, metrics={"speedup": 2.0}, rows=[],
-            env={"cpu_count": 1}, path=tmp_path / "base.json",
-        )
-        fresh = write_bench_artifact(
-            "gatedemo", params={"s": 1}, metrics={"speedup": 2.0}, rows=[],
-            env={"cpu_count": 64}, path=tmp_path / "fresh.json",
-        )
-        rc = gate.main([str(fresh), "--baseline", str(base)])
-        assert rc == 4
-        assert "different environments" in capsys.readouterr().err
-
-
 class TestEnvFingerprint:
     def test_fingerprint_contents(self):
         import os
@@ -599,52 +180,3 @@ class TestEnvFingerprint:
         assert env["cpu_count"] == (os.cpu_count() or 1)
         assert env["python"] == platform.python_version()
         assert "numpy" in env and "platform" in env
-
-    def test_artifact_roundtrips_env(self, tmp_path):
-        from repro.bench import (
-            env_fingerprint,
-            load_bench_artifact,
-            write_bench_artifact,
-        )
-
-        env = env_fingerprint()
-        path = write_bench_artifact(
-            "demo", params={}, metrics={}, rows=[], env=env,
-            path=tmp_path / "BENCH_demo.json",
-        )
-        assert load_bench_artifact(path)["env"] == env
-
-    def test_env_free_artifact_has_no_env_key(self, tmp_path):
-        """Simulated artifacts stay byte-stable across machines — no env
-        key unless the bench asked for one."""
-        from repro.bench import load_bench_artifact, write_bench_artifact
-
-        path = write_bench_artifact(
-            "demo", params={}, metrics={}, rows=[],
-            path=tmp_path / "BENCH_demo.json",
-        )
-        assert "env" not in load_bench_artifact(path)
-
-    def test_compare_raises_env_mismatch(self):
-        from repro.bench import EnvMismatch, compare_artifacts
-
-        base = dict(_artifact({"speedup": 2.0}), env={"cpu_count": 1})
-        fresh = dict(_artifact({"speedup": 2.0}), env={"cpu_count": 64})
-        with pytest.raises(EnvMismatch, match="cpu_count"):
-            compare_artifacts(base, fresh)
-
-    def test_env_vs_envless_artifact_mismatches(self):
-        """A wall-clock artifact never silently gates against an env-free
-        baseline (or vice versa)."""
-        from repro.bench import EnvMismatch, compare_artifacts
-
-        base = _artifact({"speedup": 2.0})
-        fresh = dict(_artifact({"speedup": 2.0}), env={"cpu_count": 1})
-        with pytest.raises(EnvMismatch):
-            compare_artifacts(base, fresh)
-
-    def test_matching_env_passes(self):
-        from repro.bench import compare_artifacts
-
-        base = dict(_artifact({"speedup": 2.0}), env={"cpu_count": 1})
-        assert compare_artifacts(base, dict(base)) == []

@@ -292,3 +292,23 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "sweep" in out and "total_s" in out
+
+    def test_serve_reads_the_trace_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--requests`` is read and checked before the engine is built, so
+        a malformed trace is reported without a training run."""
+        from repro.api import Engine
+
+        def train(self, *args, **kwargs):
+            raise AssertionError("trained before the trace was read")
+
+        monkeypatch.setattr(Engine, "train", train)
+        path = tmp_path / "bad.json"
+        path.write_text('[{"vertices": [1.7]}]')
+        code = main(["serve", "products", "--scale", "0.1",
+                     "--requests", str(path)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert f"error: trace {path}: request 0: vertices must be a list" in err
+        assert out == ""

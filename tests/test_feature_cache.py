@@ -13,7 +13,7 @@ from repro.partition import (
     CacheStats,
     FeatureStore,
 )
-from repro.pipeline import overlap_saving, overlapped_makespan
+from repro.pipeline import overlapped_makespan
 
 
 def _setup(p, c, n=64, f=8, seed=0, dtype=np.float64):
@@ -264,12 +264,10 @@ class TestLFUPolicy:
 class TestOverlapSchedule:
     def test_single_bulk_is_serial(self):
         assert overlapped_makespan([3.0], [2.0]) == pytest.approx(5.0)
-        assert overlap_saving([3.0], [2.0]) == pytest.approx(0.0)
 
     def test_hand_example(self):
         # prep 1,1,1 / train 2,2,2: steady state hides prep behind train.
         assert overlapped_makespan([1, 1, 1], [2, 2, 2]) == pytest.approx(7.0)
-        assert overlap_saving([1, 1, 1], [2, 2, 2]) == pytest.approx(2.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(3)

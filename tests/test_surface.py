@@ -350,6 +350,19 @@ def test_e2e_harness_patch_table_resolves():
     assert "logits_for" not in vars(server.replicas[0])
 
 
+def test_e2e_harness_bench_imports_resolve():
+    """The harness reads ``percentiles`` (``metrics.py``) and
+    ``env_fingerprint`` (``run.py``'s manifest) from ``repro.bench``: an
+    edit there that drops either must fail here, in tier-1."""
+    import repro.bench
+    from benchmarks.e2e import metrics
+
+    assert metrics.percentiles([2.0, 1.0], (50,)) == {50: 1.0}
+    assert set(repro.bench.env_fingerprint()) == {
+        "cpu_count", "python", "numpy", "platform",
+    }
+
+
 # ---------------------------------------------------------------------- #
 # (f) One sampling bill
 # ---------------------------------------------------------------------- #
