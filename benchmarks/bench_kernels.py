@@ -2,8 +2,8 @@
 
 Unlike the figure benchmarks — which report *simulated* seconds — these
 track the real execution speed of the reproduction's hot kernels (the one
-SpGEMM, the one SpMM, ITS, bulk sampling, R-MAT generation), so
-regressions are visible::
+SpGEMM, LADIES' two products among its cases, the one SpMM, ITS, bulk
+sampling, R-MAT generation), so regressions are visible::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py
 """
@@ -17,6 +17,7 @@ from repro.core import LadiesSampler, SageSampler, its, its_sample_rows
 from repro.graphs import rmat
 from repro.sparse import (
     CSRMatrix,
+    col_selector,
     row_normalize,
     spgemm,
     spgemm_flops,
@@ -53,6 +54,23 @@ def test_ladies_frontier_spgemm(benchmark, medium_adj, medium_batches):
     out = benchmark(spgemm, q, medium_adj)
     # Unit weights: the counts add up to the expansion, exactly.
     assert out.data.sum() == spgemm_flops(q, medium_adj) > out.nnz
+
+
+def test_ladies_column_extraction(benchmark, medium_adj, medium_batches):
+    """LADIES' column extraction ``A_R Q_C``: the stacked row extraction
+    times a unit column selector of sorted distinct sampled ids."""
+    n = medium_adj.shape[0]
+    a_r = LadiesSampler.row_extract(medium_adj, medium_batches)
+    sampled = np.sort(
+        np.random.default_rng(2).choice(n, 512, replace=False)
+    )
+    out = benchmark(spgemm, a_r, col_selector(sampled, n))
+    # Each entry of A_R in a sampled column is copied once, as it is.
+    kept = np.isin(a_r.indices, sampled)
+    assert out.shape == (a_r.shape[0], sampled.size)
+    assert out.nnz == int(kept.sum()) > 0
+    assert np.array_equal(out.data, a_r.data[kept])
+    out.check()
 
 
 def _csr_with_degrees(degrees, n_cols, rng) -> CSRMatrix:

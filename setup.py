@@ -1,8 +1,7 @@
 """Package metadata.  ``numpy`` and ``scipy`` are hard requirements:
-``repro.sparse.spgemm`` runs on ``scipy.sparse``'s compiled CSR kernels, and
-``repro.sparse.spmm``, ``CSRMatrix``'s build, row gather and element-wise
-add and NORM's row sums call its compiled routines
-(``scipy.sparse._sparsetools``) directly.  There is no numpy fallback (it
+``repro.sparse.spgemm``, ``repro.sparse.spmm``, ``CSRMatrix``'s build, row
+gather and element-wise add and NORM's row sums call ``scipy.sparse``'s
+compiled CSR routines (``scipy.sparse._sparsetools``) directly.  There is no numpy fallback (it
 would be a second set of bits)."""
 
 from setuptools import find_packages, setup

@@ -135,7 +135,11 @@ class LadiesSampler(MatrixSampler):
 
         ``a_r`` is the stacked row-extraction result; batch ``i`` owns the
         rows matching ``dst_lists[i]``.  Returns one ``(b_i, s_i)`` sampled
-        adjacency per batch.
+        adjacency per batch.  Each product is an SpGEMM like any other (the
+        cost recorder and the tracer count it); when ``sampled_lists[i]``
+        is sorted and distinct, as SAMPLE's ascending picks are, ``Q_Ci``
+        is a unit column selector and :func:`~repro.sparse.spgemm` runs it
+        as a compiled column gather of ``A_Ri``.
         """
         bounds = np.cumsum([0] + [len(d) for d in dst_lists])
         n = a_r.shape[1]

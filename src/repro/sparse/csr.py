@@ -1,21 +1,23 @@
 """Compressed sparse row matrices built on numpy arrays.
 
 This is the sparse substrate the paper's sampling framework runs on.  The
-paper uses cuSPARSE/nsparse CSR kernels on GPU; here the two products
-(SpGEMM, SpMM) run scipy's compiled CSR kernels over
-:meth:`CSRMatrix.to_scipy`'s zero-copy views, and the per-entry work of
-four structural operations runs in scipy's compiled CSR routines, called
-directly on this class's own int64 / float64 arrays:
+paper uses cuSPARSE/nsparse CSR kernels on GPU; here the per-entry work
+runs in scipy's compiled CSR routines, called directly on this class's own
+int64 / float64 arrays: the two products (``csr_matmat`` and the gathers
+of :func:`~repro.sparse.spgemm`, ``csr_matvecs`` of
+:func:`~repro.sparse.spmm`) and four structural operations —
 ``_sparsetools.csr_row_index`` (the row gather of
 :meth:`CSRMatrix.extract_rows`), ``csr_plus_csr`` (:meth:`CSRMatrix.add`),
 ``csr_matvec`` (the row sums of :func:`~repro.sparse.ops.row_normalize`)
 and ``coo_tocsr`` then ``csr_tocsc`` (the two counting passes that bucket
 a graph's edge list in :meth:`CSRMatrix.from_coo`).
 They are called directly because the public entry points cost more than
-they save: ``csr_matrix.__getitem__`` and ``+`` downcast the indices to
-int32 (a copy of the whole index array, and another to cast back),
-``to_scipy() @ ones`` builds a matrix per call, and ``coo_matrix.tocsr``
-downcasts too and sums duplicates in another order.  Every output is a
+they save: a ``scipy.sparse`` matrix built from these arrays, its
+``__getitem__`` and ``+`` downcast the indices to int32 (a copy of the
+whole index array, and another to cast back), every ``@`` builds and
+checks matrix objects per call, and ``coo_matrix.tocsr`` downcasts too
+and sums duplicates in another order.  No ``scipy.sparse`` matrix is built
+anywhere.  Every output is a
 fresh C-contiguous buffer: the routines dispatch on the operands' dtypes
 and write only into buffers of exactly those dtypes.  A row copy or a
 bucket scatter does no arithmetic, ``x * 1.0`` is exact, and
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import _sparsetools, csc_matrix, csr_matrix
+from scipy.sparse import _sparsetools
 
 __all__ = ["CSRMatrix"]
 
@@ -329,24 +331,6 @@ class CSRMatrix:
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals) triplets in row-major order."""
         return self.row_ids(), self.indices.copy(), self.data.copy()
-
-    def to_scipy(self, *, transpose: bool = False):
-        """A ``scipy.sparse`` view over this matrix's own int64 / int64 /
-        float64 arrays: a ``csr_matrix``, or with ``transpose=True`` the
-        ``csc_matrix`` of the transpose.
-
-        O(1): the arrays are set as attributes of an empty matrix, because
-        scipy's ``(data, indices, indptr)`` constructor — and ``.T`` —
-        re-casts int64 indices that fit int32, a copy of the whole index
-        array per call.  scipy's products take int64 operands as they are
-        and never write them, so read-only arrays work.
-        """
-        if transpose:
-            view = csc_matrix((self.shape[1], self.shape[0]))
-        else:
-            view = csr_matrix(self.shape)
-        view.indptr, view.indices, view.data = self.indptr, self.indices, self.data
-        return view
 
     def copy(self) -> "CSRMatrix":
         """Deep copy."""

@@ -2,7 +2,9 @@
 
 Each function is the body a ``CSRMatrix`` primitive had before it moved onto
 scipy's compiled CSR routines (``scipy.sparse._sparsetools``), kept verbatim
-minus its name.  ``tests/test_sparse_substrate.py`` holds every new body to
+minus its name.  ``to_scipy`` is the retired ``CSRMatrix.to_scipy``, the
+zero-copy ``scipy.sparse`` view those bodies (and the dense cross-checks)
+use.  ``tests/test_sparse_substrate.py`` holds every new body to
 its oracle byte for byte — ``indptr``, ``indices`` and ``data`` (the data as
 its int64 bit pattern, so ``-0.0`` and NaN payloads count):
 
@@ -14,6 +16,9 @@ its int64 bit pattern, so ``-0.0`` and NaN payloads count):
   ``row_ids()``, gathered back per entry;
 * ``add`` — ``CSRMatrix.add`` through scipy's ``+`` on ``to_scipy()``
   views (int32 indices, a prune copy, cast back to int64);
+* ``spgemm_scipy`` — ``repro.sparse.spgemm``'s general path through
+  scipy's ``@`` on ``to_scipy()`` views, then ``sort_indices``: the same
+  ``csr_matmat`` at the same dtypes, wrapped in three matrix objects;
 * ``masked_indptr`` — ``repro.sparse.csr._masked_indptr`` as an int64
   prefix count of the mask read at the row boundaries.
 """
@@ -21,16 +26,38 @@ its int64 bit pattern, so ``-0.0`` and NaN payloads count):
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from repro.sparse import CSRMatrix
 
 __all__ = [
+    "to_scipy",
     "ranges",
     "extract_rows",
     "row_normalize_inplace",
     "add",
+    "spgemm_scipy",
     "masked_indptr",
 ]
+
+
+def to_scipy(m: CSRMatrix, *, transpose: bool = False):
+    """A ``scipy.sparse`` view over ``m``'s own int64 / int64 / float64
+    arrays: a ``csr_matrix``, or with ``transpose=True`` the
+    ``csc_matrix`` of the transpose.
+
+    O(1): the arrays are set as attributes of an empty matrix, because
+    scipy's ``(data, indices, indptr)`` constructor — and ``.T`` —
+    re-casts int64 indices that fit int32, a copy of the whole index array
+    per call.  scipy's products take int64 operands as they are and never
+    write them, so read-only arrays work.
+    """
+    if transpose:
+        view = csc_matrix((m.shape[1], m.shape[0]))
+    else:
+        view = csr_matrix(m.shape)
+    view.indptr, view.indices, view.data = m.indptr, m.indices, m.data
+    return view
 
 
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -76,8 +103,17 @@ def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """Element-wise sum through scipy's ``+``."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    out = a.to_scipy() + b.to_scipy()
+    out = to_scipy(a) + to_scipy(b)
     return CSRMatrix(out.indptr, out.indices, out.data, a.shape)
+
+
+def spgemm_scipy(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    """``a @ b`` through scipy's ``@``, columns sorted in each row."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    out = to_scipy(a) @ to_scipy(b)
+    out.sort_indices()
+    return CSRMatrix(out.indptr, out.indices, out.data, (a.shape[0], b.shape[1]))
 
 
 def masked_indptr(indptr: np.ndarray, mask: np.ndarray) -> np.ndarray:

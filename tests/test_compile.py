@@ -22,7 +22,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.comm import Communicator, ProcessGrid
 from repro.core import (
@@ -51,7 +51,7 @@ from repro.distributed.partitioned import (
 from repro.graphs import rmat
 from repro.partition import BlockRows
 from repro.serve.replica import kernel_launches
-from repro.sparse import CSRMatrix, spgemm
+from repro.sparse import CSRMatrix, col_selector, spgemm
 
 from examples.custom_sampler import DegreeBiasedSampler
 from reference_interpreter import (
@@ -60,6 +60,7 @@ from reference_interpreter import (
     eliminate_dead_steps,
     reference_sample_bulk,
 )
+from reference_sparse import spgemm_scipy
 from reference_spgemm import spgemm_esc, spgemm_hash, spgemm_sequential
 
 # ``repro.sparse.spgemm`` the attribute is the function; this is the module.
@@ -641,13 +642,40 @@ def test_compaction_does_not_call_unique(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# The unit-selector row gather inside spgemm
+# The unit-selector gathers inside spgemm
 # --------------------------------------------------------------------- #
 def _general_path(a, b, monkeypatch):
-    """``spgemm(a, b)`` with the row-gather shortcut switched off."""
+    """``spgemm(a, b)`` with both gather shortcuts switched off."""
     with monkeypatch.context() as m:
         m.setattr(spgemm_module, "_is_row_gather", lambda a: False)
+        m.setattr(spgemm_module, "_is_column_selector", lambda b: False)
         return spgemm(a, b)
+
+
+def _gathered(a, b, monkeypatch):
+    """``spgemm(a, b)``, failing if the general path (``csr_matmat``) runs."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            spgemm_module, "csr_matmat",
+            lambda *args: pytest.fail("general path ran on a selector"),
+        )
+        return spgemm(a, b)
+
+
+def _general_calls(a, b, monkeypatch):
+    """``spgemm(a, b)`` and the operand ``indptr`` pairs ``csr_matmat``
+    was called with."""
+    calls = []
+    real = spgemm_module.csr_matmat
+
+    def spy(*args):
+        calls.append((args[2], args[5]))
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(spgemm_module, "csr_matmat", spy)
+        out = spgemm(a, b)
+    return out, calls
 
 
 def _same_bytes(x, y):
@@ -659,19 +687,39 @@ def _same_bytes(x, y):
     )
 
 
+def _with_zeros(m, seed=9):
+    """``m`` with a fifth of its stored values set to ``0.0`` or ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    data = m.data.copy()
+    data[rng.choice(m.nnz, m.nnz // 5, replace=False)] = rng.choice(
+        [0.0, -0.0], m.nnz // 5
+    )
+    return CSRMatrix(m.indptr, m.indices, data, m.shape)
+
+
+def _skipping_selector(sources, out_cols, n_out, n):
+    """A unit column selector whose ``k``-th entry is ``(sources[k],
+    out_cols[k])``: both strictly increasing, ``out_cols`` free to skip
+    output columns."""
+    counts = np.zeros(n, dtype=np.int64)
+    counts[sources] = 1
+    return CSRMatrix(
+        np.concatenate(([0], np.cumsum(counts))), out_cols,
+        np.ones(len(sources)), (n, n_out),
+    )
+
+
 def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
     """A unit row selector on the left turns SpGEMM into a row gather with
     the general path's exact bytes — on duplicate and out-of-order source
     rows, empty source rows and explicit zeros in ``b``, which both paths
-    drop — and scipy's product is never called."""
+    drop — and ``csr_matmat`` is never called."""
     adj = _graph()
     n = adj.shape[0]
     empty_rows = np.flatnonzero(adj.nnz_per_row() == 0)
     assert empty_rows.size  # R-MAT leaves isolated vertices
     rng = np.random.default_rng(9)
-    data = adj.data.copy()
-    data[rng.choice(adj.nnz, adj.nnz // 5, replace=False)] = 0.0
-    with_zeros = CSRMatrix(adj.indptr, adj.indices, data, adj.shape)
+    with_zeros = _with_zeros(adj)
     rows = np.concatenate(
         [
             rng.choice(n, 50, replace=True),  # duplicates, any order
@@ -682,12 +730,7 @@ def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
     q = SageSampler.make_q(rows, n)
     for b in (adj, with_zeros):
         want = _general_path(q, b, monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(
-                CSRMatrix, "to_scipy",
-                lambda self: pytest.fail("general path ran on a selector"),
-            )
-            got = spgemm(q, b)
+        got = _gathered(q, b, monkeypatch)
         assert _same_bytes(want, got)
         assert _same_bytes(got, b.extract_rows(rows).prune_zeros())
     assert spgemm(q, with_zeros).nnz < adj.extract_rows(rows).nnz
@@ -698,11 +741,55 @@ def test_selector_aware_spgemm_gather_is_bit_identical(monkeypatch):
     )
 
 
+def test_selector_aware_spgemm_column_gather_is_bit_identical(monkeypatch):
+    """A unit column selector on the right (LADIES' ``Q_C`` of sorted
+    distinct ids) turns SpGEMM into a column gather with the general path's
+    exact bytes — on a row-extracted ``A_R`` with duplicate and empty rows,
+    empty selected columns, selectors that skip output columns and stored
+    zeros in ``a``, which both paths drop — and ``csr_matmat`` is never
+    called."""
+    adj = _graph()
+    n = adj.shape[0]
+    empty_cols = np.setdiff1d(np.arange(n), adj.indices)
+    assert empty_cols.size
+    rng = np.random.default_rng(10)
+    rows = np.concatenate([rng.choice(n, 60, replace=True),
+                           np.flatnonzero(adj.nnz_per_row() == 0)[:3]])
+    a_r = LadiesSampler.row_extract(adj, [rows])
+    picked = np.unique(np.concatenate([rng.choice(n, 40), empty_cols[:3]]))
+    every_other = picked[::2]
+    selectors = [
+        col_selector(picked, n),
+        # Output columns 1, 4, 7, ...: the k-th entry lands in column 3k + 1.
+        _skipping_selector(every_other, 3 * np.arange(every_other.size) + 1,
+                           3 * every_other.size + 1, n),
+    ]
+    for a in (a_r, _with_zeros(a_r)):
+        for q_c in selectors:
+            assert spgemm_module._is_column_selector(q_c)
+            want = _general_path(a, q_c, monkeypatch)
+            got = _gathered(a, q_c, monkeypatch)
+            got.check()
+            assert _same_bytes(want, got)
+            assert _same_bytes(got, spgemm_scipy(a, q_c))
+            assert not (got.data == 0).any()
+    assert _same_bytes(
+        spgemm(a_r, selectors[0]),
+        CSRMatrix.from_dense(a_r.to_dense()[:, picked]),
+    )
+    # Selecting only empty columns gives the empty product either way.
+    only_empty = col_selector(empty_cols[:4], n)
+    got = _gathered(a_r, only_empty, monkeypatch)
+    assert got.nnz == 0
+    assert _same_bytes(_general_path(a_r, only_empty, monkeypatch), got)
+
+
 def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
     """Indicator rows (multi-entry), weighted selectors and two entries in
-    one row must take the general path — the gather is only exact for rows
-    of at most one unit entry.  A selector with an empty row is such a
-    matrix (a 1.5D stage's slice of ``Q``) and gathers."""
+    one row must take the general path on either side — the gathers are
+    only exact for rows of at most one unit entry, and the column gather
+    for column ids that increase with the row.  A selector with an empty
+    row is such a matrix (a 1.5D stage's slice of ``Q``) and gathers."""
     adj = _graph()
     n = adj.shape[0]
     q_sel = SageSampler.make_q(np.arange(10), n)
@@ -715,28 +802,49 @@ def test_selector_aware_spgemm_falls_through_for_non_selectors(monkeypatch):
         np.array([0, 2, 2]), np.array([3, 5]), np.ones(2), (2, n)
     )
     want = _general_path(one_empty_row, adj, monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(
-            CSRMatrix, "to_scipy",
-            lambda self: pytest.fail("general path ran on a row gather"),
-        )
-        got = spgemm(one_empty_row, adj)
+    got = _gathered(one_empty_row, adj, monkeypatch)
     assert _same_bytes(got, want)
     assert got.nnz_per_row()[-1] == 0
     for q in (
         LadiesSampler.make_q(_batches(adj), n), weighted, two_in_one_row,
     ):
-        viewed = []
-        real_to_scipy = CSRMatrix.to_scipy
-        with monkeypatch.context() as m:
-            m.setattr(
-                CSRMatrix, "to_scipy",
-                lambda self: viewed.append(self) or real_to_scipy(self),
-            )
-            out = spgemm(q, adj)
-        assert viewed == [q, adj]
+        out, calls = _general_calls(q, adj, monkeypatch)
+        assert len(calls) == 1
+        assert calls[0][0] is q.indptr and calls[0][1] is adj.indptr
         assert out.equal(spgemm_esc(q, adj), 0.0)
         assert _same_bytes(out, spgemm_hash(q, adj))
+    # The column side: Q_C of unsorted ids (columns not increasing with the
+    # row), of duplicate ids (two entries in a row), a weighted Q_C, and a
+    # 1.0 pair in one row.
+    a_r = LadiesSampler.row_extract(adj, [np.arange(0, n, 3)])
+    q_c = col_selector(np.arange(5, 60, 4), n)
+    two_in_row = np.zeros(n + 1, dtype=np.int64)
+    two_in_row[8:] = 2
+    for b in (
+        col_selector(np.array([40, 7, 22, 3]), n),
+        col_selector(np.array([7, 22, 22, 40]), n),
+        CSRMatrix(q_c.indptr, q_c.indices, q_c.data * 0.5, q_c.shape),
+        CSRMatrix(two_in_row, np.array([0, 1]), np.ones(2), (n, 2)),
+    ):
+        assert not spgemm_module._is_column_selector(b)
+        out, calls = _general_calls(a_r, b, monkeypatch)
+        assert len(calls) == 1
+        assert calls[0][0] is a_r.indptr and calls[0][1] is b.indptr
+        assert out.equal(spgemm_esc(a_r, b), 0.0)
+        assert _same_bytes(out, spgemm_hash(a_r, b).prune_zeros())
+
+
+def _weighted_csr(rng, n_rows, n_cols, density, values):
+    """Random CSR of ``values`` (whatever they store, zeros included)."""
+    present = rng.random((n_rows, n_cols)) < density
+    rows, cols = np.nonzero(present)
+    return CSRMatrix(
+        np.concatenate(([0], np.cumsum(present.sum(axis=1)))), cols,
+        rng.choice(values, rows.size), (n_rows, n_cols),
+    )
+
+
+_STORED = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 0.75, 1e-300]
 
 
 @settings(max_examples=80, deadline=None)
@@ -751,16 +859,7 @@ def test_row_gather_matches_forced_general_path(seed, n_rows, empty):
     stores (``0.0`` and ``-0.0`` drop, NaN and ±inf stay)."""
     n = 20
     rng = np.random.default_rng(seed)
-    present = rng.random((n, n)) < 0.3
-    weights = rng.choice(
-        [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 0.75, 1e-300],
-        size=(n, n),
-    )
-    rows, cols = np.nonzero(present)
-    b = CSRMatrix(
-        np.concatenate(([0], np.cumsum(present.sum(axis=1)))), cols,
-        weights[rows, cols], (n, n),
-    )
+    b = _weighted_csr(rng, n, n, 0.3, _STORED)
     has_entry = rng.random(n_rows) >= empty
     a = CSRMatrix(
         np.concatenate(([0], np.cumsum(has_entry))),
@@ -768,13 +867,62 @@ def test_row_gather_matches_forced_general_path(seed, n_rows, empty):
         np.ones(int(has_entry.sum())), (n_rows, n),
     )
     assert spgemm_module._is_row_gather(a)
-    forced = a.to_scipy() @ b.to_scipy()
-    forced.sort_indices()
-    want = CSRMatrix(forced.indptr, forced.indices, forced.data, (n_rows, n))
     got = spgemm(a, b)
     got.check()
-    assert _same_bytes(got, want)
+    assert _same_bytes(got, spgemm_scipy(a, b))
     assert not (got.data == 0).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(1, 30),
+    density=st.floats(0.0, 0.6),
+    n_out=st.integers(1, 30),
+)
+def test_column_gather_matches_forced_general_path(seed, n_rows, density, n_out):
+    """A unit column selector whose column ids increase strictly — and
+    skip ids, like ``[1, 4, 7]`` in 10 columns — gathers bitwise what
+    scipy's product computes, sorted: whatever ``a`` stores, empty rows
+    included (``0.0`` and ``-0.0`` drop, NaN and ±inf stay)."""
+    n = 20
+    rng = np.random.default_rng(seed)
+    a = _weighted_csr(rng, n_rows, n, density, _STORED)
+    k = int(rng.integers(0, min(n, n_out) + 1))
+    sources = np.sort(rng.choice(n, k, replace=False))
+    out_cols = np.sort(rng.choice(n_out, k, replace=False))
+    b = _skipping_selector(sources, out_cols, n_out, n)
+    assert spgemm_module._is_column_selector(b)
+    got = spgemm(a, b)
+    got.check()
+    assert _same_bytes(got, spgemm_scipy(a, b))
+    assert not (got.data == 0).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_rows=st.integers(1, 4),
+    n_cols=st.integers(256, 900),
+)
+def test_long_rows_are_sorted_by_counting_passes(seed, n_rows, n_cols):
+    """Rows of 256 or more entries over a small index space (LADIES'
+    ``P = Q A``) are sorted by two ``csr_tocsc`` passes, not by
+    ``csr_sort_indices``, into the bytes scipy's sorted product has —
+    stored zeros, NaN, ±inf and cancellations included."""
+    rng = np.random.default_rng(seed)
+    a = _weighted_csr(rng, n_rows, 12, 0.6, _STORED)
+    b = _weighted_csr(rng, 12, n_cols, 0.7, _STORED + [-1.0])
+    want = spgemm_scipy(a, b)
+    assume(want.nnz >= 256 * n_rows)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(
+            spgemm_module, "csr_sort_indices",
+            lambda *args: pytest.fail("long rows went to the comparison sort"),
+        )
+        got = spgemm(a, b)
+    got.check()
+    assert _same_bytes(got, want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -783,7 +931,8 @@ def test_one_zero_rule_for_both_spgemm_paths(seed, n_picks):
     """Stored ``0.0`` / ``-0.0`` weights, and ``+w`` / ``-w`` entries
     that cancel in a multi-entry row of ``Q``: the gather (GraphSAGE's unit
     selector) and the general path (LADIES' indicator rows) both return the
-    contract's left-to-right sums with every exact zero absent."""
+    contract's left-to-right sums with every exact zero absent, and so
+    does the column gather (LADIES' ``Q_C``) on the right."""
     n = 24
     rng = np.random.default_rng(seed)
     present = rng.random((n, n)) < 0.3
@@ -802,6 +951,11 @@ def test_one_zero_rule_for_both_spgemm_paths(seed, n_picks):
         got.check()
         assert _same_bytes(got, spgemm_sequential(a, b).prune_zeros())
         assert (got.data != 0).all()
+    # LADIES' column extraction: the column gather drops b's zeros too.
+    q_c = col_selector(np.unique(rng.integers(0, n, n_picks)), n)
+    got = spgemm(b, q_c)
+    assert _same_bytes(got, spgemm_sequential(b, q_c).prune_zeros())
+    assert (got.data != 0).all()
 
 
 # --------------------------------------------------------------------- #

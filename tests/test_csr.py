@@ -7,6 +7,7 @@ import pytest
 
 from repro.sparse import CSRMatrix, sprand
 
+from reference_sparse import to_scipy
 from reference_spgemm import from_scipy, transpose
 
 
@@ -63,16 +64,16 @@ class TestConstruction:
 
     def test_scipy_roundtrip(self, rng):
         m = sprand(20, 30, 0.1, rng)
-        back = from_scipy(m.to_scipy())
+        back = from_scipy(to_scipy(m))
         assert m.equal(back)
 
     def test_to_scipy_is_a_zero_copy_view(self, rng):
-        """Both views hold the matrix's own int64 / float64 arrays: no
-        re-cast, no copy, whatever the index range."""
+        """The oracles' scipy views hold the matrix's own int64 / float64
+        arrays: no re-cast, no copy, whatever the index range."""
         m = sprand(20, 30, 0.1, rng)
         for view, fmt, shape in (
-            (m.to_scipy(), "csr", (20, 30)),
-            (m.to_scipy(transpose=True), "csc", (30, 20)),
+            (to_scipy(m), "csr", (20, 30)),
+            (to_scipy(m, transpose=True), "csc", (30, 20)),
         ):
             assert (view.format, view.shape) == (fmt, shape)
             for mine, theirs in zip(
@@ -83,9 +84,12 @@ class TestConstruction:
 
     def test_to_scipy_on_read_only_operands(self, small_adj):
         """An adjacency over read-only arrays is a valid operand of both
-        products, on either side, and gives the writable original's
-        bits."""
-        from repro.sparse import indicator_rows, spgemm, spmm
+        products, on either side and on every SpGEMM path (general, row
+        gather, column gather), and gives the writable original's bits;
+        the oracles' scipy view of it keeps the arrays."""
+        from repro.sparse import (
+            col_selector, indicator_rows, row_selector, spgemm, spmm,
+        )
 
         n = small_adj.shape[0]
         q = indicator_rows([np.arange(0, 40, 3), np.arange(7, 60, 5)], n)
@@ -95,11 +99,15 @@ class TestConstruction:
         for buf in frozen:
             buf.setflags(write=False)
         adj = CSRMatrix(*frozen, small_adj.shape)
-        assert not adj.to_scipy().indices.flags.writeable
-        assert np.shares_memory(adj.to_scipy().indices, adj.indices)
+        assert not to_scipy(adj).indices.flags.writeable
+        assert np.shares_memory(to_scipy(adj).indices, adj.indices)
+        q_r = row_selector(np.arange(40, 5, -4), n)
+        q_c = col_selector(np.arange(3, 50, 7), n)
         for got, want in (
             (spgemm(q, adj), spgemm(q, small_adj)),
             (spgemm(adj, adj), spgemm(small_adj, small_adj)),
+            (spgemm(q_r, adj), spgemm(q_r, small_adj)),
+            (spgemm(adj, q_c), spgemm(small_adj, q_c)),
         ):
             for x1, x2 in zip(got.buffers(), want.buffers()):
                 assert x1.tobytes() == x2.tobytes()
@@ -143,7 +151,7 @@ class TestStructuralOps:
     def test_transpose(self, rng):
         """The CSC view of the transpose is the built CSR transpose."""
         m = sprand(12, 18, 0.15, rng)
-        t = from_scipy(m.to_scipy(transpose=True))
+        t = from_scipy(to_scipy(m, transpose=True))
         t.check()
         assert np.allclose(t.to_dense(), m.to_dense().T)
         assert t.equal(transpose(m), 0.0)

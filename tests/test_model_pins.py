@@ -1,5 +1,6 @@
 """Model pins: the headline SimClock figures of the serving, fleet,
-streaming and feature-cache benchmarks, held exactly.
+streaming and feature-cache benchmarks, and the SimClock of a replicated
+training epoch, held exactly.
 
 Each family runs the profile its benchmark script runs in CI
 (``bench_serving.py --smoke --replicas 4``, ``bench_streaming.py --smoke``,
@@ -64,6 +65,36 @@ FEATURE_CACHE_PINS = {
     "fetch_reduction_sage": 0.8134615384615385,
     "hit_rate_sage": 0.81591796875,
     "overlap_saving_sage": 0.27503987176380285,
+}
+
+
+#: ``clock.breakdown_by_kind()``, the per-rank clocks and the bytes sent
+#: after one Graph Replicated epoch (``products`` at scale 0.1, half of it
+#: training vertices, p = 2, batch 32, hidden 16, seed 0) per sampler,
+#: recorded at ``423e2db``.  Its sampling phase is the recorded SpGEMM,
+#: NORM and SAMPLE work plus ``CALL_OVERHEAD_S`` per call: the replicated
+#: charge behind Fig. 4, which no partitioned pin reaches.
+REPLICATED_PINS = {
+    ("sage", (5, 3)): (
+        {
+            ("feature_fetch", "comm"): 1.697472e-05,
+            ("propagation", "comm"): 1.544928e-05,
+            ("propagation", "compute"): 0.00028852256369230766,
+            ("sampling", "compute"): 0.005160684234083601,
+        },
+        [0.005481638336237447, 0.005481638336237447],
+        481128.0,
+    ),
+    ("ladies", (16, 16)): (
+        {
+            ("feature_fetch", "comm"): 1.539984e-05,
+            ("propagation", "comm"): 1.5226560000000001e-05,
+            ("propagation", "compute"): 0.0002881878953846154,
+            ("sampling", "compute"): 0.005288677540836013,
+        },
+        [0.005607494332220627, 0.005607494332220627],
+        114672.0,
+    ),
 }
 
 
@@ -139,3 +170,21 @@ def test_feature_cache_is_pinned(feature_cache):
     skip_unless_pinned_kernels()
     metrics, _ = feature_cache
     assert metrics == FEATURE_CACHE_PINS
+
+
+@pytest.mark.parametrize("sampler,fanout", list(REPLICATED_PINS), ids=str)
+def test_replicated_epoch_is_pinned(sampler, fanout):
+    from repro.api import Engine, RunConfig
+
+    skip_unless_pinned_kernels()
+    eng = Engine(RunConfig(
+        dataset="products", scale=0.1, train_split=0.5, p=2,
+        algorithm="replicated", sampler=sampler, fanout=fanout,
+        batch_size=32, hidden=16, seed=0,
+    ))
+    eng.train_epoch(0)
+    comm = eng.pipeline.comm
+    breakdown, clocks, sent = REPLICATED_PINS[sampler, fanout]
+    assert comm.clock.breakdown_by_kind() == breakdown
+    assert [comm.clock.time(r) for r in range(2)] == clocks
+    assert comm.ledger.sent() == sent
