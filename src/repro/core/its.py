@@ -16,7 +16,11 @@ columns per row, exactly the SAMPLE step of the paper's Algorithm 1:
    against the round-1 sums;
 4. a row still short after that finishes on its own entries: zero the
    entries it holds, prefix-sum what is left, draw what it lacks, repeat
-   until ``s`` distinct columns are selected.
+   until ``s`` distinct columns are selected (scaling every row to a
+   largest weight of 1 in a round where the sum rounds a row away).
+
+A pick that lands on a stored ``0.0`` — a light row's draw rounded onto
+its boundary — is dropped in every step.
 
 Everything is vectorized across all rows at once — one global cumulative
 sum, then one batched ``searchsorted`` per round — which is the bulk-sampling
@@ -26,9 +30,9 @@ without the search: the ``k``-th entry of an even row holds the mass
 ``[k, k + 1) / width``, so both paths pick the same entry from the same
 uniform, unless rounding in the prefix sums moves a draw across an entry
 boundary — rare enough that no pinned digest moved when the path came in.
-Rows too light for the sum to resolve (:data:`_RESOLVED`) are where the
-two part ways, so they keep the prefix path.  Which path runs is read off
-``P``'s values; there is no knob.
+Rows too light for the sum to resolve (:data:`_RESOLVED`, and subnormal
+weights) are where the two part ways, so they keep the prefix path.  Which
+path runs is read off ``P``'s values; there is no knob.
 
 *Why the rounds are exact.*  Redrawing against the round-1 sums makes a
 row's draws one i.i.d. stream from its weights.  A round of ``need`` draws
@@ -93,6 +97,9 @@ _FIRST_SPAN = 1024  # entries of P the uniformity check compares first
 #: Lighter rows are rounded away in the sum, where the paths part ways, and
 #: keep the prefix path's bits.
 _RESOLVED = 2.0**-30
+#: The least weight of an even row on the uniform path: below it (the
+#: subnormals) the sum's absolute rounding is coarse next to the weights.
+_LEAST_NORMAL = np.finfo(np.float64).tiny
 
 
 def its_select_mask(
@@ -152,6 +159,8 @@ def its_select_mask(
     cums = None if uniform else np.cumsum(data)
     if replace:  # one round of s draws per row; duplicates collapse
         picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
+        if positive is not None:  # a pick on a stored zero is rounding
+            picks = picks[data[picks] != 0]
         selected = np.zeros(p.nnz, dtype=bool)
         selected[picks] = True
         return selected
@@ -164,6 +173,8 @@ def its_select_mask(
             return selected
         picks, owner = _draw(cums, lo, hi, need, rng)
         new = _first_new(picks, selected)
+        if positive is not None:  # a pick on a stored zero is rounding
+            new &= data[picks] != 0
         selected[picks[new]] = True
         have += np.bincount(owner[new], minlength=rows.size)
 
@@ -176,7 +187,7 @@ def its_select_mask(
 
 def _uniform_rows(data, lo, hi, exempt):
     """Whether every row slice ``data[lo[i]:hi[i]]`` holds one finite value,
-    none lighter than :data:`_RESOLVED` of ``P``'s total.
+    none lighter than :data:`_RESOLVED` of ``P``'s total or subnormal.
 
     ``exempt`` masks the entries of the rows between the slices (rows taken
     whole), whose values do not matter; ``None`` when there are none.  The
@@ -200,7 +211,8 @@ def _uniform_rows(data, lo, hi, exempt):
         if differs.any():
             return False
         at, span = stop - 1, 8 * span
-    return heads.min() >= _RESOLVED * data.sum()
+    least = heads.min()
+    return least >= _LEAST_NORMAL and least >= _RESOLVED * data.sum()
 
 
 def _draw(cums, lo, hi, need, rng):
@@ -213,6 +225,10 @@ def _draw(cums, lo, hi, need, rng):
     ``k <= u * width < k + 1`` (the search up to rounding in ``cums``).
     ``u < 1`` keeps ``u * width`` below ``width`` after rounding, so the
     index needs no clamp.
+
+    A light row behind heavy ones can have its draw rounded onto the row's
+    boundary; the clamp then lands on an end entry, which may be a stored
+    zero, so callers drop picks of weight ``0.0``.
 
     Returns the picks sorted and the row of each: a pick lies in its own
     row and the rows' slices ascend, so sorting keeps every row's picks in
@@ -245,7 +261,12 @@ def _first_new(picks, selected):
 def _zeroing_rounds(data, selected, lo, hi, need, rng):
     """Select ``need[i]`` more entries of the row ``data[lo[i]:hi[i]]`` into
     ``selected``, on the rows' own entries: each round zeroes the selected
-    ones, prefix-sums the rest and draws the shortfall."""
+    ones, prefix-sums the rest and draws the shortfall.
+
+    A row whose live mass the sum rounds away behind heavier rows could
+    never be drawn from; in that round every row is divided by its largest
+    live weight.  A row's law is its weights' ratios, so nothing moves but
+    the rounding: each row's heaviest entry is then ``1`` and resolved."""
     width = hi - lo
     ptr = np.concatenate(([0], np.cumsum(width)))
     at = np.repeat(lo - ptr[:-1], width) + np.arange(ptr[-1])
@@ -256,8 +277,16 @@ def _zeroing_rounds(data, selected, lo, hi, need, rng):
         if not need.any():
             break
         live[fresh] = 0.0
-        picks, owner = _draw(np.cumsum(live), ptr[:-1], ptr[1:], need, rng)
+        cums = np.cumsum(live)
+        ends = cums[ptr[1:] - 1]
+        if np.any((ends == np.r_[0.0, ends[:-1]]) & (need > 0)):
+            top = np.maximum.reduceat(live, ptr[:-1])
+            top[~(np.isfinite(top) & (top > 0))] = 1.0
+            live /= np.repeat(top, width)
+            cums = np.cumsum(live)
+        picks, owner = _draw(cums, ptr[:-1], ptr[1:], need, rng)
         new = _first_new(picks, taken)
+        new &= live[picks] != 0  # a stored zero, reached by rounding
         fresh = picks[new]
         taken[fresh] = True
         need -= np.bincount(owner[new], minlength=need.size)

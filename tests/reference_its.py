@@ -13,6 +13,10 @@
   ``replace=True`` round bit for bit, and — with the rejection rounds
   switched off on a ``P`` whose every row draws — this body's mask and
   generator state bit for bit, which is what holds its zeroing path.
+  One line is not the retired body's: a pick on a stored ``0.0`` (a light
+  row's draw that the global sum rounds onto the row's boundary, clamped
+  onto a leading zero) is dropped, as the kernel drops it; the retired
+  body selected it, against SAMPLE's contract.
 * ``prefix_select_mask`` — the body that replaced that one: one prefix
   sum of ``P``, rejection rounds against it, then the zeroing path for the
   rows still short.  It is still :func:`repro.core.its.its_select_mask`'s
@@ -155,8 +159,11 @@ def zeroing_select_mask(
         # Guard against floating-point landing exactly on a row boundary.
         picks = np.minimum(picks, indptr[draw_rows + 1] - 1)
         picks = np.maximum(picks, indptr[draw_rows])
+        # A pick on a stored zero (a light row's draw rounded onto its
+        # boundary, then clamped) is dropped: SAMPLE never selects one.
+        kept = p.data[picks] != 0
         if replace:
-            selected[picks] = True
+            selected[picks[kept]] = True
             break
         # A draw is fresh when its entry was not selected before this round
         # and it is the draw the stamp table kept for that entry: one per
@@ -167,6 +174,7 @@ def zeroing_select_mask(
         stamp[picks] = draw
         new = ~selected[picks]
         new &= stamp[picks] == draw
+        new &= kept
         fresh = picks[new]
         selected[fresh] = True
         have += np.bincount(draw_rows[new], minlength=n_rows)

@@ -551,6 +551,51 @@ def test_duplicate_heavy_rows_take_many_rounds():
         assert np.array_equal(_row_counts(mask, p), [9] * 4)
 
 
+def test_a_light_row_behind_a_heavy_one_skips_its_stored_zero():
+    """The last row's mass is rounded onto its boundary in the global sum,
+    where the clamp lands on its leading ``0.0``: that pick is dropped, in
+    the rejection rounds and on the zeroing path alike."""
+    p = CSRMatrix(
+        np.array([0, 2, 4, 7]),
+        np.array([0, 1, 0, 1, 0, 1, 2]),
+        np.array([1e-9, 1e-9, 1e-9, 1e6, 0.0, 1e-9, 2.2e-309]),
+        (3, 3),
+    )
+    for seed in range(20):
+        mask, _ = _holds_to_the_zeroing_body(p, 1, seed)
+        _keeps_min_s_positive(mask, p, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(its, "_REJECT_ROUNDS", 0)
+            mask, _ = _run(its_select_mask, p, 1, seed)
+        _keeps_min_s_positive(mask, p, 1)
+
+
+def test_rows_the_stragglers_sum_rounds_away_still_draw():
+    """On the zeroing path a row whose live mass vanishes behind heavier
+    stragglers (``2.2e-16`` behind a weight of ``3.0``, ``6.1e-35`` behind
+    ``1e-9``) is drawn from once every row is scaled to a largest weight of
+    1: ``min(s, positive)`` positive entries per row, on every seed."""
+    cases = [
+        (_tiled([[3.0, 1.0, 1.0, 7.0], [1e-9] * 4, [1e-9] * 3 + [1.0],
+                 [1e-9, 1e-9, 2.2e-16, 5e-324]], 4), 3),
+        (_tiled([[1e-9] * 4 + [0.25], [0.0] + [1e-9] * 3 + [6.1e-35, 4.0e-168]], 6), 4),
+    ]
+    for p, s in cases:
+        for seed in range(40):
+            mask, _ = _holds_to_the_zeroing_body(p, s, seed)
+            assert mask is not RuntimeError
+            _keeps_min_s_positive(mask, p, s)
+
+
+def test_subnormal_even_rows_keep_the_prefix_path():
+    """Equal subnormal weights pass the share test, yet the prefix sum
+    cannot resolve them: such rows draw as the zeroing body does, bitwise."""
+    p = CSRMatrix(np.array([0, 2]), np.array([0, 1]), np.array([5e-324] * 2), (1, 2))
+    for seed in range(20):
+        got = _run(its_select_mask, p, 1, seed, replace=True)
+        assert got == _run(reference_its.zeroing_select_mask, p, 1, seed, replace=True)
+
+
 def test_rows_within_s_draw_nothing():
     """Rows with at most ``s`` positive entries keep them with no draws: a
     ``P`` made only of such rows leaves the generator untouched."""
