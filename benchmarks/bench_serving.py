@@ -21,10 +21,9 @@ The script *asserts* the serving subsystem's contract as it runs:
 **Fleet sweep** (``--replicas``): the same closed-loop load
 at fleet scale — replica count x router policy through the same server
 class — asserting every fleet configuration
-serves the *same* logits digest (exactness is replica-invariant), that a
-routed N>1 fleet out-throughputs the single replica at high offered load,
-and that the SLO autoscaler scales up and converges under an
-SLO-violating load step.
+serves the *same* logits digest (exactness is replica-invariant) and
+that a routed N>1 fleet out-throughputs the single replica at high
+offered load.
 
 Run as a script (also wired into the CI serving smoke jobs)::
 
@@ -79,15 +78,10 @@ def run_fleet_point(
     n_requests: int,
     embed_budget: float,
     seed: int,
-    slo_p99: float = 0.0,
-    autoscale_max: int = 8,
-    autoscale_interval: float = 5e-4,
 ):
     """One fleet sweep point: a fresh cluster over a fresh closed loop."""
     cfg = engine.config.replace(
         replicas=replicas, router=router, embed_budget=embed_budget,
-        slo_p99=slo_p99, autoscale_max=autoscale_max,
-        autoscale_interval=autoscale_interval,
     )
     fleet = ServingCluster(engine.model, engine.graph, cfg)
     workload = ClosedLoopWorkload(
@@ -97,7 +91,7 @@ def run_fleet_point(
 
 
 def run_fleet_sweep(engine: Engine, args, failures: list[str]):
-    """Replica-count x router sweep + the autoscale scenario.
+    """Replica-count x router sweep.
 
     Returns ``(rows, metrics)``; broken claims are appended to ``failures``.
     """
@@ -149,39 +143,6 @@ def run_fleet_sweep(engine: Engine, args, failures: list[str]):
             f"no routed N>1 fleet out-throughputs the single replica at "
             f"clients={args.fleet_clients}: best {best_routed:.0f} vs "
             f"single {single:.0f} req/s"
-        )
-
-    # Autoscale scenario: start at one replica under an SLO-violating
-    # closed-loop load step; the autoscaler must scale up and converge
-    # (final two evaluation windows agree on the replica count).
-    autoscale_max = max(replica_counts)
-    report = run_fleet_point(
-        engine, replicas=1, router="round_robin",
-        clients=args.fleet_clients, n_requests=2 * args.fleet_requests,
-        embed_budget=args.embed_budget, seed=args.seed,
-        slo_p99=args.slo_p99, autoscale_max=autoscale_max,
-        autoscale_interval=args.autoscale_interval,
-    )
-    trace = report.replica_trace
-    final = trace[-1][1]
-    metrics["autoscale_final_replicas"] = float(final)
-    metrics["autoscale_req_per_s"] = report.throughput
-    rows.append({
-        "replicas": f"1->{final}",
-        "router": "round_robin",
-        "clients": args.fleet_clients,
-        "trace": "->".join(str(c) for _, c in trace),
-        **report.row(),
-    })
-    if final <= 1:
-        failures.append(
-            f"autoscaler did not scale up under an SLO-violating load "
-            f"(slo_p99={args.slo_p99:g}, trace {trace})"
-        )
-    if len(trace) >= 2 and trace[-1][1] != trace[-2][1]:
-        failures.append(
-            f"autoscaler did not converge: replica count still moving at "
-            f"the end of the run (trace {trace})"
         )
     return rows, metrics
 
@@ -275,14 +236,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser.add_argument("--fleet-requests", type=int, default=512,
                         dest="fleet_requests", metavar="N",
                         help="requests per fleet sweep point, default 512")
-    parser.add_argument("--slo-p99", type=float, default=2e-4,
-                        dest="slo_p99", metavar="SECONDS",
-                        help="p99 SLO for the autoscale scenario, "
-                        "default 2e-4")
-    parser.add_argument("--autoscale-interval", type=float, default=5e-4,
-                        dest="autoscale_interval", metavar="SECONDS",
-                        help="autoscaler window for the scenario, "
-                        "default 5e-4")
     parser.add_argument("--trace-overhead", action="store_true",
                         dest="trace_overhead",
                         help="run only the observability overhead gate: "
@@ -415,8 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_table(
             fleet_rows,
             title=f"serving fleet sweep: clients={args.fleet_clients} "
-            f"requests/point={args.fleet_requests} "
-            f"autoscale slo_p99={args.slo_p99:g}",
+            f"requests/point={args.fleet_requests}",
         ))
         metrics.update(fleet_metrics)
     for name, value in metrics.items():
@@ -432,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.replicas is not None:
         print(f"ok: fleet digest replica-invariant, best routed fleet "
               f"{metrics['fleet_speedup_vs_single']:.2f}x the single "
-              f"replica, autoscaler converged at "
-              f"{int(metrics['autoscale_final_replicas'])} replicas")
+              f"replica")
     return 0
 
 

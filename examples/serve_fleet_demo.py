@@ -1,21 +1,19 @@
-"""Serving-fleet demo: one model, N replicas, routed and autoscaled.
+"""Serving-fleet demo: one model, N replicas, routed.
 
 Trains a small SAGE model through the :class:`repro.api.Engine`, then
-drives the same trained weights through four fleet shapes:
+drives the same trained weights through three fleet shapes:
 
 1. a **single server** baseline (the N = 1 fleet: one ``direct`` replica);
 2. a **round-robin fleet** at the same offered load, showing the
    near-linear throughput win once one server saturates;
 3. a **consistent-hash fleet** with the embedding cache on, showing why
    locality-aware routing keeps hit rates high while round-robin
-   dilutes them across every replica;
-4. an **autoscaled fleet** that starts at one replica under an
-   SLO-violating load step and converges upward, one decision per
-   simulated window.
+   dilutes them across every replica.
 
 Everything runs on simulated time and exact full-neighborhood serving,
 so every number is reproducible and the logits digest is identical
-across all four shapes — routing and scaling move latency, never bits.
+across every shape — routing and the replica count move latency, never
+bits.
 
 Run:  python examples/serve_fleet_demo.py
 """
@@ -26,10 +24,8 @@ from repro.api import Engine, RunConfig
 from repro.serve import ClosedLoopWorkload, ServingCluster, TraceWorkload
 
 
-def closed_loop(engine: Engine, n=256, clients=48):
-    return ClosedLoopWorkload(
-        n, engine.graph.test_idx, clients=clients, seed=2
-    )
+def closed_loop(engine: Engine) -> ClosedLoopWorkload:
+    return ClosedLoopWorkload(256, engine.graph.test_idx, clients=48, seed=2)
 
 
 def main() -> None:
@@ -82,21 +78,6 @@ def main() -> None:
         )
         print(f"{router:16s} embed-cache hit-rate "
               f"{report.cache_stats.hit_rate:.1%}")
-    print()
-
-    # -- 4: the autoscaler reacts to a violated SLO --------------------- #
-    cluster = ServingCluster(
-        engine.model, engine.graph,
-        cfg.replace(replicas=1, router="round_robin", slo_p99=2e-4,
-                    autoscale_max=4, autoscale_interval=5e-4),
-    )
-    report = cluster.process(closed_loop(engine, n=384, clients=32))
-    steps = " -> ".join(str(n) for _, n in report.replica_trace)
-    print(f"autoscaler: {steps} replicas "
-          f"(p99 {report.latency_summary()['p99'] * 1e3:.3f} ms vs "
-          f"SLO {2e-4 * 1e3:.3f} ms)")
-    assert report.replica_trace[-1][1] > 1, "the SLO should force scale-up"
-    print("fleet scaled up under the SLO-violating load step")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ reproduces a run::
 The dataclass is the *single declaration* of every knob: each field's
 ``metadata`` carries its help text, value type, bound and — for a knob
 that names a pluggable implementation — the registry it must be a key of.
+A removed knob whose key saved configs still carry is declared with
+:func:`_retired` instead: it keeps its one legal value and has no flag.
 Validation (:meth:`RunConfig.__post_init__`), the CLI's flags
 (:func:`repro.cli.add_config_flags`) and the README's knob table
 (:func:`repro.cli.knob_table`) are all read off
@@ -33,7 +35,6 @@ from ..config import DeviceModel, LinkModel, MachineConfig, PERLMUTTER_LIKE
 from ..gnn.activations import ACTIVATIONS
 from ..gnn.model import CONVS
 from ..partition.cache import CACHE_POLICIES
-from ..serve.admission import SHED_POLICIES
 from ..serve.router import ROUTERS
 from .registries import (
     ALGORITHMS,
@@ -67,7 +68,6 @@ _BOUNDS = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
     "in (0, 1]": lambda v: 0 < v <= 1,
-    "zero": lambda v: v == 0,
 }
 
 #: The abstract numeric type a declared ``type`` accepts: an ``int`` is
@@ -92,6 +92,21 @@ def _knob(default: Any, help: str, type: type, **meta: Any) -> Any:
     return dataclasses.field(default=default, metadata=meta)
 
 
+def _retired(value: Any, note: str) -> Any:
+    """A removed knob's key, kept at ``value``, its one legal value.
+
+    ``benchmarks/e2e`` hashes ``to_dict()`` into each record's
+    ``config_sha256`` and its comparator refuses records whose hashes
+    differ, so a removed knob keeps its key until the change that
+    re-baselines that hash deletes it.  It has no flag and no knob-table
+    row; any other value is a ``ValueError`` that says what was removed
+    (``note``).
+    """
+    return dataclasses.field(
+        default=value, metadata=dict(retired=note, type=type(value))
+    )
+
+
 def knob_expectation(f: dataclasses.Field) -> str:
     """What a field accepts, in words: ``"a positive int"``, ``"a
     registered cache policy"``, ``"a float in (0, 1] or None"``."""
@@ -113,6 +128,17 @@ def _check_knob(f: dataclasses.Field, value: Any) -> Any:
     normalized: a fanout list becomes a tuple, a machine dict a
     :class:`MachineConfig`)."""
     m, kind = f.metadata, f.metadata["type"]
+    if "retired" in m:
+        if (
+            isinstance(value, _NUMERIC.get(kind, kind))
+            and not isinstance(value, bool)
+            and value == f.default
+        ):
+            return f.default
+        raise ValueError(
+            f"unknown {f.name} {value!r}: {m['retired']}; drop the key or "
+            f"set it to {f.default!r}"
+        )
     if value is None and m.get("optional"):
         return value
     if "registry" in m:
@@ -216,16 +242,6 @@ class RunConfig:
     dataset_kwargs: dict[str, Any] = _knob(
         dict, "extra keyword arguments for the dataset loader", dict
     )
-    # benchmarks/e2e hashes to_dict() and reads cfg.kernel, so the field
-    # stays until ROADMAP item 0 retargets its tracer.
-    kernel: str = _knob(
-        "esc", "legacy name of the one SpGEMM kernel (scipy's csr_matmat), "
-        "always 'esc' (no flag; the field is kept so saved configs hash as "
-        "before)", str,
-        registry=("esc",),
-        note=" (the hash and scipy kernels were removed: drop the key or "
-        "set it to 'esc')",
-    )
     # -- feature cache + bulk scheduling (repro.partition.cache) --------- #
     cache_budget: float = _knob(
         0.0, "per-rank feature-cache budget in bytes; replicated hot rows "
@@ -268,44 +284,22 @@ class RunConfig:
     )
     # -- serving fleet (repro.serve.cluster) ------------------------------ #
     replicas: int = _knob(
-        1, "initial serving fleet size (1 = a single server)", int,
+        1, "serving fleet size (1 = a single server)", int,
         bound="positive",
     )
     router: str = _knob("direct", "fleet routing policy", str, registry=ROUTERS)
-    shed_policy: str = _knob(
-        "none", "admission control: shed on per-replica queue depth or "
-        "request deadline", str, registry=SHED_POLICIES,
+    # -- retired keys (see _retired; ROADMAP item 0 deletes them) --------- #
+    kernel: str = _retired("esc", "the hash and scipy kernels were removed")
+    shed_policy: str = _retired("none", "load shedding was removed")
+    shed_queue_depth: int = _retired(64, "load shedding was removed")
+    shed_deadline: float = _retired(0.0, "load shedding was removed")
+    slo_p99: float = _retired(0.0, "the SLO autoscaler was removed")
+    autoscale_min: int = _retired(1, "the SLO autoscaler was removed")
+    autoscale_max: int = _retired(8, "the SLO autoscaler was removed")
+    autoscale_interval: float = _retired(
+        0.01, "the SLO autoscaler was removed"
     )
-    shed_queue_depth: int = _knob(
-        64, "per-replica queue bound for shed_policy=queue", int,
-        bound="positive", metavar="N",
-    )
-    shed_deadline: float = _knob(
-        0.0, "staleness bound for shed_policy=deadline", float,
-        bound="non-negative", metavar="SECONDS",
-    )
-    slo_p99: float = _knob(
-        0.0, "p99 latency SLO driving the autoscaler (0 = autoscaling off)",
-        float, bound="non-negative", metavar="SECONDS",
-    )
-    autoscale_min: int = _knob(
-        1, "autoscaler replica floor", int, bound="positive", metavar="N"
-    )
-    autoscale_max: int = _knob(
-        8, "autoscaler replica ceiling", int, bound="positive", metavar="N"
-    )
-    autoscale_interval: float = _knob(
-        0.01, "simulated seconds per autoscaler evaluation window", float,
-        bound="positive", metavar="SECONDS",
-    )
-    # benchmarks/e2e hashes to_dict(), so the field stays until that hash
-    # changes anyway, together with ``kernel`` (ROADMAP item 0).
-    workers: int = _knob(
-        0, "legacy worker-process count, always 0 (no flag; the field is "
-        "kept so saved configs hash as before)", int, bound="zero",
-        note=" (the shared-memory worker pool was removed: drop the key or "
-        "set it to 0)",
-    )
+    workers: int = _retired(0, "the shared-memory worker pool was removed")
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -322,16 +316,6 @@ class RunConfig:
         if self.algorithm == "single" and self.p != 1:
             raise ValueError(
                 f"algorithm 'single' requires p=1, got p={self.p}"
-            )
-        if self.autoscale_min > self.autoscale_max:
-            raise ValueError(
-                f"need 1 <= autoscale_min <= autoscale_max, got "
-                f"[{self.autoscale_min}, {self.autoscale_max}]"
-            )
-        if self.slo_p99 > 0 and self.replicas > self.autoscale_max:
-            raise ValueError(
-                "initial replicas exceed autoscale_max; raise the ceiling "
-                "or start smaller"
             )
 
     # ------------------------------------------------------------------ #

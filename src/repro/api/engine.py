@@ -190,11 +190,10 @@ class Engine:
         """Build a server over this engine's graph and (current) weights.
 
         Returns a :class:`~repro.serve.ServingCluster` shaped by the
-        config's fleet knobs (``replicas``, ``router``, ``shed_*``,
-        ``slo_p99``/``autoscale_*``); the defaults describe a single
-        server — one ``direct`` replica.  ``fleet=False`` forces exactly
-        that whatever the config says (no admission control, no
-        autoscaler); ``True``/``None`` mean "as configured".
+        config's fleet knobs (``replicas``, ``router``); the defaults
+        describe a single server — one ``direct`` replica.
+        ``fleet=False`` forces exactly that whatever the config says;
+        ``True``/``None`` mean "as configured".
 
         ``fanout=None`` (default) serves exact full-neighborhood logits —
         bit-identical to :func:`~repro.pipeline.layerwise_inference` — and
@@ -218,10 +217,7 @@ class Engine:
 
         cfg = self.config
         if fleet is False:
-            cfg = cfg.replace(
-                replicas=1, router="direct", shed_policy="none",
-                slo_p99=0.0,
-            )
+            cfg = cfg.replace(replicas=1, router="direct")
         if stream is None:
             stream = cfg.stream_updates
         streaming_graph = None

@@ -57,11 +57,7 @@ _SERVING_KNOBS = (
     "scale", "epochs", "sampler", "fanout", "batch_size", "hidden",
     "seed", "serve_batch_size", "serve_max_wait", "embed_budget",
 )
-_SERVE_KNOBS = _SERVING_KNOBS + (
-    "activation", "replicas", "router", "shed_policy", "shed_queue_depth",
-    "shed_deadline", "slo_p99", "autoscale_min", "autoscale_max",
-    "autoscale_interval",
-)
+_SERVE_KNOBS = _SERVING_KNOBS + ("activation", "replicas", "router")
 _STREAM_KNOBS = _SERVING_KNOBS + ("compaction_threshold",)
 
 
@@ -285,6 +281,8 @@ def knob_table() -> str:
                 ("stream", _STREAM_KNOBS))
     rows = ["| field | flag | default | meaning |", "|---|---|---|---|"]
     for f in dataclasses.fields(RunConfig):
+        if "retired" in f.metadata:  # a removed knob's key: no flag, no row
+            continue
         on = [cmd for cmd, knobs in commands if f.name in knobs]
         if f.name == "dataset":
             flag = "`DATASET` positional (train, serve, stream)"
@@ -479,12 +477,7 @@ def _cmd_serving(args) -> int:
         if streaming:
             line += f", compaction_threshold={cfg.compaction_threshold}"
         print(line)
-        line = (f"fleet: {cfg.replicas} replica(s), router {cfg.router}, "
-                f"shed_policy {cfg.shed_policy}")
-        if cfg.slo_p99 > 0:
-            line += (f", autoscaling to p99<={cfg.slo_p99:g}s in "
-                     f"[{cfg.autoscale_min}, {cfg.autoscale_max}]")
-        print(line)
+        print(f"fleet: {cfg.replicas} replica(s), router {cfg.router}")
         engine.train(cfg.epochs)
         server = engine.serving()
         pool = engine.graph.test_idx
@@ -529,11 +522,6 @@ def _cmd_serving(args) -> int:
             f"r{rid}:{n}" for rid, n in sorted(report.per_replica.items())
         )
         print(f"per-replica requests: {spread}")
-    if report.shed:
-        print(f"shed requests: {report.shed}")
-    if len(report.replica_trace) > 1:
-        steps = " -> ".join(str(n) for _, n in report.replica_trace)
-        print(f"autoscaler replica trace: {steps}")
     phases = "  ".join(
         f"{ph} {s:.6f}s" for ph, s in sorted(report.phase_seconds.items())
     )

@@ -103,11 +103,7 @@ _LEAST_NORMAL = np.finfo(np.float64).tiny
 
 
 def its_select_mask(
-    p: CSRMatrix,
-    s: int,
-    rng: np.random.Generator,
-    *,
-    replace: bool = False,
+    p: CSRMatrix, s: int, rng: np.random.Generator
 ) -> np.ndarray:
     """ITS selection as a boolean mask over ``p``'s stored nonzeros.
 
@@ -138,32 +134,20 @@ def its_select_mask(
     else:
         positive = data > 0
         pos_per_row = np.diff(_masked_indptr(indptr, positive))
-    if replace:
-        rows = np.flatnonzero(pos_per_row)
-    else:
-        # Step 1: a row with at most s positive entries keeps them all.
-        whole = pos_per_row <= s
-        selected = np.repeat(whole, lengths)
-        if positive is not None:
-            selected &= positive
-        rows = np.flatnonzero(~whole)
-        if rows.size == 0:
-            return selected
+    # Step 1: a row with at most s positive entries keeps them all.
+    whole = pos_per_row <= s
+    selected = np.repeat(whole, lengths)
+    if positive is not None:
+        selected &= positive
+    rows = np.flatnonzero(~whole)
+    if rows.size == 0:
+        return selected
 
     # Step 2: one prefix sum; each row reads its slice through indptr.  Rows
     # of equal weights need none: a draw is an index into the row.
     lo, hi = indptr[rows], indptr[rows + 1]
-    uniform = positive is None and _uniform_rows(
-        data, lo, hi, None if replace else selected
-    )
+    uniform = positive is None and _uniform_rows(data, lo, hi, selected)
     cums = None if uniform else np.cumsum(data)
-    if replace:  # one round of s draws per row; duplicates collapse
-        picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
-        if positive is not None:  # a pick on a stored zero is rounding
-            picks = picks[data[picks] != 0]
-        selected = np.zeros(p.nnz, dtype=bool)
-        selected[picks] = True
-        return selected
 
     # Step 3: redraw each shortfall against the round-1 sums.
     have = np.zeros(rows.size, dtype=np.int64)
@@ -190,11 +174,11 @@ def _uniform_rows(data, lo, hi, exempt):
     none lighter than :data:`_RESOLVED` of ``P``'s total or subnormal.
 
     ``exempt`` masks the entries of the rows between the slices (rows taken
-    whole), whose values do not matter; ``None`` when there are none.  The
-    rows' first and last entries are compared first, which turns most
-    uneven ``P`` away at once.  Then each entry is compared with the one
-    before it, over spans that grow eightfold, so an uneven ``P`` stops at
-    its first uneven span and an even one costs a few bool-sized passes.
+    whole), whose values do not matter.  The rows' first and last entries
+    are compared first, which turns most uneven ``P`` away at once.  Then
+    each entry is compared with the one before it, over spans that grow
+    eightfold, so an uneven ``P`` stops at its first uneven span and an even
+    one costs a few bool-sized passes.
     """
     heads = data[lo]
     if not (heads == data[hi - 1]).all() or not np.isfinite(heads).all():
@@ -204,8 +188,7 @@ def _uniform_rows(data, lo, hi, exempt):
         stop = min(at + span, end)
         # differs[j]: entry ``at + 1 + j`` differs from the one before it.
         differs = data[at + 1 : stop] != data[at : stop - 1]
-        if exempt is not None:  # differs and not exempt
-            np.greater(differs, exempt[at + 1 : stop], out=differs)
+        np.greater(differs, exempt[at + 1 : stop], out=differs)  # and not exempt
         starts = lo[np.searchsorted(lo, at + 1) : np.searchsorted(lo, stop)]
         differs[starts - (at + 1)] = False  # a row's first entry
         if differs.any():
@@ -307,22 +290,15 @@ def _mask_to_csr(p: CSRMatrix, selected: np.ndarray) -> CSRMatrix:
 
 
 def its_sample_rows(
-    p: CSRMatrix,
-    s: int,
-    rng: np.random.Generator,
-    *,
-    replace: bool = False,
+    p: CSRMatrix, s: int, rng: np.random.Generator
 ) -> CSRMatrix:
     """SAMPLE(P, s): draw ``min(s, nnz(row))`` distinct columns per row.
 
     Returns a binary CSR matrix of the same shape as ``p`` with the selected
-    columns set to 1.  With ``replace=True`` a single round of draws is made
-    (duplicates collapse, so rows may carry fewer than ``s`` ones — the
-    with-replacement semantics of e.g. DGL's default neighbor sampler).
-
-    Rows whose values sum to zero (including empty rows) yield no samples.
+    columns set to 1.  Rows whose values sum to zero (including empty rows)
+    yield no samples.
     """
-    return _mask_to_csr(p, its_select_mask(p, s, rng, replace=replace))
+    return _mask_to_csr(p, its_select_mask(p, s, rng))
 
 
 def its_flops(p: CSRMatrix, s: int) -> int:

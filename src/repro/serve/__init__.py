@@ -23,17 +23,16 @@ Quickstart::
     print(report.latency_summary(), report.throughput)
 
 ``server`` is a :class:`ServingCluster` — the only server: one control
-loop over ``config.replicas`` :class:`Replica`\\ s, so the single server
-above is the N = 1 fleet and a routed, SLO-autoscaled one is a config away::
+loop over a fixed set of ``config.replicas`` :class:`Replica`\\ s, so the
+single server above is the N = 1 fleet and a routed one is a config away::
 
-    cfg = RunConfig(..., replicas=4, router="consistent_hash", slo_p99=2e-4)
+    cfg = RunConfig(..., replicas=4, router="consistent_hash")
     fleet = Engine(cfg).serving()
     report = fleet.process(ClosedLoopWorkload(4096, targets, clients=64))
 """
 
-from .admission import AdmissionController, SHED_POLICIES
 from .cache import EmbeddingCache, ServeStats
-from .cluster import Autoscaler, ServingCluster
+from .cluster import ServingCluster
 from .replica import Replica
 from .report import ServeReport
 from .request import InferenceRequest, InferenceResult, MicroBatcher, RequestQueue
@@ -62,10 +61,7 @@ __all__ = [
     "ConsistentHashRouter",
     "ROUTERS",
     "make_router",
-    "AdmissionController",
-    "SHED_POLICIES",
     "ServingCluster",
-    "Autoscaler",
     "TraceWorkload",
     "ClosedLoopWorkload",
     "load_trace",

@@ -38,9 +38,6 @@ class ServeStats:
     ``invalidations`` counts rows dropped through :meth:`EmbeddingCache.invalidate`
     (graph updates dirtying cached values) — deliberately separate from
     ``evictions`` so budget pressure and update churn are distinguishable.
-    ``shed`` counts inference requests this server's
-    :class:`~repro.serve.admission.AdmissionController` refused (fleet
-    serving only; always 0 under ``shed_policy="none"``).
     """
 
     requests: int = 0
@@ -49,7 +46,6 @@ class ServeStats:
     inserts: int = 0
     evictions: int = 0
     invalidations: int = 0
-    shed: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -68,8 +64,8 @@ class ServeStats:
 
     def publish(self, registry, **labels) -> None:
         """Copy the counters into a metrics registry
-        (:mod:`repro.obs.metrics`) under ``serve_cache_*`` /
-        ``serve_shed_total`` names, labeled e.g. by replica."""
+        (:mod:`repro.obs.metrics`) under ``serve_cache_*`` names, labeled
+        e.g. by replica."""
         for name, help_text, value in (
             ("serve_cache_requests_total", "embedding rows requested", self.requests),
             ("serve_cache_hits_total", "embedding rows served from cache", self.hits),
@@ -81,7 +77,6 @@ class ServeStats:
                 "rows dropped by graph updates",
                 self.invalidations,
             ),
-            ("serve_shed_total", "inference requests shed by admission", self.shed),
         ):
             registry.counter(name, help_text, **labels).set(value)
         registry.gauge(

@@ -2,15 +2,16 @@
 
 Results in request-id order plus the run's aggregates — micro-batch count,
 per-phase simulated seconds (slowest replica per phase), fleet-wide cache
-and stream counters, shed count, the autoscaler's replica trace and the
-per-replica request split — with the derived latency / throughput views,
-the deterministic logits digest, and the metrics-registry publisher.
+and stream counters and the per-replica request split — with the derived
+latency / throughput views, the deterministic logits digest, and the
+metrics-registry publisher.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,12 +33,12 @@ class ServeReport:
     # Streaming runs only: snapshot of the StreamingGraph's counters
     # (update batches, applied/skipped edits, compactions, dirty vertices).
     update_stats: object | None = None
-    # Requests dropped by admission control, replica counts over time
-    # ([(sim_time, n_replicas)]; one entry unless the autoscaler ran), and
-    # per-replica request counts keyed by replica id.
-    shed: int = 0
-    replica_trace: list[tuple[float, int]] = field(default_factory=list)
+    # Per-replica request counts keyed by replica id.
     per_replica: dict[int, int] = field(default_factory=dict)
+    # Nothing is shed: every request is served.  The e2e harness
+    # (benchmarks/e2e/workloads.py) still reads ``report.shed`` into its
+    # ``serve.shed`` count, so the name stays, at 0, until that count goes.
+    shed: ClassVar[int] = 0
 
     @property
     def n_requests(self) -> int:
@@ -112,11 +113,6 @@ class ServeReport:
                 "serve_phase_seconds_total", "simulated seconds by phase",
                 phase=phase, **labels,
             ).inc(seconds)
-        if self.shed:
-            registry.counter(
-                "serve_shed_total", "inference requests shed by admission",
-                **labels,
-            ).set(self.shed)
         if self.cache_stats is not None:
             self.cache_stats.publish(registry, **labels)
         if self.update_stats is not None and hasattr(self.update_stats, "publish"):
@@ -138,8 +134,6 @@ class ServeReport:
             out["embed_hit"] = f"{self.cache_stats.hit_rate:.1%}"
             if self.cache_stats.invalidations:
                 out["invalidated"] = self.cache_stats.invalidations
-        if self.shed:
-            out["shed"] = self.shed
         if self.update_stats is not None:
             out.update(self.update_stats.row())
         return out

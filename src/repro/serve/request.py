@@ -1,4 +1,4 @@
-"""Requests, the admission queue, and the micro-batching policy.
+"""Requests, the per-replica request queue, and the micro-batching policy.
 
 Online serving receives :class:`InferenceRequest`\\ s (each naming the
 target vertices one caller wants logits for) at simulated arrival times.
@@ -69,11 +69,6 @@ class InferenceResult:
         """End-to-end simulated latency: completion minus arrival."""
         return self.completed - self.request.arrival
 
-    @property
-    def queue_wait(self) -> float:
-        """Time spent waiting for the micro-batch to form / server to free."""
-        return self.dispatched - self.request.arrival
-
 
 class RequestQueue:
     """Future arrivals (a heap) plus the pending, admitted FIFO.
@@ -109,13 +104,6 @@ class RequestQueue:
         """Remove and return the ``n`` oldest pending requests."""
         batch, self.pending = self.pending[:n], self.pending[n:]
         return batch
-
-    def drain(self) -> list[InferenceRequest]:
-        """Empty the queue: everything pending or still to arrive, in
-        ``(arrival, rid)`` order (a retired replica's work, re-routed)."""
-        everything = self.pending + [r for _, _, r in self._arrivals]
-        self.pending, self._arrivals = [], []
-        return sorted(everything, key=lambda r: (r.arrival, r.rid))
 
 
 @dataclass(frozen=True)

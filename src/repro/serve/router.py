@@ -1,18 +1,18 @@
 """Request routing policies for the serving fleet.
 
 A :class:`Router` decides which replica serves each incoming request.  The
-contract is deliberately small — ``rebalance(live)`` whenever the set of
-live replica ids changes (startup, autoscaler steps) and
-``route(request) -> rid`` per request — and deliberately deterministic:
-policies may keep internal state (the round-robin cursor, the hash ring)
-but never consult wall time or unseeded randomness, so a fleet run is
-exactly reproducible.
+contract is deliberately small — a policy is built over the vertex count
+and the fleet's replica ids (``make_router(name, n, live)``; a fleet's
+replica set is fixed when it is built) and answers ``route(request) ->
+rid`` per request — and deliberately deterministic: policies may keep
+internal state (the round-robin cursor, the hash ring) but never consult
+wall time or unseeded randomness, so a fleet run is exactly reproducible.
 
 Three built-in policies:
 
-* ``direct`` — everything to the lowest-id live replica: the policy of
-  a single server (the N=1 fleet), and the default.
-* ``round_robin`` — cycle through live replicas in id order.  Best load
+* ``direct`` — everything to the lowest-id replica: the policy of a
+  single server (the N=1 fleet), and the default.
+* ``round_robin`` — cycle through the replicas in id order.  Best load
   spread, worst cache locality: a hot vertex's penultimate-layer row ends
   up cached on *every* replica.
 * ``consistent_hash`` — locality-aware.  The vertex space is cut into
@@ -21,9 +21,10 @@ Three built-in policies:
   uses) and each partition is mapped onto a blake2b hash ring of replica
   virtual nodes.  Requests for the same vertex range always land on the
   same replica, so its :class:`~repro.serve.cache.EmbeddingCache` hit rate
-  compounds instead of being diluted N ways — and when the autoscaler adds
-  or removes a replica, only the partitions adjacent to its virtual nodes
-  move (the classic consistent-hashing stability argument).
+  compounds instead of being diluted N ways — and a fleet one replica
+  larger owns the same partitions except those adjacent to the new
+  replica's virtual nodes (the classic consistent-hashing stability
+  argument).
 
 Hashes use :func:`hashlib.blake2b`, not Python's builtin ``hash`` — the
 builtin is salted per process, which would make ring placement
@@ -56,46 +57,35 @@ class Router(Protocol):
     #: Registry name of the policy (what traces and banners print).
     name: str
 
-    def rebalance(self, live: Sequence[int]) -> None:
-        """Install the new set of live replica ids (sorted, non-empty)."""
-        ...
-
     def route(self, request: InferenceRequest) -> int:
-        """Return the live replica id that should serve ``request``."""
+        """Return the replica id that should serve ``request``."""
         ...
 
 
 class DirectRouter:
-    """Everything to the lowest-id live replica (the N=1 identity policy)."""
+    """Everything to the lowest-id replica (the N=1 identity policy)."""
 
     name = "direct"
 
-    def __init__(self, n_vertices: int | None = None) -> None:
-        self._live: list[int] = []
-
-    def rebalance(self, live: Sequence[int]) -> None:
-        self._live = sorted(live)
+    def __init__(self, n_vertices: int, live: Sequence[int]) -> None:
+        self._first = min(live)
 
     def route(self, request: InferenceRequest) -> int:
-        return self._live[0]
+        return self._first
 
 
 class RoundRobinRouter:
-    """Cycle through live replicas in id order.
+    """Cycle through the replicas in id order.
 
-    The cursor survives rebalances (it is a monotone counter, reduced
-    modulo the live count at route time), so adding a replica mid-run
-    does not restart the cycle.
+    The cursor is a monotone counter, reduced modulo the replica count at
+    route time, so it carries on across runs of one fleet.
     """
 
     name = "round_robin"
 
-    def __init__(self, n_vertices: int | None = None) -> None:
-        self._live: list[int] = []
-        self._next = 0
-
-    def rebalance(self, live: Sequence[int]) -> None:
+    def __init__(self, n_vertices: int, live: Sequence[int]) -> None:
         self._live = sorted(live)
+        self._next = 0
 
     def route(self, request: InferenceRequest) -> int:
         rid = self._live[self._next % len(self._live)]
@@ -115,10 +105,11 @@ class ConsistentHashRouter:
 
     ``n_vertices`` fixes the partitioned vertex space; ``n_partitions``
     contiguous ranges (``split_rows`` boundaries) are each owned by the
-    first replica virtual node clockwise on the ring.  A request is routed
-    by the partition of its *first* target vertex — requests in this repo
-    are ego-network lookups whose vertices are spatially close, and using
-    a single representative keeps routing O(log ring) per request.
+    first virtual node clockwise on the ring of the ``live`` replicas.  A
+    request is routed by the partition of its *first* target vertex —
+    requests in this repo are ego-network lookups whose vertices are
+    spatially close, and using a single representative keeps routing
+    O(log ring) per request.
     """
 
     name = "consistent_hash"
@@ -126,6 +117,7 @@ class ConsistentHashRouter:
     def __init__(
         self,
         n_vertices: int,
+        live: Sequence[int],
         *,
         n_partitions: int = 64,
         vnodes: int = 16,
@@ -135,15 +127,10 @@ class ConsistentHashRouter:
         self.n_vertices = int(n_vertices)
         self.n_partitions = min(int(n_partitions), self.n_vertices)
         self.vnodes = int(vnodes)
-        # Partition boundaries never move; only ring ownership does.
         self._bounds = split_rows(self.n_vertices, self.n_partitions)
-        self._live: list[int] = []
         self._owner = np.zeros(self.n_partitions, dtype=np.int64)
-
-    def rebalance(self, live: Sequence[int]) -> None:
-        self._live = sorted(live)
         ring: list[tuple[int, int]] = []
-        for rid in self._live:
+        for rid in sorted(live):
             for v in range(self.vnodes):
                 ring.append((_stable_hash(f"replica:{rid}:{v}"), rid))
         ring.sort()
@@ -169,12 +156,13 @@ ROUTERS: dict[str, Callable[..., Router]] = {
 }
 
 
-def make_router(name: str, n_vertices: int) -> Router:
-    """Build a router policy by registry name."""
+def make_router(name: str, n_vertices: int, live: Sequence[int]) -> Router:
+    """Build a router policy by registry name over the replica ids
+    ``live``."""
     try:
         factory = ROUTERS[name]
     except KeyError:
         raise ValueError(
             f"unknown router {name!r}; known: {sorted(ROUTERS)}"
         ) from None
-    return factory(n_vertices)
+    return factory(n_vertices, live)

@@ -9,10 +9,10 @@
   from round to round instead: every round zeroes the entries just picked
   and re-sums *every* stored entry of ``P`` into one global prefix sum.
   :func:`repro.core.its.its_select_mask` now sums once and rejects repeats,
-  so its bits differ by design; it keeps the selected counts, the
-  ``replace=True`` round bit for bit, and — with the rejection rounds
-  switched off on a ``P`` whose every row draws — this body's mask and
-  generator state bit for bit, which is what holds its zeroing path.
+  so its bits differ by design; it keeps the selected counts and — with
+  the rejection rounds switched off on a ``P`` whose every row draws —
+  this body's mask and generator state bit for bit, which is what holds
+  its zeroing path.
   One line is not the retired body's: a pick on a stored ``0.0`` (a light
   row's draw that the global sum rounds onto the row's boundary, clamped
   onto a leading zero) is dropped, as the kernel drops it; the retired
@@ -55,8 +55,6 @@ def its_select_mask(
     p: CSRMatrix,
     s: int,
     rng: np.random.Generator,
-    *,
-    replace: bool = False,
 ) -> np.ndarray:
     """The retired ITS selection mask, verbatim."""
     if s <= 0:
@@ -74,7 +72,7 @@ def its_select_mask(
     target = np.minimum(s, pos_per_row)
 
     have = np.zeros(n_rows, dtype=np.int64)
-    for _ in range(1 if replace else _MAX_ROUNDS):
+    for _ in range(_MAX_ROUNDS):
         need = target - have
         todo = np.flatnonzero(need > 0)
         if todo.size == 0:
@@ -86,8 +84,7 @@ def its_select_mask(
         base = np.where(row_start > 0, cums[row_start - 1], 0.0)
         mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
 
-        counts = need[todo] if not replace else np.full(todo.size, s)
-        draw_rows = np.repeat(todo, counts)
+        draw_rows = np.repeat(todo, need[todo])
         u = rng.random(draw_rows.size)
         targets = base[draw_rows] + u * mass[draw_rows]
         picks = np.searchsorted(cums, targets, side="left")
@@ -95,8 +92,6 @@ def its_select_mask(
         picks = np.maximum(picks, p.indptr[draw_rows])
         selected[picks] = True
         have = np.bincount(row_ids[selected], minlength=n_rows)
-        if replace:
-            break
     else:
         raise RuntimeError("ITS failed to converge; is P malformed?")
 
@@ -107,8 +102,6 @@ def zeroing_select_mask(
     p: CSRMatrix,
     s: int,
     rng: np.random.Generator,
-    *,
-    replace: bool = False,
 ) -> np.ndarray:
     """The retired ITS selection mask: every round re-sums every entry."""
     if s <= 0:
@@ -136,7 +129,7 @@ def zeroing_select_mask(
     fresh = None  # the last round's new picks, still live in ``live``
     cums = np.empty(p.nnz)  # every round's prefix sum, in one buffer
     stamp = None  # scratch: which draw last landed on each entry
-    for _ in range(1 if replace else _MAX_ROUNDS):
+    for _ in range(_MAX_ROUNDS):
         need = target - have
         todo = np.flatnonzero(need > 0)
         if todo.size == 0:
@@ -151,8 +144,7 @@ def zeroing_select_mask(
         base = np.where(row_start > 0, cums[row_start - 1], 0.0)
         mass = np.where(row_end > row_start, cums[row_end - 1], 0.0) - base
 
-        counts = need[todo] if not replace else np.full(todo.size, s)
-        draw_rows = np.repeat(todo, counts)
+        draw_rows = np.repeat(todo, need[todo])
         u = rng.random(draw_rows.size)
         targets = base[draw_rows] + u * mass[draw_rows]
         picks = np.searchsorted(cums, targets, side="left")
@@ -162,9 +154,6 @@ def zeroing_select_mask(
         # A pick on a stored zero (a light row's draw rounded onto its
         # boundary, then clamped) is dropped: SAMPLE never selects one.
         kept = p.data[picks] != 0
-        if replace:
-            selected[picks[kept]] = True
-            break
         # A draw is fresh when its entry was not selected before this round
         # and it is the draw the stamp table kept for that entry: one per
         # distinct new entry, whichever duplicate wrote last.
@@ -188,8 +177,6 @@ def prefix_select_mask(
     p: CSRMatrix,
     s: int,
     rng: np.random.Generator,
-    *,
-    replace: bool = False,
 ) -> np.ndarray:
     """The retired one-prefix-sum ITS selection mask, verbatim."""
     if s <= 0:
@@ -209,26 +196,18 @@ def prefix_select_mask(
     else:
         positive = data > 0
         pos_per_row = np.diff(_masked_indptr(indptr, positive))
-    if replace:
-        rows = np.flatnonzero(pos_per_row)
-    else:
-        # Step 1: a row with at most s positive entries keeps them all.
-        whole = pos_per_row <= s
-        selected = np.repeat(whole, lengths)
-        if positive is not None:
-            selected &= positive
-        rows = np.flatnonzero(~whole)
-        if rows.size == 0:
-            return selected
+    # Step 1: a row with at most s positive entries keeps them all.
+    whole = pos_per_row <= s
+    selected = np.repeat(whole, lengths)
+    if positive is not None:
+        selected &= positive
+    rows = np.flatnonzero(~whole)
+    if rows.size == 0:
+        return selected
 
     # Step 2: one prefix sum; each row reads its slice through indptr.
     cums = np.cumsum(data)
     lo, hi = indptr[rows], indptr[rows + 1]
-    if replace:  # one round of s draws per row; duplicates collapse
-        picks, _ = _draw(cums, lo, hi, np.full(rows.size, s), rng)
-        selected = np.zeros(p.nnz, dtype=bool)
-        selected[picks] = True
-        return selected
 
     # Step 3: redraw each shortfall against the round-1 sums.
     have = np.zeros(rows.size, dtype=np.int64)

@@ -3,7 +3,7 @@
 This is the control loop ``ServingEngine.process`` ran before
 :class:`~repro.serve.ServingCluster` became the only server: one
 :class:`~repro.serve.Replica`, one :class:`~repro.serve.RequestQueue`, no
-router, no admission, no autoscaler.  It is kept verbatim (minus the
+router.  It is kept verbatim (minus the
 metrics-registry publish) so ``tests/test_serving_loop_differential.py``
 can hold the N = 1 cluster to it on logits, batch composition, every
 timing, and cache / stream counters — in sampled mode too, where the

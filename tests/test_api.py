@@ -96,6 +96,21 @@ class TestBuiltinRegistries:
             SAMPLERS.unregister("needs-graph")
 
 
+#: The removed knobs whose keys ``RunConfig`` keeps: key -> (its one legal
+#: value, another value, what the refusal names).
+RETIRED = {
+    "kernel": ("esc", "compiled", "scipy kernels were removed"),
+    "workers": (0, 2, "worker pool was removed"),
+    "shed_policy": ("none", "queue", "load shedding was removed"),
+    "shed_queue_depth": (64, 4, "load shedding was removed"),
+    "shed_deadline": (0.0, 1e-4, "load shedding was removed"),
+    "slo_p99": (0.0, 2e-4, "SLO autoscaler was removed"),
+    "autoscale_min": (1, 2, "SLO autoscaler was removed"),
+    "autoscale_max": (8, 4, "SLO autoscaler was removed"),
+    "autoscale_interval": (0.01, 5e-4, "SLO autoscaler was removed"),
+}
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -193,16 +208,21 @@ class TestRunConfig:
         listed = names.split(": ", 1)[1].split(", ")  # plugins may add more
         assert set(known) <= set(listed) and value not in listed
 
-    def test_workers_is_refused_naming_the_removal(self, tmp_path):
-        """The worker pool and the parallel algorithm are gone; the field
-        stays at its one legal value so saved configs hash as before."""
+    @pytest.mark.parametrize("key", sorted(RETIRED))
+    def test_retired_key_is_refused_naming_the_removal(self, tmp_path, key):
+        """A removed knob keeps its key at its one legal value, so saved
+        configs hash as before; any other value, by keyword or from JSON,
+        is refused naming what was removed and the value to set."""
+        kept, other, removed = RETIRED[key]
         path = tmp_path / "run.json"
-        path.write_text('{"workers": 2}')
-        for build in (lambda: RunConfig(workers=2),
+        path.write_text(json.dumps({key: other}))
+        for build in (lambda: RunConfig(**{key: other}),
                       lambda: RunConfig.from_json(path)):
-            with pytest.raises(ValueError, match="worker pool was removed"):
+            with pytest.raises(ValueError, match=removed) as err:
                 build()
-        assert RunConfig().to_dict()["workers"] == 0
+            assert f"set it to {kept!r}" in str(err.value)
+        assert RunConfig().to_dict()[key] == kept
+        assert RunConfig(**{key: kept}).to_dict() == RunConfig().to_dict()
         assert "parallel" not in ALGORITHMS.names()
 
     @pytest.mark.parametrize("text, says", [

@@ -1,6 +1,6 @@
-"""The serving fleet: routers, admission control, the multi-replica
-cluster loop, SLO autoscaling, and update broadcast — plus the pinned
-single-server digest the refactor must keep bit-identical."""
+"""The serving fleet: routers, the multi-replica cluster loop over a fixed
+replica set, and update broadcast — plus the pinned single-server digest
+the refactor must keep bit-identical."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ import pytest
 from repro.api import Engine, RunConfig
 from repro.pipeline import layerwise_inference
 from repro.serve import (
-    AdmissionController,
-    Autoscaler,
     ClosedLoopWorkload,
     ConsistentHashRouter,
     DirectRouter,
@@ -88,148 +86,53 @@ GOLDEN_SERVE_DIGEST = (
 # ---------------------------------------------------------------------- #
 class TestRouters:
     def test_direct_routes_to_lowest_id(self):
-        r = DirectRouter()
-        r.rebalance([3, 1, 7])
+        r = DirectRouter(10, [3, 1, 7])
         assert all(r.route(_request(i, i)) == 1 for i in range(5))
 
     def test_round_robin_cycles_in_id_order(self):
-        r = RoundRobinRouter()
-        r.rebalance([2, 0, 1])
+        r = RoundRobinRouter(10, [2, 0, 1])
         picks = [r.route(_request(i, i)) for i in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
-    def test_round_robin_cursor_survives_rebalance(self):
-        r = RoundRobinRouter()
-        r.rebalance([0, 1])
-        r.route(_request(0, 0))  # cursor advances past replica 0
-        r.rebalance([0, 1, 2])
-        assert r.route(_request(1, 1)) == 1  # continues, does not restart
-
     def test_consistent_hash_is_deterministic(self):
-        a = ConsistentHashRouter(1000)
-        b = ConsistentHashRouter(1000)
-        a.rebalance([0, 1, 2])
-        b.rebalance([0, 1, 2])
+        a = ConsistentHashRouter(1000, [0, 1, 2])
+        b = ConsistentHashRouter(1000, [2, 1, 0])
         for v in (0, 17, 500, 999):
             assert a.route(_request(v, v)) == b.route(_request(v, v))
 
     def test_consistent_hash_same_partition_same_replica(self):
-        r = ConsistentHashRouter(1024, n_partitions=8)
-        r.rebalance([0, 1, 2, 3])
+        r = ConsistentHashRouter(1024, [0, 1, 2, 3], n_partitions=8)
         # 1024 vertices / 8 partitions: 0 and 100 share partition 0.
         assert r.partition_of(0) == r.partition_of(100)
         assert r.route(_request(0, 0)) == r.route(_request(1, 100))
 
     def test_consistent_hash_rebalance_is_stable(self):
-        """Adding one replica must move only a minority of partitions —
-        the consistent-hashing argument for keeping caches warm."""
-        r = ConsistentHashRouter(4096, n_partitions=64)
-        r.rebalance([0, 1, 2])
-        before = r._owner.copy()
-        r.rebalance([0, 1, 2, 3])
-        moved = int((before != r._owner).sum())
-        assert 0 < moved < 32  # some partitions moved, most did not
+        """A fleet one replica larger re-owns only a minority of partitions
+        — the consistent-hashing argument for keeping caches warm."""
+        three = ConsistentHashRouter(4096, [0, 1, 2], n_partitions=64)
+        four = ConsistentHashRouter(4096, [0, 1, 2, 3], n_partitions=64)
+        moved = three._owner != four._owner
+        assert 0 < int(moved.sum()) < 32  # some partitions moved, most did not
         # Every moved partition went to the new replica, none reshuffled
-        # between the survivors.
-        assert set(r._owner[before != r._owner].tolist()) == {3}
+        # between the other three.
+        assert set(four._owner[moved].tolist()) == {3}
 
     def test_consistent_hash_covers_all_replicas(self):
-        r = ConsistentHashRouter(4096, n_partitions=64)
-        r.rebalance([0, 1, 2, 3])
+        r = ConsistentHashRouter(4096, [0, 1, 2, 3], n_partitions=64)
         assert set(r._owner.tolist()) == {0, 1, 2, 3}
 
     def test_consistent_hash_validation(self):
         with pytest.raises(ValueError):
-            ConsistentHashRouter(0)
+            ConsistentHashRouter(0, [0])
 
     def test_partitions_capped_at_vertex_count(self):
-        r = ConsistentHashRouter(5, n_partitions=64)
+        r = ConsistentHashRouter(5, [0], n_partitions=64)
         assert r.n_partitions == 5
-        r.rebalance([0])
         assert r.route(_request(0, 4)) == 0
 
     def test_make_router_unknown_name(self):
         with pytest.raises(ValueError, match="unknown router"):
-            make_router("random", 10)
-
-
-# ---------------------------------------------------------------------- #
-# Admission control
-# ---------------------------------------------------------------------- #
-class _FakeReplica:
-    """Just enough replica surface for the controller: a queue + stats."""
-
-    def __init__(self, pending=0):
-        from repro.serve import RequestQueue
-        from repro.serve.cache import ServeStats
-
-        self.queue = RequestQueue()
-        for i in range(pending):
-            self.queue.push(_request(i, i))
-        self.stats = ServeStats()
-
-
-class TestAdmission:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown shed policy"):
-            AdmissionController("drop_all")
-        with pytest.raises(ValueError, match="queue_depth"):
-            AdmissionController("queue", queue_depth=0)
-        with pytest.raises(ValueError, match="deadline"):
-            AdmissionController("deadline", deadline=0.0)
-
-    def test_none_admits_everything(self):
-        rep = _FakeReplica(pending=1000)
-        ctrl = AdmissionController("none")
-        assert ctrl.admit(rep, _request(0, 0))
-        assert rep.stats.shed == 0
-
-    def test_queue_depth_sheds_and_counts(self):
-        rep = _FakeReplica(pending=4)
-        ctrl = AdmissionController("queue", queue_depth=4)
-        assert not ctrl.admit(rep, _request(9, 9))
-        assert rep.stats.shed == 1
-        assert ctrl.admit(_FakeReplica(pending=3), _request(9, 9))
-
-    def test_deadline_filters_stale_batch_members(self):
-        rep = _FakeReplica()
-        ctrl = AdmissionController("deadline", deadline=0.1)
-        batch = [_request(0, 0, arrival=0.0), _request(1, 1, arrival=0.25)]
-        kept = ctrl.filter_batch(rep, batch, now=0.3)
-        assert [r.rid for r in kept] == [1]  # waited 0.05 <= 0.1
-        assert rep.stats.shed == 1
-
-    def test_non_deadline_policy_never_filters(self):
-        rep = _FakeReplica()
-        batch = [_request(0, 0, arrival=0.0)]
-        assert AdmissionController("queue").filter_batch(rep, batch, 99.0) == batch
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaler decisions
-# ---------------------------------------------------------------------- #
-class TestAutoscaler:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Autoscaler(0.0)
-        with pytest.raises(ValueError):
-            Autoscaler(1.0, min_replicas=3, max_replicas=2)
-        with pytest.raises(ValueError):
-            Autoscaler(1.0, interval=0.0)
-
-    def test_scale_up_on_slo_violation(self):
-        scaler = Autoscaler(1e-3, max_replicas=4)
-        assert scaler.decide(2e-3, 2) == 3
-        assert scaler.decide(2e-3, 4) == 4  # capped
-
-    def test_scale_down_with_hysteresis(self):
-        scaler = Autoscaler(1e-3, min_replicas=1)
-        assert scaler.decide(4e-4, 3) == 2  # under half the SLO
-        assert scaler.decide(4e-4, 1) == 1  # floored
-        assert scaler.decide(7e-4, 3) == 3  # inside the band: hold
-
-    def test_empty_window_makes_no_decision(self):
-        assert Autoscaler(1e-3).decide(None, 5) == 5
+            make_router("random", 10, [0])
 
 
 # ---------------------------------------------------------------------- #
@@ -338,124 +241,9 @@ class TestFleetDynamics:
         report = cluster.process(_trace(trained_engine))
         assert report.phase_seconds["sampling"] > 0
         assert report.phase_seconds["propagation"] > 0
-        # No shedding configured: the report says so.
+        # Every request is served (the e2e harness reads ``shed``).
         assert report.shed == 0
-        assert "shed" not in report.row()
-
-
-# ---------------------------------------------------------------------- #
-# Load shedding
-# ---------------------------------------------------------------------- #
-def _burst(engine: Engine, n=32) -> TraceWorkload:
-    """n single-vertex requests all arriving at t=0 — a worst-case spike."""
-    idx = engine.graph.test_idx
-    return TraceWorkload(
-        [_request(i, int(idx[i % 16])) for i in range(n)]
-    )
-
-
-class TestShedding:
-    def test_queue_policy_sheds_the_burst_overflow(self, trained_engine):
-        cluster = _cluster(
-            trained_engine, shed_policy="queue", shed_queue_depth=4
-        )
-        report = cluster.process(_burst(trained_engine))
-        assert report.shed > 0
-        # Every request was either served or shed — none lost.
-        assert report.n_requests + report.shed == 32
-        assert report.row()["shed"] == report.shed
-
-    def test_deadline_policy_bounds_queue_wait(self, trained_engine):
-        # The 32-request burst drains in four ~65 us batches, so half of
-        # it would wait longer than this.
-        deadline = 1e-4
-        cluster = _cluster(
-            trained_engine, shed_policy="deadline", shed_deadline=deadline
-        )
-        report = cluster.process(_burst(trained_engine))
-        assert report.shed > 0
-        assert report.n_requests + report.shed == 32
-        # The surviving requests are exactly the ones served in time.
-        assert all(r.queue_wait <= deadline + 1e-12 for r in report.results)
-
-    def test_no_shedding_under_light_load(self, trained_engine):
-        cluster = _cluster(
-            trained_engine, shed_policy="queue", shed_queue_depth=64
-        )
-        report = cluster.process(_trace(trained_engine))
-        assert report.shed == 0 and report.n_requests == 20
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaling end to end
-# ---------------------------------------------------------------------- #
-class TestAutoscaling:
-    def test_scales_up_under_slo_violating_load(self, trained_engine):
-        cluster = _cluster(
-            trained_engine,
-            replicas=1, router="round_robin", slo_p99=2e-4,
-            autoscale_max=4, autoscale_interval=5e-4,
-        )
-        wl = ClosedLoopWorkload(
-            128, trained_engine.graph.test_idx, clients=32, seed=3
-        )
-        report = cluster.process(wl)
-        counts = [n for _, n in report.replica_trace]
-        assert counts[0] == 1
-        assert counts[-1] > 1  # the violated SLO forced the fleet up
-        assert counts == sorted(counts)  # pure scale-up, no thrash
-        assert report.n_requests == 128  # nothing lost while scaling
-
-    def test_scales_down_when_slo_trivially_met(self, trained_engine):
-        cluster = _cluster(
-            trained_engine,
-            replicas=3, router="round_robin", slo_p99=1.0,
-            autoscale_min=1, autoscale_max=4, autoscale_interval=5e-4,
-        )
-        report = cluster.process(
-            _trace(trained_engine, n=40, seed=9, interarrival=2e-4)
-        )
-        counts = [n for _, n in report.replica_trace]
-        assert counts[0] == 3
-        assert counts[-1] == 1  # idle fleet drained to the minimum
-        assert counts == sorted(counts, reverse=True)
-        # Re-routed orphans from retired replicas all got served.
-        assert report.n_requests == 40
-
-    def test_retired_replicas_still_counted_in_report(self, trained_engine):
-        cluster = _cluster(
-            trained_engine,
-            replicas=3, router="round_robin", slo_p99=1.0,
-            autoscale_min=1, autoscale_interval=5e-4,
-        )
-        report = cluster.process(
-            _trace(trained_engine, n=40, seed=9, interarrival=2e-4)
-        )
-        assert cluster.retired  # somebody was retired...
-        assert len(cluster.replicas) == 1
-        # ...but the per-replica accounting still covers the whole run.
         assert sum(report.per_replica.values()) == report.n_requests
-
-    def test_autoscaled_run_stays_exact(self, trained_engine, reference_logits):
-        cluster = _cluster(
-            trained_engine,
-            replicas=1, router="round_robin", slo_p99=2e-4,
-            autoscale_max=4, autoscale_interval=5e-4,
-        )
-        report = cluster.process(_trace(trained_engine, n=30, interarrival=5e-5))
-        for r in report.results:
-            assert np.array_equal(
-                r.logits, reference_logits[r.request.vertices]
-            )
-
-    def test_initial_count_below_minimum_rejected(self, trained_engine):
-        cluster = _cluster(
-            trained_engine,
-            replicas=2, router="round_robin", slo_p99=1.0,
-            autoscale_min=3, autoscale_max=4,
-        )
-        with pytest.raises(ValueError, match="below the autoscaler minimum"):
-            cluster.process(_trace(trained_engine, n=4))
 
 
 # ---------------------------------------------------------------------- #
@@ -556,26 +344,9 @@ class TestFleetWiring:
             RunConfig(replicas=0)
         with pytest.raises(ValueError):
             RunConfig(router="random")
-        with pytest.raises(ValueError):
-            RunConfig(shed_policy="drop_all")
-        with pytest.raises(ValueError):
-            RunConfig(shed_policy="queue", shed_queue_depth=0)
-        with pytest.raises(ValueError):
-            RunConfig(shed_deadline=-1.0)
-        with pytest.raises(ValueError):
-            RunConfig(slo_p99=-1.0)
-        with pytest.raises(ValueError):
-            RunConfig(autoscale_min=3, autoscale_max=2)
-        with pytest.raises(ValueError):
-            RunConfig(autoscale_interval=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(slo_p99=1e-3, replicas=9, autoscale_max=8)
 
     def test_runconfig_fleet_fields_roundtrip(self):
-        cfg = RunConfig(
-            replicas=4, router="consistent_hash", shed_policy="queue",
-            shed_queue_depth=16, slo_p99=1e-3, autoscale_max=6,
-        )
+        cfg = RunConfig(replicas=4, router="consistent_hash")
         again = RunConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -584,17 +355,12 @@ class TestFleetWiring:
 
         def shape(server):
             assert isinstance(server, ServingCluster)
-            return (
-                len(server.replicas), server.router.name,
-                server.admission.policy, server.autoscaler is not None,
-            )
+            return len(server.replicas), server.router.name
 
-        assert shape(trained_engine.serving()) == (1, "direct", "none", False)
+        assert shape(trained_engine.serving()) == (1, "direct")
         for overrides, expected in (
-            ({"replicas": 2}, (2, "direct", "none", False)),
-            ({"router": "round_robin"}, (1, "round_robin", "none", False)),
-            ({"shed_policy": "queue"}, (1, "direct", "queue", False)),
-            ({"slo_p99": 1e-3}, (1, "direct", "none", True)),
+            ({"replicas": 2}, (2, "direct")),
+            ({"router": "round_robin"}, (1, "round_robin")),
         ):
             engine = Engine(
                 trained_engine.config.replace(**overrides),

@@ -79,12 +79,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             its_sample_rows(neg, 1, rng)
 
-    def test_with_replacement_single_round(self, rng):
-        p = row_normalize(sprand(20, 20, 0.4, rng))
-        q = its_sample_rows(p, 3, rng, replace=True)
-        # With replacement duplicates collapse: counts are at most s.
-        assert np.all(q.nnz_per_row() <= 3)
-
     def test_flops_positive_and_monotone(self, rng):
         p = sprand(10, 10, 0.3, rng)
         assert its_flops(p, 2) > 0
@@ -429,11 +423,11 @@ def drawing_inputs(draw, max_rows: int = 8):
     return p, s
 
 
-def _run(select, p, s, seed, **kw):
+def _run(select, p, s, seed):
     """(mask bytes or the error's type, the generator state afterwards)."""
     rng = np.random.default_rng(seed)
     try:
-        out = select(p, s, rng, **kw).tobytes()
+        out = select(p, s, rng).tobytes()
     except RuntimeError as err:  # no progress: both must give up alike
         out = type(err)
     return out, rng.bit_generator.state
@@ -474,20 +468,16 @@ def _holds_to_the_zeroing_body(p, s, seed):
     return got
 
 
-@given(sampling_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+@given(sampling_inputs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_carried_state_matches_the_retired_body(args, replace, seed):
-    """Without replacement: the counts and outcomes of the zeroing body
-    (:func:`_holds_to_the_zeroing_body`).  With replacement the single round
-    is unchanged: the same mask, bitwise, and the same generator state."""
+def test_carried_state_matches_the_retired_body(args, seed):
+    """The counts and outcomes of the zeroing body
+    (:func:`_holds_to_the_zeroing_body`), on a ``P`` that is read and never
+    written."""
     p, s = args
     before = p.data.copy()
     p.data.flags.writeable = False  # P is read, never written (shm operands)
-    if replace:
-        got = _run(its_select_mask, p, s, seed, replace=True)
-        assert got == _run(reference_its.zeroing_select_mask, p, s, seed, replace=True)
-    else:
-        _holds_to_the_zeroing_body(p, s, seed)
+    _holds_to_the_zeroing_body(p, s, seed)
     assert p.data.tobytes() == before.tobytes()
 
 
@@ -592,8 +582,8 @@ def test_subnormal_even_rows_keep_the_prefix_path():
     cannot resolve them: such rows draw as the zeroing body does, bitwise."""
     p = CSRMatrix(np.array([0, 2]), np.array([0, 1]), np.array([5e-324] * 2), (1, 2))
     for seed in range(20):
-        got = _run(its_select_mask, p, 1, seed, replace=True)
-        assert got == _run(reference_its.zeroing_select_mask, p, 1, seed, replace=True)
+        got = _run(its_select_mask, p, 1, seed)
+        assert got == _run(reference_its.zeroing_select_mask, p, 1, seed)
 
 
 def test_rows_within_s_draw_nothing():
@@ -666,18 +656,17 @@ def even_inputs(draw, max_rows: int = 10, max_cols: int = 14):
     return p, draw(st.integers(1, n_cols + 2))
 
 
-@given(even_inputs(), st.booleans(), st.integers(0, 2**32 - 1))
+@given(even_inputs(), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_the_uniform_path_is_the_prefix_body(args, replace, seed):
+def test_the_uniform_path_is_the_prefix_body(args, seed):
     """On even rows, drawing an index is the prefix-sum body's binary
-    search: the same mask and generator state, bitwise, with and without
-    replacement."""
+    search: the same mask and generator state, bitwise."""
     p, s = args
     p.data.flags.writeable = False
     with _paths() as seen:
-        got = _run(its_select_mask, p, s, seed, replace=replace)
+        got = _run(its_select_mask, p, s, seed)
     assert all(seen)
-    assert got == _run(reference_its.prefix_select_mask, p, s, seed, replace=replace)
+    assert got == _run(reference_its.prefix_select_mask, p, s, seed)
 
 
 @given(even_inputs(), st.data())
@@ -713,9 +702,9 @@ def _with_row(p: CSRMatrix, at: int, values) -> CSRMatrix:
     )
 
 
-@given(even_inputs(), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+@given(even_inputs(), st.data(), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
-def test_one_uneven_row_keeps_the_prefix_path(args, data, replace, seed):
+def test_one_uneven_row_keeps_the_prefix_path(args, data, seed):
     """Even rows plus one drawing row that holds a second weight: the
     check turns the ``P`` away and the prefix-sum body runs, bitwise."""
     p, s = args
@@ -724,9 +713,9 @@ def test_one_uneven_row_keeps_the_prefix_path(args, data, replace, seed):
     values[data.draw(st.integers(0, s))] = 2 * weight
     p = _with_row(p, data.draw(st.integers(0, p.shape[0])), values)
     with _paths() as seen:
-        got = _run(its_select_mask, p, s, seed, replace=replace)
+        got = _run(its_select_mask, p, s, seed)
     assert seen == [False]
-    assert got == _run(reference_its.prefix_select_mask, p, s, seed, replace=replace)
+    assert got == _run(reference_its.prefix_select_mask, p, s, seed)
 
 
 def test_rows_too_light_for_the_sums_keep_the_prefix_path():
@@ -735,13 +724,11 @@ def test_rows_too_light_for_the_sums_keep_the_prefix_path():
     and the uniform path would not, so the check says no and the bits stay
     the prefix body's."""
     p = _tiled([[1e-9], [1.175494351e-38] * 2], 1)
-    for replace, seed in itertools.product((False, True), range(3)):
+    for seed in range(3):
         with _paths() as seen:
-            got = _run(its_select_mask, p, 1, seed, replace=replace)
+            got = _run(its_select_mask, p, 1, seed)
         assert seen == [False]
-        assert got == _run(
-            reference_its.prefix_select_mask, p, 1, seed, replace=replace
-        )
+        assert got == _run(reference_its.prefix_select_mask, p, 1, seed)
 
 
 def test_even_rows_on_the_zeroing_path_are_the_prefix_body():

@@ -41,8 +41,6 @@ FLEET_PINS = {
     "fleet_req_per_s_n4_consistent_hash": 171008.8241109718,
     "fleet_p99_ms_n4_consistent_hash": 1.07203277170418,
     "fleet_speedup_vs_single": 2.5759260345041364,
-    "autoscale_final_replicas": 4.0,
-    "autoscale_req_per_s": 199160.1083904476,
 }
 
 #: ``bench_streaming.run_sweep`` at ``--smoke`` (ratios 0 and 0.5, one

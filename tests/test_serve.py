@@ -422,7 +422,9 @@ class TestServingDynamics:
             trained_engine.config.serve_max_wait
         )
         assert r.completed > r.dispatched
-        assert r.latency == pytest.approx(r.queue_wait + (r.completed - r.dispatched))
+        assert r.latency == pytest.approx(
+            (r.dispatched - r.request.arrival) + (r.completed - r.dispatched)
+        )
         assert report.phase_seconds["sampling"] > 0
         assert report.phase_seconds["propagation"] > 0
 

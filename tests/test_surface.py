@@ -5,17 +5,20 @@
     ``tests/cli_surface.json``, written from the parser of commit
     ``451249e`` — the last one whose flags were typed by hand.  A choice
     list is recorded as the registry it is read from (``"@samplers"``), so
-    the snapshot does not depend on which plugins are loaded.  Three
-    declared diffs from ``451249e``: ``--router`` / ``--shed-policy`` were
-    literals equal to ``@routers`` / ``@shed_policies`` and are now read
-    from them, the four ``--kernel`` flags are gone with the kernel axis,
-    and the three ``--workers`` flags are gone with the worker pool.
+    the snapshot does not depend on which plugins are loaded.  Four
+    declared diffs from ``451249e``: ``--router`` was a literal equal to
+    ``@routers`` and is now read from it, the four ``--kernel`` flags are
+    gone with the kernel axis, the three ``--workers`` flags with the
+    worker pool, and ``repro serve``'s seven load-shedding and autoscaler
+    flags with those features.
 (b) *Copy equivalence* — a config built from flags is a copy of the one
     built from JSON: same fields, same error for the same bad value.
 (c) *Surface guard* — a public name in ``src/`` that no other ``src/``
     module, benchmark or example uses is on the allow-list below (with its
     reason) or the test fails.
 (d) *One knob table* — the README's block is ``repro.cli.knob_table()``.
+    The benchmark's ``config_sha256`` over ``RunConfig.to_dict()`` is
+    pinned too, so a retired key cannot leave unnoticed.
 (e) *The e2e harness's patch table* — every name ``benchmarks/e2e/trace.py``
     wraps from outside ``src/`` still resolves, and unwraps.
 (f) *One sampling bill* — the launch and overhead constants, and a
@@ -46,10 +49,12 @@ from repro.cli import (
 )
 from repro.gnn import ACTIVATIONS
 from repro.partition import CACHE_POLICIES
-from repro.serve import ROUTERS, SHED_POLICIES
+from repro.serve import ROUTERS
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+#: The knobs: every field but the removed knobs' keys (``_retired``).
+SETTABLE = {n: f for n, f in FIELDS.items() if "retired" not in f.metadata}
 
 
 # ---------------------------------------------------------------------- #
@@ -62,7 +67,7 @@ def cli_surface(parser: argparse.ArgumentParser) -> dict[str, list]:
         "@algorithms": ALGORITHMS.names(),
         "@activations": list(ACTIVATIONS),
         "@cache_policies": list(CACHE_POLICIES),
-        "@routers": list(ROUTERS), "@shed_policies": list(SHED_POLICIES),
+        "@routers": list(ROUTERS),
         "@sweep_algorithms": [
             n for n in ALGORITHMS.names()
             if ALGORITHMS.spec(n).meta("scalable", True)
@@ -94,13 +99,15 @@ def test_cli_surface_is_the_hand_written_parsers():
     for command in want:
         assert got[command] == want[command], command
     flags = {c: sum(bool(row[0]) for row in got[c]) for c in got}
-    assert (flags["train"], flags["serve"], flags["stream"]) == (20, 25, 19)
+    assert (flags["train"], flags["serve"], flags["stream"]) == (20, 18, 19)
 
 
 def test_every_knob_is_declared_once():
-    assert len(FIELDS) == 40
-    for f in FIELDS.values():
+    assert (len(FIELDS), len(SETTABLE)) == (40, 31)
+    for f in SETTABLE.values():
         assert f.metadata["help"] and "type" in f.metadata, f.name
+    for name in set(FIELDS) - set(SETTABLE):  # a removed knob's key
+        assert name not in KNOB_COMMANDS and "help" not in FIELDS[name].metadata
     cli = (ROOT / "src/repro/cli.py").read_text()
     assert cli.count("add_argument(") <= 40
     for gone in ("_TRAIN_OVERRIDES", '"round_robin"', '"deadline"'):
@@ -224,8 +231,6 @@ ALLOWED = {
     "stats afterwards (documented on the generator)",
     "load_graph": "reads what `repro generate` writes",
     "save_trace": "writes the trace format `repro serve --requests` reads",
-    "InferenceResult.queue_wait": "the wait shed_policy=deadline bounds; "
-    "tests/test_fleet.py asserts the bound on it",
 }
 
 
@@ -309,7 +314,49 @@ def test_readme_knob_table_is_generated(capsys):
     assert block.split("\n<!-- knob-table:end -->")[0] == knob_table()
     assert main(["info"]) == 0
     assert knob_table() in capsys.readouterr().out
-    assert len(knob_table().splitlines()) == 2 + len(FIELDS)
+    assert len(knob_table().splitlines()) == 2 + len(SETTABLE)
+
+
+#: ``config_sha256`` of every ``benchmarks/e2e`` workload at seed 0, per
+#: profile in ``SPECS`` order, recorded at ``a9bd132``.  The benchmark's
+#: comparator refuses two records whose hashes differ, so a change to
+#: ``RunConfig.to_dict()`` (a field added, removed or re-defaulted) makes
+#: every earlier record incomparable: it moves these once, on purpose.
+CONFIG_SHA256 = {
+    "full": [
+        "57512e16a75730b3c6aaa8e294251030e5bdfc4a234237589dee5ab9566fc216",
+        "cb41b8a0bb120f3766010fe928e9b8c30649f3258e0913c54d87e9be8dafd8fd",
+        "1a5ac1c414a04a415a10724554644f2dd0759246883334f4a3f96f8b1aba1578",
+        "8806d6b1ba53f1f81cc78c3353cfb6b3964760a94ebdb438711381642f3be191",
+        "e7fc2f0fe45b2066d07429c6252a67e3030d0b63e94accf3ff07fd9fd31bfe9e",
+    ],
+    "smoke": [
+        "ea833c4d257f2cda98ff26a4dd493c9dc74e488876aa966613e0773b37ac71d6",
+        "9706ef4860164eee8afa3b57247c545f2b9c21b1c9e052a87f9a706ec4456404",
+        "4d5fb6ffa2d3037b00f32b205abf541b03dbcebd3b9501cda700a379a0b2b4b6",
+        "03a48bfa6bc7c8022b9eddaa207f7bdf5f6a441dd5aecad74bdb9898697f2861",
+        "df39584f27910ab46b2985e40547f9ef4055574194279cf1454bd93e3c600b42",
+    ],
+}
+
+
+def test_benchmark_config_hashes_are_pinned():
+    """The hash ``benchmarks/e2e/run.py`` records, computed as it computes
+    it, for all ten workload configs."""
+    import hashlib
+
+    from benchmarks.e2e.workloads import SPECS
+
+    got = {
+        profile: [
+            hashlib.sha256(json.dumps(
+                RunConfig(seed=0, **spec.config).to_dict(), sort_keys=True
+            ).encode()).hexdigest()
+            for spec in specs.values()
+        ]
+        for profile, specs in SPECS.items()
+    }
+    assert got == CONFIG_SHA256
 
 
 # ---------------------------------------------------------------------- #
