@@ -8,7 +8,7 @@ shrinkage (3 layers for SAGE, 1 for LADIES, same batch:width ratios).
 from __future__ import annotations
 
 from repro.bench import SIM_WORKLOADS, format_table
-from repro.config import LADIES_ARCH, SAGE_ARCH
+from repro.machine import LADIES_ARCH, SAGE_ARCH
 
 
 def test_table4(benchmark, record_result):

@@ -10,13 +10,16 @@ Only the NORM step changes relative to GraphSAGE; Q construction, SAMPLE
 (inverse transform sampling) and EXTRACT are inherited untouched — which is
 exactly the point of the Algorithm-1 abstraction.
 
-The sampler registers itself in :data:`repro.api.SAMPLERS`, which makes it
-usable everywhere at once — the Engine, the training pipeline, and the CLI:
+The module adds the class to :data:`repro.api.SAMPLERS`, which makes it
+usable everywhere at once — the Engine, the training pipeline under every
+execution algorithm, and the CLI — without declaring anything:
 
     python -m repro --plugin examples.custom_sampler \
         sample products --sampler degree-biased
     python -m repro --plugin examples.custom_sampler \
         train products --sampler degree-biased --fanout 10,5
+    python -m repro --plugin examples.custom_sampler \
+        train products --sampler degree-biased --p 4 --c 2
 
 Run:  python examples/custom_sampler.py
 """
@@ -35,10 +38,16 @@ class DegreeBiasedSampler(SageSampler):
     """Node-wise sampling with neighbor probability ∝ neighbor degree."""
 
     name = "degree-biased"
+    default_fanout = (10, 5)
 
     def __init__(self, degrees: np.ndarray, **kwargs) -> None:
         super().__init__(**kwargs)
         self.degrees = np.asarray(degrees, dtype=np.float64)
+
+    @classmethod
+    def for_graph(cls, graph: Graph, **kwargs) -> "DegreeBiasedSampler":
+        # The sampler's state is a graph statistic, read at build time.
+        return cls(graph.out_degrees(), **kwargs)
 
     def norm(self, p: CSRMatrix) -> CSRMatrix:
         # Reweight each nonzero (a candidate neighbor) by its degree, then
@@ -53,26 +62,9 @@ class DegreeBiasedSampler(SageSampler):
         return row_normalize(weighted)
 
 
-# The sampler's state depends on graph statistics, so it registers a
-# graph-aware factory; the registry hands it the graph at build time.
-# Guarded so re-imports (e.g. via the CLI --plugin flag) stay idempotent.
-# ``algorithms`` includes "partitioned": the sampler inherits GraphSAGE's
-# sampling plan, so the 1.5D executor runs it unchanged (a registered
-# *class* would get this derived automatically; a factory hides its
-# product and declares it).
-if "degree-biased" not in SAMPLERS:
-    @SAMPLERS.register(
-        "degree-biased",
-        default_conv="sage",
-        pipeline_kwargs={"include_dst": True},
-        algorithms=("single", "replicated", "partitioned"),
-        capabilities=("sample", "train"),
-        default_fanout=(10, 5),
-        family="node-wise",
-        graph_aware=True,
-    )
-    def make_degree_biased(graph: Graph, **kwargs) -> DegreeBiasedSampler:
-        return DegreeBiasedSampler(graph.out_degrees(), **kwargs)
+# The sampler inherits GraphSAGE's plan and ``default_conv``, so every
+# execution algorithm runs it unchanged.
+SAMPLERS["degree-biased"] = DegreeBiasedSampler
 
 
 def main() -> None:
@@ -95,7 +87,7 @@ def main() -> None:
     fanout = (10, 5)
 
     uniform = SageSampler()
-    biased = engine.sampler  # the registry-built DegreeBiasedSampler
+    biased = engine.sampler  # DegreeBiasedSampler.for_graph(engine.graph)
 
     u_samples = uniform.sample_bulk(graph.adj, batches, fanout, rng)
     b_samples = biased.sample_bulk(graph.adj, batches, fanout, rng)

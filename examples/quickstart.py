@@ -1,6 +1,6 @@
 """Quickstart: the repro.api facade in a dozen lines.
 
-Builds a :class:`repro.api.RunConfig` naming everything by registry key
+Builds a :class:`repro.api.RunConfig` naming everything by table key
 (dataset, sampler, execution algorithm), hands it to an
 :class:`repro.api.Engine`, trains, and evaluates.  The same config
 round-trips through JSON — the printed file reproduces this exact run via
@@ -20,7 +20,7 @@ from repro.api import Engine, RunConfig
 
 def main() -> None:
     cfg = RunConfig(
-        dataset="products",       # registry key -> planted-label stand-in
+        dataset="products",       # PAPER_DATASETS key -> planted-label stand-in
         scale=0.5,
         train_split=0.5,
         p=1, c=1,

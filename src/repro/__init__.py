@@ -8,8 +8,8 @@ kernels, a simulated multi-GPU runtime with alpha-beta communication costs,
 distributed sampling algorithms, a numpy GNN training stack, the end-to-end
 pipeline of Figure 3, and the baselines the paper compares against.
 
-The public entry point is :mod:`repro.api` — pluggable registries
-(samplers, execution algorithms, datasets), a serializable
+The public entry point is :mod:`repro.api` — the sampler and
+execution-algorithm name tables, a serializable
 :class:`~repro.api.RunConfig`, and the :class:`~repro.api.Engine` facade.
 
 Quickstart::
@@ -29,7 +29,7 @@ the paper-figure reproductions.
 
 from . import api, baselines, bench, comm, core, distributed, gnn, graphs, partition, pipeline, sparse
 from .api import Engine, RunConfig
-from .config import (
+from .machine import (
     LADIES_ARCH,
     PERLMUTTER_LIKE,
     SAGE_ARCH,

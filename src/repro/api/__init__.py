@@ -2,10 +2,11 @@
 
 Everything user-facing goes through three pieces:
 
-* **Registries** (:data:`SAMPLERS`, :data:`ALGORITHMS`, :data:`DATASETS`)
-  — the only name -> implementation tables in the system.
-  Plugins register here and become available to the CLI, the pipeline, the
-  benchmarks and the Engine at once.
+* **Name tables** (:data:`SAMPLERS`, :data:`ALGORITHMS`) — plain dicts of
+  classes, like every name table in the system.  A plugin sampler added
+  to :data:`SAMPLERS` becomes available to the CLI, the pipeline, the
+  benchmarks and the Engine at once; datasets are
+  :data:`repro.graphs.PAPER_DATASETS`.
 * **RunConfig** — a validated, JSON-round-trippable description of a run.
 * **Engine** — owns graph + config + execution backend; exposes
   ``sample()``, ``train()``, ``evaluate()`` and the generator
@@ -23,35 +24,17 @@ Quickstart::
 """
 
 from .backends import (
-    ExecutionBackend,
     PartitionedBackend,
     ReplicatedBackend,
     SingleDeviceBackend,
 )
 from .config import RunConfig, machine_from_dict, machine_to_dict
-from .registries import (
-    ALGORITHMS,
-    DATASETS,
-    SAMPLERS,
-    CapabilityError,
-    load_graph_from_registry,
-    make_sampler,
-    sampler_algorithms,
-)
-from .registry import Registry, RegistryEntry, RegistryKeyError
+from .registries import ALGORITHMS, SAMPLERS, make_sampler
 
 __all__ = [
-    "Registry",
-    "RegistryEntry",
-    "RegistryKeyError",
-    "CapabilityError",
     "SAMPLERS",
     "ALGORITHMS",
-    "DATASETS",
     "make_sampler",
-    "load_graph_from_registry",
-    "sampler_algorithms",
-    "ExecutionBackend",
     "SingleDeviceBackend",
     "ReplicatedBackend",
     "PartitionedBackend",
@@ -64,7 +47,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # Engine pulls in the training pipeline, which itself resolves through
-    # this package's registries — importing it lazily keeps the facade
+    # this package's name tables — importing it lazily keeps the facade
     # importable from inside repro.pipeline without a cycle.
     if name == "Engine":
         from .engine import Engine

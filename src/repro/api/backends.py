@@ -1,20 +1,18 @@
-"""Execution backends: *where* bulk sampling runs, behind one protocol.
+"""Execution backends: *where* bulk sampling runs.
 
 The trainer does not know whether sampling is local, replicated across a
-simulated cluster, or 1.5D-partitioned — it asks its
-:class:`ExecutionBackend` for one bulk of per-rank minibatch lists and the
-backend does whatever its algorithm requires.  New execution strategies
-register in :data:`repro.api.registries.ALGORITHMS` and become available to
-``RunConfig``/CLI without touching the trainer.
-
-The backend receives the pipeline object itself (duck-typed: it needs
-``graph``, ``config``, ``comm``, ``grid`` and ``sampler``), so backends can
-be written outside this package against the same surface the built-ins use.
+simulated cluster, or 1.5D-partitioned — it asks its backend (the class
+:data:`repro.api.registries.ALGORITHMS` maps ``RunConfig.algorithm`` to)
+for one bulk of per-rank minibatch lists, and the backend does whatever
+its algorithm requires.  Each backend has a ``name``, a one-time
+``setup(pipeline)`` and ``sample_bulk(pipeline, bulk, seed)``; it receives
+the pipeline object itself and reads its ``graph``, ``config``, ``comm``,
+``grid`` and ``sampler``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,27 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pipeline.trainer import TrainingPipeline
 
 __all__ = [
-    "ExecutionBackend",
     "SingleDeviceBackend",
     "ReplicatedBackend",
     "PartitionedBackend",
 ]
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """The contract an execution algorithm implements."""
-
-    name: str
-
-    def setup(self, pipeline: "TrainingPipeline") -> None:
-        """One-time preparation against the pipeline's graph (e.g. block-row
-        partitioning).  Called once from the trainer's constructor."""
-
-    def sample_bulk(
-        self, pipeline: "TrainingPipeline", bulk: list[np.ndarray], seed: int
-    ) -> list[list[MinibatchSample]]:
-        """Sample one bulk; returns per-rank lists of minibatches."""
 
 
 class SingleDeviceBackend:
@@ -101,9 +82,8 @@ class PartitionedBackend:
     ``A`` and ``Q`` with the sparsity-aware SpGEMM.
 
     Plan-driven: the sampler's :meth:`~repro.core.MatrixSampler.plan` is
-    interpreted over the grid, so every plan-emitting sampler — node-wise,
-    layer-wise, or a registry plugin — runs here without
-    backend changes.
+    interpreted over the grid, so every sampler — node-wise, layer-wise,
+    or a plugin — runs here without backend changes.
     """
 
     name = "partitioned"

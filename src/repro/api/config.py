@@ -1,6 +1,6 @@
 """RunConfig: one serializable description of an end-to-end run.
 
-A ``RunConfig`` names *what* to run entirely by registry keys — dataset,
+A ``RunConfig`` names *what* to run entirely by table keys — dataset,
 sampler, execution algorithm — plus the numeric knobs, so a JSON file fully
 reproduces a run::
 
@@ -10,16 +10,17 @@ reproduces a run::
 
 The dataclass is the *single declaration* of every knob: each field's
 ``metadata`` carries its help text, value type, bound and — for a knob
-that names a pluggable implementation — the registry it must be a key of.
+that names a pluggable implementation — the name table (``registry``) it
+must be a key of.
 A removed knob whose key saved configs still carry is declared with
 :func:`_retired` instead: it keeps its one legal value and has no flag.
 Validation (:meth:`RunConfig.__post_init__`), the CLI's flags
 (:func:`repro.cli.add_config_flags`) and the README's knob table
 (:func:`repro.cli.knob_table`) are all read off
 ``dataclasses.fields(RunConfig)``, so a flag, its help and its check cannot
-drift apart.  Validation happens at construction and names the registry's
-known keys, so a typo or a missing plugin import fails immediately with the
-accepted options listed.
+drift apart.  Validation happens at construction and names the table's
+known keys (:func:`repro.names.check_name`), so a typo or a missing plugin
+import fails immediately with the accepted options listed.
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
 
-from ..config import DeviceModel, LinkModel, MachineConfig, PERLMUTTER_LIKE
 from ..gnn.activations import ACTIVATIONS
 from ..gnn.model import CONVS
+from ..graphs.datasets import PAPER_DATASETS
+from ..machine import DeviceModel, LinkModel, MachineConfig, PERLMUTTER_LIKE
+from ..names import check_name
 from ..partition.cache import CACHE_POLICIES
 from ..serve.router import ROUTERS
-from .registries import (
-    ALGORITHMS,
-    DATASETS,
-    SAMPLERS,
-    check_sampler_supports,
-    check_sampler_trains,
-)
+from .registries import ALGORITHMS, SAMPLERS
 
 __all__ = ["RunConfig", "machine_to_dict", "machine_from_dict"]
 
@@ -80,11 +77,11 @@ def _knob(default: Any, help: str, type: type, **meta: Any) -> Any:
     """A RunConfig field carrying its own declaration.
 
     ``help`` and ``type`` are mandatory; optional metadata: ``bound`` (a
-    :data:`_BOUNDS` key), ``registry`` (the collection of names the value
-    must be one of — looked up at validation time, so plugin entries
-    count), ``optional`` (``None`` is a legal value), ``metavar`` (the
-    CLI's placeholder) and ``note`` (appended to the field's error
-    message).  A callable ``default`` is a default factory.
+    :data:`_BOUNDS` key), ``registry`` (the name table the value must be
+    a key of — looked up at validation time, so plugin entries count),
+    ``optional`` (``None`` is a legal value), ``metavar`` (the CLI's
+    placeholder) and ``note`` (appended to the field's error message).
+    A callable ``default`` is a default factory.
     """
     meta.update(help=help, type=type)
     if callable(default):
@@ -142,14 +139,7 @@ def _check_knob(f: dataclasses.Field, value: Any) -> Any:
     if value is None and m.get("optional"):
         return value
     if "registry" in m:
-        if value not in list(m["registry"]):
-            noun = f.name.replace("_", " ")
-            plural = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
-            raise ValueError(
-                f"unknown {noun} {value!r}; known {plural}: "
-                f"{', '.join(m['registry'])}" + m.get("note", "")
-            )
-        return value
+        return check_name(f.name.replace("_", " "), value, m["registry"])
     if kind is MachineConfig and isinstance(value, dict):
         return machine_from_dict(value)
     if kind is tuple:
@@ -212,7 +202,7 @@ class RunConfig:
         True, "partitioned SpGEMM ships only the rows a block needs", bool
     )
     conv: str | None = _knob(
-        None, "model convolution; None = the sampler's registry default",
+        None, "model convolution; None = the sampler's default_conv",
         str, registry=CONVS, optional=True,
     )
     work_scale: float = _knob(
@@ -224,8 +214,8 @@ class RunConfig:
     )
     # -- dataset ---------------------------------------------------------- #
     dataset: str | None = _knob(
-        None, "dataset registry key; None = the caller supplies a graph",
-        str, registry=DATASETS, optional=True,
+        None, "dataset name; None = the caller supplies a graph",
+        str, registry=PAPER_DATASETS, optional=True,
     )
     scale: float = _knob(
         1.0, "dataset down-scaling factor", float, bound="positive"
@@ -305,7 +295,6 @@ class RunConfig:
         for f in dataclasses.fields(self):
             setattr(self, f.name, _check_knob(f, getattr(self, f.name)))
         # What is left by hand is what no single field can decide.
-        check_sampler_supports(self.sampler, self.algorithm)
         if self.p % self.c:
             raise ValueError(
                 f"invalid process grid p={self.p}, c={self.c}: the "
@@ -381,16 +370,9 @@ class RunConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    # ------------------------------------------------------------------ #
-    # Capability checks used by the pipeline
-    # ------------------------------------------------------------------ #
-    def require_trainable(self) -> None:
-        """Raise CapabilityError if the sampler cannot drive training."""
-        check_sampler_trains(self.sampler)
-
     def resolved_conv(self) -> str:
         """The model convolution to use: explicit ``conv`` or the sampler
-        registry's ``default_conv``."""
+        class's ``default_conv``."""
         if self.conv is not None:
             return self.conv
-        return SAMPLERS.spec(self.sampler).meta("default_conv", "gcn")
+        return SAMPLERS[self.sampler].default_conv

@@ -26,11 +26,11 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..core import MinibatchSample
-from ..graphs import Graph
+from ..graphs import Graph, load_dataset
 from ..pipeline.stats import BulkStats, EpochStats
 from ..pipeline.trainer import TrainingPipeline
 from .config import RunConfig
-from .registries import load_graph_from_registry, make_sampler
+from .registries import make_sampler
 
 __all__ = ["Engine"]
 
@@ -39,7 +39,7 @@ class Engine:
     """Facade over graph loading, sampling, training and evaluation.
 
     ``graph`` may be passed directly (any :class:`~repro.graphs.Graph`);
-    otherwise ``config.dataset`` names a registered dataset to load, scaled
+    otherwise ``config.dataset`` names a paper dataset to load, scaled
     by ``config.scale`` and seeded by ``config.seed``.  A non-``None``
     ``config.train_split`` re-splits the graph in place: that fraction of
     vertices becomes the training split and val/test are re-drawn from the
@@ -47,8 +47,8 @@ class Engine:
     stay disjoint and test accuracy is never measured on trained vertices.
 
     The training pipeline is built lazily on first use of a training verb
-    (``train``/``evaluate``/``stream_bulks``/``backend``/``model``), so a
-    sampling-only sampler still supports :meth:`sample`.
+    (``train``/``evaluate``/``stream_bulks``/``backend``/``model``), so
+    :meth:`sample` builds no model.
     """
 
     def __init__(self, config: RunConfig | dict, graph: Graph | None = None) -> None:
@@ -59,11 +59,11 @@ class Engine:
             if config.dataset is None:
                 raise ValueError(
                     "Engine needs a graph: pass one explicitly or set "
-                    "RunConfig.dataset to a registered dataset name"
+                    "RunConfig.dataset to a dataset name"
                 )
             kwargs: dict[str, Any] = {"with_labels": True}
             kwargs.update(config.dataset_kwargs)
-            graph = load_graph_from_registry(
+            graph = load_dataset(
                 config.dataset, scale=config.scale, seed=config.seed, **kwargs
             )
         if config.train_split is not None:
@@ -94,15 +94,15 @@ class Engine:
     # ------------------------------------------------------------------ #
     @property
     def pipeline(self) -> TrainingPipeline:
-        """The training pipeline, built on first access (this is where a
-        sampling-only sampler raises its capability error)."""
+        """The training pipeline, built on first access."""
         if self._pipeline is None:
             self._pipeline = TrainingPipeline(self.graph, self.config)
         return self._pipeline
 
     @property
     def sampler(self):
-        """The registry-built sampler instance used by :meth:`sample`."""
+        """The sampler instance :meth:`sample` uses (built by
+        :func:`~repro.api.registries.make_sampler`)."""
         if self._sampler is None:
             self._sampler = make_sampler(
                 self.config.sampler, graph=self.graph, for_training=True,
@@ -111,7 +111,8 @@ class Engine:
 
     @property
     def backend(self):
-        """The execution backend (resolved via the ALGORITHMS registry)."""
+        """The execution backend (the ``ALGORITHMS`` entry of
+        ``config.algorithm``)."""
         return self.pipeline.backend
 
     @property

@@ -1,151 +1,58 @@
-"""The system's pluggable axes: SAMPLERS, ALGORITHMS and DATASETS.
+"""The sampler and execution-algorithm tables: SAMPLERS and ALGORITHMS.
 
 The paper's core claim is that one matrix abstraction (Algorithm 1)
-expresses every sampling algorithm; these registries make that claim
-operational.  Samplers, execution algorithms and datasets are looked up by
-name *only* here — the CLI, the training pipeline, the benchmark harness
-and the Engine all resolve through these tables, so registering a plugin
-makes it available everywhere at once::
+expresses every sampling algorithm; these two dicts make that claim
+operational.  Each maps a name to a class — a
+:class:`~repro.core.MatrixSampler` subclass, or an execution backend — and
+the CLI, the training pipeline, the benchmark harness and the Engine all
+resolve names through them, so adding an entry makes a plugin available
+everywhere at once::
 
     from repro.api import SAMPLERS
 
-    @SAMPLERS.register("my-sampler", default_conv="sage")
     class MySampler(MatrixSampler):
+        default_conv = "sage"
         ...
 
+    SAMPLERS["my-sampler"] = MySampler
     # now valid: RunConfig(sampler="my-sampler"), repro train --sampler ...
 
-Sampler metadata keys
----------------------
-``default_conv``
-    Model convolution the trainer uses when ``RunConfig.conv`` is unset.
-``pipeline_kwargs``
-    Constructor kwargs applied when the sampler is built for training
-    (the built-ins add ``include_dst=True`` so models keep a root term).
-``algorithms``
-    Explicit override of the execution algorithms the sampler supports.
-    Usually *omitted*: support is **derived** — ``single`` and
-    ``replicated`` run the sampler's own ``sample_bulk`` unchanged, and
-    ``partitioned`` is available whenever the sampler emits a sampling
-    plan (:meth:`~repro.core.MatrixSampler.plan`), because the 1.5D
-    executor interprets the plan generically.  A registered class is
-    inspected directly; a factory function hides its product, so factories
-    that want partitioned support declare it here.
-``capabilities``
-    ``"sample"`` and/or ``"train"``; a sampling-only entry raises
-    :class:`~repro.api.registry.CapabilityError` from the pipeline.
-``default_fanout``
-    CLI default when ``--fanout`` is not given.
-``graph_aware``
-    The factory takes the graph as first argument (for samplers whose
-    state depends on graph statistics, e.g. degree-biased sampling).
+A sampler declares nothing else: it emits a plan
+(:meth:`~repro.core.MatrixSampler.plan` is abstract), and the one plan
+interpreter runs every plan under every execution algorithm.  What a
+sampler's class says of itself — ``default_conv``, ``default_fanout``,
+and :meth:`~repro.core.MatrixSampler.for_graph` when it is built from
+graph statistics — lives on the class.  Datasets are the paper's Table 3
+stand-ins, :data:`~repro.graphs.PAPER_DATASETS`, loaded by
+:func:`~repro.graphs.load_dataset`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..core import (
-    FastGCNSampler,
-    LadiesSampler,
-    MatrixSampler,
-    SageSampler,
-)
-from ..graphs import Graph, load_dataset
-from ..graphs.datasets import PAPER_DATASETS
+from ..core import FastGCNSampler, LadiesSampler, MatrixSampler, SageSampler
+from ..graphs import Graph
+from ..names import check_name
 from .backends import PartitionedBackend, ReplicatedBackend, SingleDeviceBackend
-from .registry import CapabilityError, Registry
 
-__all__ = [
-    "SAMPLERS",
-    "ALGORITHMS",
-    "DATASETS",
-    "make_sampler",
-    "load_graph_from_registry",
-    "sampler_algorithms",
-    "CapabilityError",
-]
+__all__ = ["SAMPLERS", "ALGORITHMS", "make_sampler"]
 
 #: All matrix-expressible sampling algorithms, built-in and plugin.
-SAMPLERS = Registry("sampler")
+SAMPLERS: dict[str, type[MatrixSampler]] = {
+    "sage": SageSampler,
+    "ladies": LadiesSampler,
+    "fastgcn": FastGCNSampler,
+}
 
 #: Execution strategies (where/how bulk sampling runs).
-ALGORITHMS = Registry("algorithm")
-
-#: Datasets loadable by name.
-DATASETS = Registry("dataset")
-
-
-# ---------------------------------------------------------------------- #
-# Built-in samplers
-# ---------------------------------------------------------------------- #
-# No ``algorithms`` metadata on the built-ins: all three emit sampling
-# plans, so partitioned support is derived — their products distribute
-# through the one plan interpreter.
-SAMPLERS.register(
-    "sage",
-    SageSampler,
-    default_conv="sage",
-    pipeline_kwargs={"include_dst": True},
-    capabilities=("sample", "train"),
-    default_fanout=(5, 3),
-    family="node-wise",
-)
-SAMPLERS.register(
-    "ladies",
-    LadiesSampler,
-    default_conv="gcn",
-    pipeline_kwargs={"include_dst": True},
-    capabilities=("sample", "train"),
-    default_fanout=(64,),
-    family="layer-wise",
-)
-SAMPLERS.register(
-    "fastgcn",
-    FastGCNSampler,
-    default_conv="gcn",
-    pipeline_kwargs={"include_dst": True},
-    capabilities=("sample", "train"),
-    default_fanout=(64,),
-    family="layer-wise",
-)
+ALGORITHMS: dict[str, type] = {
+    "single": SingleDeviceBackend,
+    "replicated": ReplicatedBackend,
+    "partitioned": PartitionedBackend,
+}
 
 
-# ---------------------------------------------------------------------- #
-# Built-in execution algorithms
-# ---------------------------------------------------------------------- #
-ALGORITHMS.register(
-    "single", SingleDeviceBackend, scalable=False,
-    description="one device, no distribution",
-)
-ALGORITHMS.register(
-    "replicated", ReplicatedBackend, scalable=True,
-    description="Graph Replicated (section 5.1): A on every rank",
-)
-ALGORITHMS.register(
-    "partitioned", PartitionedBackend, scalable=True,
-    description="Graph Partitioned (section 5.2): 1.5D sparsity-aware SpGEMM",
-)
-
-
-# ---------------------------------------------------------------------- #
-# Built-in datasets (the paper's Table 3 stand-ins)
-# ---------------------------------------------------------------------- #
-def _register_paper_dataset(name: str) -> None:
-    DATASETS.register(
-        name,
-        lambda **kwargs: load_dataset(name, **kwargs),
-        spec=PAPER_DATASETS[name],
-    )
-
-
-for _name in PAPER_DATASETS:
-    _register_paper_dataset(_name)
-
-
-# ---------------------------------------------------------------------- #
-# Construction helpers
-# ---------------------------------------------------------------------- #
 def make_sampler(
     name: str,
     *,
@@ -153,87 +60,16 @@ def make_sampler(
     for_training: bool = False,
     **overrides: Any,
 ) -> MatrixSampler:
-    """Instantiate a registered sampler.
+    """Instantiate a sampler by name.
 
-    ``for_training`` applies the entry's ``pipeline_kwargs`` (the built-ins
-    use it to add the destination vertices to each frontier so models keep
-    a root term).  ``graph`` is forwarded as the first argument for
-    ``graph_aware`` entries.  ``overrides`` go to the factory verbatim.
+    ``for_training`` adds the destination vertices to each frontier
+    (``include_dst=True``) so models keep a root term.  With a ``graph``
+    the class builds through :meth:`~repro.core.MatrixSampler.for_graph`.
+    ``overrides`` go to the constructor verbatim.
     """
-    entry = SAMPLERS.spec(name)
-    kwargs: dict[str, Any] = {}
-    if for_training:
-        kwargs.update(entry.meta("pipeline_kwargs", {}))
+    cls = SAMPLERS[check_name("sampler", name, SAMPLERS)]
+    kwargs: dict[str, Any] = {"include_dst": True} if for_training else {}
     kwargs.update(overrides)
-    if entry.meta("graph_aware", False):
-        if graph is None:
-            raise ValueError(
-                f"sampler {name!r} is graph-aware and needs a graph to build"
-            )
-        return entry.obj(graph, **kwargs)
-    return entry.obj(**kwargs)
-
-
-def load_graph_from_registry(
-    name: str, *, scale: float = 1.0, seed: int = 0, **kwargs: Any
-) -> Graph:
-    """Load a registered dataset by name."""
-    return DATASETS.get(name)(scale=scale, seed=seed, **kwargs)
-
-
-def _emits_plan(obj: Any) -> bool:
-    """Whether a registered sampler object is known to emit a sampling
-    plan.  Classes are inspected directly (``plan`` overridden from the
-    :class:`~repro.core.MatrixSampler` base); factory functions hide their
-    product, so they must opt in via explicit ``algorithms`` metadata."""
-    if isinstance(obj, type) and issubclass(obj, MatrixSampler):
-        return obj.plan is not MatrixSampler.plan
-    return False
-
-
-def sampler_algorithms(sampler: str) -> tuple[str, ...]:
-    """Execution algorithms a registered sampler supports.
-
-    Explicit ``algorithms`` metadata wins; otherwise support is derived:
-    ``single`` and ``replicated`` always work (both run the sampler's own
-    ``sample_bulk``), and ``partitioned`` is available iff the sampler
-    emits a plan — distribution is a property of the plan, not of any
-    per-sampler distributed code.
-    """
-    entry = SAMPLERS.spec(sampler)
-    explicit = entry.meta("algorithms", None)
-    if explicit is not None:
-        return tuple(explicit)
-    derived = ("single", "replicated")
-    if _emits_plan(entry.obj):
-        derived += ("partitioned",)
-    return derived
-
-
-def check_sampler_supports(sampler: str, algorithm: str) -> None:
-    """Raise :class:`CapabilityError` if the sampler's (explicit or
-    derived) capabilities rule out the requested execution algorithm."""
-    supported = sampler_algorithms(sampler)
-    if algorithm not in supported:
-        derived = SAMPLERS.spec(sampler).meta("algorithms", None) is None
-        why = (
-            " (it is not known to emit a sampling plan)"
-            if algorithm == "partitioned" and derived
-            else ""
-        )
-        raise CapabilityError(
-            f"sampler {sampler!r} does not support the {algorithm!r} "
-            f"execution algorithm{why}; supported: {', '.join(supported)}"
-        )
-
-
-def check_sampler_trains(sampler: str) -> None:
-    """Raise :class:`CapabilityError` for sampling-only entries used in
-    the training pipeline."""
-    entry = SAMPLERS.spec(sampler)
-    caps = tuple(entry.meta("capabilities", ("sample", "train")))
-    if "train" not in caps:
-        raise CapabilityError(
-            f"sampler {sampler!r} is sampling-only (capabilities: "
-            f"{', '.join(caps)}); it cannot drive the training pipeline"
-        )
+    if graph is None:
+        return cls(**kwargs)
+    return cls.for_graph(graph, **kwargs)

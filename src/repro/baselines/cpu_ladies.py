@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..comm import Communicator
-from ..config import MachineConfig, PERLMUTTER_LIKE
 from ..core import LadiesSampler, MinibatchSample
 from ..distributed import record_sampling
 from ..graphs import Graph
+from ..machine import MachineConfig, PERLMUTTER_LIKE
 
 __all__ = ["CpuLadiesResult", "reference_cpu_ladies"]
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..comm import Communicator, ProcessGrid, Unscaled
-from ..config import MachineConfig, PERLMUTTER_LIKE
 from ..core import MinibatchSample, SageSampler, assign_round_robin
 from ..distributed import charge_sampling, record_sampling
 from ..graphs import Graph
+from ..machine import MachineConfig, PERLMUTTER_LIKE
 from ..partition import FeatureStore
 from ..pipeline.stats import EpochStats
 

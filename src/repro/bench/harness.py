@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..api.config import RunConfig
-from ..config import PERLMUTTER_LIKE, MachineConfig
 from ..graphs import Graph, load_dataset
 from ..graphs.datasets import PAPER_DATASETS
+from ..machine import PERLMUTTER_LIKE, MachineConfig
 from ..pipeline import TrainingPipeline, choose_c_k
 from ..pipeline.stats import EpochStats
 
@@ -99,11 +99,12 @@ def run_pipeline_epoch(
     workload's batch count.
     """
     from ..api.registries import SAMPLERS
-    from ..config import ArchitectureConfig
+    from ..core import LadiesSampler
+    from ..machine import ArchitectureConfig
 
-    # Layer-wise samplers (LADIES family) take one wide layer; everything
-    # else uses the workload's per-layer fanout shape.
-    layerwise = SAMPLERS.spec(sampler).meta("family") == "layer-wise"
+    # Layer-wise samplers (LADIES family, FastGCN included) take one wide
+    # layer; everything else uses the workload's per-layer fanout shape.
+    layerwise = issubclass(SAMPLERS[sampler], LadiesSampler)
     fanout = workload.fanout if not layerwise else (workload.ladies_width,)
     arch = ArchitectureConfig(
         name=sampler.upper(),

@@ -15,10 +15,11 @@ Usage (after install)::
 (which override the file) or from the CLI defaults — and their knob flags
 are not written here: :func:`add_config_flags` derives each from the
 dataclass field it sets (``repro info`` prints the table).  Every choice
-list is read from a registry, so plugins loaded with ``--plugin my_module``
-(importable module that registers itself) appear as valid options
-everywhere.  Subcommands print human-readable tables; simulated times
-follow the same semantics as the benchmarks.
+list is read, sorted, from a name table, so a sampler plugin loaded with
+``--plugin my_module`` (an importable module that adds itself to
+``SAMPLERS``) appears as a valid option everywhere.  Subcommands print
+human-readable tables; simulated times follow the same semantics as the
+benchmarks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 __all__ = ["main", "build_parser", "add_config_flags", "knob_table"]
 
-#: ``fanout`` placeholder: without --config the default is the sampler's
-#: registry ``default_fanout``, known only once the sampler is.
+#: ``fanout`` placeholder: without --config the default is the sampler
+#: class's ``default_fanout``, known only once the sampler is.
 _PER_SAMPLER = "per sampler"
 
 #: What the training subcommands fall back to when no --config is given —
@@ -72,15 +73,15 @@ def _parse_fanout(text: str) -> tuple[int, ...]:
 
 
 def _user_error(exc: object) -> int:
-    """Report a config/registry/input problem as one line, exit code 2."""
+    """Report a config/name/input problem as one line, exit code 2."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
 
 def add_config_flags(parser, names, cli_defaults) -> None:
     """One ``--kebab-name`` flag per named RunConfig field, everything about
-    it read off the field's declaration: ``type``, registry ``choices``
-    (as registered right now, plugins included), ``metavar`` and the help
+    it read off the field's declaration: ``type``, ``choices`` (the name
+    table's keys right now, sorted, plugins included), ``metavar`` and the help
     text, which ends with the default in force — ``cli_defaults`` where it
     has the field, the dataclass default otherwise.  Every flag parses to
     ``None`` when absent, so :func:`_resolve_train_config` can tell "not
@@ -97,7 +98,7 @@ def add_config_flags(parser, names, cli_defaults) -> None:
         if m["type"] is bool:
             options["action"] = argparse.BooleanOptionalAction
         elif "registry" in m:
-            options["choices"] = list(m["registry"])
+            options["choices"] = sorted(m["registry"])
         else:
             options["metavar"] = m.get("metavar")
             if m["type"] is not tuple:  # a tuple arrives as "N,N,..." text
@@ -109,12 +110,12 @@ def _add_run_parser(sub, name, knobs, cli_defaults, **kwargs):
     """A subcommand that builds a RunConfig: the dataset positional,
     --config, its knobs' flags and the observability flags.  The parsed
     namespace carries ``cli_defaults`` for :func:`_resolve_train_config`."""
-    from repro.api import DATASETS
+    from repro.graphs import dataset_names
 
     parser = sub.add_parser(name, **kwargs)
     parser.set_defaults(cli_defaults=cli_defaults)
     parser.add_argument("dataset", nargs="?", default=None,
-                        choices=DATASETS.names())
+                        choices=dataset_names())
     parser.add_argument("--config", default=None, metavar="FILE.json",
                         help="RunConfig JSON (repro.api.RunConfig.to_json); "
                         "flags given explicitly override it")
@@ -134,12 +135,12 @@ def _add_run_parser(sub, name, knobs, cli_defaults, **kwargs):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.api import ALGORITHMS, DATASETS, SAMPLERS
+    from repro.api import ALGORITHMS, SAMPLERS
+    from repro.graphs import dataset_names
 
-    datasets = DATASETS.names()
-    sweep_algorithms = [
-        n for n in ALGORITHMS.names() if ALGORITHMS.spec(n).meta("scalable", True)
-    ]
+    datasets = dataset_names()
+    # A sweep varies the GPU count: every algorithm but the one-device one.
+    sweep_algorithms = sorted(set(ALGORITHMS) - {"single"})
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -147,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--plugin", action="append", default=[], metavar="MODULE",
-        help="import MODULE before running (for registry plugins); repeatable",
+        help="import MODULE before running (for sampler plugins); repeatable",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="print version, simulated machine config, "
-                   "registries and the RunConfig knob table")
+                   "samplers, algorithms and the RunConfig knob table")
 
     gen = sub.add_parser("generate", help="generate a dataset stand-in to .npz")
     gen.add_argument("dataset", choices=datasets)
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="bulk-sample minibatches, print stats")
     smp.add_argument("dataset", choices=datasets)
-    smp.add_argument("--sampler", default="sage", choices=SAMPLERS.names())
+    smp.add_argument("--sampler", default="sage", choices=sorted(SAMPLERS))
     smp.add_argument("--scale", type=float, default=0.25)
     smp.add_argument("--batches", type=int, default=8)
     smp.add_argument("--batch-size", type=int, default=32)
@@ -304,7 +305,7 @@ def knob_table() -> str:
 def _cmd_info(args) -> int:
     import repro
     from repro.api import ALGORITHMS, SAMPLERS
-    from repro.config import PERLMUTTER_LIKE
+    from repro.machine import PERLMUTTER_LIKE
 
     m = PERLMUTTER_LIKE
     print(f"repro {repro.__version__}")
@@ -314,23 +315,22 @@ def _cmd_info(args) -> int:
           f"{m.device.memory_bytes / 1e9:.0f} GB")
     print(f"  intra-node link: {1 / m.intra_node.beta / 1e9:.0f} GB/s")
     print(f"  inter-node link: {1 / m.inter_node.beta / 1e9:.0f} GB/s")
-    print(f"samplers: {', '.join(SAMPLERS.names())}")
-    print(f"algorithms: {', '.join(ALGORITHMS.names())}")
+    print(f"samplers: {', '.join(sorted(SAMPLERS))}")
+    print(f"algorithms: {', '.join(sorted(ALGORITHMS))}")
     print("RunConfig knobs (serve/stream default to --epochs 1):")
     print(knob_table())
     return 0
 
 
 def _cmd_generate(args) -> int:
-    from repro.api import load_graph_from_registry
-    from repro.graphs import save_graph, summarize
+    from repro.graphs import load_dataset, save_graph, summarize
 
     try:
-        graph = load_graph_from_registry(
+        graph = load_dataset(
             args.dataset, scale=args.scale, seed=args.seed,
             with_labels=args.labels,
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _user_error(exc)
     path = save_graph(graph, args.out)
     row = summarize(graph).row()
@@ -341,15 +341,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from repro.api import load_graph_from_registry, make_sampler
+    from repro.api import make_sampler
+    from repro.graphs import load_dataset
 
     try:
         fanout = _parse_fanout(args.fanout)
-        graph = load_graph_from_registry(
-            args.dataset, scale=args.scale, seed=args.seed
-        )
+        graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
         sampler = make_sampler(args.sampler, graph=graph)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         return _user_error(exc)
     rng = np.random.default_rng(args.seed)
     batches = [
@@ -400,9 +399,9 @@ def _resolve_train_config(args):
         settings["algorithm"] = "partitioned"
     settings.update(overrides)
     if settings["fanout"] is _PER_SAMPLER:
-        settings["fanout"] = SAMPLERS.spec(
-            settings.get("sampler", RunConfig.sampler)
-        ).meta("default_fanout", (5, 3))
+        # --sampler's choices are SAMPLERS' keys.
+        sampler = settings.get("sampler", RunConfig.sampler)
+        settings["fanout"] = SAMPLERS[sampler].default_fanout
     return RunConfig(**settings)
 
 
@@ -416,7 +415,7 @@ def _cmd_train(args) -> int:
         print(f"dataset {cfg.dataset} (scale {cfg.scale}): "
               f"sampler {cfg.sampler}, algorithm {cfg.algorithm}, "
               f"p={cfg.p} c={cfg.c}")
-        engine.pipeline  # resolve registries/capabilities before training
+        engine.pipeline  # build the sampler, backend and model before training
     except (ValueError, KeyError, FileNotFoundError) as exc:
         return _user_error(exc)
     epoch_times = []
@@ -598,8 +597,8 @@ def _cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Import plugin modules before building the parser so their registry
-    # entries show up in the --sampler/--algorithm/dataset choices.  The
+    # Import plugin modules before building the parser so their SAMPLERS
+    # entries show up in the --sampler choices.  The
     # flag is consumed here (accepted anywhere, including after the
     # subcommand) and stripped before argparse sees the rest.
     remaining: list[str] = []

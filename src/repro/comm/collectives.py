@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..config import MachineConfig, PERLMUTTER_LIKE
+from ..machine import MachineConfig, PERLMUTTER_LIKE
 from ..sparse import CSRMatrix
 from .clock import SimClock
 from .cost_model import CostModel, Unscaled, payload_nbytes

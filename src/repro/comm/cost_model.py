@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..config import MachineConfig, PERLMUTTER_LIKE
+from ..machine import MachineConfig, PERLMUTTER_LIKE
 from ..sparse import CSRMatrix
 
 __all__ = ["payload_nbytes", "CostModel", "Unscaled"]

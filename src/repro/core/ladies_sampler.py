@@ -29,7 +29,6 @@ from ..sparse import (
     CSRMatrix,
     col_selector,
     indicator_rows,
-    row_normalize,
     row_normalize_inplace,
     row_selector,
     spgemm,
@@ -49,6 +48,7 @@ class LadiesSampler(MatrixSampler):
     """
 
     name = "ladies"
+    default_fanout = (64,)
 
     def __init__(
         self,
@@ -96,19 +96,9 @@ class LadiesSampler(MatrixSampler):
         return indicator_rows(batches, n)
 
     def norm(self, p: CSRMatrix) -> CSRMatrix:
-        """LADIES weights: square the neighbor counts, normalize each row."""
-        squared = CSRMatrix(
-            p.indptr.copy(), p.indices.copy(), p.data**2, p.shape
-        )
-        return row_normalize(squared)
-
-    def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """In-place NORM, what executors run: square + normalize without
-        the copies.
-
-        ``np.power(x, 2)`` is exactly what ``x**2`` computes, so the data
-        values match :meth:`norm` bit for bit.
-        """
+        """LADIES weights: square the neighbor counts, normalize each row,
+        both in place (``np.power(x, 2)`` is exactly what ``x**2``
+        computes)."""
         np.power(p.data, 2, out=p.data)
         return row_normalize_inplace(p)
 

@@ -15,9 +15,9 @@ the products of ``A``, which is why the two steps that consume such a
 product are split into a state half and a product half.
 
 Because distribution is a property of the driver rather than of the
-sampler, any sampler that emits a plan — including registry plugins — runs
-partitioned for free, and per-phase time attribution (``probability`` /
-``sampling`` / ``extraction``) is derived from step types via
+sampler, every sampler — plugins included — runs partitioned for free,
+and per-phase time attribution (``probability`` / ``sampling`` /
+``extraction``) is derived from step types via
 :func:`step_phase` instead of hand-placed phase calls.
 
 Step vocabulary (paper mapping)
@@ -29,8 +29,8 @@ Step vocabulary (paper mapping)
     or ``"global"`` (a batch-independent importance row from A's column
     norms — FastGCN; no per-layer SpGEMM).
 ``NormStep``
-    ``P = NORM(P)`` — the sampler's row-local normalization, always run in
-    place (:meth:`~repro.core.sampler_base.MatrixSampler.norm_inplace`):
+    ``P = NORM(P)`` — the sampler's row-local normalization, free to run
+    in place (:meth:`~repro.core.sampler_base.MatrixSampler.norm`):
     the ``P`` an executor holds is always its own — a fresh product, a
     fresh stack of the importance row, or what an earlier in-place NORM
     left — and nothing reads the values a NORM overwrites.
@@ -436,7 +436,7 @@ class LocalExecutor:
                 self.importance = self.sampler.importance_row(self.adj)
             self.take_p(None if q is None else self.spgemm(q, self.adj))
         elif isinstance(step, NormStep):
-            self.p = self.sampler.norm_inplace(self.p)
+            self.p = self.sampler.norm(self.p)
         elif isinstance(step, SampleStep):
             self.sample(step)
         else:

@@ -25,7 +25,6 @@ import numpy as np
 from ..sparse import (
     CSRMatrix,
     compact_columns,
-    row_normalize,
     row_normalize_inplace,
     row_selector,
 )
@@ -45,6 +44,7 @@ class SageSampler(MatrixSampler):
     """
 
     name = "graphsage"
+    default_conv = "sage"
 
     def __init__(self, *, include_dst: bool = True) -> None:
         super().__init__()
@@ -59,12 +59,8 @@ class SageSampler(MatrixSampler):
         return row_selector(frontier, n)
 
     def norm(self, p: CSRMatrix) -> CSRMatrix:
-        """Uniform distribution over each vertex's neighbors: 1/|N(v)|."""
-        return row_normalize(p)
-
-    def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """In-place NORM, what executors run: same divide, no copy (see
-        MatrixSampler)."""
+        """Uniform distribution over each vertex's neighbors: 1/|N(v)|,
+        divided in place."""
         return row_normalize_inplace(p)
 
     def extract_batch_layer(

@@ -22,8 +22,8 @@ Execution is an executor concern, not a sampler concern:
 :class:`~repro.core.plan.LocalExecutor`, and the partitioned driver
 (:mod:`repro.distributed`) runs the *same* executor once per process row,
 feeding it distributed SpGEMMs for the ``Q^l A`` products — so sampler
-semantics are defined exactly once and distributed support is a derived
-capability ("the sampler has a plan").
+semantics are defined exactly once, and since :meth:`MatrixSampler.plan`
+is abstract, every sampler runs under every executor.
 """
 
 from __future__ import annotations
@@ -63,36 +63,32 @@ class MatrixSampler(ABC):
     """
 
     name: str = "abstract"
+    #: Model convolution the trainer builds when ``RunConfig.conv`` is unset.
+    default_conv: str = "gcn"
+    #: The CLI's ``--fanout`` when none is given.
+    default_fanout: tuple[int, ...] = (5, 3)
 
     def __init__(self) -> None:
         # fanout tuple -> emitted plan; see emitted_plan().
-        self._plans: dict[tuple, SamplingPlan | None] = {}
+        self._plans: dict[tuple, SamplingPlan] = {}
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # An in-place NORM is written against one ``norm``: a subclass that
-        # overrides ``norm`` alone must not run the parent's in-place twin.
-        if "norm" in vars(cls) and "norm_inplace" not in vars(cls):
-            cls.norm_inplace = MatrixSampler.norm_inplace
+    @classmethod
+    def for_graph(cls, graph, **kwargs) -> "MatrixSampler":
+        """Build the sampler for ``graph`` (a :class:`~repro.graphs.Graph`).
+
+        The base ignores the graph; a sampler whose state depends on graph
+        statistics (e.g. degrees) overrides this to read them."""
+        return cls(**kwargs)
 
     # ------------------------------------------------------------------ #
     # Algorithm-1 pieces
     # ------------------------------------------------------------------ #
     @abstractmethod
     def norm(self, p: CSRMatrix) -> CSRMatrix:
-        """NORM(P): turn the raw ``Q A`` product into per-row distributions."""
-
-    def norm_inplace(self, p: CSRMatrix) -> CSRMatrix:
-        """NORM(P) overwriting ``p`` — what every executor's NORM step runs.
-
-        ``p`` is always the executor's own: a fresh ``Q A`` product, a
-        fresh stack of the importance row, or an earlier in-place NORM's
-        result.  Must produce bit-identical values to :meth:`norm`; the base
-        delegates to it (copying), so overriding is a pure optimization
-        samplers opt into — and a subclass that overrides :meth:`norm`
-        without overriding this method gets the copying base back.
-        """
-        return self.norm(p)
+        """Returns NORM(P), the raw ``Q A`` product turned into per-row
+        distributions; may overwrite ``p``, which is always the executor's
+        own (a fresh product, a fresh stack of the importance row, or what
+        an earlier NORM returned)."""
 
     def sample_mask(
         self, p: CSRMatrix, s: int, rng: np.random.Generator
@@ -165,20 +161,18 @@ class MatrixSampler(ABC):
     # ------------------------------------------------------------------ #
     # Plan emission + whole-algorithm entry point (single device)
     # ------------------------------------------------------------------ #
-    def plan(self, fanout: Sequence[int]) -> SamplingPlan | None:
+    @abstractmethod
+    def plan(self, fanout: Sequence[int]) -> SamplingPlan:
         """Emit this sampler's declarative program for a concrete fanout.
 
-        Returning a :class:`~repro.core.plan.SamplingPlan` is what makes a
-        sampler executable — locally through :meth:`sample_bulk`, and
-        under *every* distributed driver (replicated runs the plan per
-        rank; partitioned runs it per process row of the 1.5D grid, with
-        distributed products).  The base returns ``None``: no matrix
-        program, so only a hand-written ``sample_bulk`` override could run
-        it.
+        The :class:`~repro.core.plan.SamplingPlan` is what makes a sampler
+        executable — locally through :meth:`sample_bulk`, and under *every*
+        distributed driver (replicated runs the plan per rank; partitioned
+        runs it per process row of the 1.5D grid, with distributed
+        products).  A class without it cannot be instantiated.
         """
-        return None
 
-    def emitted_plan(self, fanout: Sequence[int]) -> SamplingPlan | None:
+    def emitted_plan(self, fanout: Sequence[int]) -> SamplingPlan:
         """:meth:`plan` for ``fanout``, emitted once per distinct fanout and
         kept on the sampler — the program every executor runs as is.
 
@@ -216,20 +210,12 @@ class MatrixSampler(ABC):
         own stream — see :data:`RngSpec`).  ``spgemm_fn=None`` runs
         :func:`~repro.sparse.spgemm`; cost recorders pass their own wrapper.
 
-        The default implementation runs :meth:`emitted_plan` (the emitted
-        :meth:`plan`, memoized per fanout) as is on the single-device
-        :class:`~repro.core.plan.LocalExecutor`, whose NORM normalizes the
-        probability product in place (:meth:`norm_inplace`); samplers
-        without a plan must override this method instead.
+        Runs :meth:`emitted_plan` (the emitted :meth:`plan`, memoized per
+        fanout) as is on the single-device
+        :class:`~repro.core.plan.LocalExecutor`.
         """
         self._validate(adj, batches, fanout)
         program = self.emitted_plan(fanout)
-        if program is None:
-            raise TypeError(
-                f"{type(self).__name__} emits no sampling plan; implement "
-                f"plan() (preferred — distribution comes for free) or "
-                f"override sample_bulk()"
-            )
         rng = self._normalize_rng(rng, len(batches))
         executor = LocalExecutor(self, adj, batches, rng, spgemm_fn or spgemm)
         return executor.run(program)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..config import MachineConfig, PERLMUTTER_LIKE
+from ..machine import MachineConfig, PERLMUTTER_LIKE
 
 __all__ = ["ProbCostInputs", "predict_prob_costs"]
 

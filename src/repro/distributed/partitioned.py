@@ -18,8 +18,8 @@ per batch-owning process row, and does only what the grid adds:
   replicas then all-gathered (section 5.2.3);
 * the round-robin reassembly of the samples.
 
-There is no per-algorithm code: any sampler with a plan — including
-registry plugins — runs partitioned.  Per-phase simulated
+There is no per-algorithm code: every sampler emits a plan, so every
+sampler — plugins included — runs partitioned.  Per-phase simulated
 time is attributed to the phases Figure 7 plots (``probability`` /
 ``sampling`` / ``extraction``), derived from the step types via
 :func:`~repro.core.plan.step_phase`.  NORM is charged with its SAMPLE
@@ -319,18 +319,10 @@ def partitioned_bulk_sampling(
     the grid shape.  Returns the samples in the input batch order plus the
     per-process-row ownership lists.
 
-    Works for *any* sampler that emits a sampling plan (built-ins and
-    registry plugins alike); a sampler without a plan raises ``TypeError``
-    because there is nothing to distribute.
+    Works for every sampler (built-ins and plugins alike): it runs the
+    sampler's emitted plan.
     """
-    plan_fn = getattr(sampler, "emitted_plan", None)
-    plan = plan_fn(fanout) if callable(plan_fn) else None
-    if plan is None:
-        raise TypeError(
-            f"partitioned sampling needs a sampler that emits a sampling "
-            f"plan; {type(sampler).__name__} does not (implement "
-            f"MatrixSampler.plan())"
-        )
+    plan = sampler.emitted_plan(fanout)
     executor = PartitionedExecutor(
         comm, grid, sampler, a_blocks, batches, seed,
         sparsity_aware=sparsity_aware,

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..names import check_name
+
 __all__ = [
     "ACTIVATIONS",
     "ReLU",
@@ -88,12 +90,6 @@ ACTIVATIONS: dict[str, type] = {
 
 
 def make_activation(name: str):
-    """Instantiate a registered activation; errors name the known keys."""
-    cls = ACTIVATIONS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown activation {name!r}; known activations: "
-            f"{', '.join(ACTIVATIONS)}"
-        )
-    return cls()
+    """Instantiate an activation by name; errors name the known keys."""
+    return ACTIVATIONS[check_name("activation", name, ACTIVATIONS)]()
 

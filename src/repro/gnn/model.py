@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.frontier import LayerSample, MinibatchSample
+from ..names import check_name
 from ..sparse import CSRMatrix, spmm_flops
 from .activations import make_activation
 from .layers import GCNConv, SAGEConv
@@ -18,7 +19,7 @@ from .layers import GCNConv, SAGEConv
 __all__ = ["GNNModel", "CONVS", "full_graph_sample", "propagation_flops"]
 
 #: Convolution layer classes by ``conv`` name (what ``RunConfig.conv`` and
-#: a sampler's ``default_conv`` metadata must be a key of).
+#: a sampler's ``default_conv`` must be a key of).
 CONVS: dict[str, type] = {"sage": SAGEConv, "gcn": GCNConv}
 
 
@@ -47,11 +48,7 @@ class GNNModel:
     ) -> None:
         if n_layers <= 0:
             raise ValueError("need at least one layer")
-        conv_cls = CONVS.get(conv)
-        if conv_cls is None:
-            raise ValueError(
-                f"unknown conv type {conv!r}; known convs: {', '.join(CONVS)}"
-            )
+        conv_cls = CONVS[check_name("conv", conv, CONVS)]
         dims = [in_dim] + [hidden_dim] * (n_layers - 1) + [out_dim]
         self.convs = [
             conv_cls(dims[i], dims[i + 1], rng) for i in range(n_layers)

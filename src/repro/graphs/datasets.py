@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..names import check_name
 from .generators import planted_partition, rmat
 from .graph import Graph
 
@@ -84,8 +85,7 @@ def load_dataset(
     otherwise R-MAT topology with random features (performance experiments,
     like the paper's Protein dataset).
     """
-    if name not in PAPER_DATASETS:
-        raise KeyError(f"unknown dataset {name!r}; options: {dataset_names()}")
+    check_name("dataset", name, PAPER_DATASETS)
     if scale <= 0:
         raise ValueError("scale must be positive")
     spec = PAPER_DATASETS[name]

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..comm import Communicator
+from ..names import check_name
 from .feature_store import FeatureStore
 
 __all__ = ["CACHE_POLICIES", "CacheStats", "CachedFeatureStore"]
@@ -126,11 +127,7 @@ class CachedFeatureStore:
         policy: str = "degree",
         scores: np.ndarray | None = None,
     ) -> None:
-        if policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {policy!r}; known policies: "
-                f"{', '.join(CACHE_POLICIES)}"
-            )
+        check_name("cache policy", policy, CACHE_POLICIES)
         if budget_bytes < 0:
             raise ValueError("cache budget must be non-negative")
         if policy == "degree" and scores is None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import ArchitectureConfig, MachineConfig, PERLMUTTER_LIKE
 from ..graphs.datasets import DatasetSpec
+from ..machine import ArchitectureConfig, MachineConfig, PERLMUTTER_LIKE
 
 __all__ = ["MemoryModel", "choose_c_k", "quiver_fits"]
 

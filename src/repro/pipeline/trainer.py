@@ -55,7 +55,6 @@ class TrainingPipeline:
     def __init__(self, graph: Graph, config: RunConfig) -> None:
         if graph.features is None:
             raise ValueError("pipeline needs node features")
-        config.require_trainable()
         self.graph = graph
         self.config = config
         self.comm = Communicator(
@@ -81,7 +80,7 @@ class TrainingPipeline:
         self.sampler = make_sampler(
             config.sampler, graph=graph, for_training=True,
         )
-        self.backend = ALGORITHMS.get(config.algorithm)()
+        self.backend = ALGORITHMS[config.algorithm]()
         self.backend.setup(self)
         self.last_epoch_stats: EpochStats | None = None
         self._rng = np.random.default_rng(config.seed)

@@ -290,18 +290,15 @@ class Replica:
 
         Exact mode launches 2 kernels per hop (the row gather and the
         column compaction); sampled mode launches :func:`kernel_launches`
-        of the emitted plan (4 per layer for a sampler without a plan).
+        of the emitted plan.
         Either count is *not* the number of coalesced requests: that
         independence is the micro-batching amortization.
         """
         if self.exact:
             kernels = 2 * len(layers)
         else:
-            program = self.sampler.emitted_plan(self.fanout[: len(layers)])
-            kernels = (
-                kernel_launches(program)
-                if program is not None
-                else 4 * len(layers)
+            kernels = kernel_launches(
+                self.sampler.emitted_plan(self.fanout[: len(layers)])
             )
         edges = sum(layer.adj.nnz for layer in layers)
         nbytes = 2.0 * payload_nbytes([layer.adj for layer in layers])

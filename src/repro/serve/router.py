@@ -38,6 +38,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from ..names import check_name
 from ..partition.block1d import split_rows
 from .request import InferenceRequest
 
@@ -54,7 +55,7 @@ __all__ = [
 class Router(Protocol):
     """Picks a replica id for each request."""
 
-    #: Registry name of the policy (what traces and banners print).
+    #: ROUTERS name of the policy (what traces and banners print).
     name: str
 
     def route(self, request: InferenceRequest) -> int:
@@ -157,12 +158,5 @@ ROUTERS: dict[str, Callable[..., Router]] = {
 
 
 def make_router(name: str, n_vertices: int, live: Sequence[int]) -> Router:
-    """Build a router policy by registry name over the replica ids
-    ``live``."""
-    try:
-        factory = ROUTERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown router {name!r}; known: {sorted(ROUTERS)}"
-        ) from None
-    return factory(n_vertices, live)
+    """Build a router policy by name over the replica ids ``live``."""
+    return ROUTERS[check_name("router", name, ROUTERS)](n_vertices, live)

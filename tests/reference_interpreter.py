@@ -5,7 +5,8 @@ interpreter, the CSR-building SAMPLE it runs, and the dead-step analysis.
 stood before the executors moved to mask dataflow
 (``repro.core.plan.LocalExecutor`` at commit 4102b0c, body moved here
 verbatim minus its tracing hook and, since, the random-walk EXTRACT kinds
-the executors no longer have): NORM copies the whole probability matrix,
+the executors no longer have): NORM copies the whole probability matrix
+(:func:`reference_norm`, the built-in samplers' retired copying bodies),
 SAMPLE builds the sampled ``Q^{l-1}`` as a CSR matrix (:func:`sample_stacked`,
 the ``MatrixSampler`` method of that name until the executors stopped
 calling it), and every EXTRACT tears that matrix apart again —
@@ -46,7 +47,6 @@ from repro.sparse import (
     CSRMatrix,
     indicator_rows,
     row_normalize,
-    row_normalize_inplace,
     row_selector,
     spgemm,
     vstack,
@@ -199,6 +199,25 @@ def eliminate_dead_steps(plan: SamplingPlan) -> SamplingPlan:
 
 
 # --------------------------------------------------------------------- #
+# NORM
+# --------------------------------------------------------------------- #
+def reference_norm(sampler, p):
+    """NORM(P) into a fresh matrix, as the built-ins' retired copying
+    ``norm`` bodies computed it: the oracle of the in-place ``norm`` every
+    executor runs.  A sampler with a NORM of its own (the example plugin's
+    copies) runs it."""
+    mode = getattr(sampler, "norm_mode", None)
+    if mode == "ladies" or type(sampler).norm is LadiesSampler.norm:
+        squared = CSRMatrix(
+            p.indptr.copy(), p.indices.copy(), p.data**2, p.shape
+        )
+        return row_normalize(squared)
+    if mode == "sage" or type(sampler).norm is SageSampler.norm:
+        return row_normalize(p)
+    return sampler.norm(p)
+
+
+# --------------------------------------------------------------------- #
 # The interpreter
 # --------------------------------------------------------------------- #
 def reference_sample_bulk(sampler, adj, batches, fanout, rng):
@@ -240,20 +259,12 @@ class PlanSampler(MatrixSampler):
             return row_selector(arg, n)
         return indicator_rows(arg, n)
 
+    # Production primitives, by reference.
     def norm(self, p):
         if self.norm_mode == "ladies":
-            squared = CSRMatrix(
-                p.indptr.copy(), p.indices.copy(), p.data**2, p.shape
-            )
-            return row_normalize(squared)
-        return row_normalize(p)
+            return LadiesSampler.norm(self, p)
+        return SageSampler.norm(self, p)
 
-    def norm_inplace(self, p):
-        if self.norm_mode == "ladies":
-            np.power(p.data, 2, out=p.data)
-        return row_normalize_inplace(p)
-
-    # Production primitives, by reference.
     extract_batch_layer = SageSampler.extract_batch_layer
     row_extract = staticmethod(LadiesSampler.row_extract)
     col_extract = LadiesSampler.col_extract
@@ -315,7 +326,7 @@ class ReferenceInterpreter:
         if isinstance(step, ProbStep):
             self._prob(step)
         elif isinstance(step, NormStep):
-            self.p = self.sampler.norm(self.p)
+            self.p = reference_norm(self.sampler, self.p)
         elif isinstance(step, SampleStep):
             self._sample(step)
         else:

@@ -1,99 +1,60 @@
-"""The repro.api facade: registries, RunConfig, Engine, capability gating."""
+"""The repro.api facade: the name tables, RunConfig, Engine."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from repro.api import (
-    ALGORITHMS,
-    DATASETS,
-    SAMPLERS,
-    CapabilityError,
-    Engine,
-    Registry,
-    RegistryKeyError,
-    RunConfig,
-    make_sampler,
-)
-from repro.config import PERLMUTTER_LIKE
-from repro.core import MatrixSampler, SageSampler
+from examples.custom_sampler import DegreeBiasedSampler
+from repro.api import ALGORITHMS, SAMPLERS, Engine, RunConfig, make_sampler
+from repro.comm import ProcessGrid
+from repro.core import SageSampler
+from repro.gnn import ACTIVATIONS, GNNModel, make_activation
+from repro.gnn.model import CONVS
+from repro.graphs import PAPER_DATASETS, load_dataset
+from repro.machine import PERLMUTTER_LIKE
+from repro.partition import CACHE_POLICIES, CachedFeatureStore, FeatureStore
 from repro.pipeline import TrainingPipeline
+from repro.serve import ROUTERS, make_router
+
+
+#: Every sampler the tables know, plus the example plugin.
+PLUGGED = sorted(set(SAMPLERS) | {"degree-biased"})
 
 
 @pytest.fixture
-def registry():
-    return Registry("widget")
-
-
-class TestRegistry:
-    def test_register_and_get(self, registry):
-        registry.register("a", int, color="red")
-        assert registry.get("a") is int
-        assert registry.spec("a").meta("color") == "red"
-        assert "a" in registry and len(registry) == 1
-
-    def test_decorator_form(self, registry):
-        @registry.register("b", flavor="sweet")
-        class Thing:
-            pass
-
-        assert registry.get("b") is Thing
-        assert registry.spec("b").meta("flavor") == "sweet"
-
-    def test_duplicate_rejected_unless_overwrite(self, registry):
-        registry.register("a", int)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("a", float)
-        registry.register("a", float, overwrite=True)
-        assert registry.get("a") is float
-
-    def test_unknown_key_names_known_keys(self, registry):
-        registry.register("alpha", 1)
-        registry.register("beta", 2)
-        with pytest.raises(RegistryKeyError) as exc:
-            registry.get("gamma")
-        assert "alpha" in str(exc.value) and "beta" in str(exc.value)
-        assert "gamma" in str(exc.value)
-
-    def test_unregister(self, registry):
-        registry.register("a", 1)
-        registry.unregister("a")
-        assert "a" not in registry
-        with pytest.raises(RegistryKeyError):
-            registry.unregister("a")
-
-    def test_names_sorted_and_iterable(self, registry):
-        registry.register("zeta", 1)
-        registry.register("alpha", 2)
-        assert registry.names() == ["alpha", "zeta"]
-        assert list(registry) == ["alpha", "zeta"]
+def example_plugin(monkeypatch):
+    """``examples/custom_sampler.py``'s sampler, in SAMPLERS for the test."""
+    monkeypatch.setitem(SAMPLERS, "degree-biased", DegreeBiasedSampler)
 
 
 class TestBuiltinRegistries:
     def test_builtin_samplers_present(self):
-        assert {"sage", "ladies", "fastgcn"} <= set(SAMPLERS.names())
+        assert {"sage", "ladies", "fastgcn"} <= set(SAMPLERS)
 
     def test_builtin_algorithms_present(self):
-        assert {"single", "replicated", "partitioned"} <= set(ALGORITHMS.names())
+        assert {"single", "replicated", "partitioned"} <= set(ALGORITHMS)
 
     def test_builtin_datasets_present(self):
-        assert {"products", "protein", "papers"} <= set(DATASETS.names())
+        assert {"products", "protein", "papers"} <= set(PAPER_DATASETS)
 
     def test_make_sampler_training_kwargs(self):
         s = make_sampler("sage", for_training=True)
         assert isinstance(s, SageSampler) and s.include_dst
 
-    def test_graph_aware_sampler_needs_graph(self, registry):
-        SAMPLERS.register("needs-graph", lambda g: SageSampler(),
-                          graph_aware=True)
-        try:
-            with pytest.raises(ValueError, match="graph"):
-                make_sampler("needs-graph")
-        finally:
-            SAMPLERS.unregister("needs-graph")
+    def test_graph_aware_sampler_needs_graph(self, example_plugin):
+        """A sampler built from graph statistics overrides ``for_graph``,
+        and make_sampler hands it the graph; without one, the class is
+        built directly and its constructor misses the statistic."""
+        graph = load_dataset("products", scale=0.1, seed=1)
+        s = make_sampler("degree-biased", graph=graph, for_training=True)
+        assert isinstance(s, DegreeBiasedSampler) and s.include_dst
+        assert np.array_equal(s.degrees, graph.out_degrees())
+        with pytest.raises(TypeError, match="degrees"):
+            make_sampler("degree-biased")
 
 
 #: The removed knobs whose keys ``RunConfig`` keeps: key -> (its one legal
@@ -223,7 +184,7 @@ class TestRunConfig:
             assert f"set it to {kept!r}" in str(err.value)
         assert RunConfig().to_dict()[key] == kept
         assert RunConfig(**{key: kept}).to_dict() == RunConfig().to_dict()
-        assert "parallel" not in ALGORITHMS.names()
+        assert "parallel" not in ALGORITHMS
 
     @pytest.mark.parametrize("text, says", [
         ("[1]", "must hold a JSON object of RunConfig fields"),
@@ -242,61 +203,110 @@ class TestRunConfig:
         assert str(err.value).startswith(f"config {path} {says}")
 
 
+def _bulk_digests(pipeline, bulk, seed) -> list[str]:
+    """One digest per sampled minibatch of one bulk, in an order that does
+    not depend on which rank got which batch."""
+    digests = []
+    for per_rank in pipeline.backend.sample_bulk(pipeline, bulk, seed):
+        for mb in per_rank:
+            h = hashlib.sha256(mb.batch.tobytes())
+            for layer in mb.layers:
+                for arr in (*layer.adj.buffers(), layer.src_ids, layer.dst_ids):
+                    h.update(np.ascontiguousarray(arr).tobytes())
+            digests.append(h.hexdigest())
+    return sorted(digests)
+
+
 class TestCapabilities:
+    """Every sampler emits a plan, so every sampler runs under every
+    execution algorithm without declaring anything."""
+
     @pytest.mark.parametrize("sampler", ["sage", "ladies", "fastgcn"])
     def test_builtin_accepted_under_partitioned(self, sampler):
-        """Every built-in emits a sampling plan, so partitioned support is
-        derived — the config layer must accept the combination."""
         cfg = RunConfig(p=4, c=2, sampler=sampler, algorithm="partitioned",
                         fanout=(2, 2))
         assert cfg.algorithm == "partitioned"
 
-    def test_registered_class_plugin_derives_partitioned(self, labeled_graph):
-        """A plugin registered as a class with an inherited plan gets the
-        partitioned algorithm for free — through capability gating AND an
-        actual epoch of training."""
-        from repro.api.registries import sampler_algorithms
+    def test_registered_class_plugin_derives_partitioned(
+        self, labeled_graph, monkeypatch
+    ):
+        """A plugin class added to SAMPLERS, with an inherited plan and no
+        declarations, trains an epoch under the partitioned algorithm."""
 
         class PluginSage(SageSampler):
             name = "plugin-sage"
 
-        SAMPLERS.register(
-            "plugin-sage", PluginSage,
-            pipeline_kwargs={"include_dst": True}, default_conv="sage",
+        monkeypatch.setitem(SAMPLERS, "plugin-sage", PluginSage)
+        cfg = RunConfig(
+            p=4, c=2, algorithm="partitioned", sampler="plugin-sage",
+            fanout=(4, 2), batch_size=32, hidden=16,
         )
-        try:
-            assert "partitioned" in sampler_algorithms("plugin-sage")
-            cfg = RunConfig(
-                p=4, c=2, algorithm="partitioned", sampler="plugin-sage",
-                fanout=(4, 2), batch_size=32, hidden=16,
-            )
-            stats = TrainingPipeline(labeled_graph, cfg).train_epoch()
-            assert stats.loss is not None and np.isfinite(stats.loss)
-        finally:
-            SAMPLERS.unregister("plugin-sage")
+        stats = TrainingPipeline(labeled_graph, cfg).train_epoch()
+        assert stats.loss is not None and np.isfinite(stats.loss)
 
-    def test_planless_factory_rejected_under_partitioned(self):
-        """A factory-registered sampler hides its product class, so without
-        explicit ``algorithms`` metadata partitioned is ruled out."""
-        SAMPLERS.register("opaque", lambda **kw: SageSampler(**kw))
-        try:
-            with pytest.raises(CapabilityError, match="partitioned"):
-                RunConfig(p=4, c=2, sampler="opaque",
-                          algorithm="partitioned", fanout=(3,))
-        finally:
-            SAMPLERS.unregister("opaque")
-
-    def test_sampling_only_entry_rejected_by_pipeline(self, labeled_graph):
-        SAMPLERS.register(
-            "sample-only", SageSampler, capabilities=("sample",),
-            algorithms=("single", "replicated"),
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("sampler", PLUGGED)
+    def test_every_sampler_trains_under_every_algorithm(
+        self, sampler, algorithm, labeled_graph, example_plugin
+    ):
+        """One tiny epoch trains; and for the same batches, the
+        partitioned grid samples the bits the replicated one does."""
+        p, c = (1, 1) if algorithm == "single" else (4, 2)
+        cfg = RunConfig(
+            p=p, c=c, algorithm=algorithm, sampler=sampler, fanout=(4, 2),
+            batch_size=64, hidden=8, seed=5,
         )
-        try:
-            cfg = RunConfig(p=2, sampler="sample-only", fanout=(3,))
-            with pytest.raises(CapabilityError, match="sampling-only"):
-                TrainingPipeline(labeled_graph, cfg)
-        finally:
-            SAMPLERS.unregister("sample-only")
+        pipeline = TrainingPipeline(labeled_graph, cfg)
+        stats = pipeline.train_epoch()
+        assert stats.n_batches > 0 and np.isfinite(stats.loss)
+        if algorithm != "partitioned":
+            return
+        rng = np.random.default_rng(11)
+        bulk = [rng.choice(labeled_graph.train_idx, 16, replace=False)
+                for _ in range(6)]
+        replicated = TrainingPipeline(
+            labeled_graph, cfg.replace(algorithm="replicated")
+        )
+        want = _bulk_digests(replicated, bulk, seed=9)
+        assert len(want) == len(bulk)
+        assert _bulk_digests(pipeline, bulk, seed=9) == want
+
+
+#: Each name table, keyed by the noun its refusal uses (the RunConfig field
+#: is that noun in snake case), with its lookup site outside RunConfig.
+NAME_TABLES = {
+    "sampler": (SAMPLERS, lambda: make_sampler("nope")),
+    "algorithm": (ALGORITHMS, None),  # RunConfig is its only lookup
+    "dataset": (PAPER_DATASETS, lambda: load_dataset("nope")),
+    "conv": (CONVS, lambda: GNNModel(
+        4, 4, 2, 1, np.random.default_rng(0), conv="nope")),
+    "activation": (ACTIVATIONS, lambda: make_activation("nope")),
+    "cache policy": (CACHE_POLICIES, lambda: CachedFeatureStore(
+        FeatureStore(np.zeros((4, 2)), ProcessGrid(1, 1)),
+        budget_bytes=0.0, policy="nope", scores=np.zeros(4))),
+    "router": (ROUTERS, lambda: make_router("nope", 4, [0])),
+}
+
+
+class TestNameTables:
+    """Every name table refuses an unknown name through one check, and the
+    message names every known key, sorted."""
+
+    @pytest.mark.parametrize("kind", list(NAME_TABLES))
+    def test_unknown_name_is_refused_naming_every_known_one(self, kind):
+        table, direct = NAME_TABLES[kind]
+        plural = kind[:-1] + "ies" if kind.endswith("y") else kind + "s"
+        want = f"unknown {kind} 'nope'; known {plural}: " + ", ".join(
+            sorted(table)
+        )
+        field = kind.replace(" ", "_")
+        for build in (lambda: RunConfig(**{field: "nope"}), direct):
+            if build is None:
+                continue
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == want
+        assert len(table) >= 2
 
 
 class TestEngine:
@@ -326,22 +336,6 @@ class TestEngine:
         assert np.intersect1d(g.train_idx, g.val_idx).size == 0
         assert np.intersect1d(g.val_idx, g.test_idx).size == 0
         assert g.train_idx.size + g.val_idx.size + g.test_idx.size == g.n
-
-    def test_sampling_only_sampler_can_sample_via_engine(self):
-        """Regression: the pipeline is built lazily, so engine.sample()
-        works for a sampling-only entry; training still raises."""
-        SAMPLERS.register(
-            "probe-only", SageSampler, capabilities=("sample",),
-            algorithms=("single", "replicated"), default_conv="sage",
-        )
-        try:
-            engine = Engine(self._cfg(sampler="probe-only"))
-            samples = engine.sample()
-            assert len(samples) > 0
-            with pytest.raises(CapabilityError, match="sampling-only"):
-                engine.train_epoch(0)
-        finally:
-            SAMPLERS.unregister("probe-only")
 
     def test_train_evaluate(self):
         engine = Engine(self._cfg(epochs=2))
@@ -387,40 +381,32 @@ class TestEngine:
 
 
 class TestCustomSamplerPluginThroughCLI:
-    def test_registered_plugin_flows_through_cli(self, capsys):
+    def test_registered_plugin_flows_through_cli(self, capsys, monkeypatch):
         from repro.cli import build_parser, main
 
-        @SAMPLERS.register(
-            "half-uniform",
-            default_conv="sage",
-            pipeline_kwargs={"include_dst": True},
-            algorithms=("single", "replicated"),
-            default_fanout=(4, 2),
-        )
         class HalfUniformSampler(SageSampler):
             name = "half-uniform"
+            default_fanout = (4, 2)
 
-        try:
-            # The new name is a valid argparse choice...
-            args = build_parser().parse_args(
-                ["sample", "products", "--sampler", "half-uniform"]
-            )
-            assert args.sampler == "half-uniform"
-            # ...and runs end-to-end through both CLI commands.
-            assert main(
-                ["sample", "products", "--sampler", "half-uniform",
-                 "--scale", "0.1", "--batches", "2", "--batch-size", "8",
-                 "--fanout", "3,2"]
-            ) == 0
-            assert "half-uniform" in capsys.readouterr().out
-            assert main(
-                ["train", "products", "--sampler", "half-uniform",
-                 "--scale", "0.1", "--epochs", "1", "--p", "2",
-                 "--batch-size", "16"]
-            ) == 0
-            assert "test accuracy" in capsys.readouterr().out
-        finally:
-            SAMPLERS.unregister("half-uniform")
+        monkeypatch.setitem(SAMPLERS, "half-uniform", HalfUniformSampler)
+        # The new name is a valid argparse choice...
+        args = build_parser().parse_args(
+            ["sample", "products", "--sampler", "half-uniform"]
+        )
+        assert args.sampler == "half-uniform"
+        # ...and runs end-to-end through both CLI commands.
+        assert main(
+            ["sample", "products", "--sampler", "half-uniform",
+             "--scale", "0.1", "--batches", "2", "--batch-size", "8",
+             "--fanout", "3,2"]
+        ) == 0
+        assert "half-uniform" in capsys.readouterr().out
+        assert main(
+            ["train", "products", "--sampler", "half-uniform",
+             "--scale", "0.1", "--epochs", "1", "--p", "2",
+             "--batch-size", "16"]
+        ) == 0
+        assert "test accuracy" in capsys.readouterr().out
 
     def test_unknown_sampler_rejected_by_cli(self):
         from repro.cli import build_parser

@@ -16,7 +16,7 @@ from repro.bench import (
     percentiles,
 )
 from repro.bench.harness import BenchWorkload, work_scale_for, workload_hidden
-from repro.config import ArchitectureConfig, DeviceModel, LinkModel
+from repro.machine import ArchitectureConfig, DeviceModel, LinkModel
 
 
 class TestFormatTable:
@@ -160,7 +160,7 @@ class TestConfigObjects:
         assert link.time(0) == 1e-6
 
     def test_machine_node_mapping(self):
-        from repro.config import PERLMUTTER_LIKE as m
+        from repro.machine import PERLMUTTER_LIKE as m
 
         assert m.node_of(0) == m.node_of(3) == 0
         assert m.node_of(4) == 1

@@ -12,7 +12,7 @@ from repro.comm import (
     SimClock,
     payload_nbytes,
 )
-from repro.config import PERLMUTTER_LIKE, LinkModel
+from repro.machine import PERLMUTTER_LIKE, LinkModel
 from repro.sparse import sprand
 
 

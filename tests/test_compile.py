@@ -58,6 +58,7 @@ from reference_interpreter import (
     PlanSampler,
     ReferenceInterpreter,
     eliminate_dead_steps,
+    reference_norm,
     reference_sample_bulk,
 )
 from reference_sparse import spgemm_scipy
@@ -411,13 +412,14 @@ def test_describe_renders_four_steps_per_layer():
     "sampler", [SageSampler(), LadiesSampler()], ids=["sage", "ladies"]
 )
 def test_norm_inplace_matches_norm(sampler):
+    """The one, in-place ``norm`` gives the retired copying body's bits."""
     adj = _graph()
     p = spgemm(
         SageSampler.make_q(np.arange(40, dtype=np.int64), adj.shape[0]),
         adj,
     )
-    expected = sampler.norm(p)
-    got = sampler.norm_inplace(
+    expected = reference_norm(sampler, p)
+    got = sampler.norm(
         type(p)(p.indptr.copy(), p.indices.copy(), p.data.copy(), p.shape)
     )
     assert np.array_equal(expected.indptr, got.indptr)
@@ -426,16 +428,15 @@ def test_norm_inplace_matches_norm(sampler):
 
 
 def test_overriding_norm_alone_drops_the_inherited_inplace_norm():
-    """An in-place NORM belongs to the ``norm`` it was written with: the
-    example plugin overrides GraphSAGE's ``norm`` only, and its weighting
-    must be what runs (it once ran GraphSAGE's in-place divide instead)."""
+    """A sampler has one ``norm``: the example plugin overrides GraphSAGE's,
+    and its weighting must be what the executor runs (it once ran
+    GraphSAGE's inherited in-place divide instead)."""
     adj = _graph()
     degrees = adj.nnz_per_row()
     biased = DegreeBiasedSampler(degrees)
     p = spgemm(SageSampler.make_q(np.arange(40), adj.shape[0]), adj)
     want = biased.norm(p)
-    assert biased.norm_inplace(p.copy()).equal(want, 0.0)
-    assert not SageSampler().norm(p).equal(want, 1e-12)
+    assert not SageSampler().norm(p.copy()).equal(want, 1e-12)
     batches = _batches(adj, k=2)
     got = biased.sample_bulk(adj, batches, (4,), np.random.default_rng(1))
     _layers_equal(
@@ -479,8 +480,8 @@ NORM_CASES = {
 @pytest.mark.parametrize("name", list(NORM_CASES))
 def test_norm_never_copies(name):
     """``P`` after NORM is the matrix PROB produced — in the local executor
-    and in every grid row's executor — so a NORM that dispatched to the
-    copying ``norm`` fails here."""
+    and in every grid row's executor — so a ``norm`` that copied fails
+    here."""
     factory, fanout = NORM_CASES[name]
     sampler = factory()
     plan = sampler.emitted_plan(fanout)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import Communicator, ProcessGrid
-from repro.core import FastGCNSampler, LadiesSampler, SageSampler
+from repro.core import FastGCNSampler, LadiesSampler, MatrixSampler, SageSampler
 from repro.distributed import (
     ProbCostInputs,
     partitioned_bulk_sampling,
@@ -312,14 +312,17 @@ class TestPartitioned:
             )
 
     def test_unsupported_sampler_rejected(self, small_adj, batches):
+        """A sampler without a plan never reaches the grid: ``plan`` is
+        abstract, so building one is the ``TypeError``."""
         comm = Communicator(4)
         grid = ProcessGrid(4, 2)
         ab = BlockRows.partition(small_adj, 2)
 
-        class WeirdSampler:
-            pass
+        class WeirdSampler(MatrixSampler):
+            def norm(self, p):
+                return p
 
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="plan"):
             partitioned_bulk_sampling(
                 comm, grid, WeirdSampler(), ab, batches, (4,), seed=0
             )

@@ -170,7 +170,7 @@ class TestDatasets:
         assert np.allclose(a.features, b.features)
 
     def test_load_dataset_validation(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown dataset 'citeseer'"):
             load_dataset("citeseer")
         with pytest.raises(ValueError):
             load_dataset("products", scale=-1)

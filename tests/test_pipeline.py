@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig
-from repro.config import SAGE_ARCH
+from repro.machine import SAGE_ARCH
 from repro.graphs.datasets import PAPER_DATASETS
 from repro.pipeline import (
     EpochStats,

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ALGORITHMS, DATASETS, SAMPLERS, RunConfig
+from repro.api import ALGORITHMS, SAMPLERS, RunConfig
 from repro.cli import (
     _SERVE_KNOBS,
     _STREAM_KNOBS,
@@ -48,6 +48,7 @@ from repro.cli import (
     main,
 )
 from repro.gnn import ACTIVATIONS
+from repro.graphs import PAPER_DATASETS
 from repro.partition import CACHE_POLICIES
 from repro.serve import ROUTERS
 
@@ -63,15 +64,12 @@ SETTABLE = {n: f for n, f in FIELDS.items() if "retired" not in f.metadata}
 def cli_surface(parser: argparse.ArgumentParser) -> dict[str, list]:
     """``{subcommand: sorted rows}``; ``""`` is the top-level parser."""
     registries = {
-        "@datasets": DATASETS.names(), "@samplers": SAMPLERS.names(),
-        "@algorithms": ALGORITHMS.names(),
-        "@activations": list(ACTIVATIONS),
-        "@cache_policies": list(CACHE_POLICIES),
-        "@routers": list(ROUTERS),
-        "@sweep_algorithms": [
-            n for n in ALGORITHMS.names()
-            if ALGORITHMS.spec(n).meta("scalable", True)
-        ],
+        "@datasets": sorted(PAPER_DATASETS), "@samplers": sorted(SAMPLERS),
+        "@algorithms": sorted(ALGORITHMS),
+        "@activations": sorted(ACTIVATIONS),
+        "@cache_policies": sorted(CACHE_POLICIES),
+        "@routers": sorted(ROUTERS),
+        "@sweep_algorithms": sorted(set(ALGORITHMS) - {"single"}),
     }
 
     def choices(action):
@@ -224,9 +222,6 @@ ALLOWED = {
     "SamplingPlan.describe": "a plan's printable form (four lines per layer "
     "of what runs, since plans run as emitted); the plan tests pin plans by "
     "it",
-    "ExecutionBackend": "the Protocol that states the backend plug-in contract",
-    "Registry.unregister": "undoes a registration in a process-global "
-    "registry (plugin reloads, test clean-up)",
     "Engine.epoch_stats": "how a stream_bulks() caller reads the epoch's "
     "stats afterwards (documented on the generator)",
     "load_graph": "reads what `repro generate` writes",
